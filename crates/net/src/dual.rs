@@ -1,6 +1,7 @@
 //! The dual graph network `(G, G′)` of the paper's §2.1.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::csr::Csr;
 use crate::graph::Digraph;
@@ -111,6 +112,12 @@ pub struct DualGraph {
     /// in `G` — exactly the targets the adversary may grant or deny.
     /// Frozen into CSR form at construction.
     unreliable_only_csr: Csr,
+    /// The transpose of `unreliable_only_csr` (`G′ ∖ G` in-neighborhoods),
+    /// frozen on first use: only the sharded engine's in-shard oblivious
+    /// sampling reads it, so networks that never take that path pay no
+    /// set-up for it. `None` when `G′ ∖ G` is symmetric (every undirected
+    /// network): its transpose is `unreliable_only_csr` itself.
+    unreliable_only_in_csr: OnceLock<Option<Csr>>,
     /// Stable identities for the unreliable-only edges, aligned with the
     /// flat indices of `unreliable_only_csr` (see
     /// [`DualGraph::unreliable_edge_ids`]). `None` for a standalone graph,
@@ -203,6 +210,7 @@ impl DualGraph {
             reliable_in_csr,
             total_csr,
             unreliable_only_csr,
+            unreliable_only_in_csr: OnceLock::new(),
             unreliable_edge_ids: None,
         })
     }
@@ -297,6 +305,28 @@ impl DualGraph {
     #[inline]
     pub fn unreliable_only_csr(&self) -> &Csr {
         &self.unreliable_only_csr
+    }
+
+    /// `G′ ∖ G` **in**-neighborhoods in frozen CSR form: row `v` is the
+    /// sorted set of nodes `u` with `v ∈ unreliable_only_out(u)` — the
+    /// senders whose transmissions the adversary may grant or deny at
+    /// `v`. The transpose of [`DualGraph::unreliable_only_csr`], frozen on
+    /// the first call and cached (thread-safe), so the sharded engine can
+    /// sample oblivious deliveries receiver-side without making every
+    /// network pay for it at construction. When `G′ ∖ G` is symmetric —
+    /// every undirected network — the transpose *is* the out-CSR, and no
+    /// copy is built.
+    pub fn unreliable_only_in_csr(&self) -> &Csr {
+        let csr = &self.unreliable_only_csr;
+        self.unreliable_only_in_csr
+            .get_or_init(|| {
+                let symmetric = self
+                    .nodes()
+                    .all(|u| csr.row(u).iter().all(|&v| csr.contains(v, u)));
+                (!symmetric).then(|| csr.transpose())
+            })
+            .as_ref()
+            .unwrap_or(csr)
     }
 
     /// Stable identities of the unreliable-only edges, aligned with the
@@ -512,6 +542,35 @@ mod tests {
         // Undirected networks: in-rows equal out-rows.
         let sym = DualGraph::classical(line3(), v(0)).unwrap();
         assert_eq!(sym.reliable_in_csr(), sym.reliable_csr());
+    }
+
+    #[test]
+    fn unreliable_only_in_csr_is_the_lazy_transpose() {
+        // Directed extras: 0 -> 2 and 3 -> 1 are unreliable-only, so the
+        // in-rows differ from the out-rows.
+        let mut g = Digraph::new(4);
+        g.add_edge(v(0), v(1));
+        g.add_edge(v(1), v(2));
+        g.add_edge(v(2), v(3));
+        let mut gp = g.clone();
+        gp.add_edge(v(0), v(2));
+        gp.add_edge(v(3), v(1));
+        gp.add_edge(v(0), v(3));
+        let net = DualGraph::new(g, gp, v(0)).unwrap();
+        assert!(net.unreliable_only_in_csr.get().is_none(), "built lazily");
+        let t = net.unreliable_only_in_csr();
+        assert_eq!(t, &net.unreliable_only_csr().transpose());
+        assert_eq!(t.row(v(1)), &[v(3)]);
+        assert_eq!(t.row(v(3)), &[v(0)]);
+        assert_ne!(t, net.unreliable_only_csr());
+        // Clones carry the frozen transpose along.
+        assert_eq!(net.clone().unreliable_only_in_csr(), t);
+        // Undirected networks share the out-CSR instead of copying it.
+        let sym = DualGraph::new(line3(), Digraph::complete(3), v(0)).unwrap();
+        assert!(std::ptr::eq(
+            sym.unreliable_only_in_csr(),
+            sym.unreliable_only_csr()
+        ));
     }
 
     #[test]

@@ -94,7 +94,7 @@ mod trace;
 
 pub use adversary::{
     Adversary, Assignment, BuildAssignmentError, BurstyDelivery, CollisionSeeker, FullDelivery,
-    RandomDelivery, ReliableOnly, RoundContext, WithAssignment, WithRandomCr4,
+    ObliviousSampler, RandomDelivery, ReliableOnly, RoundContext, WithAssignment, WithRandomCr4,
 };
 pub use collision::{resolve, CollisionRule, Cr4Resolution, Reception};
 pub use dynamics::{DynamicExecutor, DynamicsCursor, FaultEvent, FaultPlan, FaultView, NodeRole};

@@ -49,8 +49,8 @@ pub fn derive_seed2(master: u64, stream: u64, substream: u64) -> u64 {
 /// nudged off zero so `ln` stays finite).
 ///
 /// This is the one copy of the numerically delicate formula behind every
-/// geometric skip sampler in the workspace (the batched delivery
-/// adversaries, the bursty link chains, Poisson stream arrivals).
+/// geometric skip sampler in the workspace (the bursty link chains,
+/// Poisson stream arrivals).
 /// `p <= 0` yields `u64::MAX` (never succeeds), `p >= 1` yields `0`
 /// (succeeds immediately).
 #[inline]

@@ -9,11 +9,16 @@
 //! of worker count**, including traces. The determinism argument:
 //!
 //! * **No shard-level randomness.** Every random draw is either owned by a
-//!   process (node-local, untouched by partitioning) or by the adversary —
-//!   and every adversary call ([`Adversary::unreliable_deliveries`] per
-//!   sender, [`Adversary::resolve_cr4`] per collided node) happens on the
-//!   coordinator, in ascending node order, exactly as in the sequential
-//!   engine. Shard count never enters any RNG stream.
+//!   process (node-local, untouched by partitioning) or by the adversary.
+//!   An adversary with an [`Adversary::oblivious`] form is a pure function
+//!   of `(round, edge)` and `(round, node)`: shards evaluate it
+//!   receiver-side, and the promise that it equals the adversary's
+//!   answers makes the result the sequential engine's. Every other
+//!   adversary is consulted on the coordinator
+//!   ([`Adversary::unreliable_deliveries`] per sender,
+//!   [`Adversary::resolve_cr4`] per collided node), in ascending node
+//!   order, exactly as in the sequential engine. Shard count never enters
+//!   any RNG stream.
 //! * **Merges in shard order are merges in node order.** Shards are
 //!   contiguous ascending ranges, so concatenating per-shard sender
 //!   buffers / newly-informed lists in shard order reproduces the
@@ -22,7 +27,7 @@
 //!   `receive_chunk` body the sequential sweeps run (see `slot.rs`), and
 //!   the receiver-side resolve below recomputes the sequential engine's
 //!   per-node reaching set — ascending sender order, self/`G`-row/extras —
-//!   from the transpose CSR, so per-node results agree element-wise.
+//!   from the transpose CSRs, so per-node results agree element-wise.
 //! * **Disjoint writes.** Shard boundaries are multiples of 64, so the
 //!   `informed` bitset splits into whole disjoint `u64` words; all other
 //!   per-node state splits by `chunks_mut`. The only cross-shard
@@ -33,13 +38,14 @@
 //! [`Executor::step_traced`] — the pre-refactor sequential path —
 //! unchanged.
 //!
+//! [`Adversary::oblivious`]: crate::Adversary::oblivious
 //! [`Adversary::unreliable_deliveries`]: crate::Adversary::unreliable_deliveries
 //! [`Adversary::resolve_cr4`]: crate::Adversary::resolve_cr4
 
 use dualgraph_net::{Csr, NodeId, ShardPlan};
 
-use crate::adversary::RoundContext;
-use crate::collision::{self, CollisionRule, Reception};
+use crate::adversary::{ObliviousSampler, RoundContext};
+use crate::collision::{CollisionRule, Cr4Resolution, Reception};
 use crate::dynamics::{FaultView, NodeRole};
 use crate::engine::{BroadcastOutcome, Executor, RoundSummary};
 use crate::message::Message;
@@ -87,17 +93,8 @@ pub struct ShardedExecutor<'a> {
     send_bufs: Vec<Vec<(NodeId, Message)>>,
     /// Per-shard newly-informed lists; concatenated in shard order.
     newly_bufs: Vec<Vec<NodeId>>,
-    /// Per-shard deferred CR4 choices: `(node, start, end)` into the
-    /// shard's `cr4_idx` arena. Resolved on the coordinator, shard by
-    /// shard — which is ascending node order, so the adversary's RNG
-    /// stream matches the sequential engine's.
-    cr4_jobs: Vec<Vec<(u32, u32, u32)>>,
-    /// Per-shard arenas of merged reaching sets for deferred CR4 choices
-    /// (ascending sender-index order, the historical order
-    /// [`Adversary::resolve_cr4`][crate::Adversary::resolve_cr4] sees).
-    cr4_idx: Vec<Vec<u32>>,
-    /// Per-shard physical-collision counts; summed at the barrier.
-    collision_counts: Vec<u64>,
+    /// Per-shard collision-resolution scratch.
+    resolve_bufs: Vec<ResolveScratch>,
 }
 
 impl<'a> ShardedExecutor<'a> {
@@ -116,9 +113,7 @@ impl<'a> ShardedExecutor<'a> {
             own_set: Vec::new(),
             send_bufs: vec![Vec::new(); shards],
             newly_bufs: vec![Vec::new(); shards],
-            cr4_jobs: vec![Vec::new(); shards],
-            cr4_idx: vec![Vec::new(); shards],
-            collision_counts: vec![0; shards],
+            resolve_bufs: (0..shards).map(|_| ResolveScratch::default()).collect(),
         }
     }
 
@@ -215,90 +210,20 @@ impl<'a> ShardedExecutor<'a> {
             self.own_set.push(u.index() as u32);
         }
 
-        // Phase 2a (coordinator): adversary deliveries, one call per
-        // sender in node order — the call order every seeded adversary's
-        // RNG stream depends on. Identical to the sequential engine.
-        self.exec.extra_flat.clear();
-        self.exec.extra_ranges.clear();
-        {
-            let Executor {
-                network,
-                adversary,
-                assignment,
-                informed,
-                senders_buf,
-                extra_flat,
-                extra_ranges,
-                ..
-            } = &mut self.exec;
-            let ctx = RoundContext {
-                round: t,
-                network,
-                assignment,
-                senders: senders_buf,
-                informed,
-            };
-            for &(u, _) in senders_buf.iter() {
-                let start = extra_flat.len() as u32;
-                adversary.unreliable_deliveries(&ctx, u, extra_flat);
-                let end = extra_flat.len() as u32;
-                debug_assert!(end >= start, "adversary shrank the delivery buffer");
-                for &v in &extra_flat[start as usize..end as usize] {
-                    debug_assert!(
-                        network.unreliable_only_csr().contains(u, v),
-                        "adversary delivered ({u}, {v}) outside G' \\ G"
-                    );
-                }
-                extra_ranges.push((start, end));
-            }
-        }
-
-        // Phase 2b (coordinator): bucket the adversary extras by
-        // *receiver* — a stable counting sort whose write pass visits
-        // senders in ascending index order, so each receiver's bucket is
-        // in ascending sender-index order, matching the sequential
-        // arena's per-node fill order. Reuses the sequential engine's
-        // cursor / arena_off / arena buffers (idle in sharded rounds).
-        {
-            let Executor {
-                extra_flat,
-                extra_ranges,
-                arena,
-                arena_off,
-                cursor,
-                ..
-            } = &mut self.exec;
-            cursor.fill(0);
-            for &v in extra_flat.iter() {
-                cursor[v.index()] += 1;
-            }
-            let mut acc = 0u32;
-            arena_off[0] = 0;
-            for v in 0..n {
-                acc += cursor[v];
-                arena_off[v + 1] = acc;
-            }
-            cursor.copy_from_slice(&arena_off[..n]);
-            if arena.len() < acc as usize {
-                arena.resize(acc as usize, 0);
-            }
-            for (i, &(s, e)) in extra_ranges.iter().enumerate() {
-                for &v in &extra_flat[s as usize..e as usize] {
-                    arena[cursor[v.index()] as usize] = i as u32;
-                    cursor[v.index()] += 1;
-                }
-            }
+        // An oblivious adversary is sampled inside the shards during
+        // phase 3; any other is consulted on the coordinator, in phases
+        // 2a, 2b, and 3b.
+        let oblivious = self.exec.adversary.oblivious();
+        if oblivious.is_none() {
+            self.sample_on_coordinator(t);
         }
 
         // Phase 3 (sharded): receiver-side collision resolution. Each
         // shard walks its receivers' in-neighborhoods (the transpose CSR)
         // instead of scattering from sender rows — same per-node reaching
-        // set, no cross-shard writes. CR4 choices are recorded as jobs and
-        // resolved on the coordinator below (adversary RNG order).
+        // set, no cross-shard writes.
         self.exec.receptions_buf.clear();
-        self.exec
-            .receptions_buf
-            .resize(n, Reception::Silence);
+        self.exec.receptions_buf.resize(n, Reception::Silence);
         {
             let Executor {
                 network,
@@ -313,98 +238,48 @@ impl<'a> ShardedExecutor<'a> {
                 byzantine_count,
                 ..
             } = &mut self.exec;
-            let in_csr = network.reliable_in_csr();
             let rule = config.rule;
             // Dense-round fast path, mirroring the sequential engine's
             // skipped write pass: when every node transmitted under
-            // CR2-CR4, only the reaching-set *length* matters, and it is
-            // in-degree + extras + 1 — O(1) per receiver.
+            // CR2-CR4, only whether a reaching set has ≥ 2 messages
+            // matters.
             let dense = senders_buf.len() == n && rule != CollisionRule::Cr1;
-            let byzantine = *byzantine_count > 0;
-            let faulty = *faulty_count > 0;
-            let senders: &[(NodeId, Message)] = senders_buf;
-            let own_buf: &[Option<Message>] = own_buf;
-            let own_idx: &[u32] = &self.own_idx;
-            let roles: &[NodeRole] = roles;
-            let extras: &[u32] = arena;
-            let extra_off: &[u32] = arena_off;
-            std::thread::scope(|scope| {
-                let mut parts = receptions_buf
-                    .chunks_mut(chunk)
-                    .zip(self.cr4_jobs.iter_mut())
-                    .zip(self.cr4_idx.iter_mut())
-                    .zip(self.collision_counts.iter_mut())
-                    .enumerate();
-                let first = parts.next();
-                for (s, (((rec, jobs), idxs), col)) in parts {
-                    scope.spawn(move || {
-                        resolve_chunk(
-                            rec, s * chunk, jobs, idxs, col, senders, own_buf, own_idx, in_csr,
-                            extras, extra_off, roles, faulty, byzantine, dense, rule,
-                        );
-                    });
-                }
-                if let Some((_, (((rec, jobs), idxs), col))) = first {
-                    resolve_chunk(
-                        rec, 0, jobs, idxs, col, senders, own_buf, own_idx, in_csr, extras,
-                        extra_off, roles, faulty, byzantine, dense, rule,
-                    );
-                }
-            });
-        }
-        for &c in &self.collision_counts[..shards] {
-            self.exec.physical_collisions += c;
-        }
-
-        // Phase 3b (coordinator): deferred CR4 choices, shard by shard —
-        // ascending node order, the exact adversary call sequence of the
-        // sequential engine.
-        {
-            let Executor {
-                network,
-                adversary,
-                assignment,
-                informed,
-                senders_buf,
-                receptions_buf,
-                cr4_scratch,
-                roles,
-                byzantine_count,
-                ..
-            } = &mut self.exec;
-            let byzantine = *byzantine_count > 0;
-            let ctx = RoundContext {
-                round: t,
-                network,
-                assignment,
+            let round = ResolveRound {
                 senders: senders_buf,
-                informed,
+                own_buf,
+                own_idx: &self.own_idx,
+                in_csr: network.reliable_in_csr(),
+                roles,
+                faulty: *faulty_count > 0,
+                byzantine: *byzantine_count > 0,
+                dense,
+                rule,
             };
-            for s in 0..shards {
-                for &(v, start, end) in &self.cr4_jobs[s] {
-                    let node = NodeId::from_index(v as usize);
-                    cr4_scratch.clear();
-                    for &idx in &self.cr4_idx[s][start as usize..end as usize] {
-                        let (u, m) = senders_buf[idx as usize];
-                        cr4_scratch.push(if byzantine {
-                            roles[u.index()].content_for(m, node)
-                        } else {
-                            m
-                        });
-                    }
-                    receptions_buf[v as usize] =
-                        match adversary.resolve_cr4(&ctx, node, cr4_scratch) {
-                            collision::Cr4Resolution::Silence => Reception::Silence,
-                            collision::Cr4Resolution::Deliver(i) => {
-                                assert!(
-                                    i < cr4_scratch.len(),
-                                    "CR4 delivery index out of bounds"
-                                );
-                                Reception::Message(cr4_scratch[i])
-                            }
-                        };
+            let bufs = &mut self.resolve_bufs;
+            match oblivious {
+                Some(sampler) => {
+                    let in_csr = network.unreliable_only_in_csr();
+                    let extras = Sampled {
+                        in_csr,
+                        sampler,
+                        round: t,
+                    };
+                    resolve_shards(&round, &extras, receptions_buf, chunk, bufs);
+                }
+                None => {
+                    let extras = Bucketed {
+                        extras: arena,
+                        off: arena_off,
+                    };
+                    resolve_shards(&round, &extras, receptions_buf, chunk, bufs);
                 }
             }
+        }
+        for buf in &self.resolve_bufs[..shards] {
+            self.exec.physical_collisions += buf.collisions;
+        }
+        if oblivious.is_none() {
+            self.resolve_cr4_on_coordinator(t);
         }
 
         // Phase 4 (sharded): deliveries/activations fused with the
@@ -499,6 +374,124 @@ impl<'a> ShardedExecutor<'a> {
             complete: self.exec.is_complete(),
         }
     }
+
+    /// Phases 2a and 2b (coordinator), for adversaries without an
+    /// oblivious form: one delivery call per sender in node order — the
+    /// call order every seeded adversary's RNG stream depends on, exactly
+    /// as in the sequential engine — then the extras bucketed by
+    /// *receiver* for the shards' [`Bucketed`] reads.
+    fn sample_on_coordinator(&mut self, t: u64) {
+        let n = self.exec.network.len();
+        let Executor {
+            network,
+            adversary,
+            assignment,
+            informed,
+            senders_buf,
+            extra_flat,
+            extra_ranges,
+            arena,
+            arena_off,
+            cursor,
+            ..
+        } = &mut self.exec;
+        extra_flat.clear();
+        extra_ranges.clear();
+        let ctx = RoundContext {
+            round: t,
+            network,
+            assignment,
+            senders: senders_buf,
+            informed,
+        };
+        for &(u, _) in senders_buf.iter() {
+            let start = extra_flat.len() as u32;
+            adversary.unreliable_deliveries(&ctx, u, extra_flat);
+            let end = extra_flat.len() as u32;
+            debug_assert!(end >= start, "adversary shrank the delivery buffer");
+            for &v in &extra_flat[start as usize..end as usize] {
+                debug_assert!(
+                    network.unreliable_only_csr().contains(u, v),
+                    "adversary delivered ({u}, {v}) outside G' \\ G"
+                );
+            }
+            extra_ranges.push((start, end));
+        }
+
+        // A stable counting sort whose write pass visits senders in
+        // ascending index order, so each receiver's bucket is in ascending
+        // sender-index order, matching the sequential arena's per-node
+        // fill order. Reuses the sequential engine's cursor / arena_off /
+        // arena buffers (idle in sharded rounds).
+        cursor.fill(0);
+        for &v in extra_flat.iter() {
+            cursor[v.index()] += 1;
+        }
+        let mut acc = 0u32;
+        arena_off[0] = 0;
+        for v in 0..n {
+            acc += cursor[v];
+            arena_off[v + 1] = acc;
+        }
+        cursor.copy_from_slice(&arena_off[..n]);
+        if arena.len() < acc as usize {
+            arena.resize(acc as usize, 0);
+        }
+        for (i, &(s, e)) in extra_ranges.iter().enumerate() {
+            for &v in &extra_flat[s as usize..e as usize] {
+                arena[cursor[v.index()] as usize] = i as u32;
+                cursor[v.index()] += 1;
+            }
+        }
+    }
+
+    /// Phase 3b (coordinator), for adversaries without an oblivious
+    /// form: the CR4 choices phase 3 deferred, shard by shard — ascending
+    /// node order, the exact adversary call sequence of the sequential
+    /// engine.
+    fn resolve_cr4_on_coordinator(&mut self, t: u64) {
+        let Executor {
+            network,
+            adversary,
+            assignment,
+            informed,
+            senders_buf,
+            receptions_buf,
+            cr4_scratch,
+            roles,
+            byzantine_count,
+            ..
+        } = &mut self.exec;
+        let byzantine = *byzantine_count > 0;
+        let ctx = RoundContext {
+            round: t,
+            network,
+            assignment,
+            senders: senders_buf,
+            informed,
+        };
+        for buf in &self.resolve_bufs[..self.plan.shards()] {
+            for &(v, start, end) in &buf.cr4_jobs {
+                let node = NodeId::from_index(v as usize);
+                cr4_scratch.clear();
+                for &idx in &buf.cr4_idx[start as usize..end as usize] {
+                    let (u, m) = senders_buf[idx as usize];
+                    cr4_scratch.push(if byzantine {
+                        roles[u.index()].content_for(m, node)
+                    } else {
+                        m
+                    });
+                }
+                receptions_buf[v as usize] = match adversary.resolve_cr4(&ctx, node, cr4_scratch) {
+                    Cr4Resolution::Silence => Reception::Silence,
+                    Cr4Resolution::Deliver(i) => {
+                        assert!(i < cr4_scratch.len(), "CR4 delivery index out of bounds");
+                        Reception::Message(cr4_scratch[i])
+                    }
+                };
+            }
+        }
+    }
 }
 
 impl<'a> std::ops::Deref for ShardedExecutor<'a> {
@@ -527,32 +520,142 @@ impl std::fmt::Debug for ShardedExecutor<'_> {
     }
 }
 
-/// One shard's collision-resolution pass over receivers
-/// `base..base + receptions.len()`: recomputes each receiver's reaching
-/// set from the transpose CSR (in-row senders), the sender-index map
-/// (self), and the receiver-bucketed adversary extras — the same set, in
-/// the same ascending sender-index order, the sequential engine's arena
-/// holds. Mirrors `Executor::step_traced` phase 3 case for case; the
-/// differential suite pins the two together.
-#[allow(clippy::too_many_arguments)]
-fn resolve_chunk(
-    receptions: &mut [Reception],
-    base: usize,
-    jobs: &mut Vec<(u32, u32, u32)>,
-    idxs: &mut Vec<u32>,
-    collisions: &mut u64,
-    senders: &[(NodeId, Message)],
-    own_buf: &[Option<Message>],
-    own_idx: &[u32],
-    in_csr: &Csr,
-    extras: &[u32],
-    extra_off: &[u32],
-    roles: &[NodeRole],
+/// One shard's collision-resolution scratch, reused round to round.
+#[derive(Debug, Default)]
+struct ResolveScratch {
+    /// Deferred CR4 choices: `(node, start, end)` into `cr4_idx`. Resolved
+    /// on the coordinator, shard by shard — which is ascending node
+    /// order, so the adversary's RNG stream matches the sequential
+    /// engine's.
+    cr4_jobs: Vec<(u32, u32, u32)>,
+    /// Merged reaching sets (ascending sender-index order, the historical
+    /// order [`Adversary::resolve_cr4`][crate::Adversary::resolve_cr4]
+    /// sees) for CR4 choices.
+    cr4_idx: Vec<u32>,
+    /// One receiver's sampled extras ([`Sampled`]).
+    extras: Vec<u32>,
+    /// Physical collisions; summed at the barrier.
+    collisions: u64,
+}
+
+/// The round state every shard's resolve reads.
+struct ResolveRound<'r> {
+    senders: &'r [(NodeId, Message)],
+    own_buf: &'r [Option<Message>],
+    own_idx: &'r [u32],
+    /// `G`'s transpose: each receiver's reliable in-row.
+    in_csr: &'r Csr,
+    roles: &'r [NodeRole],
     faulty: bool,
     byzantine: bool,
     dense: bool,
     rule: CollisionRule,
+}
+
+/// Where a shard's resolve reads each receiver's adversary extras from.
+trait Extras: Sync {
+    /// Receiver `v`'s extras — the unreliable-only senders the adversary
+    /// delivers to `v` this round — as ascending sender indices.
+    fn at<'s>(&'s self, v: usize, own_idx: &[u32], scratch: &'s mut Vec<u32>) -> &'s [u32];
+
+    /// The CR4 choice at non-sending `v` among its `len` reaching
+    /// messages, or `None` to defer it to the coordinator.
+    fn cr4(&self, v: usize, len: usize) -> Option<Cr4Resolution>;
+}
+
+/// Extras the coordinator sampled sender by sender and bucketed by
+/// receiver (phases 2a–2b); CR4 choices are deferred to phase 3b.
+struct Bucketed<'r> {
+    extras: &'r [u32],
+    off: &'r [u32],
+}
+
+impl Extras for Bucketed<'_> {
+    fn at<'s>(&'s self, v: usize, _own_idx: &[u32], _scratch: &'s mut Vec<u32>) -> &'s [u32] {
+        &self.extras[self.off[v] as usize..self.off[v + 1] as usize]
+    }
+
+    fn cr4(&self, _v: usize, _len: usize) -> Option<Cr4Resolution> {
+        None
+    }
+}
+
+/// An oblivious adversary, sampled receiver-side from the `G′ ∖ G`
+/// in-rows: the same decisions its
+/// [`unreliable_deliveries`][crate::Adversary::unreliable_deliveries] and
+/// [`resolve_cr4`][crate::Adversary::resolve_cr4] return, by the
+/// [`Adversary::oblivious`][crate::Adversary::oblivious] contract.
+struct Sampled<'r> {
+    /// `G′ ∖ G`'s transpose.
+    in_csr: &'r Csr,
+    sampler: ObliviousSampler,
+    round: u64,
+}
+
+impl Extras for Sampled<'_> {
+    fn at<'s>(&'s self, v: usize, own_idx: &[u32], scratch: &'s mut Vec<u32>) -> &'s [u32] {
+        scratch.clear();
+        let node = NodeId::from_index(v);
+        // In-rows are ascending, and so are sender indices in node order.
+        for &u in self.in_csr.row(node) {
+            let idx = own_idx[u.index()];
+            if idx != NONE && self.sampler.delivers(self.round, u, node) {
+                scratch.push(idx);
+            }
+        }
+        scratch
+    }
+
+    fn cr4(&self, v: usize, len: usize) -> Option<Cr4Resolution> {
+        Some(
+            self.sampler
+                .resolve_cr4(self.round, NodeId::from_index(v), len),
+        )
+    }
+}
+
+/// Runs [`resolve_chunk`] over every `chunk`-node shard of
+/// `receptions`: shard 0 on the calling thread, the rest on scoped
+/// workers.
+fn resolve_shards<X: Extras>(
+    round: &ResolveRound<'_>,
+    extras: &X,
+    receptions: &mut [Reception],
+    chunk: usize,
+    scratch: &mut [ResolveScratch],
 ) {
+    std::thread::scope(|scope| {
+        let mut parts = receptions.chunks_mut(chunk).zip(scratch).enumerate();
+        let first = parts.next();
+        for (s, (rec, buf)) in parts {
+            scope.spawn(move || resolve_chunk(rec, s * chunk, buf, round, extras));
+        }
+        if let Some((_, (rec, buf))) = first {
+            resolve_chunk(rec, 0, buf, round, extras);
+        }
+    });
+}
+
+/// One shard's collision-resolution pass over receivers
+/// `base..base + receptions.len()`: recomputes each receiver's reaching
+/// set from the transpose CSR (in-row senders), the sender-index map
+/// (self), and the adversary extras — the same set, in the same ascending
+/// sender-index order, the sequential engine's arena holds. Mirrors
+/// `Executor::step_traced` phase 3 case for case; the differential suite
+/// pins the two together.
+fn resolve_chunk<X: Extras>(
+    receptions: &mut [Reception],
+    base: usize,
+    scratch: &mut ResolveScratch,
+    r: &ResolveRound<'_>,
+    extras: &X,
+) {
+    let ResolveScratch {
+        cr4_jobs: jobs,
+        cr4_idx: idxs,
+        extras: ex_buf,
+        collisions,
+    } = scratch;
     jobs.clear();
     idxs.clear();
     *collisions = 0;
@@ -560,9 +663,9 @@ fn resolve_chunk(
     // `msg_for`): while no Byzantine senders exist, every sender is a
     // shared channel and the role derivation is skipped.
     let msg_for = |idx: u32, receiver: usize| {
-        let (u, m) = senders[idx as usize];
-        if byzantine {
-            roles[u.index()].content_for(m, NodeId::from_index(receiver))
+        let (u, m) = r.senders[idx as usize];
+        if r.byzantine {
+            r.roles[u.index()].content_for(m, NodeId::from_index(receiver))
         } else {
             m
         }
@@ -571,28 +674,29 @@ fn resolve_chunk(
         let v = base + i;
         // Faulty radios resolve to silence: no collision is counted and
         // no CR4 choice is drawn at such a node.
-        if faulty && !roles[v].is_correct() {
+        if r.faulty && !r.roles[v].is_correct() {
             *slot = Reception::Silence;
             continue;
         }
-        let ex = &extras[extra_off[v] as usize..extra_off[v + 1] as usize];
-        if dense {
-            let len = 1 + in_csr.row(NodeId::from_index(v)).len() + ex.len();
-            if len >= 2 {
+        let row = r.in_csr.row(NodeId::from_index(v));
+        if r.dense {
+            // Every node hears its own message; it collided iff anyone
+            // else reached it, so the extras are read only when no
+            // reliable in-neighbor did.
+            if !row.is_empty() || !extras.at(v, r.own_idx, ex_buf).is_empty() {
                 *collisions += 1;
             }
             // analyzer: allow(panic, reason = "invariant: dense ⇒ every node transmitted, so own_buf is set")
-            *slot = Reception::Message(own_buf[v].expect("dense round: every node transmitted"));
+            *slot = Reception::Message(r.own_buf[v].expect("dense round: every node transmitted"));
             continue;
         }
-        let own = own_idx[v];
-        let row = in_csr.row(NodeId::from_index(v));
+        let own = r.own_idx[v];
         // Count the in-row senders; remember the first for the len == 1
         // case (the only case that reads a lone non-self message).
         let mut in_count = 0usize;
         let mut first_in = NONE;
         for &u in row {
-            let idx = own_idx[u.index()];
+            let idx = r.own_idx[u.index()];
             if idx != NONE {
                 if in_count == 0 {
                     first_in = idx;
@@ -600,6 +704,21 @@ fn resolve_chunk(
                 in_count += 1;
             }
         }
+        // The extras cannot change the outcome once ≥ 2 messages reach
+        // without them and no CR4 choice needs the full set: a sender
+        // then collides (CR1) or hears itself (CR2–CR4), a CR1–CR3
+        // listener resolves its collision. Skip reading (or sampling)
+        // them.
+        let settled = if own != NONE {
+            in_count >= 1
+        } else {
+            r.rule != CollisionRule::Cr4 && in_count >= 2
+        };
+        let ex: &[u32] = if settled {
+            &[]
+        } else {
+            extras.at(v, r.own_idx, ex_buf)
+        };
         let len = usize::from(own != NONE) + in_count + ex.len();
         if own != NONE {
             // Senders: own message always reaches them; CR1 senders
@@ -607,7 +726,7 @@ fn resolve_chunk(
             if len >= 2 {
                 *collisions += 1;
             }
-            *slot = match rule {
+            *slot = match r.rule {
                 CollisionRule::Cr1 => {
                     if len == 1 {
                         Reception::Message(msg_for(own, v))
@@ -616,7 +735,7 @@ fn resolve_chunk(
                     }
                 }
                 // analyzer: allow(panic, reason = "invariant: own_idx set ⇒ own_buf set for the same node")
-                _ => Reception::Message(own_buf[v].expect("sender's own message is recorded")),
+                _ => Reception::Message(r.own_buf[v].expect("sender's own message is recorded")),
             };
             continue;
         }
@@ -628,20 +747,18 @@ fn resolve_chunk(
             }
             _ => {
                 *collisions += 1;
-                match rule {
+                match r.rule {
                     CollisionRule::Cr1 | CollisionRule::Cr2 => Reception::Collision,
                     CollisionRule::Cr3 => Reception::Silence,
                     CollisionRule::Cr4 => {
-                        // Defer the adversary's choice to the coordinator:
-                        // record the reaching set, merging the two
-                        // ascending sequences (in-row senders, bucketed
-                        // extras) into ascending sender-index order —
-                        // the order `resolve_cr4` has always seen. The
-                        // sequences are disjoint (extras ⊆ G′ ∖ G).
-                        let start = idxs.len() as u32;
+                        // Merge the two ascending sequences (in-row
+                        // senders, extras) into ascending sender-index
+                        // order — the order `resolve_cr4` has always
+                        // seen. They are disjoint (extras ⊆ G′ ∖ G).
+                        let start = idxs.len();
                         let mut ei = 0usize;
                         for &u in row {
-                            let idx = own_idx[u.index()];
+                            let idx = r.own_idx[u.index()];
                             if idx == NONE {
                                 continue;
                             }
@@ -652,9 +769,23 @@ fn resolve_chunk(
                             idxs.push(idx);
                         }
                         idxs.extend_from_slice(&ex[ei..]);
-                        jobs.push((v as u32, start, idxs.len() as u32));
-                        // Placeholder; phase 3b overwrites it.
-                        Reception::Silence
+                        match extras.cr4(v, len) {
+                            Some(choice) => {
+                                let reception = match choice {
+                                    Cr4Resolution::Silence => Reception::Silence,
+                                    Cr4Resolution::Deliver(k) => {
+                                        Reception::Message(msg_for(idxs[start + k], v))
+                                    }
+                                };
+                                idxs.truncate(start);
+                                reception
+                            }
+                            None => {
+                                jobs.push((v as u32, start as u32, idxs.len() as u32));
+                                // Placeholder; phase 3b overwrites it.
+                                Reception::Silence
+                            }
+                        }
                     }
                 }
             }
@@ -707,10 +838,7 @@ mod tests {
     use crate::process::{ChatterProcess, Flooder};
     use dualgraph_net::generators;
 
-    fn chatter_exec(
-        net: &dualgraph_net::DualGraph,
-        rule: CollisionRule,
-    ) -> Executor<'_> {
+    fn chatter_exec(net: &dualgraph_net::DualGraph, rule: CollisionRule) -> Executor<'_> {
         Executor::from_slots(
             net,
             ChatterProcess::slots(net.len(), 7, 5),

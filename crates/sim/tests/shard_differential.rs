@@ -24,18 +24,26 @@
 //!    sequence (`RoundStart`, `Transmit` ascending, then
 //!    `Reception`/`Collision` ascending) from the coordinator, even
 //!    though the sharded sweeps themselves never see a sink.
+//! 4. **in-shard ≡ coordinator sampling** — an adversary with an
+//!    [`Adversary::oblivious`] form is sampled receiver-side inside the
+//!    shards; the same adversary behind a wrapper that hides the form is
+//!    consulted on the coordinator. Both paths must agree on every round
+//!    summary, known set, outcome, and trace event — on churn schedules
+//!    with fault plans (each epoch freezing its own `G′ ∖ G` transpose),
+//!    on a directed network, and under a non-identity assignment.
 //!
 //! Populations are chosen above one shard chunk (64 nodes) so the worker
 //! counts genuinely shard; `plan().shards()` is asserted to keep the
 //! suite honest if the alignment policy ever changes.
 
-use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
+use dualgraph_net::{generators, Digraph, DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
-    Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
-    Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, PayloadId, PayloadSet,
-    RandomDelivery, ReferenceExecutor, ReliableOnly, RoundSummary, ShardedExecutor, StartRule,
-    TraceEvent, TraceLevel, TraceSink,
+    Adversary, Assignment, BurstyDelivery, CollisionRule, CollisionSeeker, Cr4Resolution,
+    DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery,
+    Message, PayloadId, PayloadSet, ProcessId, RandomDelivery, ReferenceExecutor, ReliableOnly,
+    RoundContext, RoundSummary, ShardedExecutor, StartRule, TraceEvent, TraceLevel, TraceSink,
+    WithAssignment,
 };
 
 /// Worker counts under test: the delegating single-shard path, an even
@@ -159,6 +167,10 @@ impl<'a> ShardedDynamic<'a> {
     }
 
     fn step(&mut self) -> RoundSummary {
+        self.step_traced(&mut dualgraph_sim::NullSink)
+    }
+
+    fn step_traced<S: TraceSink>(&mut self, sink: &mut S) -> RoundSummary {
         let t = self.exec.round() + 1;
         let (swap, fired) = self.cursor.advance(t);
         if let Some(net) = swap {
@@ -168,7 +180,7 @@ impl<'a> ShardedDynamic<'a> {
             let e = self.cursor.events()[i];
             self.exec.set_role(e.node, e.role);
         }
-        self.exec.step()
+        self.exec.step_traced(sink)
     }
 }
 
@@ -362,8 +374,7 @@ fn interleaved_sequential_and_sharded_steps_agree() {
         payload: PayloadId(0),
     };
     let make_adv = || Box::new(RandomDelivery::new(0.4, 23)) as Box<dyn Adversary>;
-    let mut sequential =
-        Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
+    let mut sequential = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
     let exec = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
     let mut mixed = ShardedExecutor::new(exec, 2);
     for round in 0..24 {
@@ -380,4 +391,248 @@ fn interleaved_sequential_and_sharded_steps_agree() {
     }
     assert_eq!(sequential.known_payloads(), mixed.known_payloads());
     assert_eq!(sequential.outcome(), mixed.outcome());
+}
+
+/// Forwards every decision of the wrapped adversary except its oblivious
+/// form, so the sharded engine consults it on the coordinator.
+#[derive(Debug, Clone)]
+struct Coordinated<A>(A);
+
+impl<A: Adversary + Clone + 'static> Adversary for Coordinated<A> {
+    fn assign(&mut self, network: &DualGraph, n_processes: usize) -> Assignment {
+        self.0.assign(network, n_processes)
+    }
+
+    fn unreliable_deliveries(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        sender: NodeId,
+        out: &mut Vec<NodeId>,
+    ) {
+        self.0.unreliable_deliveries(ctx, sender, out);
+    }
+
+    fn resolve_cr4(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        node: NodeId,
+        reaching: &[Message],
+    ) -> Cr4Resolution {
+        self.0.resolve_cr4(ctx, node, reaching)
+    }
+
+    fn clone_box(&self) -> Box<dyn Adversary> {
+        Box::new(self.clone())
+    }
+}
+
+/// `adv` as itself (sampled in-shard) or behind [`Coordinated`].
+fn on_path<A: Adversary + Clone + 'static>(adv: A, coordinator: bool) -> Box<dyn Adversary> {
+    if coordinator {
+        Box::new(Coordinated(adv))
+    } else {
+        Box::new(adv)
+    }
+}
+
+/// Steps the sequential engine and both sharded paths in lockstep,
+/// asserting equal round summaries and event-by-event equal traces of
+/// the two sharded paths.
+fn lockstep(
+    label: &str,
+    rounds: usize,
+    mut sequential: impl FnMut() -> RoundSummary,
+    mut in_shard: impl FnMut(&mut VecSink) -> RoundSummary,
+    mut coordinator: impl FnMut(&mut VecSink) -> RoundSummary,
+) {
+    let (mut a, mut b) = (VecSink::default(), VecSink::default());
+    for round in 0..rounds {
+        let ss = sequential();
+        let si = in_shard(&mut a);
+        let sc = coordinator(&mut b);
+        assert_eq!(si, sc, "{label}: in-shard vs coordinator, round {round}");
+        assert_eq!(ss, si, "{label}: sequential vs in-shard, round {round}");
+    }
+    assert_eq!(a.0.len(), b.0.len(), "{label}: event counts");
+    for (i, (x, y)) in a.0.iter().zip(&b.0).enumerate() {
+        assert_eq!(x, y, "{label}: event {i}");
+    }
+}
+
+/// Property 4a: in-shard and coordinator sampling agree across CR1–CR4 ×
+/// both starts × worker counts on a 16-epoch churn schedule with the
+/// crash/jam/equivocate/forge plan — every epoch switch hands the engine
+/// a network whose `G′ ∖ G` transpose is frozen on its first sharded
+/// round.
+#[test]
+fn in_shard_sampling_matches_the_coordinator_under_churn_and_faults() {
+    let n = 150;
+    assert!(RandomDelivery::new(0.5, 1).oblivious().is_some());
+    assert!(Coordinated(RandomDelivery::new(0.5, 1))
+        .oblivious()
+        .is_none());
+    for net_seed in [29u64, 89] {
+        let net = random_net(net_seed, n);
+        let schedule = generators::churn_schedule(
+            &net,
+            generators::ChurnParams {
+                epochs: 16,
+                span: 2,
+                rewire_fraction: 0.5,
+            },
+            derive_seed(11, net_seed),
+        );
+        let plan = fault_plan(n, net_seed);
+        let seed = derive_seed(151, net_seed);
+        for config in configs() {
+            for workers in WORKER_COUNTS {
+                let label = format!(
+                    "churn net {net_seed} {:?} {:?} workers={workers}",
+                    config.rule, config.start
+                );
+                let mut sequential = DynamicExecutor::from_slots(
+                    &schedule,
+                    Flooder::slots(n),
+                    Box::new(RandomDelivery::new(0.5, seed)),
+                    config,
+                    plan.clone(),
+                )
+                .unwrap();
+                let mut paths = [false, true].map(|coordinator| {
+                    ShardedDynamic::new(
+                        &schedule,
+                        Flooder::slots(n),
+                        on_path(RandomDelivery::new(0.5, seed), coordinator),
+                        config,
+                        workers,
+                        plan.clone(),
+                    )
+                });
+                let [in_shard, coordinator] = &mut paths;
+                lockstep(
+                    &label,
+                    36,
+                    || sequential.step(),
+                    |sink| in_shard.step_traced(sink),
+                    |sink| coordinator.step_traced(sink),
+                );
+                for path in &paths {
+                    assert_eq!(
+                        sequential.executor().known_payloads(),
+                        path.exec.known_payloads(),
+                        "{label}: known records"
+                    );
+                    assert_eq!(
+                        sequential.outcome(),
+                        path.exec.outcome(),
+                        "{label}: outcome"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A random *directed* dual graph: a one-way path keeps every node
+/// reachable from node 0, and one-way chords and gray extras make both
+/// transposes differ from their out-CSRs. No reliable edge enters node 0,
+/// so in dense rounds its collision hinges on the adversary's extras
+/// alone.
+fn directed_net(seed: u64, n: usize) -> DualGraph {
+    let mut state = seed;
+    let mut pick = || {
+        state = derive_seed(state, 1);
+        NodeId::from_index((state % n as u64) as usize)
+    };
+    let mut reliable = Digraph::new(n);
+    for i in 0..n {
+        if i + 1 < n {
+            reliable.add_edge(NodeId::from_index(i), NodeId::from_index(i + 1));
+        }
+        let j = pick();
+        if j.index() != i && j.index() != 0 {
+            reliable.add_edge(NodeId::from_index(i), j);
+        }
+    }
+    let mut total = reliable.clone();
+    for i in 0..n {
+        for _ in 0..3 {
+            let j = pick();
+            if j.index() != i {
+                total.add_edge(NodeId::from_index(i), j);
+            }
+        }
+    }
+    DualGraph::new(reliable, total, NodeId(0)).unwrap()
+}
+
+/// Property 4b: the two sampling paths agree on a directed network (where
+/// the in-shard path reads a transpose that differs from the rows the
+/// coordinator samples) and for a `WithAssignment<RandomDelivery>`, which
+/// forwards the oblivious form.
+#[test]
+fn in_shard_sampling_matches_on_directed_and_reassigned_networks() {
+    let n = 150;
+    let directed = directed_net(5, n);
+    assert!(!directed.is_undirected());
+    assert!(directed.reliable_in_csr().row(NodeId(0)).is_empty());
+    assert!(!directed.unreliable_only_in_csr().row(NodeId(0)).is_empty());
+    assert_ne!(
+        directed.unreliable_only_in_csr(),
+        directed.unreliable_only_csr()
+    );
+    let undirected = random_net(71, n);
+    let reversed: Vec<ProcessId> = (0..n as u32).rev().map(ProcessId).collect();
+    assert!(
+        WithAssignment::new(RandomDelivery::new(0.3, 4), reversed.clone())
+            .oblivious()
+            .is_some()
+    );
+    #[allow(clippy::type_complexity)]
+    let cases: Vec<(&str, &DualGraph, Box<dyn Fn(bool) -> Box<dyn Adversary>>)> = vec![
+        (
+            "directed random(0.5)",
+            &directed,
+            Box::new(|coordinator| on_path(RandomDelivery::new(0.5, 3), coordinator)),
+        ),
+        (
+            "with-assignment random(0.3)",
+            &undirected,
+            Box::new(move |coordinator| {
+                let adv = WithAssignment::new(RandomDelivery::new(0.3, 4), reversed.clone());
+                on_path(adv, coordinator)
+            }),
+        ),
+    ];
+    for (name, net, make) in &cases {
+        for config in configs() {
+            for workers in WORKER_COUNTS {
+                let label = format!(
+                    "{name} {:?} {:?} workers={workers}",
+                    config.rule, config.start
+                );
+                let exec = |coordinator| {
+                    Executor::from_slots(net, Flooder::slots(n), make(coordinator), config).unwrap()
+                };
+                let mut sequential = exec(false);
+                let mut in_shard = ShardedExecutor::new(exec(false), workers);
+                let mut coordinator = ShardedExecutor::new(exec(true), workers);
+                lockstep(
+                    &label,
+                    25,
+                    || sequential.step(),
+                    |sink| in_shard.step_traced(sink),
+                    |sink| coordinator.step_traced(sink),
+                );
+                for path in [&in_shard, &coordinator] {
+                    assert_eq!(
+                        sequential.known_payloads(),
+                        path.known_payloads(),
+                        "{label}: known records"
+                    );
+                    assert_eq!(sequential.outcome(), path.outcome(), "{label}: outcome");
+                }
+            }
+        }
+    }
 }
