@@ -19,12 +19,12 @@
 //! * **ECHO** — transmitting data id `p` *is* an echo of `p`: correct
 //!   nodes transmit `p` only once they have accepted it, so every
 //!   distinct correct sender heard carrying `p` attests a certified copy.
-//!   Each node keeps a per-payload set of distinct senders heard carrying
-//!   `p` (the per-payload per-neighbor echo counters).
+//!   Each node counts the distinct senders heard carrying `p` (the
+//!   per-payload per-neighbor echo counters).
 //! * **READY** — an accepted payload `p` is also attested through a
 //!   dedicated marker id `k + p` in the upper half of the stream's id
-//!   range; ready attestations count in their own per-payload
-//!   distinct-sender set and give the usual Bracha amplification lane.
+//!   range; ready attestations count their own distinct senders and
+//!   give the usual Bracha amplification lane.
 //!
 //! A node **accepts** payload `p` (latched — at most once, the "no
 //! duplication" clause by construction) when any of:
@@ -104,40 +104,53 @@ impl QuorumPolicy {
     }
 }
 
-/// A per-payload set of distinct sender identities, bit-packed over the
-/// process-id universe.
-#[derive(Debug, Clone, Default)]
-struct SenderSets {
+/// Which protocol ids `0..2k` each sender has been heard carrying: one
+/// bit-packed set per sender, plus the distinct-attester count per id
+/// (data ids count echoes, markers `k + p` count readies). `2k·n` bits,
+/// the same footprint as a per-id sender set.
+#[derive(Debug, Clone)]
+struct HeardSets {
+    /// Words per sender: `⌈2k/64⌉`, at most the two of a [`PayloadSet`].
     words_per: usize,
-    bits: Vec<u64>,
+    /// The protocol range `0..2k` as payload words.
+    mask: [u64; 2],
+    heard: Vec<u64>,
     counts: Vec<u32>,
 }
 
-impl SenderSets {
+impl HeardSets {
     fn new(k: usize, n: usize) -> Self {
-        let words_per = n.div_ceil(64);
-        SenderSets {
+        let ids = 2 * k;
+        let words_per = ids.div_ceil(64);
+        let first = PayloadSet::first_k(ids);
+        HeardSets {
             words_per,
-            bits: vec![0; k * words_per],
-            counts: vec![0; k],
+            mask: *first.words(),
+            heard: vec![0; n * words_per],
+            counts: vec![0; ids],
         }
     }
 
-    /// Records `sender` as an attester of payload-index `p`; returns the
-    /// updated distinct count.
-    fn note(&mut self, p: usize, sender: ProcessId) -> u32 {
-        let s = sender.index();
-        let word = &mut self.bits[p * self.words_per + s / 64];
-        let bit = 1u64 << (s % 64);
-        if *word & bit == 0 {
-            *word |= bit;
-            self.counts[p] += 1;
+    /// Marks every protocol id of `payloads` as heard from `sender` and
+    /// returns the ids not heard from `sender` before: its fresh
+    /// attestations, each worth one more distinct attester. The caller
+    /// bumps their counts.
+    #[inline]
+    fn mark_heard(&mut self, sender: ProcessId, payloads: &PayloadSet) -> PayloadSet {
+        let base = sender.index() * self.words_per;
+        let heard = &mut self.heard[base..base + self.words_per];
+        let mut fresh = [0u64; 2];
+        for ((f, seen), (&word, &mask)) in fresh
+            .iter_mut()
+            .zip(heard.iter_mut())
+            .zip(payloads.words().iter().zip(&self.mask))
+        {
+            *f = word & mask & !*seen;
+            *seen |= *f;
         }
-        self.counts[p]
-    }
-
-    fn count(&self, p: usize) -> u32 {
-        self.counts[p]
+        let mut out = PayloadSet::EMPTY;
+        out.or_words(&fresh);
+        out
     }
 }
 
@@ -155,8 +168,7 @@ pub struct QuorumProcess {
     k: usize,
     policy: QuorumPolicy,
     origins: Arc<[ProcessId]>,
-    echoes: SenderSets,
-    readies: SenderSets,
+    attesters: HeardSets,
     accepted: PayloadSet,
     accept_count: u32,
     /// Payloads whose echo lane reached `echo_quorum` (latched): the
@@ -197,8 +209,7 @@ impl QuorumProcess {
             k,
             policy,
             origins,
-            echoes: SenderSets::new(k, n),
-            readies: SenderSets::new(k, n),
+            attesters: HeardSets::new(k, n),
             accepted: PayloadSet::EMPTY,
             accept_count: 0,
             echo_certified: PayloadSet::EMPTY,
@@ -263,12 +274,12 @@ impl QuorumProcess {
 
     /// Distinct senders heard carrying data id `p` so far.
     pub fn echo_count(&self, p: PayloadId) -> u32 {
-        self.echoes.count(p.0 as usize)
+        self.attesters.counts[p.0 as usize]
     }
 
     /// Distinct senders heard carrying `p`'s ready marker so far.
     pub fn ready_count(&self, p: PayloadId) -> u32 {
-        self.readies.count(p.0 as usize)
+        self.attesters.counts[self.k + p.0 as usize]
     }
 
     fn accept(&mut self, p: usize) {
@@ -277,37 +288,35 @@ impl QuorumProcess {
         }
     }
 
-    /// Absorbs one physically received message: updates both attester
-    /// sets and applies the accept rules.
+    /// Absorbs one physically received message: counts its fresh
+    /// attestations and applies the accept rules to those ids only. An
+    /// id already heard from this sender moves no count, and the rules
+    /// for that count already ran when it last moved. Ids ≥ 2k are junk
+    /// outside the protocol and never counted, though the engine's known
+    /// record absorbs them (they were physically received) — the
+    /// spam-proof informed contract applies.
     fn absorb(&mut self, m: &Message) {
-        for id in m.payloads.iter() {
+        let fresh = self.attesters.mark_heard(m.sender, &m.payloads);
+        if fresh.is_empty() {
+            return;
+        }
+        for id in fresh.iter() {
             let i = id.0 as usize;
+            self.attesters.counts[i] += 1;
+            let count = self.attesters.counts[i];
             if i < self.k {
                 // Data id = echo attestation; direct-from-origin is INIT.
-                let echoes = self.echoes.note(i, m.sender);
-                if echoes >= self.policy.echo_quorum {
+                if count >= self.policy.echo_quorum {
                     self.echo_certified.insert(id);
                 }
-                if !self.accepted.contains(id)
-                    && (m.sender == self.origins[i] || echoes >= self.policy.echo_quorum)
-                {
+                if m.sender == self.origins[i] || count >= self.policy.echo_quorum {
                     self.accept(i);
                 }
-            } else if i < 2 * self.k {
+            } else if count >= self.policy.ready_quorum {
                 let p = i - self.k;
-                let readies = self.readies.note(p, m.sender);
-                if readies >= self.policy.ready_quorum {
-                    self.ready_certified.insert(PayloadId(p as u64));
-                }
-                if !self.accepted.contains(PayloadId(p as u64))
-                    && readies >= self.policy.ready_quorum
-                {
-                    self.accept(p);
-                }
+                self.ready_certified.insert(PayloadId(p as u64));
+                self.accept(p);
             }
-            // Ids ≥ 2k are junk outside the protocol: ignored here, though
-            // the engine's known record absorbs them (they were physically
-            // received) — the spam-proof informed contract applies.
         }
     }
 }
@@ -343,10 +352,12 @@ impl Process for QuorumProcess {
         if self.accepted.is_empty() || !self.coin.gen_bool(0.5) {
             return None;
         }
+        // Ready markers `k + p`: the accepted ids (all below k ≤ 64)
+        // shifted up by k.
+        let [lo, hi] = *self.accepted.words();
+        let markers = ((u128::from(hi) << 64) | u128::from(lo)) << self.k;
         let mut tx = self.accepted;
-        for p in self.accepted.iter() {
-            tx.insert(PayloadId(p.0 + self.k as u64));
-        }
+        tx.or_words(&[markers as u64, (markers >> 64) as u64]);
         Some(Message::with_payloads(self.id, tx))
     }
 
@@ -399,6 +410,8 @@ pub fn local_byzantine_bound(net: &DualGraph, roles: &[NodeRole]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn origins(k: usize, origin: ProcessId) -> Arc<[ProcessId]> {
         vec![origin; k].into()
@@ -542,6 +555,157 @@ mod tests {
         roles[2] = NodeRole::Crashed;
         // Node 2 no longer counts (not correct); max over correct is 1.
         assert_eq!(local_byzantine_bound(&net, &roles), 1);
+    }
+
+    /// The accept rules spelled out naively: one `BTreeSet` of senders
+    /// per protocol id, and every rule re-run for every id of every
+    /// reception.
+    struct NaiveQuorum {
+        k: usize,
+        policy: QuorumPolicy,
+        origins: Vec<ProcessId>,
+        senders: Vec<BTreeSet<ProcessId>>,
+        accepted: BTreeSet<u64>,
+        echo_certified: BTreeSet<u64>,
+        ready_certified: BTreeSet<u64>,
+    }
+
+    impl NaiveQuorum {
+        fn input(&mut self, p: u64) {
+            if (p as usize) < self.k {
+                self.accepted.insert(p);
+            }
+        }
+
+        fn receive(&mut self, m: &Message) {
+            for id in m.payloads.iter() {
+                let i = id.0 as usize;
+                if i >= 2 * self.k {
+                    continue;
+                }
+                self.senders[i].insert(m.sender);
+                let count = self.senders[i].len() as u32;
+                if i < self.k {
+                    if count >= self.policy.echo_quorum {
+                        self.echo_certified.insert(id.0);
+                    }
+                    if m.sender == self.origins[i] || count >= self.policy.echo_quorum {
+                        self.accepted.insert(id.0);
+                    }
+                } else if count >= self.policy.ready_quorum {
+                    let p = (i - self.k) as u64;
+                    self.ready_certified.insert(p);
+                    self.accepted.insert(p);
+                }
+            }
+        }
+    }
+
+    fn ids(set: PayloadSet) -> BTreeSet<u64> {
+        set.iter().map(|p| p.0).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `QuorumProcess` (fresh-only attestations over per-sender heard
+        /// sets) matches the naive model after every step: receptions
+        /// with repeated senders, junk ids ≥ 2k, equivocators alternating
+        /// two faces, activations, and interleaved environment inputs.
+        #[test]
+        fn quorum_process_matches_the_naive_model(
+            n in 2usize..140,
+            k in 1usize..65,
+            quorums in (0u32..4, 0u32..4),
+            origin_picks in prop::collection::vec(0usize..140, 64..65),
+            faces in prop::collection::vec((any::<u64>(), any::<u64>()), 6..7),
+            steps in prop::collection::vec((0u32..24, any::<u64>(), any::<u64>()), 0..90),
+        ) {
+            let policy = QuorumPolicy { f: 0, echo_quorum: quorums.0, ready_quorum: quorums.1 };
+            let origins: Vec<ProcessId> =
+                origin_picks[..k].iter().map(|&o| ProcessId((o % n) as u32)).collect();
+            let mut real = QuorumProcess::new(ProcessId(0), n, policy, origins.clone().into());
+            let mut model = NaiveQuorum {
+                k,
+                policy,
+                origins,
+                senders: vec![BTreeSet::new(); 2 * k],
+                accepted: BTreeSet::new(),
+                echo_certified: BTreeSet::new(),
+                ready_certified: BTreeSet::new(),
+            };
+            // Three equivocators (senders 0..3 mod n), each alternating
+            // between two fixed faces.
+            let mut sends = [0usize; 3];
+            for (round, &(pick, a, b)) in steps.iter().enumerate() {
+                let round = round as u64 + 1;
+                // Sparse random sets that reach past 2k into junk ids.
+                let random = || {
+                    let mut set = PayloadSet::EMPTY;
+                    set.or_words(&[a & b, (a ^ b) & (b >> 7)]);
+                    set
+                };
+                match pick {
+                    0 => {
+                        let p = a % (k as u64 + 4);
+                        real.on_input(PayloadId(p));
+                        model.input(p);
+                    }
+                    1 => {
+                        let m = Message::with_payloads(ProcessId(0), random());
+                        real.on_activate(ActivationCause::Input(m));
+                        for p in m.payloads.iter() {
+                            model.input(p.0);
+                        }
+                    }
+                    _ => {
+                        let m = if pick < 8 {
+                            let e = (pick - 2) as usize % 3;
+                            let face = faces[2 * e + sends[e] % 2];
+                            sends[e] += 1;
+                            let mut set = PayloadSet::EMPTY;
+                            set.or_words(&[face.0 & face.1, face.1 & (face.0 >> 3)]);
+                            Message::with_payloads(ProcessId((e % n) as u32), set)
+                        } else {
+                            // A small pool of honest senders, so they repeat.
+                            let sender = (pick as usize + a as usize % 5) % n;
+                            Message::with_payloads(ProcessId(sender as u32), random())
+                        };
+                        if pick == 2 {
+                            real.on_activate(ActivationCause::Reception(m));
+                        } else {
+                            real.receive(round, Reception::Message(m));
+                        }
+                        model.receive(&m);
+                    }
+                }
+                for p in 0..k as u64 {
+                    prop_assert_eq!(
+                        real.echo_count(PayloadId(p)),
+                        model.senders[p as usize].len() as u32,
+                        "echo count of {} after step {}", p, round
+                    );
+                    prop_assert_eq!(
+                        real.ready_count(PayloadId(p)),
+                        model.senders[k + p as usize].len() as u32,
+                        "ready count of {} after step {}", p, round
+                    );
+                }
+                prop_assert_eq!(ids(real.accepted()), model.accepted.clone());
+                prop_assert_eq!(real.accept_count as usize, model.accepted.len());
+                prop_assert_eq!(ids(real.echo_certified()), model.echo_certified.clone());
+                prop_assert_eq!(ids(real.ready_certified()), model.ready_certified.clone());
+                // A transmission carries the accepted ids plus their markers.
+                if let Some(tx) = real.transmit(round) {
+                    let expect: BTreeSet<u64> = model
+                        .accepted
+                        .iter()
+                        .flat_map(|&p| [p, p + k as u64])
+                        .collect();
+                    prop_assert_eq!(ids(tx.payloads), expect);
+                }
+            }
+        }
     }
 
     #[test]
