@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::collision::Cr4Resolution;
 use crate::message::{Message, ProcessId};
-use crate::rng::{derive_seed, splitmix64};
+use crate::rng::{derive_seed, splitmix64, SPLITMIX64_GAMMA};
 
 /// A bijection between graph nodes and processes (the `proc` mapping).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,8 +178,9 @@ pub trait Adversary {
     /// promise makes all three agree bit for bit.
     ///
     /// Default: `None` — the engines consult the adversary one sender at
-    /// a time, in node order. Wrappers that replace either decision (e.g.
-    /// [`WithRandomCr4`]) must keep `None`.
+    /// a time, in node order. A wrapper that replaces either decision
+    /// must return `None` or a form with its own decision swapped in, as
+    /// [`WithRandomCr4`] does with its CR4 key.
     fn oblivious(&self) -> Option<ObliviousSampler> {
         None
     }
@@ -253,21 +254,12 @@ impl Adversary for FullDelivery {
     }
 }
 
-/// Draws one geometric "gap" — the number of Bernoulli(`p`) failures
-/// before the next success — via [`crate::rng::geometric_gap_from_bits`]
-/// (the shared inversion formula). One RNG draw per *success* instead of
-/// one per trial: the bursty chains below skip straight to the next link
-/// flip with it. The degenerate `p`s are guarded *before* drawing, so they
-/// consume no stream.
+/// The 53-bit threshold of a probability-`p` coin: a coin whose top 53
+/// bits fall below it lands with probability `p`, exactly for `p = 0`
+/// (never) and `p = 1` (always).
 #[inline]
-fn geometric_gap(rng: &mut SmallRng, p: f64) -> u64 {
-    if p <= 0.0 {
-        return u64::MAX;
-    }
-    if p >= 1.0 {
-        return 0;
-    }
-    crate::rng::geometric_gap_from_bits(rng.next_u64(), p)
+fn threshold_53(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64) as u64
 }
 
 /// The counter hash: `hash(key, round, word)`. The first SplitMix64
@@ -277,6 +269,21 @@ fn geometric_gap(rng: &mut SmallRng, p: f64) -> u64 {
 #[inline]
 fn keyed_hash(key: u64, round: u64, word: u64) -> u64 {
     splitmix64(splitmix64(key ^ round) ^ word)
+}
+
+/// The CR4 coin at non-sending `node` in `round`, reached by `len`
+/// messages: `hash(key, round, node)`, whose top bit means silence
+/// (probability ½) and whose other 63 bits pick a uniform index in
+/// `0..len` by multiply-shift. The one coin behind
+/// [`ObliviousSampler::resolve_cr4`] and [`WithRandomCr4`].
+#[inline]
+fn cr4_coin(key: u64, round: u64, node: NodeId, len: usize) -> Cr4Resolution {
+    let h = keyed_hash(key, round, u64::from(node.0));
+    if h >> 63 == 1 {
+        Cr4Resolution::Silence
+    } else {
+        Cr4Resolution::Deliver(((u128::from(h << 1) * len as u128) >> 64) as usize)
+    }
 }
 
 /// The counter-based form of an oblivious i.i.d. adversary: every
@@ -319,8 +326,13 @@ impl ObliviousSampler {
         ObliviousSampler {
             delivery_key: derive_seed(seed, 0),
             cr4_key: derive_seed(seed, 1),
-            threshold: (p * (1u64 << 53) as f64) as u64,
+            threshold: threshold_53(p),
         }
+    }
+
+    /// The same sampler with its CR4 coin keyed by `cr4_key` instead.
+    fn with_cr4_key(self, cr4_key: u64) -> Self {
+        ObliviousSampler { cr4_key, ..self }
     }
 
     /// `true` when the unreliable edge `u → v` delivers in `round`.
@@ -335,13 +347,7 @@ impl ObliviousSampler {
     /// `0..len`.
     #[inline]
     pub fn resolve_cr4(&self, round: u64, node: NodeId, len: usize) -> Cr4Resolution {
-        let h = keyed_hash(self.cr4_key, round, u64::from(node.0));
-        if h >> 63 == 1 {
-            Cr4Resolution::Silence
-        } else {
-            // Multiply-shift maps the other 63 bits onto `0..len`.
-            Cr4Resolution::Deliver(((u128::from(h << 1) * len as u128) >> 64) as usize)
-        }
+        cr4_coin(self.cr4_key, round, node, len)
     }
 }
 
@@ -478,44 +484,94 @@ impl Adversary for RandomDelivery {
     }
 }
 
-/// One Gilbert–Elliott link chain in the flat (CSR-indexed) bursty
-/// backend: its current state plus the pre-drawn round of its next flip.
+/// The counter-based Gilbert–Elliott chains of [`BurstyDelivery::new`]:
+/// the state of edge `u → v` at round `t` is a pure function of
+/// `(seed, u → v, t)`.
+///
+/// Edge `u → v` owns a SplitMix64 stream seeded by
+/// `splitmix64(key ^ (u << 32 | v))`, whose `t`-th output is round `t`'s
+/// coin. Every link starts good at round 0. In each round `t ≥ 1` it
+/// flips when the top 53 bits of the coin fall below `p_state · 2^53`,
+/// where `p_state` is `p_fail` while the link is good and `p_recover`
+/// while it is bad; `p = 0` and `p = 1` are exact.
 #[derive(Debug, Clone, Copy)]
-struct EdgeChain {
-    good: bool,
-    /// Global round at which the next state flip lands (`0` = chain not
-    /// yet primed; flips are drawn lazily, in first-visit order, to keep
-    /// the RNG stream deterministic).
-    next_flip: u64,
+struct ChainCoins {
+    key: u64,
+    /// Flip threshold while good (`p_fail`).
+    fail: u64,
+    /// Flip threshold while bad (`p_recover`).
+    recover: u64,
 }
 
-/// How [`BurstyDelivery`] stores and advances its per-edge Markov chains.
+/// A memo of one chain: its state after the coins of rounds `1..=as_of`.
+#[derive(Debug, Clone, Copy)]
+struct ChainMemo {
+    good: bool,
+    as_of: u64,
+}
+
+impl ChainMemo {
+    /// Every link starts good at round 0.
+    const START: ChainMemo = ChainMemo {
+        good: true,
+        as_of: 0,
+    };
+}
+
+impl ChainCoins {
+    /// `true` when edge `u → v` is good in `round`. Replays the coins of
+    /// rounds `memo.as_of + 1 ..= round` from the memo (from round 0 for
+    /// a query into the memo's past) and leaves the memo at `round`.
+    #[inline]
+    fn good_at(&self, u: NodeId, v: NodeId, memo: &mut ChainMemo, round: u64) -> bool {
+        if round < memo.as_of {
+            *memo = ChainMemo::START;
+        }
+        if memo.as_of < round {
+            let stream = splitmix64(self.key ^ ((u64::from(u.0) << 32) | u64::from(v.0)));
+            // Output `t` of the stream is `splitmix64(stream + (t − 1)·γ)`.
+            let mut state = stream.wrapping_add(memo.as_of.wrapping_mul(SPLITMIX64_GAMMA));
+            let mut good = memo.good;
+            for _ in memo.as_of..round {
+                let threshold = if good { self.fail } else { self.recover };
+                good ^= (splitmix64(state) >> 11) < threshold;
+                state = state.wrapping_add(SPLITMIX64_GAMMA);
+            }
+            *memo = ChainMemo { good, as_of: round };
+        }
+        memo.good
+    }
+}
+
+/// How [`BurstyDelivery`] decides its per-edge Markov chains.
 #[derive(Debug, Clone)]
 enum BurstyBackend {
-    /// Flat per-edge chains indexed by **stable edge identity**
+    /// Counter-based chains ([`ChainCoins`]). `memo` holds one
+    /// [`ChainMemo`] per **stable edge identity**
     /// ([`DualGraph::unreliable_edge_id`]): for a standalone network the
-    /// identity is the `G′ ∖ G` CSR's global edge numbering
-    /// ([`Csr::row_range`][dualgraph_net::Csr::row_range]); for a
-    /// [`TopologySchedule`][dualgraph_net::TopologySchedule] epoch it is
-    /// the schedule-wide identity of the directed pair `(u, v)`, so chain
-    /// state follows the *edge* across churn/fading/mobility rewires
-    /// instead of silently migrating to whatever edge landed on the same
-    /// CSR position. Chains advance by **geometric skip sampling over
-    /// rounds**: instead of one Bernoulli draw per (edge, round), each
-    /// chain pre-draws the round of its next flip (`1 + Geom(p)`), so a
-    /// queried edge catches up over an arbitrary round gap with zero draws
-    /// until a flip actually lands. One adversary instance is bound to one
-    /// edge-identity universe (one network, or one schedule).
-    Csr {
+    /// `G′ ∖ G` CSR's flat edge numbering, for a
+    /// [`TopologySchedule`][dualgraph_net::TopologySchedule] epoch the
+    /// schedule-wide identity of the directed pair `(u, v)`. The coins are
+    /// keyed by the pair itself; the identity only indexes the memo, so a
+    /// query costs O(rounds since that edge's last query), and one
+    /// adversary instance is bound to one edge-identity universe (one
+    /// network, or one schedule).
+    Counter {
+        coins: ChainCoins,
         /// Lazily sized to the network's edge-identity universe on first
         /// use.
-        chains: Vec<EdgeChain>,
+        memo: Vec<ChainMemo>,
     },
     /// The PR 1/PR 2 backend, frozen for baseline comparisons: an edge-map
     /// keyed by `(u, v)` whose catch-up loop consumes one `gen_bool` per
     /// (edge, elapsed round). The map is a `Vec` sorted by edge key, so
     /// its behavior is independent of hasher state.
     PerRound {
+        /// P(good → bad) per round.
+        p_fail: f64,
+        /// P(bad → good) per round.
+        p_recover: f64,
+        rng: SmallRng,
         /// Lazily-tracked per-edge state: `(state_good, last_round)`,
         /// sorted by the `(u, v)` key.
         edges: Vec<((NodeId, NodeId), (bool, u64))>,
@@ -528,31 +584,42 @@ enum BurstyBackend {
 /// the connection topology", §1).
 ///
 /// Backends (identical chain *distribution*, different seeded streams):
-/// [`BurstyDelivery::new`] uses flat CSR-indexed chains with geometric
-/// skip sampling (one draw per link *flip*); [`BurstyDelivery::per_round`]
-/// keeps the frozen PR 1/PR 2 hash-map backend (one draw per edge per
-/// elapsed round) for baseline comparisons.
+/// [`BurstyDelivery::new`] uses counter-based chains, whose state at a
+/// round is a pure function of the seed, the edge, and the round, in any
+/// call order; [`BurstyDelivery::per_round`] keeps the frozen PR 1/PR 2
+/// hash-map backend (one draw per edge per elapsed round, in call order)
+/// for baseline comparisons.
 #[derive(Debug, Clone)]
 pub struct BurstyDelivery {
-    /// P(good → bad) per round.
-    p_fail: f64,
-    /// P(bad → good) per round.
-    p_recover: f64,
-    rng: SmallRng,
     backend: BurstyBackend,
 }
 
+/// Panics unless both chain probabilities lie in `[0, 1]`.
+fn check_chain_probabilities(p_fail: f64, p_recover: f64) {
+    assert!(
+        (0.0..=1.0).contains(&p_fail) && (0.0..=1.0).contains(&p_recover),
+        "probabilities must lie in [0,1]"
+    );
+}
+
 impl BurstyDelivery {
-    /// Creates the bursty adversary with the batched (flat CSR + geometric
-    /// skip) backend. All edges start good.
+    /// Creates the bursty adversary with counter-based chains (see the
+    /// type docs). All edges start good.
     ///
     /// # Panics
     ///
     /// Panics if a probability is outside `[0, 1]`.
     pub fn new(p_fail: f64, p_recover: f64, seed: u64) -> Self {
+        check_chain_probabilities(p_fail, p_recover);
         BurstyDelivery {
-            backend: BurstyBackend::Csr { chains: Vec::new() },
-            ..Self::per_round(p_fail, p_recover, seed)
+            backend: BurstyBackend::Counter {
+                coins: ChainCoins {
+                    key: derive_seed(seed, 0),
+                    fail: threshold_53(p_fail),
+                    recover: threshold_53(p_recover),
+                },
+                memo: Vec::new(),
+            },
         }
     }
 
@@ -563,39 +630,15 @@ impl BurstyDelivery {
     ///
     /// Panics if a probability is outside `[0, 1]`.
     pub fn per_round(p_fail: f64, p_recover: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p_fail) && (0.0..=1.0).contains(&p_recover),
-            "probabilities must lie in [0,1]"
-        );
+        check_chain_probabilities(p_fail, p_recover);
         BurstyDelivery {
-            p_fail,
-            p_recover,
-            rng: SmallRng::seed_from_u64(seed),
-            backend: BurstyBackend::PerRound { edges: Vec::new() },
+            backend: BurstyBackend::PerRound {
+                p_fail,
+                p_recover,
+                rng: SmallRng::seed_from_u64(seed),
+                edges: Vec::new(),
+            },
         }
-    }
-
-    fn edge_good_per_round(&mut self, edge: (NodeId, NodeId), round: u64) -> bool {
-        let BurstyBackend::PerRound { edges } = &mut self.backend else {
-            unreachable!("per-round helper on per-round backend only");
-        };
-        let slot = edges.binary_search_by_key(&edge, |e| e.0);
-        let (mut good, mut last) = match slot {
-            Ok(i) => edges[i].1, // bound: binary_search hit
-            Err(_) => (true, 0),
-        };
-        while last < round {
-            let flip = if good { self.p_fail } else { self.p_recover };
-            if self.rng.gen_bool(flip) {
-                good = !good;
-            }
-            last += 1;
-        }
-        match slot {
-            Ok(i) => edges[i].1 = (good, last), // bound: binary_search hit
-            Err(i) => edges.insert(i, (edge, (good, last))),
-        }
-        good
     }
 }
 
@@ -608,57 +651,53 @@ impl Adversary for BurstyDelivery {
     ) {
         let round = ctx.round;
         match &mut self.backend {
-            BurstyBackend::PerRound { .. } => {
+            BurstyBackend::PerRound {
+                p_fail,
+                p_recover,
+                rng,
+                edges,
+            } => {
                 for &v in ctx.network.unreliable_only_out(sender) {
-                    if self.edge_good_per_round((sender, v), round) {
+                    let edge = (sender, v);
+                    let slot = edges.binary_search_by_key(&edge, |e| e.0);
+                    let (mut good, mut last) = match slot {
+                        Ok(i) => edges[i].1, // bound: binary_search hit
+                        Err(_) => (true, 0),
+                    };
+                    while last < round {
+                        let flip = if good { *p_fail } else { *p_recover };
+                        if rng.gen_bool(flip) {
+                            good = !good;
+                        }
+                        last += 1;
+                    }
+                    match slot {
+                        Ok(i) => edges[i].1 = (good, last), // bound: binary_search hit
+                        Err(i) => edges.insert(i, (edge, (good, last))),
+                    }
+                    if good {
                         out.push(v);
                     }
                 }
             }
-            BurstyBackend::Csr { chains } => {
+            BurstyBackend::Counter { coins, memo } => {
                 let csr = ctx.network.unreliable_only_csr();
                 let universe = ctx.network.unreliable_edge_universe();
-                if chains.len() != universe {
+                if memo.len() != universe {
                     assert!(
-                        chains.is_empty(),
+                        memo.is_empty(),
                         "a BurstyDelivery instance is bound to one network \
                          (or one schedule's edge-identity universe)"
                     );
-                    chains.resize(
-                        universe,
-                        EdgeChain {
-                            good: true,
-                            next_flip: 0,
-                        },
-                    );
+                    memo.resize(universe, ChainMemo::START);
                 }
                 let ids = ctx.network.unreliable_edge_ids();
-                let range = csr.row_range(sender);
-                let row = csr.row(sender);
-                for (flat, &v) in range.zip(row) {
+                for (flat, &v) in csr.row_range(sender).zip(csr.row(sender)) {
                     let e = match ids {
                         Some(map) => map[flat] as usize,
                         None => flat,
                     };
-                    let chain = &mut chains[e];
-                    if chain.next_flip == 0 {
-                        // Prime: first flip opportunity is round 1.
-                        chain.next_flip =
-                            1u64.saturating_add(geometric_gap(&mut self.rng, self.p_fail));
-                    }
-                    while chain.next_flip <= round {
-                        chain.good = !chain.good;
-                        let p = if chain.good {
-                            self.p_fail
-                        } else {
-                            self.p_recover
-                        };
-                        chain.next_flip = chain
-                            .next_flip
-                            .saturating_add(1)
-                            .saturating_add(geometric_gap(&mut self.rng, p));
-                    }
-                    if chain.good {
+                    if coins.good_at(sender, v, &mut memo[e], round) {
                         out.push(v);
                     }
                 }
@@ -797,8 +836,10 @@ impl<A: Adversary + Clone + 'static> Adversary for WithAssignment<A> {
 /// Wraps a delivery adversary, overriding only its CR4 collision
 /// resolution with the fair coin [`RandomDelivery`] uses: silence with
 /// probability 1/2, else a uniformly random reaching message. The coin is
-/// drawn from a stream, in call order, so the wrapper has no
-/// [`Adversary::oblivious`] form.
+/// counter-based — `hash(key, round, node)`, the function behind
+/// [`ObliviousSampler::resolve_cr4`] — so it repeats for the same round
+/// and node, ignores call order, and the wrapper has an
+/// [`Adversary::oblivious`] form whenever the inner adversary has one.
 ///
 /// Built-ins whose `resolve_cr4` is the maximally-unhelpful default
 /// ([`BurstyDelivery`], [`CollisionSeeker`]) deadlock flooding-style
@@ -809,16 +850,19 @@ impl<A: Adversary + Clone + 'static> Adversary for WithAssignment<A> {
 #[derive(Debug, Clone)]
 pub struct WithRandomCr4<A> {
     inner: A,
-    rng: SmallRng,
+    cr4_key: u64,
 }
 
 impl<A: Adversary> WithRandomCr4<A> {
-    /// Wraps `inner`, resolving CR4 collisions with a coin seeded by
-    /// `seed` (independent of the inner adversary's stream).
+    /// Wraps `inner`, resolving CR4 collisions with a coin keyed by
+    /// `seed` (independent of the inner adversary's decisions). The key
+    /// is derived as [`RandomDelivery::new`] derives its own, so
+    /// `WithRandomCr4::new(RandomDelivery::new(p, s), s)` decides exactly
+    /// like `RandomDelivery::new(p, s)`.
     pub fn new(inner: A, seed: u64) -> Self {
         WithRandomCr4 {
             inner,
-            rng: SmallRng::seed_from_u64(seed),
+            cr4_key: derive_seed(seed, 1),
         }
     }
 }
@@ -839,15 +883,15 @@ impl<A: Adversary + Clone + 'static> Adversary for WithRandomCr4<A> {
 
     fn resolve_cr4(
         &mut self,
-        _ctx: &RoundContext<'_>,
-        _node: NodeId,
+        ctx: &RoundContext<'_>,
+        node: NodeId,
         reaching: &[Message],
     ) -> Cr4Resolution {
-        if self.rng.gen_bool(0.5) {
-            Cr4Resolution::Silence
-        } else {
-            Cr4Resolution::Deliver(self.rng.gen_range(0..reaching.len()))
-        }
+        cr4_coin(self.cr4_key, ctx.round, node, reaching.len())
+    }
+
+    fn oblivious(&self) -> Option<ObliviousSampler> {
+        self.inner.oblivious().map(|s| s.with_cr4_key(self.cr4_key))
     }
 
     fn clone_box(&self) -> Box<dyn Adversary> {
@@ -992,27 +1036,6 @@ mod tests {
         }
     }
 
-    /// Empirical delivery rate of a delivery adversary over `rounds`
-    /// queries of node 0's unreliable row.
-    fn empirical_rate<A: Adversary>(adv: &mut A, net: &DualGraph, rounds: u64) -> f64 {
-        let assignment = Assignment::identity(net.len());
-        let informed = FixedBitSet::new(net.len());
-        let senders = [(NodeId(0), Message::signal(ProcessId(0)))];
-        let row_len = net.unreliable_only_out(NodeId(0)).len() as f64;
-        let mut delivered = 0usize;
-        for round in 1..=rounds {
-            let ctx = RoundContext {
-                round,
-                network: net,
-                assignment: &assignment,
-                senders: &senders,
-                informed: &informed,
-            };
-            delivered += deliveries(adv, &ctx, NodeId(0)).len();
-        }
-        delivered as f64 / (rounds as f64 * row_len)
-    }
-
     #[test]
     fn counter_sampler_rate_within_three_sigma() {
         // Distributional regression for the counter-based sampler across
@@ -1116,14 +1139,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn oblivious_form_answers_like_the_adversary() {
-        // The `Adversary::oblivious` contract, checked on the built-in
-        // that has one: every delivery and CR4 answer equals the sampler's.
-        let net = generators::line(12, 11);
-        let mut adv = RandomDelivery::new(0.3, 5);
-        let sampler = adv.oblivious().expect("RandomDelivery::new is oblivious");
+    /// Asserts the `Adversary::oblivious` contract on `adv`: every
+    /// delivery and CR4 answer over 50 rounds equals its form's.
+    fn assert_oblivious_contract<A: Adversary>(adv: &mut A, net: &DualGraph) {
+        let sampler = adv
+            .oblivious()
+            .expect("the adversary has an oblivious form");
         let reaching = [Message::signal(ProcessId(0)); 7];
+        let assignment = Assignment::identity(net.len());
+        let informed = FixedBitSet::new(net.len());
         for round in 1..=50 {
             for u in net.nodes() {
                 let expect: Vec<NodeId> = net
@@ -1132,12 +1156,10 @@ mod tests {
                     .copied()
                     .filter(|&v| sampler.delivers(round, u, v))
                     .collect();
-                assert_eq!(deliveries_at(&mut adv, &net, round, u), expect);
-                let assignment = Assignment::identity(net.len());
-                let informed = FixedBitSet::new(net.len());
+                assert_eq!(deliveries_at(adv, net, round, u), expect);
                 let ctx = RoundContext {
                     round,
-                    network: &net,
+                    network: net,
                     assignment: &assignment,
                     senders: &[],
                     informed: &informed,
@@ -1150,13 +1172,36 @@ mod tests {
                 }
             }
         }
-        // `WithAssignment` forwards the form; everything stream-ordered
-        // or adaptive has none.
-        let placed = WithAssignment::new(adv.clone(), (0..12).map(ProcessId).collect());
+    }
+
+    #[test]
+    fn oblivious_form_answers_like_the_adversary() {
+        // The `Adversary::oblivious` contract, checked on every built-in
+        // that has a form: `RandomDelivery::new` itself, `WithAssignment`
+        // (which forwards it), and `WithRandomCr4` (which swaps in its
+        // own CR4 key).
+        let net = generators::line(12, 11);
+        let adv = RandomDelivery::new(0.3, 5);
+        let sampler = adv.oblivious().expect("RandomDelivery::new is oblivious");
+        assert_oblivious_contract(&mut adv.clone(), &net);
+        let mut placed = WithAssignment::new(adv.clone(), (0..12).map(ProcessId).collect());
         assert_eq!(placed.oblivious(), Some(sampler));
-        assert_eq!(WithRandomCr4::new(adv, 1).oblivious(), None);
+        assert_oblivious_contract(&mut placed, &net);
+        let mut coined = WithRandomCr4::new(adv.clone(), 1);
+        let form = coined
+            .oblivious()
+            .expect("the inner adversary is oblivious");
+        assert_ne!(form, sampler, "the wrapper's CR4 key is swapped in");
+        assert_oblivious_contract(&mut coined, &net);
+        // The wrapper derives its key as `RandomDelivery::new` does.
+        assert_eq!(WithRandomCr4::new(adv, 5).oblivious(), Some(sampler));
+        // Everything stream-ordered or adaptive has no form, wrapped or not.
         assert_eq!(RandomDelivery::per_edge(0.3, 5).oblivious(), None);
         assert_eq!(BurstyDelivery::new(0.3, 0.3, 5).oblivious(), None);
+        assert_eq!(
+            WithRandomCr4::new(BurstyDelivery::new(0.3, 0.3, 5), 1).oblivious(),
+            None
+        );
         assert_eq!(CollisionSeeker::new().oblivious(), None);
         assert_eq!(ReliableOnly::new().oblivious(), None);
     }
@@ -1222,28 +1267,214 @@ mod tests {
     }
 
     #[test]
+    fn bursty_per_round_stream_is_frozen() {
+        // Golden test: `BurstyDelivery::per_round`'s seeded chain pattern
+        // (including a round gap) is the PR 1/PR 2 stream and must never
+        // change (frozen-baseline comparisons depend on it).
+        let net = generators::line(10, 9);
+        let mut adv = BurstyDelivery::per_round(0.3, 0.4, 99);
+        let pattern: Vec<Vec<u32>> = [1u64, 2, 3, 7, 8]
+            .iter()
+            .map(|&round| {
+                deliveries_at(&mut adv, &net, round, NodeId(0))
+                    .iter()
+                    .map(|v| v.0)
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            pattern,
+            vec![
+                vec![3, 4, 6, 7, 8, 9],
+                vec![3, 4, 7, 9],
+                vec![3, 5, 7, 9],
+                vec![4, 7],
+                vec![3, 4, 7, 9]
+            ]
+        );
+    }
+
+    /// Rounds dropped from the front of every chain series, so the
+    /// all-good start has mixed away before anything is measured.
+    const BURN_IN: usize = 200;
+
+    /// A [`BurstyDelivery`] constructor: `new` or `per_round`.
+    type Backend = fn(f64, f64, u64) -> BurstyDelivery;
+
+    /// The state series of each edge of node 0's unreliable row on a
+    /// 40-node line (38 independent chains) over rounds `1..=rounds`,
+    /// burn-in dropped, read through the adversary's delivery API.
+    fn bursty_series(
+        backend: Backend,
+        (p_fail, p_recover): (f64, f64),
+        seed: u64,
+        rounds: u64,
+    ) -> Vec<Vec<bool>> {
+        let net = generators::line(40, 39);
+        let row = net.unreliable_only_out(NodeId(0)).to_vec();
+        let mut adv = backend(p_fail, p_recover, seed);
+        let mut series = vec![Vec::with_capacity(rounds as usize); row.len()];
+        for round in 1..=rounds {
+            let got = deliveries_at(&mut adv, &net, round, NodeId(0));
+            for (states, v) in series.iter_mut().zip(&row) {
+                states.push(got.contains(v));
+            }
+        }
+        for states in &mut series {
+            states.drain(..BURN_IN);
+        }
+        series
+    }
+
+    /// Chain parameters `(p_fail, p_recover)` for the distribution tests:
+    /// the quorum-stream regime, slow bursts, and fast anti-correlated
+    /// flapping (`1 − p_f − p_r < 0`).
+    const CHAIN_PARAMS: [(f64, f64); 3] = [(0.15, 0.4), (0.03, 0.06), (0.7, 0.5)];
+
+    #[test]
     fn bursty_backends_share_the_stationary_distribution() {
         // Gilbert-Elliott stationary P(good) = p_recover / (p_fail +
-        // p_recover). Both backends must converge to it.
-        let net = generators::line(6, 5);
-        let (p_fail, p_recover) = (0.2, 0.4);
-        let expect = p_recover / (p_fail + p_recover);
-        let rounds = 30_000;
-        let flat = empirical_rate(
-            &mut BurstyDelivery::new(p_fail, p_recover, 21),
-            &net,
-            rounds,
-        );
-        let legacy = empirical_rate(
-            &mut BurstyDelivery::per_round(p_fail, p_recover, 22),
-            &net,
-            rounds,
-        );
-        assert!((flat - expect).abs() < 0.02, "flat backend rate {flat}");
-        assert!(
-            (legacy - expect).abs() < 0.02,
-            "legacy backend rate {legacy}"
-        );
+        // p_recover); both backends must hold it within 3σ. The
+        // time-averaged good fraction of a two-state chain has variance
+        // π(1 − π)/N · (1 + ρ)/(1 − ρ), with ρ = 1 − p_f − p_r its lag-1
+        // correlation; the 38 chains are independent.
+        let backends: [(&str, Backend); 2] = [
+            ("counter", BurstyDelivery::new),
+            ("per-round", BurstyDelivery::per_round),
+        ];
+        for (name, backend) in backends {
+            for (seed, params) in (40..).zip(CHAIN_PARAMS) {
+                let (p_fail, p_recover) = params;
+                let series = bursty_series(backend, params, seed, 6_000);
+                let samples: usize = series.iter().map(Vec::len).sum();
+                let good = series.iter().flatten().filter(|&&g| g).count();
+                let frac = good as f64 / samples as f64;
+                let pi = p_recover / (p_fail + p_recover);
+                let rho = 1.0 - p_fail - p_recover;
+                let sigma = (pi * (1.0 - pi) / samples as f64 * (1.0 + rho) / (1.0 - rho)).sqrt();
+                assert!(
+                    (frac - pi).abs() < 3.0 * sigma,
+                    "{name} {params:?}: good fraction {frac}, expected {pi} ± {sigma}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bursty_chain_run_lengths_are_geometric_means() {
+        // A good run lasts Geometric(p_fail) rounds (mean 1/p_f, variance
+        // (1 − p_f)/p_f²), a bad run Geometric(p_recover). Runs cut by
+        // the ends of a series are dropped; means within 4σ.
+        for (seed, params) in (50..).zip(CHAIN_PARAMS) {
+            let (p_fail, p_recover) = params;
+            let series = bursty_series(BurstyDelivery::new, params, seed, 6_000);
+            let mut runs: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+            for states in &series {
+                let mut start = 0;
+                for t in 1..=states.len() {
+                    if t == states.len() || states[t] != states[start] {
+                        if start > 0 && t < states.len() {
+                            runs[usize::from(states[start])].push((t - start) as f64);
+                        }
+                        start = t;
+                    }
+                }
+            }
+            for (lane, p) in [(1, p_fail), (0, p_recover)] {
+                let lens = &runs[lane];
+                let mean = lens.iter().sum::<f64>() / lens.len() as f64;
+                let sigma = ((1.0 - p) / (p * p) / lens.len() as f64).sqrt();
+                assert!(
+                    (mean - 1.0 / p).abs() < 4.0 * sigma,
+                    "({p_fail}, {p_recover}) lane {lane}: mean run {mean} over {} runs",
+                    lens.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bursty_chain_lag_one_autocorrelation() {
+        // Consecutive states of one chain correlate at ρ = 1 − p_f − p_r.
+        // Standard error ≈ √((1 − ρ²)/N) for N pairs; within 5σ.
+        for (seed, params) in (60..).zip(CHAIN_PARAMS) {
+            let (p_fail, p_recover) = params;
+            let series = bursty_series(BurstyDelivery::new, params, seed, 6_000);
+            let pairs: Vec<(bool, bool)> = series
+                .iter()
+                .flat_map(|states| states.windows(2).map(|w| (w[0], w[1])))
+                .collect();
+            let r = correlation(&pairs);
+            let rho = 1.0 - p_fail - p_recover;
+            let sigma = ((1.0 - rho * rho) / pairs.len() as f64).sqrt();
+            assert!(
+                (r - rho).abs() < 5.0 * sigma,
+                "({p_fail}, {p_recover}): lag-1 r = {r}, expected {rho}"
+            );
+        }
+    }
+
+    #[test]
+    fn bursty_chains_are_pure_functions_of_edge_and_round() {
+        // A chain's state is a function of (seed, edge, round) alone:
+        // one instance queried only at rounds 3 and 9 answers like one
+        // queried every round, a query back into the past replays, and
+        // reversing the sender order changes no delivery.
+        let net = generators::line(12, 11);
+        let senders: Vec<NodeId> = net.nodes().collect();
+        let mut every = BurstyDelivery::new(0.3, 0.2, 17);
+        let mut reversed = every.clone();
+        let mut sparse = every.clone();
+        let mut at_3 = Vec::new();
+        for round in 1..=12 {
+            let forward: Vec<Vec<NodeId>> = senders
+                .iter()
+                .map(|&u| deliveries_at(&mut every, &net, round, u))
+                .collect();
+            let mut backward: Vec<Vec<NodeId>> = senders
+                .iter()
+                .rev()
+                .map(|&u| deliveries_at(&mut reversed, &net, round, u))
+                .collect();
+            backward.reverse();
+            assert_eq!(forward, backward, "round {round}: sender order");
+            if round == 3 || round == 9 {
+                let queried: Vec<Vec<NodeId>> = senders
+                    .iter()
+                    .map(|&u| deliveries_at(&mut sparse, &net, round, u))
+                    .collect();
+                assert_eq!(queried, forward, "round {round}: round gaps");
+                if round == 3 {
+                    at_3 = forward;
+                }
+            }
+        }
+        let replayed: Vec<Vec<NodeId>> = senders
+            .iter()
+            .map(|&u| deliveries_at(&mut sparse, &net, 3, u))
+            .collect();
+        assert_eq!(replayed, at_3, "a query into the past replays");
+    }
+
+    #[test]
+    fn bursty_clone_mid_run_continues_identically() {
+        let net = generators::line(10, 9);
+        let mut adv = BurstyDelivery::new(0.25, 0.35, 8);
+        for round in 1..=15 {
+            for u in net.nodes() {
+                deliveries_at(&mut adv, &net, round, u);
+            }
+        }
+        let mut twin = adv.clone();
+        for round in (16..=60).step_by(3) {
+            for u in net.nodes() {
+                assert_eq!(
+                    deliveries_at(&mut adv, &net, round, u),
+                    deliveries_at(&mut twin, &net, round, u),
+                    "round {round}, sender {u}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1275,31 +1506,23 @@ mod tests {
 
     #[test]
     fn bursty_extreme_probabilities() {
-        let net = generators::line(6, 5);
-        let assignment = Assignment::identity(6);
-        let informed = FixedBitSet::new(6);
-        let senders = [(NodeId(0), Message::signal(ProcessId(0)))];
-        let full = net.unreliable_only_out(NodeId(0)).len();
+        let net = generators::line(8, 7);
         // p_fail = 0: links never leave the good state.
         let mut stable = BurstyDelivery::new(0.0, 0.5, 3);
         // p_fail = 1, p_recover = 1: links alternate every round.
         let mut flappy = BurstyDelivery::new(1.0, 1.0, 3);
-        for round in 1..=20u64 {
-            let ctx = RoundContext {
-                round,
-                network: &net,
-                assignment: &assignment,
-                senders: &senders,
-                informed: &informed,
-            };
-            assert_eq!(deliveries(&mut stable, &ctx, NodeId(0)).len(), full);
-            let flaps = deliveries(&mut flappy, &ctx, NodeId(0)).len();
-            // good before round 1, flips every round: bad on odd rounds.
-            assert_eq!(
-                flaps,
-                if round % 2 == 1 { 0 } else { full },
-                "round {round}"
-            );
+        // p_fail = 1, p_recover = 0: links fail in round 1, for good.
+        let mut dead = BurstyDelivery::new(1.0, 0.0, 3);
+        for round in 1..=40u64 {
+            for u in net.nodes() {
+                let full = net.unreliable_only_out(u);
+                assert_eq!(deliveries_at(&mut stable, &net, round, u), full);
+                // Good before round 1, flips every round: bad on odd rounds.
+                let flaps = deliveries_at(&mut flappy, &net, round, u);
+                let expect = if round % 2 == 1 { &[][..] } else { full };
+                assert_eq!(flaps, expect, "round {round}, sender {u}");
+                assert!(deliveries_at(&mut dead, &net, round, u).is_empty());
+            }
         }
     }
 
@@ -1351,10 +1574,10 @@ mod tests {
     fn bursty_chains_follow_edge_identity_across_epochs() {
         // Epoch A's gray pairs are {(0,2), (0,3)}; epoch B rewires (0,2)
         // away and adds (1,3). The directed edge (0,3) survives the churn
-        // but moves from CSR position 1 of node 0's row to position 0:
-        // under the old positional keying it silently inherited (0,2)'s
-        // chain; under identity keying (the schedule-attached id map) it
-        // keeps its own.
+        // but moves from CSR position 1 of node 0's row to position 0.
+        // Its coins are keyed by the pair and the schedule's identity map
+        // keeps its memo, so across the rewire it runs exactly as on a
+        // static network that contains it throughout.
         let a = path4(&[(0, 2), (0, 3)]);
         let b = path4(&[(0, 3), (1, 3)]);
         let schedule = dualgraph_net::TopologySchedule::new(vec![
@@ -1362,39 +1585,43 @@ mod tests {
             dualgraph_net::Epoch::new(b.clone(), 6),
         ])
         .unwrap();
-        let seed = 1234;
-        let mut keyed = BurstyDelivery::new(0.5, 0.5, seed);
+        // A seed under which (0,2) and (0,3) disagree at the rewire, so
+        // the keying is observable.
+        let seed = 7;
         let by_identity = bursty_rounds(
-            &mut keyed,
+            &mut BurstyDelivery::new(0.5, 0.5, seed),
             schedule.epoch(0).network(),
             schedule.epoch(1).network(),
             7,
             12,
         );
-        // The raw epoch-B graph has no id map: flat CSR keying, i.e. the
-        // pre-fix behavior where (0,3) silently adopts (0,2)'s chain.
-        let mut positional = BurstyDelivery::new(0.5, 0.5, seed);
-        let by_position = bursty_rounds(&mut positional, &a, &b, 7, 12);
-        // Identical while the topology is epoch A (same chains, same ids).
+        let on_static = bursty_rounds(&mut BurstyDelivery::new(0.5, 0.5, seed), &a, &a, 7, 12);
+        let chain_03 =
+            |rows: &[Vec<u32>]| -> Vec<bool> { rows.iter().map(|row| row.contains(&3)).collect() };
+        assert_eq!(chain_03(&by_identity), chain_03(&on_static));
+        // The raw epoch-B graph has no id map, so (0,3) would index the
+        // memo at its new CSR position — (0,2)'s — and resume from
+        // (0,2)'s state: observably different after the rewire.
+        let by_position = bursty_rounds(&mut BurstyDelivery::new(0.5, 0.5, seed), &a, &b, 7, 12);
         assert_eq!(by_identity[..6], by_position[..6]);
-        // The keying difference is observable after the rewire (golden,
-        // pinned so the identity contract cannot silently regress).
-        assert_ne!(by_identity[6..], by_position[6..]);
+        assert_ne!(chain_03(&by_identity), chain_03(&by_position));
+        // Golden: the counter-based chains' seeded stream. Change it only
+        // deliberately, together with this pin.
         assert_eq!(
             by_identity,
             vec![
                 vec![],
                 vec![],
-                vec![2],
                 vec![],
-                vec![],
-                vec![2],
-                vec![],
+                vec![2, 3],
+                vec![3],
+                vec![3],
                 vec![],
                 vec![3],
                 vec![],
-                vec![3],
-                vec![3],
+                vec![],
+                vec![],
+                vec![],
             ],
         );
     }
@@ -1412,19 +1639,60 @@ mod tests {
             deliveries(&mut wrapped, &ctx, NodeId(0)),
             net.unreliable_only_out(NodeId(0)).to_vec()
         );
-        // CR4 resolutions follow the seeded coin: over many collisions
-        // both outcomes occur, deterministically in the seed.
+        // CR4 resolutions follow the seeded coin: over many collisions —
+        // at varying rounds and nodes, since the coin is a function of
+        // both — both outcomes occur, deterministically in the seed.
         let reaching = [Message::signal(ProcessId(0)), Message::signal(ProcessId(1))];
         let run = |seed: u64| -> Vec<Cr4Resolution> {
             let mut adv = WithRandomCr4::new(BurstyDelivery::new(0.3, 0.3, 1), seed);
-            (0..20)
-                .map(|_| adv.resolve_cr4(&ctx, NodeId(5), &reaching))
+            (1..=20u64)
+                .map(|round| {
+                    let ctx = RoundContext {
+                        round,
+                        ..ctx_fixture(&net, &assignment, &senders, &informed)
+                    };
+                    adv.resolve_cr4(&ctx, NodeId((round % 6) as u32), &reaching)
+                })
                 .collect()
         };
         let a = run(9);
         assert_eq!(a, run(9));
+        assert_ne!(a, run(10));
         assert!(a.contains(&Cr4Resolution::Silence));
         assert!(a.iter().any(|r| matches!(r, Cr4Resolution::Deliver(_))));
+    }
+
+    #[test]
+    fn with_random_cr4_coin_repeats_and_ignores_call_order() {
+        // The coin is a function of (key, round, node): asking twice
+        // answers the same, and the same questions asked in reverse order
+        // get the same answers.
+        let net = generators::line(6, 5);
+        let assignment = Assignment::identity(6);
+        let informed = FixedBitSet::new(6);
+        let reaching = [Message::signal(ProcessId(0)); 3];
+        let questions: Vec<(u64, NodeId)> = (1..=10u64)
+            .flat_map(|round| net.nodes().map(move |v| (round, v)))
+            .collect();
+        let ask = |adv: &mut WithRandomCr4<BurstyDelivery>, &(round, v): &(u64, NodeId)| {
+            let ctx = RoundContext {
+                round,
+                network: &net,
+                assignment: &assignment,
+                senders: &[],
+                informed: &informed,
+            };
+            adv.resolve_cr4(&ctx, v, &reaching)
+        };
+        let mut adv = WithRandomCr4::new(BurstyDelivery::new(0.3, 0.3, 1), 4);
+        let mut other = adv.clone();
+        let forward: Vec<Cr4Resolution> = questions.iter().map(|q| ask(&mut adv, q)).collect();
+        let mut backward: Vec<Cr4Resolution> =
+            questions.iter().rev().map(|q| ask(&mut other, q)).collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+        let again: Vec<Cr4Resolution> = questions.iter().map(|q| ask(&mut adv, q)).collect();
+        assert_eq!(forward, again);
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! SplitMix64, so adding one more process never perturbs the randomness of
 //! the others — crucial for reproducible sweeps.
 
+/// The SplitMix64 stream increment (the golden-ratio "gamma"): a stream
+/// seeded by `s` has `t`-th output `splitmix64(s + (t − 1)·GAMMA)`.
+pub(crate) const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// One SplitMix64 step: maps a state to a well-mixed 64-bit output.
 ///
 /// Reference: Steele, Lea, Flood — "Fast splittable pseudorandom number
 /// generators" (the `splitmix64` finalizer).
 #[inline]
 pub fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = state.wrapping_add(SPLITMIX64_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -48,9 +52,8 @@ pub fn derive_seed2(master: u64, stream: u64, substream: u64) -> u64 {
 /// `⌊ln(U) / ln(1−p)⌋` with `U` uniform in `(0, 1]` (53 mantissa bits,
 /// nudged off zero so `ln` stays finite).
 ///
-/// This is the one copy of the numerically delicate formula behind every
-/// geometric skip sampler in the workspace (the bursty link chains,
-/// Poisson stream arrivals).
+/// This is the one copy of the numerically delicate formula behind the
+/// workspace's geometric skip sampling (Poisson stream arrivals).
 /// `p <= 0` yields `u64::MAX` (never succeeds), `p >= 1` yields `0`
 /// (succeeds immediately).
 #[inline]

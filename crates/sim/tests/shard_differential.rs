@@ -30,7 +30,8 @@
 //!    consulted on the coordinator. Both paths must agree on every round
 //!    summary, known set, outcome, and trace event — on churn schedules
 //!    with fault plans (each epoch freezing its own `G′ ∖ G` transpose),
-//!    on a directed network, and under a non-identity assignment.
+//!    on a directed network, under a non-identity assignment, and with
+//!    a wrapper that swaps in its own CR4 coin.
 //!
 //! Populations are chosen above one shard chunk (64 nodes) so the worker
 //! counts genuinely shard; `plan().shards()` is asserted to keep the
@@ -43,7 +44,7 @@ use dualgraph_sim::{
     DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery,
     Message, PayloadId, PayloadSet, ProcessId, RandomDelivery, ReferenceExecutor, ReliableOnly,
     RoundContext, RoundSummary, ShardedExecutor, StartRule, TraceEvent, TraceLevel, TraceSink,
-    WithAssignment,
+    WithAssignment, WithRandomCr4,
 };
 
 /// Worker counts under test: the delegating single-shard path, an even
@@ -568,8 +569,9 @@ fn directed_net(seed: u64, n: usize) -> DualGraph {
 
 /// Property 4b: the two sampling paths agree on a directed network (where
 /// the in-shard path reads a transpose that differs from the rows the
-/// coordinator samples) and for a `WithAssignment<RandomDelivery>`, which
-/// forwards the oblivious form.
+/// coordinator samples), for a `WithAssignment<RandomDelivery>`, which
+/// forwards the oblivious form, and for a `WithRandomCr4<RandomDelivery>`,
+/// whose form carries the wrapper's own CR4 coin.
 #[test]
 fn in_shard_sampling_matches_on_directed_and_reassigned_networks() {
     let n = 150;
@@ -588,6 +590,12 @@ fn in_shard_sampling_matches_on_directed_and_reassigned_networks() {
             .oblivious()
             .is_some()
     );
+    let coined = || WithRandomCr4::new(RandomDelivery::new(0.5, 6), 13);
+    assert_ne!(
+        coined().oblivious(),
+        RandomDelivery::new(0.5, 6).oblivious(),
+        "the wrapper's form swaps in its own CR4 coin"
+    );
     #[allow(clippy::type_complexity)]
     let cases: Vec<(&str, &DualGraph, Box<dyn Fn(bool) -> Box<dyn Adversary>>)> = vec![
         (
@@ -602,6 +610,11 @@ fn in_shard_sampling_matches_on_directed_and_reassigned_networks() {
                 let adv = WithAssignment::new(RandomDelivery::new(0.3, 4), reversed.clone());
                 on_path(adv, coordinator)
             }),
+        ),
+        (
+            "with-random-cr4 random(0.5)",
+            &undirected,
+            Box::new(move |coordinator| on_path(coined(), coordinator)),
         ),
     ];
     for (name, net, make) in &cases {
