@@ -134,7 +134,9 @@ fn shard_hot_positive_fixture_fires() {
         .iter()
         .any(|f| f.message.contains("ShardedExecutor::step_traced")));
     assert!(hits.iter().any(|f| f.message.contains("resolve_chunk")));
-    assert!(hits.iter().any(|f| f.message.contains("AbsorbPart::absorb")));
+    assert!(hits
+        .iter()
+        .any(|f| f.message.contains("AbsorbPart::absorb")));
 }
 
 #[test]

@@ -563,7 +563,8 @@ fn bench_scale_entries() -> String {
                 m.shards,
                 m.cores,
                 m.speedup(),
-                m.peak_rss_kb.map_or("null".to_string(), |kb| kb.to_string()),
+                m.peak_rss_kb
+                    .map_or("null".to_string(), |kb| kb.to_string()),
             )
         })
         .collect::<Vec<_>>()

@@ -406,16 +406,11 @@ mod tests {
         );
         let make = |seed| Box::new(RandomDelivery::new(0.5, seed)) as Box<dyn Adversary>;
         let config = RunConfig::default().with_seed(42).with_max_rounds(100_000);
-        let sequential =
-            run_broadcast(&net, &Harmonic::new(), make(42), config).unwrap();
+        let sequential = run_broadcast(&net, &Harmonic::new(), make(42), config).unwrap();
         for shards in [0, 1, 2, 5] {
-            let sharded = run_broadcast(
-                &net,
-                &Harmonic::new(),
-                make(42),
-                config.with_shards(shards),
-            )
-            .unwrap();
+            let sharded =
+                run_broadcast(&net, &Harmonic::new(), make(42), config.with_shards(shards))
+                    .unwrap();
             assert_eq!(sequential, sharded, "shards={shards}");
         }
     }

@@ -432,7 +432,8 @@ pub fn scale_dual(params: ScaleDualParams, seed: u64) -> DualGraph {
             }
         }
     }
-    DualGraph::new(g, total, NodeId(0)).expect("scale_dual construction is valid") // analyzer: allow(panic, reason = "invariant: scale_dual construction is valid")
+    // analyzer: allow(panic, reason = "invariant: scale_dual construction is valid")
+    DualGraph::new(g, total, NodeId(0)).expect("scale_dual construction is valid")
 }
 
 /// Parameters for the two-radius random geometric dual graph of
