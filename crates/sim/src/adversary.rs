@@ -722,11 +722,13 @@ impl Adversary for BurstyDelivery {
 /// worst-case-flavored adversary used by the upper-bound experiments.
 #[derive(Debug, Clone, Default)]
 pub struct CollisionSeeker {
-    /// Round the `counts` buffer was computed for (`None` = never).
+    /// Round the jam set was computed for (`None` = never).
     cached_round: Option<u64>,
-    /// Reliable-reach counts per node, reused round to round (zeroed in
-    /// place, never reallocated in steady state).
-    counts: Vec<u32>,
+    /// This round's jam set — the uninformed nodes some sender reaches
+    /// through `G` — one bit per node, reused round to round.
+    jam_words: Vec<u64>,
+    /// The jam set's members, ascending.
+    jam_nodes: Vec<NodeId>,
 }
 
 impl CollisionSeeker {
@@ -735,37 +737,77 @@ impl CollisionSeeker {
         CollisionSeeker::default()
     }
 
-    fn reach_counts(&mut self, ctx: &RoundContext<'_>) -> &[u32] {
-        let round = ctx.round;
-        if self.cached_round != Some(round) {
-            self.counts.clear();
-            self.counts.resize(ctx.network.len(), 0);
+    /// The round's jam set `(∪ senders' G rows) ∖ informed`, as words and
+    /// as an ascending member list; computed on the round's first call,
+    /// in `O(n/64 + Σ d_G)`.
+    fn jam(&mut self, ctx: &RoundContext<'_>) -> (&[u64], &[NodeId]) {
+        if self.cached_round != Some(ctx.round) {
+            assert_eq!(
+                ctx.informed.capacity(),
+                ctx.network.len(),
+                "the informed set must cover the network"
+            );
+            let words = &mut self.jam_words;
+            words.clear();
+            words.resize(ctx.network.len().div_ceil(64), 0);
             for &(u, _) in ctx.senders {
                 for v in ctx.network.reliable_csr().row(u) {
-                    self.counts[v.index()] += 1;
+                    words[v.index() / 64] |= 1 << (v.index() % 64);
                 }
             }
-            self.cached_round = Some(round);
+            self.jam_nodes.clear();
+            for (w, (word, &informed)) in words.iter_mut().zip(ctx.informed.words()).enumerate() {
+                *word &= !informed;
+                let mut bits = *word;
+                while bits != 0 {
+                    let v = w * 64 + bits.trailing_zeros() as usize;
+                    self.jam_nodes.push(NodeId::from_index(v));
+                    bits &= bits - 1;
+                }
+            }
+            self.cached_round = Some(ctx.round);
         }
-        &self.counts
+        (&self.jam_words, &self.jam_nodes)
     }
 }
 
+/// Whether to find `row ∩ jam` by walking the jam (one binary search of
+/// the row per member) rather than scanning the row (one bit test per
+/// entry): whichever side costs less.
+fn walk_jam(jam_len: usize, row_len: usize) -> bool {
+    let log_row = (usize::BITS - row_len.leading_zeros()) as usize;
+    jam_len * log_row < row_len
+}
+
 impl Adversary for CollisionSeeker {
+    /// Appends `G′ ∖ G row ∩ jam` in ascending order — the same targets
+    /// either way `walk_jam` chooses.
     fn unreliable_deliveries(
         &mut self,
         ctx: &RoundContext<'_>,
         sender: NodeId,
         out: &mut Vec<NodeId>,
     ) {
-        let counts = self.reach_counts(ctx);
-        out.extend(
-            ctx.network
-                .unreliable_only_out(sender)
-                .iter()
-                .copied()
-                .filter(|v| !ctx.informed.contains(v.index()) && counts[v.index()] >= 1),
-        );
+        let (words, jam) = self.jam(ctx);
+        let row = ctx.network.unreliable_only_out(sender);
+        if walk_jam(jam.len(), row.len()) {
+            let mut rest = row;
+            for &v in jam {
+                match rest.binary_search(&v) {
+                    Ok(i) => {
+                        out.push(v);
+                        rest = &rest[i + 1..];
+                    }
+                    Err(i) => rest = &rest[i..],
+                }
+            }
+        } else {
+            out.extend(
+                row.iter()
+                    .copied()
+                    .filter(|v| words[v.index() / 64] >> (v.index() % 64) & 1 == 1),
+            );
+        }
     }
 
     // CR4 collisions resolve to silence (the default): maximally unhelpful.
@@ -1777,6 +1819,101 @@ mod tests {
         let mut adv = CollisionSeeker::new();
         assert!(deliveries(&mut adv, &ctx, NodeId(0)).is_empty());
         assert!(deliveries(&mut adv, &ctx, NodeId(1)).is_empty());
+    }
+
+    /// The counts-based filter `CollisionSeeker` ran before its jam set:
+    /// per-node reliable-reach counts, cached per round, then a scan of
+    /// the sender's whole `G′ ∖ G` row.
+    #[derive(Default)]
+    struct CountsModel {
+        cached_round: Option<u64>,
+        counts: Vec<u32>,
+    }
+
+    impl CountsModel {
+        fn deliveries(&mut self, ctx: &RoundContext<'_>, sender: NodeId, out: &mut Vec<NodeId>) {
+            if self.cached_round != Some(ctx.round) {
+                self.counts.clear();
+                self.counts.resize(ctx.network.len(), 0);
+                for &(u, _) in ctx.senders {
+                    for v in ctx.network.reliable_csr().row(u) {
+                        self.counts[v.index()] += 1;
+                    }
+                }
+                self.cached_round = Some(ctx.round);
+            }
+            out.extend(
+                ctx.network
+                    .unreliable_only_out(sender)
+                    .iter()
+                    .copied()
+                    .filter(|v| !ctx.informed.contains(v.index()) && self.counts[v.index()] >= 1),
+            );
+        }
+    }
+
+    #[test]
+    fn collision_seeker_matches_the_counts_model() {
+        let mut rng = SmallRng::seed_from_u64(0x5EE_CE12);
+        // Calls that took the jam walk / the row scan.
+        let mut branches = [0usize; 2];
+        for case in 0..24u64 {
+            let net = if case % 2 == 0 {
+                generators::er_dual(
+                    generators::ErDualParams {
+                        n: 40 + 7 * case as usize,
+                        reliable_p: 0.05,
+                        unreliable_p: 0.4,
+                    },
+                    case,
+                )
+            } else {
+                generators::layered_pairs(21 + 6 * case as usize)
+            };
+            let n = net.len();
+            let assignment = Assignment::identity(n);
+            let mut adv = CollisionSeeker::new();
+            let mut model = CountsModel::default();
+            for round in 1..=8 {
+                let informed_p = rng.gen_range(0.0..1.0);
+                let sender_p = rng.gen_range(0.0..0.6);
+                let informed =
+                    FixedBitSet::from_indices(n, (0..n).filter(|_| rng.gen_bool(informed_p)));
+                let senders: Vec<(NodeId, Message)> = (0..n)
+                    .filter(|_| rng.gen_bool(sender_p))
+                    .map(|u| {
+                        (
+                            NodeId::from_index(u),
+                            Message::signal(ProcessId::from_index(u)),
+                        )
+                    })
+                    .collect();
+                let ctx = RoundContext {
+                    round,
+                    network: &net,
+                    assignment: &assignment,
+                    senders: &senders,
+                    informed: &informed,
+                };
+                // Every sender twice: the second pass reuses the round's
+                // cached jam set. One shared buffer, as the executor
+                // passes it.
+                let (mut got, mut want) = (vec![NodeId(u32::MAX)], vec![NodeId(u32::MAX)]);
+                for _ in 0..2 {
+                    for &(u, _) in &senders {
+                        adv.unreliable_deliveries(&ctx, u, &mut got);
+                        model.deliveries(&ctx, u, &mut want);
+                        let row = net.unreliable_only_out(u).len();
+                        branches[usize::from(!walk_jam(adv.jam_nodes.len(), row))] += 1;
+                    }
+                }
+                assert_eq!(got, want, "case {case}, round {round}");
+            }
+        }
+        assert!(
+            branches.iter().all(|&b| b > 100),
+            "branch coverage {branches:?}"
+        );
     }
 
     #[test]

@@ -236,8 +236,8 @@ pub struct Executor<'a> {
     pub(crate) extra_ranges: Vec<(u32, u32)>,
     /// Flat arena of reaching transmissions, stored as **indices into
     /// `senders_buf`** (4 bytes per delivery instead of a full `Message`):
-    /// node `v`'s reaching set is
-    /// `arena[arena_off[v] as usize..arena_off[v + 1] as usize]`, in the
+    /// a touched node `v`'s reaching set is
+    /// `arena[arena_off[v] as usize..cursor[v] as usize]`, in the
     /// same order the former per-node `Vec<Message>`s were filled (sender
     /// node order; self, then `G` out-row, then adversary extras).
     /// Collision resolution reads at most one message per node, so
@@ -245,10 +245,16 @@ pub struct Executor<'a> {
     /// the only full materialization left is `cr4_scratch`, for the
     /// adversary's CR4 choice.
     pub(crate) arena: Vec<u32>,
-    /// `n + 1` prefix-sum offsets into `arena`.
+    /// Where each touched node's range in `arena` starts (`n + 1` slots:
+    /// the sharded engine's coordinator counting sort writes all `n + 1`
+    /// prefix sums).
     pub(crate) arena_off: Vec<u32>,
-    /// Per-node fill cursors for the arena's second pass.
+    /// Per-node reaching counts, then fill cursors for the arena's write
+    /// pass. Zeroed at the start of every sequential round.
     pub(crate) cursor: Vec<u32>,
+    /// This round's reached nodes (`cursor[v] != 0` after counting): the
+    /// only nodes phases 2b–4 visit, in ascending order.
+    pub(crate) touched: FixedBitSet,
     /// Per-node own transmission this round (senders hear themselves under
     /// CR2–CR4).
     pub(crate) own_buf: Vec<Option<Message>>,
@@ -366,6 +372,7 @@ impl<'a> Executor<'a> {
             arena: Vec::new(),
             arena_off: vec![0; n + 1],
             cursor: vec![0; n],
+            touched: FixedBitSet::new(n),
             own_buf: vec![None; n],
             cr4_scratch: Vec::new(),
         };
@@ -684,22 +691,32 @@ impl<'a> Executor<'a> {
             }
         }
 
-        // Phase 2b: two-pass arena fill. First count each node's reaching
-        // transmissions, prefix-sum into per-node ranges, then write
-        // **sender indices** at the per-node cursors — visiting senders in
-        // the same order as the counting pass, so each node's reaching set
-        // keeps the historical per-node order (sender node order; self,
-        // then `G` out-row, then adversary extras).
+        // Phase 2b: two-pass arena fill over the round's reached nodes.
+        // Count each node's reaching transmissions, mark the nodes with a
+        // nonzero count as `touched`, prefix-sum the touched nodes into
+        // per-node ranges, then write **sender indices** at the per-node
+        // cursors — visiting senders in the same order as the counting
+        // pass, so each node's reaching set keeps the historical per-node
+        // order (sender node order; self, then `G` out-row, then adversary
+        // extras). Past the counting pass, phases 2b–4 visit only the
+        // touched nodes: a sparse round costs what it reaches, not O(n).
+        //
+        // Dense-round fast path: when *every* node transmitted under
+        // CR2-CR4, no reaching list is ever read — each sender hears its
+        // own message, and collision statistics only need the per-node
+        // counts. Skip the prefix sum and the write pass (the dominant
+        // cost of flooding-style rounds); `cursor` then keeps the counts.
+        let lists_needed = self.senders_buf.len() < n || self.config.rule == CollisionRule::Cr1;
         {
             let Executor {
                 network,
-                config,
                 senders_buf,
                 extra_flat,
                 extra_ranges,
                 arena,
                 arena_off,
                 cursor,
+                touched,
                 own_buf,
                 ..
             } = self;
@@ -707,6 +724,8 @@ impl<'a> Executor<'a> {
             for &(u, msg) in senders_buf.iter() {
                 own_buf[u.index()] = Some(msg);
             }
+            // Zeroed in full, not just at last round's touched nodes: the
+            // sharded engine's coordinator counting sort reuses `cursor`.
             cursor.fill(0);
             for (i, &(u, _)) in senders_buf.iter().enumerate() {
                 cursor[u.index()] += 1;
@@ -718,22 +737,25 @@ impl<'a> Executor<'a> {
                     cursor[v.index()] += 1;
                 }
             }
-            let mut acc = 0u32;
-            arena_off[0] = 0;
-            for v in 0..n {
-                acc += cursor[v];
-                arena_off[v + 1] = acc;
+            // Branch-free, one word per 64 counts.
+            for (word, counts) in touched.words_mut().iter_mut().zip(cursor.chunks(64)) {
+                let mut bits = 0u64;
+                for &c in counts.iter().rev() {
+                    bits = bits << 1 | u64::from(c != 0);
+                }
+                *word = bits;
             }
-            // Dense-round fast path: when *every* node transmitted under
-            // CR2-CR4, no reaching list is ever read — each sender hears
-            // its own message, and collision statistics only need the
-            // per-node counts already in `arena_off`. Skip the entire
-            // write pass (the dominant cost of flooding-style rounds).
-            let lists_needed = senders_buf.len() < n || config.rule == CollisionRule::Cr1;
             if lists_needed {
-                cursor.copy_from_slice(&arena_off[..n]);
+                // Node `v`'s range starts at `arena_off[v]`; its cursor
+                // runs from there to the range's end.
+                let mut acc = 0u32;
+                for v in touched.iter() {
+                    arena_off[v] = acc;
+                    acc += cursor[v];
+                    cursor[v] = arena_off[v];
+                }
                 // Grow-only: every live slot `< acc` is overwritten through
-                // the cursors below, and reads are bounded by `arena_off`,
+                // the cursors below, and reads are bounded by the ranges,
                 // so stale entries past `acc` are never observed. This
                 // avoids an O(total) dummy-fill per round.
                 if arena.len() < acc as usize {
@@ -758,12 +780,16 @@ impl<'a> Executor<'a> {
             }
         }
 
-        // Phase 3: collision resolution per node, on the index arena. This
-        // mirrors `collision::resolve` exactly (the reference oracle still
-        // goes through it; the differential suite pins the two together),
-        // but reads at most one message out of each reaching set — only a
-        // CR4 adversary choice materializes the full set.
+        // Phase 3: collision resolution at the touched nodes, ascending, on
+        // the index arena. This mirrors `collision::resolve` exactly (the
+        // reference oracle still goes through it; the differential suite
+        // pins the two together), but reads at most one message out of
+        // each reaching set — only a CR4 adversary choice materializes the
+        // full set. Every untouched node resolves to silence under every
+        // rule: nothing reached it and it did not send, so it counts no
+        // collision and draws no CR4 choice.
         self.receptions_buf.clear();
+        self.receptions_buf.resize(n, Reception::Silence);
         {
             let Executor {
                 network,
@@ -773,6 +799,8 @@ impl<'a> Executor<'a> {
                 senders_buf,
                 arena,
                 arena_off,
+                cursor,
+                touched,
                 own_buf,
                 receptions_buf,
                 config,
@@ -806,26 +834,27 @@ impl<'a> Executor<'a> {
                 }
             };
             let faulty = *faulty_count > 0;
-            for node in 0..n {
+            for node in touched.iter() {
                 // Faulty radios resolve to silence: a crashed node has no
                 // functioning receiver and a jammer/spammer never listens
                 // — no collision is counted and no CR4 choice is drawn at
                 // such a node (the adversary RNG stream skips it).
                 if faulty && !roles[node].is_correct() {
-                    receptions_buf.push(Reception::Silence);
                     continue;
                 }
-                // Reaching-set length from the offsets; the index list
-                // itself is sliced lazily — after a dense-round fast path
-                // (write pass skipped) only the length is valid, and only
-                // the length is ever needed.
-                let (start, end) = (arena_off[node] as usize, arena_off[node + 1] as usize);
+                // After a dense round (write pass skipped) the cursor holds
+                // the reaching-set length, and only the length is ever
+                // needed.
+                let start = if lists_needed {
+                    arena_off[node] as usize
+                } else {
+                    0
+                };
+                let end = cursor[node] as usize;
                 let len = end - start;
-                // Fast path for the common idle node: nothing reached it
-                // and it did not send, so every rule resolves to silence.
                 let Some(own) = own_buf[node] else {
                     let reception = match len {
-                        0 => Reception::Silence,
+                        0 => unreachable!("a touched node was reached"),
                         1 => Reception::Message(msg_for(arena[start], node)),
                         _ => {
                             *physical_collisions += 1;
@@ -855,7 +884,7 @@ impl<'a> Executor<'a> {
                             }
                         }
                     };
-                    receptions_buf.push(reception);
+                    receptions_buf[node] = reception;
                     continue;
                 };
                 // Senders: own message always reaches them; CR1 senders
@@ -863,7 +892,7 @@ impl<'a> Executor<'a> {
                 if len >= 2 {
                     *physical_collisions += 1;
                 }
-                let reception = match config.rule {
+                receptions_buf[node] = match config.rule {
                     CollisionRule::Cr1 => match len {
                         0 => unreachable!("a sender's own message always reaches it"),
                         1 => Reception::Message(msg_for(arena[start], node)),
@@ -871,16 +900,15 @@ impl<'a> Executor<'a> {
                     },
                     _ => Reception::Message(own),
                 };
-                receptions_buf.push(reception);
             }
         }
 
         // Phase 4: batched deliveries/activations, then informed-set
-        // bookkeeping (process-free, so splitting it off the process sweep
-        // changes no observable order). Faulty nodes got `Silence` in
-        // phase 3 (so the bookkeeping loop skips them naturally); the
-        // masked receive sweep additionally keeps their frozen automata
-        // from observing even that silence.
+        // bookkeeping over the touched nodes (process-free, so splitting it
+        // off the process sweep changes no observable order). Faulty nodes
+        // got `Silence` in phase 3 (so the bookkeeping loop skips them
+        // naturally); the masked receive sweep additionally keeps their
+        // frozen automata from observing even that silence.
         {
             let Executor {
                 procs,
@@ -895,18 +923,28 @@ impl<'a> Executor<'a> {
         }
         // analyzer: allow(hot-alloc, reason = "newly_informed is returned by value in RoundSummary; it stays len 0 (no heap) except on the bounded rounds where nodes first become informed, at most n pushes over a whole run")
         let mut newly_informed = Vec::new();
-        let real = self.real;
-        for node in 0..n {
-            let Some(m) = self.receptions_buf[node].message() else {
-                continue;
-            };
-            self.known[node].union_with(m.payloads);
-            // Only environment-introduced payloads inform: spammer junk is
-            // absorbed into the known record above but cannot flip the
-            // informed bit (see the `real` field).
-            if m.payloads.intersects(real) && self.informed.insert(node) {
-                self.first_receive[node] = Some(t);
-                newly_informed.push(NodeId::from_index(node));
+        {
+            let Executor {
+                touched,
+                receptions_buf,
+                known,
+                real,
+                informed,
+                first_receive,
+                ..
+            } = self;
+            for node in touched.iter() {
+                let Some(m) = receptions_buf[node].message() else {
+                    continue;
+                };
+                known[node].union_with(m.payloads);
+                // Only environment-introduced payloads inform: spammer junk
+                // is absorbed into the known record above but cannot flip
+                // the informed bit (see the `real` field).
+                if m.payloads.intersects(*real) && informed.insert(node) {
+                    first_receive[node] = Some(t);
+                    newly_informed.push(NodeId::from_index(node));
+                }
             }
         }
 
@@ -1007,6 +1045,7 @@ impl Clone for Executor<'_> {
             arena: self.arena.clone(),
             arena_off: self.arena_off.clone(),
             cursor: self.cursor.clone(),
+            touched: self.touched.clone(),
             own_buf: self.own_buf.clone(),
             cr4_scratch: self.cr4_scratch.clone(),
         }

@@ -40,11 +40,11 @@
 use dualgraph_net::{generators, Digraph, DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
-    Adversary, Assignment, BurstyDelivery, CollisionRule, CollisionSeeker, Cr4Resolution,
-    DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery,
-    Message, PayloadId, PayloadSet, ProcessId, RandomDelivery, ReferenceExecutor, ReliableOnly,
-    RoundContext, RoundSummary, ShardedExecutor, StartRule, TraceEvent, TraceLevel, TraceSink,
-    WithAssignment, WithRandomCr4,
+    ActivationCause, Adversary, Assignment, BurstyDelivery, CollisionRule, CollisionSeeker,
+    Cr4Resolution, DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan, Flooder,
+    FullDelivery, Message, PayloadId, PayloadSet, Process, ProcessId, ProcessSlot, RandomDelivery,
+    Reception, ReferenceExecutor, ReliableOnly, RoundContext, RoundSummary, ShardedExecutor,
+    StartRule, TraceEvent, TraceLevel, TraceSink, WithAssignment, WithRandomCr4,
 };
 
 /// Worker counts under test: the delegating single-shard path, an even
@@ -360,38 +360,139 @@ fn sharded_trace_streams_are_identical() {
     }
 }
 
-/// Interleaving sharded and sequential stepping on the *same* engine
-/// (via `DerefMut`) stays bit-identical to a pure sequential run: the
-/// wrapper's sender-index bookkeeping must survive rounds it did not
-/// execute itself.
-#[test]
-fn interleaved_sequential_and_sharded_steps_agree() {
-    let n = 150;
-    let net = random_net(83, n);
-    let config = ExecutorConfig {
-        rule: CollisionRule::Cr4,
-        start: StartRule::Synchronous,
-        trace: TraceLevel::Off,
-        payload: PayloadId(0),
-    };
-    let make_adv = || Box::new(RandomDelivery::new(0.4, 23)) as Box<dyn Adversary>;
-    let mut sequential = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
-    let exec = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
+/// Runs `rounds` rounds of a pure sequential engine beside one engine
+/// that alternates sharded rounds (even) with rounds stepped through its
+/// inner sequential engine directly (odd, via `DerefMut`), asserting
+/// equal round summaries, known records, and outcomes.
+fn interleave(
+    label: &str,
+    net: &DualGraph,
+    config: ExecutorConfig,
+    slots: impl Fn(usize) -> Vec<ProcessSlot>,
+    make_adv: impl Fn() -> Box<dyn Adversary>,
+    rounds: usize,
+) {
+    let n = net.len();
+    let mut sequential = Executor::from_slots(net, slots(n), make_adv(), config).unwrap();
+    let exec = Executor::from_slots(net, slots(n), make_adv(), config).unwrap();
     let mut mixed = ShardedExecutor::new(exec, 2);
-    for round in 0..24 {
+    assert!(mixed.plan().shards() > 1, "{label}: must shard");
+    for round in 0..rounds {
         let ss = sequential.step();
-        // Alternate: even rounds sharded, odd rounds through the inner
-        // sequential engine directly.
         let sm = if round % 2 == 0 {
             mixed.step()
         } else {
             use std::ops::DerefMut;
             mixed.deref_mut().step()
         };
-        assert_eq!(ss, sm, "round {round}");
+        assert_eq!(ss, sm, "{label}: round {round}");
     }
-    assert_eq!(sequential.known_payloads(), mixed.known_payloads());
-    assert_eq!(sequential.outcome(), mixed.outcome());
+    assert_eq!(
+        sequential.known_payloads(),
+        mixed.known_payloads(),
+        "{label}"
+    );
+    assert_eq!(sequential.outcome(), mixed.outcome(), "{label}");
+}
+
+/// Interleaving sharded and sequential stepping on the *same* engine
+/// (via `DerefMut`) stays bit-identical to a pure sequential run: the
+/// wrapper's sender-index bookkeeping must survive rounds it did not
+/// execute itself.
+#[test]
+fn interleaved_sequential_and_sharded_steps_agree() {
+    let config = ExecutorConfig {
+        rule: CollisionRule::Cr4,
+        start: StartRule::Synchronous,
+        trace: TraceLevel::Off,
+        payload: PayloadId(0),
+    };
+    interleave(
+        "random(0.4)",
+        &random_net(83, 150),
+        config,
+        Flooder::slots,
+        || Box::new(RandomDelivery::new(0.4, 23)),
+        24,
+    );
+}
+
+/// Transmits a payload-free signal on a four-round cycle: every node in
+/// rounds `≡ 0 (mod 4)`, every node but node 0 in rounds `≡ 3`, nobody
+/// otherwise. Under [`interleave`] (synchronous start) that lines up a
+/// silent sequential round, a sharded round, and a dense sequential
+/// round, again and again.
+#[derive(Debug, Clone)]
+struct Pulse(ProcessId);
+
+impl Pulse {
+    fn slots(n: usize) -> Vec<ProcessSlot> {
+        (0..n)
+            .map(|i| ProcessSlot::Custom(Box::new(Pulse(ProcessId::from_index(i)))))
+            .collect()
+    }
+}
+
+impl Process for Pulse {
+    fn id(&self) -> ProcessId {
+        self.0
+    }
+
+    fn on_activate(&mut self, _cause: ActivationCause) {}
+
+    fn transmit(&mut self, local_round: u64) -> Option<Message> {
+        let on = match local_round % 4 {
+            0 => true,
+            3 => self.0 != ProcessId(0),
+            _ => false,
+        };
+        on.then(|| Message::signal(self.0))
+    }
+
+    fn receive(&mut self, _local_round: u64, _reception: Reception) {}
+
+    fn has_payload(&self) -> bool {
+        false
+    }
+
+    fn clone_box(&self) -> Box<dyn Process> {
+        Box::new(self.clone())
+    }
+}
+
+/// The same interleaving with an adversary consulted on the coordinator,
+/// whose counting sort reuses the sequential engine's `cursor`, `arena`,
+/// and `arena_off`: a sequential round after it must not read them stale.
+/// On `directed_net` node 0 has no reliable in-edge, so whatever reaches
+/// it comes from the adversary's extras alone.
+///
+/// Flooding runs the sparse and dense paths under both start rules. The
+/// [`Pulse`] schedule aims at the dense path, which reads reaching-set
+/// lengths straight from the counts: in each dense round node 0 collides
+/// only if an extra reaches it, while the preceding sharded round (node 0
+/// silent, everyone else sending) left extras' counts at node 0 that the
+/// silent sequential round before it never touched.
+#[test]
+fn interleaved_steps_agree_after_coordinator_rounds() {
+    let net = directed_net(5, 150);
+    let adv = || Box::new(Coordinated(RandomDelivery::new(0.4, 23))) as Box<dyn Adversary>;
+    for start in [StartRule::Synchronous, StartRule::Asynchronous] {
+        let config = ExecutorConfig {
+            rule: CollisionRule::Cr4,
+            start,
+            trace: TraceLevel::Off,
+            payload: PayloadId(0),
+        };
+        let label = format!("directed flooding {start:?}");
+        interleave(&label, &net, config, Flooder::slots, adv, 200);
+    }
+    let config = ExecutorConfig {
+        rule: CollisionRule::Cr4,
+        start: StartRule::Synchronous,
+        trace: TraceLevel::Off,
+        payload: PayloadId(0),
+    };
+    interleave("directed pulse", &net, config, Pulse::slots, adv, 200);
 }
 
 /// Forwards every decision of the wrapped adversary except its oblivious
