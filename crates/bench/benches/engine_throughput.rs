@@ -1,7 +1,8 @@
 //! Engine-throughput bench: the enum-dispatched batched process table vs
 //! boxed dispatch vs the frozen PR 1 engine vs the naive reference
-//! oracle, plus the parallel trial runner — the perf contract of the
-//! hot-path work.
+//! oracle, plus the parallel trial runner and many-sender flooding
+//! against the jamming adversary — the perf contract of the hot-path
+//! work.
 
 use std::time::Duration;
 
@@ -12,7 +13,7 @@ use dualgraph_bench::engine_bench::{
 };
 use dualgraph_broadcast::algorithms::Harmonic;
 use dualgraph_broadcast::runner::{run_trials_par_with, RunConfig};
-use dualgraph_sim::RandomDelivery;
+use dualgraph_sim::{CollisionSeeker, Executor, ExecutorConfig, Flooder, RandomDelivery};
 
 fn benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_throughput");
@@ -33,6 +34,27 @@ fn benches(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("reference", n), &net, |b, net| {
             b.iter(|| measure_reference(net, 7, 200))
         });
+        // Flooding stalls against the jamming adversary with every informed
+        // node sending: the many-sender, short-row regime where
+        // `CollisionSeeker` scans each sender's `G′ ∖ G` row rather than
+        // walking its jam set.
+        group.bench_with_input(
+            BenchmarkId::new("flooding-collision-seeker", n),
+            &net,
+            |b, net| {
+                b.iter(|| {
+                    let mut exec = Executor::from_slots(
+                        net,
+                        Flooder::slots(net.len()),
+                        Box::new(CollisionSeeker::new()),
+                        ExecutorConfig::default(),
+                    )
+                    .unwrap();
+                    exec.run_rounds(200);
+                    exec.outcome()
+                })
+            },
+        );
     }
     let net = workload_network(65);
     group.bench_with_input(BenchmarkId::new("trials-par", 65), &net, |b, net| {

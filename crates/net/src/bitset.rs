@@ -45,7 +45,7 @@ pub fn or_words(dst: &mut [u64], src: &[u64]) {
 ///
 /// All operations panic if an index is out of bounds; capacity is fixed at
 /// construction time (the simulator always knows `n` up front).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct FixedBitSet {
     words: Vec<u64>,
     len: usize,

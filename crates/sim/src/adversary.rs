@@ -725,10 +725,10 @@ pub struct CollisionSeeker {
     /// Round the jam set was computed for (`None` = never).
     cached_round: Option<u64>,
     /// This round's jam set — the uninformed nodes some sender reaches
-    /// through `G` — one bit per node, reused round to round.
-    jam_words: Vec<u64>,
-    /// The jam set's members, ascending.
-    jam_nodes: Vec<NodeId>,
+    /// through `G` — reused round to round.
+    jam: FixedBitSet,
+    /// The jam set's size.
+    jam_len: usize,
 }
 
 impl CollisionSeeker {
@@ -737,43 +737,34 @@ impl CollisionSeeker {
         CollisionSeeker::default()
     }
 
-    /// The round's jam set `(∪ senders' G rows) ∖ informed`, as words and
-    /// as an ascending member list; computed on the round's first call,
-    /// in `O(n/64 + Σ d_G)`.
-    fn jam(&mut self, ctx: &RoundContext<'_>) -> (&[u64], &[NodeId]) {
-        if self.cached_round != Some(ctx.round) {
-            assert_eq!(
-                ctx.informed.capacity(),
-                ctx.network.len(),
-                "the informed set must cover the network"
-            );
-            let words = &mut self.jam_words;
-            words.clear();
-            words.resize(ctx.network.len().div_ceil(64), 0);
-            for &(u, _) in ctx.senders {
-                for v in ctx.network.reliable_csr().row(u) {
-                    words[v.index() / 64] |= 1 << (v.index() % 64);
-                }
-            }
-            self.jam_nodes.clear();
-            for (w, (word, &informed)) in words.iter_mut().zip(ctx.informed.words()).enumerate() {
-                *word &= !informed;
-                let mut bits = *word;
-                while bits != 0 {
-                    let v = w * 64 + bits.trailing_zeros() as usize;
-                    self.jam_nodes.push(NodeId::from_index(v));
-                    bits &= bits - 1;
-                }
-            }
-            self.cached_round = Some(ctx.round);
+    /// Computes the round's jam set `(∪ senders' G rows) ∖ informed` on
+    /// the round's first call, in `O(n/64 + Σ d_G)`.
+    fn jam(&mut self, ctx: &RoundContext<'_>) {
+        if self.cached_round == Some(ctx.round) {
+            return;
         }
-        (&self.jam_words, &self.jam_nodes)
+        if self.jam.capacity() == ctx.network.len() {
+            self.jam.clear();
+        } else {
+            self.jam = FixedBitSet::new(ctx.network.len());
+        }
+        for &(u, _) in ctx.senders {
+            for v in ctx.network.reliable_csr().row(u) {
+                self.jam.insert(v.index());
+            }
+        }
+        self.jam.difference_with(ctx.informed);
+        self.jam_len = self.jam.count();
+        self.cached_round = Some(ctx.round);
     }
 }
 
 /// Whether to find `row ∩ jam` by walking the jam (one binary search of
 /// the row per member) rather than scanning the row (one bit test per
-/// entry): whichever side costs less.
+/// entry): whichever side costs less. Neither side alone will do: scans
+/// pay for the long rows of sparse rounds on `layered_pairs`, and walks
+/// grow with senders × jam when many senders share short rows (flooding
+/// on `er_dual`).
 fn walk_jam(jam_len: usize, row_len: usize) -> bool {
     let log_row = (usize::BITS - row_len.leading_zeros()) as usize;
     jam_len * log_row < row_len
@@ -788,11 +779,11 @@ impl Adversary for CollisionSeeker {
         sender: NodeId,
         out: &mut Vec<NodeId>,
     ) {
-        let (words, jam) = self.jam(ctx);
+        self.jam(ctx);
         let row = ctx.network.unreliable_only_out(sender);
-        if walk_jam(jam.len(), row.len()) {
+        if walk_jam(self.jam_len, row.len()) {
             let mut rest = row;
-            for &v in jam {
+            for v in self.jam.iter().map(NodeId::from_index) {
                 match rest.binary_search(&v) {
                     Ok(i) => {
                         out.push(v);
@@ -802,11 +793,7 @@ impl Adversary for CollisionSeeker {
                 }
             }
         } else {
-            out.extend(
-                row.iter()
-                    .copied()
-                    .filter(|v| words[v.index() / 64] >> (v.index() % 64) & 1 == 1),
-            );
+            out.extend(row.iter().copied().filter(|v| self.jam.contains(v.index())));
         }
     }
 
@@ -1904,7 +1891,7 @@ mod tests {
                         adv.unreliable_deliveries(&ctx, u, &mut got);
                         model.deliveries(&ctx, u, &mut want);
                         let row = net.unreliable_only_out(u).len();
-                        branches[usize::from(!walk_jam(adv.jam_nodes.len(), row))] += 1;
+                        branches[usize::from(!walk_jam(adv.jam_len, row))] += 1;
                     }
                 }
                 assert_eq!(got, want, "case {case}, round {round}");

@@ -236,8 +236,8 @@ pub struct Executor<'a> {
     pub(crate) extra_ranges: Vec<(u32, u32)>,
     /// Flat arena of reaching transmissions, stored as **indices into
     /// `senders_buf`** (4 bytes per delivery instead of a full `Message`):
-    /// a touched node `v`'s reaching set is
-    /// `arena[arena_off[v] as usize..cursor[v] as usize]`, in the
+    /// node `v`'s reaching set is
+    /// `arena[arena_off[v] as usize..arena_off[v + 1] as usize]`, in the
     /// same order the former per-node `Vec<Message>`s were filled (sender
     /// node order; self, then `G` out-row, then adversary extras).
     /// Collision resolution reads at most one message per node, so
@@ -245,15 +245,12 @@ pub struct Executor<'a> {
     /// the only full materialization left is `cr4_scratch`, for the
     /// adversary's CR4 choice.
     pub(crate) arena: Vec<u32>,
-    /// Where each touched node's range in `arena` starts (`n + 1` slots:
-    /// the sharded engine's coordinator counting sort writes all `n + 1`
-    /// prefix sums).
+    /// `n + 1` prefix-sum offsets into `arena`.
     pub(crate) arena_off: Vec<u32>,
-    /// Per-node reaching counts, then fill cursors for the arena's write
-    /// pass. Zeroed at the start of every sequential round.
+    /// Per-node fill cursors for the arena's second pass.
     pub(crate) cursor: Vec<u32>,
-    /// This round's reached nodes (`cursor[v] != 0` after counting): the
-    /// only nodes phases 2b–4 visit, in ascending order.
+    /// This round's reached nodes (nonzero reaching count): the only
+    /// nodes phases 3 and 4 visit, in ascending order.
     pub(crate) touched: FixedBitSet,
     /// Per-node own transmission this round (senders hear themselves under
     /// CR2–CR4).
@@ -691,25 +688,19 @@ impl<'a> Executor<'a> {
             }
         }
 
-        // Phase 2b: two-pass arena fill over the round's reached nodes.
-        // Count each node's reaching transmissions, mark the nodes with a
-        // nonzero count as `touched`, prefix-sum the touched nodes into
-        // per-node ranges, then write **sender indices** at the per-node
-        // cursors — visiting senders in the same order as the counting
-        // pass, so each node's reaching set keeps the historical per-node
-        // order (sender node order; self, then `G` out-row, then adversary
-        // extras). Past the counting pass, phases 2b–4 visit only the
-        // touched nodes: a sparse round costs what it reaches, not O(n).
-        //
-        // Dense-round fast path: when *every* node transmitted under
-        // CR2-CR4, no reaching list is ever read — each sender hears its
-        // own message, and collision statistics only need the per-node
-        // counts. Skip the prefix sum and the write pass (the dominant
-        // cost of flooding-style rounds); `cursor` then keeps the counts.
-        let lists_needed = self.senders_buf.len() < n || self.config.rule == CollisionRule::Cr1;
+        // Phase 2b: two-pass arena fill. First count each node's reaching
+        // transmissions, prefix-sum into per-node ranges, then write
+        // **sender indices** at the per-node cursors — visiting senders in
+        // the same order as the counting pass, so each node's reaching set
+        // keeps the historical per-node order (sender node order; self,
+        // then `G` out-row, then adversary extras). The nodes with a
+        // nonzero count are the round's `touched` set: phases 3 and 4
+        // visit only them, so a sparse round resolves what it reaches, not
+        // all n nodes.
         {
             let Executor {
                 network,
+                config,
                 senders_buf,
                 extra_flat,
                 extra_ranges,
@@ -724,8 +715,6 @@ impl<'a> Executor<'a> {
             for &(u, msg) in senders_buf.iter() {
                 own_buf[u.index()] = Some(msg);
             }
-            // Zeroed in full, not just at last round's touched nodes: the
-            // sharded engine's coordinator counting sort reuses `cursor`.
             cursor.fill(0);
             for (i, &(u, _)) in senders_buf.iter().enumerate() {
                 cursor[u.index()] += 1;
@@ -737,25 +726,34 @@ impl<'a> Executor<'a> {
                     cursor[v.index()] += 1;
                 }
             }
-            // Branch-free, one word per 64 counts.
-            for (word, counts) in touched.words_mut().iter_mut().zip(cursor.chunks(64)) {
+            // One pass over the counts writes the prefix sums and,
+            // branch-free, the `touched` words.
+            let mut acc = 0u32;
+            arena_off[0] = 0;
+            for ((word, counts), offs) in touched
+                .words_mut()
+                .iter_mut()
+                .zip(cursor.chunks(64))
+                .zip(arena_off[1..].chunks_mut(64))
+            {
                 let mut bits = 0u64;
-                for &c in counts.iter().rev() {
-                    bits = bits << 1 | u64::from(c != 0);
+                for (b, (&c, off)) in counts.iter().zip(offs.iter_mut()).enumerate() {
+                    bits |= u64::from(c != 0) << b;
+                    acc += c;
+                    *off = acc;
                 }
                 *word = bits;
             }
+            // Dense-round fast path: when *every* node transmitted under
+            // CR2-CR4, no reaching list is ever read — each sender hears
+            // its own message, and collision statistics only need the
+            // per-node counts already in `arena_off`. Skip the entire
+            // write pass (the dominant cost of flooding-style rounds).
+            let lists_needed = senders_buf.len() < n || config.rule == CollisionRule::Cr1;
             if lists_needed {
-                // Node `v`'s range starts at `arena_off[v]`; its cursor
-                // runs from there to the range's end.
-                let mut acc = 0u32;
-                for v in touched.iter() {
-                    arena_off[v] = acc;
-                    acc += cursor[v];
-                    cursor[v] = arena_off[v];
-                }
+                cursor.copy_from_slice(&arena_off[..n]);
                 // Grow-only: every live slot `< acc` is overwritten through
-                // the cursors below, and reads are bounded by the ranges,
+                // the cursors below, and reads are bounded by `arena_off`,
                 // so stale entries past `acc` are never observed. This
                 // avoids an O(total) dummy-fill per round.
                 if arena.len() < acc as usize {
@@ -799,7 +797,6 @@ impl<'a> Executor<'a> {
                 senders_buf,
                 arena,
                 arena_off,
-                cursor,
                 touched,
                 own_buf,
                 receptions_buf,
@@ -842,15 +839,11 @@ impl<'a> Executor<'a> {
                 if faulty && !roles[node].is_correct() {
                     continue;
                 }
-                // After a dense round (write pass skipped) the cursor holds
-                // the reaching-set length, and only the length is ever
-                // needed.
-                let start = if lists_needed {
-                    arena_off[node] as usize
-                } else {
-                    0
-                };
-                let end = cursor[node] as usize;
+                // Reaching-set length from the offsets; the index list
+                // itself is sliced lazily — after a dense-round fast path
+                // (write pass skipped) only the length is valid, and only
+                // the length is ever needed.
+                let (start, end) = (arena_off[node] as usize, arena_off[node + 1] as usize);
                 let len = end - start;
                 let Some(own) = own_buf[node] else {
                     let reception = match len {
@@ -923,28 +916,18 @@ impl<'a> Executor<'a> {
         }
         // analyzer: allow(hot-alloc, reason = "newly_informed is returned by value in RoundSummary; it stays len 0 (no heap) except on the bounded rounds where nodes first become informed, at most n pushes over a whole run")
         let mut newly_informed = Vec::new();
-        {
-            let Executor {
-                touched,
-                receptions_buf,
-                known,
-                real,
-                informed,
-                first_receive,
-                ..
-            } = self;
-            for node in touched.iter() {
-                let Some(m) = receptions_buf[node].message() else {
-                    continue;
-                };
-                known[node].union_with(m.payloads);
-                // Only environment-introduced payloads inform: spammer junk
-                // is absorbed into the known record above but cannot flip
-                // the informed bit (see the `real` field).
-                if m.payloads.intersects(*real) && informed.insert(node) {
-                    first_receive[node] = Some(t);
-                    newly_informed.push(NodeId::from_index(node));
-                }
+        let real = self.real;
+        for node in self.touched.iter() {
+            let Some(m) = self.receptions_buf[node].message() else {
+                continue;
+            };
+            self.known[node].union_with(m.payloads);
+            // Only environment-introduced payloads inform: spammer junk is
+            // absorbed into the known record above but cannot flip the
+            // informed bit (see the `real` field).
+            if m.payloads.intersects(real) && self.informed.insert(node) {
+                self.first_receive[node] = Some(t);
+                newly_informed.push(NodeId::from_index(node));
             }
         }
 

@@ -467,11 +467,11 @@ impl Process for Pulse {
 /// it comes from the adversary's extras alone.
 ///
 /// Flooding runs the sparse and dense paths under both start rules. The
-/// [`Pulse`] schedule aims at the dense path, which reads reaching-set
-/// lengths straight from the counts: in each dense round node 0 collides
-/// only if an extra reaches it, while the preceding sharded round (node 0
-/// silent, everyone else sending) left extras' counts at node 0 that the
-/// silent sequential round before it never touched.
+/// [`Pulse`] schedule aims at the dense path, which reads only the
+/// reaching-set lengths: in each dense round node 0 collides only if an
+/// extra reaches it, while the preceding sharded round (node 0 silent,
+/// everyone else sending) left extras' counts at node 0 that the silent
+/// sequential round before it never touched.
 #[test]
 fn interleaved_steps_agree_after_coordinator_rounds() {
     let net = directed_net(5, 150);
