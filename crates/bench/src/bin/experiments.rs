@@ -9,9 +9,10 @@
 //! `--bench-engine`, `--bench-stream`, `--bench-dynamics`,
 //! `--bench-reliability`, `--bench-byzantine`, `--bench-trace`,
 //! `--bench-metrics`, and/or `--bench-scale` skip the tables and
-//! write one machine-readable `BENCH_engine.json` (schema v9): the engine
-//! section has rounds/sec, ns/round, and speedups vs the boxed/PR 1/
-//! reference engines; the stream section has the pipelined multi-message
+//! write one machine-readable `BENCH_engine.json` (schema v10): the engine
+//! section has rounds/sec, ns/round, and speedups vs the boxed and
+//! reference engines on chatter, dense flooding, and flooding against
+//! `CollisionSeeker`; the stream section has the pipelined multi-message
 //! family (n × k payload grid: makespan, throughput, MAC ack latency, and
 //! steady-state ns/round); the dynamics section has dense flooding under
 //! a cycled 16-epoch churn schedule vs the static baseline (the
@@ -72,44 +73,34 @@ use dualgraph_bench::workloads::Scale;
 /// Measures engine throughput and renders `BENCH_engine.json` by hand (the
 /// environment has no serde; the format is flat enough not to need it).
 ///
-/// Schema `dualgraph-bench-engine/4` (engine section): per size, the
-/// **chatter** workload
-/// and the **dense flooding** workload (`Flooder` everywhere; see
-/// `engine_bench` for both definitions), each measured on three engines:
+/// Engine section: per size, one row per
+/// [`engine_bench::ENGINE_WORKLOADS`] entry (chatter, dense flooding,
+/// and flooding against `CollisionSeeker`; see `engine_bench` for the
+/// definitions), each measured on the live executor twice:
 ///
-/// * `enum_*` — the live executor on a homogeneous batched process table;
-/// * `boxed_*` — the live executor on `Box<dyn Process>` (isolates the
-///   pure dispatch gain);
-/// * `pr1_*` — the frozen PR 1 engine (boxed dispatch + `Message` arena),
-///   the baseline the headline `speedup_enum_vs_pr1` series is defined
-///   against; chatter rows also keep the PR 1 `reference` oracle columns
-///   so the optimized-vs-reference trajectory continues.
+/// * `enum_*` — on a homogeneous batched process table;
+/// * `boxed_*` — on `Box<dyn Process>` (isolates the pure dispatch gain).
 ///
-/// Each figure is the best of three timed runs (after a warm-up run) —
-/// the CI container's timer noise otherwise dominates the deltas.
+/// Chatter rows also carry the `reference_*` oracle columns, so the
+/// optimized-vs-reference trajectory continues.
+///
+/// Each figure is the best of three timed runs after a warm-up
+/// ([`engine_bench::best_of`]).
 ///
 /// The live-engine sweeps run first and `peak_rss_kb` is sampled before
-/// the PR 1 baseline and reference oracle ever execute, so the recorded
-/// footprint is attributable to the live engine (plus network
-/// construction).
+/// the reference oracle ever executes, so the recorded footprint is
+/// attributable to the live engine (plus network construction).
 fn bench_engine_entries() -> (String, String) {
     use dualgraph_bench::engine_bench::{
-        bench_rounds_for as rounds_for, Dispatch, EngineMeasurement, BENCH_SIZES as SIZES,
+        bench_rounds_for as rounds_for, best_of, Dispatch, EngineMeasurement, BENCH_SIZES as SIZES,
+        ENGINE_WORKLOADS,
     };
-    fn best_of(mut run: impl FnMut() -> EngineMeasurement) -> EngineMeasurement {
-        run(); // warm caches, allocator, first-touch paging
-        (0..3)
-            .map(|_| run())
-            .min_by(|a, b| a.elapsed_ns.cmp(&b.elapsed_ns))
-            .expect("three runs")
-    }
     struct Row {
         workload: &'static str,
         n: usize,
         rounds: u64,
         enumd: EngineMeasurement,
         boxed: EngineMeasurement,
-        pr1: Option<EngineMeasurement>,
         reference: Option<EngineMeasurement>,
     }
     let nets: Vec<_> = SIZES
@@ -121,47 +112,26 @@ fn bench_engine_entries() -> (String, String) {
         .flat_map(|net| {
             let n = net.len();
             let rounds = rounds_for(n);
-            [
-                Row {
-                    workload: "er_dual-chatter-random0.5",
-                    n,
-                    rounds,
-                    enumd: best_of(|| {
-                        engine_bench::measure_chatter(net, 7, rounds, Dispatch::Enum)
-                    }),
-                    boxed: best_of(|| {
-                        engine_bench::measure_chatter(net, 7, rounds, Dispatch::Boxed)
-                    }),
-                    pr1: None,
-                    reference: None,
-                },
-                Row {
-                    workload: "dense-flooding",
-                    n,
-                    rounds,
-                    enumd: best_of(|| engine_bench::measure_flooding(net, rounds, Dispatch::Enum)),
-                    boxed: best_of(|| engine_bench::measure_flooding(net, rounds, Dispatch::Boxed)),
-                    pr1: None,
-                    reference: None,
-                },
-            ]
+            ENGINE_WORKLOADS.map(|(workload, measure)| Row {
+                workload,
+                n,
+                rounds,
+                enumd: best_of(|| measure(net, rounds, Dispatch::Enum)),
+                boxed: best_of(|| measure(net, rounds, Dispatch::Boxed)),
+                reference: None,
+            })
         })
         .collect();
     let rss = engine_bench::peak_rss_kb().map_or("null".to_string(), |kb| kb.to_string());
-    // Baselines last (the PR 1 arena and the deliberately allocating
-    // reference stay out of the RSS figure).
-    for (net, pair) in nets.iter().zip(rows.chunks_mut(2)) {
+    // The reference oracle last: it allocates per round by design and
+    // stays out of the RSS figure. Chatter is each size's first row.
+    for (net, size_rows) in nets.iter().zip(rows.chunks_mut(ENGINE_WORKLOADS.len())) {
         let rounds = rounds_for(net.len());
-        pair[0].pr1 = Some(best_of(|| {
-            engine_bench::measure_chatter_pr1(net, 7, rounds)
-        }));
-        pair[0].reference = Some(best_of(|| engine_bench::measure_reference(net, 7, rounds)));
-        pair[1].pr1 = Some(best_of(|| engine_bench::measure_flooding_pr1(net, rounds)));
+        size_rows[0].reference = Some(best_of(|| engine_bench::measure_reference(net, 7, rounds)));
     }
     let entries: Vec<String> = rows
         .iter()
         .map(|row| {
-            let pr1 = row.pr1.as_ref().expect("pr1 baseline measured");
             let reference_fields = match &row.reference {
                 Some(reference) => format!(
                     concat!(
@@ -185,11 +155,8 @@ fn bench_engine_entries() -> (String, String) {
                     "      \"enum_rounds_per_sec\": {:.1},\n",
                     "      \"boxed_ns_per_round\": {:.1},\n",
                     "      \"boxed_rounds_per_sec\": {:.1},\n",
-                    "      \"pr1_ns_per_round\": {:.1},\n",
-                    "      \"pr1_rounds_per_sec\": {:.1},\n",
                     "{}",
-                    "      \"speedup_enum_vs_boxed\": {:.2},\n",
-                    "      \"speedup_enum_vs_pr1\": {:.2}\n",
+                    "      \"speedup_enum_vs_boxed\": {:.2}\n",
                     "    }}"
                 ),
                 row.workload,
@@ -199,11 +166,8 @@ fn bench_engine_entries() -> (String, String) {
                 row.enumd.rounds_per_sec(),
                 row.boxed.ns_per_round(),
                 row.boxed.rounds_per_sec(),
-                pr1.ns_per_round(),
-                pr1.rounds_per_sec(),
                 reference_fields,
                 row.boxed.ns_per_round() / row.enumd.ns_per_round(),
-                pr1.ns_per_round() / row.enumd.ns_per_round(),
             )
         })
         .collect();
@@ -859,7 +823,7 @@ fn main() {
                 "ok"
             };
             println!(
-                "bench-compare: {:<28} n={:<5} baseline={:>10.1}ns/round \
+                "bench-compare: {:<33} n={:<5} baseline={:>10.1}ns/round \
                  fresh={:>10.1}ns/round ratio={:.3} (limit {:.3}) {status}",
                 row.workload,
                 row.n,

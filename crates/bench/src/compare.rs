@@ -2,10 +2,11 @@
 //! `BENCH_engine.json` baseline and flag per-series regressions.
 //!
 //! The comparison is deliberately narrow: it re-times only the
-//! `enum_ns_per_round` series of the engine section (chatter + dense
-//! flooding at each [`BENCH_SIZES`][crate::engine_bench::BENCH_SIZES]
-//! entry), because that is the one series with a stable definition across
-//! every schema revision and the one the headline speedup claims rest on.
+//! `enum_ns_per_round` series of the engine section (every
+//! [`ENGINE_WORKLOADS`][crate::engine_bench::ENGINE_WORKLOADS] row at each
+//! [`BENCH_SIZES`][crate::engine_bench::BENCH_SIZES] entry), because that
+//! is the one series with a stable definition across every schema
+//! revision and the one the headline speedup claims rest on.
 //! A fresh measurement more than `threshold ×` the baseline (default
 //! [`DEFAULT_THRESHOLD`] = 1.25, i.e. >25% slower) is a regression.
 //!
@@ -17,7 +18,7 @@
 
 use std::fmt;
 
-use crate::engine_bench::{self, Dispatch, EngineMeasurement, BENCH_SIZES};
+use crate::engine_bench::{self, Dispatch, BENCH_SIZES, ENGINE_WORKLOADS};
 
 /// Default regression threshold: fresh > 1.25× baseline flags the series.
 pub const DEFAULT_THRESHOLD: f64 = 1.25;
@@ -433,33 +434,22 @@ pub fn compare_series(baseline: &[SeriesPoint], fresh: &[SeriesPoint]) -> Vec<Co
         .collect()
 }
 
-/// Re-times the enum-dispatch engine series (chatter + dense flooding per
-/// [`BENCH_SIZES`] size, best of three after a warm-up) with the same
-/// measurement discipline `--bench-engine` uses.
+/// Re-times the enum-dispatch engine series (every [`ENGINE_WORKLOADS`]
+/// row per [`BENCH_SIZES`] size) with the same measurement discipline
+/// `--bench-engine` uses ([`engine_bench::best_of`]).
 pub fn fresh_engine_series() -> Vec<SeriesPoint> {
-    fn best_of(mut run: impl FnMut() -> EngineMeasurement) -> EngineMeasurement {
-        run(); // warm caches, allocator, first-touch paging
-        (0..3)
-            .map(|_| run())
-            .min_by(|a, b| a.elapsed_ns.cmp(&b.elapsed_ns))
-            .expect("three runs")
-    }
-    let mut series = Vec::with_capacity(BENCH_SIZES.len() * 2);
+    let mut series = Vec::with_capacity(BENCH_SIZES.len() * ENGINE_WORKLOADS.len());
     for &n in &BENCH_SIZES {
         let net = engine_bench::workload_network(n);
         let rounds = engine_bench::bench_rounds_for(n);
-        let chatter = best_of(|| engine_bench::measure_chatter(&net, 7, rounds, Dispatch::Enum));
-        let flooding = best_of(|| engine_bench::measure_flooding(&net, rounds, Dispatch::Enum));
-        series.push(SeriesPoint {
-            workload: "er_dual-chatter-random0.5".to_string(),
-            n: n as u64,
-            ns_per_round: chatter.ns_per_round(),
-        });
-        series.push(SeriesPoint {
-            workload: "dense-flooding".to_string(),
-            n: n as u64,
-            ns_per_round: flooding.ns_per_round(),
-        });
+        for (workload, measure) in ENGINE_WORKLOADS {
+            let m = engine_bench::best_of(|| measure(&net, rounds, Dispatch::Enum));
+            series.push(SeriesPoint {
+                workload: workload.to_string(),
+                n: n as u64,
+                ns_per_round: m.ns_per_round(),
+            });
+        }
     }
     series
 }
@@ -474,7 +464,7 @@ mod tests {
                 "{{\n  \"schema\": \"{}\",\n  \"peak_rss_kb\": null,\n",
                 "  \"measurements\": [\n",
                 "    {{\"workload\": \"dense-flooding\", \"n\": 65, \"rounds\": 4000,\n",
-                "     \"enum_ns_per_round\": 1234.5, \"speedup_enum_vs_pr1\": 3.10}},\n",
+                "     \"enum_ns_per_round\": 1234.5, \"speedup_enum_vs_boxed\": 1.10}},\n",
                 "    {{\"workload\": \"er_dual-chatter-random0.5\", \"n\": 257,\n",
                 "     \"enum_ns_per_round\": 900.0}}\n",
                 "  ]\n}}\n"

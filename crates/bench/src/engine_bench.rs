@@ -1,25 +1,34 @@
 //! Engine-throughput workloads: enum-dispatched process tables vs the
 //! boxed-dispatch path vs the naive reference oracle.
 //!
-//! Used by the `engine_throughput` criterion bench and by the
-//! `experiments --bench-engine` driver that emits `BENCH_engine.json`, so
-//! future PRs have a perf trajectory to compare against. Two workloads:
+//! Used by `experiments --bench-engine`, which emits the `measurements`
+//! section of `BENCH_engine.json`, and by `--bench-compare`, which
+//! re-times every row of [`ENGINE_WORKLOADS`].
+//!
+//! Three workloads, all on the sparse `er_dual` graph of
+//! [`workload_network`]:
 //!
 //! * **chatter** — seeded pseudo-random flooding (`ChatterProcess`, rate
-//!   3/8) against `RandomDelivery(0.5)` on a sparse `er_dual` graph: the
-//!   PR 1 trial-shaped workload (adversary RNG + CR4 resolution on the hot
-//!   path);
+//!   3/8) against `RandomDelivery(0.5)`: the trial-shaped workload
+//!   (adversary RNG + CR4 resolution on the hot path);
 //! * **dense flooding** — every informed node transmits every round
 //!   (`Flooder`) against the same `RandomDelivery(0.5)` adversary: the
 //!   broadcast completes, after which the network sits in the all-senders
 //!   steady state — the dispatch-dominated regime where the batched
-//!   process table and the dense-round write-pass skip pay the most.
+//!   process table and the dense-round write-pass skip pay the most;
+//! * **seeker flooding** — `Flooder` against the jamming
+//!   `CollisionSeeker`: the flood stalls with every informed node
+//!   sending, so every adversary call takes `CollisionSeeker`'s row-scan
+//!   branch (many senders, short `G′ ∖ G` rows). No other in-tree
+//!   measurement reaches that branch; the sparse `harmonic-trials`
+//!   perfbench workload only ever walks the jam set.
 
 use std::time::Instant;
 
 use dualgraph_net::{generators, DualGraph};
 use dualgraph_sim::{
-    ChatterProcess, Executor, ExecutorConfig, Flooder, RandomDelivery, ReferenceExecutor,
+    Adversary, ChatterProcess, CollisionSeeker, Executor, ExecutorConfig, Flooder, RandomDelivery,
+    ReferenceExecutor,
 };
 
 /// Chatter transmit rate (out of 8) used by the engine workload: dense
@@ -47,7 +56,7 @@ pub enum Dispatch {
     /// Homogeneous enum slots: the batched process table
     /// (`Executor::from_slots`).
     Enum,
-    /// `Box<dyn Process>`: PR 1's virtual dispatch (`Executor::new`).
+    /// `Box<dyn Process>`: virtual dispatch per node (`Executor::new`).
     Boxed,
 }
 
@@ -98,6 +107,30 @@ pub(crate) fn time_steps(rounds: u64, mut step: impl FnMut()) -> EngineMeasureme
     }
 }
 
+/// The best of three timed runs after a warm-up run — the discipline
+/// every engine row is measured with, since the CI container's timer
+/// noise otherwise dominates the deltas.
+pub fn best_of(mut run: impl FnMut() -> EngineMeasurement) -> EngineMeasurement {
+    run(); // warm caches, allocator, first-touch paging
+    (0..3)
+        .map(|_| run())
+        .min_by(|a, b| a.elapsed_ns.cmp(&b.elapsed_ns))
+        .expect("three runs")
+}
+
+/// The engine section's rows, `(workload name, timed run)`: each is
+/// measured at every [`BENCH_SIZES`] n on both dispatch paths by
+/// `--bench-engine` and re-timed on the enum path by `--bench-compare`.
+/// Chatter comes first: it is the row that also carries the reference
+/// oracle's columns.
+pub const ENGINE_WORKLOADS: [(&str, fn(&DualGraph, u64, Dispatch) -> EngineMeasurement); 3] = [
+    ("er_dual-chatter-random0.5", |net, rounds, dispatch| {
+        measure_chatter(net, 7, rounds, dispatch)
+    }),
+    ("dense-flooding", measure_flooding),
+    ("er_dual-flooding-collision-seeker", measure_seeker_flooding),
+];
+
 /// Runs the optimized executor on the chatter workload for exactly
 /// `rounds` rounds under the chosen dispatch path and times it.
 pub fn measure_chatter(
@@ -133,7 +166,22 @@ pub fn measure_chatter(
 /// it. Seed fixed at 7: the broadcast completes within the measured
 /// window and the remainder runs in the all-senders steady state.
 pub fn measure_flooding(net: &DualGraph, rounds: u64, dispatch: Dispatch) -> EngineMeasurement {
-    let adversary = Box::new(RandomDelivery::new(0.5, 7));
+    measure_flooding_against(net, rounds, dispatch, Box::new(RandomDelivery::new(0.5, 7)))
+}
+
+/// Runs `Flooder` against `CollisionSeeker` for exactly `rounds` rounds
+/// under the chosen dispatch path and times it: the stalled flood in
+/// which every adversary call scans the sender's `G′ ∖ G` row.
+fn measure_seeker_flooding(net: &DualGraph, rounds: u64, dispatch: Dispatch) -> EngineMeasurement {
+    measure_flooding_against(net, rounds, dispatch, Box::new(CollisionSeeker::new()))
+}
+
+fn measure_flooding_against(
+    net: &DualGraph,
+    rounds: u64,
+    dispatch: Dispatch,
+    adversary: Box<dyn Adversary>,
+) -> EngineMeasurement {
     let mut exec = match dispatch {
         Dispatch::Enum => Executor::from_slots(
             net,
@@ -155,43 +203,9 @@ pub fn measure_flooding(net: &DualGraph, rounds: u64, dispatch: Dispatch) -> Eng
     })
 }
 
-/// Runs the optimized executor on the chatter workload with enum dispatch
-/// (compatibility shim for the pre-table signature).
-pub fn measure_optimized(net: &DualGraph, seed: u64, rounds: u64) -> EngineMeasurement {
-    measure_chatter(net, seed, rounds, Dispatch::Enum)
-}
-
-/// Runs the frozen PR 1 engine ([`crate::pr1_engine::Pr1Executor`]: boxed
-/// dispatch + `Message` arena) on the chatter workload — the baseline the
-/// `speedup_enum_vs_pr1` series is defined against.
-pub fn measure_chatter_pr1(net: &DualGraph, seed: u64, rounds: u64) -> EngineMeasurement {
-    let mut exec = crate::pr1_engine::Pr1Executor::new(
-        net,
-        ChatterProcess::boxed(net.len(), seed, CHATTER_RATE),
-        Box::new(RandomDelivery::new(0.5, seed)),
-        ExecutorConfig::default(),
-    );
-    time_steps(rounds, || {
-        exec.step();
-    })
-}
-
-/// Runs the frozen PR 1 engine on the dense flooding workload.
-pub fn measure_flooding_pr1(net: &DualGraph, rounds: u64) -> EngineMeasurement {
-    let mut exec = crate::pr1_engine::Pr1Executor::new(
-        net,
-        Flooder::boxed(net.len()),
-        Box::new(RandomDelivery::new(0.5, 7)),
-        ExecutorConfig::default(),
-    );
-    time_steps(rounds, || {
-        exec.step();
-    })
-}
-
 /// Runs the naive reference executor on the chatter workload for exactly
-/// `rounds` rounds and times it (the pre-overhaul engine shape — the
-/// speedup baseline).
+/// `rounds` rounds and times it (the oracle the live engine is diffed
+/// against — the `speedup_enum_vs_reference` baseline).
 pub fn measure_reference(net: &DualGraph, seed: u64, rounds: u64) -> EngineMeasurement {
     let mut exec = ReferenceExecutor::new(
         net,
@@ -227,16 +241,17 @@ mod tests {
         assert!(enumd.ns_per_round() > 0.0);
         assert!(boxed.ns_per_round() > 0.0);
         assert!(reference.rounds_per_sec() > 0.0);
-        assert_eq!(measure_optimized(&net, 7, 10).rounds, 10);
     }
 
     #[test]
     fn flooding_measurements_run_on_both_paths() {
         let net = workload_network(33);
-        let enumd = measure_flooding(&net, 50, Dispatch::Enum);
-        let boxed = measure_flooding(&net, 50, Dispatch::Boxed);
-        assert_eq!(enumd.rounds, 50);
-        assert!(boxed.ns_per_round() > 0.0);
+        for measure in [measure_flooding, measure_seeker_flooding] {
+            let enumd = measure(&net, 50, Dispatch::Enum);
+            let boxed = measure(&net, 50, Dispatch::Boxed);
+            assert_eq!(enumd.rounds, 50);
+            assert!(boxed.ns_per_round() > 0.0);
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Shared workloads: topology and adversary menus used by the experiment
-//! tables and the criterion benches.
+//! tables.
 
 use dualgraph_broadcast::algorithms::{
     BroadcastAlgorithm, Decay, Harmonic, RoundRobin, StrongSelect, Uniform,

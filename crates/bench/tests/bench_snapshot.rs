@@ -23,11 +23,12 @@ fn checked_in_snapshot_matches_emitted_schema() {
     );
 }
 
-/// Schema v9 added the `scale_measurements` series (v8: the
-/// `metrics_overhead` series); a snapshot claiming v9 without them would
-/// break `--bench-compare` consumers.
+/// Schema v10 dropped the frozen-baseline `pr1_*` columns and added the
+/// `er_dual-flooding-collision-seeker` engine rows (v9: the
+/// `scale_measurements` series); a snapshot claiming v10 without its
+/// sections would break `--bench-compare` consumers.
 #[test]
-fn checked_in_snapshot_has_the_v9_sections() {
+fn checked_in_snapshot_has_the_v10_sections() {
     let contents = snapshot();
     for section in [
         "\"measurements\"",
@@ -43,6 +44,26 @@ fn checked_in_snapshot_has_the_v9_sections() {
         assert!(
             contents.contains(section),
             "BENCH_engine.json is missing the {section} section: {REGEN_HINT}"
+        );
+    }
+    assert!(
+        !contents.contains("pr1"),
+        "BENCH_engine.json still carries frozen-baseline columns: {REGEN_HINT}"
+    );
+}
+
+/// The seeker rows are the only measurement of `CollisionSeeker`'s
+/// row-scan branch, so `--bench-compare` must find one at every size.
+#[test]
+fn checked_in_snapshot_gates_the_seeker_rows() {
+    let series = dualgraph_bench::compare::extract_engine_series(&snapshot())
+        .expect("snapshot parses and matches this build's schema");
+    for n in dualgraph_bench::engine_bench::BENCH_SIZES {
+        assert!(
+            series
+                .iter()
+                .any(|p| p.workload == "er_dual-flooding-collision-seeker" && p.n == n as u64),
+            "no er_dual-flooding-collision-seeker row at n = {n}: {REGEN_HINT}"
         );
     }
 }

@@ -357,9 +357,9 @@ enum DeliverySampler {
     /// The counter-based sampler: decisions are pure functions of
     /// `(seed, round, edge)` and `(seed′, round, node)`.
     Counter(ObliviousSampler),
-    /// One raw `u64` draw per edge against an integer threshold, in call
-    /// order — the first engine's draw semantics, frozen for baseline
-    /// comparisons.
+    /// One raw `u64` draw per edge against an integer threshold, off one
+    /// seeded stream in call order, so its answers depend on the order
+    /// the engine calls the adversary (see [`RandomDelivery`]).
     PerEdge {
         p: f64,
         /// An edge delivers when a raw `u64` draw falls below it.
@@ -383,10 +383,14 @@ enum DeliverySampler {
 ///   [`ObliviousSampler`]), so the adversary is its own
 ///   [`Adversary::oblivious`] form and the sharded engine samples it
 ///   inside its shards;
-/// * [`RandomDelivery::per_edge`] — the frozen PR 1/PR 2 sampler (one
-///   draw per edge against a precomputed integer threshold, in call
-///   order; `p = 1` delivers everything without consuming draws), kept
-///   for frozen-baseline comparisons and historical seed reproducibility.
+/// * [`RandomDelivery::per_edge`] — **sequential**: one draw per edge
+///   against a precomputed integer threshold, off one seeded stream in
+///   call order (`p = 1` delivers everything without consuming draws).
+///   With [`BurstyDelivery::per_round`], it is one of the two built-in
+///   adversaries whose seeded answers depend on the order the engine
+///   calls them; every other seeded built-in is counter-based or
+///   deterministic. That dependence is what lets a differential suite
+///   catch an engine that calls the adversary out of order.
 #[derive(Debug, Clone)]
 pub struct RandomDelivery {
     sampler: DeliverySampler,
@@ -405,8 +409,8 @@ impl RandomDelivery {
         }
     }
 
-    /// Creates the adversary with the frozen PR 1/PR 2 per-edge draw
-    /// semantics (see the type docs).
+    /// Creates the adversary with the sequential per-edge sampler, whose
+    /// answers depend on call order (see the type docs).
     ///
     /// # Panics
     ///
@@ -562,10 +566,11 @@ enum BurstyBackend {
         /// use.
         memo: Vec<ChainMemo>,
     },
-    /// The PR 1/PR 2 backend, frozen for baseline comparisons: an edge-map
-    /// keyed by `(u, v)` whose catch-up loop consumes one `gen_bool` per
-    /// (edge, elapsed round). The map is a `Vec` sorted by edge key, so
-    /// its behavior is independent of hasher state.
+    /// The sequential backend: an edge-map keyed by `(u, v)` whose
+    /// catch-up loop consumes one `gen_bool` per (edge, elapsed round) off
+    /// one seeded stream, so its answers depend on call order (see
+    /// [`BurstyDelivery`]). The map is a `Vec` sorted by edge key, so its
+    /// behavior is independent of hasher state.
     PerRound {
         /// P(good → bad) per round.
         p_fail: f64,
@@ -586,9 +591,12 @@ enum BurstyBackend {
 /// Backends (identical chain *distribution*, different seeded streams):
 /// [`BurstyDelivery::new`] uses counter-based chains, whose state at a
 /// round is a pure function of the seed, the edge, and the round, in any
-/// call order; [`BurstyDelivery::per_round`] keeps the frozen PR 1/PR 2
-/// hash-map backend (one draw per edge per elapsed round, in call order)
-/// for baseline comparisons.
+/// call order; [`BurstyDelivery::per_round`] draws from one seeded stream
+/// (one draw per edge per elapsed round, in call order). With
+/// [`RandomDelivery::per_edge`], the latter is one of the two built-in
+/// adversaries whose seeded answers depend on the order the engine calls
+/// them, which is what lets a differential suite catch an engine that
+/// calls the adversary out of order.
 #[derive(Debug, Clone)]
 pub struct BurstyDelivery {
     backend: BurstyBackend,
@@ -623,8 +631,9 @@ impl BurstyDelivery {
         }
     }
 
-    /// Creates the bursty adversary with the frozen PR 1/PR 2 per-round
-    /// backend (see the type docs). All edges start good.
+    /// Creates the bursty adversary with the sequential per-round backend,
+    /// whose answers depend on call order (see the type docs). All edges
+    /// start good.
     ///
     /// # Panics
     ///
@@ -1273,8 +1282,8 @@ mod tests {
     #[test]
     fn per_edge_sampler_stream_is_frozen() {
         // Golden test: the per-edge sampler's seeded delivery pattern is
-        // the PR 1/PR 2 stream and must never change (frozen-baseline
-        // comparisons depend on it).
+        // pinned, so the order-dependent inputs of the differential suites
+        // stay the ones they were written against.
         let net = generators::line(10, 9);
         let assignment = Assignment::identity(10);
         let informed = FixedBitSet::new(10);
@@ -1298,8 +1307,9 @@ mod tests {
     #[test]
     fn bursty_per_round_stream_is_frozen() {
         // Golden test: `BurstyDelivery::per_round`'s seeded chain pattern
-        // (including a round gap) is the PR 1/PR 2 stream and must never
-        // change (frozen-baseline comparisons depend on it).
+        // (including a round gap) is pinned, so the order-dependent inputs
+        // of the differential suites stay the ones they were written
+        // against.
         let net = generators::line(10, 9);
         let mut adv = BurstyDelivery::per_round(0.3, 0.4, 99);
         let pattern: Vec<Vec<u32>> = [1u64, 2, 3, 7, 8]
