@@ -9,7 +9,7 @@
 //! `--bench-engine`, `--bench-stream`, `--bench-dynamics`,
 //! `--bench-reliability`, `--bench-byzantine`, `--bench-trace`,
 //! `--bench-metrics`, and/or `--bench-scale` skip the tables and
-//! write one machine-readable `BENCH_engine.json` (schema v10): the engine
+//! write one machine-readable `BENCH_engine.json` (schema v11): the engine
 //! section has rounds/sec, ns/round, and speedups vs the boxed and
 //! reference engines on chatter, dense flooding, and flooding against
 //! `CollisionSeeker`; the stream section has the pipelined multi-message
@@ -23,7 +23,7 @@
 //! equivocators (safety-violation count, accept latency, and round-cost
 //! overhead vs the ack-gap baseline); the trace section has the
 //! observability layer's overhead envelope (untraced vs `NullSink` vs
-//! `MetricsSink` flooding rounds) and the per-phase wall-clock profile
+//! `TraceAnalyzer` flooding rounds) and the per-phase wall-clock profile
 //! (transmit-sweep vs receive-sweep vs adversary-sample); the
 //! metrics_overhead section has the reliability stream workload with
 //! windowed health stats + a per-round registry update vs the identical
@@ -60,9 +60,9 @@
 //!   the reference side standing in for a buggy engine: the harness must
 //!   localize the divergence (exits 1 if it fails to);
 //! * `--gate-null-overhead [RATIO]` — measures the `NullSink` and
-//!   `MetricsSink` overhead ratios on the flooding workload and exits 1
+//!   `TraceAnalyzer` overhead ratios on the flooding workload and exits 1
 //!   if `NullSink` exceeds `RATIO` (default 1.05, CI-noise slack over
-//!   the 2% local target) or `MetricsSink` exceeds 1.3.
+//!   the 2% local target) or `TraceAnalyzer` exceeds 1.3.
 
 use std::path::PathBuf;
 
@@ -378,13 +378,13 @@ fn bench_byzantine_entries() -> String {
 }
 
 /// Measures the observability family (see `trace_bench`): the trace
-/// layer's overhead envelope (untraced vs `NullSink` vs `MetricsSink`
+/// layer's overhead envelope (untraced vs `NullSink` vs `TraceAnalyzer`
 /// dense flooding) and the per-phase wall-clock decomposition of the
 /// engine round, as JSON entries for the `trace_measurements` and
 /// `phase_profile` sections. The acceptance targets are
 /// `null_sink_overhead ≲ 1.02` (the `NullSink` instantiation is the
 /// untraced code path — any real gap is a broken guard) and
-/// `metrics_sink_overhead ≤ 1.3` at `n = 1025`.
+/// `analyzer_overhead ≤ 1.3` at `n = 1025`.
 fn bench_trace_entries() -> (String, String) {
     use dualgraph_bench::engine_bench::{bench_rounds_for as rounds_for, BENCH_SIZES as SIZES};
     use dualgraph_bench::trace_bench;
@@ -402,18 +402,18 @@ fn bench_trace_entries() -> (String, String) {
                 "      \"rounds\": {},\n",
                 "      \"untraced_ns_per_round\": {:.1},\n",
                 "      \"null_sink_ns_per_round\": {:.1},\n",
-                "      \"metrics_sink_ns_per_round\": {:.1},\n",
+                "      \"analyzer_ns_per_round\": {:.1},\n",
                 "      \"null_sink_overhead\": {:.3},\n",
-                "      \"metrics_sink_overhead\": {:.3}\n",
+                "      \"analyzer_overhead\": {:.3}\n",
                 "    }}"
             ),
             o.n,
             rounds,
             o.untraced.ns_per_round(),
             o.null_sink.ns_per_round(),
-            o.metrics_sink.ns_per_round(),
+            o.analyzer.ns_per_round(),
             o.null_ratio(),
-            o.metrics_ratio(),
+            o.analyzer_ratio(),
         ));
         let p = trace_bench::phase_profile(&net, rounds);
         phases.push(format!(
@@ -875,23 +875,23 @@ fn main() {
     }
 
     if let Some(threshold) = gate_null {
-        const METRICS_THRESHOLD: f64 = 1.3;
+        const ANALYZER_THRESHOLD: f64 = 1.3;
         let net = engine_bench::workload_network(1025);
         let rounds = engine_bench::bench_rounds_for(1025);
         let o = dualgraph_bench::trace_bench::measure_trace_overhead(&net, rounds, 3);
         println!(
             "null-overhead gate: n={} rounds={} untraced={:.1}ns/round \
              null={:.1}ns/round ({:.3}x, limit {threshold:.3}) \
-             metrics={:.1}ns/round ({:.3}x, limit {METRICS_THRESHOLD:.1})",
+             analyzer={:.1}ns/round ({:.3}x, limit {ANALYZER_THRESHOLD:.1})",
             o.n,
             rounds,
             o.untraced.ns_per_round(),
             o.null_sink.ns_per_round(),
             o.null_ratio(),
-            o.metrics_sink.ns_per_round(),
-            o.metrics_ratio(),
+            o.analyzer.ns_per_round(),
+            o.analyzer_ratio(),
         );
-        if o.null_ratio() > threshold || o.metrics_ratio() > METRICS_THRESHOLD {
+        if o.null_ratio() > threshold || o.analyzer_ratio() > ANALYZER_THRESHOLD {
             println!("null-overhead gate: FAIL");
             std::process::exit(1);
         }

@@ -13,7 +13,7 @@
 /// the emitted sections or series names; the checked-in snapshot must be
 /// regenerated in the same PR (a bench test pins the file to this
 /// constant).
-pub const BENCH_SCHEMA: &str = "dualgraph-bench-engine/10";
+pub const BENCH_SCHEMA: &str = "dualgraph-bench-engine/11";
 
 pub mod byzantine_bench;
 pub mod compare;

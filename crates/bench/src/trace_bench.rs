@@ -7,8 +7,8 @@
 //! * **overhead** — the dense flooding workload timed three ways: plain
 //!   `step` (untraced), `step_traced(&mut NullSink)` (must be the *same
 //!   machine code* — the `TraceSink::ENABLED` guards compile out), and
-//!   `step_traced(&mut MetricsSink)` (the full counter set, budgeted at
-//!   ≤ 1.3× the untraced round);
+//!   `step_traced(&mut TraceAnalyzer)` (the metrics stack consuming the
+//!   live stream, budgeted at ≤ 1.3× the untraced round);
 //! * **phase profile** — drives the `ProcessTable` sweeps and the
 //!   adversary's delivery sampling *in isolation* against the same
 //!   all-senders steady state the flooding workload settles into, so the
@@ -29,9 +29,9 @@ use dualgraph_broadcast::stream::{
 use dualgraph_net::{DualGraph, FixedBitSet, NodeId};
 use dualgraph_sim::{
     first_divergence, Adversary, Assignment, BurstyDelivery, ChatterProcess, Divergence, Executor,
-    ExecutorConfig, Flooder, JsonlSink, Message, MetricsSink, NullSink, PayloadId, ProcessId,
-    ProcessTable, RandomDelivery, Reception, ReferenceExecutor, RoundContext, TraceEvent,
-    WithRandomCr4,
+    ExecutorConfig, Flooder, JsonlSink, Message, NullSink, PayloadId, ProcessId, ProcessTable,
+    RandomDelivery, Reception, ReferenceExecutor, RoundContext, TraceAnalyzer, TraceEvent,
+    TraceReport, WithRandomCr4,
 };
 
 use crate::dynamics_bench;
@@ -67,19 +67,20 @@ pub fn measure_flooding_traced_null(net: &DualGraph, rounds: u64) -> EngineMeasu
 }
 
 /// Times `rounds` of the dense flooding workload stepped through
-/// `step_traced(&mut MetricsSink)` and returns the populated sink
-/// alongside the timing (so callers can sanity-check the counters the
-/// run paid for).
-pub fn measure_flooding_traced_metrics(
+/// `step_traced(&mut TraceAnalyzer)` and returns the analyzer's report
+/// alongside the timing (so callers can sanity-check what the run paid
+/// for). Only the steps are timed: [`TraceAnalyzer::finish`] runs after
+/// the timer stops.
+pub fn measure_flooding_traced_analyzer(
     net: &DualGraph,
     rounds: u64,
-) -> (EngineMeasurement, MetricsSink) {
+) -> (EngineMeasurement, TraceReport) {
     let mut exec = flooding_executor(net);
-    let mut sink = MetricsSink::new();
+    let mut analyzer = TraceAnalyzer::new();
     let m = time_steps(rounds, || {
-        exec.step_traced(&mut sink);
+        exec.step_traced(&mut analyzer);
     });
-    (m, sink)
+    (m, analyzer.finish())
 }
 
 /// The traced/untraced cost triple for one network size, as landed in the
@@ -92,8 +93,9 @@ pub struct TraceOverhead {
     pub untraced: EngineMeasurement,
     /// `step_traced(&mut NullSink)` — must match `untraced` within noise.
     pub null_sink: EngineMeasurement,
-    /// `step_traced(&mut MetricsSink)` — the full counter set.
-    pub metrics_sink: EngineMeasurement,
+    /// `step_traced(&mut TraceAnalyzer)` — the metrics stack on the live
+    /// stream.
+    pub analyzer: EngineMeasurement,
 }
 
 impl TraceOverhead {
@@ -102,17 +104,17 @@ impl TraceOverhead {
         self.null_sink.ns_per_round() / self.untraced.ns_per_round()
     }
 
-    /// `metrics_sink` cost relative to `untraced`.
-    pub fn metrics_ratio(&self) -> f64 {
-        self.metrics_sink.ns_per_round() / self.untraced.ns_per_round()
+    /// `analyzer` cost relative to `untraced`.
+    pub fn analyzer_ratio(&self) -> f64 {
+        self.analyzer.ns_per_round() / self.untraced.ns_per_round()
     }
 }
 
 /// Measures the overhead triple for size `n`: untraced, `NullSink`, and
-/// `MetricsSink` runs over the same flooding workload and round budget.
+/// `TraceAnalyzer` runs over the same flooding workload and round budget.
 ///
 /// The three arms are *interleaved* — one warm-up pass, then `reps`
-/// rounds of (untraced, null, metrics) back to back, taking the min per
+/// rounds of (untraced, null, analyzer) back to back, taking the min per
 /// arm. Measuring each arm in its own block instead would let frequency
 /// scaling and cache warm-up drift bias whichever arm runs first: the
 /// `NullSink` arm is the same machine code as the untraced one, so any
@@ -121,11 +123,11 @@ impl TraceOverhead {
 pub fn measure_trace_overhead(net: &DualGraph, rounds: u64, reps: usize) -> TraceOverhead {
     let run_untraced = || crate::engine_bench::measure_flooding(net, rounds, Dispatch::Enum);
     let run_null = || measure_flooding_traced_null(net, rounds);
-    let run_metrics = || measure_flooding_traced_metrics(net, rounds).0;
+    let run_analyzer = || measure_flooding_traced_analyzer(net, rounds).0;
     // Warm-up: touch all three code paths before any timed comparison.
     let mut untraced = run_untraced();
     let mut null_sink = run_null();
-    let mut metrics_sink = run_metrics();
+    let mut analyzer = run_analyzer();
     let keep_min = |best: &mut EngineMeasurement, m: EngineMeasurement| {
         if m.elapsed_ns < best.elapsed_ns {
             *best = m;
@@ -134,13 +136,13 @@ pub fn measure_trace_overhead(net: &DualGraph, rounds: u64, reps: usize) -> Trac
     for _ in 0..reps.max(1) {
         keep_min(&mut untraced, run_untraced());
         keep_min(&mut null_sink, run_null());
-        keep_min(&mut metrics_sink, run_metrics());
+        keep_min(&mut analyzer, run_analyzer());
     }
     TraceOverhead {
         n: net.len(),
         untraced,
         null_sink,
-        metrics_sink,
+        analyzer,
     }
 }
 
@@ -419,10 +421,12 @@ mod tests {
         let net = workload_network(33);
         let null = measure_flooding_traced_null(&net, 50);
         assert_eq!(null.rounds, 50);
-        let (metrics, sink) = measure_flooding_traced_metrics(&net, 50);
-        assert_eq!(metrics.rounds, 50);
-        assert_eq!(sink.rounds().len(), 50);
-        assert!(sink.totals().transmits > 0);
+        let (analyzed, report) = measure_flooding_traced_analyzer(&net, 50);
+        assert_eq!(analyzed.rounds, 50);
+        assert_eq!(report.rounds_executed, 50);
+        let flood = report.timeline(PayloadId(0)).expect("the flooded payload");
+        assert_eq!(flood.first_spread_round, Some(1));
+        assert!(flood.nodes_reached > 1);
     }
 
     #[test]
@@ -431,7 +435,7 @@ mod tests {
         let o = measure_trace_overhead(&net, 50, 2);
         assert_eq!(o.n, 33);
         assert!(o.null_ratio() > 0.0);
-        assert!(o.metrics_ratio() > 0.0);
+        assert!(o.analyzer_ratio() > 0.0);
     }
 
     #[test]

@@ -23,12 +23,13 @@ fn checked_in_snapshot_matches_emitted_schema() {
     );
 }
 
-/// Schema v10 dropped the frozen-baseline `pr1_*` columns and added the
-/// `er_dual-flooding-collision-seeker` engine rows (v9: the
-/// `scale_measurements` series); a snapshot claiming v10 without its
-/// sections would break `--bench-compare` consumers.
+/// Schema v11 renamed the trace overhead's third arm from
+/// `metrics_sink_*` to `analyzer_*` (the arm now times `TraceAnalyzer`);
+/// v10 dropped the frozen-baseline `pr1_*` columns and added the
+/// `er_dual-flooding-collision-seeker` engine rows. A snapshot claiming
+/// v11 without its sections would break `--bench-compare` consumers.
 #[test]
-fn checked_in_snapshot_has_the_v10_sections() {
+fn checked_in_snapshot_has_the_v11_sections() {
     let contents = snapshot();
     for section in [
         "\"measurements\"",
@@ -49,6 +50,10 @@ fn checked_in_snapshot_has_the_v10_sections() {
     assert!(
         !contents.contains("pr1"),
         "BENCH_engine.json still carries frozen-baseline columns: {REGEN_HINT}"
+    );
+    assert!(
+        contents.contains("\"analyzer_overhead\"") && !contents.contains("metrics_sink"),
+        "BENCH_engine.json still carries the pre-v11 trace arm: {REGEN_HINT}"
     );
 }
 

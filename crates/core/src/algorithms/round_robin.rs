@@ -62,7 +62,7 @@ mod tests {
     use super::super::test_support::run;
     use super::*;
     use dualgraph_net::generators;
-    use dualgraph_sim::{ActivationCause, CollisionRule, ReliableOnly, StartRule};
+    use dualgraph_sim::{ActivationCause, CollisionRule, ReliableOnly, StartRule, TraceEvent};
 
     #[test]
     fn completes_line_without_collisions() {
@@ -125,14 +125,19 @@ mod tests {
             dualgraph_sim::ExecutorConfig {
                 rule: CollisionRule::Cr1,
                 start: StartRule::Synchronous,
-                trace: dualgraph_sim::TraceLevel::Full,
                 ..Default::default()
             },
         )
         .unwrap();
-        exec.run_rounds(12);
-        for rec in exec.trace().records() {
-            assert!(rec.senders.len() <= 1, "round {}", rec.round);
+        for _ in 0..12 {
+            let mut events: Vec<TraceEvent> = Vec::new();
+            let summary = exec.step_traced(&mut events);
+            let transmits = events
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::Transmit { .. }))
+                .count();
+            assert_eq!(transmits, summary.senders, "round {}", summary.round);
+            assert!(transmits <= 1, "round {}", summary.round);
         }
     }
 

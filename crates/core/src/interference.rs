@@ -21,7 +21,7 @@ use dualgraph_sim::rng::splitmix64;
 use dualgraph_sim::{
     ActivationCause, Adversary, Assignment, BroadcastOutcome, CollisionRule, Cr4Resolution,
     Executor, ExecutorConfig, Message, PayloadId, Process, Reception, RoundContext, StartRule,
-    TraceLevel,
+    TraceEvent,
 };
 
 /// Error building an [`InterferenceNetwork`].
@@ -487,26 +487,32 @@ pub fn check_equivalence(
         ExecutorConfig {
             rule,
             start,
-            trace: TraceLevel::Full,
             ..ExecutorConfig::default()
         },
     )
     .expect("dual executor construction"); // analyzer: allow(panic, reason = "invariant: dual executor construction")
     let rounds = explicit.outcome.rounds_executed;
-    exec.run_rounds(rounds);
 
+    // Step the dual execution round by round, comparing each round's
+    // receptions (whole messages, round tags included) as it goes. The
+    // round's non-silent receptions come in ascending node order, so one
+    // pass over the nodes matches them up.
+    let mut events: Vec<TraceEvent> = Vec::new();
     for (r, expected) in explicit.receptions.iter().enumerate() {
         let round = r as u64 + 1;
+        events.clear();
+        exec.step_traced(&mut events);
+        let mut heard = events.iter().filter_map(TraceEvent::heard).peekable();
         for (v, want) in expected.iter().enumerate() {
-            let got = exec
-                .trace()
-                .reception(round, NodeId::from_index(v))
-                .expect("traced round"); // analyzer: allow(panic, reason = "invariant: traced round")
-            if got != want {
+            let node = NodeId::from_index(v);
+            let got = heard
+                .next_if(|&(u, _)| u == node)
+                .map_or(Reception::Silence, |(_, reception)| reception);
+            if got != *want {
                 return EquivalenceReport {
                     rounds,
                     equivalent: false,
-                    first_divergence: Some((round, NodeId::from_index(v))),
+                    first_divergence: Some((round, node)),
                 };
             }
         }

@@ -17,7 +17,7 @@ use dualgraph_net::{Digraph, DualGraph, NodeId};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     ActivationCause, Adversary, Executor, ExecutorConfig, Message, Process, ProcessId, Reception,
-    Trace, TraceLevel,
+    TraceEvent,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -87,21 +87,33 @@ pub struct LinkObservations {
 }
 
 impl LinkObservations {
-    /// Tallies a full execution trace (identity `proc` assignment assumed:
-    /// the probe driver below uses it).
+    /// Tallies a recorded event stream (identity `proc` assignment
+    /// assumed: the probe driver below uses it).
     ///
-    /// A delivery is counted when `v`'s reception that round is exactly
-    /// `u`'s message; collisions mask deliveries, exactly as they do for
+    /// Every `Transmit` of `u` counts one attempt on each `G′` out-link
+    /// `(u, v)`; a delivery is counted when `v`'s `Reception` that round is
+    /// `u`'s message. Collisions mask deliveries, exactly as they do for
     /// real ETX probes.
-    pub fn from_trace(network: &DualGraph, trace: &Trace) -> Self {
+    pub fn from_events(network: &DualGraph, events: &[TraceEvent]) -> Self {
         let mut counts: BTreeMap<(NodeId, NodeId), (u64, u64)> = BTreeMap::new();
-        for record in trace.records() {
-            for &(u, msg) in &record.senders {
-                for &v in network.total().out_neighbors(u) {
-                    let entry = counts.entry((u, v)).or_insert((0, 0));
-                    entry.0 += 1;
-                    if let Reception::Message(m) = record.receptions[v.index()] {
-                        if m.sender == msg.sender {
+        for round in events.chunk_by(|a, b| a.round() == b.round()) {
+            // Who heard which sender this round, in ascending node order.
+            let heard: Vec<(NodeId, ProcessId)> = round
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Reception { node, message, .. } => Some((node, message.sender)),
+                    _ => None,
+                })
+                .collect();
+            for event in round {
+                if let TraceEvent::Transmit {
+                    node: u, message, ..
+                } = *event
+                {
+                    for &v in network.total().out_neighbors(u) {
+                        let entry = counts.entry((u, v)).or_insert((0, 0));
+                        entry.0 += 1;
+                        if heard.binary_search(&(v, message.sender)).is_ok() {
                             entry.1 += 1;
                         }
                     }
@@ -245,13 +257,15 @@ pub fn estimate_links(
         adversary,
         ExecutorConfig {
             start: dualgraph_sim::StartRule::Synchronous,
-            trace: TraceLevel::Full,
             ..ExecutorConfig::default()
         },
     )
     .expect("probe executor construction"); // analyzer: allow(panic, reason = "invariant: probe executor construction")
-    exec.run_rounds(config.rounds);
-    let obs = LinkObservations::from_trace(network, exec.trace());
+    let mut events: Vec<TraceEvent> = Vec::new();
+    for _ in 0..config.rounds {
+        exec.step_traced(&mut events);
+    }
+    let obs = LinkObservations::from_events(network, &events);
     let classified = obs.classify(n, config.threshold, config.min_samples);
     let pr = PrecisionRecall::score(network.reliable(), &classified);
     (obs, pr)

@@ -3,7 +3,7 @@
 use dualgraph_net::DualGraph;
 use dualgraph_sim::{
     Adversary, BroadcastOutcome, BuildExecutorError, CollisionRule, Executor, ExecutorConfig,
-    ShardedExecutor, StartRule, TraceLevel,
+    ShardedExecutor, StartRule,
 };
 
 use crate::algorithms::BroadcastAlgorithm;
@@ -19,8 +19,6 @@ pub struct RunConfig {
     pub max_rounds: u64,
     /// Master seed for randomized algorithms.
     pub seed: u64,
-    /// The trace recording level.
-    pub trace: TraceLevel,
     /// Intra-round shard workers: `> 1` runs each execution on the
     /// sharded round engine ([`ShardedExecutor`]) with at most this many
     /// worker threads. Outcomes are bit-identical for every setting; this
@@ -37,7 +35,6 @@ impl Default for RunConfig {
             start: StartRule::Asynchronous,
             max_rounds: 10_000_000,
             seed: 0,
-            trace: TraceLevel::Off,
             shards: 1,
         }
     }
@@ -96,7 +93,6 @@ pub fn run_broadcast(
         ExecutorConfig {
             rule: config.rule,
             start: config.start,
-            trace: config.trace,
             ..ExecutorConfig::default()
         },
     )?;

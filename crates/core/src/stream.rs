@@ -28,8 +28,8 @@ use dualgraph_sim::{
     Executor, ExecutorConfig, FaultPlan, HealthConfig, HealthSample, Histogram, MacEvent, MacLayer,
     MacStats, NodeRole, NullSink, PayloadId, PayloadSet, ProcessId, ProcessSlot, QuorumPolicy,
     QuorumProcess, QuorumStage, ReliabilityBackend, ReliabilityEntry, ReliabilityStats,
-    ReliableBroadcast, StartRule, StreamHealthReport, TraceEvent, TraceLevel, TraceSink,
-    WindowedStats, MAX_PAYLOADS,
+    ReliableBroadcast, StartRule, StreamHealthReport, TraceEvent, TraceSink, WindowedStats,
+    MAX_PAYLOADS,
 };
 
 use crate::algorithms::period_for;
@@ -856,7 +856,6 @@ impl<'a> StreamSession<'a> {
             ExecutorConfig {
                 rule: config.rule,
                 start: config.start,
-                trace: TraceLevel::Off,
                 payload: plan[0].payload,
             },
         )?;

@@ -5,15 +5,15 @@
 //! four collision rules, and both start rules.
 //!
 //! This is the contract that makes the de-virtualized dispatch path a pure
-//! optimization: same automata, same RNG streams, same traces.
+//! optimization: same automata, same RNG streams, same event streams.
 
 use dualgraph_broadcast::algorithms::{
     BroadcastAlgorithm, Decay, Harmonic, RoundRobin, SsfConstruction, StrongSelect, Uniform,
 };
 use dualgraph_net::generators;
 use dualgraph_sim::{
-    Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, Executor, ExecutorConfig,
-    FullDelivery, RandomDelivery, ReliableOnly, StartRule, TraceLevel,
+    first_divergence, Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, Executor,
+    ExecutorConfig, FullDelivery, RandomDelivery, ReliableOnly, StartRule, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -68,7 +68,6 @@ proptest! {
             } else {
                 StartRule::Asynchronous
             },
-            trace: TraceLevel::Full,
             ..ExecutorConfig::default()
         };
         let label = format!(
@@ -94,9 +93,10 @@ proptest! {
         ).unwrap();
         prop_assert!(!boxed.uses_batched_dispatch());
 
+        let (mut enum_events, mut boxed_events) = (Vec::<TraceEvent>::new(), Vec::<TraceEvent>::new());
         for round in 0..50u64 {
-            let a = enumd.step();
-            let b = boxed.step();
+            let a = enumd.step_traced(&mut enum_events);
+            let b = boxed.step_traced(&mut boxed_events);
             prop_assert_eq!(
                 &a, &b,
                 "{}: summaries diverged at round {}", &label, round
@@ -110,9 +110,9 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            enumd.trace().records(),
-            boxed.trace().records(),
-            "{}: traces diverged", &label
+            first_divergence(&enum_events, &boxed_events),
+            None,
+            "{}: event streams diverged", &label
         );
         // Per-node automaton state visible through the public API must
         // agree too (payload + termination at every node).

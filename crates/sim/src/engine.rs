@@ -9,7 +9,7 @@ use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, Process};
 use crate::slot::{ProcessSlot, ProcessTable};
-use crate::trace::{NullSink, RoundRecord, Trace, TraceEvent, TraceLevel, TraceSink};
+use crate::trace::{NullSink, TraceEvent, TraceSink};
 
 /// How executions begin (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,8 +40,6 @@ pub struct ExecutorConfig {
     pub rule: CollisionRule,
     /// Start rule in force.
     pub start: StartRule,
-    /// What to record per round.
-    pub trace: TraceLevel,
     /// Identity of the broadcast payload delivered to the source.
     pub payload: PayloadId,
 }
@@ -52,7 +50,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             rule: CollisionRule::Cr4,
             start: StartRule::Asynchronous,
-            trace: TraceLevel::Off,
             payload: PayloadId(0),
         }
     }
@@ -221,7 +218,6 @@ pub struct Executor<'a> {
     pub(crate) round: u64,
     pub(crate) sends: u64,
     pub(crate) physical_collisions: u64,
-    pub(crate) trace: Trace,
     // ---- Reusable round scratch (allocation-free in steady state) ----
     /// This round's `(sender, message)` pairs, in node order.
     pub(crate) senders_buf: Vec<(NodeId, Message)>,
@@ -361,7 +357,6 @@ impl<'a> Executor<'a> {
             round: 0,
             sends: 0,
             physical_collisions: 0,
-            trace: Trace::new(config.trace),
             senders_buf: Vec::new(),
             receptions_buf: Vec::with_capacity(n),
             extra_flat: Vec::new(),
@@ -586,17 +581,11 @@ impl<'a> Executor<'a> {
         self.procs.is_batched()
     }
 
-    /// The recorded trace (empty unless tracing was enabled).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Executes one round and reports what happened.
     ///
     /// Allocation-free in steady state: all round-local state lives in
     /// reusable buffers on the executor. Only `RoundSummary::newly_informed`
-    /// (part of the return value) and — when tracing is enabled — the trace
-    /// record allocate.
+    /// (part of the return value) allocates.
     pub fn step(&mut self) -> RoundSummary {
         self.step_traced(&mut NullSink)
     }
@@ -816,8 +805,8 @@ impl<'a> Executor<'a> {
                 informed,
             };
             // Per-receiver transmission content. `senders_buf` holds one
-            // *representative* message per sender (which is also what the
-            // trace records); a Byzantine sender's actual content for a
+            // *representative* message per sender (which is also what its
+            // `Transmit` event carries); a Byzantine sender's content for a
             // given receiver is derived from its role on delivery. While
             // `byzantine_count == 0` — the common case — every sender is a
             // shared channel and the derivation is skipped entirely.
@@ -932,19 +921,6 @@ impl<'a> Executor<'a> {
         }
 
         self.round = t;
-        {
-            let Executor {
-                trace,
-                senders_buf,
-                receptions_buf,
-                ..
-            } = self;
-            trace.record(|| RoundRecord {
-                round: t,
-                senders: senders_buf.clone(),
-                receptions: receptions_buf.clone(),
-            });
-        }
 
         RoundSummary {
             round: t,
@@ -1020,7 +996,6 @@ impl Clone for Executor<'_> {
             round: self.round,
             sends: self.sends,
             physical_collisions: self.physical_collisions,
-            trace: self.trace.clone(),
             senders_buf: self.senders_buf.clone(),
             receptions_buf: self.receptions_buf.clone(),
             extra_flat: self.extra_flat.clone(),
@@ -1055,7 +1030,6 @@ mod tests {
     use crate::adversary::{FullDelivery, ReliableOnly, WithAssignment};
     use crate::collision::CollisionRule;
     use crate::process::{Flooder, SilentProcess};
-    use crate::trace::TraceLevel;
     use dualgraph_net::generators;
 
     /// The canonical [`Flooder`] (process.rs), boxed — the private copy
@@ -1263,18 +1237,44 @@ mod tests {
             &net,
             flooders(3),
             Box::new(ReliableOnly::new()),
-            ExecutorConfig {
-                trace: TraceLevel::Full,
-                ..ExecutorConfig::default()
-            },
+            ExecutorConfig::default(),
         )
         .unwrap();
-        exec.run_until_complete(10);
-        let records = exec.trace().records();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].round, 1);
-        assert_eq!(records[0].senders.len(), 1);
-        assert_eq!(records[0].receptions.len(), 3);
+        let mut events: Vec<TraceEvent> = Vec::new();
+        while !exec.is_complete() && exec.round() < 10 {
+            exec.step_traced(&mut events);
+        }
+        let starts: Vec<u64> = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::RoundStart { .. }))
+            .map(TraceEvent::round)
+            .collect();
+        assert_eq!(starts, vec![1, 2]);
+        // Round 1: the source alone transmits; it hears itself (CR4) and
+        // its one neighbor hears it; node 2 hears nothing.
+        let m = Message::with_payload(ProcessId(0), PayloadId(0));
+        let round1: Vec<TraceEvent> = events.iter().copied().filter(|e| e.round() == 1).collect();
+        assert_eq!(
+            round1,
+            vec![
+                TraceEvent::RoundStart { round: 1 },
+                TraceEvent::Transmit {
+                    round: 1,
+                    node: NodeId(0),
+                    message: m,
+                },
+                TraceEvent::Reception {
+                    round: 1,
+                    node: NodeId(0),
+                    message: m,
+                },
+                TraceEvent::Reception {
+                    round: 1,
+                    node: NodeId(1),
+                    message: m,
+                },
+            ]
+        );
     }
 
     #[test]

@@ -24,8 +24,15 @@
 //!   resolution, with built-ins ([`ReliableOnly`], [`FullDelivery`],
 //!   [`RandomDelivery`], [`BurstyDelivery`], [`WithAssignment`]);
 //! * [`Executor`] — the round loop (CSR-backed, allocation-free in steady
-//!   state), with traces, outcome statistics, a per-node known-payload
-//!   record, and mid-run environment injection ([`Executor::inject`]);
+//!   state), with event tracing ([`Executor::step_traced`]), outcome
+//!   statistics, a per-node known-payload record, and mid-run environment
+//!   injection ([`Executor::inject`]);
+//! * [`TraceEvent`] / [`TraceSink`] — the one round record: every engine
+//!   emits each round's transmissions and receptions, whole messages
+//!   included, into a monomorphized sink. [`NullSink`] compiles the hooks
+//!   out; a `Vec<TraceEvent>` records the stream for engine-against-engine
+//!   comparison ([`first_divergence`]); [`RingSink`] keeps a post-mortem
+//!   window and [`JsonlSink`] a `trace-v1` capture;
 //! * [`PayloadSet`] — fixed-width payload bitsets: the multi-message
 //!   cargo representation (see `docs/MULTI_MESSAGE.md`);
 //! * [`MacLayer`] — the abstract MAC layer (`bcast`/`rcv`/`ack` events
@@ -41,7 +48,7 @@
 //!   exponential backoff) with per-payload delivery-guarantee
 //!   [`DeliveryVerdict`]s, composed over the MAC layer by the stream
 //!   runner (see `docs/RELIABILITY.md`);
-//! * [`metrics`] — the analysis layer over the trace events:
+//! * [`metrics`] — the one metrics stack over the trace events:
 //!   [`MetricsRegistry`] (counters, gauges, log-bucketed quantile
 //!   [`Histogram`]s), sliding-window stream-health instrumentation, and
 //!   the [`TraceAnalyzer`] per-payload timeline reconstructor (see
@@ -119,7 +126,6 @@ pub use reliability::{
 pub use shard::ShardedExecutor;
 pub use slot::{ProcessSlot, ProcessTable, ShardAbsorb};
 pub use trace::{
-    check_trace_schema, first_divergence, Divergence, EpochRollup, JsonlSink, MetricsSink,
-    MetricsTotals, NullSink, QuorumStage, RingSink, RoleTag, RoundMetrics, RoundRecord, Trace,
-    TraceEvent, TraceLevel, TraceSchemaError, TraceSink, TRACE_SCHEMA,
+    check_trace_schema, first_divergence, Divergence, JsonlSink, NullSink, QuorumStage, RingSink,
+    RoleTag, TraceEvent, TraceSchemaError, TraceSink, TRACE_SCHEMA,
 };

@@ -572,10 +572,13 @@ impl LatencyAttribution {
 
 /// One payload's reconstructed delivery timeline.
 ///
-/// `Transmit` events are payload-blind by design (the hot path emits a
-/// 1-bit cargo parity, not a payload list), so the first *observable*
-/// transmission of a payload is the round of its first reception on the
-/// medium — [`PayloadTimeline::first_spread_round`].
+/// A payload *spreads* when some node hears it, so
+/// [`PayloadTimeline::first_spread_round`] is the round of its first
+/// reception, not of its first transmission. `Transmit` events carry the
+/// whole message, but a transmission nobody hears — every listener
+/// collided, or the adversary withheld the only unreliable edge — moves
+/// no node's knowledge; the round-level attribution already charges such
+/// rounds to collision or adversary drop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PayloadTimeline {
     /// The payload.
@@ -831,11 +834,10 @@ impl TraceSink for TraceAnalyzer {
             TraceEvent::Reception {
                 round,
                 node,
-                payloads,
-                ..
+                message,
             } => {
                 self.digest_for(round).receptions += 1;
-                for p in payloads.iter() {
+                for p in message.payloads.iter() {
                     if let Some(t) = self.track_mut(p) {
                         if t.mark(node) {
                             t.first_spread_round.get_or_insert(round);
@@ -916,8 +918,7 @@ impl TraceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::ProcessId;
-    use crate::payload::PayloadSet;
+    use crate::message::{Message, ProcessId};
 
     #[test]
     fn histogram_small_values_are_exact() {
@@ -1034,8 +1035,7 @@ mod tests {
         TraceEvent::Reception {
             round,
             node: NodeId(node),
-            sender: ProcessId(0),
-            payloads: PayloadSet::only(PayloadId(payload)),
+            message: Message::with_payload(ProcessId(0), PayloadId(payload)),
         }
     }
 
@@ -1047,7 +1047,7 @@ mod tests {
             TraceEvent::Transmit {
                 round: 1,
                 node: NodeId(0),
-                face_parity: true,
+                message: Message::with_payload(ProcessId(0), PayloadId(0)),
             },
             ev_rcv(1, 1, 0),
             // Round 2: transmissions, a collision, no growth.
@@ -1055,7 +1055,7 @@ mod tests {
             TraceEvent::Transmit {
                 round: 2,
                 node: NodeId(0),
-                face_parity: true,
+                message: Message::with_payload(ProcessId(0), PayloadId(0)),
             },
             TraceEvent::Collision {
                 round: 2,
@@ -1066,14 +1066,14 @@ mod tests {
             TraceEvent::Transmit {
                 round: 3,
                 node: NodeId(0),
-                face_parity: true,
+                message: Message::with_payload(ProcessId(0), PayloadId(0)),
             },
             // Round 4: growth again, then ack + verdict.
             TraceEvent::RoundStart { round: 4 },
             TraceEvent::Transmit {
                 round: 4,
                 node: NodeId(0),
-                face_parity: true,
+                message: Message::with_payload(ProcessId(0), PayloadId(0)),
             },
             ev_rcv(4, 2, 0),
             TraceEvent::AckComplete {

@@ -33,7 +33,7 @@ use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, Process};
 use crate::slot::ProcessSlot;
-use crate::trace::{NullSink, RoundRecord, Trace, TraceEvent, TraceSink};
+use crate::trace::{self, NullSink, TraceEvent, TraceSink};
 
 /// The naive, allocating executor (see the module docs).
 pub struct ReferenceExecutor<'a> {
@@ -56,7 +56,6 @@ pub struct ReferenceExecutor<'a> {
     round: u64,
     sends: u64,
     physical_collisions: u64,
-    trace: Trace,
 }
 
 impl<'a> ReferenceExecutor<'a> {
@@ -115,7 +114,6 @@ impl<'a> ReferenceExecutor<'a> {
             round: 0,
             sends: 0,
             physical_collisions: 0,
-            trace: Trace::new(config.trace),
         };
 
         let src = network.source();
@@ -258,11 +256,6 @@ impl<'a> ReferenceExecutor<'a> {
         true
     }
 
-    /// The recorded trace (empty unless tracing was enabled).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Executes one round — allocating per-round and per-sender, on
     /// purpose.
     pub fn step(&mut self) -> RoundSummary {
@@ -316,13 +309,7 @@ impl<'a> ReferenceExecutor<'a> {
         }
         self.sends += senders.len() as u64;
         if S::ENABLED {
-            for &(node, msg) in &senders {
-                sink.emit(TraceEvent::Transmit {
-                    round: t,
-                    node,
-                    face_parity: msg.payloads.len() % 2 == 1,
-                });
-            }
+            trace::emit_transmits(sink, t, &senders);
         }
 
         // Phase 2: adversary deliveries -> fresh per-node reaching sets.
@@ -346,10 +333,10 @@ impl<'a> ReferenceExecutor<'a> {
             };
             for &(u, msg) in &senders {
                 // Per-receiver transmission content: `senders` holds one
-                // representative message per sender (what the trace
-                // records); a Byzantine sender's actual content for each
-                // receiver is derived from its role here. For every other
-                // role `content_for` is the identity.
+                // representative message per sender (what its `Transmit`
+                // event carries); a Byzantine sender's actual content for
+                // each receiver is derived from its role here. For every
+                // other role `content_for` is the identity.
                 let role = roles[u.index()];
                 own[u.index()] = Some(msg);
                 reach[u.index()].push(role.content_for(msg, u));
@@ -411,21 +398,7 @@ impl<'a> ReferenceExecutor<'a> {
         }
 
         if S::ENABLED {
-            for (node, r) in receptions.iter().enumerate() {
-                match r {
-                    Reception::Message(m) => sink.emit(TraceEvent::Reception {
-                        round: t,
-                        node: NodeId::from_index(node),
-                        sender: m.sender,
-                        payloads: m.payloads,
-                    }),
-                    Reception::Collision => sink.emit(TraceEvent::Collision {
-                        round: t,
-                        node: NodeId::from_index(node),
-                    }),
-                    Reception::Silence => {}
-                }
-            }
+            trace::emit_receptions(sink, t, &receptions);
         }
 
         // Phase 4: deliveries, activations, bookkeeping. Faulty nodes got
@@ -464,11 +437,6 @@ impl<'a> ReferenceExecutor<'a> {
         }
 
         self.round = t;
-        self.trace.record(|| RoundRecord {
-            round: t,
-            senders: senders.clone(),
-            receptions: receptions.clone(),
-        });
 
         RoundSummary {
             round: t,

@@ -6,7 +6,7 @@
 //! ([`ShardPlan`][dualgraph_net::ShardPlan]), merging at the round
 //! barrier. The contract — enforced by `tests/shard_differential.rs` — is
 //! that outcomes are **bit-identical to the sequential engine regardless
-//! of worker count**, including traces. The determinism argument:
+//! of worker count**, including event streams. The determinism argument:
 //!
 //! * **No shard-level randomness.** Every random draw is either owned by a
 //!   process (node-local, untouched by partitioning) or by the adversary.
@@ -51,7 +51,7 @@ use crate::engine::{BroadcastOutcome, Executor, RoundSummary};
 use crate::message::Message;
 use crate::payload::PayloadSet;
 use crate::slot::ShardAbsorb;
-use crate::trace::{NullSink, RoundRecord, TraceEvent, TraceSink};
+use crate::trace::{self, NullSink, TraceEvent, TraceSink};
 
 /// Sentinel for "this node did not transmit" in the per-node sender-index
 /// map.
@@ -330,41 +330,8 @@ impl<'a> ShardedExecutor<'a> {
 
         self.exec.round = t;
         if S::ENABLED {
-            for &(node, msg) in &self.exec.senders_buf {
-                sink.emit(TraceEvent::Transmit {
-                    round: t,
-                    node,
-                    face_parity: msg.payloads.len() % 2 == 1,
-                });
-            }
-            for (node, r) in self.exec.receptions_buf.iter().enumerate() {
-                match r {
-                    Reception::Message(m) => sink.emit(TraceEvent::Reception {
-                        round: t,
-                        node: NodeId::from_index(node),
-                        sender: m.sender,
-                        payloads: m.payloads,
-                    }),
-                    Reception::Collision => sink.emit(TraceEvent::Collision {
-                        round: t,
-                        node: NodeId::from_index(node),
-                    }),
-                    Reception::Silence => {}
-                }
-            }
-        }
-        {
-            let Executor {
-                trace,
-                senders_buf,
-                receptions_buf,
-                ..
-            } = &mut self.exec;
-            trace.record(|| RoundRecord {
-                round: t,
-                senders: senders_buf.clone(),
-                receptions: receptions_buf.clone(),
-            });
+            trace::emit_transmits(sink, t, &self.exec.senders_buf);
+            trace::emit_receptions(sink, t, &self.exec.receptions_buf);
         }
 
         RoundSummary {

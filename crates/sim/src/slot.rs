@@ -35,7 +35,7 @@ use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, ChatterProcess, Flooder, Process, SilentProcess};
 use crate::quorum::QuorumProcess;
-use crate::trace::{NullSink, TraceEvent, TraceSink};
+use crate::trace::{self, NullSink, TraceSink};
 
 /// One process, stored either inline (built-in automata) or boxed
 /// (anything else).
@@ -422,7 +422,8 @@ impl ProcessTable {
     }
 
     /// [`ProcessTable::transmit_all`] with an observability hook: emits one
-    /// [`TraceEvent::Transmit`] per appended transmission, in the same
+    /// [`TraceEvent::Transmit`][crate::TraceEvent::Transmit] per appended
+    /// transmission, carrying the whole message, in the same
     /// ascending node order the sweep produced them. The emission loop is
     /// guarded by [`TraceSink::ENABLED`], so the [`NullSink`]
     /// instantiation — which [`ProcessTable::transmit_all`] delegates to —
@@ -438,13 +439,7 @@ impl ProcessTable {
         let emitted_from = out.len();
         each_repr!(&mut self.repr, v => transmit_chunk(v, 0, round, active_from, faults, out));
         if S::ENABLED {
-            for &(node, msg) in &out[emitted_from..] {
-                sink.emit(TraceEvent::Transmit {
-                    round,
-                    node,
-                    face_parity: msg.payloads.len() % 2 == 1,
-                });
-            }
+            trace::emit_transmits(sink, round, &out[emitted_from..]);
         }
     }
 
@@ -518,7 +513,8 @@ impl ProcessTable {
     }
 
     /// [`ProcessTable::receive_all`] with an observability hook: emits one
-    /// [`TraceEvent::Reception`] or [`TraceEvent::Collision`] per node (in
+    /// [`TraceEvent::Reception`][crate::TraceEvent::Reception] or
+    /// [`TraceEvent::Collision`][crate::TraceEvent::Collision] per node (in
     /// ascending node order; silence emits nothing — faulty radios were
     /// resolved to silence in phase 3, so they emit nothing here either).
     /// Guarded by [`TraceSink::ENABLED`] exactly like
@@ -533,21 +529,7 @@ impl ProcessTable {
     ) {
         each_repr!(&mut self.repr, v => receive_chunk(v, active_from, 0, round, roles, receptions));
         if S::ENABLED {
-            for (node, r) in receptions.iter().enumerate() {
-                match r {
-                    Reception::Message(m) => sink.emit(TraceEvent::Reception {
-                        round,
-                        node: NodeId::from_index(node),
-                        sender: m.sender,
-                        payloads: m.payloads,
-                    }),
-                    Reception::Collision => sink.emit(TraceEvent::Collision {
-                        round,
-                        node: NodeId::from_index(node),
-                    }),
-                    Reception::Silence => {}
-                }
-            }
+            trace::emit_receptions(sink, round, receptions);
         }
     }
 

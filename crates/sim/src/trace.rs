@@ -1,6 +1,6 @@
-//! Execution traces: the legacy per-round record ([`Trace`] /
-//! [`RoundRecord`]) and the round-indexed event layer ([`TraceEvent`] /
-//! [`TraceSink`]) threaded through every subsystem.
+//! Execution traces: the round-indexed event layer ([`TraceEvent`] /
+//! [`TraceSink`]) threaded through every subsystem — the one record of
+//! what a round did.
 //!
 //! The event layer is the observability surface described in
 //! `docs/OBSERVABILITY.md`: each engine layer calls a `*_traced` method
@@ -10,81 +10,16 @@
 //! emission loops are dead code, and untraced runs stay bit-identical and
 //! allocation-free. Events carry **round numbers, never clocks**, so a
 //! trace is a pure function of (topology, seed) and two engines can be
-//! diffed event-for-event ([`first_divergence`]).
+//! diffed event-for-event ([`first_divergence`]). `Transmit` and
+//! `Reception` carry the whole [`Message`] (payloads, round tag, sender),
+//! so a recorded `Vec<TraceEvent>` holds everything a round transmitted
+//! and delivered.
 
 use dualgraph_net::NodeId;
 
 use crate::collision::Reception;
-use crate::message::{Message, PayloadId, ProcessId};
-use crate::payload::{PayloadSet, MAX_PAYLOADS};
-
-/// How much the executor records per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceLevel {
-    /// Record nothing (fastest; outcome statistics are always kept).
-    #[default]
-    Off,
-    /// Record every round's senders and per-node receptions.
-    Full,
-}
-
-/// One recorded round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundRecord {
-    /// The global round number (1-based).
-    pub round: u64,
-    /// Transmissions, as `(node, message)` in node order.
-    pub senders: Vec<(NodeId, Message)>,
-    /// Reception at every node, indexed by node.
-    pub receptions: Vec<Reception>,
-}
-
-/// A (possibly empty) log of executed rounds.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    level: TraceLevel,
-    records: Vec<RoundRecord>,
-}
-
-impl Trace {
-    /// Creates an empty trace at the given level.
-    pub fn new(level: TraceLevel) -> Self {
-        Trace {
-            level,
-            records: Vec::new(),
-        }
-    }
-
-    /// The recording level.
-    pub fn level(&self) -> TraceLevel {
-        self.level
-    }
-
-    /// Appends a record if recording is enabled. The closure is only
-    /// invoked when the level requires it.
-    pub fn record(&mut self, make: impl FnOnce() -> RoundRecord) {
-        if self.level == TraceLevel::Full {
-            self.records.push(make());
-        }
-    }
-
-    /// The recorded rounds (empty when recording is off).
-    pub fn records(&self) -> &[RoundRecord] {
-        &self.records
-    }
-
-    /// The reception at `node` in global round `round`, if recorded.
-    pub fn reception(&self, round: u64, node: NodeId) -> Option<&Reception> {
-        self.records
-            .iter()
-            .find(|r| r.round == round)
-            .and_then(|r| r.receptions.get(node.index()))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Round-indexed event layer
-// ---------------------------------------------------------------------------
+use crate::message::{Message, PayloadId};
+use crate::payload::PayloadSet;
 
 /// Compact tag for a node's [`NodeRole`][crate::NodeRole], without the
 /// role's payload cargo — keeps [`TraceEvent`] small and `Copy`.
@@ -176,10 +111,10 @@ pub enum TraceEvent {
         round: u64,
         /// Transmitting node.
         node: NodeId,
-        /// Parity of the transmitted cargo cardinality — a 1-bit
-        /// knowledge-front indicator cheap enough for the hot path (odd
-        /// payload-set size ⇒ `true`).
-        face_parity: bool,
+        /// The transmitted message (for a Byzantine sender, its
+        /// representative content; receivers may hear per-receiver
+        /// variants).
+        message: Message,
     },
     /// A node received exactly one message.
     Reception {
@@ -187,10 +122,8 @@ pub enum TraceEvent {
         round: u64,
         /// Receiving node.
         node: NodeId,
-        /// The transmitting process (as stamped in the message body).
-        sender: ProcessId,
-        /// The payload cargo delivered.
-        payloads: PayloadSet,
+        /// The message delivered.
+        message: Message,
     },
     /// A node heard a collision notification (`⊤`).
     Collision {
@@ -287,6 +220,19 @@ impl TraceEvent {
             | TraceEvent::Verdict { round, .. } => round,
         }
     }
+
+    /// The node and reception a `Reception` or `Collision` event records
+    /// (`None` for every other event). Silence emits no event, so a node
+    /// absent from a round's stream heard [`Reception::Silence`].
+    pub fn heard(&self) -> Option<(NodeId, Reception)> {
+        match *self {
+            TraceEvent::Reception { node, message, .. } => {
+                Some((node, Reception::Message(message)))
+            }
+            TraceEvent::Collision { node, .. } => Some((node, Reception::Collision)),
+            _ => None,
+        }
+    }
 }
 
 /// A monomorphized event consumer.
@@ -327,263 +273,38 @@ impl TraceSink for Vec<TraceEvent> {
     }
 }
 
-/// Per-round counters kept by [`MetricsSink`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RoundMetrics {
-    /// The global round these counters describe.
-    pub round: u64,
-    /// Transmitting nodes this round.
-    pub transmits: u32,
-    /// Nodes that received a message this round.
-    pub receptions: u32,
-    /// Nodes that heard `⊤` this round.
-    pub collisions: u32,
-}
-
-/// Aggregate counters kept by [`MetricsSink`] across the whole run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsTotals {
-    /// Total transmissions.
-    pub transmits: u64,
-    /// Total single-message receptions.
-    pub receptions: u64,
-    /// Total collision notifications.
-    pub collisions: u64,
-    /// Injections admitted.
-    pub injects_accepted: u64,
-    /// Injections dropped (faulty radio).
-    pub injects_rejected: u64,
-    /// Epoch switches observed.
-    pub epoch_switches: u64,
-    /// Fault-plan role changes observed.
-    pub faults: u64,
-    /// Reliability retries fired.
-    pub retries: u64,
-    /// MAC acknowledgments completed.
-    pub acks: u64,
-    /// Quorum stage crossings: `[echo, ready, accept]`.
-    pub quorum_stages: [u64; 3],
-    /// Delivery verdicts settled as delivered.
-    pub verdicts_delivered: u64,
-    /// Delivery verdicts settled as abandoned.
-    pub verdicts_abandoned: u64,
-    /// Sum over receptions of the delivered cargo cardinality (counts
-    /// every payload copy put on the air and heard).
-    pub payload_copies: u64,
-}
-
-/// Per-epoch rollup maintained incrementally by [`MetricsSink`] (see
-/// [`MetricsSink::epoch_rollups`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochRollup {
-    /// Epoch index (`0` for the initial epoch).
-    pub epoch: u32,
-    /// First round counted into this rollup.
-    pub from_round: u64,
-    /// Transmissions during the epoch.
-    pub transmits: u64,
-    /// Receptions during the epoch.
-    pub receptions: u64,
-    /// Collisions during the epoch.
-    pub collisions: u64,
-}
-
-/// Preallocated counter registry: per-round transmit/reception/collision
-/// histograms, payload-redundancy and ack-latency series, retry, fault,
-/// and quorum-stage tallies, and per-epoch rollups.
-///
-/// All counters are derived from events (never clocks), so a metrics run
-/// is exactly as deterministic as the execution it observes.
-#[derive(Debug, Clone)]
-pub struct MetricsSink {
-    rounds: Vec<RoundMetrics>,
-    /// Per-epoch rollups, updated incrementally as events arrive: a new
-    /// entry is opened at each `EpochSwitch`, so queries are O(1) reads.
-    rollups: Vec<EpochRollup>,
-    totals: MetricsTotals,
-    /// Distinct payload identities seen in receptions or injections.
-    distinct: PayloadSet,
-    /// Round of the first accepted injection per payload id (ack-latency
-    /// baseline), dense over the payload universe.
-    first_inject: Vec<Option<u64>>,
-    /// Ack latencies in rounds, one entry per completed acknowledgment of
-    /// a payload with a known injection round.
-    ack_latency: Vec<u64>,
-}
-
-impl Default for MetricsSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricsSink {
-    /// An empty registry with a modest round preallocation.
-    pub fn new() -> Self {
-        Self::with_round_capacity(1024)
-    }
-
-    /// An empty registry preallocated for `rounds` rounds (emission stays
-    /// allocation-free until the capacity is exceeded).
-    pub fn with_round_capacity(rounds: usize) -> Self {
-        let mut rollups = Vec::with_capacity(8);
-        rollups.push(EpochRollup {
-            epoch: 0,
-            from_round: 0,
-            transmits: 0,
-            receptions: 0,
-            collisions: 0,
+/// Emits one [`TraceEvent::Transmit`] per `(node, message)` pair, in slice
+/// order (every engine passes its senders in ascending node order). Call
+/// sites keep the `S::ENABLED` guard, so untraced rounds never reach it.
+pub(crate) fn emit_transmits<S: TraceSink>(
+    sink: &mut S,
+    round: u64,
+    senders: &[(NodeId, Message)],
+) {
+    for &(node, message) in senders {
+        sink.emit(TraceEvent::Transmit {
+            round,
+            node,
+            message,
         });
-        MetricsSink {
-            rounds: Vec::with_capacity(rounds),
-            rollups,
-            totals: MetricsTotals::default(),
-            distinct: PayloadSet::EMPTY,
-            first_inject: vec![None; MAX_PAYLOADS],
-            ack_latency: Vec::with_capacity(MAX_PAYLOADS),
-        }
-    }
-
-    /// The per-round histogram rows, in execution order.
-    pub fn rounds(&self) -> &[RoundMetrics] {
-        &self.rounds
-    }
-
-    /// The aggregate counters.
-    pub fn totals(&self) -> &MetricsTotals {
-        &self.totals
-    }
-
-    /// Payload redundancy: delivered payload copies per distinct payload
-    /// identity observed (`0.0` before any reception).
-    pub fn payload_redundancy(&self) -> f64 {
-        let distinct = self.distinct.len();
-        if distinct == 0 {
-            0.0
-        } else {
-            self.totals.payload_copies as f64 / distinct as f64
-        }
-    }
-
-    /// Ack latencies in rounds (injection → `AckComplete`), one entry per
-    /// acknowledged payload with a known injection round.
-    pub fn ack_latencies(&self) -> &[u64] {
-        &self.ack_latency
-    }
-
-    /// Mean ack latency in rounds (`None` before the first ack).
-    pub fn mean_ack_latency(&self) -> Option<f64> {
-        if self.ack_latency.is_empty() {
-            return None;
-        }
-        Some(self.ack_latency.iter().sum::<u64>() as f64 / self.ack_latency.len() as f64)
-    }
-
-    /// Per-epoch rollups of the per-round counters, maintained
-    /// incrementally at `EpochSwitch` emission — repeated queries are
-    /// O(1), no allocation. The initial epoch is reported even when no
-    /// `EpochSwitch` ever fired.
-    pub fn epoch_rollups(&self) -> &[EpochRollup] {
-        &self.rollups
-    }
-
-    /// The rollup of the epoch currently in force.
-    fn rollup_mut(&mut self) -> &mut EpochRollup {
-        self.rollups
-            .last_mut()
-            // analyzer: allow(panic, reason = "invariant: rollups is seeded at construction and only grows")
-            .expect("rollups seeded at construction")
-    }
-
-    fn current_mut(&mut self, round: u64) -> &mut RoundMetrics {
-        if self.rounds.last().map(|r| r.round) != Some(round) {
-            self.rounds.push(RoundMetrics {
-                round,
-                ..RoundMetrics::default()
-            });
-        }
-        // analyzer: allow(panic, reason = "invariant: a row for `round` was pushed just above")
-        self.rounds.last_mut().expect("row was just ensured")
     }
 }
 
-impl TraceSink for MetricsSink {
-    fn emit(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::RoundStart { round } => {
-                let _ = self.current_mut(round);
-            }
-            TraceEvent::Transmit { round, .. } => {
-                self.totals.transmits += 1;
-                self.current_mut(round).transmits += 1;
-                self.rollup_mut().transmits += 1;
-            }
-            TraceEvent::Reception {
-                round, payloads, ..
-            } => {
-                self.totals.receptions += 1;
-                self.totals.payload_copies += payloads.len() as u64;
-                self.distinct.union_with(payloads);
-                self.current_mut(round).receptions += 1;
-                self.rollup_mut().receptions += 1;
-            }
-            TraceEvent::Collision { round, .. } => {
-                self.totals.collisions += 1;
-                self.current_mut(round).collisions += 1;
-                self.rollup_mut().collisions += 1;
-            }
-            TraceEvent::Inject {
+/// Emits one [`TraceEvent::Reception`] or [`TraceEvent::Collision`] per
+/// non-silent entry of `receptions` (indexed by node, so in ascending node
+/// order); silence emits nothing. Guarded at the call sites exactly like
+/// [`emit_transmits`].
+pub(crate) fn emit_receptions<S: TraceSink>(sink: &mut S, round: u64, receptions: &[Reception]) {
+    for (i, reception) in receptions.iter().enumerate() {
+        let node = NodeId::from_index(i);
+        match *reception {
+            Reception::Message(message) => sink.emit(TraceEvent::Reception {
                 round,
-                payload,
-                accepted,
-                ..
-            } => {
-                if accepted {
-                    self.totals.injects_accepted += 1;
-                    self.distinct.insert(payload);
-                    let idx = payload.0 as usize;
-                    if idx < MAX_PAYLOADS && self.first_inject[idx].is_none() {
-                        self.first_inject[idx] = Some(round);
-                    }
-                } else {
-                    self.totals.injects_rejected += 1;
-                }
-            }
-            TraceEvent::EpochSwitch { round, epoch } => {
-                self.totals.epoch_switches += 1;
-                self.rollups.push(EpochRollup {
-                    epoch,
-                    from_round: round,
-                    transmits: 0,
-                    receptions: 0,
-                    collisions: 0,
-                });
-            }
-            TraceEvent::Fault { .. } => self.totals.faults += 1,
-            TraceEvent::Retry { .. } => self.totals.retries += 1,
-            TraceEvent::AckComplete { round, payload, .. } => {
-                self.totals.acks += 1;
-                let idx = payload.0 as usize;
-                if idx < MAX_PAYLOADS {
-                    if let Some(injected) = self.first_inject[idx] {
-                        self.ack_latency.push(round.saturating_sub(injected));
-                    }
-                }
-            }
-            TraceEvent::QuorumPhase { stage, .. } => {
-                self.totals.quorum_stages[match stage {
-                    QuorumStage::Echo => 0,
-                    QuorumStage::Ready => 1,
-                    QuorumStage::Accept => 2,
-                }] += 1;
-            }
-            TraceEvent::Verdict { delivered, .. } => {
-                if delivered {
-                    self.totals.verdicts_delivered += 1;
-                } else {
-                    self.totals.verdicts_abandoned += 1;
-                }
-            }
+                node,
+                message,
+            }),
+            Reception::Collision => sink.emit(TraceEvent::Collision { round, node }),
+            Reception::Silence => {}
         }
     }
 }
@@ -775,28 +496,29 @@ impl TraceSink for JsonlSink {
             TraceEvent::Transmit {
                 round,
                 node,
-                face_parity,
+                message,
             } => {
+                // trace-v1's `face`: the parity of the transmitted
+                // payload count (odd = 1).
                 let _ = write!(
                     buf,
                     "{{\"e\":\"transmit\",\"r\":{round},\"node\":{},\"face\":{}}}",
                     node.index(),
-                    u8::from(face_parity)
+                    message.payloads.len() % 2
                 );
             }
             TraceEvent::Reception {
                 round,
                 node,
-                sender,
-                payloads,
+                message,
             } => {
                 let _ = write!(
                     buf,
                     "{{\"e\":\"reception\",\"r\":{round},\"node\":{},\"sender\":{},\"payloads\":",
                     node.index(),
-                    sender.0
+                    message.sender.0
                 );
-                Self::payload_list(buf, payloads);
+                Self::payload_list(buf, message.payloads);
                 buf.push('}');
             }
             TraceEvent::Collision { round, node } => {
@@ -950,28 +672,6 @@ mod tests {
     use super::*;
     use crate::message::ProcessId;
 
-    #[test]
-    fn off_trace_records_nothing() {
-        let mut t = Trace::new(TraceLevel::Off);
-        t.record(|| panic!("must not be invoked when tracing is off"));
-        assert!(t.records().is_empty());
-        assert_eq!(t.level(), TraceLevel::Off);
-    }
-
-    #[test]
-    fn full_trace_records_and_queries() {
-        let mut t = Trace::new(TraceLevel::Full);
-        t.record(|| RoundRecord {
-            round: 1,
-            senders: vec![(NodeId(0), Message::signal(ProcessId(0)))],
-            receptions: vec![Reception::Silence, Reception::Collision],
-        });
-        assert_eq!(t.records().len(), 1);
-        assert_eq!(t.reception(1, NodeId(1)), Some(&Reception::Collision));
-        assert_eq!(t.reception(2, NodeId(0)), None);
-        assert_eq!(t.reception(1, NodeId(5)), None);
-    }
-
     fn sample_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::Inject {
@@ -984,13 +684,12 @@ mod tests {
             TraceEvent::Transmit {
                 round: 1,
                 node: NodeId(0),
-                face_parity: true,
+                message: Message::tagged(ProcessId(0), PayloadId(0), 1),
             },
             TraceEvent::Reception {
                 round: 1,
                 node: NodeId(1),
-                sender: ProcessId(0),
-                payloads: PayloadSet::only(PayloadId(0)),
+                message: Message::tagged(ProcessId(0), PayloadId(0), 1),
             },
             TraceEvent::Collision {
                 round: 1,
@@ -1045,35 +744,59 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_tallies_everything() {
-        let mut m = MetricsSink::with_round_capacity(8);
-        for e in sample_events() {
-            m.emit(e);
-        }
-        let t = m.totals();
-        assert_eq!(t.transmits, 1);
-        assert_eq!(t.receptions, 1);
-        assert_eq!(t.collisions, 1);
-        assert_eq!(t.injects_accepted, 1);
-        assert_eq!(t.epoch_switches, 1);
-        assert_eq!(t.faults, 1);
-        assert_eq!(t.retries, 1);
-        assert_eq!(t.acks, 1);
-        assert_eq!(t.quorum_stages, [1, 0, 0]);
-        assert_eq!(t.verdicts_delivered, 1);
-        assert_eq!(t.payload_copies, 1);
-        assert_eq!(m.payload_redundancy(), 1.0);
-        // Injected before round 1 (round 0), acked at round 4.
-        assert_eq!(m.ack_latencies(), &[4]);
-        assert_eq!(m.mean_ack_latency(), Some(4.0));
-        assert_eq!(m.rounds().len(), 1);
-        assert_eq!(m.rounds()[0].transmits, 1);
-        let rollups = m.epoch_rollups();
-        assert_eq!(rollups.len(), 2);
-        assert_eq!(rollups[0].epoch, 0);
-        assert_eq!(rollups[0].transmits, 1);
-        assert_eq!(rollups[1].epoch, 1);
-        assert_eq!(rollups[1].transmits, 0);
+    fn emission_helpers_carry_whole_messages_and_skip_silence() {
+        let tagged = Message::tagged(ProcessId(0), PayloadId(0), 7);
+        let signal = Message::signal(ProcessId(3));
+        let mut events: Vec<TraceEvent> = Vec::new();
+        emit_transmits(&mut events, 7, &[(NodeId(0), tagged), (NodeId(3), signal)]);
+        emit_receptions(
+            &mut events,
+            7,
+            &[
+                Reception::Message(tagged),
+                Reception::Silence,
+                Reception::Collision,
+                Reception::Message(signal),
+            ],
+        );
+        assert_eq!(
+            events,
+            vec![
+                TraceEvent::Transmit {
+                    round: 7,
+                    node: NodeId(0),
+                    message: tagged,
+                },
+                TraceEvent::Transmit {
+                    round: 7,
+                    node: NodeId(3),
+                    message: signal,
+                },
+                TraceEvent::Reception {
+                    round: 7,
+                    node: NodeId(0),
+                    message: tagged,
+                },
+                TraceEvent::Collision {
+                    round: 7,
+                    node: NodeId(2),
+                },
+                TraceEvent::Reception {
+                    round: 7,
+                    node: NodeId(3),
+                    message: signal,
+                },
+            ]
+        );
+        let heard: Vec<(NodeId, Reception)> = events.iter().filter_map(TraceEvent::heard).collect();
+        assert_eq!(
+            heard,
+            vec![
+                (NodeId(0), Reception::Message(tagged)),
+                (NodeId(2), Reception::Collision),
+                (NodeId(3), Reception::Message(signal)),
+            ]
+        );
     }
 
     #[test]
@@ -1107,8 +830,12 @@ mod tests {
         for line in doc.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        assert!(doc.contains("\"e\":\"transmit\""));
-        assert!(doc.contains("\"payloads\":[0]"));
+        // trace-v1 renders the message-carrying events exactly as before
+        // they carried the message: `face` is the payload-count parity,
+        // and a reception names only its sender and payloads.
+        assert!(doc.contains("{\"e\":\"transmit\",\"r\":1,\"node\":0,\"face\":1}\n"));
+        assert!(doc
+            .contains("{\"e\":\"reception\",\"r\":1,\"node\":1,\"sender\":0,\"payloads\":[0]}\n"));
         assert!(doc.contains("\"role\":\"crashed\""));
         assert!(doc.contains("\"stage\":\"echo\""));
         assert!(doc.contains("\"accepted\":true"));

@@ -39,7 +39,6 @@ use dualgraph_sim::{
     Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
     Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, NodeRole, PayloadId, PayloadSet,
     Process, ProcessId, RandomDelivery, ReferenceExecutor, ReliableOnly, SilentProcess, StartRule,
-    TraceLevel,
 };
 
 /// The adversary menu; every engine under comparison gets its own
@@ -86,7 +85,6 @@ fn configs() -> Vec<ExecutorConfig> {
             out.push(ExecutorConfig {
                 rule,
                 start,
-                trace: TraceLevel::Off,
                 payload: PayloadId(0),
             });
         }
@@ -340,7 +338,6 @@ fn equivocator_faces_route_by_receiver_parity() {
     let config = ExecutorConfig {
         rule: CollisionRule::Cr4,
         start: StartRule::Synchronous,
-        trace: TraceLevel::Off,
         payload: PayloadId(0),
     };
     let mut exec = Executor::new(&net, procs, Box::new(ReliableOnly::new()), config).unwrap();
@@ -380,7 +377,6 @@ fn forged_ids_pollute_known_records_but_never_inform() {
     let config = ExecutorConfig {
         rule: CollisionRule::Cr4,
         start: StartRule::Synchronous,
-        trace: TraceLevel::Off,
         payload: PayloadId(0),
     };
     let mut exec = Executor::new(&net, procs, Box::new(ReliableOnly::new()), config).unwrap();

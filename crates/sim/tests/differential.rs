@@ -11,12 +11,16 @@
 //! The engines share no round-loop code paths for process dispatch: any
 //! divergence in message ordering, adversary call order, collision
 //! resolution, or enum-vs-virtual dispatch shows up as a mismatch here.
+//! Every engine steps through a recording `Vec<TraceEvent>` sink, so each
+//! round's transmissions and receptions are compared as whole messages,
+//! round tags included.
 
 use dualgraph_net::{generators, DualGraph, NodeId};
+use dualgraph_sim::automata::RoundRobinProcess;
 use dualgraph_sim::{
-    Adversary, BurstyDelivery, ChatterProcess, CollisionRule, CollisionSeeker, Executor,
-    ExecutorConfig, FullDelivery, ProcessId, RandomDelivery, ReferenceExecutor, ReliableOnly,
-    StartRule, TraceLevel, WithAssignment,
+    first_divergence, Adversary, BurstyDelivery, ChatterProcess, CollisionRule, CollisionSeeker,
+    Executor, ExecutorConfig, FullDelivery, ProcessId, ProcessSlot, RandomDelivery,
+    ReferenceExecutor, ReliableOnly, StartRule, TraceEvent, WithAssignment,
 };
 
 /// The full adversary menu as `(name, factory)` pairs — each engine under
@@ -48,33 +52,59 @@ fn adversary_menu(seed: u64) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adver
     ]
 }
 
-/// Steps all three engines side by side, asserting identical
-/// `RoundSummary`s, traces, and `BroadcastOutcome`s every round.
+/// Panics at the first diverging event if two recorded streams differ
+/// past `from` (the streams agree before it).
+fn assert_same_stream(left: &[TraceEvent], right: &[TraceEvent], from: usize, what: &str) {
+    if let Some(div) = first_divergence(&left[from..], &right[from..]) {
+        panic!(
+            "{what}: event streams diverged at event #{}: left {:?}, right {:?}",
+            from + div.index,
+            div.left,
+            div.right
+        );
+    }
+}
+
+/// Boxes a slot population for the virtual-dispatch arms.
+fn boxed(slots: Vec<ProcessSlot>) -> Vec<Box<dyn dualgraph_sim::Process>> {
+    slots.into_iter().map(ProcessSlot::into_boxed).collect()
+}
+
+/// Steps all three engines side by side — the population's slots on the
+/// batched path, the same automata boxed, and the reference oracle —
+/// asserting identical event streams, `RoundSummary`s and
+/// `BroadcastOutcome`s every round. Returns the enum engine's stream.
 fn assert_engines_agree(
     net: &DualGraph,
-    seed: u64,
+    slots: &dyn Fn() -> Vec<ProcessSlot>,
     adversary: &dyn Fn() -> Box<dyn Adversary>,
     config: ExecutorConfig,
     max_rounds: u64,
     label: &str,
-) {
-    let n = net.len();
-    let mut enumd =
-        Executor::from_slots(net, ChatterProcess::slots(n, seed, 3), adversary(), config).unwrap();
+) -> Vec<TraceEvent> {
+    let mut enumd = Executor::from_slots(net, slots(), adversary(), config).unwrap();
     assert!(
         enumd.uses_batched_dispatch(),
-        "{label}: homogeneous chatter slots must take the batched path"
+        "{label}: homogeneous slots must take the batched path"
     );
-    let mut boxed =
-        Executor::new(net, ChatterProcess::boxed(n, seed, 3), adversary(), config).unwrap();
-    assert!(!boxed.uses_batched_dispatch());
-    let mut reference =
-        ReferenceExecutor::new(net, ChatterProcess::boxed(n, seed, 3), adversary(), config)
-            .unwrap();
+    let mut boxed_exec = Executor::new(net, boxed(slots()), adversary(), config).unwrap();
+    assert!(!boxed_exec.uses_batched_dispatch());
+    let mut reference = ReferenceExecutor::new(net, boxed(slots()), adversary(), config).unwrap();
+    let (mut enum_events, mut boxed_events, mut reference_events) =
+        (Vec::new(), Vec::new(), Vec::new());
     for round in 0..max_rounds {
-        let a = enumd.step();
-        let b = boxed.step();
-        let c = reference.step();
+        let from = enum_events.len();
+        let a = enumd.step_traced(&mut enum_events);
+        let b = boxed_exec.step_traced(&mut boxed_events);
+        let c = reference.step_traced(&mut reference_events);
+        let what = |pair| format!("{label}: {pair} in round {}", a.round);
+        assert_same_stream(&enum_events, &boxed_events, from, &what("enum vs boxed"));
+        assert_same_stream(
+            &boxed_events,
+            &reference_events,
+            from,
+            &what("boxed vs reference"),
+        );
         assert_eq!(
             a, b,
             "{label}: enum vs boxed summaries diverged at round {round}"
@@ -85,11 +115,11 @@ fn assert_engines_agree(
         );
         assert_eq!(
             enumd.outcome(),
-            boxed.outcome(),
+            boxed_exec.outcome(),
             "{label}: enum vs boxed outcomes diverged at round {round}"
         );
         assert_eq!(
-            boxed.outcome(),
+            boxed_exec.outcome(),
             reference.outcome(),
             "{label}: boxed vs reference outcomes diverged at round {round}"
         );
@@ -97,16 +127,12 @@ fn assert_engines_agree(
             break;
         }
     }
-    assert_eq!(
-        enumd.trace().records(),
-        boxed.trace().records(),
-        "{label}: enum vs boxed traces diverged"
-    );
-    assert_eq!(
-        boxed.trace().records(),
-        reference.trace().records(),
-        "{label}: boxed vs reference traces diverged"
-    );
+    enum_events
+}
+
+/// The chatter population every menu-wide comparison runs.
+fn chatter(n: usize, seed: u64) -> impl Fn() -> Vec<ProcessSlot> {
+    move || ChatterProcess::slots(n, seed, 3)
 }
 
 #[test]
@@ -125,12 +151,9 @@ fn optimized_engine_matches_reference_on_random_topologies() {
         for (name, make) in adversary_menu(topo_seed ^ 0xA5) {
             assert_engines_agree(
                 &net,
-                topo_seed.wrapping_mul(31) ^ 7,
+                &chatter(n, topo_seed.wrapping_mul(31) ^ 7),
                 &*make,
-                ExecutorConfig {
-                    trace: TraceLevel::Full,
-                    ..ExecutorConfig::default()
-                },
+                ExecutorConfig::default(),
                 60,
                 &format!("er_dual(seed={topo_seed}, n={n}) x {name}"),
             );
@@ -152,12 +175,11 @@ fn optimized_engine_matches_reference_across_rules_and_starts() {
         for start in [StartRule::Synchronous, StartRule::Asynchronous] {
             assert_engines_agree(
                 &net,
-                1234,
+                &chatter(net.len(), 1234),
                 &|| Box::new(RandomDelivery::new(0.6, 42)),
                 ExecutorConfig {
                     rule,
                     start,
-                    trace: TraceLevel::Full,
                     ..ExecutorConfig::default()
                 },
                 50,
@@ -191,7 +213,6 @@ fn engines_agree_in_all_senders_steady_state() {
                 let config = ExecutorConfig {
                     rule,
                     start: StartRule::Synchronous,
-                    trace: TraceLevel::Full,
                     ..ExecutorConfig::default()
                 };
                 let label = format!("{name}/{adv_name}/{rule}");
@@ -201,18 +222,15 @@ fn engines_agree_in_all_senders_steady_state() {
                     Executor::new(&net, Flooder::boxed(n), adversary(), config).unwrap();
                 let mut reference =
                     ReferenceExecutor::new(&net, Flooder::boxed(n), adversary(), config).unwrap();
+                let (mut enum_events, mut reference_events) = (Vec::new(), Vec::new());
                 for round in 0..30 {
-                    let a = enumd.step();
+                    let a = enumd.step_traced(&mut enum_events);
                     let b = boxed.step();
-                    let c = reference.step();
+                    let c = reference.step_traced(&mut reference_events);
                     assert_eq!(a, b, "{label}: enum vs boxed at round {round}");
                     assert_eq!(b, c, "{label}: boxed vs reference at round {round}");
                 }
-                assert_eq!(
-                    enumd.trace().records(),
-                    reference.trace().records(),
-                    "{label}: traces diverged"
-                );
+                assert_same_stream(&enum_events, &reference_events, 0, &label);
                 assert_eq!(enumd.outcome(), reference.outcome(), "{label}");
             }
         }
@@ -257,12 +275,9 @@ fn engines_agree_under_non_identity_assignments() {
         };
         assert_engines_agree(
             &net,
-            99,
+            &chatter(n, 99),
             &make,
-            ExecutorConfig {
-                trace: TraceLevel::Full,
-                ..ExecutorConfig::default()
-            },
+            ExecutorConfig::default(),
             60,
             &format!("non-identity assignment ({name})"),
         );
@@ -296,14 +311,65 @@ fn optimized_engine_matches_reference_on_gadgets() {
     for (name, net) in topologies {
         assert_engines_agree(
             &net,
-            5,
+            &chatter(net.len(), 5),
             &|| Box::new(FullDelivery::new()),
-            ExecutorConfig {
-                trace: TraceLevel::Full,
-                ..ExecutorConfig::default()
-            },
+            ExecutorConfig::default(),
             40,
             name,
         );
+    }
+}
+
+/// Round Robin recovers the global clock from the `round_tag` of the
+/// first message it hears (§5 footnote 1), so under asynchronous start a
+/// dropped or rewritten tag changes every later transmission. Chatter
+/// sets no tag; this is the three-way check on a protocol that does.
+#[test]
+fn engines_agree_on_round_tagged_protocol_under_async_start() {
+    for topo_seed in 0..8u64 {
+        let n = 5 + (topo_seed as usize * 5) % 20;
+        let net = generators::er_dual(
+            generators::ErDualParams {
+                n,
+                reliable_p: 0.15,
+                unreliable_p: 0.25,
+            },
+            topo_seed,
+        );
+        let slots = move || {
+            (0..n)
+                .map(|i| {
+                    ProcessSlot::RoundRobin(RoundRobinProcess::new(ProcessId::from_index(i), n))
+                })
+                .collect()
+        };
+        for rule in CollisionRule::ALL {
+            for (name, make) in adversary_menu(topo_seed ^ 0x7A) {
+                let label =
+                    format!("round-robin er_dual(seed={topo_seed}, n={n}) x {name} x {rule}");
+                let events = assert_engines_agree(
+                    &net,
+                    &slots,
+                    &*make,
+                    ExecutorConfig {
+                        rule,
+                        start: StartRule::Asynchronous,
+                        ..ExecutorConfig::default()
+                    },
+                    4 * n as u64,
+                    &label,
+                );
+                // The comparison must cover tags crossing the medium: some
+                // node heard another process's tagged message.
+                assert!(
+                    events.iter().any(|e| matches!(
+                        e,
+                        TraceEvent::Reception { node, message, .. }
+                            if message.round_tag.is_some() && message.sender.index() != node.index()
+                    )),
+                    "{label}: no tagged message was relayed"
+                );
+            }
+        }
     }
 }

@@ -26,7 +26,7 @@ use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
     Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, PayloadId, PayloadSet,
-    RandomDelivery, ReferenceExecutor, ReliableOnly, StartRule, TraceLevel,
+    RandomDelivery, ReferenceExecutor, ReliableOnly, StartRule,
 };
 
 /// The adversary menu; every engine under comparison gets its own
@@ -77,7 +77,6 @@ fn configs() -> Vec<ExecutorConfig> {
             out.push(ExecutorConfig {
                 rule,
                 start,
-                trace: TraceLevel::Off,
                 payload: PayloadId(0),
             });
         }

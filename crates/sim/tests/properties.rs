@@ -3,10 +3,31 @@
 
 use dualgraph_net::{generators, NodeId};
 use dualgraph_sim::{
-    ChatterProcess as Chatter, CollisionRule, Executor, ExecutorConfig, RandomDelivery,
-    ReliableOnly, StartRule, TraceLevel,
+    ChatterProcess as Chatter, CollisionRule, Executor, ExecutorConfig, Message, RandomDelivery,
+    Reception, ReliableOnly, StartRule, TraceEvent,
 };
 use proptest::prelude::*;
+
+/// One round's transmissions, in node order.
+fn transmits(events: &[TraceEvent]) -> Vec<(NodeId, Message)> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Transmit { node, message, .. } => Some((node, message)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One round's reception at every node, indexed by node (silence where
+/// the stream has no event).
+fn receptions(n: usize, events: &[TraceEvent]) -> Vec<Reception> {
+    let mut out = vec![Reception::Silence; n];
+    for (node, reception) in events.iter().filter_map(TraceEvent::heard) {
+        out[node.index()] = reception;
+    }
+    out
+}
 
 fn random_net(n: usize, seed: u64) -> dualgraph_net::DualGraph {
     generators::er_dual(
@@ -31,10 +52,7 @@ proptest! {
             &net,
             Chatter::boxed(n, seed, rate),
             Box::new(RandomDelivery::new(0.5, seed ^ 1)),
-            ExecutorConfig {
-                trace: TraceLevel::Full,
-                ..ExecutorConfig::default()
-            },
+            ExecutorConfig::default(),
         ).unwrap();
         let mut last = exec.informed_count();
         for _ in 0..60 {
@@ -66,7 +84,6 @@ proptest! {
             Box::new(RandomDelivery::new(0.3, seed ^ 2)),
             ExecutorConfig {
                 rule,
-                trace: TraceLevel::Full,
                 ..ExecutorConfig::default()
             },
         ).unwrap();
@@ -74,10 +91,9 @@ proptest! {
             let before: Vec<bool> = (0..n)
                 .map(|v| exec.is_informed(NodeId::from_index(v)))
                 .collect();
-            exec.step();
-            let records = exec.trace().records();
-            let rec = records.last().unwrap();
-            if let [(u, m)] = rec.senders.as_slice() {
+            let mut events: Vec<TraceEvent> = Vec::new();
+            exec.step_traced(&mut events);
+            if let [(u, m)] = transmits(&events).as_slice() {
                 if m.carries_payload() {
                     for &v in net.reliable().out_neighbors(*u) {
                         prop_assert!(
@@ -113,16 +129,18 @@ proptest! {
                 ExecutorConfig {
                     rule,
                     start: StartRule::Synchronous,
-                    trace: TraceLevel::Full,
                     ..ExecutorConfig::default()
                 },
             ).unwrap();
-            exec.run_rounds(25);
-            for rec in exec.trace().records() {
-                let sender_nodes: Vec<NodeId> = rec.senders.iter().map(|s| s.0).collect();
+            for _ in 0..25 {
+                let mut events: Vec<TraceEvent> = Vec::new();
+                exec.step_traced(&mut events);
+                let senders = transmits(&events);
+                let receptions = receptions(n, &events);
+                let sender_nodes: Vec<NodeId> = senders.iter().map(|s| s.0).collect();
                 for v in 0..n {
                     let v = NodeId::from_index(v);
-                    let reception = &rec.receptions[v.index()];
+                    let reception = &receptions[v.index()];
                     let sent = sender_nodes.contains(&v);
                     match rule {
                         CollisionRule::Cr3 | CollisionRule::Cr4 => {
@@ -132,14 +150,13 @@ proptest! {
                     }
                     if sent && rule != CollisionRule::Cr1 {
                         // CR2-CR4 senders always hear themselves.
-                        let own = rec.senders.iter().find(|s| s.0 == v).unwrap().1;
+                        let own = senders.iter().find(|s| s.0 == v).unwrap().1;
                         prop_assert_eq!(reception.message(), Some(&own));
                     }
                     // A received message must come from a G'-in-neighbor
                     // (or be the node's own transmission).
                     if let Some(m) = reception.message() {
-                        let from = rec
-                            .senders
+                        let from = senders
                             .iter()
                             .find(|s| s.1.sender == m.sender)
                             .map(|s| s.0)
@@ -154,25 +171,27 @@ proptest! {
         }
     }
 
-    /// Stepping two identical executors yields identical traces.
+    /// Stepping two identical executors yields identical event streams.
     #[test]
     fn step_determinism(n in 3usize..16, seed: u64, rounds in 1u64..40) {
         let net = random_net(n, seed);
-        let build = || Executor::new(
-            &net,
-            Chatter::boxed(n, seed, 3),
-            Box::new(RandomDelivery::new(0.4, seed ^ 4)),
-            ExecutorConfig {
-                trace: TraceLevel::Full,
-                ..ExecutorConfig::default()
-            },
-        ).unwrap();
-        let mut a = build();
-        let mut b = build();
-        a.run_rounds(rounds);
-        b.run_rounds(rounds);
-        prop_assert_eq!(a.outcome(), b.outcome());
-        prop_assert_eq!(a.trace().records(), b.trace().records());
+        let run = || {
+            let mut exec = Executor::new(
+                &net,
+                Chatter::boxed(n, seed, 3),
+                Box::new(RandomDelivery::new(0.4, seed ^ 4)),
+                ExecutorConfig::default(),
+            ).unwrap();
+            let mut events: Vec<TraceEvent> = Vec::new();
+            for _ in 0..rounds {
+                exec.step_traced(&mut events);
+            }
+            (exec.outcome(), events)
+        };
+        let (outcome_a, events_a) = run();
+        let (outcome_b, events_b) = run();
+        prop_assert_eq!(outcome_a, outcome_b);
+        prop_assert_eq!(events_a, events_b);
     }
 
     /// Under the benign adversary on a classical network, CR4's adversary
@@ -187,12 +206,14 @@ proptest! {
                 Box::new(ReliableOnly::new()),
                 ExecutorConfig {
                     rule,
-                    trace: TraceLevel::Full,
                     ..ExecutorConfig::default()
                 },
             ).unwrap();
-            exec.run_rounds(30);
-            exec.trace().records().to_vec()
+            let mut events: Vec<TraceEvent> = Vec::new();
+            for _ in 0..30 {
+                exec.step_traced(&mut events);
+            }
+            events
         };
         // ReliableOnly resolves CR4 to silence, which is CR3's semantics.
         prop_assert_eq!(run(CollisionRule::Cr3), run(CollisionRule::Cr4));

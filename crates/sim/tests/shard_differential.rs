@@ -44,7 +44,7 @@ use dualgraph_sim::{
     Cr4Resolution, DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan, Flooder,
     FullDelivery, Message, PayloadId, PayloadSet, Process, ProcessId, ProcessSlot, RandomDelivery,
     Reception, ReferenceExecutor, ReliableOnly, RoundContext, RoundSummary, ShardedExecutor,
-    StartRule, TraceEvent, TraceLevel, TraceSink, WithAssignment, WithRandomCr4,
+    StartRule, TraceEvent, TraceSink, WithAssignment, WithRandomCr4,
 };
 
 /// Worker counts under test: the delegating single-shard path, an even
@@ -98,7 +98,6 @@ fn configs() -> Vec<ExecutorConfig> {
             out.push(ExecutorConfig {
                 rule,
                 start,
-                trace: TraceLevel::Off,
                 payload: PayloadId(0),
             });
         }
@@ -304,20 +303,9 @@ fn sharded_engines_agree_under_faults_and_churn() {
     }
 }
 
-/// A sink that records every event, for stream-equality checks.
-#[derive(Default)]
-struct VecSink(Vec<TraceEvent>);
-
-impl TraceSink for VecSink {
-    fn emit(&mut self, event: TraceEvent) {
-        self.0.push(event);
-    }
-}
-
 /// Property 3: the coordinator-side trace emission reproduces the
-/// sequential event stream exactly — same events, same order — for
-/// every worker count, with the round ledger (`TraceLevel::Full`)
-/// agreeing as well.
+/// sequential event stream exactly — same events, same order, whole
+/// messages — for every worker count.
 #[test]
 fn sharded_trace_streams_are_identical() {
     let n = 150;
@@ -326,36 +314,30 @@ fn sharded_trace_streams_are_identical() {
         let config = ExecutorConfig {
             rule,
             start: StartRule::Synchronous,
-            trace: TraceLevel::Full,
             payload: PayloadId(0),
         };
         let make_adv = || Box::new(RandomDelivery::new(0.4, 17)) as Box<dyn Adversary>;
         let mut sequential =
             Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
-        let mut seq_sink = VecSink::default();
+        let mut seq_events: Vec<TraceEvent> = Vec::new();
         for _ in 0..20 {
-            sequential.step_traced(&mut seq_sink);
+            sequential.step_traced(&mut seq_events);
         }
         for workers in WORKER_COUNTS {
             let exec = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
             let mut sharded = ShardedExecutor::new(exec, workers);
-            let mut sink = VecSink::default();
+            let mut events: Vec<TraceEvent> = Vec::new();
             for _ in 0..20 {
-                sharded.step_traced(&mut sink);
+                sharded.step_traced(&mut events);
             }
             assert_eq!(
-                seq_sink.0.len(),
-                sink.0.len(),
+                seq_events.len(),
+                events.len(),
                 "{rule:?} workers={workers}: event counts"
             );
-            for (i, (a, b)) in seq_sink.0.iter().zip(&sink.0).enumerate() {
+            for (i, (a, b)) in seq_events.iter().zip(&events).enumerate() {
                 assert_eq!(a, b, "{rule:?} workers={workers}: event {i}");
             }
-            assert_eq!(
-                sequential.trace().records(),
-                sharded.trace().records(),
-                "{rule:?} workers={workers}: round ledger"
-            );
         }
     }
 }
@@ -404,7 +386,6 @@ fn interleaved_sequential_and_sharded_steps_agree() {
     let config = ExecutorConfig {
         rule: CollisionRule::Cr4,
         start: StartRule::Synchronous,
-        trace: TraceLevel::Off,
         payload: PayloadId(0),
     };
     interleave(
@@ -480,7 +461,6 @@ fn interleaved_steps_agree_after_coordinator_rounds() {
         let config = ExecutorConfig {
             rule: CollisionRule::Cr4,
             start,
-            trace: TraceLevel::Off,
             payload: PayloadId(0),
         };
         let label = format!("directed flooding {start:?}");
@@ -489,7 +469,6 @@ fn interleaved_steps_agree_after_coordinator_rounds() {
     let config = ExecutorConfig {
         rule: CollisionRule::Cr4,
         start: StartRule::Synchronous,
-        trace: TraceLevel::Off,
         payload: PayloadId(0),
     };
     interleave("directed pulse", &net, config, Pulse::slots, adv, 200);
@@ -544,10 +523,10 @@ fn lockstep(
     label: &str,
     rounds: usize,
     mut sequential: impl FnMut() -> RoundSummary,
-    mut in_shard: impl FnMut(&mut VecSink) -> RoundSummary,
-    mut coordinator: impl FnMut(&mut VecSink) -> RoundSummary,
+    mut in_shard: impl FnMut(&mut Vec<TraceEvent>) -> RoundSummary,
+    mut coordinator: impl FnMut(&mut Vec<TraceEvent>) -> RoundSummary,
 ) {
-    let (mut a, mut b) = (VecSink::default(), VecSink::default());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
     for round in 0..rounds {
         let ss = sequential();
         let si = in_shard(&mut a);
@@ -555,8 +534,8 @@ fn lockstep(
         assert_eq!(si, sc, "{label}: in-shard vs coordinator, round {round}");
         assert_eq!(ss, si, "{label}: sequential vs in-shard, round {round}");
     }
-    assert_eq!(a.0.len(), b.0.len(), "{label}: event counts");
-    for (i, (x, y)) in a.0.iter().zip(&b.0).enumerate() {
+    assert_eq!(a.len(), b.len(), "{label}: event counts");
+    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(x, y, "{label}: event {i}");
     }
 }

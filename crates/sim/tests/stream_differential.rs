@@ -22,7 +22,7 @@ use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, Executor, ExecutorConfig, Flooder,
     FullDelivery, PayloadId, ProcessId, ProcessSlot, RandomDelivery, ReferenceExecutor,
-    ReliableOnly, StartRule, TraceLevel,
+    ReliableOnly, StartRule, TraceEvent,
 };
 
 /// The adversary menu; every engine under comparison gets its own
@@ -73,7 +73,6 @@ fn configs() -> Vec<ExecutorConfig> {
             out.push(ExecutorConfig {
                 rule,
                 start,
-                trace: TraceLevel::Full,
                 payload: PayloadId(0),
             });
         }
@@ -116,21 +115,19 @@ fn k1_pipelined_flooding_is_bit_identical_to_flooder() {
                 let mut pipe_ref =
                     ReferenceExecutor::new(&net, PipelinedFlooder::boxed(n), make_adv(), config)
                         .unwrap();
+                let (mut pipe_events, mut flood_events) =
+                    (Vec::<TraceEvent>::new(), Vec::<TraceEvent>::new());
                 lockstep!(
                     label,
                     60,
-                    || pipe_enum.step(),
-                    || flood_enum.step(),
+                    || pipe_enum.step_traced(&mut pipe_events),
+                    || flood_enum.step_traced(&mut flood_events),
                     || pipe_boxed.step(),
                     || pipe_ref.step()
                 );
                 assert_eq!(pipe_enum.outcome(), flood_enum.outcome(), "{label}");
                 assert_eq!(pipe_enum.outcome(), pipe_ref.outcome(), "{label}");
-                assert_eq!(
-                    pipe_enum.trace().records(),
-                    flood_enum.trace().records(),
-                    "{label}: traces diverged"
-                );
+                assert_eq!(pipe_events, flood_events, "{label}: event streams diverged");
                 assert_eq!(
                     pipe_enum.known_payloads(),
                     pipe_ref.known_payloads(),
@@ -182,13 +179,19 @@ fn k1_pipelined_harmonic_is_bit_identical_to_harmonic() {
                 let mut multi_ref =
                     ReferenceExecutor::from_slots(&net, pipelined_slots(n, 7), make_adv(), config)
                         .unwrap();
-                lockstep!(label, 80, || single.step(), || multi.step(), || multi_ref
-                    .step());
+                let (mut single_events, mut multi_events) =
+                    (Vec::<TraceEvent>::new(), Vec::<TraceEvent>::new());
+                lockstep!(
+                    label,
+                    80,
+                    || single.step_traced(&mut single_events),
+                    || multi.step_traced(&mut multi_events),
+                    || multi_ref.step()
+                );
                 assert_eq!(single.outcome(), multi.outcome(), "{label}");
                 assert_eq!(
-                    single.trace().records(),
-                    multi.trace().records(),
-                    "{label}: traces diverged"
+                    single_events, multi_events,
+                    "{label}: event streams diverged"
                 );
             }
         }

@@ -4,11 +4,13 @@
 //! 1. **`NullSink` transparency** — `step_traced(&mut NullSink)` must be
 //!    *the* untraced round: every hook is guarded by
 //!    `TraceSink::ENABLED`, so the `NullSink` instantiation is the exact
-//!    code path `step` delegates to. Verified behaviorally here across
-//!    all three engines (enum/boxed/reference) × the adversary menu ×
-//!    CR1–CR4 × both start rules: summaries, known-payload records,
-//!    outcomes, and legacy traces identical round for round, injections
-//!    included.
+//!    code path `step` delegates to. Recording must not change the round
+//!    either: the differential suites step through a `Vec<TraceEvent>`
+//!    sink, not through `step()`. Verified behaviorally here across all
+//!    three engines (enum/boxed/reference) × the adversary menu × CR1–CR4
+//!    × both start rules: plain, `NullSink` and recorded runs agree on
+//!    summaries, known-payload records and outcomes round for round,
+//!    injections included.
 //! 2. **trace equivalence** — the optimized engine and the naive
 //!    reference oracle must emit *identical event streams*, not just
 //!    identical end states: same events, same order, same round stamps —
@@ -20,10 +22,10 @@
 
 use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::{
-    first_divergence, Adversary, BurstyDelivery, ChatterProcess, CollisionRule, CollisionSeeker,
-    DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan, FullDelivery, NullSink,
-    PayloadId, PayloadSet, RandomDelivery, ReferenceExecutor, ReliableOnly, StartRule, TraceEvent,
-    TraceSink,
+    first_divergence, Adversary, BroadcastOutcome, BurstyDelivery, ChatterProcess, CollisionRule,
+    CollisionSeeker, DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan,
+    FullDelivery, NullSink, PayloadId, PayloadSet, RandomDelivery, ReferenceExecutor, ReliableOnly,
+    RoundSummary, StartRule, TraceEvent, TraceSink,
 };
 
 /// The adversary menu; every engine under comparison gets its own
@@ -73,43 +75,103 @@ fn configs() -> Vec<ExecutorConfig> {
     out
 }
 
-/// Steps `plain` with the untraced entry points and `traced` with the
-/// `NullSink`-instantiated ones, asserting identical behavior every
-/// round — including a mid-run injection through both inject paths.
-#[allow(clippy::too_many_arguments)]
-fn assert_null_transparent<E>(
-    mut plain: E,
-    mut traced: E,
-    rounds: u64,
-    label: &str,
-    mut step_plain: impl FnMut(&mut E) -> dualgraph_sim::RoundSummary,
-    mut step_traced: impl FnMut(&mut E) -> dualgraph_sim::RoundSummary,
-    mut inject_plain: impl FnMut(&mut E, NodeId, PayloadId) -> bool,
-    mut inject_traced: impl FnMut(&mut E, NodeId, PayloadId) -> bool,
-    state: impl Fn(&E) -> (Vec<PayloadSet>, dualgraph_sim::BroadcastOutcome),
-) {
+/// The round and injection entry points the transparency check drives,
+/// over both executor types.
+trait Engine {
+    fn step(&mut self) -> RoundSummary;
+    fn inject(&mut self, node: NodeId, payload: PayloadId) -> bool;
+    fn step_traced<S: TraceSink>(&mut self, sink: &mut S) -> RoundSummary;
+    fn inject_traced<S: TraceSink>(
+        &mut self,
+        node: NodeId,
+        payload: PayloadId,
+        sink: &mut S,
+    ) -> bool;
+    fn state(&self) -> (Vec<PayloadSet>, BroadcastOutcome);
+}
+
+/// Both executor types expose the same inherent entry points.
+macro_rules! impl_engine {
+    ($($ty:ident),+) => {$(
+        impl Engine for $ty<'_> {
+            fn step(&mut self) -> RoundSummary {
+                $ty::step(self)
+            }
+            fn inject(&mut self, node: NodeId, payload: PayloadId) -> bool {
+                $ty::inject(self, node, payload)
+            }
+            fn step_traced<S: TraceSink>(&mut self, sink: &mut S) -> RoundSummary {
+                $ty::step_traced(self, sink)
+            }
+            fn inject_traced<S: TraceSink>(
+                &mut self,
+                node: NodeId,
+                payload: PayloadId,
+                sink: &mut S,
+            ) -> bool {
+                $ty::inject_traced(self, node, payload, sink)
+            }
+            fn state(&self) -> (Vec<PayloadSet>, BroadcastOutcome) {
+                (self.known_payloads().to_vec(), self.outcome())
+            }
+        }
+    )+};
+}
+
+impl_engine!(Executor, ReferenceExecutor);
+
+/// Steps three instances of one engine — `plain` through the untraced
+/// entry points, `null` through the `NullSink`-instantiated ones, and
+/// `recorded` through a recording `Vec<TraceEvent>` sink — asserting
+/// identical behavior every round, including a mid-run injection through
+/// each inject path. The recorded stream must also account for every
+/// round: one `RoundStart` and one `Transmit` per counted sender.
+fn assert_null_transparent<E: Engine>(build: impl Fn() -> E, rounds: u64, label: &str) {
+    let (mut plain, mut null, mut recorded) = (build(), build(), build());
+    let mut events: Vec<TraceEvent> = Vec::new();
     for round in 0..rounds {
         if round == 5 {
-            let a = inject_plain(&mut plain, NodeId(2), PayloadId(3));
-            let b = inject_traced(&mut traced, NodeId(2), PayloadId(3));
-            assert_eq!(a, b, "{label}: injection fate diverged");
+            let a = plain.inject(NodeId(2), PayloadId(3));
+            let b = null.inject_traced(NodeId(2), PayloadId(3), &mut NullSink);
+            let c = recorded.inject_traced(NodeId(2), PayloadId(3), &mut events);
+            assert_eq!(a, b, "{label}: injection fate diverged (NullSink)");
+            assert_eq!(a, c, "{label}: injection fate diverged (recording sink)");
         }
-        let a = step_plain(&mut plain);
-        let b = step_traced(&mut traced);
+        let a = plain.step();
+        let b = null.step_traced(&mut NullSink);
+        let from = events.len();
+        let c = recorded.step_traced(&mut events);
         assert_eq!(
             a, b,
             "{label}: summary diverged at round {round} — NullSink is not transparent"
         );
+        assert_eq!(
+            a, c,
+            "{label}: summary diverged at round {round} — recording changed the round"
+        );
+        let this_round = &events[from..];
+        assert_eq!(
+            this_round.first(),
+            Some(&TraceEvent::RoundStart { round: a.round }),
+            "{label}: round {round} opens with its RoundStart"
+        );
+        let transmits = this_round
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Transmit { .. }))
+            .count();
+        assert_eq!(
+            transmits, a.senders,
+            "{label}: round {round} records every sender"
+        );
     }
-    let (known_a, outcome_a) = state(&plain);
-    let (known_b, outcome_b) = state(&traced);
-    assert_eq!(known_a, known_b, "{label}: known-payload records diverged");
-    assert_eq!(outcome_a, outcome_b, "{label}: outcomes diverged");
+    let plain = plain.state();
+    assert_eq!(plain, null.state(), "{label}: NullSink run diverged");
+    assert_eq!(plain, recorded.state(), "{label}: recorded run diverged");
 }
 
-/// Contract 1: `NullSink`-traced stepping is indistinguishable from
-/// untraced stepping on all three engines, across the menu × CR1–CR4 ×
-/// both start rules.
+/// Contract 1: `NullSink`-traced and recorded stepping are
+/// indistinguishable from untraced stepping on all three engines, across
+/// the menu × CR1–CR4 × both start rules.
 #[test]
 fn null_sink_is_transparent_on_every_engine() {
     for (topo_seed, n) in [(3u64, 19usize), (11, 27)] {
@@ -118,52 +180,39 @@ fn null_sink_is_transparent_on_every_engine() {
             for (name, make) in adversary_menu(topo_seed ^ 0x5A) {
                 let seed = topo_seed.wrapping_mul(97) ^ 13;
                 let label = format!("n={n} {name} {:?}/{:?}", config.rule, config.start);
-
-                let build_enum = || {
-                    Executor::from_slots(&net, ChatterProcess::slots(n, seed, 3), make(), config)
-                        .unwrap()
-                };
                 assert_null_transparent(
-                    build_enum(),
-                    build_enum(),
+                    || {
+                        Executor::from_slots(
+                            &net,
+                            ChatterProcess::slots(n, seed, 3),
+                            make(),
+                            config,
+                        )
+                        .unwrap()
+                    },
                     40,
                     &format!("enum {label}"),
-                    |e| e.step(),
-                    |e| e.step_traced(&mut NullSink),
-                    |e, node, p| e.inject(node, p),
-                    |e, node, p| e.inject_traced(node, p, &mut NullSink),
-                    |e| (e.known_payloads().to_vec(), e.outcome()),
                 );
-
-                let build_boxed = || {
-                    Executor::new(&net, ChatterProcess::boxed(n, seed, 3), make(), config).unwrap()
-                };
                 assert_null_transparent(
-                    build_boxed(),
-                    build_boxed(),
+                    || {
+                        Executor::new(&net, ChatterProcess::boxed(n, seed, 3), make(), config)
+                            .unwrap()
+                    },
                     40,
                     &format!("boxed {label}"),
-                    |e| e.step(),
-                    |e| e.step_traced(&mut NullSink),
-                    |e, node, p| e.inject(node, p),
-                    |e, node, p| e.inject_traced(node, p, &mut NullSink),
-                    |e| (e.known_payloads().to_vec(), e.outcome()),
                 );
-
-                let build_ref = || {
-                    ReferenceExecutor::new(&net, ChatterProcess::boxed(n, seed, 3), make(), config)
-                        .unwrap()
-                };
                 assert_null_transparent(
-                    build_ref(),
-                    build_ref(),
+                    || {
+                        ReferenceExecutor::new(
+                            &net,
+                            ChatterProcess::boxed(n, seed, 3),
+                            make(),
+                            config,
+                        )
+                        .unwrap()
+                    },
                     40,
                     &format!("reference {label}"),
-                    |e| e.step(),
-                    |e| e.step_traced(&mut NullSink),
-                    |e, node, p| e.inject(node, p),
-                    |e, node, p| e.inject_traced(node, p, &mut NullSink),
-                    |e| (e.known_payloads().to_vec(), e.outcome()),
                 );
             }
         }

@@ -7,7 +7,7 @@ use dualgraph::{
 };
 // The canonical flooding automaton (this file used to carry a private
 // duplicate; it was promoted to `dualgraph_sim::Flooder`).
-use dualgraph_sim::{ActivationCause, Adversary, Flooder, Reception, RoundContext, TraceLevel};
+use dualgraph_sim::{ActivationCause, Adversary, Flooder, Reception, RoundContext, TraceEvent};
 
 /// An adversary that tries to cheat: delivering outside `G′ ∖ G` must be
 /// rejected by the executor.
@@ -80,26 +80,43 @@ fn collision_rules_differ_only_in_notification() {
             ExecutorConfig {
                 rule,
                 start: StartRule::Synchronous,
-                trace: TraceLevel::Full,
                 ..ExecutorConfig::default()
             },
         )
         .unwrap();
-        exec.run_rounds(3);
-        exec.trace().records().to_vec()
+        let mut events: Vec<TraceEvent> = Vec::new();
+        for _ in 0..3 {
+            exec.step_traced(&mut events);
+        }
+        events
     };
     let cr1 = run(CollisionRule::Cr1);
     let cr3 = run(CollisionRule::Cr3);
+    let senders = |events: &[TraceEvent], round| {
+        events
+            .iter()
+            .filter(|e| e.round() == round && matches!(e, TraceEvent::Transmit { .. }))
+            .count()
+    };
+    // What `node` heard in `round` (silence emits no event).
+    let heard = |events: &[TraceEvent], round, node| {
+        events
+            .iter()
+            .filter(|e| e.round() == round)
+            .filter_map(TraceEvent::heard)
+            .find(|&(v, _)| v == node)
+            .map_or(Reception::Silence, |(_, reception)| reception)
+    };
     // Round 1: hub alone -> everyone informed in both.
-    assert_eq!(cr1[0].senders.len(), 1);
+    assert_eq!(senders(&cr1, 1), 1);
     // Round 2: all four send; the hub is reached by three leaves + itself.
     // CR1: collision notification; CR3: own message (senders hear selves).
-    assert_eq!(cr1[1].senders.len(), 4);
-    assert!(cr1[1].receptions[0].is_collision());
-    assert!(matches!(cr3[1].receptions[0], Reception::Message(_)));
+    assert_eq!(senders(&cr1, 2), 4);
+    assert!(heard(&cr1, 2, NodeId(0)).is_collision());
+    assert!(matches!(heard(&cr3, 2, NodeId(0)), Reception::Message(_)));
     // A leaf (sender) under CR1 hears ⊤ (hub + itself), CR3 hears itself.
-    assert!(cr1[1].receptions[1].is_collision());
-    assert!(matches!(cr3[1].receptions[1], Reception::Message(m) if m.sender == ProcessId(1)));
+    assert!(heard(&cr1, 2, NodeId(1)).is_collision());
+    assert!(matches!(heard(&cr3, 2, NodeId(1)), Reception::Message(m) if m.sender == ProcessId(1)));
 }
 
 /// Asynchronous start: nodes beyond the frontier stay asleep and send
@@ -158,13 +175,33 @@ fn sync_start_uninformed_processes_can_transmit() {
         Box::new(ReliableOnly::new()),
         ExecutorConfig {
             start: StartRule::Synchronous,
-            trace: TraceLevel::Full,
             ..ExecutorConfig::default()
         },
     )
     .unwrap();
-    exec.run_rounds(2);
-    assert_eq!(exec.trace().records()[1].senders.len(), 2);
+    let mut events: Vec<TraceEvent> = Vec::new();
+    for _ in 0..2 {
+        exec.step_traced(&mut events);
+    }
+    let round2: Vec<TraceEvent> = events
+        .into_iter()
+        .filter(|e| e.round() == 2 && matches!(e, TraceEvent::Transmit { .. }))
+        .collect();
+    assert_eq!(
+        round2,
+        vec![
+            TraceEvent::Transmit {
+                round: 2,
+                node: NodeId(1),
+                message: Message::signal(ProcessId(1)),
+            },
+            TraceEvent::Transmit {
+                round: 2,
+                node: NodeId(2),
+                message: Message::signal(ProcessId(2)),
+            },
+        ]
+    );
 }
 
 /// Round tags let an asynchronously started process recover the global
