@@ -22,16 +22,18 @@
 //!    the safety accounting actually detects violations, so family 1 is
 //!    not vacuous.
 
+mod common;
+
 use dualgraph_broadcast::stream::{
     plan_arrivals, run_stream_scheduled, run_stream_session, DynamicsConfig, SourcePlacement,
-    StreamAlgorithm, StreamConfig,
+    StreamAlgorithm, StreamConfig, StreamSession,
 };
 use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     local_byzantine_bound, Adversary, BurstyDelivery, CollisionRule, DeliveryVerdict, FaultPlan,
-    FullDelivery, NodeRole, PayloadId, PayloadSet, QuorumPolicy, RandomDelivery, ReliableOnly,
-    WithRandomCr4,
+    FullDelivery, HealthConfig, NodeRole, PayloadId, PayloadSet, QuorumPolicy, RandomDelivery,
+    ReliableOnly, TraceEvent, WithRandomCr4,
 };
 
 fn random_net(seed: u64, n: usize) -> DualGraph {
@@ -358,3 +360,94 @@ fn underestimating_the_bound_is_detected_as_violations() {
         "f = 0 thresholds must let the forgery through: {report:?}"
     );
 }
+
+/// Golden pin of the quorum backend's ledger: a spread-source stream on
+/// a chorded line under a churn schedule, with an equivocator and an
+/// origin crashed when its payload arrives (dropped for good: the backend
+/// has no retry lane) that recovers later. Every verdict, stat, segment,
+/// health figure, the safety count, and the traced `Verdict` and
+/// `QuorumPhase` sequence are pinned as the run produced them.
+#[test]
+fn golden_quorum_ledger_with_an_equivocator_and_a_dropped_arrival() {
+    let k = 4;
+    let schedule = generators::churn_schedule(
+        &generators::line(33, 3),
+        generators::ChurnParams {
+            epochs: 3,
+            span: 20,
+            rewire_fraction: 0.3,
+        },
+        derive_seed(51, 3),
+    );
+    let equiv = NodeId(10);
+    let (even, odd) = (
+        PayloadSet::only(PayloadId(0)),
+        PayloadSet::only(PayloadId(k as u64)),
+    );
+    let config = StreamConfig {
+        k,
+        sources: SourcePlacement::Spread,
+        max_rounds: 4_000,
+        dynamics: Some(DynamicsConfig {
+            faults: FaultPlan::none()
+                .equivocate(equiv, 1, even, odd)
+                .crash(NodeId(16), 0)
+                .recover(NodeId(16), 30),
+            cycle: true,
+        }),
+        reliability: Some(QuorumPolicy::for_bound(1).into()),
+        health: Some(HealthConfig { window: 8 }),
+        ..StreamConfig::default()
+    };
+    assert_eq!(
+        plan_arrivals(schedule.epoch(0).network(), &config)[2].node,
+        NodeId(16)
+    );
+    let session = || {
+        StreamSession::scheduled(
+            &schedule,
+            StreamAlgorithm::PipelinedFlooding,
+            Box::new(WithRandomCr4::new(FullDelivery::new(), 29)),
+            &config,
+        )
+        .unwrap()
+    };
+    let (outcome, _) = session().run();
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let (traced, _) = session().run_traced(&mut events);
+    let view = common::ledger_view(&outcome, &events);
+    assert_eq!(
+        common::ledger_view(&traced, &events),
+        view,
+        "tracing is passive"
+    );
+    assert_eq!(view, QUORUM_GOLDEN);
+}
+
+/// What [`golden_quorum_ledger_with_an_equivocator_and_a_dropped_arrival`]
+/// pins (see `common::ledger_view` for the line shapes).
+const QUORUM_GOLDEN: &[&str] = &[
+    "p0 src=0 arr=0 retries=0 entered=true delivered@112 (0 retries) | p0 src=0 arr=0 done=None dropped=false",
+    "p1 src=8 arr=0 retries=0 entered=true delivered@69 (0 retries) | p1 src=8 arr=0 done=None dropped=false",
+    "p2 src=16 arr=0 retries=0 entered=false abandoned (0 retries) | p2 src=16 arr=0 done=None dropped=true",
+    "p3 src=24 arr=0 retries=0 entered=true delivered@72 (0 retries) | p3 src=24 arr=0 done=None dropped=false",
+    "EpochStreamStats { epoch: 0, first_round: 1, last_round: 20, rcv_events: 79, acked: 3, retries: 0, delivered: 0 }",
+    "EpochStreamStats { epoch: 1, first_round: 21, last_round: 40, rcv_events: 52, acked: 0, retries: 0, delivered: 0 }",
+    "EpochStreamStats { epoch: 2, first_round: 41, last_round: 60, rcv_events: 32, acked: 0, retries: 0, delivered: 0 }",
+    "EpochStreamStats { epoch: 0, first_round: 61, last_round: 80, rcv_events: 11, acked: 0, retries: 0, delivered: 2 }",
+    "EpochStreamStats { epoch: 1, first_round: 81, last_round: 100, rcv_events: 15, acked: 0, retries: 0, delivered: 0 }",
+    "EpochStreamStats { epoch: 2, first_round: 101, last_round: 112, rcv_events: 0, acked: 0, retries: 0, delivered: 1 }",
+    "health window=8 final=0.125 peak=0.25 drop_rate=0.25 pending_retries=3 pending_acks=1",
+    "HistogramSummary { count: 3, min: 1, max: 9, mean: 3.6666666666666665, p50: 1, p90: 9, p99: 9, p999: 9 }",
+    "EpochHealth { epoch: 0, ack_latency: HistogramSummary { count: 3, min: 1, max: 9, mean: 3.6666666666666665, p50: 1, p90: 9, p99: 9, p999: 9 }, deliveries: 0, drops: 1, retries: 0 }",
+    "EpochHealth { epoch: 1, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 0, drops: 0, retries: 0 }",
+    "EpochHealth { epoch: 2, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 0, drops: 0, retries: 0 }",
+    "EpochHealth { epoch: 0, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 2, drops: 0, retries: 0 }",
+    "EpochHealth { epoch: 1, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 0, drops: 0, retries: 0 }",
+    "EpochHealth { epoch: 2, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 1, drops: 0, retries: 0 }",
+    "safety_violations=0",
+    "Verdict { round: 69, payload: PayloadId(1), delivered: true }",
+    "Verdict { round: 72, payload: PayloadId(3), delivered: true }",
+    "Verdict { round: 112, payload: PayloadId(0), delivered: true }",
+    "quorum_phases=288 fnv=0xb508dc2a82116b0a",
+];

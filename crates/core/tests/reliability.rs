@@ -18,15 +18,17 @@
 //!    the engine's known/role records (spam-proof: the junk id collides
 //!    with a stream payload on purpose).
 
+mod common;
+
 use dualgraph_broadcast::stream::{
-    plan_arrivals, run_stream_scheduled, run_stream_session, DynamicsConfig, SourcePlacement,
-    StreamAlgorithm, StreamConfig,
+    plan_arrivals, run_stream_scheduled, run_stream_session, Arrivals, DynamicsConfig,
+    SourcePlacement, StreamAlgorithm, StreamConfig, StreamSession,
 };
 use dualgraph_net::{generators, DualGraph, NodeId};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
-    Adversary, BurstyDelivery, FaultPlan, FullDelivery, PayloadId, PayloadSet, RandomDelivery,
-    ReliableOnly, RetryPolicy, WithRandomCr4,
+    Adversary, BurstyDelivery, FaultPlan, FullDelivery, HealthConfig, PayloadId, PayloadSet,
+    RandomDelivery, ReliableOnly, RetryPolicy, TraceEvent, WithRandomCr4,
 };
 
 fn policies() -> Vec<RetryPolicy> {
@@ -452,3 +454,140 @@ fn retry_rearms_a_quiesced_bounded_flood_through_a_recovered_cut_vertex() {
         "the revival must come from the retry lane: {report:?}"
     );
 }
+
+/// Golden pin of the retry backend's ledger: an ack-gap stream with
+/// Poisson arrivals over a cycled churn schedule. The source is crashed
+/// when payload 2 arrives (dropped, then re-entered by a retry after the
+/// recovery), and a spammer's junk carries payload 2's id before it
+/// enters. Every verdict, stat, segment, health figure and the traced
+/// `Retry`/`Verdict` sequence are pinned as the run produced them.
+#[test]
+fn golden_retry_ledger_under_churn_poisson_arrivals_and_spam() {
+    let n = 33;
+    let schedule = generators::churn_schedule(
+        &random_net(5, n),
+        generators::ChurnParams {
+            epochs: 4,
+            span: 40,
+            rewire_fraction: 0.25,
+        },
+        derive_seed(41, 5),
+    );
+    let network = schedule.epoch(0).network();
+    let source = network.source();
+    let mut junk = PayloadSet::only(PayloadId(2));
+    junk.insert(PayloadId(99));
+    let mut config = StreamConfig {
+        k: 6,
+        arrivals: Arrivals::Poisson { mean_gap: 8.0 },
+        max_rounds: 4_000,
+        seed: 17,
+        reliability: Some(
+            RetryPolicy::AckGap {
+                gap: 12,
+                max_retries: 8,
+            }
+            .into(),
+        ),
+        health: Some(HealthConfig { window: 8 }),
+        ..StreamConfig::default()
+    };
+    let plan = plan_arrivals(network, &config);
+    let rounds: Vec<u64> = plan.iter().map(|a| a.round).collect();
+    assert_eq!(rounds, [0, 1, 14, 16, 22, 24]);
+    let drop_round = plan[2].round;
+    config.dynamics = Some(DynamicsConfig {
+        faults: FaultPlan::none()
+            .crash(source, drop_round)
+            .recover(source, drop_round + 20)
+            .spam(NodeId(7), 1, junk)
+            .recover(NodeId(7), drop_round + 10),
+        cycle: true,
+    });
+    let adversary = || -> Box<dyn Adversary> {
+        Box::new(WithRandomCr4::new(
+            BurstyDelivery::new(0.15, 0.4, 19),
+            derive_seed(3, 19),
+        ))
+    };
+    let algorithm = StreamAlgorithm::PipelinedHarmonic { epsilon: 0.5 };
+    let session = || StreamSession::scheduled(&schedule, algorithm, adversary(), &config).unwrap();
+    let (outcome, _) = session().run();
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let (traced, _) = session().run_traced(&mut events);
+    let view = common::ledger_view(&outcome, &events);
+    assert_eq!(
+        common::ledger_view(&traced, &events),
+        view,
+        "tracing is passive"
+    );
+    assert_eq!(view, RETRY_GOLDEN);
+}
+
+/// What [`golden_retry_ledger_under_churn_poisson_arrivals_and_spam`]
+/// pins (see `common::ledger_view` for the line shapes).
+const RETRY_GOLDEN: &[&str] = &[
+    "p0 src=0 arr=0 retries=5 entered=true delivered@68 (5 retries) | p0 src=0 arr=0 done=Some(68) dropped=false",
+    "p1 src=0 arr=1 retries=8 entered=true abandoned (8 retries) | p1 src=0 arr=1 done=Some(132) dropped=false",
+    "p2 src=0 arr=14 retries=3 entered=true delivered@78 (3 retries) | p2 src=0 arr=14 done=Some(78) dropped=false",
+    "p3 src=0 arr=16 retries=8 entered=true delivered@132 (8 retries) | p3 src=0 arr=16 done=Some(132) dropped=false",
+    "p4 src=0 arr=22 retries=8 entered=true delivered@132 (8 retries) | p4 src=0 arr=22 done=Some(132) dropped=false",
+    "p5 src=0 arr=24 retries=7 entered=true delivered@132 (7 retries) | p5 src=0 arr=24 done=Some(132) dropped=false",
+    "EpochStreamStats { epoch: 0, first_round: 1, last_round: 40, rcv_events: 51, acked: 0, retries: 11, delivered: 0 }",
+    "EpochStreamStats { epoch: 1, first_round: 41, last_round: 80, rcv_events: 56, acked: 7, retries: 16, delivered: 2 }",
+    "EpochStreamStats { epoch: 2, first_round: 81, last_round: 120, rcv_events: 97, acked: 29, retries: 12, delivered: 0 }",
+    "EpochStreamStats { epoch: 3, first_round: 121, last_round: 132, rcv_events: 21, acked: 0, retries: 0, delivered: 3 }",
+    "health window=8 final=0.375 peak=0.375 drop_rate=0 pending_retries=6 pending_acks=28",
+    "HistogramSummary { count: 36, min: 1, max: 118, mean: 44.583333333333336, p50: 43, p90: 83, p99: 118, p999: 118 }",
+    "EpochHealth { epoch: 0, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 0, drops: 0, retries: 11 }",
+    "EpochHealth { epoch: 1, ack_latency: HistogramSummary { count: 7, min: 5, max: 65, mean: 28.714285714285715, p50: 22, p90: 65, p99: 65, p999: 65 }, deliveries: 2, drops: 0, retries: 16 }",
+    "EpochHealth { epoch: 2, ack_latency: HistogramSummary { count: 29, min: 1, max: 118, mean: 48.41379310344828, p50: 47, p90: 83, p99: 118, p999: 118 }, deliveries: 0, drops: 0, retries: 12 }",
+    "EpochHealth { epoch: 3, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 3, drops: 0, retries: 0 }",
+    "safety_violations=0",
+    "Retry { round: 12, source: NodeId(0), payload: PayloadId(0) }",
+    "Retry { round: 13, source: NodeId(0), payload: PayloadId(1) }",
+    "Retry { round: 24, source: NodeId(0), payload: PayloadId(0) }",
+    "Retry { round: 25, source: NodeId(0), payload: PayloadId(1) }",
+    "Retry { round: 26, source: NodeId(0), payload: PayloadId(2) }",
+    "Retry { round: 28, source: NodeId(0), payload: PayloadId(3) }",
+    "Retry { round: 34, source: NodeId(0), payload: PayloadId(4) }",
+    "Retry { round: 36, source: NodeId(0), payload: PayloadId(0) }",
+    "Retry { round: 36, source: NodeId(0), payload: PayloadId(5) }",
+    "Retry { round: 37, source: NodeId(0), payload: PayloadId(1) }",
+    "Retry { round: 38, source: NodeId(0), payload: PayloadId(2) }",
+    "Retry { round: 40, source: NodeId(0), payload: PayloadId(3) }",
+    "Retry { round: 46, source: NodeId(0), payload: PayloadId(4) }",
+    "Retry { round: 48, source: NodeId(0), payload: PayloadId(0) }",
+    "Retry { round: 48, source: NodeId(0), payload: PayloadId(5) }",
+    "Retry { round: 49, source: NodeId(0), payload: PayloadId(1) }",
+    "Retry { round: 50, source: NodeId(0), payload: PayloadId(2) }",
+    "Retry { round: 52, source: NodeId(0), payload: PayloadId(3) }",
+    "Retry { round: 58, source: NodeId(0), payload: PayloadId(4) }",
+    "Retry { round: 60, source: NodeId(0), payload: PayloadId(0) }",
+    "Retry { round: 60, source: NodeId(0), payload: PayloadId(5) }",
+    "Retry { round: 61, source: NodeId(0), payload: PayloadId(1) }",
+    "Retry { round: 64, source: NodeId(0), payload: PayloadId(3) }",
+    "Verdict { round: 68, payload: PayloadId(0), delivered: true }",
+    "Retry { round: 70, source: NodeId(0), payload: PayloadId(4) }",
+    "Retry { round: 72, source: NodeId(0), payload: PayloadId(5) }",
+    "Retry { round: 73, source: NodeId(0), payload: PayloadId(1) }",
+    "Retry { round: 76, source: NodeId(0), payload: PayloadId(3) }",
+    "Verdict { round: 78, payload: PayloadId(2), delivered: true }",
+    "Retry { round: 82, source: NodeId(0), payload: PayloadId(4) }",
+    "Retry { round: 84, source: NodeId(0), payload: PayloadId(5) }",
+    "Retry { round: 85, source: NodeId(0), payload: PayloadId(1) }",
+    "Retry { round: 88, source: NodeId(0), payload: PayloadId(3) }",
+    "Retry { round: 94, source: NodeId(0), payload: PayloadId(4) }",
+    "Retry { round: 96, source: NodeId(0), payload: PayloadId(5) }",
+    "Retry { round: 97, source: NodeId(0), payload: PayloadId(1) }",
+    "Retry { round: 100, source: NodeId(0), payload: PayloadId(3) }",
+    "Retry { round: 106, source: NodeId(0), payload: PayloadId(4) }",
+    "Retry { round: 108, source: NodeId(0), payload: PayloadId(5) }",
+    "Verdict { round: 109, payload: PayloadId(1), delivered: false }",
+    "Retry { round: 112, source: NodeId(0), payload: PayloadId(3) }",
+    "Retry { round: 118, source: NodeId(0), payload: PayloadId(4) }",
+    "Verdict { round: 132, payload: PayloadId(3), delivered: true }",
+    "Verdict { round: 132, payload: PayloadId(4), delivered: true }",
+    "Verdict { round: 132, payload: PayloadId(5), delivered: true }",
+    "quorum_phases=0 fnv=0xcbf29ce484222325",
+];
