@@ -24,12 +24,11 @@ use dualgraph_net::{DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::automata::{PipelinedFlooder, PipelinedHarmonic};
 use dualgraph_sim::rng::{derive_seed, derive_seed2};
 use dualgraph_sim::{
-    Adversary, BuildExecutorError, CollisionRule, DeliveryVerdict, DynamicsCursor, EpochHealth,
-    Executor, ExecutorConfig, FaultPlan, HealthConfig, HealthSample, Histogram, MacEvent, MacLayer,
-    MacStats, NodeRole, NullSink, PayloadId, PayloadSet, ProcessId, ProcessSlot, QuorumPolicy,
-    QuorumProcess, QuorumStage, ReliabilityBackend, ReliabilityEntry, ReliabilityStats,
-    ReliableBroadcast, StartRule, StreamHealthReport, TraceEvent, TraceSink, WindowedStats,
-    MAX_PAYLOADS,
+    Adversary, BuildExecutorError, CollisionRule, DynamicsCursor, EpochHealth, Executor,
+    ExecutorConfig, FaultPlan, HealthConfig, HealthSample, Histogram, MacEvent, MacLayer, MacStats,
+    NullSink, PayloadId, PayloadSet, ProcessId, ProcessSlot, QuorumProcess, QuorumStage,
+    ReliabilityBackend, ReliabilityEntry, ReliabilityStats, ReliableBroadcast, StartRule,
+    StreamHealthReport, TraceEvent, TraceSink, WindowedStats, MAX_PAYLOADS,
 };
 
 use crate::algorithms::period_for;
@@ -167,23 +166,30 @@ pub struct StreamConfig {
     /// all-correct — the historical behavior, bit for bit).
     pub dynamics: Option<DynamicsConfig>,
     /// Reliability backend (`None` = the historical fire-and-forget
-    /// behavior, bit for bit). [`ReliabilityBackend::Retry`] turns the
-    /// MAC layer's acknowledgments into per-payload delivery guarantees:
-    /// an arrival dropped at a faulty source is **retried** instead of
-    /// lost, unacked `bcast`s are re-issued on the policy's schedule, and
-    /// every payload settles a [`DeliveryVerdict`] surfaced through
-    /// [`StreamOutcome::reliability`] (see `docs/RELIABILITY.md`).
+    /// behavior, bit for bit). Either backend keeps one verdict ledger
+    /// ([`ReliableBroadcast`]): every payload settles a
+    /// [`DeliveryVerdict`][dualgraph_sim::DeliveryVerdict] surfaced
+    /// through [`StreamOutcome::reliability`], `Delivered` at the first
+    /// round every currently-correct node holds it.
+    ///
+    /// [`ReliabilityBackend::Retry`] turns the MAC layer's
+    /// acknowledgments into per-payload delivery guarantees: an arrival
+    /// dropped at a faulty source is **retried** instead of lost, unacked
+    /// `bcast`s are re-issued on the policy's schedule, and a node holds a
+    /// payload once it knows it (see `docs/RELIABILITY.md`).
+    ///
     /// [`ReliabilityBackend::Quorum`] instead **replaces** the stream
     /// algorithm's automata with [`QuorumProcess`] (Bracha-style
     /// echo/ready certification, Byzantine-tolerant under an
-    /// `f`-locally-bounded placement; see `docs/BYZANTINE.md`): verdicts
-    /// settle from quorum *acceptance* at every currently-correct node,
-    /// dropped arrivals are final (the backend has no retry lane), the
-    /// stream width is limited to `k ≤ MAX_PAYLOADS / 2` (ready markers
-    /// use ids `k..2k`), and the adversary must keep the identity
-    /// assignment (origin trust is per process id). A bare
-    /// [`RetryPolicy`] converts via `Into`, so PR 5 call shapes keep
-    /// working as `Some(policy.into())` / `with_reliability(policy)`.
+    /// `f`-locally-bounded placement; see `docs/BYZANTINE.md`): a node
+    /// holds a payload once it has *accepted* it, dropped arrivals are
+    /// final (the ledger has no retry policy), the stream width is
+    /// limited to `k ≤ MAX_PAYLOADS / 2` (ready markers use ids `k..2k`),
+    /// and the adversary must keep the identity assignment (origin trust
+    /// is per process id).
+    ///
+    /// A bare [`RetryPolicy`][dualgraph_sim::RetryPolicy] converts via
+    /// `Into`, as in `Some(policy.into())` or `with_reliability(policy)`.
     pub reliability: Option<ReliabilityBackend>,
     /// Stream-health instrumentation (`None` = off — the historical
     /// behavior, bit for bit, at zero cost). With a [`HealthConfig`] the
@@ -232,8 +238,9 @@ impl StreamConfig {
         self
     }
 
-    /// Replaces the reliability backend (a bare [`RetryPolicy`] or
-    /// [`QuorumPolicy`] converts).
+    /// Replaces the reliability backend (a bare
+    /// [`RetryPolicy`][dualgraph_sim::RetryPolicy] or
+    /// [`QuorumPolicy`][dualgraph_sim::QuorumPolicy] converts).
     pub fn with_reliability(mut self, backend: impl Into<ReliabilityBackend>) -> Self {
         self.reliability = Some(backend.into());
         self
@@ -438,10 +445,17 @@ impl StreamOutcome {
 /// The one stream drive loop: arrivals, epoch swaps, fault events, MAC
 /// stepping, and coverage accounting, in a fixed order per round —
 /// dynamics first (epoch snapshot and roles in force *from* round `t`
-/// apply before anything else of round `t`), then due arrivals, then the
-/// engine round. [`run_stream_session`], [`run_stream_scheduled`], and
-/// the benches all build on this type, so there is exactly one place
-/// epoch swapping (and the rest of the loop) lives.
+/// apply before anything else of round `t`), then due arrivals and due
+/// retries, then the engine round, then the verdict settle.
+/// [`run_stream_session`], [`run_stream_scheduled`], and the benches all
+/// build on this type, so there is exactly one place epoch swapping (and
+/// the rest of the loop) lives.
+///
+/// With a reliability backend the session holds one verdict ledger and
+/// drives it through one code path per step, whichever the backend: the
+/// backends differ only in whether the ledger has a retry policy and in
+/// which per-node set "holds" a payload (the engine's known set, or the
+/// quorum acceptance latch).
 pub struct StreamSession<'a> {
     mac: MacLayer<'a>,
     cursor: DynamicsCursor<'a>,
@@ -454,8 +468,8 @@ pub struct StreamSession<'a> {
     next_arrival: usize,
     max_rounds: u64,
     n: usize,
-    /// The reliability backend's session state (`None` without one).
-    reliability: Option<ReliabilityMode>,
+    /// The verdict layer (`None` without a reliability backend).
+    lane: Option<Lane>,
     /// Per-epoch-segment accounting (scheduled runs only).
     scheduled: bool,
     epochs: Vec<EpochStreamStats>,
@@ -539,118 +553,17 @@ impl HealthState {
     }
 }
 
-/// Session-side reliability wiring: the [`ReliableBroadcast`] policy
-/// driver plus the incremental correct-coverage accounting behind
-/// `Delivered` verdicts ("every currently-correct node knows the
-/// payload"). Counters are maintained event-incrementally — O(1) per
-/// `rcv`, O(k) per role transition — so the per-round cost stays
-/// negligible next to the engine round.
-struct ReliabilityState {
-    driver: ReliableBroadcast,
-    /// Per tracked payload (driver entry order = payload-id order):
-    /// currently-correct nodes knowing the payload. Only meaningful once
-    /// the payload has entered the network (synced from the engine's
-    /// known record at entry, junk-circulation-safe).
-    cov_correct: Vec<usize>,
-    /// Currently-correct nodes.
-    correct_count: usize,
+/// The verdict layer of a session with a reliability backend: one
+/// [`ReliableBroadcast`] ledger for both backends, settled by one sweep
+/// ([`Lane::settle`]). The quorum backend's ledger has no retry policy,
+/// so its dropped arrivals are final at once.
+struct Lane {
+    /// The backend, as surfaced in the report.
+    backend: ReliabilityBackend,
+    /// Per-payload verdicts, tracked in payload-id order.
+    ledger: ReliableBroadcast,
     /// Scratch for the per-round due-retry poll.
     retry_buf: Vec<(NodeId, PayloadId)>,
-}
-
-impl ReliabilityState {
-    /// Currently-correct nodes knowing `payload`, from the engine record
-    /// (used at entry time; junk that circulated *before* the payload
-    /// formally entered is genuine knowledge of the id and counts).
-    fn sync_cov(known: &[PayloadSet], roles: &[NodeRole], payload: PayloadId) -> usize {
-        known
-            .iter()
-            .zip(roles)
-            .filter(|(k, r)| r.is_correct() && k.contains(payload))
-            .count()
-    }
-
-    /// Folds one role transition into the correct-coverage counters.
-    fn on_role_change(
-        &mut self,
-        node: NodeId,
-        prev: NodeRole,
-        next: NodeRole,
-        known: &[PayloadSet],
-    ) {
-        let (was, now) = (prev.is_correct(), next.is_correct());
-        if was == now {
-            return;
-        }
-        let knows = &known[node.index()];
-        if now {
-            self.correct_count += 1;
-            for (i, e) in self.driver.entries().iter().enumerate() {
-                if e.entered && knows.contains(e.payload) {
-                    self.cov_correct[i] += 1;
-                }
-            }
-        } else {
-            self.correct_count -= 1;
-            for (i, e) in self.driver.entries().iter().enumerate() {
-                if e.entered && knows.contains(e.payload) {
-                    self.cov_correct[i] -= 1;
-                }
-            }
-        }
-    }
-
-    /// Settles `Delivered` verdicts for every entered, still-pending
-    /// payload whose correct coverage is complete (each settle emits
-    /// [`TraceEvent::Verdict`] into `sink`); returns how many settled.
-    fn settle_delivered<S: TraceSink>(&mut self, round: u64, sink: &mut S) -> usize {
-        if self.correct_count == 0 {
-            return 0;
-        }
-        let mut newly = 0;
-        for i in 0..self.driver.entries().len() {
-            let e = &self.driver.entries()[i];
-            if e.verdict.is_final() || !e.entered {
-                continue;
-            }
-            let payload = e.payload;
-            if self.cov_correct[i] >= self.correct_count {
-                self.driver.on_delivered_traced(payload, round, sink);
-                newly += 1;
-            }
-        }
-        newly
-    }
-}
-
-/// Which reliability backend drives this session.
-enum ReliabilityMode {
-    /// Retry/ack guarantees via the [`ReliableBroadcast`] driver.
-    Retry(ReliabilityState),
-    /// Quorum-certified broadcast: the population runs [`QuorumProcess`]
-    /// automata and verdicts settle from acceptance.
-    Quorum(QuorumState),
-}
-
-/// One tracked payload of the quorum backend's verdict ledger.
-struct QuorumEntry {
-    payload: PayloadId,
-    source: NodeId,
-    arrival_round: u64,
-    /// `false` for arrivals dropped at a faulty source — final under
-    /// this backend (no retry lane).
-    entered: bool,
-    verdict: DeliveryVerdict,
-}
-
-/// Session-side quorum wiring: a verdict ledger settled by polling every
-/// currently-correct node's acceptance latch
-/// ([`dualgraph_sim::Process::accepted_payloads`]) once per round — one
-/// intersection sweep over `n` [`PayloadSet`]s, then one contains-check
-/// per pending payload.
-struct QuorumState {
-    policy: QuorumPolicy,
-    entries: Vec<QuorumEntry>,
     /// Per-node `(echo_certified, ready_certified, accepted)` snapshots
     /// from the end of the previous traced round: the diff surfaces
     /// [`QuorumStage`] crossings. Sized lazily on the first traced round,
@@ -658,60 +571,43 @@ struct QuorumState {
     phase_seen: Vec<(PayloadSet, PayloadSet, PayloadSet)>,
 }
 
-impl QuorumState {
-    /// The intersection of all currently-correct nodes' accepted sets
-    /// (`None` when no node is correct — nothing can settle).
-    fn accepted_everywhere(exec: &Executor) -> Option<PayloadSet> {
-        let roles = exec.roles();
-        let mut all: Option<PayloadSet> = None;
-        for (i, role) in roles.iter().enumerate() {
+impl Lane {
+    /// The one settle rule: a pending payload that has entered the network
+    /// becomes `Delivered` at `round` when every currently-correct node
+    /// holds it. A node holds what its automaton has accepted
+    /// ([`Process::accepted_payloads`], the quorum backend's latch), or,
+    /// for automata without an acceptance notion, what the engine records
+    /// it knows (the retry backend). Each settle emits
+    /// [`TraceEvent::Verdict`] into `sink`; returns how many settled. O(n)
+    /// [`PayloadSet`] operations while anything is pending.
+    ///
+    /// [`Process::accepted_payloads`]: dualgraph_sim::Process::accepted_payloads
+    fn settle<S: TraceSink>(&mut self, exec: &Executor, round: u64, sink: &mut S) -> usize {
+        if self.ledger.is_settled() {
+            return 0;
+        }
+        let known = exec.known_payloads();
+        let mut held: Option<PayloadSet> = None;
+        for (i, role) in exec.roles().iter().enumerate() {
             if !role.is_correct() {
                 continue;
             }
-            let acc = exec
+            let holds = exec
                 .process_at(NodeId::from_index(i))
                 .accepted_payloads()
-                .unwrap_or(PayloadSet::EMPTY);
-            all = Some(match all {
-                // a ∩ b = a ∖ (a ∖ b).
-                Some(a) => a.minus(a.minus(acc)),
-                None => acc,
-            });
+                .unwrap_or(known[i]);
+            // a ∩ b = a ∖ (a ∖ b).
+            held = Some(held.map_or(holds, |a| a.minus(a.minus(holds))));
         }
-        all
-    }
-
-    /// Settles `Delivered` for every entered, still-pending payload
-    /// accepted by all currently-correct nodes (each settle emits
-    /// [`TraceEvent::Verdict`] into `sink`); returns how many settled.
-    fn settle<S: TraceSink>(&mut self, exec: &Executor, round: u64, sink: &mut S) -> usize {
-        let Some(all) = Self::accepted_everywhere(exec) else {
-            return 0;
-        };
-        let mut newly = 0;
-        for e in &mut self.entries {
-            if e.verdict.is_final() || !e.entered {
-                continue;
-            }
-            if all.contains(e.payload) {
-                e.verdict = DeliveryVerdict::Delivered { round, retries: 0 };
-                if S::ENABLED {
-                    sink.emit(TraceEvent::Verdict {
-                        round,
-                        payload: e.payload,
-                        delivered: true,
-                    });
-                }
-                newly += 1;
-            }
-        }
-        newly
+        // No correct node: nothing can settle.
+        held.map_or(0, |held| self.ledger.settle_held_traced(held, round, sink))
     }
 
     /// Emits one [`TraceEvent::QuorumPhase`] per node per newly crossed
     /// certification stage since the previous traced round, by diffing
-    /// each node's latched echo/ready/accept sets against the snapshot.
-    /// Traced sessions only — callers guard on `S::ENABLED`.
+    /// each node's latched echo/ready/accept sets against the snapshot
+    /// (automata without those latches cross nothing). Traced sessions
+    /// only — callers guard on `S::ENABLED`.
     fn emit_phases<S: TraceSink>(&mut self, exec: &Executor, round: u64, sink: &mut S) {
         let n = exec.network().len();
         if self.phase_seen.len() != n {
@@ -725,50 +621,40 @@ impl QuorumState {
                 .unwrap_or((PayloadSet::EMPTY, PayloadSet::EMPTY));
             let accepted = proc.accepted_payloads().unwrap_or(PayloadSet::EMPTY);
             let (prev_echo, prev_ready, prev_accepted) = self.phase_seen[i];
-            for payload in echo.minus(prev_echo).iter() {
-                sink.emit(TraceEvent::QuorumPhase {
-                    round,
-                    node,
-                    payload,
-                    stage: QuorumStage::Echo,
-                });
-            }
-            for payload in ready.minus(prev_ready).iter() {
-                sink.emit(TraceEvent::QuorumPhase {
-                    round,
-                    node,
-                    payload,
-                    stage: QuorumStage::Ready,
-                });
-            }
-            for payload in accepted.minus(prev_accepted).iter() {
-                sink.emit(TraceEvent::QuorumPhase {
-                    round,
-                    node,
-                    payload,
-                    stage: QuorumStage::Accept,
-                });
+            for (now, prev, stage) in [
+                (echo, prev_echo, QuorumStage::Echo),
+                (ready, prev_ready, QuorumStage::Ready),
+                (accepted, prev_accepted, QuorumStage::Accept),
+            ] {
+                for payload in now.minus(prev).iter() {
+                    sink.emit(TraceEvent::QuorumPhase {
+                        round,
+                        node,
+                        payload,
+                        stage,
+                    });
+                }
             }
             self.phase_seen[i] = (echo, ready, accepted);
         }
     }
+}
 
-    /// End-of-run safety accounting: accepted ids outside the
-    /// environment's real set, summed over currently-correct nodes.
-    fn safety_violations(exec: &Executor) -> u64 {
-        let real = exec.real_payloads();
-        let roles = exec.roles();
-        let mut violations = 0u64;
-        for (i, role) in roles.iter().enumerate() {
-            if !role.is_correct() {
-                continue;
-            }
-            if let Some(acc) = exec.process_at(NodeId::from_index(i)).accepted_payloads() {
-                violations += acc.minus(real).len() as u64;
-            }
+/// End-of-run safety accounting: accepted ids outside the environment's
+/// real set, summed over currently-correct nodes. Always 0 without an
+/// acceptance latch, i.e. under the retry backend.
+fn safety_violations(exec: &Executor) -> u64 {
+    let real = exec.real_payloads();
+    let mut violations = 0u64;
+    for (i, role) in exec.roles().iter().enumerate() {
+        if !role.is_correct() {
+            continue;
         }
-        violations
+        if let Some(acc) = exec.process_at(NodeId::from_index(i)).accepted_payloads() {
+            violations += acc.minus(real).len() as u64;
+        }
     }
+    violations
 }
 
 impl<'a> StreamSession<'a> {
@@ -887,36 +773,17 @@ impl<'a> StreamSession<'a> {
         let coverage: Vec<usize> = vec![1; config.k];
         let mut incomplete = config.k;
         let mut next_arrival = 1;
-        // The reliability layer tracks payload 0 (the executor's own
-        // pre-round-1 seed — always entered) from construction; its
-        // correct-coverage counter is synced against the post-fault-plan
-        // role mask.
-        let reliability = config.reliability.map(|backend| match backend {
-            ReliabilityBackend::Retry(policy) => {
-                let roles = mac.executor().roles();
-                let known = mac.executor().known_payloads();
-                let mut rel = ReliabilityState {
-                    driver: ReliableBroadcast::new(policy),
-                    cov_correct: Vec::with_capacity(config.k),
-                    correct_count: roles.iter().filter(|r| r.is_correct()).count(),
-                    retry_buf: Vec::new(),
-                };
-                rel.driver.track(plan[0].payload, plan[0].node, 0, true);
-                rel.cov_correct
-                    .push(ReliabilityState::sync_cov(known, roles, plan[0].payload));
-                ReliabilityMode::Retry(rel)
-            }
-            ReliabilityBackend::Quorum(policy) => ReliabilityMode::Quorum(QuorumState {
-                policy,
-                entries: vec![QuorumEntry {
-                    payload: plan[0].payload,
-                    source: plan[0].node,
-                    arrival_round: 0,
-                    entered: true,
-                    verdict: DeliveryVerdict::Pending,
-                }],
+        // The ledger tracks payload 0 (the executor's own pre-round-1
+        // seed — always entered) from construction.
+        let lane = config.reliability.map(|backend| {
+            let mut ledger = ReliableBroadcast::for_backend(backend);
+            ledger.track(plan[0].payload, plan[0].node, 0, true);
+            Lane {
+                backend,
+                ledger,
+                retry_buf: Vec::new(),
                 phase_seen: Vec::new(),
-            }),
+            }
         });
         // Payload 0 at round 0 is the executor's own pre-round-1 source
         // input, which happens at construction and therefore precedes
@@ -928,7 +795,7 @@ impl<'a> StreamSession<'a> {
             // immediately.
             stats[0].completion_round = Some(stats[0].arrival_round);
             incomplete -= 1;
-            if no_faults && reliability.is_none() {
+            if no_faults && lane.is_none() {
                 // No fault plan (and no reliability layer needing verdict
                 // settlement): every later arrival lands and completes on
                 // the spot, without executing any rounds. (With faults
@@ -961,7 +828,7 @@ impl<'a> StreamSession<'a> {
             next_arrival,
             max_rounds: config.max_rounds,
             n,
-            reliability,
+            lane,
             scheduled: schedule.is_some(),
             epochs: Vec::new(),
             seg_epoch: 0,
@@ -992,14 +859,8 @@ impl<'a> StreamSession<'a> {
     /// be final while later payloads are still waiting to enter — a run
     /// must not claim settlement before attempting them.
     pub fn is_settled(&self) -> bool {
-        match &self.reliability {
-            Some(ReliabilityMode::Retry(rel)) => {
-                self.next_arrival >= self.plan.len() && rel.driver.is_settled()
-            }
-            Some(ReliabilityMode::Quorum(q)) => {
-                self.next_arrival >= self.plan.len()
-                    && q.entries.iter().all(|e| e.verdict.is_final())
-            }
+        match &self.lane {
+            Some(lane) => self.next_arrival >= self.plan.len() && lane.ledger.is_settled(),
             None => self.incomplete == 0,
         }
     }
@@ -1065,14 +926,6 @@ impl<'a> StreamSession<'a> {
                     role: e.role.into(),
                 });
             }
-            // The retry backend folds role flips into its incremental
-            // coverage counters; the quorum backend re-derives the correct
-            // population from the role mask at each settle, so it has no
-            // per-transition state.
-            if let Some(ReliabilityMode::Retry(rel)) = &mut self.reliability {
-                let prev = self.mac.executor().role(e.node);
-                rel.on_role_change(e.node, prev, e.role, self.mac.executor().known_payloads());
-            }
             self.mac.set_role(e.node, e.role);
         }
         // 2. Arrivals due by the end of the previous round.
@@ -1081,42 +934,30 @@ impl<'a> StreamSession<'a> {
         {
             let a = self.plan[self.next_arrival];
             let i = a.payload.0 as usize;
-            if !self.mac.bcast_traced(a.node, a.payload, sink) {
-                match &mut self.reliability {
-                    Some(ReliabilityMode::Retry(rel)) => {
-                        // The retry backend owns the drop: the payload is
-                        // pending re-entry on the retry schedule, not lost
-                        // (`dropped` stays false unless it is abandoned
-                        // without ever entering — see the run
-                        // aggregation). Tracking order is payload-id
-                        // order (the invariant every positional
-                        // `entries()[i]` read below relies on), enforced
-                        // here, not just debug-asserted.
-                        assert_eq!(i, rel.driver.entries().len(), "track order = id order");
-                        rel.driver.track(a.payload, a.node, self.mac.round(), false);
-                        rel.cov_correct.push(0);
-                    }
-                    Some(ReliabilityMode::Quorum(q)) => {
-                        // The quorum backend has no retry lane: a dead
-                        // radio loses its arrival for good — recorded as
-                        // dropped, with a final Abandoned verdict.
-                        assert_eq!(i, q.entries.len(), "track order = id order");
-                        q.entries.push(QuorumEntry {
-                            payload: a.payload,
-                            source: a.node,
-                            arrival_round: self.mac.round(),
-                            entered: false,
-                            verdict: DeliveryVerdict::Abandoned { retries: 0 },
-                        });
-                        self.stats[i].dropped = true;
-                        self.coverage[i] = 0;
-                        self.incomplete -= 1;
-                    }
-                    None => {
-                        self.stats[i].dropped = true;
-                        self.coverage[i] = 0;
-                        self.incomplete -= 1;
-                    }
+            let entered = self.mac.bcast_traced(a.node, a.payload, sink);
+            if let Some(lane) = &mut self.lane {
+                // Tracking order is payload-id order (the invariant every
+                // positional `entries()[i]` read below relies on),
+                // enforced here, not just debug-asserted.
+                assert_eq!(i, lane.ledger.entries().len(), "track order = id order");
+                lane.ledger
+                    .track(a.payload, a.node, self.mac.round(), entered);
+            }
+            if !entered {
+                // A retry policy owns the drop: the payload is pending
+                // re-entry on the retry schedule, not lost (`dropped`
+                // stays false unless it is abandoned without ever
+                // entering — see the run aggregation). Without a lane, or
+                // with a ledger that has no retries (its verdict is
+                // already final), the arrival is lost for good.
+                if self
+                    .lane
+                    .as_ref()
+                    .is_none_or(|lane| lane.ledger.entries()[i].verdict.is_final())
+                {
+                    self.stats[i].dropped = true;
+                    self.coverage[i] = 0;
+                    self.incomplete -= 1;
                 }
             } else {
                 // Spammer junk ids may collide with stream payloads, and
@@ -1125,27 +966,6 @@ impl<'a> StreamSession<'a> {
                 // starts from the engine's actual record, not from 1.
                 let known = self.mac.executor().known_payloads();
                 self.coverage[i] = known.iter().filter(|k| k.contains(a.payload)).count();
-                match &mut self.reliability {
-                    Some(ReliabilityMode::Retry(rel)) => {
-                        assert_eq!(i, rel.driver.entries().len(), "track order = id order");
-                        rel.driver.track(a.payload, a.node, self.mac.round(), true);
-                        let roles = self.mac.executor().roles();
-                        let known = self.mac.executor().known_payloads();
-                        rel.cov_correct
-                            .push(ReliabilityState::sync_cov(known, roles, a.payload));
-                    }
-                    Some(ReliabilityMode::Quorum(q)) => {
-                        assert_eq!(i, q.entries.len(), "track order = id order");
-                        q.entries.push(QuorumEntry {
-                            payload: a.payload,
-                            source: a.node,
-                            arrival_round: self.mac.round(),
-                            entered: true,
-                            verdict: DeliveryVerdict::Pending,
-                        });
-                    }
-                    None => {}
-                }
                 if self.coverage[i] == self.n {
                     self.stats[i].completion_round = Some(self.mac.round());
                     self.incomplete -= 1;
@@ -1154,33 +974,32 @@ impl<'a> StreamSession<'a> {
             self.next_arrival += 1;
         }
         // 2b. Reliability retries due now: re-`bcast` from the original
-        // producer. A retry into a still-faulty source fails and simply
-        // spends budget; the first successful retry of a never-entered
-        // payload is its real arrival, so its coverage is synced from the
-        // engine record exactly like step 2's.
-        if let Some(ReliabilityMode::Retry(rel)) = &mut self.reliability {
+        // producer (a ledger without retries yields none). A retry into a
+        // still-faulty source fails and simply spends budget; the first
+        // successful retry of a never-entered payload is its real
+        // arrival, so its coverage is synced from the engine record
+        // exactly like step 2's.
+        if let Some(lane) = &mut self.lane {
             let now = self.mac.round();
-            let mut buf = std::mem::take(&mut rel.retry_buf);
+            let mut buf = std::mem::take(&mut lane.retry_buf);
             buf.clear();
-            rel.driver.due_retries_traced(now, &mut buf, sink);
+            lane.ledger.due_retries_traced(now, &mut buf, sink);
             for &(node, payload) in &buf {
                 let i = payload.0 as usize;
                 self.seg_retries += 1;
                 let accepted = self.mac.bcast_traced(node, payload, sink);
-                debug_assert_eq!(rel.driver.entries()[i].payload, payload);
-                if accepted && !rel.driver.entries()[i].entered {
-                    rel.driver.note_entered(payload);
+                debug_assert_eq!(lane.ledger.entries()[i].payload, payload);
+                if accepted && !lane.ledger.entries()[i].entered {
+                    lane.ledger.note_entered(payload);
                     let known = self.mac.executor().known_payloads();
-                    let roles = self.mac.executor().roles();
                     self.coverage[i] = known.iter().filter(|k| k.contains(payload)).count();
-                    rel.cov_correct[i] = ReliabilityState::sync_cov(known, roles, payload);
                     if self.coverage[i] == self.n && self.stats[i].completion_round.is_none() {
                         self.stats[i].completion_round = Some(now);
                         self.incomplete -= 1;
                     }
                 }
             }
-            rel.retry_buf = buf;
+            lane.retry_buf = buf;
         }
         // 3. One engine round (`t` is its number); account coverage from
         // the rcv events.
@@ -1198,18 +1017,15 @@ impl<'a> StreamSession<'a> {
                     if i >= self.next_arrival || self.stats[i].dropped {
                         continue;
                     }
-                    if let Some(ReliabilityMode::Retry(rel)) = &mut self.reliability {
-                        // A retry-managed payload that has not yet
-                        // (re-)entered the network is still junk traffic:
-                        // its coverage is synced when a retry lands it.
-                        // (Quorum payloads either entered at bcast or
-                        // stay dropped — caught by the guard above.)
-                        if !rel.driver.entries()[i].entered {
-                            continue;
-                        }
-                        // Faulty nodes never receive, so the receiver is
-                        // correct: one more correct knower.
-                        rel.cov_correct[i] += 1;
+                    // A retry-managed payload that has not yet
+                    // (re-)entered the network is still junk traffic: its
+                    // coverage is synced when a retry lands it.
+                    if self
+                        .lane
+                        .as_ref()
+                        .is_some_and(|lane| !lane.ledger.entries()[i].entered)
+                    {
+                        continue;
                     }
                     self.coverage[i] += 1;
                     if self.coverage[i] == self.n && self.stats[i].completion_round.is_none() {
@@ -1218,37 +1034,28 @@ impl<'a> StreamSession<'a> {
                     }
                 }
                 MacEvent::Ack { node, payload, .. } => {
-                    if let Some(ReliabilityMode::Retry(rel)) = &mut self.reliability {
+                    if let Some(lane) = &mut self.lane {
                         // Only acks of the tracked producer's own bcast
                         // say its neighborhood is covered.
+                        let entries = lane.ledger.entries();
                         let i = payload.0 as usize;
-                        if i < rel.driver.entries().len()
-                            && rel.driver.entries()[i].payload == *payload
-                            && rel.driver.entries()[i].source == *node
+                        if i < entries.len()
+                            && entries[i].payload == *payload
+                            && entries[i].source == *node
                         {
-                            rel.driver.on_ack(*payload);
+                            lane.ledger.on_ack(*payload);
                         }
                     }
                 }
             }
         }
-        // 4. Settle `Delivered` verdicts. Retry backend: every
-        // currently-correct node *knows* the payload (spam-proof by
-        // construction, since coverage counters only move on real entries
-        // and receptions of entered payloads). Quorum backend: every
-        // currently-correct node *accepted* it past the certification
-        // thresholds — a strictly stronger condition.
-        match &mut self.reliability {
-            Some(ReliabilityMode::Retry(rel)) => {
-                self.seg_delivered += rel.settle_delivered(t, sink);
+        // 4. Settle `Delivered` verdicts: every currently-correct node
+        // holds the payload (see `Lane::settle`).
+        if let Some(lane) = &mut self.lane {
+            if S::ENABLED {
+                lane.emit_phases(self.mac.executor(), t, sink);
             }
-            Some(ReliabilityMode::Quorum(q)) => {
-                if S::ENABLED {
-                    q.emit_phases(self.mac.executor(), t, sink);
-                }
-                self.seg_delivered += q.settle(self.mac.executor(), t, sink);
-            }
-            None => {}
+            self.seg_delivered += lane.settle(self.mac.executor(), t, sink);
         }
         // 5. Health sampling (opt-in; no-op without a HealthConfig).
         self.observe_health();
@@ -1267,24 +1074,18 @@ impl<'a> StreamSession<'a> {
         // With a reliability layer the delivery signal is the settled
         // verdict (full coverage may never happen under an adversary that
         // starves a crashed node); without one it is stream completion.
-        let completions = match &self.reliability {
-            Some(ReliabilityMode::Retry(rel)) => rel.driver.stats().delivered,
-            Some(ReliabilityMode::Quorum(q)) => q
-                .entries
-                .iter()
-                .filter(|e| e.verdict.is_delivered())
-                .count(),
-            None => self
-                .stats
-                .iter()
-                .filter(|s| s.completion_round.is_some())
-                .count(),
-        };
+        let ledger = self.lane.as_ref().map(|lane| lane.ledger.stats());
+        let completions = ledger.map_or_else(
+            || {
+                self.stats
+                    .iter()
+                    .filter(|s| s.completion_round.is_some())
+                    .count()
+            },
+            |l| l.delivered,
+        );
         let drops = self.stats.iter().filter(|s| s.dropped).count();
-        let retries = match &self.reliability {
-            Some(ReliabilityMode::Retry(rel)) => rel.driver.stats().total_retries,
-            _ => 0,
-        };
+        let retries = ledger.map_or(0, |l| l.total_retries);
         let sample = HealthSample {
             deliveries: completions.saturating_sub(h.prev_completions) as u32,
             drops: drops.saturating_sub(h.prev_drops) as u32,
@@ -1301,13 +1102,7 @@ impl<'a> StreamSession<'a> {
         if throughput > h.peak_throughput {
             h.peak_throughput = throughput;
         }
-        let pending_retries = match &self.reliability {
-            Some(ReliabilityMode::Retry(rel)) => rel.driver.open_entries(),
-            Some(ReliabilityMode::Quorum(q)) => {
-                q.entries.iter().filter(|e| !e.verdict.is_final()).count()
-            }
-            None => 0,
-        };
+        let pending_retries = ledger.map_or(0, |l| l.pending);
         if pending_retries > h.peak_pending_retries {
             h.peak_pending_retries = pending_retries;
         }
@@ -1347,52 +1142,20 @@ impl<'a> StreamSession<'a> {
         let arrivals_attempted = self.next_arrival;
         let health_state = self.health.take();
         let mut stats = self.stats;
-        let reliability = self.reliability.map(|mode| match mode {
-            ReliabilityMode::Retry(rel) => {
-                // A payload the policy abandoned without ever landing in
-                // the network is, in the end, a dropped arrival — surface
-                // it as such so `completed` keeps excluding it.
-                for e in rel.driver.entries() {
-                    if !e.entered {
-                        let i = e.payload.0 as usize;
-                        stats[i].dropped = true;
-                    }
-                }
-                ReliabilityReport {
-                    backend: ReliabilityBackend::Retry(rel.driver.policy()),
-                    stats: rel.driver.stats(),
-                    entries: rel.driver.entries().to_vec(),
-                    safety_violations: 0,
+        let reliability = self.lane.map(|lane| {
+            // A payload abandoned without ever landing in the network is,
+            // in the end, a dropped arrival — surface it as such so
+            // `completed` keeps excluding it.
+            for e in lane.ledger.entries() {
+                if !e.entered {
+                    stats[e.payload.0 as usize].dropped = true;
                 }
             }
-            ReliabilityMode::Quorum(q) => {
-                let entries: Vec<ReliabilityEntry> = q
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        ReliabilityEntry::settled(
-                            e.payload,
-                            e.source,
-                            e.arrival_round,
-                            e.entered,
-                            e.verdict,
-                        )
-                    })
-                    .collect();
-                let mut agg = ReliabilityStats::default();
-                for e in &entries {
-                    match e.verdict {
-                        DeliveryVerdict::Pending => agg.pending += 1,
-                        DeliveryVerdict::Delivered { .. } => agg.delivered += 1,
-                        DeliveryVerdict::Abandoned { .. } => agg.abandoned += 1,
-                    }
-                }
-                ReliabilityReport {
-                    backend: ReliabilityBackend::Quorum(q.policy),
-                    stats: agg,
-                    entries,
-                    safety_violations: QuorumState::safety_violations(self.mac.executor()),
-                }
+            ReliabilityReport {
+                backend: lane.backend,
+                stats: lane.ledger.stats(),
+                entries: lane.ledger.entries().to_vec(),
+                safety_violations: safety_violations(self.mac.executor()),
             }
         });
         let incomplete = stats

@@ -545,7 +545,10 @@ pub struct StreamHealthReport {
 ///   round was (at least partly) wasted on collisions;
 /// * **adversary drop** — no growth, transmissions on the air, yet not a
 ///   single reception or collision anywhere: the adversary withheld
-///   every unreliable delivery it could have made;
+///   every unreliable delivery it could have made. A sender hearing its
+///   own transmission is not a reception here. Under CR3 a collision is
+///   silence by rule (no `⊤` event), so a round whose only traffic
+///   collided lands here too;
 /// * **idle** — everything else (no transmissions, or traffic that
 ///   progressed only other payloads).
 ///
@@ -593,7 +596,8 @@ pub struct PayloadTimeline {
     pub first_spread_round: Option<u64>,
     /// Cumulative propagation frontier: `(round, distinct nodes reached
     /// by end of round)`, one entry per round the frontier grew. The
-    /// injection node itself is not a reception and is not counted.
+    /// injection node itself is not a reception and is not counted, nor
+    /// is a sender hearing its own transmission.
     pub frontier: Vec<(u64, u32)>,
     /// Distinct nodes that received the payload.
     pub nodes_reached: u32,
@@ -705,6 +709,12 @@ pub struct TraceAnalyzer {
     digests: Vec<RoundDigest>,
     cur: RoundDigest,
     rounds_executed: u64,
+    /// Nodes that transmitted in round `sent_round`, one bit per node
+    /// index. Under every collision rule the only message a transmitter
+    /// can receive is its own, and that is neither spread nor a
+    /// reception.
+    sent: Vec<u64>,
+    sent_round: u64,
 }
 
 impl Default for TraceAnalyzer {
@@ -721,6 +731,8 @@ impl TraceAnalyzer {
             digests: Vec::new(),
             cur: RoundDigest::default(),
             rounds_executed: 0,
+            sent: Vec::new(),
+            sent_round: 0,
         }
     }
 
@@ -830,12 +842,28 @@ impl TraceSink for TraceAnalyzer {
                 self.rounds_executed = self.rounds_executed.max(round);
                 let _ = self.digest_for(round);
             }
-            TraceEvent::Transmit { round, .. } => self.digest_for(round).transmits += 1,
+            TraceEvent::Transmit { round, node, .. } => {
+                self.digest_for(round).transmits += 1;
+                // A round's transmits precede its receptions.
+                if self.sent_round != round {
+                    self.sent.fill(0);
+                    self.sent_round = round;
+                }
+                let word = node.index() / 64;
+                if word >= self.sent.len() {
+                    self.sent.resize(word + 1, 0);
+                }
+                self.sent[word] |= 1 << (node.index() % 64);
+            }
             TraceEvent::Reception {
                 round,
                 node,
                 message,
             } => {
+                let word = self.sent.get(node.index() / 64).copied().unwrap_or(0);
+                if self.sent_round == round && (word >> (node.index() % 64)) & 1 == 1 {
+                    return;
+                }
                 self.digest_for(round).receptions += 1;
                 for p in message.payloads.iter() {
                     if let Some(t) = self.track_mut(p) {
@@ -1128,5 +1156,82 @@ mod tests {
         assert_eq!(t.nodes_reached, 1);
         assert_eq!(t.frontier, vec![(1, 1)]);
         assert_eq!(t.settle_round(), Some(1));
+    }
+
+    fn run_into_analyzer(
+        net: &dualgraph_net::DualGraph,
+        adversary: Box<dyn crate::Adversary>,
+        slots: Vec<crate::ProcessSlot>,
+        rule: crate::CollisionRule,
+        rounds: u64,
+    ) -> TraceReport {
+        let mut exec = crate::Executor::from_slots(
+            net,
+            slots,
+            adversary,
+            crate::ExecutorConfig {
+                rule,
+                ..crate::ExecutorConfig::default()
+            },
+        )
+        .unwrap();
+        let mut analyzer = TraceAnalyzer::new();
+        for _ in 0..rounds {
+            exec.step_traced(&mut analyzer);
+        }
+        analyzer.finish()
+    }
+
+    #[test]
+    fn analyzer_skips_a_senders_own_reception() {
+        // Flooding a 3-node line: node 0 reaches node 1 in round 1 and
+        // node 1 reaches node 2 in round 2. The engine also delivers each
+        // sender its own message, which is neither spread nor reception.
+        let net = dualgraph_net::generators::line(3, 1);
+        for rule in crate::CollisionRule::ALL {
+            let report = run_into_analyzer(
+                &net,
+                Box::new(crate::ReliableOnly::new()),
+                crate::Flooder::slots(3),
+                rule,
+                2,
+            );
+            let t = report.timeline(PayloadId(0)).expect("tracked");
+            assert_eq!(t.frontier, vec![(1, 1), (2, 2)], "{rule:?}");
+            assert_eq!(t.nodes_reached, 2, "{rule:?}");
+            assert_eq!(t.attribution.progress_rounds, 2, "{rule:?}");
+        }
+    }
+
+    #[test]
+    fn analyzer_attributes_silenced_engine_rounds_to_adversary_drops() {
+        // Harmonic on a 4-cycle: node 2 hears the payload only from nodes
+        // 1 and 3. In a round where both transmit, every listener hears
+        // two senders: CollisionSeeker resolves that to silence under CR4,
+        // and CR3 resolves it to silence by rule. Such rounds carry
+        // transmissions and no reception but the senders' own, so they
+        // are adversary drops inside node 2's wait.
+        let net = dualgraph_net::generators::ring(4, 1);
+        for rule in [crate::CollisionRule::Cr3, crate::CollisionRule::Cr4] {
+            let slots = (0..4)
+                .map(|i| {
+                    crate::ProcessSlot::from(crate::automata::HarmonicProcess::new(
+                        ProcessId(i),
+                        2,
+                        crate::rng::derive_seed(7, u64::from(i)),
+                    ))
+                })
+                .collect();
+            let report = run_into_analyzer(
+                &net,
+                Box::new(crate::CollisionSeeker::new()),
+                slots,
+                rule,
+                400,
+            );
+            let t = report.timeline(PayloadId(0)).expect("tracked");
+            assert!(t.attribution.adversary_drop_rounds > 0, "{rule:?}: {t:?}");
+            assert_eq!(t.attribution.collision_rounds, 0, "{rule:?}: {t:?}");
+        }
     }
 }

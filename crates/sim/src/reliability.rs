@@ -21,11 +21,16 @@
 //! (`dualgraph_broadcast::stream::StreamSession`) wires it to the real
 //! [`MacLayer`][crate::MacLayer] — ack events feed [`ReliableBroadcast::on_ack`],
 //! dropped arrivals enter as `entered = false`, due retries go back out
-//! through `MacLayer::bcast`, and the runner's spam-proof coverage
-//! accounting decides [`ReliableBroadcast::on_delivered`]. Keeping the
-//! policy state machine free of engine references makes the policies unit-
-//! and property-testable in isolation (see the tests below and
-//! `crates/core/tests/reliability.rs`).
+//! through `MacLayer::bcast`, and the runner's settle sweep hands
+//! [`ReliableBroadcast::settle_held_traced`] the payloads every
+//! currently-correct node holds. Keeping the policy state machine free of
+//! engine references makes the policies unit- and property-testable in
+//! isolation (see the tests below and `crates/core/tests/reliability.rs`).
+//!
+//! The same driver is the verdict ledger of both stream backends
+//! ([`ReliableBroadcast::for_backend`]): the quorum backend's ledger has
+//! no retry policy, so it never re-broadcasts and an arrival dropped at a
+//! faulty source settles [`DeliveryVerdict::Abandoned`] on the spot.
 //!
 //! Guarantee semantics (see `docs/RELIABILITY.md` for the full contract):
 //!
@@ -41,6 +46,7 @@
 use dualgraph_net::NodeId;
 
 use crate::message::PayloadId;
+use crate::payload::PayloadSet;
 use crate::quorum::QuorumPolicy;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 
@@ -141,14 +147,6 @@ impl ReliabilityBackend {
         match self {
             ReliabilityBackend::Retry(p) => p.name().to_string(),
             ReliabilityBackend::Quorum(q) => q.name(),
-        }
-    }
-
-    /// The retry policy, when this backend is one.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        match *self {
-            ReliabilityBackend::Retry(p) => Some(p),
-            ReliabilityBackend::Quorum(_) => None,
         }
     }
 
@@ -253,32 +251,6 @@ pub struct ReliabilityEntry {
     next_gap: u64,
 }
 
-impl ReliabilityEntry {
-    /// Builds a report-only entry with a pre-settled verdict: used by
-    /// verdict ledgers that adjudicate delivery without the retry driver
-    /// (the quorum backend settles from acceptance, not acks/coverage).
-    /// The private scheduling fields are inert placeholders.
-    pub fn settled(
-        payload: PayloadId,
-        source: NodeId,
-        arrival_round: u64,
-        entered: bool,
-        verdict: DeliveryVerdict,
-    ) -> Self {
-        ReliabilityEntry {
-            payload,
-            source,
-            arrival_round,
-            retries: 0,
-            entered,
-            verdict,
-            acked: false,
-            last_attempt: arrival_round,
-            next_gap: 1,
-        }
-    }
-}
-
 /// Aggregate verdict counts of a [`ReliableBroadcast`] driver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReliabilityStats {
@@ -298,7 +270,7 @@ pub struct ReliabilityStats {
 ///
 /// ```
 /// use dualgraph_net::NodeId;
-/// use dualgraph_sim::{DeliveryVerdict, PayloadId, ReliableBroadcast, RetryPolicy};
+/// use dualgraph_sim::{DeliveryVerdict, PayloadId, PayloadSet, ReliableBroadcast, RetryPolicy};
 ///
 /// let mut rb = ReliableBroadcast::new(RetryPolicy::AckGap { gap: 4, max_retries: 2 });
 /// rb.track(PayloadId(0), NodeId(3), 0, true);
@@ -306,15 +278,16 @@ pub struct ReliabilityStats {
 /// let mut due = Vec::new();
 /// rb.due_retries(4, &mut due);
 /// assert_eq!(due, vec![(NodeId(3), PayloadId(0))]);
-/// // Coverage completes: the verdict settles as Delivered.
-/// rb.on_delivered(PayloadId(0), 7);
+/// // Every correct node holds it by round 7: the verdict settles as Delivered.
+/// assert_eq!(rb.settle_held(PayloadSet::only(PayloadId(0)), 7), 1);
 /// assert!(rb.entry(PayloadId(0)).unwrap().verdict.is_delivered());
 /// assert!(rb.is_settled());
 /// # let _ = DeliveryVerdict::Pending;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReliableBroadcast {
-    policy: RetryPolicy,
+    /// `None` for a ledger without retries (the quorum backend's).
+    policy: Option<RetryPolicy>,
     entries: Vec<ReliabilityEntry>,
 }
 
@@ -331,21 +304,35 @@ impl ReliableBroadcast {
             "retry interval/gap must be at least one round"
         );
         ReliableBroadcast {
-            policy,
+            policy: Some(policy),
             entries: Vec::new(),
         }
     }
 
-    /// The policy in force.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
+    /// The verdict ledger of a stream backend: the retry backend's policy
+    /// driver, or for the quorum backend a ledger with no retry policy —
+    /// it never re-broadcasts, and a dropped arrival is final at once.
+    ///
+    /// # Panics
+    ///
+    /// As [`ReliableBroadcast::new`], on a zero retry interval/gap/base.
+    pub fn for_backend(backend: ReliabilityBackend) -> Self {
+        match backend {
+            ReliabilityBackend::Retry(policy) => Self::new(policy),
+            ReliabilityBackend::Quorum(_) => ReliableBroadcast {
+                policy: None,
+                entries: Vec::new(),
+            },
+        }
     }
 
     /// Registers a payload handed to the layer at `round` from `source`.
     /// `entered = false` records that the initial `bcast` was dropped (the
     /// source was faulty): the driver treats the drop like an unacked
     /// attempt and re-tries it on the policy's schedule instead of losing
-    /// the payload outright.
+    /// the payload outright. A ledger without retries settles such a
+    /// payload [`DeliveryVerdict::Abandoned`] with zero retries on the spot
+    /// (no trace event: nothing was given up that had been attempted).
     ///
     /// # Panics
     ///
@@ -355,16 +342,21 @@ impl ReliableBroadcast {
             self.entry(payload).is_none(),
             "payload {payload:?} is already tracked"
         );
+        let verdict = if entered || self.policy.is_some() {
+            DeliveryVerdict::Pending
+        } else {
+            DeliveryVerdict::Abandoned { retries: 0 }
+        };
         self.entries.push(ReliabilityEntry {
             payload,
             source,
             arrival_round: round,
             retries: 0,
             entered,
-            verdict: DeliveryVerdict::Pending,
+            verdict,
             acked: false,
             last_attempt: round,
-            next_gap: self.policy.first_gap(),
+            next_gap: self.policy.map_or(0, |p| p.first_gap()),
         });
     }
 
@@ -387,37 +379,43 @@ impl ReliableBroadcast {
         }
     }
 
-    /// Settles the payload's verdict as delivered at `round` (ignored once
-    /// final — a payload abandoned by the policy stays abandoned even if
-    /// the network later completes it on its own).
-    pub fn on_delivered(&mut self, payload: PayloadId, round: u64) {
-        self.on_delivered_traced(payload, round, &mut NullSink);
+    /// The ledger half of the stream session's settle sweep: settles
+    /// `Delivered` at `round` for every pending payload that has entered
+    /// the network and is in `held`, the set every currently-correct node
+    /// holds. Final verdicts stay: a payload abandoned by the policy stays
+    /// abandoned even if the network later completes it on its own.
+    /// Returns how many settled.
+    pub fn settle_held(&mut self, held: PayloadSet, round: u64) -> usize {
+        self.settle_held_traced(held, round, &mut NullSink)
     }
 
-    /// [`ReliableBroadcast::on_delivered`] with trace hooks: a verdict
-    /// that actually settles (first final transition) emits
-    /// [`TraceEvent::Verdict`] with `delivered = true`.
-    pub fn on_delivered_traced<S: TraceSink>(
+    /// [`ReliableBroadcast::settle_held`] with trace hooks: each settle
+    /// emits [`TraceEvent::Verdict`] with `delivered = true`.
+    pub fn settle_held_traced<S: TraceSink>(
         &mut self,
-        payload: PayloadId,
+        held: PayloadSet,
         round: u64,
         sink: &mut S,
-    ) {
-        if let Some(e) = self.entry_mut(payload) {
-            if !e.verdict.is_final() {
-                e.verdict = DeliveryVerdict::Delivered {
-                    round,
-                    retries: e.retries,
-                };
-                if S::ENABLED {
-                    sink.emit(TraceEvent::Verdict {
-                        round,
-                        payload,
-                        delivered: true,
-                    });
-                }
+    ) -> usize {
+        let mut newly = 0;
+        for e in &mut self.entries {
+            if e.verdict.is_final() || !e.entered || !held.contains(e.payload) {
+                continue;
             }
+            e.verdict = DeliveryVerdict::Delivered {
+                round,
+                retries: e.retries,
+            };
+            if S::ENABLED {
+                sink.emit(TraceEvent::Verdict {
+                    round,
+                    payload: e.payload,
+                    delivered: true,
+                });
+            }
+            newly += 1;
         }
+        newly
     }
 
     /// Appends every `(source, payload)` whose retry trigger fires at
@@ -433,19 +431,22 @@ impl ReliableBroadcast {
     /// [`ReliableBroadcast::due_retries`] with trace hooks: each fired
     /// retry emits [`TraceEvent::Retry`], and each budget-exhausted payload
     /// settling as abandoned emits [`TraceEvent::Verdict`] with
-    /// `delivered = false`.
+    /// `delivered = false`. A ledger without retries yields nothing.
     pub fn due_retries_traced<S: TraceSink>(
         &mut self,
         round: u64,
         out: &mut Vec<(NodeId, PayloadId)>,
         sink: &mut S,
     ) {
-        let max = self.policy.max_retries();
+        let Some(policy) = self.policy else {
+            return;
+        };
+        let max = policy.max_retries();
         for e in &mut self.entries {
             if e.verdict.is_final() {
                 continue;
             }
-            let due = match self.policy {
+            let due = match policy {
                 RetryPolicy::FixedInterval { interval, .. } => {
                     round >= e.last_attempt.saturating_add(interval)
                 }
@@ -473,7 +474,7 @@ impl ReliableBroadcast {
             e.retries += 1;
             e.last_attempt = round;
             e.acked = false;
-            if matches!(self.policy, RetryPolicy::ExponentialBackoff { .. }) {
+            if matches!(policy, RetryPolicy::ExponentialBackoff { .. }) {
                 e.next_gap = e.next_gap.saturating_mul(2).min(MAX_BACKOFF_GAP);
             }
             if S::ENABLED {
@@ -504,15 +505,6 @@ impl ReliableBroadcast {
     /// `true` once every tracked payload has a final verdict.
     pub fn is_settled(&self) -> bool {
         self.entries.iter().all(|e| e.verdict.is_final())
-    }
-
-    /// Tracked payloads without a final verdict — the pending-retry
-    /// queue depth the stream-health instrumentation samples each round.
-    pub fn open_entries(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| !e.verdict.is_final())
-            .count()
     }
 
     /// Aggregate verdict counts.
@@ -580,7 +572,7 @@ mod tests {
         assert_eq!(rb.entry(PayloadId(0)).unwrap().retries, 1);
         // Still pending (acked is a local guarantee, not delivery).
         assert!(!rb.is_settled());
-        rb.on_delivered(PayloadId(0), 11);
+        rb.settle_held(PayloadSet::only(PayloadId(0)), 11);
         assert_eq!(
             rb.entry(PayloadId(0)).unwrap().verdict,
             DeliveryVerdict::Delivered {
@@ -639,7 +631,7 @@ mod tests {
         assert!(rb.entry(PayloadId(0)).unwrap().verdict.is_abandoned());
         // A late natural completion does not resurrect an abandoned
         // payload, and an abandoned one never retries again.
-        rb.on_delivered(PayloadId(0), 9);
+        rb.settle_held(PayloadSet::only(PayloadId(0)), 9);
         assert!(rb.entry(PayloadId(0)).unwrap().verdict.is_abandoned());
         assert!(due(&mut rb, 50).is_empty());
 
@@ -648,8 +640,8 @@ mod tests {
             max_retries: 3,
         });
         rb.track(PayloadId(1), NodeId(0), 0, true);
-        rb.on_delivered(PayloadId(1), 2);
-        rb.on_delivered(PayloadId(1), 7);
+        rb.settle_held(PayloadSet::only(PayloadId(1)), 2);
+        rb.settle_held(PayloadSet::only(PayloadId(1)), 7);
         assert_eq!(
             rb.entry(PayloadId(1)).unwrap().verdict,
             DeliveryVerdict::Delivered {
@@ -698,13 +690,89 @@ mod tests {
         let b: ReliabilityBackend = retry.into();
         assert_eq!(b, ReliabilityBackend::Retry(retry));
         assert_eq!(b.name(), "ack-gap");
-        assert_eq!(b.retry_policy(), Some(retry));
         assert_eq!(b.quorum_policy(), None);
 
         let q: ReliabilityBackend = QuorumPolicy::for_bound(1).into();
-        assert_eq!(q.retry_policy(), None);
         assert_eq!(q.quorum_policy(), Some(QuorumPolicy::for_bound(1)));
         assert!(q.name().contains("quorum"));
+    }
+
+    #[test]
+    fn ledger_without_retries_abandons_drops_at_once_and_never_retries() {
+        use crate::quorum::QuorumPolicy;
+
+        let mut rb = ReliableBroadcast::for_backend(QuorumPolicy::for_bound(1).into());
+        rb.track(PayloadId(0), NodeId(0), 0, true);
+        rb.track(PayloadId(1), NodeId(5), 0, false);
+        assert_eq!(
+            rb.entry(PayloadId(0)).unwrap().verdict,
+            DeliveryVerdict::Pending
+        );
+        assert_eq!(
+            rb.entry(PayloadId(1)).unwrap().verdict,
+            DeliveryVerdict::Abandoned { retries: 0 },
+            "a dropped arrival is final without a retry lane"
+        );
+        for round in [1, 50, 5_000] {
+            assert!(due(&mut rb, round).is_empty(), "round {round}");
+        }
+        let mut events: Vec<TraceEvent> = Vec::new();
+        let held = PayloadSet::first_k(2);
+        assert_eq!(rb.settle_held_traced(held, 9, &mut events), 1);
+        assert_eq!(
+            events,
+            vec![TraceEvent::Verdict {
+                round: 9,
+                payload: PayloadId(0),
+                delivered: true
+            }]
+        );
+        assert!(rb.entry(PayloadId(1)).unwrap().verdict.is_abandoned());
+        assert!(rb.is_settled());
+        // The retry backend's ledger keeps the same drop pending instead,
+        // and retries it.
+        let retry = RetryPolicy::AckGap {
+            gap: 3,
+            max_retries: 1,
+        };
+        let mut rb = ReliableBroadcast::for_backend(retry.into());
+        rb.track(PayloadId(1), NodeId(5), 0, false);
+        assert!(!rb.is_settled());
+        assert_eq!(due(&mut rb, 3), vec![(NodeId(5), PayloadId(1))]);
+    }
+
+    #[test]
+    fn settle_held_settles_only_entered_pending_payloads() {
+        let mut rb = ReliableBroadcast::new(RetryPolicy::AckGap {
+            gap: 2,
+            max_retries: 4,
+        });
+        rb.track(PayloadId(0), NodeId(0), 0, true);
+        rb.track(PayloadId(1), NodeId(0), 0, false);
+        rb.track(PayloadId(2), NodeId(0), 0, true);
+        // Payload 1 is held everywhere (junk that circulated before it
+        // entered) but has not entered: it stays pending. Payload 2 is not
+        // held by everyone.
+        let mut held = PayloadSet::only(PayloadId(0));
+        held.insert(PayloadId(1));
+        assert_eq!(rb.settle_held(held, 4), 1);
+        assert_eq!(
+            rb.entry(PayloadId(0)).unwrap().verdict,
+            DeliveryVerdict::Delivered {
+                round: 4,
+                retries: 0
+            }
+        );
+        assert_eq!(
+            rb.entry(PayloadId(1)).unwrap().verdict,
+            DeliveryVerdict::Pending
+        );
+        assert_eq!(
+            rb.entry(PayloadId(2)).unwrap().verdict,
+            DeliveryVerdict::Pending
+        );
+        // Final verdicts are not re-settled.
+        assert_eq!(rb.settle_held(held, 6), 0);
     }
 
     #[test]

@@ -148,6 +148,10 @@ impl Process for ProcessSlot {
         match_slot!(self, p => p.accepted_payloads())
     }
 
+    fn certified_payloads(&self) -> Option<(PayloadSet, PayloadSet)> {
+        match_slot!(self, p => p.certified_payloads())
+    }
+
     fn clone_box(&self) -> Box<dyn Process> {
         Box::new(self.clone())
     }
@@ -681,6 +685,7 @@ fn receive_chunk<P: Process>(
 mod tests {
     use super::*;
     use crate::message::PayloadId;
+    use crate::quorum::QuorumPolicy;
 
     fn flooder_slots(n: usize) -> Vec<ProcessSlot> {
         Flooder::slots(n)
@@ -710,6 +715,27 @@ mod tests {
         let empty = ProcessTable::from_slots(Vec::new());
         assert!(empty.is_empty());
         assert!(!empty.is_batched());
+    }
+
+    #[test]
+    fn slots_forward_the_quorum_latches() {
+        // A mixed table reads its processes through `ProcessSlot`'s
+        // `Process` impl, as `Executor::process_at` does: a quorum slot
+        // must answer there exactly as the automaton does directly.
+        let mut slots = flooder_slots(1);
+        let origins = [ProcessId(0)];
+        slots.push(QuorumProcess::slots(2, QuorumPolicy::for_bound(0), &origins).swap_remove(1));
+        let ProcessSlot::Quorum(direct) = &slots[1] else {
+            unreachable!("the pushed slot is a quorum slot")
+        };
+        let certified = direct.certified_payloads();
+        assert_eq!(certified, Some((PayloadSet::EMPTY, PayloadSet::EMPTY)));
+        assert_eq!(slots[1].certified_payloads(), certified);
+        let table = ProcessTable::from_slots(slots);
+        assert_eq!(table.kind(), "mixed");
+        assert_eq!(table.get(1).certified_payloads(), certified);
+        assert_eq!(table.get(1).accepted_payloads(), Some(PayloadSet::EMPTY));
+        assert_eq!(table.get(0).certified_payloads(), None);
     }
 
     #[test]

@@ -7,34 +7,38 @@ use dualgraph::{
 };
 // The canonical flooding automaton (this file used to carry a private
 // duplicate; it was promoted to `dualgraph_sim::Flooder`).
-use dualgraph_sim::{ActivationCause, Adversary, Flooder, Reception, RoundContext, TraceEvent};
-
-/// An adversary that tries to cheat: delivering outside `G′ ∖ G` must be
-/// rejected by the executor.
-#[derive(Debug, Clone)]
-struct CheatingAdversary;
-
-impl Adversary for CheatingAdversary {
-    fn unreliable_deliveries(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        _sender: NodeId,
-        out: &mut Vec<NodeId>,
-    ) {
-        // Claim delivery to node 0 regardless of whether the edge exists.
-        out.push(ctx.network.nodes().next().unwrap());
-    }
-    fn clone_box(&self) -> Box<dyn Adversary> {
-        Box::new(self.clone())
-    }
-}
+use dualgraph_sim::{ActivationCause, Flooder, Reception, TraceEvent};
 
 // The delivery-validation is a debug_assert! over the CSR row (hot path),
 // so the rejection only exists — and is only testable — in debug builds.
+// The cheating adversary lives under the same `cfg`: release builds of
+// this file would otherwise carry it unused.
 #[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "outside G' \\ G")]
 fn executor_rejects_illegal_deliveries() {
+    use dualgraph_sim::{Adversary, RoundContext};
+
+    /// An adversary that tries to cheat: delivering outside `G′ ∖ G` must
+    /// be rejected by the executor.
+    #[derive(Debug, Clone)]
+    struct CheatingAdversary;
+
+    impl Adversary for CheatingAdversary {
+        fn unreliable_deliveries(
+            &mut self,
+            ctx: &RoundContext<'_>,
+            _sender: NodeId,
+            out: &mut Vec<NodeId>,
+        ) {
+            // Claim delivery to node 0 regardless of whether the edge exists.
+            out.push(ctx.network.nodes().next().unwrap());
+        }
+        fn clone_box(&self) -> Box<dyn Adversary> {
+            Box::new(self.clone())
+        }
+    }
+
     let net = generators::line(3, 1); // no unreliable edges at all
     let mut exec = Executor::new(
         &net,
