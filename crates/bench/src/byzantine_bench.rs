@@ -1,5 +1,5 @@
-//! The `--bench-byzantine` workload family: quorum-certified broadcast
-//! under churn with ~10% equivocators.
+//! The `byzantine` series: quorum-certified broadcast under churn with
+//! ~10% equivocators.
 //!
 //! The quorum backend's claim is twofold:
 //!
@@ -7,13 +7,16 @@
 //!   population equivocating (different payload faces to different
 //!   neighbor parities, every round) and the bursty adversary (fair CR4
 //!   coin), no correct node ever certifies a payload id outside the
-//!   environment's real set: `safety_violations == 0`, always asserted;
+//!   environment's real set: `safety_violations == 0`, asserted by an
+//!   untimed delivery run to settlement (or a 30 000-round horizon) whose
+//!   verdicts, bound `f` and mean accept round are the record's outcome;
 //! * **cost** — the per-round price of quorum certification (echo/ready
 //!   attester sets, acceptance polling, per-receiver Byzantine dispatch)
 //!   stays within **2.0×** of the ack-gap retry stream round *under the
-//!   same Byzantine plan*, so the ratio isolates the backend swap — both
-//!   arms pay the identical engine round, per-receiver slow path, MAC
-//!   diffing, and churn plumbing.
+//!   same Byzantine plan* (the `quorum` arm's limit over the `ackgap` base
+//!   at `n = 1025`), so the ratio isolates the backend swap — both arms
+//!   pay the identical engine round, per-receiver slow path, MAC diffing,
+//!   and churn plumbing.
 //!
 //! The workload network is denser than the engine bench's near-tree
 //! (`reliable_p = 12/n` against `2/n`): certified propagation needs
@@ -21,57 +24,26 @@
 //! backbone would measure starvation, not the protocol (see
 //! `docs/BYZANTINE.md` on the sender-diversity liveness condition).
 
-use std::time::Instant;
+use std::rc::Rc;
 
 use dualgraph_broadcast::stream::{
-    Arrivals, DynamicsConfig, ReliabilityReport, SourcePlacement, StreamAlgorithm, StreamConfig,
-    StreamSession,
+    Arrivals, DynamicsConfig, SourcePlacement, StreamAlgorithm, StreamConfig, StreamSession,
 };
 use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::{
-    local_byzantine_bound, Adversary, BurstyDelivery, DeliveryVerdict, FaultPlan, NodeRole,
-    PayloadId, PayloadSet, QuorumPolicy, ReliabilityBackend, WithRandomCr4,
+    local_byzantine_bound, DeliveryVerdict, FaultPlan, NodeRole, PayloadId, PayloadSet,
+    QuorumPolicy, ReliabilityBackend,
 };
 
-use crate::engine_bench::EngineMeasurement;
-use crate::reliability_bench::POLICY;
+use crate::engine_bench::limit_at;
+use crate::record::{field, Cell, Sample};
+use crate::reliability_bench::{adversary, POLICY};
 
 /// Payloads in the Byzantine stream cell (`2k ≤ MAX_PAYLOADS`: the
 /// upper half of the id space carries the ready markers).
 pub const BYZANTINE_K: usize = 32;
-
-/// One measured Byzantine cell.
-#[derive(Debug, Clone)]
-pub struct ByzantineMeasurement {
-    /// Network size.
-    pub n: usize,
-    /// Concurrent payloads.
-    pub k: usize,
-    /// Equivocators in the placement.
-    pub equivocators: usize,
-    /// The measured local Byzantine bound (max over epochs), which
-    /// parameterizes the quorum thresholds.
-    pub f: u32,
-    /// End-of-run verdict report of the quorum delivery run.
-    pub report: ReliabilityReport,
-    /// Rounds the delivery run executed (settled or horizon).
-    pub rounds_executed: u64,
-    /// Mean settle round over `Delivered` entries (`0` if none).
-    pub mean_accept_round: f64,
-    /// Fixed-window timing with the ack-gap retry backend (same plan).
-    pub ackgap: EngineMeasurement,
-    /// Fixed-window timing with the quorum backend.
-    pub quorum: EngineMeasurement,
-}
-
-impl ByzantineMeasurement {
-    /// `quorum ns/round ÷ ack-gap ns/round` — the cost of swapping the
-    /// backend under an identical Byzantine plan (acceptance target
-    /// ≤ 2.0 at `n = 1025`).
-    pub fn overhead(&self) -> f64 {
-        self.quorum.ns_per_round() / self.ackgap.ns_per_round()
-    }
-}
+/// Adversary seed of the Byzantine stream workload.
+const SEED: u64 = 0xB42E;
 
 /// The Byzantine workload network: same Erdős–Rényi dual family as the
 /// engine bench, but dense enough (`reliable_p = 12/n`) that every node
@@ -140,21 +112,13 @@ pub fn measured_bound(schedule: &TopologySchedule, cast: &[NodeId]) -> u32 {
         .unwrap_or(0)
 }
 
-fn adversary(seed: u64) -> Box<dyn Adversary> {
-    Box::new(WithRandomCr4::new(
-        BurstyDelivery::new(0.15, 0.4, seed),
-        seed ^ 0x9E37,
-    ))
-}
-
 /// Builds the cell's session on `schedule` with the given backend and
 /// the standard equivocator plan.
-fn session<'a>(
-    schedule: &'a TopologySchedule,
+fn session(
+    schedule: &TopologySchedule,
     reliability: ReliabilityBackend,
     max_rounds: u64,
-    seed: u64,
-) -> StreamSession<'a> {
+) -> StreamSession<'_> {
     let n = schedule.node_count();
     let (faults, _) = byzantine_plan(n, BYZANTINE_K);
     let config = StreamConfig {
@@ -172,110 +136,94 @@ fn session<'a>(
     StreamSession::scheduled(
         schedule,
         StreamAlgorithm::PipelinedFlooding,
-        adversary(seed),
+        adversary(SEED),
         &config,
     )
     .expect("byzantine workload construction")
 }
 
-/// Times `rounds` fixed `step`s of a fresh session.
-fn time_session(
-    schedule: &TopologySchedule,
-    reliability: ReliabilityBackend,
-    rounds: u64,
-    seed: u64,
-) -> EngineMeasurement {
-    let mut s = session(schedule, reliability, u64::MAX, seed);
-    let start = Instant::now();
-    for _ in 0..rounds {
-        s.step();
-    }
-    EngineMeasurement {
-        rounds,
-        elapsed_ns: start.elapsed().as_nanos(),
-    }
-}
-
-/// Runs the full Byzantine cell for size `n`: the quorum delivery run
-/// to settlement (or a 30 000-round horizon), then the fixed-window
-/// backend comparison over `rounds` rounds (quorum vs ack-gap, best of
-/// three each, both under the equivocator plan).
+/// One record: the quorum delivery run to settlement (or a 30 000-round
+/// horizon), untimed, then the `ackgap` and `quorum` arms over `rounds`
+/// fixed rounds, both under the equivocator plan.
 ///
 /// # Panics
 ///
 /// Panics on session construction failure or — the point — if any
 /// correct node certified a forged payload id (`safety_violations`).
-pub fn measure_byzantine(n: usize, rounds: u64) -> ByzantineMeasurement {
-    let schedule = churn_workload(n);
+pub(crate) fn cell(n: usize, rounds: u64) -> Cell<'static> {
+    let schedule = Rc::new(churn_workload(n));
     let (_, cast) = byzantine_plan(n, BYZANTINE_K);
     let f = measured_bound(&schedule, &cast);
-    let quorum_backend = ReliabilityBackend::Quorum(QuorumPolicy::for_bound(f));
-    let seed = 0xB42E;
+    let quorum = ReliabilityBackend::Quorum(QuorumPolicy::for_bound(f));
 
-    // Delivery run: drive to verdict settlement or the horizon.
-    let (outcome, _) = session(&schedule, quorum_backend, 30_000, seed).run();
-    let report = outcome
-        .reliability
-        .clone()
-        .expect("quorum run carries a report");
+    let (outcome, _) = session(&schedule, quorum, 30_000).run();
+    let report = outcome.reliability.expect("quorum run carries a report");
     assert_eq!(
         report.safety_violations, 0,
         "a correct node certified a forged id (n={n}): {report:?}"
     );
-    let (settled, sum) = report
+    let accepted: Vec<u64> = report
         .entries
         .iter()
         .filter_map(|e| match e.verdict {
             DeliveryVerdict::Delivered { round, .. } => Some(round),
             _ => None,
         })
-        .fold((0u64, 0u64), |(c, s), r| (c + 1, s + r));
-    let mean_accept_round = if settled == 0 {
-        0.0
-    } else {
-        sum as f64 / settled as f64
-    };
+        .collect();
+    let mean_accept_round = accepted.iter().sum::<u64>() as f64 / accepted.len().max(1) as f64;
 
-    let best_of = |reliability: ReliabilityBackend| -> EngineMeasurement {
-        time_session(&schedule, reliability, rounds, seed); // warm-up
-        (0..3)
-            .map(|_| time_session(&schedule, reliability, rounds, seed))
-            .min_by(|a, b| a.elapsed_ns.cmp(&b.elapsed_ns))
-            .expect("three runs")
+    let session_sample = move |schedule: &TopologySchedule, backend| {
+        let mut s = session(schedule, backend, u64::MAX);
+        Sample::time(rounds, || {
+            s.step();
+        })
     };
-    let ackgap = best_of(POLICY.into());
-    let quorum = best_of(quorum_backend);
-
-    ByzantineMeasurement {
+    let on_quorum = Rc::clone(&schedule);
+    Cell::new(
+        "byzantine",
+        "byzantine-churn8-equiv10pct-bursty",
         n,
-        k: BYZANTINE_K,
-        equivocators: cast.len(),
-        f,
-        report,
-        rounds_executed: outcome.rounds_executed,
-        mean_accept_round,
-        ackgap,
-        quorum,
-    }
+        Some(BYZANTINE_K),
+        rounds,
+    )
+    .outcome(vec![
+        field("equivocators", cast.len()),
+        field("byzantine_bound_f", f),
+        field("policy", report.backend.name().as_str()),
+        field("delivered", report.stats.delivered),
+        field("abandoned", report.stats.abandoned),
+        field("pending", report.stats.pending),
+        field("safety_violations", report.safety_violations),
+        field("mean_accept_round", mean_accept_round),
+        field("rounds_executed", outcome.rounds_executed),
+    ])
+    .arm("ackgap", move || session_sample(&schedule, POLICY.into()))
+    .arm("quorum", move || session_sample(&on_quorum, quorum))
+    .limit(limit_at(n, 2.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::measure;
+    use crate::record::tests::{assert_sampled, num};
 
     #[test]
-    fn byzantine_cell_is_safe_and_reports() {
-        let m = measure_byzantine(65, 120);
-        assert_eq!(m.n, 65);
-        assert_eq!(m.k, BYZANTINE_K);
-        assert!(m.equivocators >= 5, "~10% of 65");
-        assert!(m.f >= 1, "the placement is genuinely Byzantine");
-        assert_eq!(m.report.safety_violations, 0);
+    fn byzantine_record_is_safe_and_reports() {
+        let records = measure(vec![cell(65, 120)]);
+        let r = &records[0];
+        assert_sampled(r);
+        assert_eq!(r.k, Some(BYZANTINE_K as u64));
+        assert!(num(r, "equivocators") >= 5.0, "~10% of 65");
         assert!(
-            m.report.stats.delivered > 0,
-            "certification makes progress: {:?}",
-            m.report.stats
+            num(r, "byzantine_bound_f") >= 1.0,
+            "the placement is genuinely Byzantine"
         );
-        assert!(m.overhead() > 0.0);
+        assert_eq!(num(r, "safety_violations"), 0.0);
+        assert!(num(r, "delivered") > 0.0, "certification makes progress");
+        assert!(r
+            .field("policy")
+            .and_then(|p| p.as_str())
+            .is_some_and(|p| p.starts_with("quorum(")));
     }
 }

@@ -1,27 +1,32 @@
-//! `--bench-compare`: diff a fresh engine run against the checked-in
-//! `BENCH_engine.json` baseline and flag per-series regressions.
+//! `--bench-compare`: gate a fresh `BENCH_engine.json` measurement against
+//! a baseline document, record by record.
 //!
-//! The comparison is deliberately narrow: it re-times only the
-//! `enum_ns_per_round` series of the engine section (every
-//! [`ENGINE_WORKLOADS`][crate::engine_bench::ENGINE_WORKLOADS] row at each
-//! [`BENCH_SIZES`][crate::engine_bench::BENCH_SIZES] entry), because that
-//! is the one series with a stable definition across every schema
-//! revision and the one the headline speedup claims rest on.
-//! A fresh measurement more than `threshold ×` the baseline (default
-//! [`DEFAULT_THRESHOLD`] = 1.25, i.e. >25% slower) is a regression.
+//! [`compare`] checks every baseline record against the fresh record with
+//! the same identity (series, workload, `n`, `k`, rounds):
 //!
-//! The environment has no serde, so the baseline document is read with
-//! the minimal recursive-descent JSON parser below — it accepts exactly
-//! the value grammar `BENCH_engine.json` uses (objects, arrays, strings
-//! without exotic escapes, numbers, booleans, null) and rejects the rest
-//! loudly rather than guessing.
+//! * each arm's figure (the min of its samples) may be at most
+//!   [`MAX_SLOWDOWN`] × the baseline arm's;
+//! * the outcome fields must be equal, so a change that silently alters
+//!   behaviour fails as surely as one that slows it down;
+//! * no arm's limit may be dropped or loosened;
+//! * a baseline record missing from the fresh run fails.
+//!
+//! Every fresh record's per-arm limits (`arm / base ≤ limit`) must hold,
+//! and a fresh record without a baseline passes as new.
+//!
+//! The environment has no serde, so documents are written and read with
+//! the minimal JSON value below — its recursive-descent parser accepts
+//! exactly the value grammar `BENCH_engine.json` uses (objects, arrays,
+//! strings without exotic escapes, numbers, booleans, null) and rejects
+//! the rest loudly rather than guessing.
 
 use std::fmt;
 
-use crate::engine_bench::{self, Dispatch, BENCH_SIZES, ENGINE_WORKLOADS};
+use crate::record::BenchRecord;
+use crate::report::json_esc;
 
-/// Default regression threshold: fresh > 1.25× baseline flags the series.
-pub const DEFAULT_THRESHOLD: f64 = 1.25;
+/// Largest fresh ÷ baseline ratio any arm's figure may reach.
+pub const MAX_SLOWDOWN: f64 = 1.25;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON value + parser
@@ -76,40 +81,121 @@ impl JsonValue {
             _ => None,
         }
     }
-}
 
-/// A parse failure, with the byte offset where parsing gave up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonParseError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What the parser expected there.
-    pub expected: &'static str,
-}
+    /// The value as object fields, if it is one.
+    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
+        match self {
+            JsonValue::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
 
-impl fmt::Display for JsonParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid JSON at byte {}: expected {}",
-            self.at, self.expected
-        )
+    /// Containers nested below this value (0 for a scalar).
+    fn depth(&self) -> usize {
+        let children = match self {
+            JsonValue::Arr(items) => items.iter().map(JsonValue::depth).max(),
+            JsonValue::Obj(fields) => fields.iter().map(|(_, v)| v.depth()).max(),
+            _ => return 0,
+        };
+        1 + children.unwrap_or(0)
+    }
+
+    /// Renders the value with two-space indentation; a container at most
+    /// two levels deep (an arm, an outcome) stays on one line.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// Writes compact JSON, or indented at `indent` levels when given;
+    /// non-finite numbers render as `null`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let indent = indent.filter(|_| self.depth() > 2);
+        let (open, close, items): (_, _, Vec<(Option<&str>, &JsonValue)>) = match self {
+            JsonValue::Num(x) if x.is_finite() => return out.push_str(&x.to_string()),
+            JsonValue::Null | JsonValue::Num(_) => return out.push_str("null"),
+            JsonValue::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Str(s) => return out.push_str(&format!("\"{}\"", json_esc(s))),
+            JsonValue::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            JsonValue::Obj(fields) => (
+                '{',
+                '}',
+                fields.iter().map(|(k, v)| (Some(&k[..]), v)).collect(),
+            ),
+        };
+        let pad = |level: usize| format!("\n{}", "  ".repeat(level));
+        out.push(open);
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { "," });
+            match indent {
+                Some(level) => out.push_str(&pad(level + 1)),
+                None if i > 0 => out.push(' '),
+                None => {}
+            }
+            if let Some(key) = key {
+                out.push_str(&format!("\"{}\": ", json_esc(key)));
+            }
+            value.write(out, indent.map(|level| level + 1));
+        }
+        if let Some(level) = indent {
+            out.push_str(&pad(level));
+        }
+        out.push(close);
     }
 }
 
-impl std::error::Error for JsonParseError {}
+/// Compact one-line JSON.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        f.write_str(&out)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(x: f64) -> Self {
+        JsonValue::Num(x)
+    }
+}
+
+macro_rules! json_from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(x: $t) -> Self {
+                JsonValue::Num(x as f64)
+            }
+        }
+    )*};
+}
+json_from_integer!(u64, usize, u32);
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(x: Option<T>) -> Self {
+        x.map_or(JsonValue::Null, Into::into)
+    }
+}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn err<T>(&self, expected: &'static str) -> Result<T, JsonParseError> {
-        Err(JsonParseError {
-            at: self.pos,
-            expected,
-        })
+    /// The failure at the current byte offset.
+    fn err<T>(&self, expected: &str) -> Result<T, String> {
+        Err(format!(
+            "invalid JSON at byte {}: expected {expected}",
+            self.pos
+        ))
     }
 
     fn skip_ws(&mut self) {
@@ -131,7 +217,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_literal(&mut self, lit: &'static str) -> Result<(), JsonParseError> {
+    fn expect_literal(&mut self, lit: &'static str) -> Result<(), String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
@@ -140,7 +226,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonParseError> {
+    fn string(&mut self) -> Result<String, String> {
         // Opening quote already consumed.
         let mut out = String::new();
         loop {
@@ -165,18 +251,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a &str,
-                    // so boundaries are sound).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        JsonParseError {
-                            at: self.pos,
-                            expected: "valid UTF-8",
-                        }
-                    })?;
-                    let c = rest.chars().next().ok_or(JsonParseError {
-                        at: self.pos,
-                        expected: "a character",
-                    })?;
+                    // One UTF-8 scalar: every other token is ASCII, so the
+                    // offset sits on a char boundary.
+                    let c = self.text[self.pos..].chars().next().unwrap_or_default();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -184,25 +261,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<f64, JsonParseError> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = self.bytes.get(self.pos) {
+            self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or(JsonParseError {
-                at: start,
-                expected: "a number",
-            })
+        let text = self.text;
+        text[start..self.pos].parse().or_else(|_| {
+            self.pos = start;
+            self.err("a number")
+        })
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonParseError> {
+    fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
             Some(b'{') => {
@@ -280,9 +351,10 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns the byte offset and expectation of the first syntax error.
-pub fn parse_json(text: &str) -> Result<JsonValue, JsonParseError> {
+/// The byte offset and expectation of the first syntax error.
+pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -295,201 +367,97 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonParseError> {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline extraction + comparison
+// The comparator
 // ---------------------------------------------------------------------------
 
-/// One `(workload, n) → ns/round` point of the engine series.
+/// One verdict of [`compare`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SeriesPoint {
-    /// Workload name (e.g. `"dense-flooding"`).
-    pub workload: String,
-    /// Network size.
-    pub n: u64,
-    /// Enum-dispatch nanoseconds per round.
-    pub ns_per_round: f64,
+pub struct Check {
+    /// The record checked ([`BenchRecord::label`]).
+    pub record: String,
+    /// What was checked, with its numbers.
+    pub detail: String,
+    /// Whether the check passed.
+    pub passed: bool,
 }
 
-/// Why a baseline document could not be compared against.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompareError {
-    /// The document is not valid JSON.
-    Parse(JsonParseError),
-    /// The document's `schema` field is missing or not this build's
-    /// [`BENCH_SCHEMA`][crate::BENCH_SCHEMA].
-    SchemaMismatch {
-        /// What the document declared (empty if absent).
-        found: String,
-    },
-    /// The document has no `measurements` section, or an entry is missing
-    /// one of `workload` / `n` / `enum_ns_per_round`.
-    MalformedMeasurements,
-}
-
-impl fmt::Display for CompareError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompareError::Parse(e) => write!(f, "baseline is not valid JSON: {e}"),
-            CompareError::SchemaMismatch { found } => write!(
-                f,
-                "baseline schema {found:?} does not match this build's {:?} — \
-                 regenerate the snapshot before comparing",
-                crate::BENCH_SCHEMA
-            ),
-            CompareError::MalformedMeasurements => {
-                write!(f, "baseline has no usable engine `measurements` section")
+/// Gates `fresh` against `baseline`, returning one [`Check`] per arm,
+/// per record's outcome, per limit, per dropped or loosened limit, per new
+/// record and per baseline record missing from `fresh` (see the module
+/// docs for the rules).
+pub fn compare(baseline: &[BenchRecord], fresh: &[BenchRecord]) -> Vec<Check> {
+    let mut checks = Vec::new();
+    let mut check = |record: &BenchRecord, passed: bool, detail: String| {
+        let record = record.label();
+        checks.push(Check {
+            record,
+            detail,
+            passed,
+        });
+    };
+    for now in fresh {
+        let Some(base) = baseline.iter().find(|b| b.same_identity(now)) else {
+            check(now, true, "new record (no baseline)".to_string());
+            continue;
+        };
+        for arm in &base.arms {
+            let Some(fresh_arm) = now.arm(&arm.name) else {
+                check(now, false, format!("arm {} missing", arm.name));
+                continue;
+            };
+            let (was, is) = (arm.figure(), fresh_arm.figure());
+            let ratio = is / was;
+            let detail = format!(
+                "{} {was:.1} -> {is:.1} ns/round ({ratio:.3}x, max {MAX_SLOWDOWN}x)",
+                arm.name
+            );
+            check(now, ratio <= MAX_SLOWDOWN, detail);
+            let (was, is) = (arm.limit, fresh_arm.limit);
+            if was.is_some_and(|was| is.is_none_or(|is| is > was)) {
+                let [was, is] = [was, is].map(|l| l.map_or("absent".into(), |l| l.to_string()));
+                let detail = format!("limit {}/{} loosened: {was} -> {is}", arm.name, now.base);
+                check(now, false, detail);
             }
         }
-    }
-}
-
-impl std::error::Error for CompareError {}
-
-/// Reads the engine series out of a `BENCH_engine.json` document,
-/// refusing documents from a different schema revision (their series
-/// definitions may not be comparable).
-///
-/// # Errors
-///
-/// [`CompareError`] on syntax, schema, or shape problems.
-pub fn extract_engine_series(text: &str) -> Result<Vec<SeriesPoint>, CompareError> {
-    let doc = parse_json(text).map_err(CompareError::Parse)?;
-    let found = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("")
-        .to_string();
-    if found != crate::BENCH_SCHEMA {
-        return Err(CompareError::SchemaMismatch { found });
-    }
-    let entries = doc
-        .get("measurements")
-        .and_then(JsonValue::as_arr)
-        .ok_or(CompareError::MalformedMeasurements)?;
-    let mut series = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let workload = entry
-            .get("workload")
-            .and_then(JsonValue::as_str)
-            .ok_or(CompareError::MalformedMeasurements)?
-            .to_string();
-        let n = entry
-            .get("n")
-            .and_then(JsonValue::as_num)
-            .ok_or(CompareError::MalformedMeasurements)? as u64;
-        let ns_per_round = entry
-            .get("enum_ns_per_round")
-            .and_then(JsonValue::as_num)
-            .ok_or(CompareError::MalformedMeasurements)?;
-        series.push(SeriesPoint {
-            workload,
-            n,
-            ns_per_round,
-        });
-    }
-    Ok(series)
-}
-
-/// A matched baseline/fresh pair for one series point.
-#[derive(Debug, Clone)]
-pub struct ComparisonRow {
-    /// Workload name.
-    pub workload: String,
-    /// Network size.
-    pub n: u64,
-    /// Baseline ns/round (from the checked-in snapshot).
-    pub baseline_ns: f64,
-    /// Fresh ns/round (measured now).
-    pub fresh_ns: f64,
-}
-
-impl ComparisonRow {
-    /// `fresh ÷ baseline` — above 1.0 means the fresh run is slower.
-    pub fn ratio(&self) -> f64 {
-        self.fresh_ns / self.baseline_ns
-    }
-
-    /// Whether this series regressed past `threshold`.
-    pub fn regressed(&self, threshold: f64) -> bool {
-        self.ratio() > threshold
-    }
-}
-
-/// Joins baseline and fresh series on `(workload, n)`; points present on
-/// only one side are skipped (a resized `BENCH_SIZES` should not fail the
-/// gate, it should regenerate the snapshot).
-pub fn compare_series(baseline: &[SeriesPoint], fresh: &[SeriesPoint]) -> Vec<ComparisonRow> {
-    fresh
-        .iter()
-        .filter_map(|f| {
-            baseline
-                .iter()
-                .find(|b| b.workload == f.workload && b.n == f.n)
-                .map(|b| ComparisonRow {
-                    workload: f.workload.clone(),
-                    n: f.n,
-                    baseline_ns: b.ns_per_round,
-                    fresh_ns: f.ns_per_round,
-                })
-        })
-        .collect()
-}
-
-/// Re-times the enum-dispatch engine series (every [`ENGINE_WORKLOADS`]
-/// row per [`BENCH_SIZES`] size) with the same measurement discipline
-/// `--bench-engine` uses ([`engine_bench::best_of`]).
-pub fn fresh_engine_series() -> Vec<SeriesPoint> {
-    let mut series = Vec::with_capacity(BENCH_SIZES.len() * ENGINE_WORKLOADS.len());
-    for &n in &BENCH_SIZES {
-        let net = engine_bench::workload_network(n);
-        let rounds = engine_bench::bench_rounds_for(n);
-        for (workload, measure) in ENGINE_WORKLOADS {
-            let m = engine_bench::best_of(|| measure(&net, rounds, Dispatch::Enum));
-            series.push(SeriesPoint {
-                workload: workload.to_string(),
-                n: n as u64,
-                ns_per_round: m.ns_per_round(),
-            });
+        let show = |v: Option<&JsonValue>| v.map_or("absent".to_string(), JsonValue::to_string);
+        let mut differing: Vec<&String> = Vec::new();
+        for (key, _) in base.outcome.iter().chain(&now.outcome) {
+            if base.field(key) != now.field(key) && !differing.contains(&key) {
+                differing.push(key);
+            }
+        }
+        for key in &differing {
+            let (was, is) = (show(base.field(key)), show(now.field(key)));
+            check(now, false, format!("outcome {key}: {was} -> {is}"));
+        }
+        if differing.is_empty() {
+            check(
+                now,
+                true,
+                format!("outcome: {} fields equal", now.outcome.len()),
+            );
         }
     }
-    series
+    for now in fresh {
+        for (arm, limit) in now.arms.iter().filter_map(|a| Some((a, a.limit?))) {
+            let ratio = now.ratio(arm);
+            let detail = format!("limit {}/{} {ratio:.3} (max {limit})", arm.name, now.base);
+            check(now, ratio <= limit, detail);
+        }
+    }
+    for base in baseline
+        .iter()
+        .filter(|b| !fresh.iter().any(|f| f.same_identity(b)))
+    {
+        check(base, false, "missing from the fresh run".to_string());
+    }
+    checks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fixture(schema: &str) -> String {
-        format!(
-            concat!(
-                "{{\n  \"schema\": \"{}\",\n  \"peak_rss_kb\": null,\n",
-                "  \"measurements\": [\n",
-                "    {{\"workload\": \"dense-flooding\", \"n\": 65, \"rounds\": 4000,\n",
-                "     \"enum_ns_per_round\": 1234.5, \"speedup_enum_vs_boxed\": 1.10}},\n",
-                "    {{\"workload\": \"er_dual-chatter-random0.5\", \"n\": 257,\n",
-                "     \"enum_ns_per_round\": 900.0}}\n",
-                "  ]\n}}\n"
-            ),
-            schema
-        )
-    }
-
-    #[test]
-    fn parser_handles_the_bench_grammar() {
-        let doc = parse_json(&fixture(crate::BENCH_SCHEMA)).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some(crate::BENCH_SCHEMA)
-        );
-        assert_eq!(doc.get("peak_rss_kb"), Some(&JsonValue::Null));
-        let entries = doc.get("measurements").and_then(JsonValue::as_arr).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(
-            entries[0]
-                .get("enum_ns_per_round")
-                .and_then(JsonValue::as_num),
-            Some(1234.5)
-        );
-    }
+    use crate::record::{field, ArmRecord};
 
     #[test]
     fn parser_rejects_trailing_garbage_and_syntax_errors() {
@@ -508,60 +476,94 @@ mod tests {
     }
 
     #[test]
-    fn extract_reads_the_engine_series() {
-        let series = extract_engine_series(&fixture(crate::BENCH_SCHEMA)).unwrap();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].workload, "dense-flooding");
-        assert_eq!(series[0].n, 65);
-        assert_eq!(series[0].ns_per_round, 1234.5);
+    fn pretty_output_parses_back_to_the_same_value() {
+        let value = JsonValue::Obj(vec![
+            ("s".into(), "a\"b\\c\n≥".into()),
+            ("x".into(), JsonValue::Num(0.1)),
+            ("none".into(), JsonValue::Null),
+            (
+                "deep".into(),
+                JsonValue::Arr(vec![JsonValue::Obj(vec![(
+                    "a".into(),
+                    JsonValue::Arr(vec![1u64.into(), JsonValue::Bool(false)]),
+                )])]),
+            ),
+        ]);
+        assert_eq!(parse_json(&value.pretty()).unwrap(), value);
+        assert_eq!(parse_json(&value.to_string()).unwrap(), value);
+    }
+
+    fn record(workload: &str, enum_ns: f64, sends: u64) -> BenchRecord {
+        let arm = |name: &str, ns: f64, limit| ArmRecord {
+            name: name.into(),
+            ns_per_round: vec![ns, ns * 1.1],
+            limit,
+        };
+        BenchRecord {
+            series: "engine".into(),
+            workload: workload.into(),
+            n: 65,
+            k: None,
+            rounds: 4000,
+            base: "enum".into(),
+            arms: vec![arm("enum", enum_ns, None), arm("boxed", 2000.0, Some(2.5))],
+            outcome: vec![field("completion_round", 11u64), field("sends", sends)],
+            peak_rss_kb: None,
+        }
+    }
+
+    /// Each broken rule fails alone, and naming the right record and check.
+    #[test]
+    fn each_broken_rule_fails_alone() {
+        let baseline = [
+            record("dense-flooding", 1000.0, 500),
+            record("er_dual-flooding-collision-seeker", 1000.0, 80),
+        ];
+        let mut limited = baseline.clone();
+        limited[0].arms[1].limit = Some(1.9);
+        let (mut loosened, mut dropped) = (baseline.clone(), baseline.clone());
+        loosened[0].arms[1].limit = Some(3.0);
+        dropped[0].arms[1].limit = None;
+        let cases = [
+            (
+                vec![record("dense-flooding", 1300.0, 500), baseline[1].clone()],
+                "enum 1000.0 -> 1300.0 ns/round (1.300x, max 1.25x)",
+            ),
+            (
+                vec![record("dense-flooding", 1000.0, 501), baseline[1].clone()],
+                "outcome sends: 500 -> 501",
+            ),
+            (limited.to_vec(), "limit boxed/enum 2.000 (max 1.9)"),
+            (loosened.to_vec(), "limit boxed/enum loosened: 2.5 -> 3"),
+            (dropped.to_vec(), "limit boxed/enum loosened: 2.5 -> absent"),
+            (baseline[..1].to_vec(), "missing from the fresh run"),
+        ];
+        for (fresh, expected) in cases {
+            let failed: Vec<Check> = compare(&baseline, &fresh)
+                .into_iter()
+                .filter(|c| !c.passed)
+                .collect();
+            assert_eq!(failed.len(), 1, "{expected}: {failed:?}");
+            assert_eq!(failed[0].detail, expected);
+        }
+        let missing = compare(&baseline, &baseline[..1]);
+        assert!(missing
+            .iter()
+            .any(|c| !c.passed && c.record.contains("seeker")));
     }
 
     #[test]
-    fn extract_rejects_foreign_schemas() {
-        let err = extract_engine_series(&fixture("dualgraph-bench-engine/1")).unwrap_err();
-        assert_eq!(
-            err,
-            CompareError::SchemaMismatch {
-                found: "dualgraph-bench-engine/1".to_string()
-            }
-        );
-    }
-
-    #[test]
-    fn compare_flags_only_past_threshold_regressions() {
-        let baseline = vec![
-            SeriesPoint {
-                workload: "dense-flooding".into(),
-                n: 65,
-                ns_per_round: 1000.0,
-            },
-            SeriesPoint {
-                workload: "dense-flooding".into(),
-                n: 257,
-                ns_per_round: 1000.0,
-            },
+    fn an_unchanged_run_a_new_record_and_a_faster_arm_pass() {
+        let baseline = [record("dense-flooding", 1000.0, 500)];
+        assert!(compare(&baseline, &baseline).iter().all(|c| c.passed));
+        let fresh = [
+            record("dense-flooding", 900.0, 500),
+            record("brand-new-workload", 9999.0, 1),
         ];
-        let fresh = vec![
-            SeriesPoint {
-                workload: "dense-flooding".into(),
-                n: 65,
-                ns_per_round: 1200.0, // 1.20× — within a 1.25 threshold
-            },
-            SeriesPoint {
-                workload: "dense-flooding".into(),
-                n: 257,
-                ns_per_round: 1300.0, // 1.30× — regression
-            },
-            SeriesPoint {
-                workload: "brand-new-workload".into(),
-                n: 65,
-                ns_per_round: 9999.0, // no baseline → skipped, not failed
-            },
-        ];
-        let rows = compare_series(&baseline, &fresh);
-        assert_eq!(rows.len(), 2);
-        assert!(!rows[0].regressed(DEFAULT_THRESHOLD));
-        assert!(rows[1].regressed(DEFAULT_THRESHOLD));
-        assert!((rows[1].ratio() - 1.3).abs() < 1e-9);
+        let checks = compare(&baseline, &fresh);
+        assert!(checks.iter().all(|c| c.passed), "{checks:?}");
+        assert!(checks
+            .iter()
+            .any(|c| c.detail == "new record (no baseline)" && c.record.contains("brand-new")));
     }
 }

@@ -1,27 +1,29 @@
-//! The `--bench-dynamics` workload family: round cost under topology
-//! churn vs the static baseline.
+//! The `dynamics` series: round cost under topology churn vs the static
+//! baseline.
 //!
 //! The dynamics subsystem's perf claim is that epoch swapping is O(1) and
 //! reuses every engine buffer, so a schedule of many epochs costs the
 //! round path (almost) nothing over a frozen topology. This bench pins
-//! that claim: for each engine-workload size it times
+//! that claim: for each engine-workload size its record has two arms,
 //!
-//! * **static** — dense flooding on the standard `er_dual` workload graph
-//!   (the same series `--bench-engine` reports), and
-//! * **churn** — the identical workload driven by a
-//!   [`DynamicExecutor`] through a 16-epoch
-//!   [`churn_schedule`][generators::churn_schedule] cycled for the whole
-//!   measured window, so every span boundary swaps the active CSR.
+//! * **static** (base) — dense flooding on the standard `er_dual` workload
+//!   graph (the engine series' `dense-flooding` cell), and
+//! * **churn** — the identical workload driven by a [`DynamicExecutor`]
+//!   through a 16-epoch [`churn_schedule`][generators::churn_schedule] of
+//!   32-round epochs, cycled for the whole window, so every span boundary
+//!   swaps the active CSR. Its outcome fields carry a `churn_` prefix,
+//!   beside `epoch_switches`.
 //!
-//! The acceptance target is `churn_ns_per_round / static_ns_per_round ≲
-//! 1.5` at `n = 1025` — epoch swapping must amortize, not dominate.
+//! The target, `churn / static ≤ 1.5` at `n = 1025`, is the churn arm's
+//! limit: epoch swapping must amortize, not dominate.
 
-use std::time::Instant;
+use std::rc::Rc;
 
 use dualgraph_net::{generators, TopologySchedule};
 use dualgraph_sim::{DynamicExecutor, ExecutorConfig, FaultPlan, Flooder, RandomDelivery};
 
-use crate::engine_bench::{self, Dispatch, EngineMeasurement};
+use crate::engine_bench::{self, limit_at, Dispatch};
+use crate::record::{executor_outcome, field, Cell, Sample};
 
 /// Epochs in the standard churn schedule.
 pub const CHURN_EPOCHS: usize = 16;
@@ -31,32 +33,8 @@ pub const CHURN_SPAN: u64 = 32;
 /// Fraction of the unreliable-only edge set rewired per epoch step.
 pub const CHURN_REWIRE: f64 = 0.25;
 
-/// One measured dynamics cell: static vs churn on the same workload.
-#[derive(Debug, Clone)]
-pub struct DynamicsMeasurement {
-    /// Network size.
-    pub n: usize,
-    /// Epoch count of the churn schedule.
-    pub epochs: usize,
-    /// Rounds per epoch.
-    pub span: u64,
-    /// Dense flooding on the frozen epoch-0 network (enum dispatch).
-    pub static_run: EngineMeasurement,
-    /// The same workload under the cycled churn schedule.
-    pub churn_run: EngineMeasurement,
-    /// Epoch swaps performed inside the churn timing window.
-    pub epoch_switches: u64,
-}
-
-impl DynamicsMeasurement {
-    /// `churn ns/round ÷ static ns/round` — the cost of churn.
-    pub fn slowdown(&self) -> f64 {
-        self.churn_run.ns_per_round() / self.static_run.ns_per_round()
-    }
-}
-
 /// The standard churn schedule over the engine workload graph of size
-/// `n`: epoch 0 is the `--bench-engine` network itself, each later epoch
+/// `n`: epoch 0 is the engine series' network itself, each later epoch
 /// rewires a quarter of the gray edges (the reliable spine is fixed).
 pub fn churn_workload(n: usize) -> TopologySchedule {
     generators::churn_schedule(
@@ -70,17 +48,26 @@ pub fn churn_workload(n: usize) -> TopologySchedule {
     )
 }
 
+/// The dynamics record at size `n`.
+pub(crate) fn cell(n: usize, rounds: u64) -> Cell<'static> {
+    let schedule = Rc::new(churn_workload(n));
+    let churn = Rc::clone(&schedule);
+    Cell::new("dynamics", "dense-flooding-churn16", n, None, rounds)
+        .arm("static", move || {
+            engine_bench::measure_flooding(schedule.epoch(0).network(), rounds, Dispatch::Enum)
+        })
+        .arm("churn", move || measure_churn_flooding(&churn, rounds))
+        .limit(limit_at(n, 1.5))
+}
+
 /// Times `rounds` rounds of dense flooding driven through the cycled
 /// churn `schedule` (seed 7, `RandomDelivery(0.5)` — the dense-flooding
-/// workload of `--bench-engine`, so the two series are comparable).
+/// workload of the engine series, so the two arms are comparable).
 ///
 /// # Panics
 ///
 /// Panics on executor construction failure.
-pub fn measure_churn_flooding(
-    schedule: &TopologySchedule,
-    rounds: u64,
-) -> (EngineMeasurement, u64) {
+pub fn measure_churn_flooding(schedule: &TopologySchedule, rounds: u64) -> Sample {
     let n = schedule.node_count();
     let mut exec = DynamicExecutor::from_slots(
         schedule,
@@ -91,49 +78,36 @@ pub fn measure_churn_flooding(
     )
     .expect("churn workload construction")
     .cycling(true);
-    let switches_before = exec.epoch_switches();
-    let start = Instant::now();
-    for _ in 0..rounds {
+    let sample = Sample::time(rounds, || {
         exec.step();
-    }
-    let m = EngineMeasurement {
-        rounds,
-        elapsed_ns: start.elapsed().as_nanos(),
-    };
-    (m, exec.epoch_switches() - switches_before)
-}
-
-/// Runs the full dynamics cell for size `n`: the static dense-flooding
-/// baseline and the churn run, both over `rounds` rounds.
-pub fn measure_dynamics(n: usize, rounds: u64) -> DynamicsMeasurement {
-    let schedule = churn_workload(n);
-    let static_run =
-        engine_bench::measure_flooding(schedule.epoch(0).network(), rounds, Dispatch::Enum);
-    let (churn_run, epoch_switches) = measure_churn_flooding(&schedule, rounds);
-    DynamicsMeasurement {
-        n,
-        epochs: CHURN_EPOCHS,
-        span: CHURN_SPAN,
-        static_run,
-        churn_run,
-        epoch_switches,
-    }
+    });
+    let churn = executor_outcome(&exec.outcome()).into_iter();
+    let churn = churn.map(|(key, value)| (format!("churn_{key}"), value));
+    sample.with(
+        [field("epoch_switches", exec.epoch_switches())]
+            .into_iter()
+            .chain(churn)
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::measure;
+    use crate::record::tests::{assert_sampled, num};
 
     #[test]
-    fn churn_cell_swaps_and_reports() {
-        let m = measure_dynamics(33, 200);
-        assert_eq!(m.n, 33);
-        assert_eq!(m.epochs, CHURN_EPOCHS);
+    fn churn_record_swaps_and_reports() {
+        let records = measure(vec![cell(33, 200)]);
+        let r = &records[0];
+        assert_sampled(r);
+        assert_eq!(r.base, "static");
+        assert_eq!(r.arms[1].name, "churn");
         // 200 rounds over span-32 epochs cross at least 5 boundaries.
-        assert!(m.epoch_switches >= 5, "{m:?}");
-        assert!(m.static_run.ns_per_round() > 0.0);
-        assert!(m.churn_run.ns_per_round() > 0.0);
-        assert!(m.slowdown() > 0.0);
+        assert!(num(r, "epoch_switches") >= 5.0, "{r:?}");
+        assert!(num(r, "sends") > 0.0 && num(r, "churn_sends") > 0.0);
+        assert_eq!(r.arms[1].limit, None, "limits apply at n = 1025");
     }
 
     #[test]

@@ -1,12 +1,8 @@
-//! Engine-throughput workloads: enum-dispatched process tables vs the
+//! The `engine` series: enum-dispatched process tables vs the
 //! boxed-dispatch path vs the naive reference oracle.
 //!
-//! Used by `experiments --bench-engine`, which emits the `measurements`
-//! section of `BENCH_engine.json`, and by `--bench-compare`, which
-//! re-times every row of [`ENGINE_WORKLOADS`].
-//!
-//! Three workloads, all on the sparse `er_dual` graph of
-//! [`workload_network`]:
+//! Three workloads ([`ENGINE_WORKLOADS`]), all on the sparse `er_dual`
+//! graph of [`workload_network`]:
 //!
 //! * **chatter** — seeded pseudo-random flooding (`ChatterProcess`, rate
 //!   3/8) against `RandomDelivery(0.5)`: the trial-shaped workload
@@ -22,32 +18,52 @@
 //!   branch (many senders, short `G′ ∖ G` rows). No other in-tree
 //!   measurement reaches that branch; the sparse `harmonic-trials`
 //!   perfbench workload only ever walks the jam set.
+//!
+//! Each record has an `enum` (base) and a `boxed` arm; chatter adds the
+//! `reference` oracle. All arms run one workload, so they must report the
+//! same executor outcome.
 
-use std::time::Instant;
+use std::rc::Rc;
 
 use dualgraph_net::{generators, DualGraph};
 use dualgraph_sim::{
-    Adversary, ChatterProcess, CollisionSeeker, Executor, ExecutorConfig, Flooder, RandomDelivery,
-    ReferenceExecutor,
+    Adversary, ChatterProcess, CollisionSeeker, Executor, ExecutorConfig, Flooder, Process,
+    ProcessSlot, RandomDelivery, ReferenceExecutor,
 };
+
+use crate::record::{executor_outcome, Cell, Sample};
 
 /// Chatter transmit rate (out of 8) used by the engine workload: dense
 /// enough to exercise collisions and CR4 resolution.
 pub(crate) const CHATTER_RATE: u64 = 3;
 
-/// The workload sizes every `--bench-*` section measures.
+/// The workload sizes every series but scale measures.
 pub const BENCH_SIZES: [usize; 3] = [65, 257, 1025];
 
-/// Rounds per timed run at size `n` — shared by the engine, stream, and
-/// dynamics sections of `BENCH_engine.json`, so cross-section ratios
-/// (e.g. `churn_slowdown_vs_static`) always compare series computed over
-/// the same round budget.
+/// Rounds per timed sample at size `n` — shared by every series but
+/// scale, so cross-series figures (e.g. the engine row vs the dynamics
+/// `static` arm) always cover the same round budget.
 pub fn bench_rounds_for(n: usize) -> u64 {
     match n {
         65 => 4000,
         257 => 2000,
         _ => 600,
     }
+}
+
+/// One `cell(n, rounds)` per [`BENCH_SIZES`] n, each timing
+/// [`bench_rounds_for`] rounds: the series with one record per size.
+pub(crate) fn per_size(cell: fn(usize, u64) -> Cell<'static>) -> Vec<Cell<'static>> {
+    BENCH_SIZES
+        .iter()
+        .map(|&n| cell(n, bench_rounds_for(n)))
+        .collect()
+}
+
+/// `limit` at the largest [`BENCH_SIZES`] n, else none: every series'
+/// per-arm limits apply at that one size, where the ratios hold steadiest.
+pub(crate) fn limit_at(n: usize, limit: f64) -> Option<f64> {
+    (n == BENCH_SIZES[BENCH_SIZES.len() - 1]).then_some(limit)
 }
 
 /// Which process-dispatch path the optimized executor runs.
@@ -73,206 +89,181 @@ pub fn workload_network(n: usize) -> DualGraph {
     )
 }
 
-/// One measured engine run.
-#[derive(Debug, Clone)]
-pub struct EngineMeasurement {
-    /// Rounds actually executed.
-    pub rounds: u64,
-    /// Wall-clock nanoseconds for the whole run.
-    pub elapsed_ns: u128,
-}
+/// The chatter workload's name: the row that carries the reference arm.
+const CHATTER: &str = "er_dual-chatter-random0.5";
 
-impl EngineMeasurement {
-    /// Nanoseconds per round.
-    pub fn ns_per_round(&self) -> f64 {
-        self.elapsed_ns as f64 / self.rounds.max(1) as f64
-    }
+/// Process and adversary seed of the chatter workload.
+const CHATTER_SEED: u64 = 7;
 
-    /// Rounds per second.
-    pub fn rounds_per_sec(&self) -> f64 {
-        self.rounds as f64 * 1e9 / (self.elapsed_ns.max(1) as f64)
-    }
-}
-
-/// Times `rounds` invocations of `step` — the one timing loop every
-/// engine measurement goes through, so all series are measured alike.
-pub(crate) fn time_steps(rounds: u64, mut step: impl FnMut()) -> EngineMeasurement {
-    let start = Instant::now();
-    for _ in 0..rounds {
-        step();
-    }
-    EngineMeasurement {
-        rounds,
-        elapsed_ns: start.elapsed().as_nanos(),
-    }
-}
-
-/// The best of three timed runs after a warm-up run — the discipline
-/// every engine row is measured with, since the CI container's timer
-/// noise otherwise dominates the deltas.
-pub fn best_of(mut run: impl FnMut() -> EngineMeasurement) -> EngineMeasurement {
-    run(); // warm caches, allocator, first-touch paging
-    (0..3)
-        .map(|_| run())
-        .min_by(|a, b| a.elapsed_ns.cmp(&b.elapsed_ns))
-        .expect("three runs")
-}
-
-/// The engine section's rows, `(workload name, timed run)`: each is
-/// measured at every [`BENCH_SIZES`] n on both dispatch paths by
-/// `--bench-engine` and re-timed on the enum path by `--bench-compare`.
-/// Chatter comes first: it is the row that also carries the reference
-/// oracle's columns.
-pub const ENGINE_WORKLOADS: [(&str, fn(&DualGraph, u64, Dispatch) -> EngineMeasurement); 3] = [
-    ("er_dual-chatter-random0.5", |net, rounds, dispatch| {
-        measure_chatter(net, 7, rounds, dispatch)
+/// The engine series' workloads, `(name, one timed sample)`: each is
+/// measured at every [`BENCH_SIZES`] n on both dispatch paths.
+pub const ENGINE_WORKLOADS: [(&str, fn(&DualGraph, u64, Dispatch) -> Sample); 3] = [
+    (CHATTER, |net, rounds, dispatch| {
+        measure_chatter(net, CHATTER_SEED, rounds, dispatch)
     }),
     ("dense-flooding", measure_flooding),
-    ("er_dual-flooding-collision-seeker", measure_seeker_flooding),
+    (
+        "er_dual-flooding-collision-seeker",
+        |net, rounds, dispatch| {
+            let mut exec = flooding_executor(net, dispatch, Box::new(CollisionSeeker::new()));
+            time_executor(&mut exec, rounds)
+        },
+    ),
 ];
+
+/// The engine series: one record per [`ENGINE_WORKLOADS`] row per
+/// [`BENCH_SIZES`] size.
+pub(crate) fn cells() -> Vec<Cell<'static>> {
+    BENCH_SIZES
+        .iter()
+        .flat_map(|&n| {
+            let net = Rc::new(workload_network(n));
+            ENGINE_WORKLOADS
+                .map(|(workload, measure)| cell(workload, measure, &net, bench_rounds_for(n)))
+        })
+        .collect()
+}
+
+fn cell(
+    workload: &str,
+    measure: fn(&DualGraph, u64, Dispatch) -> Sample,
+    net: &Rc<DualGraph>,
+    rounds: u64,
+) -> Cell<'static> {
+    let on = |dispatch| {
+        let net = Rc::clone(net);
+        move || measure(&net, rounds, dispatch)
+    };
+    let cell = Cell::new("engine", workload, net.len(), None, rounds)
+        .arm("enum", on(Dispatch::Enum))
+        .arm("boxed", on(Dispatch::Boxed));
+    if workload != CHATTER {
+        return cell;
+    }
+    let net = Rc::clone(net);
+    cell.arm("reference", move || {
+        measure_reference(&net, CHATTER_SEED, rounds)
+    })
+}
+
+/// Times `rounds` steps of `exec` and reads its outcome after the window.
+pub(crate) fn time_executor(exec: &mut Executor<'_>, rounds: u64) -> Sample {
+    Sample::time(rounds, || {
+        exec.step();
+    })
+    .with(executor_outcome(&exec.outcome()))
+}
+
+/// The chatter workload's adversary.
+fn chatter_adversary(seed: u64) -> Box<dyn Adversary> {
+    Box::new(RandomDelivery::new(0.5, seed))
+}
 
 /// Runs the optimized executor on the chatter workload for exactly
 /// `rounds` rounds under the chosen dispatch path and times it.
-pub fn measure_chatter(
-    net: &DualGraph,
-    seed: u64,
-    rounds: u64,
-    dispatch: Dispatch,
-) -> EngineMeasurement {
-    let adversary = Box::new(RandomDelivery::new(0.5, seed));
-    let mut exec = match dispatch {
-        Dispatch::Enum => Executor::from_slots(
-            net,
-            ChatterProcess::slots(net.len(), seed, CHATTER_RATE),
-            adversary,
-            ExecutorConfig::default(),
-        ),
-        Dispatch::Boxed => Executor::new(
-            net,
-            ChatterProcess::boxed(net.len(), seed, CHATTER_RATE),
-            adversary,
-            ExecutorConfig::default(),
-        ),
-    }
-    .expect("engine workload construction");
-    assert_eq!(exec.uses_batched_dispatch(), dispatch == Dispatch::Enum);
-    time_steps(rounds, || {
-        exec.step();
-    })
-}
-
-/// Runs the dense flooding workload (`Flooder` + `RandomDelivery(0.5)`)
-/// for exactly `rounds` rounds under the chosen dispatch path and times
-/// it. Seed fixed at 7: the broadcast completes within the measured
-/// window and the remainder runs in the all-senders steady state.
-pub fn measure_flooding(net: &DualGraph, rounds: u64, dispatch: Dispatch) -> EngineMeasurement {
-    measure_flooding_against(net, rounds, dispatch, Box::new(RandomDelivery::new(0.5, 7)))
-}
-
-/// Runs `Flooder` against `CollisionSeeker` for exactly `rounds` rounds
-/// under the chosen dispatch path and times it: the stalled flood in
-/// which every adversary call scans the sender's `G′ ∖ G` row.
-fn measure_seeker_flooding(net: &DualGraph, rounds: u64, dispatch: Dispatch) -> EngineMeasurement {
-    measure_flooding_against(net, rounds, dispatch, Box::new(CollisionSeeker::new()))
-}
-
-fn measure_flooding_against(
-    net: &DualGraph,
-    rounds: u64,
-    dispatch: Dispatch,
-    adversary: Box<dyn Adversary>,
-) -> EngineMeasurement {
-    let mut exec = match dispatch {
-        Dispatch::Enum => Executor::from_slots(
-            net,
-            Flooder::slots(net.len()),
-            adversary,
-            ExecutorConfig::default(),
-        ),
-        Dispatch::Boxed => Executor::new(
-            net,
-            Flooder::boxed(net.len()),
-            adversary,
-            ExecutorConfig::default(),
-        ),
-    }
-    .expect("flooding workload construction");
-    assert_eq!(exec.uses_batched_dispatch(), dispatch == Dispatch::Enum);
-    time_steps(rounds, || {
-        exec.step();
-    })
+pub fn measure_chatter(net: &DualGraph, seed: u64, rounds: u64, dispatch: Dispatch) -> Sample {
+    let n = net.len();
+    let mut exec = executor(
+        net,
+        dispatch,
+        chatter_adversary(seed),
+        || ChatterProcess::slots(n, seed, CHATTER_RATE),
+        || ChatterProcess::boxed(n, seed, CHATTER_RATE),
+    );
+    time_executor(&mut exec, rounds)
 }
 
 /// Runs the naive reference executor on the chatter workload for exactly
 /// `rounds` rounds and times it (the oracle the live engine is diffed
-/// against — the `speedup_enum_vs_reference` baseline).
-pub fn measure_reference(net: &DualGraph, seed: u64, rounds: u64) -> EngineMeasurement {
+/// against).
+pub fn measure_reference(net: &DualGraph, seed: u64, rounds: u64) -> Sample {
     let mut exec = ReferenceExecutor::new(
         net,
         ChatterProcess::boxed(net.len(), seed, CHATTER_RATE),
-        Box::new(RandomDelivery::new(0.5, seed)),
+        chatter_adversary(seed),
         ExecutorConfig::default(),
     )
     .expect("engine workload construction");
-    time_steps(rounds, || {
+    Sample::time(rounds, || {
         exec.step();
     })
+    .with(executor_outcome(&exec.outcome()))
 }
 
-/// Peak resident-set size in kilobytes (`VmHWM` from `/proc/self/status`);
-/// `None` off Linux or if the field is missing.
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
+/// Runs the dense flooding workload ([`dense_flooding`]) for exactly
+/// `rounds` rounds under the chosen dispatch path and times it: the
+/// broadcast completes within the window and the remainder runs in the
+/// all-senders steady state.
+pub fn measure_flooding(net: &DualGraph, rounds: u64, dispatch: Dispatch) -> Sample {
+    time_executor(&mut dense_flooding(net, dispatch), rounds)
+}
+
+/// The dense flooding executor: `Flooder` against `RandomDelivery(0.5)`
+/// with seed 7 — the cell the engine row, the dynamics `static` arm, the
+/// trace arms, the phase profile and the scale series all time.
+pub fn dense_flooding(net: &DualGraph, dispatch: Dispatch) -> Executor<'_> {
+    flooding_executor(net, dispatch, Box::new(RandomDelivery::new(0.5, 7)))
+}
+
+fn flooding_executor<'a>(
+    net: &'a DualGraph,
+    dispatch: Dispatch,
+    adversary: Box<dyn Adversary>,
+) -> Executor<'a> {
+    let n = net.len();
+    executor(
+        net,
+        dispatch,
+        adversary,
+        || Flooder::slots(n),
+        || Flooder::boxed(n),
+    )
+}
+
+/// The optimized executor on `net` with one automaton's enum slots or
+/// boxed processes, as `dispatch` selects.
+fn executor<'a>(
+    net: &'a DualGraph,
+    dispatch: Dispatch,
+    adversary: Box<dyn Adversary>,
+    slots: impl FnOnce() -> Vec<ProcessSlot>,
+    boxed: impl FnOnce() -> Vec<Box<dyn Process>>,
+) -> Executor<'a> {
+    let config = ExecutorConfig::default();
+    let exec = match dispatch {
+        Dispatch::Enum => Executor::from_slots(net, slots(), adversary, config),
+        Dispatch::Boxed => Executor::new(net, boxed(), adversary, config),
+    }
+    .expect("engine workload construction");
+    assert_eq!(exec.uses_batched_dispatch(), dispatch == Dispatch::Enum);
+    exec
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::measure;
+    use crate::record::tests::{assert_sampled, num};
 
     #[test]
-    fn measurements_run_and_report() {
-        let net = workload_network(33);
-        let enumd = measure_chatter(&net, 7, 50, Dispatch::Enum);
-        let boxed = measure_chatter(&net, 7, 50, Dispatch::Boxed);
-        let reference = measure_reference(&net, 7, 50);
-        assert_eq!(enumd.rounds, 50);
-        assert!(enumd.ns_per_round() > 0.0);
-        assert!(boxed.ns_per_round() > 0.0);
-        assert!(reference.rounds_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn flooding_measurements_run_on_both_paths() {
-        let net = workload_network(33);
-        for measure in [measure_flooding, measure_seeker_flooding] {
-            let enumd = measure(&net, 50, Dispatch::Enum);
-            let boxed = measure(&net, 50, Dispatch::Boxed);
-            assert_eq!(enumd.rounds, 50);
-            assert!(boxed.ns_per_round() > 0.0);
+    fn every_workload_records_agreeing_arms() {
+        let net = Rc::new(workload_network(33));
+        let cells = ENGINE_WORKLOADS.map(|(workload, run)| cell(workload, run, &net, 50));
+        let records = measure(cells.into());
+        assert_eq!(records.len(), ENGINE_WORKLOADS.len());
+        for r in &records {
+            assert_sampled(r);
+            assert_eq!(r.base, "enum");
+            assert_eq!(r.arms[1].name, "boxed");
+            assert!(num(r, "sends") > 0.0, "{r:?}");
         }
-    }
-
-    #[test]
-    fn both_engines_complete_the_same_workload() {
-        // Sanity: the workload actually floods (payload spreads).
-        let net = workload_network(33);
-        let mut exec = Executor::from_slots(
-            &net,
-            ChatterProcess::slots(net.len(), 7, CHATTER_RATE),
-            Box::new(RandomDelivery::new(0.5, 7)),
-            ExecutorConfig::default(),
-        )
-        .unwrap();
-        let outcome = exec.run_until_complete(100_000);
-        assert!(outcome.completed);
-    }
-
-    #[test]
-    fn peak_rss_reports_on_linux() {
-        if cfg!(target_os = "linux") {
-            assert!(peak_rss_kb().unwrap_or(0) > 0);
-        }
+        assert_eq!(
+            records[0].arms.len(),
+            3,
+            "chatter carries the reference arm"
+        );
+        assert_eq!(records[0].arms[2].name, "reference");
+        // The chatter broadcast completes within the window.
+        assert!(num(&records[0], "completion_round") > 0.0);
     }
 }

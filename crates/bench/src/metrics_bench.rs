@@ -1,172 +1,99 @@
-//! The `--gate-metrics-overhead` workload: what the stream-health
-//! instrumentation and the metrics registry cost per round.
+//! The `metrics` series: what the stream-health instrumentation and the
+//! metrics registry cost per round.
 //!
 //! The claim under test: the full reliability stream workload (cycled
 //! 16-epoch churn, ~10% crash/recovery faults, bursty adversary, ack-gap
 //! retries) with [`HealthConfig`] windowed stats enabled **and** a
-//! [`MetricsRegistry`] updated every round stays within **1.10×** of the
-//! identical uninstrumented session at `n = 1025`. Both arms pay the same
-//! engine round, MAC diffing, and retry plumbing; the ratio isolates the
+//! [`MetricsRegistry`] updated every round (the `instrumented` arm) stays
+//! within **1.10×** of the identical uninstrumented session (the `plain`
+//! base) at `n = 1025` — the arm's limit. Both arms pay the same engine
+//! round, MAC diffing, and retry plumbing; the ratio isolates the
 //! observability layer itself.
-//!
-//! The two arms are *interleaved* (warm-up both, then alternate, min per
-//! arm) for the same reason `measure_trace_overhead` interleaves:
-//! block-ordered measurement lets frequency scaling and cache warm-up
-//! bias whichever arm runs first.
 
-use std::time::Instant;
+use std::rc::Rc;
 
-use dualgraph_broadcast::stream::{
-    Arrivals, DynamicsConfig, SourcePlacement, StreamAlgorithm, StreamConfig, StreamSession,
-};
 use dualgraph_net::TopologySchedule;
-use dualgraph_sim::{BurstyDelivery, HealthConfig, MetricsRegistry, WithRandomCr4};
+use dualgraph_sim::{HealthConfig, MetricsRegistry};
 
 use crate::dynamics_bench;
-use crate::engine_bench::EngineMeasurement;
-use crate::reliability_bench::{fault_plan, POLICY, RELIABILITY_K};
+use crate::engine_bench::limit_at;
+use crate::record::{Cell, Sample};
+use crate::reliability_bench::{session, session_sample, POLICY, RELIABILITY_K};
 
-/// The plain/instrumented cost pair for one network size, as landed in
-/// the `metrics_overhead` section of `BENCH_engine.json`.
-#[derive(Debug, Clone)]
-pub struct MetricsOverhead {
-    /// Network size.
-    pub n: usize,
-    /// Concurrent payloads.
-    pub k: usize,
-    /// The uninstrumented session (`health: None`, no registry).
-    pub plain: EngineMeasurement,
-    /// The same session with windowed health stats and a per-round
-    /// registry update (counter + gauge + histogram sample).
-    pub instrumented: EngineMeasurement,
-}
-
-impl MetricsOverhead {
-    /// `instrumented ns/round ÷ plain ns/round` — the cost of the
-    /// observability layer (acceptance target ≤ 1.10 at `n = 1025`).
-    pub fn ratio(&self) -> f64 {
-        self.instrumented.ns_per_round() / self.plain.ns_per_round()
-    }
-}
-
-/// Builds one arm's session: the reliability bench's stream workload,
-/// with or without health instrumentation.
-fn session(
-    schedule: &TopologySchedule,
-    health: Option<HealthConfig>,
-    seed: u64,
-) -> StreamSession<'_> {
-    let config = StreamConfig {
-        k: RELIABILITY_K,
-        arrivals: Arrivals::Batch,
-        sources: SourcePlacement::Single,
-        max_rounds: u64::MAX,
-        dynamics: Some(DynamicsConfig {
-            faults: fault_plan(schedule.node_count()),
-            cycle: true,
-        }),
-        reliability: Some(POLICY.into()),
-        health,
-        ..StreamConfig::default()
-    };
-    StreamSession::scheduled(
-        schedule,
-        StreamAlgorithm::PipelinedFlooding,
-        Box::new(WithRandomCr4::new(
-            BurstyDelivery::new(0.15, 0.4, seed),
-            seed ^ 0x9E37,
-        )),
-        &config,
-    )
-    .expect("metrics overhead workload construction")
-}
-
-/// Times `rounds` fixed `step`s of an uninstrumented session.
-fn time_plain(schedule: &TopologySchedule, rounds: u64, seed: u64) -> EngineMeasurement {
-    let mut s = session(schedule, None, seed);
-    let start = Instant::now();
-    for _ in 0..rounds {
-        s.step();
-    }
-    EngineMeasurement {
+/// The metrics record at size `n`.
+pub(crate) fn cell(n: usize, rounds: u64) -> Cell<'static> {
+    let schedule = Rc::new(dynamics_bench::churn_workload(n));
+    let instrumented = Rc::clone(&schedule);
+    Cell::new(
+        "metrics",
+        "reliability-churn16-crash10pct-bursty",
+        n,
+        Some(RELIABILITY_K),
         rounds,
-        elapsed_ns: start.elapsed().as_nanos(),
-    }
+    )
+    .arm("plain", move || {
+        session_sample(&schedule, Some(POLICY.into()), rounds)
+    })
+    .arm("instrumented", move || {
+        instrumented_sample(&instrumented, rounds)
+    })
+    .limit(limit_at(n, 1.10))
 }
 
 /// Times `rounds` fixed `step`s with the full observability surface on:
 /// windowed health stats inside the session, plus one registry counter
 /// bump, gauge sample, and histogram record per round — the usage shape
 /// a saturation-finder driver would have.
-fn time_instrumented(schedule: &TopologySchedule, rounds: u64, seed: u64) -> EngineMeasurement {
-    let mut s = session(schedule, Some(HealthConfig::default()), seed);
+fn instrumented_sample(schedule: &TopologySchedule, rounds: u64) -> Sample {
+    let mut s = session(
+        schedule,
+        RELIABILITY_K,
+        Some(POLICY.into()),
+        Some(HealthConfig::default()),
+        u64::MAX,
+    );
     let mut registry = MetricsRegistry::new();
     let rounds_counter = registry.counter("rounds");
     let pending_gauge = registry.gauge("pending_acks");
     let depth_histogram = registry.histogram("pending_ack_depth");
-    let start = Instant::now();
-    for _ in 0..rounds {
+    let sample = Sample::time(rounds, || {
         s.step();
         let pending = s.mac().pending_acks();
         registry.inc(rounds_counter);
         registry.set_gauge(pending_gauge, pending as i64);
         registry.record(depth_histogram, pending as u64);
-    }
-    let m = EngineMeasurement {
-        rounds,
-        elapsed_ns: start.elapsed().as_nanos(),
-    };
+    });
     assert_eq!(registry.counter_value(rounds_counter), rounds);
-    m
-}
-
-/// Measures the observability overhead pair for size `n` over `rounds`
-/// fixed stream rounds: one warm-up pass per arm, then `reps` interleaved
-/// (plain, instrumented) passes, taking the min per arm.
-pub fn measure_metrics_overhead(n: usize, rounds: u64, reps: usize) -> MetricsOverhead {
-    let schedule = dynamics_bench::churn_workload(n);
-    let seed = 0xAC4B;
-    let mut plain = time_plain(&schedule, rounds, seed);
-    let mut instrumented = time_instrumented(&schedule, rounds, seed);
-    let keep_min = |best: &mut EngineMeasurement, m: EngineMeasurement| {
-        if m.elapsed_ns < best.elapsed_ns {
-            *best = m;
-        }
-    };
-    for _ in 0..reps.max(1) {
-        keep_min(&mut plain, time_plain(&schedule, rounds, seed));
-        keep_min(
-            &mut instrumented,
-            time_instrumented(&schedule, rounds, seed),
-        );
-    }
-    MetricsOverhead {
-        n,
-        k: RELIABILITY_K,
-        plain,
-        instrumented,
-    }
+    sample
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::measure;
+    use crate::record::tests::assert_sampled;
 
     #[test]
-    fn metrics_overhead_pair_reports() {
-        let m = measure_metrics_overhead(65, 120, 1);
-        assert_eq!(m.n, 65);
-        assert_eq!(m.k, RELIABILITY_K);
-        assert_eq!(m.plain.rounds, 120);
-        assert_eq!(m.instrumented.rounds, 120);
-        assert!(m.ratio() > 0.0);
+    fn metrics_record_reports_both_arms() {
+        let records = measure(vec![cell(65, 120)]);
+        let r = &records[0];
+        assert_sampled(r);
+        assert_eq!(r.k, Some(RELIABILITY_K as u64));
+        assert_eq!(r.base, "plain");
+        assert_eq!(r.arms[1].name, "instrumented");
     }
 
     #[test]
     fn instrumented_session_surfaces_health() {
         let schedule = dynamics_bench::churn_workload(33);
-        let (outcome, mac) = session(&schedule, Some(HealthConfig::default()), 0xAC4B)
-            .run_traced(&mut dualgraph_sim::NullSink);
+        let (outcome, mac) = session(
+            &schedule,
+            RELIABILITY_K,
+            Some(POLICY.into()),
+            Some(HealthConfig::default()),
+            u64::MAX,
+        )
+        .run_traced(&mut dualgraph_sim::NullSink);
         let health = outcome.health.expect("health enabled");
         assert!(!health.epochs.is_empty());
         // The bursty adversary keeps full-neighborhood acks from ever

@@ -1,36 +1,40 @@
-//! The `--bench-reliability` workload family: delivery guarantees and
-//! their round-cost overhead under churn + node faults.
+//! The `reliability` series: delivery guarantees and their round-cost
+//! overhead under churn + node faults.
 //!
 //! The reliability layer's claim is twofold:
 //!
 //! * **guarantee** — under a cycled 16-epoch churn schedule with ~10%
-//!   crash/recovery faults, a spammer whose junk id collides with a live
-//!   stream payload, and the bursty adversary (fair CR4 coin), the
-//!   ack-gap retry policy delivers **100% of non-abandoned payloads to
-//!   all correct live nodes**, verified per payload by the spam-proof
-//!   coverage accounting;
+//!   crash/recovery faults and the bursty adversary (fair CR4 coin), the
+//!   ack-gap retry policy delivers **every payload to all correct live
+//!   nodes**, verified per payload by the spam-proof coverage accounting.
+//!   An untimed delivery run to verdict settlement asserts it, and its
+//!   verdict counts, retries and settle round are the record's outcome;
 //! * **cost** — the per-round price of the policy layer (retry polling,
-//!   verdict settlement, correct-coverage counters) stays within **1.3×**
-//!   of the identical no-retry stream round.
+//!   verdict settlement) stays within **1.3×** of the identical no-retry
+//!   stream round: the `retry` arm's limit over the `no_retry` base at
+//!   `n = 1025`.
 //!
-//! The cost comparison times a fixed window of `StreamSession::step`
-//! rounds on two sessions that differ *only* in
-//! `StreamConfig::reliability`, so the ratio isolates the layer itself
-//! (both pay the same engine round, MAC diffing, and fault plumbing).
+//! Both arms time a fixed window of `StreamSession::step` rounds on
+//! sessions that differ *only* in `StreamConfig::reliability`, so the
+//! ratio isolates the layer itself (both pay the same engine round, MAC
+//! diffing, and fault plumbing).
+//!
+//! [`session`] is the one builder of this stream workload; the metrics
+//! series and the `--trace-jsonl` capture run it too.
 
-use std::time::Instant;
+use std::rc::Rc;
 
 use dualgraph_broadcast::stream::{Arrivals, DynamicsConfig, SourcePlacement};
-use dualgraph_broadcast::stream::{
-    ReliabilityReport, StreamAlgorithm, StreamConfig, StreamSession,
-};
+use dualgraph_broadcast::stream::{StreamAlgorithm, StreamConfig, StreamSession};
 use dualgraph_net::{NodeId, TopologySchedule};
 use dualgraph_sim::{
-    Adversary, BurstyDelivery, FaultPlan, ReliabilityBackend, RetryPolicy, WithRandomCr4,
+    Adversary, BurstyDelivery, FaultPlan, HealthConfig, ReliabilityBackend, RetryPolicy,
+    WithRandomCr4,
 };
 
 use crate::dynamics_bench;
-use crate::engine_bench::EngineMeasurement;
+use crate::engine_bench::limit_at;
+use crate::record::{field, Cell, Sample};
 
 /// Payloads in the reliability stream cell.
 pub const RELIABILITY_K: usize = 64;
@@ -39,41 +43,8 @@ pub const POLICY: RetryPolicy = RetryPolicy::AckGap {
     gap: 8,
     max_retries: 32,
 };
-
-/// One measured reliability cell.
-#[derive(Debug, Clone)]
-pub struct ReliabilityMeasurement {
-    /// Network size.
-    pub n: usize,
-    /// Concurrent payloads.
-    pub k: usize,
-    /// End-of-run verdict report of the delivery run.
-    pub report: ReliabilityReport,
-    /// Rounds the delivery run took to settle every verdict.
-    pub rounds_to_settle: u64,
-    /// Fixed-window timing without a policy (the PR 4 no-retry cost).
-    pub baseline: EngineMeasurement,
-    /// Fixed-window timing with the ack-gap policy.
-    pub retry: EngineMeasurement,
-}
-
-impl ReliabilityMeasurement {
-    /// `retry ns/round ÷ baseline ns/round` — the cost of the layer
-    /// (acceptance target ≤ 1.3 at `n = 1025`).
-    pub fn overhead(&self) -> f64 {
-        self.retry.ns_per_round() / self.baseline.ns_per_round()
-    }
-
-    /// Percentage of non-abandoned payloads delivered (100.0 when every
-    /// pending verdict settled).
-    pub fn non_abandoned_delivered_pct(&self) -> f64 {
-        let non_abandoned = self.report.stats.delivered + self.report.stats.pending;
-        if non_abandoned == 0 {
-            return 100.0;
-        }
-        self.report.stats.delivered as f64 * 100.0 / non_abandoned as f64
-    }
-}
+/// Adversary seed of the reliability stream workload.
+const SEED: u64 = 0xAC4B;
 
 /// The standard fault plan for size `n`:
 ///
@@ -85,9 +56,9 @@ impl ReliabilityMeasurement {
 ///   batch. (With always-transmit flooding, even a one-round head start
 ///   of a partial payload set deafens the wavefront to the rest — the
 ///   CR4 model truth `docs/MULTI_MESSAGE.md` documents — so the delivery
-///   guarantee genuinely hinges on the retry timing here; the
-///   `measure_reliability` asserts fail loudly if a future change breaks
-///   the composition.)
+///   guarantee genuinely hinges on the retry timing here; the delivery
+///   run's asserts fail loudly if a future change breaks the
+///   composition.)
 /// * ~10% of nodes crash on staggered rounds (some before the wave, some
 ///   mid-wave) and recover while verdicts are still pending, so
 ///   re-informing recovered nodes is part of the guarantee the verdicts
@@ -109,24 +80,28 @@ pub fn fault_plan(n: usize) -> FaultPlan {
     plan
 }
 
-fn adversary(seed: u64) -> Box<dyn Adversary> {
+/// The bursty adversary with a fair CR4 coin that the reliability and
+/// byzantine streams run against.
+pub(crate) fn adversary(seed: u64) -> Box<dyn Adversary> {
     Box::new(WithRandomCr4::new(
         BurstyDelivery::new(0.15, 0.4, seed),
         seed ^ 0x9E37,
     ))
 }
 
-/// Builds the cell's session on `schedule` (the dynamics bench's cycled
-/// 16-epoch churn workload): a single-source batch stream of
-/// [`RELIABILITY_K`] payloads under the size's standard fault plan.
-fn session<'a>(
-    schedule: &'a TopologySchedule,
+/// The reliability stream workload on `schedule` (the dynamics series'
+/// cycled 16-epoch churn): a single-source batch stream of `k` payloads
+/// under the size's standard fault plan, with the given backend and
+/// health instrumentation.
+pub(crate) fn session(
+    schedule: &TopologySchedule,
+    k: usize,
     reliability: Option<ReliabilityBackend>,
+    health: Option<HealthConfig>,
     max_rounds: u64,
-    seed: u64,
-) -> StreamSession<'a> {
+) -> StreamSession<'_> {
     let config = StreamConfig {
-        k: RELIABILITY_K,
+        k,
         arrivals: Arrivals::Batch,
         sources: SourcePlacement::Single,
         max_rounds,
@@ -135,107 +110,98 @@ fn session<'a>(
             cycle: true,
         }),
         reliability,
+        health,
         ..StreamConfig::default()
     };
     StreamSession::scheduled(
         schedule,
         StreamAlgorithm::PipelinedFlooding,
-        adversary(seed),
+        adversary(SEED),
         &config,
     )
     .expect("reliability workload construction")
 }
 
-/// Times `rounds` fixed `step`s of a fresh session.
-fn time_session(
+/// Times `rounds` steps of a fresh [`session`] of [`RELIABILITY_K`]
+/// payloads with the given backend and no health instrumentation.
+pub(crate) fn session_sample(
     schedule: &TopologySchedule,
     reliability: Option<ReliabilityBackend>,
     rounds: u64,
-    seed: u64,
-) -> EngineMeasurement {
-    let mut s = session(schedule, reliability, u64::MAX, seed);
-    let start = Instant::now();
-    for _ in 0..rounds {
+) -> Sample {
+    let mut s = session(schedule, RELIABILITY_K, reliability, None, u64::MAX);
+    Sample::time(rounds, || {
         s.step();
-    }
-    EngineMeasurement {
-        rounds,
-        elapsed_ns: start.elapsed().as_nanos(),
-    }
+    })
 }
 
-/// Runs the full reliability cell for size `n`: the delivery run to
-/// verdict settlement, then the fixed-window cost comparison over
-/// `rounds` rounds (policy on vs off, best of three each).
+/// One record: the delivery run to verdict settlement, untimed, then the
+/// `no_retry` and `retry` arms over `rounds` fixed rounds.
 ///
 /// # Panics
 ///
-/// Panics if the delivery run fails to settle within its round budget or
-/// on session construction failure.
-pub fn measure_reliability(n: usize, rounds: u64) -> ReliabilityMeasurement {
-    let schedule = dynamics_bench::churn_workload(n);
-    let seed = 0xAC4B;
-
-    // Delivery run: drive to verdict settlement.
-    let (outcome, _) = session(&schedule, Some(POLICY.into()), 200_000, seed).run();
+/// Panics if the delivery run fails to settle every payload as delivered
+/// within its round budget, or never retries.
+pub(crate) fn cell(n: usize, rounds: u64) -> Cell<'static> {
+    let schedule = Rc::new(dynamics_bench::churn_workload(n));
+    let (outcome, _) = session(&schedule, RELIABILITY_K, Some(POLICY.into()), None, 200_000).run();
     let report = outcome
         .reliability
-        .clone()
         .expect("reliability run carries a report");
+    let stats = report.stats;
     assert_eq!(
-        report.stats.pending, 0,
-        "delivery run must settle every verdict (n={n}): {report:?}"
+        stats.pending, 0,
+        "delivery run must settle every verdict (n={n}): {stats:?}"
     );
     assert_eq!(
-        report.stats.delivered, RELIABILITY_K,
-        "every payload must be delivered to all correct live nodes (n={n}): {:?}",
-        report.stats
+        stats.delivered, RELIABILITY_K,
+        "every payload must be delivered to all correct live nodes (n={n}): {stats:?}"
     );
     assert!(
-        report.stats.total_retries > 0,
+        stats.total_retries > 0,
         "the scenario must exercise the retry machinery (n={n})"
     );
-
-    let best_of = |reliability: Option<ReliabilityBackend>| -> EngineMeasurement {
-        time_session(&schedule, reliability, rounds, seed); // warm-up
-        (0..3)
-            .map(|_| time_session(&schedule, reliability, rounds, seed))
-            .min_by(|a, b| a.elapsed_ns.cmp(&b.elapsed_ns))
-            .expect("three runs")
-    };
-    let baseline = best_of(None);
-    let retry = best_of(Some(POLICY.into()));
-
-    ReliabilityMeasurement {
+    let retry = Rc::clone(&schedule);
+    Cell::new(
+        "reliability",
+        "reliability-churn16-crash10pct-bursty",
         n,
-        k: RELIABILITY_K,
-        report,
-        rounds_to_settle: outcome.rounds_executed,
-        baseline,
-        retry,
-    }
+        Some(RELIABILITY_K),
+        rounds,
+    )
+    .outcome(vec![
+        field("policy", report.backend.name().as_str()),
+        field("delivered", stats.delivered),
+        field("abandoned", stats.abandoned),
+        field("pending", stats.pending),
+        field("retries", stats.total_retries),
+        field("rounds_to_settle", outcome.rounds_executed),
+    ])
+    .arm("no_retry", move || session_sample(&schedule, None, rounds))
+    .arm("retry", move || {
+        session_sample(&retry, Some(POLICY.into()), rounds)
+    })
+    .limit(limit_at(n, 1.3))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::measure;
+    use crate::record::tests::{assert_sampled, num};
 
     #[test]
-    fn reliability_cell_settles_and_reports() {
-        let m = measure_reliability(65, 120);
-        assert_eq!(m.n, 65);
-        assert_eq!(m.k, RELIABILITY_K);
-        assert_eq!(m.report.stats.pending, 0);
-        assert_eq!(m.report.stats.delivered, RELIABILITY_K);
-        assert_eq!(m.report.stats.abandoned, 0);
-        assert!(
-            (m.non_abandoned_delivered_pct() - 100.0).abs() < 1e-9,
-            "{:?}",
-            m.report.stats
-        );
-        assert!(m.report.stats.total_retries > 0, "retries were exercised");
-        assert!(m.overhead() > 0.0);
-        assert!(m.rounds_to_settle > 0);
+    fn reliability_record_settles_and_reports() {
+        let records = measure(vec![cell(65, 120)]);
+        let r = &records[0];
+        assert_sampled(r);
+        assert_eq!(r.k, Some(RELIABILITY_K as u64));
+        assert_eq!(r.field("policy"), Some(&"ack-gap".into()));
+        assert_eq!(num(r, "pending"), 0.0);
+        assert_eq!(num(r, "delivered"), RELIABILITY_K as f64);
+        assert_eq!(num(r, "abandoned"), 0.0);
+        assert!(num(r, "retries") > 0.0, "retries were exercised");
+        assert!(num(r, "rounds_to_settle") > 0.0);
     }
 
     #[test]

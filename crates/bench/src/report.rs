@@ -159,7 +159,7 @@ impl Table {
 
 /// Escapes a string for a JSON string literal (quotes, backslashes, and
 /// control characters).
-fn json_esc(s: &str) -> String {
+pub(crate) fn json_esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,36 +1,41 @@
-//! Scale workloads: dense flooding to `n = 2^20` on the sharded round
-//! engine, sequential vs sharded arms.
+//! The `scale` series: dense flooding to `n = 2^20` on the sharded round
+//! engine, sharded vs sequential arms.
 //!
-//! The engine sections of `BENCH_engine.json` stop at `n = 1025` because
-//! their `er_dual` generator samples every node pair (O(n²)). The scale
-//! series instead uses [`generators::scale_dual`] — a ring spine plus
-//! per-node random chords and unreliable extras, built in O(n + m) — so
-//! one epoch of dense flooding fits in sane RSS even at a million nodes.
+//! The other series stop at `n = 1025` because their `er_dual` generator
+//! samples every node pair (O(n²)). The scale series instead uses
+//! [`generators::scale_dual`] — a ring spine plus per-node random chords
+//! and unreliable extras, built in O(n + m) — so one epoch of dense
+//! flooding fits in sane RSS even at a million nodes.
 //!
-//! Each size runs two arms on identical workloads:
+//! Each size's record has two arms on identical workloads:
 //!
-//! * **sequential** — the plain [`Executor`] round loop;
-//! * **sharded** — [`ShardedExecutor`] with the measured worker count
-//!   (at least two, so the sharded machinery is genuinely exercised even
-//!   on starved CI containers).
+//! * **sharded** (base) — [`ShardedExecutor`] with `max(cores, 2)`
+//!   workers, so the sharded machinery is genuinely exercised even on
+//!   starved CI containers;
+//! * **sequential** — the plain [`Executor`] round loop, so
+//!   `sequential / sharded` is the sharding speedup.
 //!
-//! Both arms first run the broadcast to completion (the *epoch*: the
-//! measurement asserts both arms complete at the same round — the
-//! bit-identity contract doubling as a bench-level sanity check), then
-//! time `steady_rounds` of the all-senders steady state, the regime the
-//! word-level bitset kernels and the dense-round fast path target. The
-//! speedup claim (sharded ≥ 2× sequential on dense flooding at
-//! `n = 2^17`) is conditioned on ≥ 4 physical cores; `cores` is recorded
-//! in every entry so consumers can tell a starved container from a
-//! regression.
+//! A 2^20-node network cannot stay alive beside the other series, so each
+//! arm keeps one executor: the warm-up call runs the broadcast to
+//! completion plus one steady-state window, and each sample times the next
+//! window of the all-senders steady state — the regime the word-level
+//! bitset kernels and the dense-round fast path target. The arms run one
+//! after the other, then join into one record and must agree on the
+//! completion round and each window's sends and collisions (bit identity).
+//! The speedup claim (sharded ≥ 2× sequential at `n = 2^17`) needs ≥ 4
+//! cores, so it is no limit; the document records `cores`.
 
 use dualgraph_net::{generators, DualGraph};
-use dualgraph_sim::{Executor, ExecutorConfig, Flooder, RandomDelivery, ShardedExecutor};
+use dualgraph_sim::{BroadcastOutcome, Executor, ShardedExecutor};
 
-use crate::engine_bench::{peak_rss_kb, time_steps, EngineMeasurement};
+use crate::engine_bench::{dense_flooding, Dispatch};
+use crate::record::{field, join, measure, peak_rss_kb, BenchRecord, Cell, Outcome, Sample};
 
 /// The scale-series sizes: `2^14`, `2^17`, `2^20` nodes.
 pub const SCALE_SIZES: [usize; 3] = [1 << 14, 1 << 17, 1 << 20];
+
+/// Round cap for the broadcast that precedes the steady state.
+const EPOCH_CAP: u64 = 100_000;
 
 /// Steady-state rounds timed at size `n` — scaled down with `n` so the
 /// full series stays inside a CI budget while every arm still times
@@ -59,114 +64,91 @@ pub fn scale_network(n: usize) -> DualGraph {
     )
 }
 
-/// One size of the scale series: both arms' timings plus the footprint.
-#[derive(Debug, Clone)]
-pub struct ScaleMeasurement {
-    /// Population.
-    pub n: usize,
-    /// Round at which the broadcast completed (identical across arms by
-    /// the bit-identity contract; asserted during measurement).
-    pub completion_round: Option<u64>,
-    /// The sequential arm, timed over the steady state.
-    pub sequential: EngineMeasurement,
-    /// The sharded arm, timed over the same steady-state round count.
-    pub sharded: EngineMeasurement,
-    /// Worker threads the sharded arm requested.
-    pub workers: usize,
-    /// Shards the plan actually produced for (`n`, `workers`).
-    pub shards: usize,
-    /// `available_parallelism` at measurement time — the context for any
-    /// speedup claim.
-    pub cores: usize,
-    /// Peak RSS (`VmHWM`) sampled right after this size's arms ran.
-    /// Sizes are measured in ascending order, so each entry's figure is
-    /// the high-water mark up to and including that size.
-    pub peak_rss_kb: Option<u64>,
+/// The scale series, measured: one record per [`SCALE_SIZES`] size, in
+/// ascending order, each carrying the peak RSS up to and including it.
+pub(crate) fn records() -> Vec<BenchRecord> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |c| c.get())
+        .max(2);
+    SCALE_SIZES
+        .iter()
+        .map(|&n| {
+            let mut record = measure_scale(&scale_network(n), scale_rounds_for(n), workers);
+            record.peak_rss_kb = peak_rss_kb();
+            record
+        })
+        .collect()
 }
 
-impl ScaleMeasurement {
-    /// Sequential-over-sharded wall-clock ratio (> 1 means sharding won).
-    pub fn speedup(&self) -> f64 {
-        self.sequential.ns_per_round() / self.sharded.ns_per_round()
-    }
-}
-
-fn flooding_executor(net: &DualGraph) -> Executor<'_> {
-    Executor::from_slots(
-        net,
-        Flooder::slots(net.len()),
-        Box::new(RandomDelivery::new(0.5, 7)),
-        ExecutorConfig::default(),
-    )
-    .expect("scale workload construction")
-}
-
-/// Measures one size of the scale series: epoch completion plus
-/// steady-state timings for both arms on `net`.
+/// Measures both arms on `net`, one arm at a time, and joins them.
 ///
 /// # Panics
 ///
-/// Panics if either arm fails to complete within the round cap, or if
-/// the two arms complete at different rounds (a bit-identity violation).
-pub fn measure_scale(net: &DualGraph, steady_rounds: u64, workers: usize) -> ScaleMeasurement {
-    const EPOCH_CAP: u64 = 100_000;
-    let n = net.len();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    // Sequential arm: complete the epoch, then time the steady state.
-    let mut seq = flooding_executor(net);
-    let seq_outcome = seq.run_until_complete(EPOCH_CAP);
-    assert!(
-        seq_outcome.completed,
-        "scale epoch must complete (n = {n}, sequential arm)"
-    );
-    let sequential = time_steps(steady_rounds, || {
-        seq.step();
+/// Panics if an arm fails to complete the broadcast within the round cap,
+/// or if the arms' outcomes differ (a bit-identity violation).
+fn measure_scale(net: &DualGraph, rounds: u64, workers: usize) -> BenchRecord {
+    let cell = || Cell::new("scale", "scale-dense-flooding", net.len(), None, rounds);
+    let mut sharded: Option<ShardedExecutor<'_>> = None;
+    let sharded = cell().arm("sharded", move || {
+        let exec = sharded.get_or_insert_with(|| {
+            let mut exec = ShardedExecutor::new(dense_flooding(net, Dispatch::Enum), workers);
+            assert!(exec.run_until_complete(EPOCH_CAP).completed);
+            exec
+        });
+        let start = exec.outcome();
+        Sample::time(rounds, || {
+            exec.step();
+        })
+        .with(window(&start, &exec.outcome()))
     });
-    drop(seq);
-
-    // Sharded arm: identical workload through the sharded engine.
-    let mut shd = ShardedExecutor::new(flooding_executor(net), workers);
-    let shards = shd.plan().shards();
-    let shd_outcome = shd.run_until_complete(EPOCH_CAP);
-    assert_eq!(
-        seq_outcome, shd_outcome,
-        "sharded arm must be bit-identical to sequential (n = {n}, workers = {workers})"
-    );
-    let sharded = time_steps(steady_rounds, || {
-        shd.step();
+    let mut sequential: Option<Executor<'_>> = None;
+    let sequential = cell().arm("sequential", move || {
+        let exec = sequential.get_or_insert_with(|| {
+            let mut exec = dense_flooding(net, Dispatch::Enum);
+            assert!(exec.run_until_complete(EPOCH_CAP).completed);
+            exec
+        });
+        let start = exec.outcome();
+        Sample::time(rounds, || {
+            exec.step();
+        })
+        .with(window(&start, &exec.outcome()))
     });
+    let sharded = measure(vec![sharded]);
+    let sequential = measure(vec![sequential]);
+    join(sharded.into_iter().chain(sequential).collect())
+}
 
-    ScaleMeasurement {
-        n,
-        completion_round: seq_outcome.completion_round,
-        sequential,
-        sharded,
-        workers,
-        shards,
-        cores,
-        peak_rss_kb: peak_rss_kb(),
-    }
+/// A steady-state window's outcome: the completion round, and the
+/// transmissions and physical collisions between `start` and `end`.
+fn window(start: &BroadcastOutcome, end: &BroadcastOutcome) -> Outcome {
+    vec![
+        field("completion_round", end.completion_round),
+        field("window_sends", end.sends - start.sends),
+        field(
+            "window_physical_collisions",
+            end.physical_collisions - start.physical_collisions,
+        ),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::{assert_sampled, num};
 
     #[test]
-    fn scale_measurement_runs_and_cross_checks() {
-        // Small instance of the exact measurement path (the real sizes
-        // are exercised by `--bench-scale`).
-        let net = scale_network(200);
-        let m = measure_scale(&net, 10, 2);
-        assert_eq!(m.n, 200);
-        assert!(m.completion_round.is_some());
-        assert!(m.sequential.ns_per_round() > 0.0);
-        assert!(m.sharded.ns_per_round() > 0.0);
-        assert!(m.shards >= 2, "200 nodes at 2 workers must shard");
-        assert!(m.speedup() > 0.0);
+    fn scale_record_runs_and_cross_checks() {
+        // Small instance of the exact measurement path (the real sizes are
+        // exercised by `--bench scale`).
+        let r = measure_scale(&scale_network(200), 10, 2);
+        assert_sampled(&r);
+        assert_eq!(r.n, 200);
+        assert_eq!(r.base, "sharded");
+        assert_eq!(r.arms[1].name, "sequential");
+        assert!(num(&r, "completion_round") > 0.0);
+        // Every node floods every steady-state round.
+        assert_eq!(num(&r, "window_sends"), 200.0 * 10.0);
     }
 
     #[test]

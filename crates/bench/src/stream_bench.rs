@@ -1,93 +1,79 @@
-//! The `--bench-stream` workload family: pipelined multi-message streams
-//! at `n ∈ {65, 257, 1025}` with `k ∈ {1, 8, 64}` concurrent payloads.
+//! The `stream` series: pipelined multi-message streams at
+//! `n ∈ {65, 257, 1025}` with `k ∈ {1, 8, 64}` concurrent payloads.
 //!
-//! Two measurements per `(n, k)` cell, both on the batched enum-dispatch
-//! engine:
-//!
-//! * **stream run** — a single-source batch stream of `k` payloads pushed
-//!   by pipelined flooding through the standard `er_dual` engine workload
-//!   graph under `RandomDelivery(0.5)`: completion makespan, per-payload
-//!   latency, throughput in payloads/round, and the MAC layer's measured
-//!   ack latencies;
-//! * **steady-state ns/round** — after the stream completes, the network
-//!   sits in the all-senders state with every transmission carrying the
-//!   full `k`-payload set; a fixed window of extra rounds is timed to give
-//!   the per-round engine cost of the widened message path. The `k = 1`
-//!   row of this series is the dense-flooding hot path, so
-//!   `ns_per_round(k = 64) / ns_per_round(k = 1)` is exactly the cost of
-//!   multi-message cargo (the acceptance target is ≤ 2×).
+//! One record per `(n, k)` cell, on the batched enum-dispatch engine. Its
+//! one arm, `steady`, first runs a single-source batch stream of `k`
+//! payloads pushed by pipelined flooding through the standard `er_dual`
+//! engine workload graph under `RandomDelivery(0.5)` — the record's
+//! outcome is that run's makespan, mean payload latency and MAC ack
+//! figures — and then times the all-senders steady state, every
+//! transmission carrying the full `k`-payload set. The `k = 1` record is
+//! the dense-flooding hot path, so the `k = 64` figure over the `k = 1`
+//! figure is exactly the cost of multi-message cargo (the acceptance
+//! target is ≤ 2×). Throughput is `k / makespan_rounds`.
 
-use std::time::Instant;
+use std::rc::Rc;
 
 use dualgraph_broadcast::stream::{
-    run_stream_session, Arrivals, SourcePlacement, StreamAlgorithm, StreamConfig, StreamOutcome,
+    run_stream_session, Arrivals, SourcePlacement, StreamAlgorithm, StreamConfig,
 };
 use dualgraph_net::DualGraph;
-use dualgraph_sim::{MacStats, RandomDelivery};
+use dualgraph_sim::RandomDelivery;
 
-use crate::engine_bench::EngineMeasurement;
+use crate::engine_bench::{bench_rounds_for, workload_network, BENCH_SIZES};
+use crate::record::{field, Cell, Sample};
 
-/// One measured stream cell.
-#[derive(Debug, Clone)]
-pub struct StreamMeasurement {
-    /// Network size.
-    pub n: usize,
-    /// Concurrent payloads.
-    pub k: usize,
-    /// The stream run's outcome (makespan, latencies, MAC stats).
-    pub outcome: StreamOutcome,
-    /// Steady-state timing window after completion.
-    pub steady: EngineMeasurement,
+/// Concurrent payloads per stream record.
+pub const STREAM_KS: [usize; 3] = [1, 8, 64];
+
+/// The stream series: one record per [`BENCH_SIZES`] n × [`STREAM_KS`] k.
+pub(crate) fn cells() -> Vec<Cell<'static>> {
+    BENCH_SIZES
+        .iter()
+        .flat_map(|&n| {
+            let net = Rc::new(workload_network(n));
+            STREAM_KS.map(|k| cell(&net, k, bench_rounds_for(n)))
+        })
+        .collect()
 }
 
-impl StreamMeasurement {
-    /// Steady-state nanoseconds per round with `k` payloads in flight.
-    pub fn ns_per_round(&self) -> f64 {
-        self.steady.ns_per_round()
-    }
-
-    /// MAC stats shorthand.
-    pub fn mac(&self) -> MacStats {
-        self.outcome.mac
-    }
+fn cell(net: &Rc<DualGraph>, k: usize, steady_rounds: u64) -> Cell<'static> {
+    let net = Rc::clone(net);
+    Cell::new(
+        "stream",
+        "stream-pipelined-flooding",
+        net.len(),
+        Some(k),
+        steady_rounds,
+    )
+    .arm("steady", move || measure_stream(&net, k, 7, steady_rounds))
 }
 
-/// The stream bench's standard configuration for `(n, k)`: single-source
-/// batch arrivals (the regime pipelined flooding fully pipelines — see
-/// the `stream` module docs for why multi-source flooding cannot mix
-/// under CR2–CR4).
-pub fn stream_config(k: usize) -> StreamConfig {
-    StreamConfig {
-        k,
-        arrivals: Arrivals::Batch,
-        sources: SourcePlacement::Single,
-        max_rounds: 5_000_000,
-        ..StreamConfig::default()
-    }
-}
-
-/// Runs the stream cell: completes a k-payload pipelined-flooding stream
-/// on `net` via the library's own drive loop ([`run_stream_session`] — the
-/// bench must not fork it), then times `steady_rounds` further rounds of
-/// the all-senders steady state.
+/// Completes a k-payload pipelined-flooding stream on `net` via the
+/// library's own drive loop ([`run_stream_session`] — the bench must not
+/// fork it), then times `steady_rounds` further rounds of the all-senders
+/// steady state.
 ///
 /// # Panics
 ///
 /// Panics if the stream fails to complete within its round budget (the
 /// single-source batch regime always completes) or on executor
 /// construction failure.
-pub fn measure_stream(
-    net: &DualGraph,
-    k: usize,
-    seed: u64,
-    steady_rounds: u64,
-) -> StreamMeasurement {
-    let config = stream_config(k);
+pub fn measure_stream(net: &DualGraph, k: usize, seed: u64, steady_rounds: u64) -> Sample {
     let (outcome, mac) = run_stream_session(
         net,
         StreamAlgorithm::PipelinedFlooding,
         Box::new(RandomDelivery::new(0.5, seed)),
-        &config,
+        // Single-source batch arrivals: the regime pipelined flooding
+        // fully pipelines (see the `stream` module docs for why
+        // multi-source flooding cannot mix under CR2–CR4).
+        &StreamConfig {
+            k,
+            arrivals: Arrivals::Batch,
+            sources: SourcePlacement::Single,
+            max_rounds: 5_000_000,
+            ..StreamConfig::default()
+        },
     )
     .expect("stream workload construction");
     assert!(
@@ -95,56 +81,38 @@ pub fn measure_stream(
         "stream did not complete (n={}, k={k})",
         net.len()
     );
-
-    // Steady state: every node floods the full k-payload set every round.
+    let stats = outcome.mac;
     let mut exec = mac.into_executor();
-    let start = Instant::now();
-    for _ in 0..steady_rounds {
+    Sample::time(steady_rounds, || {
         exec.step();
-    }
-    let steady = EngineMeasurement {
-        rounds: steady_rounds,
-        elapsed_ns: start.elapsed().as_nanos(),
-    };
-
-    StreamMeasurement {
-        n: net.len(),
-        k,
-        outcome,
-        steady,
-    }
+    })
+    .with(vec![
+        field("makespan_rounds", outcome.makespan()),
+        field("mean_latency_rounds", outcome.mean_latency()),
+        field("mac_acked", stats.acked),
+        field("mac_max_ack_latency", stats.max_ack_latency),
+        field("mac_mean_ack_latency", stats.mean_ack_latency),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine_bench::workload_network;
+    use crate::record::measure;
+    use crate::record::tests::{assert_sampled, num};
 
     #[test]
-    fn stream_cell_completes_and_reports() {
-        let net = workload_network(33);
-        let m = measure_stream(&net, 8, 7, 40);
-        assert_eq!(m.k, 8);
-        assert!(m.outcome.completed);
-        assert_eq!(m.outcome.payloads.len(), 8);
-        assert!(m.outcome.makespan().is_some());
-        assert!(m.outcome.throughput() > 0.0);
-        assert!(m.ns_per_round() > 0.0);
-        assert_eq!(m.mac().pending, 0);
-        // Single-source batch: every payload rides the same wavefront.
-        let makespan = m.outcome.makespan().unwrap();
-        assert!(m
-            .outcome
-            .payloads
-            .iter()
-            .all(|p| p.completion_round == Some(makespan)));
-    }
-
-    #[test]
-    fn k1_stream_matches_single_payload_flood_shape() {
-        let net = workload_network(33);
-        let m = measure_stream(&net, 1, 7, 10);
-        assert_eq!(m.outcome.payloads.len(), 1);
-        assert!(m.outcome.completed);
+    fn stream_records_complete_and_report() {
+        let net = Rc::new(workload_network(33));
+        let records = measure(vec![cell(&net, 1, 10), cell(&net, 8, 40)]);
+        for r in &records {
+            assert_sampled(r);
+            let k = r.k.expect("stream records carry k") as f64;
+            assert_eq!(num(r, "mac_acked"), k);
+            // Single-source batch: every payload rides the same wavefront.
+            assert!(num(r, "makespan_rounds") > 0.0);
+            assert_eq!(num(r, "mean_latency_rounds"), num(r, "makespan_rounds"));
+        }
+        assert_eq!(records[1].k, Some(8));
     }
 }

@@ -2,18 +2,27 @@
 //! per-phase wall-clock profile of an engine round, and the trace-diff
 //! harness that localizes engine divergence to the first differing event.
 //!
-//! Three families, all feeding `BENCH_engine.json` / `--trace-diff`:
+//! Two records per size make up the `trace` series of `BENCH_engine.json`,
+//! and one harness feeds `--trace-diff` ([`capture_stream_jsonl`] feeds
+//! `--trace-jsonl`):
 //!
-//! * **overhead** — the dense flooding workload timed three ways: plain
-//!   `step` (untraced), `step_traced(&mut NullSink)` (must be the *same
-//!   machine code* — the `TraceSink::ENABLED` guards compile out), and
-//!   `step_traced(&mut TraceAnalyzer)` (the metrics stack consuming the
-//!   live stream, budgeted at ≤ 1.3× the untraced round);
-//! * **phase profile** — drives the `ProcessTable` sweeps and the
-//!   adversary's delivery sampling *in isolation* against the same
-//!   all-senders steady state the flooding workload settles into, so the
-//!   full-step cost decomposes into transmit-sweep vs receive-sweep vs
-//!   adversary-sample shares;
+//! * **overhead** (`dense-flooding`) — the dense flooding workload timed
+//!   three ways: plain `step` (`untraced`, the base),
+//!   `step_traced(&mut NullSink)` (`null_sink`: must be the *same machine
+//!   code* — the `TraceSink::ENABLED` guards compile out — limited to
+//!   1.10× at `n = 1025`), and `step_traced(&mut TraceAnalyzer)`
+//!   (`analyzer`: the metrics stack consuming the live stream, limited to
+//!   1.3×). All three run one workload, so their executor outcomes must
+//!   agree;
+//! * **phase profile** (`dense-flooding-steady`) — drives the
+//!   `ProcessTable` sweeps and the adversary's delivery sampling *in
+//!   isolation* against the same all-senders steady state the flooding
+//!   workload settles into, beside the `full_step` base, so the step
+//!   decomposes into transmit-sweep vs receive-sweep vs adversary-sample
+//!   shares (`arm / base`). The isolated sweeps skip collision resolution,
+//!   the reaching-arena build and bookkeeping, so the shares do not sum to
+//!   1, but they locate where a regression lives before anyone reaches for
+//!   a profiler;
 //! * **trace-diff** — replays one chatter workload on the optimized
 //!   enum-dispatch engine and the naive reference oracle, recording both
 //!   event streams into `Vec<TraceEvent>`, and reports the first
@@ -21,250 +30,124 @@
 //!   state). A seeded mutation (perturbed adversary seed on one side)
 //!   demonstrates the localization.
 
-use std::time::Instant;
+use std::rc::Rc;
 
-use dualgraph_broadcast::stream::{
-    Arrivals, DynamicsConfig, SourcePlacement, StreamAlgorithm, StreamConfig, StreamSession,
-};
 use dualgraph_net::{DualGraph, FixedBitSet, NodeId};
 use dualgraph_sim::{
-    first_divergence, Adversary, Assignment, BurstyDelivery, ChatterProcess, Divergence, Executor,
-    ExecutorConfig, Flooder, JsonlSink, Message, NullSink, PayloadId, ProcessId, ProcessTable,
-    RandomDelivery, Reception, ReferenceExecutor, RoundContext, TraceAnalyzer, TraceEvent,
-    TraceReport, WithRandomCr4,
+    first_divergence, Adversary, Assignment, ChatterProcess, Divergence, Executor, ExecutorConfig,
+    Flooder, JsonlSink, Message, NullSink, PayloadId, ProcessId, ProcessTable, RandomDelivery,
+    Reception, ReferenceExecutor, RoundContext, TraceAnalyzer, TraceEvent,
 };
 
 use crate::dynamics_bench;
-use crate::engine_bench::{time_steps, Dispatch, EngineMeasurement, CHATTER_RATE};
+use crate::engine_bench::{
+    dense_flooding, limit_at, measure_flooding, workload_network, Dispatch, CHATTER_RATE,
+};
+use crate::record::{executor_outcome, Cell, Sample};
 use crate::reliability_bench;
 
-/// Builds the dense flooding executor on the enum-dispatch path — the
-/// exact workload `engine_bench::measure_flooding` times untraced, so the
-/// traced measurements below are apples-to-apples against it.
-fn flooding_executor<'a>(net: &'a DualGraph) -> Executor<'a> {
-    Executor::from_slots(
-        net,
-        Flooder::slots(net.len()),
-        Box::new(RandomDelivery::new(0.5, 7)),
-        ExecutorConfig::default(),
-    )
-    .expect("flooding workload construction")
+/// The overhead record at size `n`: untraced, `NullSink` and
+/// `TraceAnalyzer` arms.
+pub(crate) fn overhead_cell(n: usize, rounds: u64) -> Cell<'static> {
+    let net = Rc::new(workload_network(n));
+    let (untraced, null) = (Rc::clone(&net), Rc::clone(&net));
+    Cell::new("trace", "dense-flooding", n, None, rounds)
+        .arm("untraced", move || {
+            measure_flooding(&untraced, rounds, Dispatch::Enum)
+        })
+        .arm("null_sink", move || {
+            let mut exec = dense_flooding(&null, Dispatch::Enum);
+            Sample::time(rounds, || {
+                exec.step_traced(&mut NullSink);
+            })
+            .with(executor_outcome(&exec.outcome()))
+        })
+        .limit(limit_at(n, 1.10))
+        .arm("analyzer", move || {
+            let mut exec = dense_flooding(&net, Dispatch::Enum);
+            let mut analyzer = TraceAnalyzer::new();
+            let sample = Sample::time(rounds, || {
+                exec.step_traced(&mut analyzer);
+            });
+            let report = analyzer.finish();
+            assert_eq!(
+                report.rounds_executed, rounds,
+                "the analyzer saw every round"
+            );
+            sample.with(executor_outcome(&exec.outcome()))
+        })
+        .limit(limit_at(n, 1.3))
 }
 
-/// Times `rounds` of the dense flooding workload stepped through
-/// `step_traced(&mut NullSink)`.
-///
-/// The overhead gate compares this against the untraced
-/// [`crate::engine_bench::measure_flooding`] run: the `NullSink`
-/// instantiation is what every plain `step` delegates to, so any measured
-/// gap beyond scheduler noise is a regression in the zero-overhead
-/// guarantee.
-pub fn measure_flooding_traced_null(net: &DualGraph, rounds: u64) -> EngineMeasurement {
-    let mut exec = flooding_executor(net);
-    time_steps(rounds, || {
-        exec.step_traced(&mut NullSink);
-    })
+/// The phase-profile record at size `n`: the full step and its isolated
+/// phases.
+pub(crate) fn phase_cell(n: usize, rounds: u64) -> Cell<'static> {
+    let net = Rc::new(workload_network(n));
+    Cell::new("trace", "dense-flooding-steady", n, None, rounds)
+        .arm("full_step", {
+            let net = Rc::clone(&net);
+            move || measure_flooding(&net, rounds, Dispatch::Enum)
+        })
+        .arm("transmit_sweep", move || {
+            // The buffer is cleared per round exactly like the executor's
+            // send pass.
+            let (mut table, active_from, _) = steady_table(n);
+            let mut senders: Vec<(NodeId, Message)> = Vec::new();
+            let mut round = 1;
+            Sample::time(rounds, || {
+                round += 1;
+                senders.clear();
+                table.transmit_all(round, &active_from, None, &mut senders);
+            })
+        })
+        .arm("receive_sweep", move || {
+            // Re-delivers the synthetic message set every round (content is
+            // irrelevant to sweep cost — the payload union is a no-op after
+            // the first absorb).
+            let (mut table, mut active_from, wake) = steady_table(n);
+            let mut round = 1;
+            Sample::time(rounds, || {
+                round += 1;
+                table.receive_all(round, &mut active_from, None, &wake);
+            })
+        })
+        .arm("adversary_sample", move || {
+            // One `unreliable_deliveries` call per sender per round, against
+            // the steady-state sender set.
+            let (mut table, active_from, _) = steady_table(n);
+            let mut senders: Vec<(NodeId, Message)> = Vec::new();
+            table.transmit_all(2, &active_from, None, &mut senders);
+            let mut adversary = RandomDelivery::new(0.5, 7);
+            let assignment = Assignment::identity(n);
+            let informed = FixedBitSet::from_indices(n, 0..n);
+            let ctx = RoundContext {
+                round: 2,
+                network: &net,
+                assignment: &assignment,
+                senders: &senders,
+                informed: &informed,
+            };
+            let mut targets: Vec<NodeId> = Vec::new();
+            Sample::time(rounds, || {
+                targets.clear();
+                for &(node, _) in &senders {
+                    adversary.unreliable_deliveries(&ctx, node, &mut targets);
+                }
+            })
+        })
 }
 
-/// Times `rounds` of the dense flooding workload stepped through
-/// `step_traced(&mut TraceAnalyzer)` and returns the analyzer's report
-/// alongside the timing (so callers can sanity-check what the run paid
-/// for). Only the steps are timed: [`TraceAnalyzer::finish`] runs after
-/// the timer stops.
-pub fn measure_flooding_traced_analyzer(
-    net: &DualGraph,
-    rounds: u64,
-) -> (EngineMeasurement, TraceReport) {
-    let mut exec = flooding_executor(net);
-    let mut analyzer = TraceAnalyzer::new();
-    let m = time_steps(rounds, || {
-        exec.step_traced(&mut analyzer);
-    });
-    (m, analyzer.finish())
-}
-
-/// The traced/untraced cost triple for one network size, as landed in the
-/// `trace_overhead` section of `BENCH_engine.json`.
-#[derive(Debug, Clone)]
-pub struct TraceOverhead {
-    /// Network size.
-    pub n: usize,
-    /// Untraced `step` (the plain flooding measurement).
-    pub untraced: EngineMeasurement,
-    /// `step_traced(&mut NullSink)` — must match `untraced` within noise.
-    pub null_sink: EngineMeasurement,
-    /// `step_traced(&mut TraceAnalyzer)` — the metrics stack on the live
-    /// stream.
-    pub analyzer: EngineMeasurement,
-}
-
-impl TraceOverhead {
-    /// `null_sink` cost relative to `untraced` (1.0 = identical).
-    pub fn null_ratio(&self) -> f64 {
-        self.null_sink.ns_per_round() / self.untraced.ns_per_round()
-    }
-
-    /// `analyzer` cost relative to `untraced`.
-    pub fn analyzer_ratio(&self) -> f64 {
-        self.analyzer.ns_per_round() / self.untraced.ns_per_round()
-    }
-}
-
-/// Measures the overhead triple for size `n`: untraced, `NullSink`, and
-/// `TraceAnalyzer` runs over the same flooding workload and round budget.
-///
-/// The three arms are *interleaved* — one warm-up pass, then `reps`
-/// rounds of (untraced, null, analyzer) back to back, taking the min per
-/// arm. Measuring each arm in its own block instead would let frequency
-/// scaling and cache warm-up drift bias whichever arm runs first: the
-/// `NullSink` arm is the same machine code as the untraced one, so any
-/// block-ordered measurement showing a gap is measuring the machine, not
-/// the code.
-pub fn measure_trace_overhead(net: &DualGraph, rounds: u64, reps: usize) -> TraceOverhead {
-    let run_untraced = || crate::engine_bench::measure_flooding(net, rounds, Dispatch::Enum);
-    let run_null = || measure_flooding_traced_null(net, rounds);
-    let run_analyzer = || measure_flooding_traced_analyzer(net, rounds).0;
-    // Warm-up: touch all three code paths before any timed comparison.
-    let mut untraced = run_untraced();
-    let mut null_sink = run_null();
-    let mut analyzer = run_analyzer();
-    let keep_min = |best: &mut EngineMeasurement, m: EngineMeasurement| {
-        if m.elapsed_ns < best.elapsed_ns {
-            *best = m;
-        }
-    };
-    for _ in 0..reps.max(1) {
-        keep_min(&mut untraced, run_untraced());
-        keep_min(&mut null_sink, run_null());
-        keep_min(&mut analyzer, run_analyzer());
-    }
-    TraceOverhead {
-        n: net.len(),
-        untraced,
-        null_sink,
-        analyzer,
-    }
-}
-
-/// Wall-clock decomposition of the engine round into its three dominant
-/// phases, measured in isolation against the all-senders steady state.
-///
-/// The phases don't sum to `full_step_ns` — the full step also pays
-/// collision resolution, the reaching-arena build, and bookkeeping the
-/// isolated sweeps skip — but their *ratios* locate where a regression
-/// lives before anyone reaches for a profiler.
-#[derive(Debug, Clone)]
-pub struct PhaseProfile {
-    /// Network size.
-    pub n: usize,
-    /// Rounds per timed phase loop.
-    pub rounds: u64,
-    /// Total ns across `rounds` transmit sweeps (`ProcessTable::transmit_all`).
-    pub transmit_ns: u128,
-    /// Total ns across `rounds` receive sweeps (`ProcessTable::receive_all`).
-    pub receive_ns: u128,
-    /// Total ns across `rounds` adversary delivery-sampling sweeps
-    /// (`Adversary::unreliable_deliveries` per sender).
-    pub adversary_ns: u128,
-    /// Total ns across `rounds` full `Executor::step` rounds on the same
-    /// workload, for scale.
-    pub full_step_ns: u128,
-}
-
-impl PhaseProfile {
-    /// Per-round nanoseconds for one phase total.
-    fn per_round(&self, total: u128) -> f64 {
-        total as f64 / self.rounds.max(1) as f64
-    }
-
-    /// Transmit-sweep ns/round.
-    pub fn transmit_ns_per_round(&self) -> f64 {
-        self.per_round(self.transmit_ns)
-    }
-
-    /// Receive-sweep ns/round.
-    pub fn receive_ns_per_round(&self) -> f64 {
-        self.per_round(self.receive_ns)
-    }
-
-    /// Adversary-sample ns/round.
-    pub fn adversary_ns_per_round(&self) -> f64 {
-        self.per_round(self.adversary_ns)
-    }
-
-    /// Full-step ns/round.
-    pub fn full_step_ns_per_round(&self) -> f64 {
-        self.per_round(self.full_step_ns)
-    }
-}
-
-/// Profiles the engine round's phases on the flooding steady state of
-/// `net`: every node informed and transmitting, `RandomDelivery(0.5)`
-/// sampling targets for every sender.
-pub fn phase_profile(net: &DualGraph, rounds: u64) -> PhaseProfile {
-    let n = net.len();
-
-    // All-senders steady state: activate and inform every node with one
-    // synthetic reception sweep, after which every Flooder transmits every
-    // round — the same regime the flooding workload settles into.
+/// The all-senders steady state of dense flooding on `n` nodes, built
+/// outside the engine: every `Flooder` activated and informed by one
+/// synthetic reception sweep, after which each transmits every round.
+/// Returns the table, its activation rounds and the wake-up receptions.
+fn steady_table(n: usize) -> (ProcessTable, Vec<Option<u64>>, Vec<Reception>) {
     let mut table = ProcessTable::from_slots(Flooder::slots(n));
     let mut active_from: Vec<Option<u64>> = vec![Some(1); n];
     let wake: Vec<Reception> =
         vec![Reception::Message(Message::with_payload(ProcessId(0), PayloadId(0),)); n];
     table.receive_all(1, &mut active_from, None, &wake);
-
-    // Transmit sweeps. The buffer is cleared per round exactly like the
-    // executor's send pass; the last round's senders feed the adversary
-    // phase below.
-    let mut senders: Vec<(NodeId, Message)> = Vec::new();
-    let start = Instant::now();
-    for r in 0..rounds {
-        senders.clear();
-        table.transmit_all(2 + r, &active_from, None, &mut senders);
-    }
-    let transmit_ns = start.elapsed().as_nanos();
-
-    // Receive sweeps: re-deliver the synthetic message set every round
-    // (content is irrelevant to sweep cost — the payload union is a
-    // no-op after the first absorb).
-    let start = Instant::now();
-    for r in 0..rounds {
-        table.receive_all(2 + r, &mut active_from, None, &wake);
-    }
-    let receive_ns = start.elapsed().as_nanos();
-
-    // Adversary sampling: one `unreliable_deliveries` call per sender per
-    // round, against the captured steady-state sender set.
-    let mut adversary = RandomDelivery::new(0.5, 7);
-    let assignment = Assignment::identity(n);
-    let informed = FixedBitSet::from_indices(n, 0..n);
-    let ctx = RoundContext {
-        round: 2,
-        network: net,
-        assignment: &assignment,
-        senders: &senders,
-        informed: &informed,
-    };
-    let mut targets: Vec<NodeId> = Vec::new();
-    let start = Instant::now();
-    for _ in 0..rounds {
-        targets.clear();
-        for &(node, _) in &senders {
-            adversary.unreliable_deliveries(&ctx, node, &mut targets);
-        }
-    }
-    let adversary_ns = start.elapsed().as_nanos();
-
-    let full = crate::engine_bench::measure_flooding(net, rounds, Dispatch::Enum);
-
-    PhaseProfile {
-        n,
-        rounds,
-        transmit_ns,
-        receive_ns,
-        adversary_ns,
-        full_step_ns: full.elapsed_ns,
-    }
+    (table, active_from, wake)
 }
 
 /// Which engine a trace-diff side replays on.
@@ -371,29 +254,13 @@ pub fn trace_diff_mutated(net: &DualGraph, seed: u64, rounds: u64) -> TraceDiff 
 /// artifact.
 pub fn capture_stream_jsonl(n: usize, k: usize) -> String {
     let schedule = dynamics_bench::churn_workload(n);
-    let seed = 0xAC4B;
-    let config = StreamConfig {
-        k,
-        arrivals: Arrivals::Batch,
-        sources: SourcePlacement::Single,
-        max_rounds: 200_000,
-        dynamics: Some(DynamicsConfig {
-            faults: reliability_bench::fault_plan(n),
-            cycle: true,
-        }),
-        reliability: Some(reliability_bench::POLICY.into()),
-        ..StreamConfig::default()
-    };
-    let session = StreamSession::scheduled(
+    let session = reliability_bench::session(
         &schedule,
-        StreamAlgorithm::PipelinedFlooding,
-        Box::new(WithRandomCr4::new(
-            BurstyDelivery::new(0.15, 0.4, seed),
-            seed ^ 0x9E37,
-        )),
-        &config,
-    )
-    .expect("trace capture workload construction");
+        k,
+        Some(reliability_bench::POLICY.into()),
+        None,
+        200_000,
+    );
     let mut sink = JsonlSink::new();
     let (outcome, _) = session.run_traced(&mut sink);
     let report = outcome
@@ -414,42 +281,35 @@ pub fn capture_stream_jsonl(n: usize, k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine_bench::workload_network;
+    use crate::record::measure;
+    use crate::record::tests::{assert_sampled, num};
 
     #[test]
-    fn traced_measurements_run() {
-        let net = workload_network(33);
-        let null = measure_flooding_traced_null(&net, 50);
-        assert_eq!(null.rounds, 50);
-        let (analyzed, report) = measure_flooding_traced_analyzer(&net, 50);
-        assert_eq!(analyzed.rounds, 50);
-        assert_eq!(report.rounds_executed, 50);
-        let flood = report.timeline(PayloadId(0)).expect("the flooded payload");
-        assert_eq!(flood.first_spread_round, Some(1));
-        assert!(flood.nodes_reached > 1);
+    fn trace_record_arms_agree() {
+        let records = measure(vec![overhead_cell(33, 50)]);
+        let r = &records[0];
+        assert_sampled(r);
+        let arms: Vec<&str> = r.arms.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(arms, ["untraced", "null_sink", "analyzer"]);
+        assert!(
+            r.arms.iter().all(|a| a.limit.is_none()),
+            "limits apply at n = 1025"
+        );
+        assert!(num(r, "sends") > 0.0);
     }
 
     #[test]
-    fn overhead_triple_reports_ratios() {
-        let net = workload_network(33);
-        let o = measure_trace_overhead(&net, 50, 2);
-        assert_eq!(o.n, 33);
-        assert!(o.null_ratio() > 0.0);
-        assert!(o.analyzer_ratio() > 0.0);
-    }
-
-    #[test]
-    fn phase_profile_reports_all_phases() {
-        let net = workload_network(33);
-        let p = phase_profile(&net, 50);
-        assert_eq!(p.n, 33);
-        assert!(p.transmit_ns_per_round() > 0.0);
-        assert!(p.receive_ns_per_round() > 0.0);
-        assert!(p.adversary_ns_per_round() > 0.0);
-        assert!(p.full_step_ns_per_round() > 0.0);
+    fn phase_record_reports_all_phases() {
+        let records = measure(vec![phase_cell(33, 50)]);
+        let r = &records[0];
+        assert_sampled(r);
+        assert_eq!(r.base, "full_step");
+        assert_eq!(r.arms.len(), 4);
         // Isolated sweeps must each undercut the full step they compose.
-        assert!(p.transmit_ns < p.full_step_ns);
-        assert!(p.receive_ns < p.full_step_ns);
+        for sweep in ["transmit_sweep", "receive_sweep"] {
+            let arm = r.arm(sweep).expect("every phase arm");
+            assert!(r.ratio(arm) < 1.0, "{sweep}: {r:?}");
+        }
     }
 
     #[test]

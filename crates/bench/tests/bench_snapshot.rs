@@ -1,86 +1,79 @@
-//! Pins the checked-in `BENCH_engine.json` snapshot to the schema the
-//! code emits: bumping [`dualgraph_bench::BENCH_SCHEMA`] without
-//! regenerating the snapshot (or vice versa) fails here instead of
-//! silently shipping a trajectory file no tool can compare against.
+//! Pins the checked-in `BENCH_engine.json` snapshot to the schema and the
+//! records the code emits: bumping [`dualgraph_bench::BENCH_SCHEMA`]
+//! without regenerating the snapshot (or vice versa), or dropping a record,
+//! fails here instead of silently shipping a baseline `--bench-compare`
+//! cannot gate against.
+
+use dualgraph_bench::record::{self, BenchDocument, SAMPLES};
 
 const REGEN_HINT: &str = "regenerate with `cargo run --release -p dualgraph-bench \
-     --bin experiments -- --bench-engine --bench-stream --bench-dynamics \
-     --bench-reliability --bench-byzantine --bench-trace --bench-metrics \
-     --bench-scale`";
+     --bin experiments -- --bench all BENCH_engine.json`";
 
-fn snapshot() -> String {
+fn snapshot_text() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     std::fs::read_to_string(path).expect("BENCH_engine.json is checked in at the repo root")
 }
 
+fn snapshot() -> BenchDocument {
+    record::read(&snapshot_text())
+        .unwrap_or_else(|e| panic!("BENCH_engine.json is unreadable ({e}): {REGEN_HINT}"))
+}
+
 #[test]
 fn checked_in_snapshot_matches_emitted_schema() {
-    let contents = snapshot();
     let tag = format!("\"schema\": \"{}\"", dualgraph_bench::BENCH_SCHEMA);
     assert!(
-        contents.contains(&tag),
+        snapshot_text().contains(&tag),
         "BENCH_engine.json is stale (expected {tag}): {REGEN_HINT}"
     );
 }
 
-/// Schema v11 renamed the trace overhead's third arm from
-/// `metrics_sink_*` to `analyzer_*` (the arm now times `TraceAnalyzer`);
-/// v10 dropped the frozen-baseline `pr1_*` columns and added the
-/// `er_dual-flooding-collision-seeker` engine rows. A snapshot claiming
-/// v11 without its sections would break `--bench-compare` consumers.
+/// Every record must parse with the reader `--bench-compare` uses, and
+/// the document must name its host's core count.
 #[test]
-fn checked_in_snapshot_has_the_v11_sections() {
-    let contents = snapshot();
-    for section in [
-        "\"measurements\"",
-        "\"stream_measurements\"",
-        "\"dynamics_measurements\"",
-        "\"reliability_measurements\"",
-        "\"byzantine_measurements\"",
-        "\"trace_measurements\"",
-        "\"phase_profile\"",
-        "\"metrics_overhead\"",
-        "\"scale_measurements\"",
-    ] {
+fn checked_in_snapshot_is_readable_by_the_compare_tool() {
+    let doc = snapshot();
+    assert!(doc.cores >= 1, "cores recorded");
+    assert!(!doc.records.is_empty());
+    for r in &doc.records {
+        assert!(r.arm(&r.base).is_some(), "{}: base arm present", r.label());
+    }
+}
+
+#[test]
+fn checked_in_snapshot_has_every_series() {
+    let doc = snapshot();
+    for series in dualgraph_bench::SERIES {
         assert!(
-            contents.contains(section),
-            "BENCH_engine.json is missing the {section} section: {REGEN_HINT}"
+            doc.records.iter().any(|r| r.series == series),
+            "BENCH_engine.json has no {series} record: {REGEN_HINT}"
         );
     }
-    assert!(
-        !contents.contains("pr1"),
-        "BENCH_engine.json still carries frozen-baseline columns: {REGEN_HINT}"
-    );
-    assert!(
-        contents.contains("\"analyzer_overhead\"") && !contents.contains("metrics_sink"),
-        "BENCH_engine.json still carries the pre-v11 trace arm: {REGEN_HINT}"
-    );
 }
 
 /// The seeker rows are the only measurement of `CollisionSeeker`'s
-/// row-scan branch, so `--bench-compare` must find one at every size.
+/// row-scan branch, so compare must find every engine row at every size.
 #[test]
-fn checked_in_snapshot_gates_the_seeker_rows() {
-    let series = dualgraph_bench::compare::extract_engine_series(&snapshot())
-        .expect("snapshot parses and matches this build's schema");
+fn checked_in_snapshot_has_every_engine_row() {
+    let doc = snapshot();
     for n in dualgraph_bench::engine_bench::BENCH_SIZES {
-        assert!(
-            series
-                .iter()
-                .any(|p| p.workload == "er_dual-flooding-collision-seeker" && p.n == n as u64),
-            "no er_dual-flooding-collision-seeker row at n = {n}: {REGEN_HINT}"
-        );
+        for (workload, _) in dualgraph_bench::engine_bench::ENGINE_WORKLOADS {
+            assert!(
+                doc.records
+                    .iter()
+                    .any(|r| r.series == "engine" && r.workload == workload && r.n == n as u64),
+                "no engine {workload} record at n = {n}: {REGEN_HINT}"
+            );
+        }
     }
 }
 
-/// The snapshot must parse with the same hand-rolled reader
-/// `--bench-compare` uses, and expose the engine series it diffs.
 #[test]
-fn checked_in_snapshot_is_readable_by_the_compare_tool() {
-    let series = dualgraph_bench::compare::extract_engine_series(&snapshot())
-        .expect("snapshot parses and matches this build's schema");
-    assert!(!series.is_empty(), "engine series present");
-    for point in &series {
-        assert!(point.ns_per_round > 0.0, "series carries real timings");
+fn checked_in_snapshot_has_every_sample() {
+    for r in &snapshot().records {
+        for arm in &r.arms {
+            let sampled = arm.ns_per_round.len() == SAMPLES && arm.figure() > 0.0;
+            assert!(sampled, "{} arm {}: {REGEN_HINT}", r.label(), arm.name);
+        }
     }
 }

@@ -9,8 +9,8 @@
 //! Its value is being *obviously correct* and structurally independent of
 //! the optimized engine: the differential test (`tests/differential.rs`)
 //! runs both on random topologies against the full adversary menu and
-//! asserts identical behavior round for round. `experiments --bench-engine`
-//! also times it to quantify the engine speedup.
+//! asserts identical behavior round for round. The `engine` series of
+//! `experiments --bench` also times it to quantify the engine speedup.
 //!
 //! Behavioral contract (both engines must agree exactly):
 //!
