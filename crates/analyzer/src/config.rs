@@ -266,7 +266,7 @@ index_bound_comments = true
 [hot]
 functions = [
     "Executor::step",
-    "ProcessTable::transmit_all",
+    "ProcessTable::transmit_sweep",
 ]
 "#,
         )
@@ -277,7 +277,7 @@ functions = [
         assert!(cfg.index_bound_comments);
         assert_eq!(
             cfg.hot_functions,
-            vec!["Executor::step", "ProcessTable::transmit_all"]
+            vec!["Executor::step", "ProcessTable::transmit_sweep"]
         );
     }
 

@@ -20,6 +20,8 @@ pub mod report;
 pub mod scanner;
 pub mod waiver;
 
+use std::collections::BTreeSet;
+
 use config::Config;
 use lints::Violation;
 
@@ -114,6 +116,41 @@ pub fn analyze_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
 
     findings.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
     findings
+}
+
+/// One [`lints::HOT_STALE`] finding per `[hot].functions` entry that names
+/// no function of `sources` outside test code: a deleted or renamed hot
+/// function would otherwise drop out of the hot-alloc lint silently. The
+/// findings point at `analyzer.toml`, on the entry's line of `cfg_text`
+/// (line 0 when it is not found there), and cannot be waived.
+pub fn stale_hot_entries(sources: &[&str], cfg: &Config, cfg_text: &str) -> Vec<Finding> {
+    let mut defined = BTreeSet::new();
+    for src in sources {
+        let lexed = lexer::lex(src);
+        let model = scanner::scan(&lexed);
+        for f in model.fns.iter().filter(|f| !model.in_test(f.body.start)) {
+            defined.insert(f.qualified_name());
+            defined.insert(f.name.clone());
+        }
+    }
+    cfg.hot_functions
+        .iter()
+        .filter(|h| !defined.contains(h.as_str()))
+        .map(|h| Finding {
+            file: "analyzer.toml".to_string(),
+            line: cfg_text
+                .lines()
+                .position(|l| l.contains(&format!("\"{h}\"")))
+                .map_or(0, |i| i as u32 + 1),
+            lint: lints::HOT_STALE,
+            message: format!(
+                "[hot] entry `{h}` names no function in the scanned files: \
+                 update it to the function's current name or remove it"
+            ),
+            waived: false,
+            reason: None,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@ use crate::scanner::Model;
 pub const DETERMINISM: &str = "determinism";
 /// Lint identifier for the hot-path allocation class.
 pub const HOT_ALLOC: &str = "hot-alloc";
+/// Lint identifier for a `[hot].functions` entry that names no function
+/// (unwaivable: it is reported against `analyzer.toml`).
+pub const HOT_STALE: &str = "hot-stale";
 /// Lint identifier for the adversary scratch-buffer contract.
 pub const ADVERSARY_APPEND: &str = "adversary-append";
 /// Lint identifier for discarded `inject` results.
@@ -28,6 +31,7 @@ pub const WAIVER_MISSING_REASON: &str = "waiver-missing-reason";
 pub const ALL_LINTS: &[&str] = &[
     DETERMINISM,
     HOT_ALLOC,
+    HOT_STALE,
     ADVERSARY_APPEND,
     INJECT_DISCARD,
     CLONE_FIELDS,

@@ -1,5 +1,6 @@
-//! CLI entry point: walk the workspace, run every lint, print findings,
-//! write the JSON report, and exit nonzero on any unwaived violation.
+//! CLI entry point: walk the workspace, run every lint, check that every
+//! `[hot].functions` entry names a function, print findings, write the
+//! JSON report, and exit nonzero on any unwaived violation.
 //!
 //! Usage: `cargo run -p dualgraph-analyzer [-- --report PATH] [--quiet]`
 //!
@@ -8,7 +9,7 @@
 
 #![forbid(unsafe_code)]
 
-use dualgraph_analyzer::{analyze_source, config::Config, report, Finding};
+use dualgraph_analyzer::{analyze_source, config::Config, report, stale_hot_entries, Finding};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -58,6 +59,7 @@ fn main() -> ExitCode {
 
     let files = collect_files(&root, &cfg);
     let mut findings: Vec<Finding> = Vec::new();
+    let mut sources: Vec<String> = Vec::new();
     for rel in &files {
         let src = match std::fs::read_to_string(root.join(rel)) {
             Ok(s) => s,
@@ -67,7 +69,10 @@ fn main() -> ExitCode {
             }
         };
         findings.extend(analyze_source(rel, &src, &cfg));
+        sources.push(src);
     }
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    findings.extend(stale_hot_entries(&sources, &cfg, &cfg_text));
 
     let unwaived: Vec<&Finding> = findings.iter().filter(|f| !f.waived).collect();
     if !quiet {

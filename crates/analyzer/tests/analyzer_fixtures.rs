@@ -4,7 +4,7 @@
 //! the mandatory-reason rule. Fixtures live under `tests/fixtures/` as
 //! plain text — cargo never compiles them.
 
-use dualgraph_analyzer::{analyze_source, config::Config, Finding};
+use dualgraph_analyzer::{analyze_source, config::Config, stale_hot_entries, Finding};
 
 /// The config every fixture is analyzed under. Fixtures are presented to
 /// the analyzer at a path inside both the determinism and panic scopes so
@@ -17,8 +17,8 @@ fn cfg() -> Config {
             "Executor::step".into(),
             "Executor::step_traced".into(),
             "ShardedExecutor::step_traced".into(),
-            "resolve_chunk".into(),
-            "AbsorbPart::absorb".into(),
+            "resolve_shards".into(),
+            "Gather::arrivals".into(),
             "Histogram::record".into(),
             "WindowedStats::push".into(),
         ],
@@ -127,16 +127,14 @@ fn shard_hot_positive_fixture_fires() {
     );
     let hits = unwaived(&fs, "hot-alloc");
     // collect + format! in ShardedExecutor::step_traced,
-    // Vec::with_capacity + vec! in the resolve_chunk free function,
-    // Vec::new + Box::new in AbsorbPart::absorb — one per line.
+    // Vec::with_capacity + vec! in the resolve_shards free function,
+    // Vec::new + Box::new in Gather::arrivals — one per line.
     assert_eq!(hits.len(), 6, "{fs:?}");
     assert!(hits
         .iter()
         .any(|f| f.message.contains("ShardedExecutor::step_traced")));
-    assert!(hits.iter().any(|f| f.message.contains("resolve_chunk")));
-    assert!(hits
-        .iter()
-        .any(|f| f.message.contains("AbsorbPart::absorb")));
+    assert!(hits.iter().any(|f| f.message.contains("resolve_shards")));
+    assert!(hits.iter().any(|f| f.message.contains("Gather::arrivals")));
 }
 
 #[test]
@@ -275,4 +273,22 @@ fn waiver_for_the_wrong_lint_does_not_transfer() {
     let src = "use std::collections::HashMap; // analyzer: allow(panic, reason = \"wrong lint\")\n";
     let fs = analyze("wrong_lint.rs", src);
     assert_eq!(unwaived(&fs, "determinism").len(), 1, "{fs:?}");
+}
+
+// ------------------------------------------------------------------ hot-stale
+
+#[test]
+fn stale_hot_entries_fail() {
+    let text = "[hot]\nfunctions = [\n    \"Executor::step_on\",\n    \"resolve_shards\",\n    \"AbsorbPart::absorb\",\n    \"absorb\",\n]\n";
+    let cfg = Config::from_toml(text).unwrap();
+    let fs = stale_hot_entries(&[include_str!("fixtures/hot_stale.rs")], &cfg, text);
+    // A method and a free function match; an entry renamed away and one
+    // naming only test code are stale, each on its own config line.
+    assert_eq!(fs.len(), 2, "{fs:?}");
+    assert!(fs
+        .iter()
+        .all(|f| f.lint == "hot-stale" && !f.waived && f.file == "analyzer.toml"));
+    assert_eq!((fs[0].line, fs[1].line), (5, 6), "{fs:?}");
+    assert!(fs[0].message.contains("`AbsorbPart::absorb`"));
+    assert!(fs[1].message.contains("`absorb`"));
 }

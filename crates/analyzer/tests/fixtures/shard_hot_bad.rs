@@ -1,7 +1,7 @@
-//! Positive fixture: allocation inside the sharded sweep hot set —
-//! the coordinator round loop (`ShardedExecutor::step_traced`), the
-//! per-shard resolve (`resolve_chunk`, a free function), and the fused
-//! absorb hook (`AbsorbPart::absorb`) — fires once per construct line.
+//! Positive fixture: allocation inside the sharded round hot set —
+//! the coordinator entry (`ShardedExecutor::step_traced`), the per-shard
+//! resolve (`resolve_shards`, a free function), and a receiver-side
+//! reaching-set read (`Gather::arrivals`) — fires once per construct line.
 
 struct ShardedExecutor;
 
@@ -12,15 +12,15 @@ impl ShardedExecutor {
     }
 }
 
-fn resolve_chunk(receptions: &mut [u32]) {
+fn resolve_shards(receptions: &mut [u32]) {
     let jobs = Vec::with_capacity(receptions.len());
     let idxs = vec![0u32; 8];
 }
 
-struct AbsorbPart;
+struct Gather;
 
-impl AbsorbPart {
-    fn absorb(&mut self, base: usize) {
+impl Gather {
+    fn arrivals(&mut self, base: usize) {
         let newly = Vec::new();
         let boxed = Box::new(base);
     }

@@ -25,9 +25,9 @@ impl ShardedExecutor {
     }
 }
 
-fn resolve_chunk(receptions: &mut Vec<u32>, jobs: &mut Vec<u32>, idxs: &mut Vec<u32>) {
+fn resolve_shards(receptions: &mut Vec<u32>, jobs: &mut Vec<u32>, idxs: &mut Vec<u32>) {
     // The shard-local CR4 job lists are reused arenas owned by the
-    // wrapper, cleared at entry.
+    // executor, cleared at entry.
     jobs.clear();
     idxs.clear();
     for slot in receptions.iter_mut() {

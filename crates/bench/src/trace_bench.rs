@@ -30,6 +30,8 @@
 //!   state). A seeded mutation (perturbed adversary seed on one side)
 //!   demonstrates the localization.
 
+use std::iter;
+use std::ops::Range;
 use std::rc::Rc;
 
 use dualgraph_net::{DualGraph, FixedBitSet, NodeId};
@@ -89,15 +91,14 @@ pub(crate) fn phase_cell(n: usize, rounds: u64) -> Cell<'static> {
             move || measure_flooding(&net, rounds, Dispatch::Enum)
         })
         .arm("transmit_sweep", move || {
-            // The buffer is cleared per round exactly like the executor's
-            // send pass.
+            // One chunk, swept inline: the executor's one-shard send pass,
+            // which clears the buffer each round.
             let (mut table, active_from, _) = steady_table(n);
             let mut senders: Vec<(NodeId, Message)> = Vec::new();
             let mut round = 1;
             Sample::time(rounds, || {
                 round += 1;
-                senders.clear();
-                table.transmit_all(round, &active_from, None, &mut senders);
+                table.transmit_sweep(round, &active_from, None, n, iter::once(&mut senders));
             })
         })
         .arm("receive_sweep", move || {
@@ -108,7 +109,7 @@ pub(crate) fn phase_cell(n: usize, rounds: u64) -> Cell<'static> {
             let mut round = 1;
             Sample::time(rounds, || {
                 round += 1;
-                table.receive_all(round, &mut active_from, None, &wake);
+                table.receive_sweep(round, &mut active_from, None, &wake, n, no_books());
             })
         })
         .arm("adversary_sample", move || {
@@ -116,7 +117,7 @@ pub(crate) fn phase_cell(n: usize, rounds: u64) -> Cell<'static> {
             // the steady-state sender set.
             let (mut table, active_from, _) = steady_table(n);
             let mut senders: Vec<(NodeId, Message)> = Vec::new();
-            table.transmit_all(2, &active_from, None, &mut senders);
+            table.transmit_sweep(2, &active_from, None, n, iter::once(&mut senders));
             let mut adversary = RandomDelivery::new(0.5, 7);
             let assignment = Assignment::identity(n);
             let informed = FixedBitSet::from_indices(n, 0..n);
@@ -146,8 +147,14 @@ fn steady_table(n: usize) -> (ProcessTable, Vec<Option<u64>>, Vec<Reception>) {
     let mut active_from: Vec<Option<u64>> = vec![Some(1); n];
     let wake: Vec<Reception> =
         vec![Reception::Message(Message::with_payload(ProcessId(0), PayloadId(0),)); n];
-    table.receive_all(1, &mut active_from, None, &wake);
+    table.receive_sweep(1, &mut active_from, None, &wake, n, no_books());
     (table, active_from, wake)
+}
+
+/// The receive sweep's per-chunk follow-up for one chunk, left empty: the
+/// sweep is timed without the executor's informed/known bookkeeping.
+fn no_books() -> iter::Once<impl FnOnce(Range<usize>) + Send> {
+    iter::once(|_| {})
 }
 
 /// Which engine a trace-diff side replays on.

@@ -3,7 +3,7 @@
 use dualgraph_net::DualGraph;
 use dualgraph_sim::{
     Adversary, BroadcastOutcome, BuildExecutorError, CollisionRule, Executor, ExecutorConfig,
-    ShardedExecutor, StartRule,
+    StartRule,
 };
 
 use crate::algorithms::BroadcastAlgorithm;
@@ -19,12 +19,6 @@ pub struct RunConfig {
     pub max_rounds: u64,
     /// Master seed for randomized algorithms.
     pub seed: u64,
-    /// Intra-round shard workers: `> 1` runs each execution on the
-    /// sharded round engine ([`ShardedExecutor`]) with at most this many
-    /// worker threads. Outcomes are bit-identical for every setting; this
-    /// knob only trades wall-clock for threads. `0` and `1` both select
-    /// the sequential engine.
-    pub shards: usize,
 }
 
 impl Default for RunConfig {
@@ -35,7 +29,6 @@ impl Default for RunConfig {
             start: StartRule::Asynchronous,
             max_rounds: 10_000_000,
             seed: 0,
-            shards: 1,
         }
     }
 }
@@ -61,13 +54,6 @@ impl RunConfig {
         self.max_rounds = max_rounds;
         self
     }
-
-    /// Replaces the intra-round shard worker count (see
-    /// [`RunConfig::shards`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
 }
 
 /// Runs one broadcast execution to completion (or the round budget).
@@ -86,7 +72,7 @@ pub fn run_broadcast(
     config: RunConfig,
 ) -> Result<BroadcastOutcome, BuildExecutorError> {
     let slots = algorithm.slots(network.len(), config.seed);
-    let exec = Executor::from_slots(
+    let mut exec = Executor::from_slots(
         network,
         slots,
         adversary,
@@ -96,13 +82,7 @@ pub fn run_broadcast(
             ..ExecutorConfig::default()
         },
     )?;
-    if config.shards > 1 {
-        let mut sharded = ShardedExecutor::new(exec, config.shards);
-        Ok(sharded.run_until_complete(config.max_rounds))
-    } else {
-        let mut exec = exec;
-        Ok(exec.run_until_complete(config.max_rounds))
-    }
+    Ok(exec.run_until_complete(config.max_rounds))
 }
 
 /// Runs `trials` independent executions (seeds derived from
@@ -189,18 +169,6 @@ pub fn run_trials_par_with(
     if workers == 1 {
         return run_trials(network, algorithm, &make_adversary, config, trials);
     }
-    // Trial-level parallelism and intra-round sharding share one thread
-    // budget: with `workers` trials in flight, each trial's sharded engine
-    // gets `available / workers` threads (never below one). Outcomes are
-    // unaffected — the sharded engine is bit-identical at every shard
-    // count — so the clamp only prevents oversubscription.
-    let available = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let config = RunConfig {
-        shards: dualgraph_net::clamp_shards(workers, config.shards, available),
-        ..config
-    };
     let mut slots: Vec<Option<Result<BroadcastOutcome, BuildExecutorError>>> =
         (0..trials).map(|_| None).collect();
     let next = std::sync::atomic::AtomicU64::new(0);
@@ -377,69 +345,11 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = RunConfig::default()
-            .with_seed(9)
-            .with_max_rounds(10)
-            .with_shards(4);
+        let c = RunConfig::default().with_seed(9).with_max_rounds(10);
         assert_eq!(c.seed, 9);
         assert_eq!(c.max_rounds, 10);
-        assert_eq!(c.shards, 4);
-        assert_eq!(RunConfig::default().shards, 1, "sequential by default");
         let lb = RunConfig::lower_bound_setting();
         assert_eq!(lb.rule, CollisionRule::Cr1);
         assert_eq!(lb.start, StartRule::Synchronous);
-    }
-
-    #[test]
-    fn sharded_run_broadcast_is_bit_identical() {
-        let net = generators::er_dual(
-            generators::ErDualParams {
-                n: 80,
-                reliable_p: 0.06,
-                unreliable_p: 0.2,
-            },
-            5,
-        );
-        let make = |seed| Box::new(RandomDelivery::new(0.5, seed)) as Box<dyn Adversary>;
-        let config = RunConfig::default().with_seed(42).with_max_rounds(100_000);
-        let sequential = run_broadcast(&net, &Harmonic::new(), make(42), config).unwrap();
-        for shards in [0, 1, 2, 5] {
-            let sharded =
-                run_broadcast(&net, &Harmonic::new(), make(42), config.with_shards(shards))
-                    .unwrap();
-            assert_eq!(sequential, sharded, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn trial_parallelism_and_sharding_share_one_pool() {
-        // Both parallelism levels enabled at once: the runner clamps the
-        // per-trial shard count so `workers × shards` stays within the
-        // machine's budget, and — because the sharded engine is
-        // bit-identical at every shard count — outcomes still match the
-        // fully sequential runner byte for byte.
-        let net = generators::er_dual(
-            generators::ErDualParams {
-                n: 40,
-                reliable_p: 0.08,
-                unreliable_p: 0.25,
-            },
-            9,
-        );
-        let make = |seed| Box::new(RandomDelivery::new(0.5, seed)) as Box<dyn Adversary>;
-        let config = RunConfig::default().with_seed(7).with_max_rounds(100_000);
-        let sequential = run_trials(&net, &Harmonic::new(), make, config, 6).unwrap();
-        for (workers, shards) in [(2, 8), (3, 2), (6, 64)] {
-            let parallel = run_trials_par_with(
-                &net,
-                &Harmonic::new(),
-                make,
-                config.with_shards(shards),
-                6,
-                workers,
-            )
-            .unwrap();
-            assert_eq!(sequential, parallel, "workers={workers} shards={shards}");
-        }
     }
 }

@@ -63,4 +63,4 @@ pub use dual::{BuildDualGraphError, DualGraph};
 pub use graph::Digraph;
 pub use node::NodeId;
 pub use schedule::{BuildScheduleError, Epoch, TopologySchedule};
-pub use shard::{clamp_shards, ShardPlan, SHARD_ALIGN};
+pub use shard::{ShardPlan, SHARD_ALIGN};

@@ -1,9 +1,9 @@
 //! Shard partitioning of the CSR row space.
 //!
-//! The sharded round engine splits the node range `0..n` into contiguous
-//! chunks, one per worker, and runs the transmit/receive sweeps of a round
-//! chunk-parallel (see `dualgraph_sim`'s sharded executor). Two properties
-//! of the partition are load-bearing:
+//! The round kernel splits the node range `0..n` into contiguous chunks,
+//! one per worker, and runs the transmit, resolve and receive sweeps of a
+//! round chunk-parallel (see `dualgraph_sim`'s sharded executor). Two
+//! properties of the partition are load-bearing:
 //!
 //! * **Word alignment** — every shard boundary is a multiple of 64, so the
 //!   per-node bitsets (`informed`) split into *disjoint word ranges*: each
@@ -45,6 +45,7 @@ impl ShardPlan {
     /// treated as 1 (the sequential fallback for a failed parallelism
     /// probe). Tiny populations produce fewer shards than workers — a
     /// shard is never smaller than one bitset word except the last.
+    #[inline]
     pub fn new(n: usize, workers: usize) -> Self {
         let workers = workers.max(1);
         let chunk = n
@@ -72,10 +73,15 @@ impl ShardPlan {
         self.chunk
     }
 
-    /// Number of shards actually produced (`<= workers`).
+    /// Number of shards actually produced (`<= workers`). A one-shard
+    /// plan answers without dividing: the round kernel asks every round.
     #[inline]
     pub fn shards(&self) -> usize {
-        self.n.div_ceil(self.chunk).max(1)
+        if self.n <= self.chunk {
+            1
+        } else {
+            self.n.div_ceil(self.chunk)
+        }
     }
 
     /// The node range of shard `s`.
@@ -94,19 +100,6 @@ impl ShardPlan {
     pub fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         (0..self.shards()).map(|s| self.range(s))
     }
-}
-
-/// Clamps a per-trial intra-round shard request so that `trial_workers`
-/// concurrent trials, each sharding its rounds, share one logical thread
-/// pool of `available` cores instead of oversubscribing to
-/// `trial_workers × shards` threads.
-///
-/// Returns at least 1 (sequential rounds) and never more than `requested`.
-/// Outcomes are shard-count-independent by the sharded engine's contract,
-/// so clamping only changes scheduling, never results.
-pub fn clamp_shards(trial_workers: usize, requested: usize, available: usize) -> usize {
-    let trial_workers = trial_workers.max(1);
-    requested.clamp(1, (available / trial_workers).max(1))
 }
 
 #[cfg(test)]
@@ -156,22 +149,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_shard_panics() {
         ShardPlan::new(64, 2).range(1);
-    }
-
-    #[test]
-    fn clamp_shares_one_pool() {
-        // 4 trial workers on 8 cores: 2 shards per trial, not 8.
-        assert_eq!(clamp_shards(4, 8, 8), 2);
-        // Trials already saturate the machine: rounds stay sequential.
-        assert_eq!(clamp_shards(8, 8, 8), 1);
-        assert_eq!(clamp_shards(16, 4, 8), 1);
-        // A single trial may use every core.
-        assert_eq!(clamp_shards(1, 8, 8), 8);
-        // Never inflate beyond the request, never below 1.
-        assert_eq!(clamp_shards(1, 2, 64), 2);
-        // 0 trial workers behaves as 1 (failed parallelism probe).
-        assert_eq!(clamp_shards(0, 5, 4), 4);
-        // A zero-shard request still yields the sequential minimum.
-        assert_eq!(clamp_shards(2, 0, 8), 1);
     }
 }

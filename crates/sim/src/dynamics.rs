@@ -166,9 +166,9 @@ impl std::fmt::Display for NodeRole {
 }
 
 /// Borrowed view of the engine's fault state, handed to the batched
-/// dispatch loops (see [`ProcessTable::transmit_all`]).
+/// dispatch loops (see [`ProcessTable::transmit_sweep`]).
 ///
-/// [`ProcessTable::transmit_all`]: crate::ProcessTable::transmit_all
+/// [`ProcessTable::transmit_sweep`]: crate::ProcessTable::transmit_sweep
 #[derive(Debug, Clone, Copy)]
 pub struct FaultView<'f> {
     /// Per-node roles, indexed by node.

@@ -1,10 +1,11 @@
 //! The synchronous-round executor.
 
-use dualgraph_net::{DualGraph, FixedBitSet, NodeId};
+use dualgraph_net::{DualGraph, FixedBitSet, NodeId, ShardPlan};
 
-use crate::adversary::{Adversary, Assignment, RoundContext};
-use crate::collision::{self, CollisionRule, Reception};
-use crate::dynamics::{FaultView, NodeRole};
+use crate::adversary::{Adversary, Assignment};
+use crate::collision::{CollisionRule, Reception};
+use crate::dynamics::NodeRole;
+use crate::kernel::{Arena, ShardScratch, NONE};
 use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, Process};
@@ -210,7 +211,7 @@ pub struct Executor<'a> {
     pub(crate) faulty_count: usize,
     /// Number of nodes whose role is Byzantine ([`NodeRole::Equivocator`]
     /// / [`NodeRole::Forger`]) — senders whose transmission *content* may
-    /// differ per receiver. While zero (the common case), phase 3 reads
+    /// differ per receiver. While zero (the common case), resolution reads
     /// every delivery straight out of `senders_buf` (one shared channel
     /// per sender); the per-receiver slow path is consulted only when
     /// this is positive, mirroring the `faulty_count == 0` fast path.
@@ -221,6 +222,9 @@ pub struct Executor<'a> {
     // ---- Reusable round scratch (allocation-free in steady state) ----
     /// This round's `(sender, message)` pairs, in node order.
     pub(crate) senders_buf: Vec<(NodeId, Message)>,
+    /// Per node: this round's index into `senders_buf`, or `NONE`. A
+    /// sender's own message is `senders_buf[own_idx[v]].1`.
+    pub(crate) own_idx: Vec<u32>,
     /// This round's resolved receptions, indexed by node.
     pub(crate) receptions_buf: Vec<Reception>,
     /// All adversary deliveries of the round, concatenated sender by
@@ -231,30 +235,21 @@ pub struct Executor<'a> {
     /// `senders_buf`).
     pub(crate) extra_ranges: Vec<(u32, u32)>,
     /// Flat arena of reaching transmissions, stored as **indices into
-    /// `senders_buf`** (4 bytes per delivery instead of a full `Message`):
-    /// node `v`'s reaching set is
-    /// `arena[arena_off[v] as usize..arena_off[v + 1] as usize]`, in the
-    /// same order the former per-node `Vec<Message>`s were filled (sender
-    /// node order; self, then `G` out-row, then adversary extras).
-    /// Collision resolution reads at most one message per node, so
-    /// materializing full messages per delivery was pure memory traffic;
-    /// the only full materialization left is `cr4_scratch`, for the
-    /// adversary's CR4 choice.
-    pub(crate) arena: Vec<u32>,
-    /// `n + 1` prefix-sum offsets into `arena`.
-    pub(crate) arena_off: Vec<u32>,
-    /// Per-node fill cursors for the arena's second pass.
-    pub(crate) cursor: Vec<u32>,
-    /// This round's reached nodes (nonzero reaching count): the only
-    /// nodes phases 3 and 4 visit, in ascending order.
-    pub(crate) touched: FixedBitSet,
-    /// Per-node own transmission this round (senders hear themselves under
-    /// CR2–CR4).
-    pub(crate) own_buf: Vec<Option<Message>>,
+    /// `senders_buf`** (4 bytes per delivery instead of a full `Message`)
+    /// and bucketed by node: in a one-shard round each node's reaching
+    /// set, in ascending sender order, plus the `touched` set of reached
+    /// nodes; in a sharded round with an adversary called on the
+    /// coordinator, its extras by receiver. Collision resolution reads at
+    /// most one message per node; the only full materialization left is
+    /// `cr4_scratch`, for the adversary's CR4 choice.
+    pub(crate) arena: Arena,
     /// Reusable buffer materializing one node's reaching messages for
     /// [`Adversary::resolve_cr4`] (which, as a public API, still sees
-    /// `&[Message]`, in the historical order).
+    /// `&[Message]`, in ascending sender order).
     pub(crate) cr4_scratch: Vec<Message>,
+    /// Per-shard round scratch: one entry, or one per shard of the plan a
+    /// [`ShardedExecutor`][crate::ShardedExecutor] wrapped it with.
+    pub(crate) shards: Vec<ShardScratch>,
 }
 
 impl<'a> Executor<'a> {
@@ -358,15 +353,13 @@ impl<'a> Executor<'a> {
             sends: 0,
             physical_collisions: 0,
             senders_buf: Vec::new(),
+            own_idx: vec![NONE; n],
             receptions_buf: Vec::with_capacity(n),
             extra_flat: Vec::new(),
             extra_ranges: Vec::new(),
-            arena: Vec::new(),
-            arena_off: vec![0; n + 1],
-            cursor: vec![0; n],
-            touched: FixedBitSet::new(n),
-            own_buf: vec![None; n],
+            arena: Arena::new(n),
             cr4_scratch: Vec::new(),
+            shards: vec![ShardScratch::default()],
         };
 
         // Pre-round-1 activations.
@@ -592,342 +585,19 @@ impl<'a> Executor<'a> {
 
     /// [`Executor::step`] with observability hooks: emits
     /// [`TraceEvent::RoundStart`], then one [`TraceEvent::Transmit`] per
-    /// sender (ascending node order, via the traced transmit sweep), then
-    /// one [`TraceEvent::Reception`] / [`TraceEvent::Collision`] per
-    /// non-silent node (ascending node order, via the traced receive
-    /// sweep). Every hook is guarded by [`TraceSink::ENABLED`], so the
-    /// [`NullSink`] instantiation — which [`Executor::step`] delegates to
-    /// — is the untraced round loop, machine code unchanged (the
+    /// sender, then one [`TraceEvent::Reception`] /
+    /// [`TraceEvent::Collision`] per non-silent node, each in ascending node
+    /// order, from the round's merged buffers after the round. The round
+    /// itself is the same code for every sink and every hook is guarded by
+    /// [`TraceSink::ENABLED`], so the [`NullSink`] instantiation — which
+    /// [`Executor::step`] delegates to — is the untraced round loop (the
     /// zero-overhead-when-off contract; see `docs/OBSERVABILITY.md`).
+    ///
+    /// The round runs on the one round kernel with a one-shard plan: every
+    /// sweep inline, reaching sets built sender-side, and resolve and
+    /// absorb visiting only the nodes some sender reached.
     pub fn step_traced<S: TraceSink>(&mut self, sink: &mut S) -> RoundSummary {
-        let t = self.round + 1;
-        let n = self.network.len();
-        if S::ENABLED {
-            sink.emit(TraceEvent::RoundStart { round: t });
-        }
-
-        // Reset the previous round's own-message slots (O(previous senders),
-        // not O(n); the buffer starts all-`None`).
-        for i in 0..self.senders_buf.len() {
-            let u = self.senders_buf[i].0;
-            self.own_buf[u.index()] = None;
-        }
-
-        // Phase 1: batched send decisions (one variant dispatch for the
-        // whole sweep when the table is homogeneous). With faults present
-        // the sweep consults the role mask per node — crashed nodes are
-        // skipped, jammers/spammers contribute their standing message in
-        // node order, exactly where their process's send would have gone.
-        self.senders_buf.clear();
-        {
-            let Executor {
-                procs,
-                active_from,
-                roles,
-                standing_tx,
-                faulty_count,
-                known,
-                senders_buf,
-                ..
-            } = self;
-            let faults = (*faulty_count > 0).then_some(FaultView {
-                roles,
-                standing_tx,
-                known,
-            });
-            procs.transmit_all_traced(t, active_from, faults, senders_buf, sink);
-        }
-        self.sends += self.senders_buf.len() as u64;
-
-        // Phase 2a: adversary deliveries, flattened sender by sender (one
-        // adversary call per sender, in node order — the call order every
-        // seeded adversary's RNG stream depends on).
-        self.extra_flat.clear();
-        self.extra_ranges.clear();
-        {
-            let Executor {
-                network,
-                adversary,
-                assignment,
-                informed,
-                senders_buf,
-                extra_flat,
-                extra_ranges,
-                ..
-            } = self;
-            let ctx = RoundContext {
-                round: t,
-                network,
-                assignment,
-                senders: senders_buf,
-                informed,
-            };
-            for &(u, _) in senders_buf.iter() {
-                let start = extra_flat.len() as u32;
-                adversary.unreliable_deliveries(&ctx, u, extra_flat);
-                let end = extra_flat.len() as u32;
-                debug_assert!(end >= start, "adversary shrank the delivery buffer");
-                for &v in &extra_flat[start as usize..end as usize] {
-                    debug_assert!(
-                        network.unreliable_only_csr().contains(u, v),
-                        "adversary delivered ({u}, {v}) outside G' \\ G"
-                    );
-                }
-                extra_ranges.push((start, end));
-            }
-        }
-
-        // Phase 2b: two-pass arena fill. First count each node's reaching
-        // transmissions, prefix-sum into per-node ranges, then write
-        // **sender indices** at the per-node cursors — visiting senders in
-        // the same order as the counting pass, so each node's reaching set
-        // keeps the historical per-node order (sender node order; self,
-        // then `G` out-row, then adversary extras). The nodes with a
-        // nonzero count are the round's `touched` set: phases 3 and 4
-        // visit only them, so a sparse round resolves what it reaches, not
-        // all n nodes.
-        {
-            let Executor {
-                network,
-                config,
-                senders_buf,
-                extra_flat,
-                extra_ranges,
-                arena,
-                arena_off,
-                cursor,
-                touched,
-                own_buf,
-                ..
-            } = self;
-            let reliable = network.reliable_csr();
-            for &(u, msg) in senders_buf.iter() {
-                own_buf[u.index()] = Some(msg);
-            }
-            cursor.fill(0);
-            for (i, &(u, _)) in senders_buf.iter().enumerate() {
-                cursor[u.index()] += 1;
-                for &v in reliable.row(u) {
-                    cursor[v.index()] += 1;
-                }
-                let (s, e) = extra_ranges[i];
-                for &v in &extra_flat[s as usize..e as usize] {
-                    cursor[v.index()] += 1;
-                }
-            }
-            // One pass over the counts writes the prefix sums and,
-            // branch-free, the `touched` words.
-            let mut acc = 0u32;
-            arena_off[0] = 0;
-            for ((word, counts), offs) in touched
-                .words_mut()
-                .iter_mut()
-                .zip(cursor.chunks(64))
-                .zip(arena_off[1..].chunks_mut(64))
-            {
-                let mut bits = 0u64;
-                for (b, (&c, off)) in counts.iter().zip(offs.iter_mut()).enumerate() {
-                    bits |= u64::from(c != 0) << b;
-                    acc += c;
-                    *off = acc;
-                }
-                *word = bits;
-            }
-            // Dense-round fast path: when *every* node transmitted under
-            // CR2-CR4, no reaching list is ever read — each sender hears
-            // its own message, and collision statistics only need the
-            // per-node counts already in `arena_off`. Skip the entire
-            // write pass (the dominant cost of flooding-style rounds).
-            let lists_needed = senders_buf.len() < n || config.rule == CollisionRule::Cr1;
-            if lists_needed {
-                cursor.copy_from_slice(&arena_off[..n]);
-                // Grow-only: every live slot `< acc` is overwritten through
-                // the cursors below, and reads are bounded by `arena_off`,
-                // so stale entries past `acc` are never observed. This
-                // avoids an O(total) dummy-fill per round.
-                if arena.len() < acc as usize {
-                    arena.resize(acc as usize, 0);
-                }
-                for (i, &(u, _)) in senders_buf.iter().enumerate() {
-                    let idx = i as u32;
-                    // A sender's message always reaches itself and all
-                    // G-out-neighbors; the adversary picks among the rest.
-                    arena[cursor[u.index()] as usize] = idx;
-                    cursor[u.index()] += 1;
-                    for &v in reliable.row(u) {
-                        arena[cursor[v.index()] as usize] = idx;
-                        cursor[v.index()] += 1;
-                    }
-                    let (s, e) = extra_ranges[i];
-                    for &v in &extra_flat[s as usize..e as usize] {
-                        arena[cursor[v.index()] as usize] = idx;
-                        cursor[v.index()] += 1;
-                    }
-                }
-            }
-        }
-
-        // Phase 3: collision resolution at the touched nodes, ascending, on
-        // the index arena. This mirrors `collision::resolve` exactly (the
-        // reference oracle still goes through it; the differential suite
-        // pins the two together), but reads at most one message out of
-        // each reaching set — only a CR4 adversary choice materializes the
-        // full set. Every untouched node resolves to silence under every
-        // rule: nothing reached it and it did not send, so it counts no
-        // collision and draws no CR4 choice.
-        self.receptions_buf.clear();
-        self.receptions_buf.resize(n, Reception::Silence);
-        {
-            let Executor {
-                network,
-                adversary,
-                assignment,
-                informed,
-                senders_buf,
-                arena,
-                arena_off,
-                touched,
-                own_buf,
-                receptions_buf,
-                config,
-                physical_collisions,
-                cr4_scratch,
-                roles,
-                faulty_count,
-                byzantine_count,
-                ..
-            } = self;
-            let ctx = RoundContext {
-                round: t,
-                network,
-                assignment,
-                senders: senders_buf,
-                informed,
-            };
-            // Per-receiver transmission content. `senders_buf` holds one
-            // *representative* message per sender (which is also what its
-            // `Transmit` event carries); a Byzantine sender's content for a
-            // given receiver is derived from its role on delivery. While
-            // `byzantine_count == 0` — the common case — every sender is a
-            // shared channel and the derivation is skipped entirely.
-            let byzantine = *byzantine_count > 0;
-            let msg_for = |idx: u32, receiver: usize| {
-                let (u, m) = senders_buf[idx as usize];
-                if byzantine {
-                    roles[u.index()].content_for(m, NodeId::from_index(receiver))
-                } else {
-                    m
-                }
-            };
-            let faulty = *faulty_count > 0;
-            for node in touched.iter() {
-                // Faulty radios resolve to silence: a crashed node has no
-                // functioning receiver and a jammer/spammer never listens
-                // — no collision is counted and no CR4 choice is drawn at
-                // such a node (the adversary RNG stream skips it).
-                if faulty && !roles[node].is_correct() {
-                    continue;
-                }
-                // Reaching-set length from the offsets; the index list
-                // itself is sliced lazily — after a dense-round fast path
-                // (write pass skipped) only the length is valid, and only
-                // the length is ever needed.
-                let (start, end) = (arena_off[node] as usize, arena_off[node + 1] as usize);
-                let len = end - start;
-                let Some(own) = own_buf[node] else {
-                    let reception = match len {
-                        0 => unreachable!("a touched node was reached"),
-                        1 => Reception::Message(msg_for(arena[start], node)),
-                        _ => {
-                            *physical_collisions += 1;
-                            match config.rule {
-                                CollisionRule::Cr1 | CollisionRule::Cr2 => Reception::Collision,
-                                CollisionRule::Cr3 => Reception::Silence,
-                                CollisionRule::Cr4 => {
-                                    cr4_scratch.clear();
-                                    cr4_scratch.extend(
-                                        arena[start..end].iter().map(|&i| msg_for(i, node)),
-                                    );
-                                    match adversary.resolve_cr4(
-                                        &ctx,
-                                        NodeId::from_index(node),
-                                        cr4_scratch,
-                                    ) {
-                                        collision::Cr4Resolution::Silence => Reception::Silence,
-                                        collision::Cr4Resolution::Deliver(i) => {
-                                            assert!(
-                                                i < cr4_scratch.len(),
-                                                "CR4 delivery index out of bounds"
-                                            );
-                                            Reception::Message(cr4_scratch[i])
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    };
-                    receptions_buf[node] = reception;
-                    continue;
-                };
-                // Senders: own message always reaches them; CR1 senders
-                // detect collisions, CR2-CR4 senders hear themselves.
-                if len >= 2 {
-                    *physical_collisions += 1;
-                }
-                receptions_buf[node] = match config.rule {
-                    CollisionRule::Cr1 => match len {
-                        0 => unreachable!("a sender's own message always reaches it"),
-                        1 => Reception::Message(msg_for(arena[start], node)),
-                        _ => Reception::Collision,
-                    },
-                    _ => Reception::Message(own),
-                };
-            }
-        }
-
-        // Phase 4: batched deliveries/activations, then informed-set
-        // bookkeeping over the touched nodes (process-free, so splitting it
-        // off the process sweep changes no observable order). Faulty nodes
-        // got `Silence` in phase 3 (so the bookkeeping loop skips them
-        // naturally); the masked receive sweep additionally keeps their
-        // frozen automata from observing even that silence.
-        {
-            let Executor {
-                procs,
-                active_from,
-                receptions_buf,
-                roles,
-                faulty_count,
-                ..
-            } = self;
-            let mask = (*faulty_count > 0).then_some(roles.as_slice());
-            procs.receive_all_traced(t, active_from, mask, receptions_buf, sink);
-        }
-        // analyzer: allow(hot-alloc, reason = "newly_informed is returned by value in RoundSummary; it stays len 0 (no heap) except on the bounded rounds where nodes first become informed, at most n pushes over a whole run")
-        let mut newly_informed = Vec::new();
-        let real = self.real;
-        for node in self.touched.iter() {
-            let Some(m) = self.receptions_buf[node].message() else {
-                continue;
-            };
-            self.known[node].union_with(m.payloads);
-            // Only environment-introduced payloads inform: spammer junk is
-            // absorbed into the known record above but cannot flip the
-            // informed bit (see the `real` field).
-            if m.payloads.intersects(real) && self.informed.insert(node) {
-                self.first_receive[node] = Some(t);
-                newly_informed.push(NodeId::from_index(node));
-            }
-        }
-
-        self.round = t;
-
-        RoundSummary {
-            round: t,
-            senders: self.senders_buf.len(),
-            newly_informed,
-            complete: self.is_complete(),
-        }
+        self.step_on(ShardPlan::new(self.network.len(), 1), sink)
     }
 
     /// Runs until broadcast completes or `max_rounds` have executed
@@ -997,15 +667,13 @@ impl Clone for Executor<'_> {
             sends: self.sends,
             physical_collisions: self.physical_collisions,
             senders_buf: self.senders_buf.clone(),
+            own_idx: self.own_idx.clone(),
             receptions_buf: self.receptions_buf.clone(),
             extra_flat: self.extra_flat.clone(),
             extra_ranges: self.extra_ranges.clone(),
             arena: self.arena.clone(),
-            arena_off: self.arena_off.clone(),
-            cursor: self.cursor.clone(),
-            touched: self.touched.clone(),
-            own_buf: self.own_buf.clone(),
             cr4_scratch: self.cr4_scratch.clone(),
+            shards: self.shards.clone(),
         }
     }
 }

@@ -26,7 +26,8 @@
 //! * [`Executor`] — the round loop (CSR-backed, allocation-free in steady
 //!   state), with event tracing ([`Executor::step_traced`]), outcome
 //!   statistics, a per-node known-payload record, and mid-run environment
-//!   injection ([`Executor::inject`]);
+//!   injection ([`Executor::inject`]); [`ShardedExecutor`] runs the same
+//!   round kernel shard-parallel, bit-identical at every shard count;
 //! * [`TraceEvent`] / [`TraceSink`] — the one round record: every engine
 //!   emits each round's transmissions and receptions, whole messages
 //!   included, into a monomorphized sink. [`NullSink`] compiles the hooks
@@ -86,6 +87,7 @@ pub mod automata;
 mod collision;
 pub mod dynamics;
 mod engine;
+mod kernel;
 pub mod mac;
 mod message;
 pub mod metrics;
@@ -124,7 +126,7 @@ pub use reliability::{
     RetryPolicy,
 };
 pub use shard::ShardedExecutor;
-pub use slot::{ProcessSlot, ProcessTable, ShardAbsorb};
+pub use slot::{ProcessSlot, ProcessTable};
 pub use trace::{
     check_trace_schema, first_divergence, Divergence, JsonlSink, NullSink, QuorumStage, RingSink,
     RoleTag, TraceEvent, TraceSchemaError, TraceSink, TRACE_SCHEMA,

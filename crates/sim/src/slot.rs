@@ -12,15 +12,18 @@
 //! * [`ProcessTable`] — the executor's node-indexed process store. A
 //!   *homogeneous* table (all slots the same built-in variant — the common
 //!   case: every algorithm factory builds `n` copies of one automaton) is
-//!   stored as a single typed `Vec`, so [`ProcessTable::transmit_all`] and
-//!   [`ProcessTable::receive_all`] match on the variant **once per round**
-//!   and run a monomorphized, fully inlinable loop over contiguous state.
-//!   Mixed or custom populations fall back to a `Vec<ProcessSlot>` loop
-//!   (per-element match; `Custom` still pays virtual dispatch).
+//!   stored as a single typed `Vec`, so [`ProcessTable::transmit_sweep`]
+//!   and [`ProcessTable::receive_sweep`] match on the variant **once per
+//!   round** and run a monomorphized, fully inlinable loop over contiguous
+//!   state, chunk by chunk. Mixed or custom populations fall back to a
+//!   `Vec<ProcessSlot>` loop (per-element match; `Custom` still pays
+//!   virtual dispatch).
 //!
 //! Both paths call every process in ascending node order with identical
 //! arguments, so outcomes are bit-identical to the boxed representation —
 //! the enum-vs-boxed differential suites enforce this.
+
+use std::ops::Range;
 
 use dualgraph_net::NodeId;
 
@@ -31,11 +34,11 @@ use crate::automata::{
 };
 use crate::collision::Reception;
 use crate::dynamics::{FaultView, NodeRole};
+use crate::kernel::{per_shard, pieces};
 use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, ChatterProcess, Flooder, Process, SilentProcess};
 use crate::quorum::QuorumProcess;
-use crate::trace::{self, NullSink, TraceSink};
 
 /// One process, stored either inline (built-in automata) or boxed
 /// (anything else).
@@ -403,10 +406,15 @@ impl ProcessTable {
         ProcessTable { repr }
     }
 
-    /// Phase-1 batched send decisions for global round `round`: polls every
-    /// node whose process is active (`active_from[node] <= round`) in
-    /// ascending node order and appends `(node, message)` for each
-    /// transmission.
+    /// Phase-1 send decisions for global round `round`, chunk by chunk:
+    /// node chunk `s` (of `chunk` nodes, the last possibly shorter) polls
+    /// every node whose process is active (`active_from[node] <= round`)
+    /// in ascending node order and appends `(node, message)` for each
+    /// transmission to the `s`-th of `outs`, cleared first. Each chunk
+    /// runs `transmit_chunk`'s loop on its own scoped worker (chunk 0 on
+    /// the caller; one chunk runs inline with no thread scope), so
+    /// concatenating `outs` in chunk order is the ascending-node sweep bit
+    /// for bit, whatever the chunk size.
     ///
     /// `faults` is the dynamics subsystem's per-node liveness/role mask
     /// (`None` for all-correct populations — the common case pays one
@@ -414,200 +422,84 @@ impl ProcessTable {
     /// are skipped without polling their frozen automata, jammers and
     /// spammers contribute their standing message instead — in the same
     /// node-order position a process transmission would occupy, which the
-    /// adversary call order and the reaching arena depend on.
-    pub fn transmit_all(
-        &mut self,
-        round: u64,
-        active_from: &[Option<u64>],
-        faults: Option<FaultView<'_>>,
-        out: &mut Vec<(NodeId, Message)>,
-    ) {
-        self.transmit_all_traced(round, active_from, faults, out, &mut NullSink);
-    }
-
-    /// [`ProcessTable::transmit_all`] with an observability hook: emits one
-    /// [`TraceEvent::Transmit`][crate::TraceEvent::Transmit] per appended
-    /// transmission, carrying the whole message, in the same
-    /// ascending node order the sweep produced them. The emission loop is
-    /// guarded by [`TraceSink::ENABLED`], so the [`NullSink`]
-    /// instantiation — which [`ProcessTable::transmit_all`] delegates to —
-    /// is the untraced sweep, machine code unchanged.
-    pub fn transmit_all_traced<S: TraceSink>(
-        &mut self,
-        round: u64,
-        active_from: &[Option<u64>],
-        faults: Option<FaultView<'_>>,
-        out: &mut Vec<(NodeId, Message)>,
-        sink: &mut S,
-    ) {
-        let emitted_from = out.len();
-        each_repr!(&mut self.repr, v => transmit_chunk(v, 0, round, active_from, faults, out));
-        if S::ENABLED {
-            trace::emit_transmits(sink, round, &out[emitted_from..]);
-        }
-    }
-
-    /// Shard-parallel phase-1 send decisions: node chunk `s` (of `chunk`
-    /// nodes, the last possibly shorter) sweeps into `outs[s]` (cleared
-    /// here). Each chunk runs [`transmit_chunk`]'s loop — the *same* body
-    /// the sequential sweep runs over the whole table — on a scoped worker
-    /// thread (chunk 0 inline on the caller), so concatenating `outs` in
-    /// shard order reproduces the sequential sweep's ascending-node output
-    /// bit for bit, whatever the chunk size.
-    ///
-    /// Trace emission is the caller's job (from the merged buffer), which
-    /// keeps worker threads sink-free — the zero-overhead-when-off
-    /// contract needs no per-shard sinks.
+    /// adversary call order and the reaching sets depend on.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk == 0` or `outs` has fewer slots than chunks.
-    pub fn transmit_all_sharded(
+    /// Panics if `chunk == 0`, or after the sweep if `outs` yields fewer
+    /// buffers than chunks (the chunks past the last buffer are not
+    /// swept).
+    pub fn transmit_sweep<'o>(
         &mut self,
         round: u64,
         active_from: &[Option<u64>],
         faults: Option<FaultView<'_>>,
         chunk: usize,
-        outs: &mut [Vec<(NodeId, Message)>],
+        outs: impl Iterator<Item = &'o mut Vec<(NodeId, Message)>>,
     ) {
-        assert!(chunk > 0, "transmit_all_sharded needs a positive chunk");
-        assert!(
-            outs.len() >= self.len().div_ceil(chunk),
-            "transmit_all_sharded: {} output slots for {} chunks",
-            outs.len(),
-            self.len().div_ceil(chunk)
-        );
-        each_repr!(&mut self.repr, v => {
-            std::thread::scope(|scope| {
-                let mut parts = v.chunks_mut(chunk).zip(outs.iter_mut()).enumerate();
-                let first = parts.next();
-                for (s, (procs, out)) in parts {
-                    out.clear();
-                    scope.spawn(move || {
-                        transmit_chunk(procs, s * chunk, round, active_from, faults, out);
-                    });
-                }
-                // Chunk 0 runs inline on the coordinator; the scope joins
-                // the rest on exit (no handle collection, no allocation).
-                if let Some((_, (procs, out))) = first {
-                    out.clear();
-                    transmit_chunk(procs, 0, round, active_from, faults, out);
-                }
-            });
+        assert!(chunk > 0, "transmit_sweep needs a positive chunk");
+        let swept = each_repr!(&mut self.repr, v => {
+            per_shard(pieces(v, chunk).zip(outs), |s, (procs, out)| {
+                out.clear();
+                transmit_chunk(procs, s * chunk, round, active_from, faults, out);
+            })
         });
+        assert!(
+            swept * chunk >= self.len(),
+            "transmit_sweep: fewer output buffers than chunks"
+        );
     }
 
-    /// Phase-4 batched end-of-round deliveries for global round `round`,
-    /// in ascending node order: active processes get `receive`; sleeping
-    /// processes (asynchronous start) are activated by an actual message,
-    /// which updates `active_from[node]` to `round + 1`.
+    /// Phase-4 end-of-round deliveries for global round `round`, chunk by
+    /// chunk, in ascending node order: active processes get `receive`;
+    /// sleeping processes (asynchronous start) are activated by an actual
+    /// message, which updates `active_from[node]` to `round + 1`. Node
+    /// chunk `s` runs `receive_chunk`'s loop, then calls the `s`-th of
+    /// `then` with its node range on the same thread — the executor books
+    /// the chunk's informed/known records there. Chunks run as in
+    /// [`ProcessTable::transmit_sweep`]; `active_from` splits into the same
+    /// disjoint chunks as the table, so activation writes never race.
     ///
     /// `roles` is the dynamics liveness mask (`None` when every node is
     /// correct): non-correct nodes are skipped entirely — their frozen
     /// automata observe nothing, not even silence, and cannot be
     /// activated while faulty.
-    pub fn receive_all(
-        &mut self,
-        round: u64,
-        active_from: &mut [Option<u64>],
-        roles: Option<&[NodeRole]>,
-        receptions: &[Reception],
-    ) {
-        self.receive_all_traced(round, active_from, roles, receptions, &mut NullSink);
-    }
-
-    /// [`ProcessTable::receive_all`] with an observability hook: emits one
-    /// [`TraceEvent::Reception`][crate::TraceEvent::Reception] or
-    /// [`TraceEvent::Collision`][crate::TraceEvent::Collision] per node (in
-    /// ascending node order; silence emits nothing — faulty radios were
-    /// resolved to silence in phase 3, so they emit nothing here either).
-    /// Guarded by [`TraceSink::ENABLED`] exactly like
-    /// [`ProcessTable::transmit_all_traced`].
-    pub fn receive_all_traced<S: TraceSink>(
-        &mut self,
-        round: u64,
-        active_from: &mut [Option<u64>],
-        roles: Option<&[NodeRole]>,
-        receptions: &[Reception],
-        sink: &mut S,
-    ) {
-        each_repr!(&mut self.repr, v => receive_chunk(v, active_from, 0, round, roles, receptions));
-        if S::ENABLED {
-            trace::emit_receptions(sink, round, receptions);
-        }
-    }
-
-    /// Shard-parallel phase-4 deliveries **fused with per-shard
-    /// bookkeeping**: node chunk `s` runs [`receive_chunk`]'s loop — the
-    /// same body the sequential sweep runs — then immediately hands its
-    /// node range to `absorbs[s]` (the informed/known bookkeeping of the
-    /// sharded executor), all on the same scoped worker thread (chunk 0
-    /// inline on the caller). `active_from` splits into the same disjoint
-    /// chunks as the table, so activation writes never race.
-    ///
-    /// Trace emission is the caller's job (from the shared reception
-    /// buffer), exactly as in [`ProcessTable::transmit_all_sharded`].
     ///
     /// # Panics
     ///
-    /// Panics if `chunk == 0` or `absorbs` has fewer slots than chunks.
-    pub fn receive_all_sharded<A: ShardAbsorb>(
+    /// Panics if `chunk == 0`, or after the sweep if `then` yields fewer
+    /// closures than chunks (the chunks past the last closure are not
+    /// swept).
+    pub fn receive_sweep<F: FnOnce(Range<usize>) + Send>(
         &mut self,
         round: u64,
         active_from: &mut [Option<u64>],
         roles: Option<&[NodeRole]>,
         receptions: &[Reception],
         chunk: usize,
-        absorbs: &mut [A],
+        then: impl Iterator<Item = F>,
     ) {
-        assert!(chunk > 0, "receive_all_sharded needs a positive chunk");
-        assert!(
-            absorbs.len() >= self.len().div_ceil(chunk),
-            "receive_all_sharded: {} absorb slots for {} chunks",
-            absorbs.len(),
-            self.len().div_ceil(chunk)
-        );
-        each_repr!(&mut self.repr, v => {
-            std::thread::scope(|scope| {
-                let mut parts = v
-                    .chunks_mut(chunk)
-                    .zip(active_from.chunks_mut(chunk))
-                    .zip(absorbs.iter_mut())
-                    .enumerate();
-                let first = parts.next();
-                for (s, ((procs, af), a)) in parts {
-                    scope.spawn(move || {
-                        let len = procs.len();
-                        receive_chunk(procs, af, s * chunk, round, roles, receptions);
-                        a.absorb(s * chunk, len, receptions);
-                    });
-                }
-                if let Some((_, ((procs, af), a))) = first {
-                    let len = procs.len();
-                    receive_chunk(procs, af, 0, round, roles, receptions);
-                    a.absorb(0, len, receptions);
-                }
-            });
+        assert!(chunk > 0, "receive_sweep needs a positive chunk");
+        let swept = each_repr!(&mut self.repr, v => {
+            let parts = pieces(v, chunk).zip(pieces(active_from, chunk)).zip(then);
+            per_shard(parts, |s, ((procs, active_from), then)| {
+                let base = s * chunk;
+                let range = base..base + procs.len();
+                receive_chunk(procs, active_from, base, round, roles, receptions);
+                then(range);
+            })
         });
+        assert!(
+            swept * chunk >= self.len(),
+            "receive_sweep: fewer closures than chunks"
+        );
     }
 }
 
-/// Per-shard post-receive bookkeeping hook of
-/// [`ProcessTable::receive_all_sharded`]: invoked once per chunk, on the
-/// chunk's worker thread, after every process in `base..base + len` has
-/// received. Implementations hold the shard's *disjoint* mutable state
-/// (known-set slices, informed bitset words, first-receive records), so no
-/// synchronization is needed.
-pub trait ShardAbsorb: Send {
-    /// Absorbs the resolved receptions of nodes `base..base + len`.
-    fn absorb(&mut self, base: usize, len: usize, receptions: &[Reception]);
-}
-
 /// The phase-1 send-decision loop over one contiguous node chunk:
-/// `procs[i]` is node `base + i`. The sequential sweep is the `base = 0`
-/// whole-table instantiation; the sharded sweep runs one call per chunk.
-/// Keeping a single body is what makes "sharded ≡ sequential" an identity
-/// rather than a proof obligation about two loops.
+/// `procs[i]` is node `base + i`. Every chunk of every plan runs this one
+/// body, which is what makes "sharded ≡ one shard" an identity rather than
+/// a proof obligation about two loops.
 fn transmit_chunk<P: Process>(
     procs: &mut [P],
     base: usize,
@@ -759,7 +651,7 @@ mod tests {
         table.activate(1, ActivationCause::SynchronousStart);
 
         let mut sends = Vec::new();
-        table.transmit_all(1, &active, None, &mut sends);
+        table.transmit_sweep(1, &active, None, 3, std::iter::once(&mut sends));
         // Only node 0 is informed; node 2 is asleep.
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].0, NodeId(0));
@@ -770,7 +662,10 @@ mod tests {
             Reception::Message(sends[0].1),
             Reception::Message(sends[0].1),
         ];
-        table.receive_all(1, &mut active, None, &receptions);
+        let mut booked = None;
+        let then = std::iter::once(|range| booked = Some(range));
+        table.receive_sweep(1, &mut active, None, &receptions, 3, then);
+        assert_eq!(booked, Some(0..3), "the closure gets its chunk's range");
         assert_eq!(active[2], Some(2), "message reception activates sleepers");
         assert!(table.get(1).has_payload());
         assert!(table.get(2).has_payload());
@@ -790,16 +685,12 @@ mod tests {
         let standing = [None, None, Some(noise)];
         let known = [PayloadSet::EMPTY; 3];
         let mut sends = Vec::new();
-        table.transmit_all(
-            1,
-            &active,
-            Some(FaultView {
-                roles: &roles,
-                standing_tx: &standing,
-                known: &known,
-            }),
-            &mut sends,
-        );
+        let faults = Some(FaultView {
+            roles: &roles,
+            standing_tx: &standing,
+            known: &known,
+        });
+        table.transmit_sweep(1, &active, faults, 3, std::iter::once(&mut sends));
         // Node order preserved: correct flooder first, then the jammer's
         // standing noise; the crashed node contributes nothing.
         assert_eq!(sends.len(), 2);
@@ -811,7 +702,8 @@ mod tests {
         let receptions = vec![Reception::Message(fresh); 3];
         let mut table = ProcessTable::from_slots(PipelinedFlooder::slots(3));
         let mut active2 = vec![Some(1), Some(1), Some(1)];
-        table.receive_all(1, &mut active2, Some(&roles), &receptions);
+        let then = std::iter::once(|_| {});
+        table.receive_sweep(1, &mut active2, Some(&roles), &receptions, 3, then);
         assert!(table.get(0).has_payload());
         assert!(!table.get(1).has_payload(), "crashed node observed nothing");
         assert!(!table.get(2).has_payload(), "jammer observed nothing");

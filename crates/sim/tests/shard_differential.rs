@@ -1,20 +1,21 @@
 //! Shard differential suite: the sharded round engine checked engine
 //! against engine.
 //!
-//! The sharded engine ([`ShardedExecutor`]) re-derives every per-node
-//! result of the sequential round loop from shard-local state — the
-//! transmit sweep from per-chunk buffers, collision resolution from the
-//! transpose CSR instead of sender-row scatter, the informed/known
-//! bookkeeping from word-aligned bitset windows — so its correctness
-//! contract is *bit-identity*, not statistical agreement. This suite pins
-//! that contract across every axis that could plausibly break it:
+//! The sharded engine ([`ShardedExecutor`]) runs the sequential engine's
+//! round kernel on a multi-shard plan, which re-derives every per-node
+//! result from shard-local state — the transmit sweep from per-chunk
+//! buffers, collision resolution from the transpose CSR instead of the
+//! sender-side arena, the informed/known bookkeeping from word-aligned
+//! bitset windows — so its correctness contract is *bit-identity*, not
+//! statistical agreement. This suite pins that contract across every axis
+//! that could plausibly break it:
 //!
 //! 1. **three-engine agreement** — sharded (worker counts 1, 2, and 7),
 //!    sequential, and the naive [`ReferenceExecutor`] oracle agree on
 //!    every round summary, known-payload record, and outcome, across
 //!    random topologies × the adversary menu × CR1–CR4 × both start
-//!    rules. Worker count 1 additionally proves the delegation path *is*
-//!    the pre-refactor sequential engine.
+//!    rules. Worker count 1 plans one shard, the sequential engine's own
+//!    plan.
 //! 2. **fault and Byzantine plans** — crash/recovery, jammers,
 //!    equivocators, and forgers ride churn schedules while the engines
 //!    run side by side: the sharded resolve must preserve the
@@ -23,7 +24,10 @@
 //! 3. **trace streams** — `step_traced` emits the identical event
 //!    sequence (`RoundStart`, `Transmit` ascending, then
 //!    `Reception`/`Collision` ascending) from the coordinator, even
-//!    though the sharded sweeps themselves never see a sink.
+//!    though the sharded sweeps themselves never see a sink — with the
+//!    adversary sampled in-shard or called on the coordinator, and with
+//!    equivocators whose per-receiver content goes through the resolve
+//!    body.
 //! 4. **in-shard ≡ coordinator sampling** — an adversary with an
 //!    [`Adversary::oblivious`] form is sampled receiver-side inside the
 //!    shards; the same adversary behind a wrapper that hides the form is
@@ -42,13 +46,13 @@ use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     ActivationCause, Adversary, Assignment, BurstyDelivery, CollisionRule, CollisionSeeker,
     Cr4Resolution, DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan, Flooder,
-    FullDelivery, Message, PayloadId, PayloadSet, Process, ProcessId, ProcessSlot, RandomDelivery,
-    Reception, ReferenceExecutor, ReliableOnly, RoundContext, RoundSummary, ShardedExecutor,
-    StartRule, TraceEvent, TraceSink, WithAssignment, WithRandomCr4,
+    FullDelivery, Message, NodeRole, PayloadId, PayloadSet, Process, ProcessId, ProcessSlot,
+    RandomDelivery, Reception, ReferenceExecutor, ReliableOnly, RoundContext, RoundSummary,
+    ShardedExecutor, StartRule, TraceEvent, TraceSink, WithAssignment, WithRandomCr4,
 };
 
-/// Worker counts under test: the delegating single-shard path, an even
-/// split, and an uneven count that leaves the last shard short.
+/// Worker counts under test: the one-shard plan, an even split, and an
+/// uneven count that leaves the last shard short.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
 /// The adversary menu; every engine under comparison gets its own
@@ -208,7 +212,7 @@ fn sharded_sequential_and_reference_agree() {
                         ShardedExecutor::new(exec, w)
                     })
                     .collect();
-                assert_eq!(sharded[0].plan().shards(), 1, "workers=1 must delegate");
+                assert_eq!(sharded[0].plan().shards(), 1, "workers=1: one shard");
                 assert!(sharded[1].plan().shards() > 1, "workers=2 must shard");
                 assert!(
                     sharded[2].plan().shards() > sharded[1].plan().shards(),
@@ -305,47 +309,89 @@ fn sharded_engines_agree_under_faults_and_churn() {
 
 /// Property 3: the coordinator-side trace emission reproduces the
 /// sequential event stream exactly — same events, same order, whole
-/// messages — for every worker count.
+/// messages — for every worker count. `RandomDelivery` is sampled
+/// in-shard; `CollisionSeeker`, `BurstyDelivery` and a `Coordinated`
+/// `RandomDelivery` are called on the coordinator, their extras bucketed
+/// by receiver. Each runs with and without two equivocators (one per
+/// 2-shard half), whose per-receiver faces go through the resolve body.
 #[test]
 fn sharded_trace_streams_are_identical() {
     let n = 150;
     let net = random_net(61, n);
+    let adversaries: [(&str, fn() -> Box<dyn Adversary>); 4] = [
+        ("random(0.4)", || Box::new(RandomDelivery::new(0.4, 17))),
+        ("collision-seeker", || Box::new(CollisionSeeker::new())),
+        ("bursty", || Box::new(BurstyDelivery::new(0.3, 0.3, 17))),
+        ("coordinated random(0.4)", || {
+            Box::new(Coordinated(RandomDelivery::new(0.4, 17)))
+        }),
+    ];
+    let faces = [PayloadId(4), PayloadId(5)];
     for rule in CollisionRule::ALL {
         let config = ExecutorConfig {
             rule,
             start: StartRule::Synchronous,
             payload: PayloadId(0),
         };
-        let make_adv = || Box::new(RandomDelivery::new(0.4, 17)) as Box<dyn Adversary>;
-        let mut sequential =
-            Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
-        let mut seq_events: Vec<TraceEvent> = Vec::new();
-        for _ in 0..20 {
-            sequential.step_traced(&mut seq_events);
-        }
-        for workers in WORKER_COUNTS {
-            let exec = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
-            let mut sharded = ShardedExecutor::new(exec, workers);
-            let mut events: Vec<TraceEvent> = Vec::new();
-            for _ in 0..20 {
-                sharded.step_traced(&mut events);
-            }
-            assert_eq!(
-                seq_events.len(),
-                events.len(),
-                "{rule:?} workers={workers}: event counts"
-            );
-            for (i, (a, b)) in seq_events.iter().zip(&events).enumerate() {
-                assert_eq!(a, b, "{rule:?} workers={workers}: event {i}");
+        for (name, make_adv) in adversaries {
+            for byzantine in [false, true] {
+                let label = format!("{rule:?} {name} byzantine={byzantine}");
+                let build = || {
+                    let mut exec =
+                        Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
+                    if byzantine {
+                        for node in [NodeId(7), NodeId(100)] {
+                            let role = NodeRole::Equivocator {
+                                even: PayloadSet::only(faces[0]),
+                                odd: PayloadSet::only(faces[1]),
+                            };
+                            exec.set_role(node, role);
+                        }
+                    }
+                    exec
+                };
+                let mut sequential = build();
+                let mut seq_events: Vec<TraceEvent> = Vec::new();
+                for _ in 0..20 {
+                    sequential.step_traced(&mut seq_events);
+                }
+                if byzantine {
+                    for face in faces {
+                        assert!(
+                            seq_events.iter().any(|e| matches!(
+                                e,
+                                TraceEvent::Reception { message, .. }
+                                    if message.payloads.contains(face)
+                            )),
+                            "{label}: face {face:?} is heard"
+                        );
+                    }
+                }
+                for workers in WORKER_COUNTS {
+                    let mut sharded = ShardedExecutor::new(build(), workers);
+                    let mut events: Vec<TraceEvent> = Vec::new();
+                    for _ in 0..20 {
+                        sharded.step_traced(&mut events);
+                    }
+                    assert_eq!(
+                        seq_events.len(),
+                        events.len(),
+                        "{label} workers={workers}: event counts"
+                    );
+                    for (i, (a, b)) in seq_events.iter().zip(&events).enumerate() {
+                        assert_eq!(a, b, "{label} workers={workers}: event {i}");
+                    }
+                }
             }
         }
     }
 }
 
 /// Runs `rounds` rounds of a pure sequential engine beside one engine
-/// that alternates sharded rounds (even) with rounds stepped through its
-/// inner sequential engine directly (odd, via `DerefMut`), asserting
-/// equal round summaries, known records, and outcomes.
+/// that alternates 2-shard rounds (even) with one-shard rounds of the same
+/// kernel on the same state (odd, stepped through the inner executor via
+/// `DerefMut`), asserting equal round summaries, known records, and
+/// outcomes.
 fn interleave(
     label: &str,
     net: &DualGraph,
@@ -377,10 +423,10 @@ fn interleave(
     assert_eq!(sequential.outcome(), mixed.outcome(), "{label}");
 }
 
-/// Interleaving sharded and sequential stepping on the *same* engine
-/// (via `DerefMut`) stays bit-identical to a pure sequential run: the
-/// wrapper's sender-index bookkeeping must survive rounds it did not
-/// execute itself.
+/// Interleaving 2-shard and one-shard rounds on the *same* engine (via
+/// `DerefMut`) stays bit-identical to a pure sequential run: the
+/// sender-index map, the per-shard scratch and the reaching-set buffers
+/// must survive rounds run on the other plan.
 #[test]
 fn interleaved_sequential_and_sharded_steps_agree() {
     let config = ExecutorConfig {
@@ -442,17 +488,18 @@ impl Process for Pulse {
 }
 
 /// The same interleaving with an adversary consulted on the coordinator,
-/// whose counting sort reuses the sequential engine's `cursor`, `arena`,
-/// and `arena_off`: a sequential round after it must not read them stale.
+/// whose receiver buckets share `cursor`, `arena`, and `arena_off` with
+/// the one-shard arena: a one-shard round after it must not read them
+/// stale.
 /// On `directed_net` node 0 has no reliable in-edge, so whatever reaches
 /// it comes from the adversary's extras alone.
 ///
 /// Flooding runs the sparse and dense paths under both start rules. The
 /// [`Pulse`] schedule aims at the dense path, which reads only the
 /// reaching-set lengths: in each dense round node 0 collides only if an
-/// extra reaches it, while the preceding sharded round (node 0 silent,
+/// extra reaches it, while the preceding 2-shard round (node 0 silent,
 /// everyone else sending) left extras' counts at node 0 that the silent
-/// sequential round before it never touched.
+/// one-shard round before it never touched.
 #[test]
 fn interleaved_steps_agree_after_coordinator_rounds() {
     let net = directed_net(5, 150);
