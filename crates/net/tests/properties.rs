@@ -4,6 +4,52 @@ use dualgraph_net::{
     broadcastability, generators, traversal, Digraph, DualGraph, FixedBitSet, NodeId,
 };
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// Adds `(u, v)`, and `(v, u)` too when `undirected`.
+fn add(g: &mut Digraph, u: usize, v: usize, undirected: bool) {
+    let (u, v) = (NodeId::from_index(u), NodeId::from_index(v));
+    g.add_edge(u, v);
+    if undirected {
+        g.add_edge(v, u);
+    }
+}
+
+/// A random valid `(G, G′, source)` on `n` nodes: a random `G`-tree rooted
+/// at a random source, random extra `G` edges, and random `G′ ∖ G` edges.
+fn random_dual(n: usize, undirected: bool, seed: u64) -> (Digraph, Digraph, NodeId) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let source = rng.gen_range(0..n);
+    let at = |i: usize| (i + source) % n;
+    let mut g = Digraph::new(n);
+    for i in 1..n {
+        let parent = rng.gen_range(0..i);
+        add(&mut g, at(parent), at(i), undirected);
+    }
+    let mut random_edges = |g: &mut Digraph, count: usize| {
+        for _ in 0..count {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v {
+                add(g, u, v, undirected);
+            }
+        }
+    };
+    random_edges(&mut g, n);
+    let mut gp = g.clone();
+    random_edges(&mut gp, 2 * n);
+    (g, gp, NodeId::from_index(source))
+}
+
+/// Row `v` of the result lists every `u` with `(u, v)` in `edges`, which
+/// come in lexicographic order, so each row is sorted.
+fn in_rows(n: usize, edges: impl Iterator<Item = (NodeId, NodeId)>) -> Vec<Vec<NodeId>> {
+    let mut rows = vec![Vec::new(); n];
+    for (u, v) in edges {
+        rows[v.index()].push(u);
+    }
+    rows
+}
 
 proptest! {
     /// Bitset membership agrees with a reference `Vec<bool>` model.
@@ -167,6 +213,70 @@ proptest! {
         let c = g.symmetric_closure();
         prop_assert!(c.is_symmetric());
         prop_assert!(g.is_subgraph_of(&c));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The freeze keeps every input row: `G`'s rows, the `G′ ∖ G` rows, both
+    /// transposes, the derived predicates and distances, and `into_parts`
+    /// gives back the inputs.
+    #[test]
+    fn freeze_keeps_every_row(n in 1usize..24, undirected in any::<bool>(), seed: u64) {
+        let (g, gp, s) = random_dual(n, undirected, seed);
+        let net = DualGraph::new(g.clone(), gp.clone(), s).unwrap();
+        prop_assert_eq!(net.len(), n);
+        prop_assert_eq!(net.source(), s);
+        prop_assert_eq!(net.nodes().collect::<Vec<_>>(), g.nodes().collect::<Vec<_>>());
+        let extra: Vec<(NodeId, NodeId)> =
+            gp.edges().filter(|&(u, v)| !g.has_edge(u, v)).collect();
+        let g_in = in_rows(n, g.edges());
+        let extra_in = in_rows(n, extra.iter().copied());
+        for u in g.nodes() {
+            prop_assert_eq!(net.reliable_csr().row(u), g.out_neighbors(u));
+            let out: Vec<NodeId> =
+                extra.iter().filter(|e| e.0 == u).map(|e| e.1).collect();
+            prop_assert_eq!(net.unreliable_only_out(u), &out[..]);
+            prop_assert_eq!(net.unreliable_only_csr().row(u), &out[..]);
+            prop_assert_eq!(net.reliable_in_csr().row(u), &g_in[u.index()][..]);
+            prop_assert_eq!(net.unreliable_only_in_csr().row(u), &extra_in[u.index()][..]);
+        }
+        prop_assert_eq!(net.reliable_csr().edge_count(), g.edge_count());
+        prop_assert_eq!(net.unreliable_edge_count(), extra.len());
+        prop_assert_eq!(net.is_undirected(), g.is_symmetric() && gp.is_symmetric());
+        prop_assert_eq!(net.is_classical(), g == gp);
+        prop_assert_eq!(net.reliable_distances(), traversal::bfs_distances(&g, s));
+        prop_assert_eq!(Some(net.source_eccentricity()), traversal::eccentricity(&g, s));
+        prop_assert_eq!(net.into_parts(), (g, gp, s));
+    }
+
+    /// `==` on dual graphs is equality of `(G, G′, source)`.
+    #[test]
+    fn equality_is_input_equality(
+        n in 1usize..8,
+        undirected in any::<bool>(),
+        a in 0u64..4,
+        b in 0u64..4,
+    ) {
+        let (ga, gpa, sa) = random_dual(n, undirected, a);
+        let (gb, gpb, sb) = random_dual(n, undirected, b);
+        let same = (&ga, &gpa, sa) == (&gb, &gpb, sb);
+        let net_a = DualGraph::new(ga.clone(), gpa.clone(), sa).unwrap();
+        let net_b = DualGraph::new(gb, gpb, sb).unwrap();
+        prop_assert_eq!(net_a == net_b, same);
+        prop_assert!(net_a == DualGraph::new(ga.clone(), gpa.clone(), sa).unwrap());
+        // Moving one `G′ ∖ G` edge into `G` keeps `G′` and changes `G`.
+        if let Some((u, v)) = gpa.edges().find(|&(u, v)| !ga.has_edge(u, v)) {
+            let mut g2 = ga.clone();
+            g2.add_edge(u, v);
+            prop_assert!(net_a != DualGraph::new(g2, gpa.clone(), sa).unwrap());
+        }
+        // Another source over the same graphs, where it reaches everything.
+        let other = NodeId::from_index((sa.index() + 1) % n);
+        if let Ok(moved) = DualGraph::new(ga, gpa, other) {
+            prop_assert_eq!(net_a == moved, other == sa);
+        }
     }
 }
 
