@@ -117,13 +117,13 @@ mod tests {
         let base = schedule.epoch(0).network();
         for e in schedule.epochs() {
             assert_eq!(
-                e.network().reliable().edge_count(),
-                base.reliable().edge_count(),
+                e.network().reliable_csr().edge_count(),
+                base.reliable_csr().edge_count(),
                 "the reliable spine is held fixed"
             );
             assert_eq!(
-                e.network().total().edge_count(),
-                base.total().edge_count(),
+                e.network().unreliable_edge_count(),
+                base.unreliable_edge_count(),
                 "churn preserves the unreliable edge count"
             );
         }

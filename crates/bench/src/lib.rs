@@ -4,7 +4,7 @@
 //! of the PODC 2010 dual-graph broadcast paper. Each paper artifact has a
 //! module under [`experiments`]; the `experiments` binary prints the full
 //! suite and writes CSVs, and its `--bench` mode times the engine and the
-//! layers above it into `BENCH_engine.json` ([`bench`]).
+//! layers above it into `BENCH_engine.json` ([`bench`](fn@bench)).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,7 @@ pub mod trace_bench;
 pub mod workloads;
 
 /// Measures the named [`SERIES`] into one document. Every record but
-/// scale's goes through one pass-major [`record::measure`]; the document's
+/// scale's goes through one pass-major `record::measure`; the document's
 /// `peak_rss_kb` is read after it. The scale series then measures its
 /// 2^20-node networks one at a time, so they are never alive beside the
 /// others. Names outside [`SERIES`] measure nothing.

@@ -8,7 +8,7 @@
 //! that ratio. The document adds `schema`, `cores` and `peak_rss_kb`.
 //!
 //! Every arm is a closure that builds its workload and returns one timed
-//! [`Sample`]. [`measure`] runs each arm once as an unrecorded warm-up,
+//! [`Sample`]. `measure` runs each arm once as an unrecorded warm-up,
 //! then takes [`SAMPLES`] passes over every arm of every record, passes
 //! outermost: one record's samples are spread across the whole run, so a
 //! host slowdown of about a second lands in at most one of them. An arm's

@@ -19,7 +19,7 @@
 //! ratio isolates the layer itself (both pay the same engine round, MAC
 //! diffing, and fault plumbing).
 //!
-//! [`session`] is the one builder of this stream workload; the metrics
+//! `session` is the one builder of this stream workload; the metrics
 //! series and the `--trace-jsonl` capture run it too.
 
 use std::rc::Rc;

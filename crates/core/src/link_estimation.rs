@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use dualgraph_net::{Digraph, DualGraph, NodeId};
+use dualgraph_net::{Csr, Digraph, DualGraph, NodeId};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     ActivationCause, Adversary, Executor, ExecutorConfig, Message, Process, ProcessId, Reception,
@@ -110,7 +110,8 @@ impl LinkObservations {
                     node: u, message, ..
                 } = *event
                 {
-                    for &v in network.total().out_neighbors(u) {
+                    let reliable = network.reliable_csr().row(u);
+                    for &v in reliable.iter().chain(network.unreliable_only_out(u)) {
                         let entry = counts.entry((u, v)).or_insert((0, 0));
                         entry.0 += 1;
                         if heard.binary_search(&(v, message.sender)).is_ok() {
@@ -170,10 +171,10 @@ pub struct PrecisionRecall {
 
 impl PrecisionRecall {
     /// Compares `classified` against the true reliable graph.
-    pub fn score(truth: &Digraph, classified: &Digraph) -> Self {
+    pub fn score(truth: &Csr, classified: &Digraph) -> Self {
         let tp = classified
             .edges()
-            .filter(|&(u, v)| truth.has_edge(u, v))
+            .filter(|&(u, v)| truth.contains(u, v))
             .count();
         PrecisionRecall {
             true_positives: tp,
@@ -267,7 +268,7 @@ pub fn estimate_links(
     }
     let obs = LinkObservations::from_events(network, &events);
     let classified = obs.classify(n, config.threshold, config.min_samples);
-    let pr = PrecisionRecall::score(network.reliable(), &classified);
+    let pr = PrecisionRecall::score(network.reliable_csr(), &classified);
     (obs, pr)
 }
 
@@ -332,12 +333,13 @@ mod tests {
     #[test]
     fn precision_recall_edge_cases() {
         let empty = Digraph::new(3);
-        let pr = PrecisionRecall::score(&empty, &empty);
+        let pr = PrecisionRecall::score(&Csr::from_digraph(&empty), &empty);
         assert_eq!(pr.precision(), 1.0);
         assert_eq!(pr.recall(), 1.0);
 
         let mut truth = Digraph::new(3);
         truth.add_edge(NodeId(0), NodeId(1));
+        let truth = Csr::from_digraph(&truth);
         let pr = PrecisionRecall::score(&truth, &empty);
         assert_eq!(pr.recall(), 0.0);
         assert_eq!(pr.precision(), 1.0);

@@ -278,8 +278,7 @@ pub fn rules_demo(n: usize) -> (bool, bool) {
     // The bridge's G-neighbors are already everyone.
     chosen.clear();
     adv.unreliable_deliveries(&ctx, bridge, &mut chosen);
-    let bridge_reaches_all =
-        chosen.is_empty() && network.reliable().out_neighbors(bridge).contains(&receiver);
+    let bridge_reaches_all = chosen.is_empty() && network.reliable_csr().contains(bridge, receiver);
     (clique_sender_misses_receiver, bridge_reaches_all)
 }
 

@@ -240,7 +240,8 @@ pub fn compare_repeated(
     let schedule = if traversal::all_reachable_from(&learned, network.source()) {
         // Build the schedule against the learned graph, then run it on the
         // REAL network (the learned graph only shapes the schedule).
-        DualGraph::new(learned, network.total().clone(), network.source())
+        let (_, total, source) = network.clone().into_parts();
+        DualGraph::new(learned, total, source)
             .ok()
             .map(|learned_net| greedy_schedule(&learned_net))
     } else {

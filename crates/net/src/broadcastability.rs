@@ -71,7 +71,7 @@ impl CollisionFreeSchedule {
 /// ```
 pub fn greedy_schedule(network: &DualGraph) -> CollisionFreeSchedule {
     let n = network.len();
-    let g = network.reliable();
+    let g = network.reliable_csr();
     let mut informed = FixedBitSet::new(n);
     informed.insert(network.source().index());
     let mut rounds = Vec::new();
@@ -80,7 +80,7 @@ pub fn greedy_schedule(network: &DualGraph) -> CollisionFreeSchedule {
         for u in informed.iter() {
             let u = NodeId::from_index(u);
             let gain = g
-                .out_neighbors(u)
+                .row(u)
                 .iter()
                 .filter(|v| !informed.contains(v.index()))
                 .count();
@@ -93,7 +93,7 @@ pub fn greedy_schedule(network: &DualGraph) -> CollisionFreeSchedule {
             gain > 0,
             "validated network must always admit progress (unreachable node?)"
         );
-        for v in g.out_neighbors(sender) {
+        for v in g.row(sender) {
             informed.insert(v.index());
         }
         rounds.push(sender);
@@ -151,12 +151,12 @@ pub fn exact_single_sender_optimum(network: &DualGraph) -> u32 {
         n <= 24,
         "exact solver is exponential in n; use greedy_schedule beyond n = 24"
     );
-    let g = network.reliable();
+    let g = network.reliable_csr();
     // Precompute each node's closed reliable out-neighborhood as a mask.
     let cover: Vec<u32> = (0..n)
         .map(|u| {
             let mut m = 1u32 << u;
-            for v in g.out_neighbors(NodeId::from_index(u)) {
+            for v in g.row(NodeId::from_index(u)) {
                 m |= 1 << v.index();
             }
             m

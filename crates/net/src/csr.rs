@@ -14,7 +14,8 @@
 //! a binary search over a contiguous slice and iteration order — hence
 //! every downstream computation — is unchanged from the `Vec<Vec<_>>` path.
 //!
-//! Construction goes through [`Digraph`]; a `Csr` is immutable.
+//! A `Csr` is frozen from a [`Digraph`] builder or from computed rows,
+//! and is immutable.
 
 use crate::graph::Digraph;
 use crate::node::NodeId;
@@ -50,37 +51,39 @@ impl Csr {
     /// Panics if the graph has more than `u32::MAX` edges (far beyond any
     /// simulated network).
     pub fn from_digraph(g: &Digraph) -> Self {
-        Self::from_rows(g.node_count(), |u| g.out_neighbors(u))
+        Self::from_rows(g.node_count(), g.edge_count(), |u| {
+            g.out_neighbors(u).iter().copied()
+        })
     }
 
-    /// Freezes arbitrary per-node rows (each must be sorted ascending) into
-    /// CSR form. Used for derived neighborhoods such as `G′ ∖ G`.
+    /// Freezes `n` computed rows, `edges` targets in all, into CSR form in
+    /// one pass that allocates the target array once. Used for derived
+    /// neighborhoods such as `G′ ∖ G`, whose rows are never materialized.
     ///
     /// # Panics
     ///
-    /// Panics if the total edge count exceeds `u32::MAX` or a row is not
-    /// sorted strictly ascending (debug builds only for the sort check).
-    pub fn from_rows<'a, F>(n: usize, row: F) -> Self
+    /// Panics if the rows hold more than `u32::MAX` edges. Debug builds
+    /// also panic if a row is not sorted strictly ascending or the rows do
+    /// not hold exactly `edges` targets.
+    pub fn from_rows<I, F>(n: usize, edges: usize, mut row: F) -> Self
     where
-        F: Fn(NodeId) -> &'a [NodeId],
+        F: FnMut(NodeId) -> I,
+        I: IntoIterator<Item = NodeId>,
     {
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0usize;
+        let mut targets = Vec::with_capacity(edges);
         offsets.push(0u32);
         for u in 0..n {
-            total += row(NodeId::from_index(u)).len();
-            // analyzer: allow(panic, reason = "invariant: edge count exceeds u32::MAX")
-            offsets.push(u32::try_from(total).expect("edge count exceeds u32::MAX"));
-        }
-        let mut targets = Vec::with_capacity(total);
-        for u in 0..n {
-            let r = row(NodeId::from_index(u));
+            let start = targets.len();
+            targets.extend(row(NodeId::from_index(u)));
             debug_assert!(
-                r.windows(2).all(|w| w[0] < w[1]),
+                targets[start..].windows(2).all(|w| w[0] < w[1]),
                 "CSR rows must be sorted strictly ascending"
             );
-            targets.extend_from_slice(r);
+            // analyzer: allow(panic, reason = "invariant: edge count exceeds u32::MAX")
+            offsets.push(u32::try_from(targets.len()).expect("edge count exceeds u32::MAX"));
         }
+        debug_assert_eq!(targets.len(), edges, "CSR rows miscounted");
         Csr { offsets, targets }
     }
 
@@ -145,6 +148,15 @@ impl Csr {
         self.row(u).binary_search(&v).is_ok()
     }
 
+    /// Iterates all edges `(u, v)` in row order, which is `(u, v)`
+    /// lexicographic order.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        (0..self.len()).flat_map(move |u| {
+            let u = NodeId::from_index(u);
+            self.row(u).iter().map(move |&v| (u, v))
+        })
+    }
+
     /// The transposed adjacency: row `v` of the result is the sorted list
     /// of nodes `u` with `v ∈ row(u)` (the **in**-neighborhood of `v`).
     /// `O(n + m)` counting sort; rows come out sorted ascending because
@@ -152,7 +164,8 @@ impl Csr {
     ///
     /// The sharded engine resolves receptions receiver-side — each shard
     /// walks the in-rows of its own node range — so the dual graph freezes
-    /// this alongside the forward CSR at construction.
+    /// this on first use, and keeps it only when it differs from the
+    /// forward CSR.
     pub fn transpose(&self) -> Csr {
         let n = self.len();
         let mut offsets = vec![0u32; n + 1];
@@ -173,70 +186,6 @@ impl Csr {
             }
         }
         Csr { offsets, targets }
-    }
-
-    /// A borrowed view of the rows in `range` — the unit of work one shard
-    /// of the sharded round engine owns. Iterating the view visits the
-    /// range's rows in ascending node order, exactly as a sequential sweep
-    /// over the same nodes would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range.end > len()`.
-    pub fn view(&self, range: std::ops::Range<usize>) -> CsrShardView<'_> {
-        assert!(range.end <= self.len(), "shard view out of range");
-        CsrShardView { csr: self, range }
-    }
-}
-
-/// A contiguous range of CSR rows; see [`Csr::view`].
-#[derive(Clone)]
-pub struct CsrShardView<'a> {
-    csr: &'a Csr,
-    range: std::ops::Range<usize>,
-}
-
-impl<'a> CsrShardView<'a> {
-    /// First node of the shard's range.
-    #[inline]
-    pub fn start(&self) -> usize {
-        self.range.start
-    }
-
-    /// One past the last node of the shard's range.
-    #[inline]
-    pub fn end(&self) -> usize {
-        self.range.end
-    }
-
-    /// The row of `u`, which must lie inside the shard's range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is outside the view's range.
-    #[inline]
-    pub fn row(&self, u: NodeId) -> &'a [NodeId] {
-        assert!(
-            self.range.contains(&u.index()),
-            "node {u} outside shard view {:?}",
-            self.range
-        );
-        self.csr.row(u)
-    }
-
-    /// Iterates `(node, row)` pairs in ascending node order.
-    pub fn rows(&self) -> impl Iterator<Item = (NodeId, &'a [NodeId])> + '_ {
-        let csr = self.csr;
-        self.range.clone().map(move |u| {
-            let u = NodeId::from_index(u);
-            (u, csr.row(u))
-        })
-    }
-}
-
-impl std::fmt::Debug for CsrShardView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CsrShardView({:?})", self.range)
     }
 }
 
@@ -291,7 +240,7 @@ mod tests {
     #[test]
     fn from_rows_concatenates() {
         let rows: Vec<Vec<NodeId>> = vec![vec![v(1), v(2)], vec![], vec![v(0)]];
-        let csr = Csr::from_rows(3, |u| &rows[u.index()]);
+        let csr = Csr::from_rows(3, 3, |u| rows[u.index()].iter().copied());
         assert_eq!(csr.row(v(0)), &[v(1), v(2)]);
         assert_eq!(csr.row(v(1)), &[] as &[NodeId]);
         assert_eq!(csr.row(v(2)), &[v(0)]);
@@ -301,7 +250,7 @@ mod tests {
     #[test]
     fn row_range_is_flat_edge_numbering() {
         let rows: Vec<Vec<NodeId>> = vec![vec![v(1), v(2)], vec![], vec![v(0)]];
-        let csr = Csr::from_rows(3, |u| &rows[u.index()]);
+        let csr = Csr::from_rows(3, 3, |u| rows[u.index()].iter().copied());
         assert_eq!(csr.row_range(v(0)), 0..2);
         assert_eq!(csr.row_range(v(1)), 2..2);
         assert_eq!(csr.row_range(v(2)), 2..3);
@@ -339,7 +288,8 @@ mod tests {
         assert_eq!(t.len(), csr.len());
         assert_eq!(t.edge_count(), csr.edge_count());
         for u in g.nodes() {
-            assert_eq!(t.row(u), g.in_neighbors(u), "in-row {u}");
+            let in_row: Vec<NodeId> = g.edges().filter(|e| e.1 == u).map(|e| e.0).collect();
+            assert_eq!(t.row(u), in_row, "in-row {u}");
         }
         // Transposing twice round-trips.
         assert_eq!(t.transpose(), csr);
@@ -350,34 +300,5 @@ mod tests {
         let g = Digraph::complete(6);
         let csr = Csr::from_digraph(&g);
         assert_eq!(csr.transpose(), csr);
-    }
-
-    #[test]
-    fn shard_view_rows_match_full_rows() {
-        let g = Digraph::complete(7);
-        let csr = Csr::from_digraph(&g);
-        let view = csr.view(2..5);
-        assert_eq!(view.start(), 2);
-        assert_eq!(view.end(), 5);
-        let collected: Vec<_> = view.rows().map(|(u, _)| u).collect();
-        assert_eq!(collected, vec![v(2), v(3), v(4)]);
-        for (u, row) in view.rows() {
-            assert_eq!(row, csr.row(u));
-            assert_eq!(view.row(u), csr.row(u));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside shard view")]
-    fn shard_view_rejects_out_of_range_rows() {
-        let csr = Csr::from_digraph(&Digraph::complete(4));
-        csr.view(0..2).row(v(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "shard view out of range")]
-    fn shard_view_rejects_bad_range() {
-        let csr = Csr::from_digraph(&Digraph::complete(4));
-        csr.view(0..5);
     }
 }

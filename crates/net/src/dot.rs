@@ -37,7 +37,7 @@ pub fn to_dot(network: &DualGraph, name: &str) -> String {
         let style = if dashed { " [style=dashed]" } else { "" };
         let _ = writeln!(out, "  {u} {op} {v}{style};");
     };
-    for (u, v) in network.reliable().edges() {
+    for (u, v) in network.reliable_csr().edges() {
         if !undirected || u < v {
             emit(u.index(), v.index(), false, &mut out);
         }

@@ -1,4 +1,5 @@
-//! The dual graph network `(G, G′)` of the paper's §2.1.
+//! The dual graph network `(G, G′)` of the paper's §2.1, held as the rows
+//! a round reads: the `G` and `G′ ∖ G` CSRs.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -72,6 +73,11 @@ impl std::error::Error for BuildDualGraphError {}
 /// * `E ⊆ E′` — every reliable link is also a link;
 /// * every node is reachable from the designated source in `G`.
 ///
+/// The network is held as the rows a round reads: `G`
+/// ([`DualGraph::reliable_csr`]) and `G′ ∖ G`
+/// ([`DualGraph::unreliable_only_csr`]), each frozen once. `G′` is their
+/// union, and [`DualGraph::into_parts`] rebuilds both input graphs.
+///
 /// The classical (static, reliable) radio model is the special case
 /// `G = G′`; [`DualGraph::is_classical`] detects it.
 ///
@@ -95,28 +101,20 @@ impl std::error::Error for BuildDualGraphError {}
 /// ```
 #[derive(Clone)]
 pub struct DualGraph {
-    reliable: Digraph,
-    total: Digraph,
     source: NodeId,
     /// `G` frozen into CSR form for the simulator's hot loop.
     reliable_csr: Csr,
-    /// `G`'s **transpose** (in-neighborhoods) frozen into CSR form: the
-    /// sharded engine resolves receptions receiver-side, walking each
-    /// receiver's in-row instead of scattering over senders' out-rows.
-    /// Equal to `reliable_csr` for undirected networks, but frozen
-    /// unconditionally so directed networks shard identically.
-    reliable_in_csr: Csr,
-    /// `G′` frozen into CSR form.
-    total_csr: Csr,
+    /// `G`'s **transpose** (in-neighborhoods), frozen on first use by
+    /// `frozen_transpose`: the sharded engine resolves receptions
+    /// receiver-side, walking each receiver's in-row. `None` when `G` is
+    /// symmetric (every undirected network): its transpose is
+    /// `reliable_csr` itself.
+    reliable_in_csr: OnceLock<Option<Csr>>,
     /// For each node `u`: out-neighbors in `G′` that are *not* out-neighbors
     /// in `G` — exactly the targets the adversary may grant or deny.
-    /// Frozen into CSR form at construction.
     unreliable_only_csr: Csr,
-    /// The transpose of `unreliable_only_csr` (`G′ ∖ G` in-neighborhoods),
-    /// frozen on first use: only the sharded engine's in-shard oblivious
-    /// sampling reads it, so networks that never take that path pay no
-    /// set-up for it. `None` when `G′ ∖ G` is symmetric (every undirected
-    /// network): its transpose is `unreliable_only_csr` itself.
+    /// The transpose of `unreliable_only_csr`, by the same rule: only the
+    /// sharded engine's in-shard oblivious sampling reads it.
     unreliable_only_in_csr: OnceLock<Option<Csr>>,
     /// Stable identities for the unreliable-only edges, aligned with the
     /// flat indices of `unreliable_only_csr` (see
@@ -126,6 +124,18 @@ pub struct DualGraph {
     /// state survives epoch switches keyed by edge *identity*, not CSR
     /// position.
     unreliable_edge_ids: Option<UnreliableEdgeIds>,
+}
+
+/// The transpose of `out`, frozen into `cell` on the first call
+/// (thread-safe) and kept only when it differs from `out`, which it is
+/// compared with in `O(n + m)`: a symmetric `out` is its own transpose.
+fn frozen_transpose<'a>(out: &'a Csr, cell: &'a OnceLock<Option<Csr>>) -> &'a Csr {
+    cell.get_or_init(|| {
+        let t = out.transpose();
+        (t != *out).then_some(t)
+    })
+    .as_ref()
+    .unwrap_or(out)
 }
 
 /// The stable-identity map of [`DualGraph::unreliable_edge_ids`].
@@ -138,20 +148,24 @@ struct UnreliableEdgeIds {
     universe: u32,
 }
 
-/// Equality is over the *topology* `(G, G′, source)` only: the frozen CSR
-/// forms are derived from it, and the stable edge-id map is schedule
-/// bookkeeping, not part of the network itself (a schedule epoch compares
-/// equal to the raw graph it was built from).
+/// Equality is over the *topology* `(G, G′, source)` only, compared as the
+/// frozen `G` and `G′ ∖ G` rows (the same relation, since `E ⊆ E′`); the
+/// stable edge-id map is schedule bookkeeping, not part of the network
+/// itself (a schedule epoch compares equal to the raw graph it was built
+/// from).
 impl PartialEq for DualGraph {
     fn eq(&self, other: &Self) -> bool {
-        self.reliable == other.reliable && self.total == other.total && self.source == other.source
+        self.source == other.source
+            && self.reliable_csr == other.reliable_csr
+            && self.unreliable_only_csr == other.unreliable_only_csr
     }
 }
 
 impl Eq for DualGraph {}
 
 impl DualGraph {
-    /// Validates and builds a dual graph network.
+    /// Validates `(G, G′, source)`, freezes `G` and `G′ ∖ G` into CSR rows
+    /// and drops both input graphs.
     ///
     /// # Errors
     ///
@@ -163,52 +177,41 @@ impl DualGraph {
         total: Digraph,
         source: NodeId,
     ) -> Result<Self, BuildDualGraphError> {
-        if reliable.node_count() != total.node_count() {
+        let n = reliable.node_count();
+        if n != total.node_count() {
             return Err(BuildDualGraphError::NodeCountMismatch {
-                reliable: reliable.node_count(),
+                reliable: n,
                 total: total.node_count(),
             });
         }
-        if source.index() >= reliable.node_count() {
-            return Err(BuildDualGraphError::SourceOutOfRange {
-                source,
-                nodes: reliable.node_count(),
-            });
+        if source.index() >= n {
+            return Err(BuildDualGraphError::SourceOutOfRange { source, nodes: n });
         }
         for (u, v) in reliable.edges() {
             if !total.has_edge(u, v) {
                 return Err(BuildDualGraphError::MissingReliableEdge { from: u, to: v });
             }
         }
-        let dist = traversal::bfs_distances(&reliable, source);
+        let extra = total.edge_count() - reliable.edge_count();
+        let unreliable_only_csr = Csr::from_rows(n, extra, |u| {
+            let g = reliable.out_neighbors(u);
+            total
+                .out_neighbors(u)
+                .iter()
+                .copied()
+                .filter(move |v| g.binary_search(v).is_err())
+        });
+        let reliable_csr = Csr::from_digraph(&reliable);
+        let dist = traversal::bfs_distances(&reliable_csr, source);
         if let Some(unreached) = dist.iter().position(|&d| d == traversal::UNREACHABLE) {
             return Err(BuildDualGraphError::UnreachableNode {
                 node: NodeId::from_index(unreached),
             });
         }
-        let unreliable_only: Vec<Vec<NodeId>> = (0..reliable.node_count())
-            .map(|u| {
-                let u = NodeId::from_index(u);
-                total
-                    .out_neighbors(u)
-                    .iter()
-                    .copied()
-                    .filter(|&v| !reliable.has_edge(u, v))
-                    .collect()
-            })
-            .collect();
-        let n = reliable.node_count();
-        let unreliable_only_csr = Csr::from_rows(n, |u| &unreliable_only[u.index()]);
-        let reliable_csr = Csr::from_digraph(&reliable);
-        let reliable_in_csr = Csr::from_rows(n, |u| reliable.in_neighbors(u));
-        let total_csr = Csr::from_digraph(&total);
         Ok(DualGraph {
-            reliable,
-            total,
             source,
             reliable_csr,
-            reliable_in_csr,
-            total_csr,
+            reliable_in_csr: OnceLock::new(),
             unreliable_only_csr,
             unreliable_only_in_csr: OnceLock::new(),
             unreliable_edge_ids: None,
@@ -227,7 +230,7 @@ impl DualGraph {
 
     /// Number of nodes `n`.
     pub fn len(&self) -> usize {
-        self.reliable.node_count()
+        self.reliable_csr.len()
     }
 
     /// `true` when the network has no nodes (never true for a validated
@@ -236,30 +239,23 @@ impl DualGraph {
         self.len() == 0
     }
 
-    /// The reliable graph `G`.
-    pub fn reliable(&self) -> &Digraph {
-        &self.reliable
-    }
-
-    /// The total link graph `G′`.
-    pub fn total(&self) -> &Digraph {
-        &self.total
-    }
-
     /// The designated source node `s`.
     pub fn source(&self) -> NodeId {
         self.source
     }
 
-    /// `true` when `G = G′` (the classical static radio model).
+    /// `true` when `G = G′` (the classical static radio model): there is
+    /// no `G′ ∖ G` edge.
     pub fn is_classical(&self) -> bool {
-        self.reliable.edge_count() == self.total.edge_count()
+        self.unreliable_only_csr.edge_count() == 0
     }
 
     /// `true` when both graphs are symmetric — the paper's *undirected*
-    /// network.
+    /// network. Equivalently `G` and `G′ ∖ G` are: each transpose is its
+    /// own out-CSR.
     pub fn is_undirected(&self) -> bool {
-        self.reliable.is_symmetric() && self.total.is_symmetric()
+        std::ptr::eq(self.reliable_in_csr(), &self.reliable_csr)
+            && std::ptr::eq(self.unreliable_only_in_csr(), &self.unreliable_only_csr)
     }
 
     /// Out-neighbors of `u` in `G′` that are not out-neighbors in `G` —
@@ -285,19 +281,13 @@ impl DualGraph {
     }
 
     /// `G`'s transpose (in-neighborhoods) in frozen CSR form: row `v` is
-    /// the sorted set of nodes whose reliable transmissions reach `v`.
-    /// Identical content to [`DualGraph::reliable_csr`] on undirected
-    /// networks; the sharded engine's receiver-side reception rebuild
-    /// reads it for directed and undirected networks alike.
-    #[inline]
+    /// the sorted set of nodes whose reliable transmissions reach `v`. The
+    /// sharded engine's receiver-side gather reads it. Frozen on the first
+    /// call and cached (thread-safe); when `G` is symmetric — every
+    /// undirected network — it *is* [`DualGraph::reliable_csr`], and no
+    /// copy is kept.
     pub fn reliable_in_csr(&self) -> &Csr {
-        &self.reliable_in_csr
-    }
-
-    /// `G′` in frozen CSR form.
-    #[inline]
-    pub fn total_csr(&self) -> &Csr {
-        &self.total_csr
+        frozen_transpose(&self.reliable_csr, &self.reliable_in_csr)
     }
 
     /// `G′ ∖ G` out-neighborhoods in frozen CSR form (the rows
@@ -310,23 +300,12 @@ impl DualGraph {
     /// `G′ ∖ G` **in**-neighborhoods in frozen CSR form: row `v` is the
     /// sorted set of nodes `u` with `v ∈ unreliable_only_out(u)` — the
     /// senders whose transmissions the adversary may grant or deny at
-    /// `v`. The transpose of [`DualGraph::unreliable_only_csr`], frozen on
-    /// the first call and cached (thread-safe), so the sharded engine can
-    /// sample oblivious deliveries receiver-side without making every
-    /// network pay for it at construction. When `G′ ∖ G` is symmetric —
-    /// every undirected network — the transpose *is* the out-CSR, and no
-    /// copy is built.
+    /// `v`. Built and kept by the same rule as
+    /// [`DualGraph::reliable_in_csr`], so the sharded engine can sample
+    /// oblivious deliveries receiver-side without making every network pay
+    /// for it at construction.
     pub fn unreliable_only_in_csr(&self) -> &Csr {
-        let csr = &self.unreliable_only_csr;
-        self.unreliable_only_in_csr
-            .get_or_init(|| {
-                let symmetric = self
-                    .nodes()
-                    .all(|u| csr.row(u).iter().all(|&v| csr.contains(v, u)));
-                (!symmetric).then(|| csr.transpose())
-            })
-            .as_ref()
-            .unwrap_or(csr)
+        frozen_transpose(&self.unreliable_only_csr, &self.unreliable_only_in_csr)
     }
 
     /// Stable identities of the unreliable-only edges, aligned with the
@@ -370,7 +349,7 @@ impl DualGraph {
     pub fn unreliable_edge_universe(&self) -> usize {
         match &self.unreliable_edge_ids {
             Some(m) => m.universe as usize,
-            None => self.unreliable_only_csr.edge_count(),
+            None => self.unreliable_edge_count(),
         }
     }
 
@@ -386,7 +365,7 @@ impl DualGraph {
     pub fn set_unreliable_edge_ids(&mut self, ids: Vec<u32>, universe: usize) {
         assert_eq!(
             ids.len(),
-            self.unreliable_only_csr.edge_count(),
+            self.unreliable_edge_count(),
             "edge-id map must cover every unreliable-only edge"
         );
         let universe = u32::try_from(universe).expect("edge universe exceeds u32::MAX"); // analyzer: allow(panic, reason = "invariant: edge universe exceeds u32::MAX")
@@ -403,36 +382,39 @@ impl DualGraph {
 
     /// Iterates all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.reliable.nodes()
+        (0..self.len()).map(NodeId::from_index)
     }
 
     /// BFS distance from the source to every node in `G` (all finite by the
     /// construction invariant).
     pub fn reliable_distances(&self) -> Vec<u32> {
-        traversal::bfs_distances(&self.reliable, self.source)
+        traversal::bfs_distances(&self.reliable_csr, self.source)
     }
 
     /// Eccentricity of the source in `G`: a lower bound on broadcast time
     /// for any algorithm and any adversary.
     pub fn source_eccentricity(&self) -> u32 {
-        traversal::eccentricity(&self.reliable, self.source)
+        traversal::eccentricity(&self.reliable_csr, self.source)
             .expect("validated dual graph is source-connected") // analyzer: allow(panic, reason = "invariant: validated dual graph is source-connected")
     }
 
-    /// Decomposes into `(G, G′, source)`.
+    /// Decomposes into `(G, G′, source)`, rebuilding both graphs from the
+    /// frozen rows: `G′` is `G` plus the `G′ ∖ G` edges.
     pub fn into_parts(self) -> (Digraph, Digraph, NodeId) {
-        (self.reliable, self.total, self.source)
+        let (n, g, extra) = (self.len(), &self.reliable_csr, &self.unreliable_only_csr);
+        let total = Digraph::from_edges(n, g.edges().chain(extra.edges()));
+        (Digraph::from_edges(n, g.edges()), total, self.source)
     }
 }
 
 impl fmt::Debug for DualGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let reliable = self.reliable_csr.edge_count();
         write!(
             f,
-            "DualGraph(n={}, |E|={}, |E'|={}, source={})",
+            "DualGraph(n={}, |E|={reliable}, |E'|={}, source={})",
             self.len(),
-            self.reliable.edge_count(),
-            self.total.edge_count(),
+            reliable + self.unreliable_edge_count(),
             self.source
         )
     }
@@ -535,13 +517,12 @@ mod tests {
         g.add_edge(v(2), v(3));
         g.add_edge(v(1), v(3));
         let net = DualGraph::new(g.clone(), g.clone(), v(0)).unwrap();
+        assert!(net.reliable_in_csr.get().is_none(), "built lazily");
         assert_eq!(net.reliable_in_csr(), &net.reliable_csr().transpose());
-        for u in g.nodes() {
-            assert_eq!(net.reliable_in_csr().row(u), g.in_neighbors(u));
-        }
-        // Undirected networks: in-rows equal out-rows.
+        assert_eq!(net.reliable_in_csr().row(v(3)), &[v(1), v(2)]);
+        // Undirected networks share the out-CSR instead of copying it.
         let sym = DualGraph::classical(line3(), v(0)).unwrap();
-        assert_eq!(sym.reliable_in_csr(), sym.reliable_csr());
+        assert!(std::ptr::eq(sym.reliable_in_csr(), sym.reliable_csr()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Every generator returns a validated [`DualGraph`] (or a small struct
 //! wrapping one when distinguished nodes matter, as in
 //! [`clique_bridge`]), or a validated
-//! [`TopologySchedule`][crate::TopologySchedule] for the schedule family.
+//! [`TopologySchedule`] for the schedule family.
 //! Randomized generators take an explicit seed and are fully deterministic
 //! given it.
 
@@ -588,8 +588,7 @@ pub fn churn_schedule(base: &DualGraph, params: ChurnParams, seed: u64) -> Topol
         "churn_schedule rewires undirected pairs; base must be undirected"
     );
     let n = base.len();
-    let source = base.source();
-    let reliable = base.reliable().clone();
+    let (reliable, _, source) = base.clone().into_parts();
     // The churned state: unreliable-only undirected pairs (u < v).
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for u in 0..n {
@@ -792,6 +791,11 @@ pub fn mobility_schedule(params: MobilityParams, seed: u64) -> TopologySchedule 
 mod tests {
     use super::*;
 
+    /// `G′`, rebuilt from the frozen rows.
+    fn total(net: &DualGraph) -> Digraph {
+        net.clone().into_parts().1
+    }
+
     #[test]
     fn clique_bridge_shape() {
         for n in [3, 4, 8, 33] {
@@ -799,23 +803,20 @@ mod tests {
             assert_eq!(cb.network.len(), n);
             assert!(cb.network.is_undirected());
             // Receiver touches only the bridge in G.
-            assert_eq!(
-                cb.network.reliable().out_neighbors(cb.receiver),
-                &[cb.bridge]
-            );
+            assert_eq!(cb.network.reliable_csr().row(cb.receiver), &[cb.bridge]);
             // Clique: every non-receiver pair adjacent.
             for u in 0..n - 1 {
                 for v in 0..n - 1 {
                     if u != v {
                         assert!(cb
                             .network
-                            .reliable()
-                            .has_edge(NodeId::from_index(u), NodeId::from_index(v)));
+                            .reliable_csr()
+                            .contains(NodeId::from_index(u), NodeId::from_index(v)));
                     }
                 }
             }
             // G' complete.
-            assert_eq!(cb.network.total().edge_count(), n * (n - 1));
+            assert_eq!(total(&cb.network).edge_count(), n * (n - 1));
         }
     }
 
@@ -839,11 +840,11 @@ mod tests {
         // Layers at distance k from source.
         assert_eq!(net.reliable_distances(), vec![0, 1, 1, 2, 2, 3, 3, 4, 4]);
         // Intra-layer edge.
-        assert!(net.reliable().has_edge(NodeId(3), NodeId(4)));
+        assert!(net.reliable_csr().contains(NodeId(3), NodeId(4)));
         // No skip edges in G.
-        assert!(!net.reliable().has_edge(NodeId(0), NodeId(3)));
+        assert!(!net.reliable_csr().contains(NodeId(0), NodeId(3)));
         // But present in G'.
-        assert!(net.total().has_edge(NodeId(0), NodeId(3)));
+        assert!(total(&net).has_edge(NodeId(0), NodeId(3)));
     }
 
     #[test]
@@ -866,8 +867,8 @@ mod tests {
         assert!(net.is_classical());
         let net = line(5, 3);
         assert!(!net.is_classical());
-        assert!(net.total().has_edge(NodeId(0), NodeId(3)));
-        assert!(!net.total().has_edge(NodeId(0), NodeId(4)));
+        assert!(total(&net).has_edge(NodeId(0), NodeId(3)));
+        assert!(!total(&net).has_edge(NodeId(0), NodeId(4)));
         assert_eq!(net.source_eccentricity(), 4);
     }
 
@@ -875,8 +876,8 @@ mod tests {
     fn ring_shape() {
         let net = ring(6, 2);
         assert_eq!(net.len(), 6);
-        assert!(net.total().has_edge(NodeId(0), NodeId(2)));
-        assert!(!net.reliable().has_edge(NodeId(0), NodeId(2)));
+        assert!(total(&net).has_edge(NodeId(0), NodeId(2)));
+        assert!(!net.reliable_csr().contains(NodeId(0), NodeId(2)));
         assert_eq!(net.source_eccentricity(), 3);
     }
 
@@ -884,7 +885,7 @@ mod tests {
     fn star_and_complete() {
         let s = star(5);
         assert_eq!(s.source_eccentricity(), 1);
-        assert_eq!(s.reliable().edge_count(), 8);
+        assert_eq!(s.reliable_csr().edge_count(), 8);
         let c = complete(5);
         assert!(c.is_classical());
         assert_eq!(c.source_eccentricity(), 1);
@@ -895,11 +896,11 @@ mod tests {
         let net = grid(3, 2);
         assert_eq!(net.len(), 6);
         // 4-neighborhood reliable.
-        assert!(net.reliable().has_edge(NodeId(0), NodeId(1)));
-        assert!(net.reliable().has_edge(NodeId(0), NodeId(3)));
+        assert!(net.reliable_csr().contains(NodeId(0), NodeId(1)));
+        assert!(net.reliable_csr().contains(NodeId(0), NodeId(3)));
         // Diagonal unreliable.
-        assert!(net.total().has_edge(NodeId(0), NodeId(4)));
-        assert!(!net.reliable().has_edge(NodeId(0), NodeId(4)));
+        assert!(total(&net).has_edge(NodeId(0), NodeId(4)));
+        assert!(!net.reliable_csr().contains(NodeId(0), NodeId(4)));
         assert_eq!(net.source_eccentricity(), 3);
     }
 
@@ -908,8 +909,8 @@ mod tests {
         let net = binary_tree(7, 2);
         assert_eq!(net.source_eccentricity(), 2);
         // Siblings are within 2 hops -> unreliable edge.
-        assert!(net.total().has_edge(NodeId(1), NodeId(2)));
-        assert!(!net.reliable().has_edge(NodeId(1), NodeId(2)));
+        assert!(total(&net).has_edge(NodeId(1), NodeId(2)));
+        assert!(!net.reliable_csr().contains(NodeId(1), NodeId(2)));
     }
 
     #[test]
@@ -922,12 +923,12 @@ mod tests {
         let a = er_dual(p, 7);
         let b = er_dual(p, 7);
         let c = er_dual(p, 8);
-        assert_eq!(a.reliable().edge_count(), b.reliable().edge_count());
-        assert_eq!(a.total().edge_count(), b.total().edge_count());
+        assert_eq!(a.reliable_csr().edge_count(), b.reliable_csr().edge_count());
+        assert_eq!(total(&a).edge_count(), total(&b).edge_count());
         // Different seeds almost surely differ at this size.
         assert!(
-            a.total().edge_count() != c.total().edge_count()
-                || a.reliable().edge_count() != c.reliable().edge_count()
+            total(&a).edge_count() != total(&c).edge_count()
+                || a.reliable_csr().edge_count() != c.reliable_csr().edge_count()
         );
         assert!(a.is_undirected());
     }
@@ -942,16 +943,16 @@ mod tests {
         let a = scale_dual(p, 5);
         let b = scale_dual(p, 5);
         assert!(a.is_undirected());
-        assert_eq!(a.reliable(), b.reliable());
-        assert_eq!(a.total(), b.total());
+        assert_eq!(a.reliable_csr(), b.reliable_csr());
+        assert_eq!(total(&a), total(&b));
         // Sparse: Θ(n) edges, not Θ(n²).
-        assert!(a.total().edge_count() < 8 * p.n);
+        assert!(total(&a).edge_count() < 8 * p.n);
         assert!(a.unreliable_edge_count() > 0);
         // Small-world: diameter far below the ring's n/2.
         assert!(a.source_eccentricity() < 100);
         // Different seeds differ.
         let c = scale_dual(p, 6);
-        assert!(a.total() != c.total());
+        assert!(total(&a) != total(&c));
     }
 
     #[test]
@@ -1013,14 +1014,14 @@ mod tests {
         assert_eq!(s.total_rounds(), 60);
         // Epoch 0 is the base itself.
         assert_eq!(
-            s.epoch(0).network().total().edge_count(),
-            base.total().edge_count()
+            total(s.epoch(0).network()).edge_count(),
+            total(&base).edge_count()
         );
         let mut drifted = false;
         for (i, e) in s.epochs().iter().enumerate() {
             let net = e.network();
             // Reliable spine held fixed.
-            assert_eq!(net.reliable(), base.reliable(), "epoch {i}");
+            assert_eq!(net.reliable_csr(), base.reliable_csr(), "epoch {i}");
             // Unreliable-only *count* preserved (the CSR-chain contract).
             assert_eq!(
                 net.unreliable_edge_count(),
@@ -1028,7 +1029,7 @@ mod tests {
                 "epoch {i}"
             );
             assert!(net.is_undirected());
-            if net.total() != base.total() {
+            if total(net) != total(&base) {
                 drifted = true;
             }
         }
@@ -1037,10 +1038,10 @@ mod tests {
         let again = churn_schedule(&base, params, 9);
         for (a, b) in s.epochs().iter().zip(again.epochs()) {
             assert_eq!(
-                a.network().total().edge_count(),
-                b.network().total().edge_count()
+                total(a.network()).edge_count(),
+                total(b.network()).edge_count()
             );
-            assert_eq!(a.network().total(), b.network().total());
+            assert_eq!(total(a.network()), total(b.network()));
         }
         let other = churn_schedule(&base, params, 10);
         assert!(s
@@ -1048,7 +1049,7 @@ mod tests {
             .iter()
             .zip(other.epochs())
             .skip(1)
-            .any(|(a, b)| a.network().total() != b.network().total()));
+            .any(|(a, b)| total(a.network()) != total(b.network())));
     }
 
     #[test]
@@ -1067,11 +1068,11 @@ mod tests {
             11,
         );
         assert_eq!(s.len(), 5);
-        let g0 = s.epoch(0).network().reliable().clone();
+        let g0 = s.epoch(0).network().reliable_csr().clone();
         let mut varied = false;
         for e in s.epochs() {
-            assert_eq!(e.network().reliable(), &g0, "reliable disk fixed");
-            if e.network().total() != s.epoch(0).network().total() {
+            assert_eq!(e.network().reliable_csr(), &g0, "reliable disk fixed");
+            if total(e.network()) != total(s.epoch(0).network()) {
                 varied = true;
             }
         }
@@ -1100,7 +1101,7 @@ mod tests {
             .epochs()
             .iter()
             .skip(1)
-            .any(|e| e.network().reliable() != s.epoch(0).network().reliable()));
+            .any(|e| e.network().reliable_csr() != s.epoch(0).network().reliable_csr()));
         // Every epoch validated at construction (source-connected G).
         for e in s.epochs() {
             assert_eq!(e.network().source(), NodeId(0));
@@ -1120,7 +1121,10 @@ mod tests {
             2,
         );
         for e in frozen.epochs() {
-            assert_eq!(e.network().reliable(), frozen.epoch(0).network().reliable());
+            assert_eq!(
+                e.network().reliable_csr(),
+                frozen.epoch(0).network().reliable_csr()
+            );
         }
     }
 

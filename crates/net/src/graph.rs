@@ -1,15 +1,20 @@
-//! Directed graphs with sorted adjacency lists.
+//! Directed graphs with sorted adjacency lists: the builder that
+//! generators and tests edit, before [`DualGraph::new`][crate::DualGraph::new]
+//! freezes it into CSR rows.
 
 use crate::node::NodeId;
 
 /// A simple directed graph on nodes `0..n` (no self-loops, no multi-edges).
 ///
-/// Adjacency lists are kept sorted, so membership tests are `O(log deg)` and
+/// Out-lists are kept sorted, so membership tests are `O(log deg)` and
 /// neighborhood iteration is in increasing node order (which keeps every
-/// downstream computation deterministic).
+/// downstream computation deterministic). Only out-lists are kept: a
+/// `Digraph` is the builder, and in-neighborhoods are read from a frozen
+/// [`Csr`][crate::Csr]'s transpose.
 ///
 /// The dual graph model builds on two of these: the reliable graph `G` and
-/// the complete link graph `G′` (see [`crate::DualGraph`]).
+/// the complete link graph `G′`, which [`crate::DualGraph::new`] validates,
+/// freezes and drops.
 ///
 /// # Examples
 ///
@@ -26,7 +31,6 @@ use crate::node::NodeId;
 #[derive(Clone, PartialEq, Eq)]
 pub struct Digraph {
     out: Vec<Vec<NodeId>>,
-    inc: Vec<Vec<NodeId>>,
     edge_count: usize,
 }
 
@@ -35,7 +39,6 @@ impl Digraph {
     pub fn new(n: usize) -> Self {
         Digraph {
             out: vec![Vec::new(); n],
-            inc: vec![Vec::new(); n],
             edge_count: 0,
         }
     }
@@ -108,10 +111,6 @@ impl Digraph {
             Ok(_) => false,
             Err(pos) => {
                 self.out[u.index()].insert(pos, v);
-                let ipos = self.inc[v.index()]
-                    .binary_search(&u)
-                    .expect_err("out/in list inconsistency"); // analyzer: allow(panic, reason = "invariant: out/in list inconsistency")
-                self.inc[v.index()].insert(ipos, u);
                 self.edge_count += 1;
                 true
             }
@@ -149,30 +148,9 @@ impl Digraph {
         &self.out[u.index()]
     }
 
-    /// In-neighbors of `u`, sorted ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn in_neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.check_node(u);
-        &self.inc[u.index()]
-    }
-
     /// Out-degree of `u`.
     pub fn out_degree(&self, u: NodeId) -> usize {
         self.out_neighbors(u).len()
-    }
-
-    /// In-degree of `u`.
-    pub fn in_degree(&self, u: NodeId) -> usize {
-        self.in_neighbors(u).len()
-    }
-
-    /// Maximum in-degree over all nodes (the Δ of the dynamic-fault model
-    /// comparison in §2.2 of the paper).
-    pub fn max_in_degree(&self) -> usize {
-        self.inc.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Iterates all directed edges in `(source, target)` lexicographic order.
@@ -221,15 +199,6 @@ impl Digraph {
         }
         g
     }
-
-    /// Returns the graph with every edge's reverse added.
-    pub fn symmetric_closure(&self) -> Digraph {
-        let mut g = self.clone();
-        for (u, v) in self.edges() {
-            g.add_edge(v, u);
-        }
-        g
-    }
 }
 
 impl std::fmt::Debug for Digraph {
@@ -275,9 +244,7 @@ mod tests {
         g.add_edge(v(0), v(1));
         g.add_edge(v(0), v(3));
         assert_eq!(g.out_neighbors(v(0)), &[v(1), v(3), v(4)]);
-        assert_eq!(g.in_neighbors(v(3)), &[v(0)]);
         assert_eq!(g.out_degree(v(0)), 3);
-        assert_eq!(g.in_degree(v(4)), 1);
     }
 
     #[test]
@@ -299,7 +266,6 @@ mod tests {
         let g = Digraph::complete(4);
         assert_eq!(g.edge_count(), 12);
         assert!(g.is_symmetric());
-        assert_eq!(g.max_in_degree(), 3);
     }
 
     #[test]
@@ -321,16 +287,14 @@ mod tests {
     }
 
     #[test]
-    fn union_and_closure() {
+    fn union_merges_edge_sets() {
         let mut a = Digraph::new(3);
         a.add_edge(v(0), v(1));
         let mut b = Digraph::new(3);
         b.add_edge(v(1), v(2));
         let u = a.union(&b);
         assert_eq!(u.edge_count(), 2);
-        let c = u.symmetric_closure();
-        assert!(c.is_symmetric());
-        assert_eq!(c.edge_count(), 4);
+        assert!(u.is_subgraph_of(&Digraph::complete(3)));
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! `G′` deliver only when a worst-case adversary allows it. This crate
 //! provides:
 //!
-//! * [`Digraph`] — sorted-adjacency directed graphs (the construction path);
+//! * [`Digraph`] — directed graphs with sorted out-lists: the builder;
 //! * [`Csr`] — frozen flat adjacency (the execution path: the simulator
-//!   reads `G`, `G′`, and `G′ ∖ G` as contiguous rows);
-//! * [`DualGraph`] — the validated `(G, G′, source)` triple, frozen into
-//!   CSR at construction;
+//!   reads `G` and `G′ ∖ G` as contiguous rows);
+//! * [`DualGraph`] — the validated `(G, G′, source)` triple, held only as
+//!   the `G` and `G′ ∖ G` CSRs (plus a transpose of either, built when
+//!   first asked for and kept only when it differs);
 //! * [`generators`] — the paper's lower-bound gadgets
 //!   ([`generators::clique_bridge`], [`generators::layered_pairs`]) plus
 //!   standard and random topologies, and the schedule generators
@@ -21,7 +22,8 @@
 //!   [`generators::mobility_schedule`]);
 //! * [`TopologySchedule`] — epoch-evolving dual graphs (a sequence of
 //!   frozen snapshots with round spans) for the dynamics subsystem;
-//! * [`traversal`] — BFS distances, layers, eccentricity, diameter;
+//! * [`traversal`] — BFS distances, reachability and eccentricity over
+//!   the rows of a [`Digraph`] or a [`Csr`];
 //! * [`broadcastability`] — `k`-broadcastability bounds (§3 of the paper);
 //! * [`FixedBitSet`] — the dense bitset the simulator uses for reach sets;
 //! * [`dot`] — Graphviz export.
@@ -58,7 +60,7 @@ mod shard;
 pub mod traversal;
 
 pub use bitset::{or_words, FixedBitSet};
-pub use csr::{Csr, CsrShardView};
+pub use csr::Csr;
 pub use dual::{BuildDualGraphError, DualGraph};
 pub use graph::Digraph;
 pub use node::NodeId;

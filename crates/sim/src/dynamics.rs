@@ -37,7 +37,7 @@
 //!   [`DynamicExecutor`] runner at the start of each round.
 //!
 //! * **Epoch-evolving topology** — a
-//!   [`TopologySchedule`][dualgraph_net::TopologySchedule] is a sequence
+//!   [`TopologySchedule`] is a sequence
 //!   of frozen CSR snapshots with round spans. [`Executor::set_network`]
 //!   swaps the active snapshot in O(1) (the CSR reference changes; every
 //!   buffer is reused, so the round path stays zero-alloc), and

@@ -397,8 +397,8 @@ pub fn local_byzantine_bound(net: &DualGraph, roles: &[NodeRole]) -> u32 {
             continue;
         }
         let byz = net
-            .reliable()
-            .in_neighbors(v)
+            .reliable_in_csr()
+            .row(v)
             .iter()
             .filter(|u| roles[u.index()].is_byzantine())
             .count() as u32;

@@ -2,15 +2,23 @@
 //!
 //! [`ReferenceExecutor`] is a deliberately simple, allocating round loop —
 //! per-round `Vec`s, per-node `Vec<Vec<Message>>` reaching sets, linear-scan
-//! `G′ ∖ G` membership checks over the [`Digraph`][dualgraph_net::Digraph]
-//! adjacency — exactly the shape the optimized [`Executor`][crate::Executor]
-//! replaced with CSR rows and a flat message arena.
+//! `G′ ∖ G` membership checks — exactly the shape the optimized
+//! [`Executor`][crate::Executor] replaced with a flat message arena.
 //!
 //! Its value is being *obviously correct* and structurally independent of
 //! the optimized engine: the differential test (`tests/differential.rs`)
 //! runs both on random topologies against the full adversary menu and
 //! asserts identical behavior round for round. The `engine` series of
 //! `experiments --bench` also times it to quantify the engine speedup.
+//!
+//! Both engines read the same frozen rows: `G` from
+//! [`DualGraph::reliable_csr`] and `G′ ∖ G` from
+//! [`DualGraph::unreliable_only_out`]. So the differential suites do not
+//! check the freeze itself; `dualgraph-net`'s property test checks it
+//! against the input [`Digraph`][dualgraph_net::Digraph]s
+//! (`freeze_keeps_every_row` in `crates/net/tests/properties.rs`), and its
+//! golden digests pin every generator's frozen rows
+//! (`crates/net/tests/freeze_digest.rs`).
 //!
 //! Behavioral contract (both engines must agree exactly):
 //!
@@ -340,7 +348,7 @@ impl<'a> ReferenceExecutor<'a> {
                 let role = roles[u.index()];
                 own[u.index()] = Some(msg);
                 reach[u.index()].push(role.content_for(msg, u));
-                for &v in network.reliable().out_neighbors(u) {
+                for &v in network.reliable_csr().row(u) {
                     reach[v.index()].push(role.content_for(msg, v));
                 }
                 let mut extra = Vec::new();

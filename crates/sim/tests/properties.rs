@@ -95,7 +95,7 @@ proptest! {
             exec.step_traced(&mut events);
             if let [(u, m)] = transmits(&events).as_slice() {
                 if m.carries_payload() {
-                    for &v in net.reliable().out_neighbors(*u) {
+                    for &v in net.reliable_csr().row(*u) {
                         prop_assert!(
                             exec.is_informed(v),
                             "lone sender {u} failed to inform reliable neighbor {v}"
@@ -162,7 +162,9 @@ proptest! {
                             .map(|s| s.0)
                             .expect("message has a sender");
                         prop_assert!(
-                            from == v || net.total().has_edge(from, v),
+                            from == v
+                                || net.reliable_csr().contains(from, v)
+                                || net.unreliable_only_csr().contains(from, v),
                             "message crossed a non-edge"
                         );
                     }

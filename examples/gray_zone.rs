@@ -27,7 +27,7 @@ fn main() {
     println!(
         "geometric field: n={} reliable edges={} gray-zone edges={}",
         net.len(),
-        net.reliable().edge_count() / 2,
+        net.reliable_csr().edge_count() / 2,
         net.unreliable_edge_count() / 2
     );
 

@@ -19,8 +19,8 @@ fn main() {
     println!(
         "network: n={} |E|={} |E'|={} source-ecc={}",
         net.len(),
-        net.reliable().edge_count(),
-        net.total().edge_count(),
+        net.reliable_csr().edge_count(),
+        net.reliable_csr().edge_count() + net.unreliable_edge_count(),
         net.source_eccentricity()
     );
     println!();
