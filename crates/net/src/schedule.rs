@@ -176,9 +176,10 @@ impl TopologySchedule {
                     match row.binary_search_by_key(&v, |known| known.0) {
                         Ok(i) => row[i].1,
                         Err(i) => {
-                            row.insert(i, (v, universe));
+                            let id = universe;
                             universe += 1;
-                            universe - 1
+                            row.insert(i, (v, id));
+                            id
                         }
                     }
                 }));
