@@ -199,6 +199,15 @@ impl Digraph {
         }
         g
     }
+
+    /// Returns the graph with every edge's reverse added.
+    pub fn symmetric_closure(&self) -> Digraph {
+        let mut g = self.clone();
+        for (u, v) in self.edges() {
+            g.add_edge(v, u);
+        }
+        g
+    }
 }
 
 impl std::fmt::Debug for Digraph {
@@ -287,14 +296,16 @@ mod tests {
     }
 
     #[test]
-    fn union_merges_edge_sets() {
+    fn union_and_closure() {
         let mut a = Digraph::new(3);
         a.add_edge(v(0), v(1));
         let mut b = Digraph::new(3);
         b.add_edge(v(1), v(2));
         let u = a.union(&b);
         assert_eq!(u.edge_count(), 2);
-        assert!(u.is_subgraph_of(&Digraph::complete(3)));
+        let c = u.symmetric_closure();
+        assert!(c.is_symmetric());
+        assert_eq!(c.edge_count(), 4);
     }
 
     #[test]

@@ -89,6 +89,25 @@ pub fn all_reachable_from(g: &impl Adjacency, source: NodeId) -> bool {
     bfs_distances(g, source).iter().all(|&d| d != UNREACHABLE)
 }
 
+/// BFS layers from `source`: `layers[d]` is the sorted list of nodes at
+/// distance `d`. Unreachable nodes do not appear.
+pub fn bfs_layers(g: &Digraph, source: NodeId) -> Vec<Vec<NodeId>> {
+    let dist = bfs_distances(g, source);
+    let max = dist
+        .iter()
+        .copied()
+        .filter(|&d| d != UNREACHABLE)
+        .max()
+        .unwrap_or(0);
+    let mut layers = vec![Vec::new(); max as usize + 1];
+    for (i, &d) in dist.iter().enumerate() {
+        if d != UNREACHABLE {
+            layers[d as usize].push(NodeId::from_index(i));
+        }
+    }
+    layers
+}
+
 /// Eccentricity of `source`: the maximum finite BFS distance, or `None`
 /// if some node is unreachable.
 pub fn eccentricity(g: &impl Adjacency, source: NodeId) -> Option<u32> {
@@ -98,6 +117,26 @@ pub fn eccentricity(g: &impl Adjacency, source: NodeId) -> Option<u32> {
     } else {
         dist.into_iter().max()
     }
+}
+
+/// Diameter: the maximum over sources of eccentricity, or `None` if the
+/// graph is not strongly connected.
+///
+/// Runs one BFS per node (`O(n·(n+m))`), fine at simulator scales.
+pub fn diameter(g: &Digraph) -> Option<u32> {
+    let mut best = 0;
+    for s in g.nodes() {
+        best = best.max(eccentricity(g, s)?);
+    }
+    Some(best)
+}
+
+/// `true` when the graph is strongly connected.
+pub fn is_strongly_connected(g: &Digraph) -> bool {
+    if g.node_count() == 0 {
+        return true;
+    }
+    g.nodes().all(|s| all_reachable_from(g, s))
 }
 
 #[cfg(test)]
@@ -136,13 +175,34 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_on_path() {
+    fn layers_partition_reachable_nodes() {
+        let mut g = path(4);
+        g.add_edge(v(0), v(2));
+        let layers = bfs_layers(&g, v(0));
+        assert_eq!(layers[0], vec![v(0)]);
+        assert_eq!(layers[1], vec![v(1), v(2)]);
+        assert_eq!(layers[2], vec![v(3)]);
+    }
+
+    #[test]
+    fn eccentricity_and_diameter() {
         let g = path(4);
         assert_eq!(eccentricity(&g, v(0)), Some(3));
         assert_eq!(eccentricity(&g, v(1)), None, "cannot reach node 0");
-        // The frozen rows answer alike.
+        assert_eq!(diameter(&g), None);
+
+        let c = Digraph::complete(5);
+        assert_eq!(diameter(&c), Some(1));
+        assert!(is_strongly_connected(&c));
+        assert!(!is_strongly_connected(&g));
+    }
+
+    #[test]
+    fn frozen_rows_answer_alike() {
+        let g = path(4);
         let csr = Csr::from_digraph(&g);
         assert_eq!(eccentricity(&csr, v(0)), Some(3));
+        assert_eq!(eccentricity(&csr, v(1)), None);
         assert_eq!(bfs_distances(&csr, v(1)), bfs_distances(&g, v(1)));
     }
 
@@ -150,5 +210,13 @@ mod tests {
     fn single_node() {
         let g = Digraph::new(1);
         assert_eq!(eccentricity(&g, v(0)), Some(0));
+        assert_eq!(diameter(&g), Some(0));
+        assert!(is_strongly_connected(&g));
+    }
+
+    #[test]
+    fn empty_graph_is_connected() {
+        let g = Digraph::new(0);
+        assert!(is_strongly_connected(&g));
     }
 }

@@ -198,6 +198,20 @@ proptest! {
             prop_assert!(d[v.index()] <= d[u.index()] + 1);
         }
     }
+
+    /// Symmetric closure is symmetric and contains the original.
+    #[test]
+    fn symmetric_closure_properties(edges in prop::collection::vec((0u32..15, 0u32..15), 0..60)) {
+        let clean: Vec<(NodeId, NodeId)> = edges
+            .into_iter()
+            .filter(|(u, v)| u != v)
+            .map(|(u, v)| (NodeId(u), NodeId(v)))
+            .collect();
+        let g = Digraph::from_edges(15, clean);
+        let c = g.symmetric_closure();
+        prop_assert!(c.is_symmetric());
+        prop_assert!(g.is_subgraph_of(&c));
+    }
 }
 
 proptest! {
