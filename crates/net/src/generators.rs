@@ -80,7 +80,8 @@ pub fn clique_bridge(n: usize) -> CliqueBridge {
 /// two-node layers `L_k = {2k−1, 2k}`, with `G′` complete.
 ///
 /// `G` edges: source to both nodes of `L_1`; the two nodes of each layer to
-/// each other; all four pairs between consecutive layers.
+/// each other; all four pairs between consecutive layers. This is
+/// [`layered_widths`] with every width 2.
 ///
 /// # Panics
 ///
@@ -98,35 +99,7 @@ pub fn layered_pairs(n: usize) -> DualGraph {
         n % 2 == 1,
         "layered_pairs requires odd n (2k+1 nodes), got {n}"
     );
-    let mut g = Digraph::new(n);
-    let layers = (n - 1) / 2;
-    let layer = |k: usize| -> Vec<NodeId> {
-        if k == 0 {
-            vec![NodeId(0)]
-        } else {
-            vec![NodeId::from_index(2 * k - 1), NodeId::from_index(2 * k)]
-        }
-    };
-    for k in 0..=layers {
-        let cur = layer(k);
-        // Intra-layer edges.
-        for i in 0..cur.len() {
-            for j in (i + 1)..cur.len() {
-                g.add_undirected_edge(cur[i], cur[j]);
-            }
-        }
-        // Edges to the next layer.
-        if k < layers {
-            for &u in &cur {
-                for &v in &layer(k + 1) {
-                    g.add_undirected_edge(u, v);
-                }
-            }
-        }
-    }
-    let total = Digraph::complete(n);
-    // analyzer: allow(panic, reason = "invariant: layered_pairs construction is valid")
-    DualGraph::new(g, total, NodeId(0)).expect("layered_pairs construction is valid")
+    layered_widths(&vec![2; (n - 1) / 2])
 }
 
 /// A layered network with arbitrary layer widths (the §7 intuition:
@@ -405,12 +378,10 @@ pub fn scale_dual(params: ScaleDualParams, seed: u64) -> DualGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut g = Digraph::new(n);
     // Ring spine: guarantees source-connectivity.
-    if n >= 2 {
-        for i in 0..n {
-            let j = (i + 1) % n;
-            if i != j {
-                g.add_undirected_edge(NodeId::from_index(i), NodeId::from_index(j));
-            }
+    for i in 0..n {
+        let j = (i + 1) % n;
+        if i != j {
+            g.add_undirected_edge(NodeId::from_index(i), NodeId::from_index(j));
         }
     }
     // Small-world chords: one RNG draw per slot whether or not it lands,
@@ -474,12 +445,8 @@ pub fn geometric_dual(params: GeometricDualParams, seed: u64) -> DualGraph {
         gray_radius >= reliable_radius,
         "gray_radius must be at least reliable_radius"
     );
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let pts: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    let (mut g, mut total) = disk_graphs(&pts, reliable_radius, gray_radius);
-    repair_connectivity(&mut g, &mut total, &pts);
+    let pts = random_points(n, &mut SmallRng::seed_from_u64(seed));
+    let (g, total) = disk_graphs(&pts, params);
     // analyzer: allow(panic, reason = "invariant: geometric_dual construction is valid")
     DualGraph::new(g, total, NodeId(0)).expect("geometric_dual construction is valid")
 }
@@ -491,11 +458,19 @@ fn d2(a: (f64, f64), b: (f64, f64)) -> f64 {
     dx * dx + dy * dy
 }
 
+/// `n` points drawn uniformly from the unit square.
+fn random_points(n: usize, rng: &mut SmallRng) -> Vec<(f64, f64)> {
+    (0..n)
+        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
+        .collect()
+}
+
 /// The two-radius disk graphs over fixed points: reliable inside
 /// `reliable_radius`, gray-zone (total-only) in the annulus up to
-/// `gray_radius`.
-fn disk_graphs(pts: &[(f64, f64)], reliable_radius: f64, gray_radius: f64) -> (Digraph, Digraph) {
-    let n = pts.len();
+/// `gray_radius`, with the reliable part connectivity-repaired.
+fn disk_graphs(pts: &[(f64, f64)], geometry: GeometricDualParams) -> (Digraph, Digraph) {
+    let (n, reliable_radius, gray_radius) =
+        (pts.len(), geometry.reliable_radius, geometry.gray_radius);
     let mut g = Digraph::new(n);
     let mut total = Digraph::new(n);
     for u in 0..n {
@@ -510,6 +485,7 @@ fn disk_graphs(pts: &[(f64, f64)], reliable_radius: f64, gray_radius: f64) -> (D
             }
         }
     }
+    repair_connectivity(&mut g, &mut total, pts);
     (g, total)
 }
 
@@ -588,7 +564,8 @@ pub fn churn_schedule(base: &DualGraph, params: ChurnParams, seed: u64) -> Topol
         "churn_schedule rewires undirected pairs; base must be undirected"
     );
     let n = base.len();
-    let (reliable, _, source) = base.clone().into_parts();
+    let reliable = Digraph::from_edges(n, base.reliable_csr().edges());
+    let source = base.source();
     // The churned state: unreliable-only undirected pairs (u < v).
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for u in 0..n {
@@ -686,11 +663,8 @@ pub fn fading_schedule(params: FadingParams, seed: u64) -> TopologySchedule {
         "gray_radius must be at least reliable_radius"
     );
     let mut rng = SmallRng::seed_from_u64(seed);
-    let pts: Vec<(f64, f64)> = (0..geometry.n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    let (mut g, mut full_total) = disk_graphs(&pts, geometry.reliable_radius, geometry.gray_radius);
-    repair_connectivity(&mut g, &mut full_total, &pts);
+    let pts = random_points(geometry.n, &mut rng);
+    let (g, full_total) = disk_graphs(&pts, geometry);
     // The fading candidates: annulus pairs (in the repaired total, not G).
     let mut gray_pairs: Vec<(NodeId, NodeId)> = Vec::new();
     for u in g.nodes() {
@@ -757,9 +731,7 @@ pub fn mobility_schedule(params: MobilityParams, seed: u64) -> TopologySchedule 
         "gray_radius must be at least reliable_radius"
     );
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut pts: Vec<(f64, f64)> = (0..geometry.n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
+    let mut pts = random_points(geometry.n, &mut rng);
     // Reflect `x + dx` into [0, 1].
     let reflect = |x: f64| -> f64 {
         let folded = x.rem_euclid(2.0);
@@ -777,8 +749,7 @@ pub fn mobility_schedule(params: MobilityParams, seed: u64) -> TopologySchedule 
                 p.1 = reflect(p.1 + rng.gen_range(-step..step));
             }
         }
-        let (mut g, mut total) = disk_graphs(&pts, geometry.reliable_radius, geometry.gray_radius);
-        repair_connectivity(&mut g, &mut total, &pts);
+        let (g, total) = disk_graphs(&pts, geometry);
         let net = DualGraph::new(g, total, NodeId(0))
             .expect("repaired mobility snapshots always validate"); // analyzer: allow(panic, reason = "invariant: repaired mobility snapshots always validate")
         epoch_list.push(Epoch::new(net, span));
