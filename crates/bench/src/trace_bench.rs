@@ -357,5 +357,10 @@ mod tests {
         assert!(s.contains("\"e\":\"fault\""));
         assert!(s.contains("\"e\":\"retry\""));
         assert!(s.contains("\"e\":\"verdict\""));
+        // The whole capture, pinned: its line count and FNV-1a 64 digest.
+        let digest = s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((s.lines().count(), digest), (394, 0xdd15_9595_c80d_7cf5));
     }
 }

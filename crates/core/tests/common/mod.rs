@@ -2,7 +2,7 @@
 //! tests of the `reliability` and `quorum` suites.
 
 use dualgraph_broadcast::stream::StreamOutcome;
-use dualgraph_sim::TraceEvent;
+use dualgraph_sim::{DeliveryVerdict, TraceAnalyzer, TraceEvent};
 
 /// Renders everything a golden test pins of one run, one line per item:
 ///
@@ -69,4 +69,54 @@ pub(crate) fn ledger_view(outcome: &StreamOutcome, events: &[TraceEvent]) -> Vec
     }
     lines.push(format!("quorum_phases={phases} fnv={digest:#018x}"));
     lines
+}
+
+/// Checks a traced run's events against its own report.
+///
+/// * [`TraceAnalyzer`] over `events` gives each payload the retries and
+///   the verdict of its ledger entry. An arrival that a ledger without
+///   retries abandons on the spot was never attempted, and no event
+///   settles it.
+/// * Between consecutive `EpochSwitch` events, in emission order, the
+///   `Retry`, `AckComplete` and delivered `Verdict` events count each
+///   epoch segment's retries, acks and deliveries.
+pub(crate) fn assert_events_agree(outcome: &StreamOutcome, events: &[TraceEvent]) {
+    let report = outcome.reliability.as_ref().expect("a reliability run");
+    let analysis = TraceAnalyzer::analyze(events);
+    for e in &report.entries {
+        let timeline = analysis.timeline(e.payload);
+        assert_eq!(timeline.map_or(0, |t| t.retries), e.retries, "{e:?}");
+        let verdict = timeline.and_then(|t| t.verdict);
+        match e.verdict {
+            DeliveryVerdict::Delivered { round, .. } => {
+                assert_eq!(verdict, Some((round, true)), "{e:?}");
+            }
+            DeliveryVerdict::Abandoned { .. } if !e.entered && e.retries == 0 => {
+                assert_eq!(verdict, None, "{e:?}");
+            }
+            DeliveryVerdict::Abandoned { .. } => {
+                assert!(matches!(verdict, Some((_, false))), "{e:?}");
+            }
+            DeliveryVerdict::Pending => assert_eq!(verdict, None, "{e:?}"),
+        }
+    }
+    let mut counted = vec![(0, 0, 0)];
+    for event in events {
+        let open = counted.last_mut().expect("one segment is always open");
+        match event {
+            TraceEvent::EpochSwitch { .. } => counted.push((0, 0, 0)),
+            TraceEvent::Retry { .. } => open.0 += 1,
+            TraceEvent::AckComplete { .. } => open.1 += 1,
+            TraceEvent::Verdict {
+                delivered: true, ..
+            } => open.2 += 1,
+            _ => {}
+        }
+    }
+    let segments: Vec<(usize, usize, usize)> = outcome
+        .epochs
+        .iter()
+        .map(|s| (s.retries, s.acked, s.delivered))
+        .collect();
+    assert_eq!(counted, segments);
 }

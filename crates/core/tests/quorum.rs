@@ -421,6 +421,7 @@ fn golden_quorum_ledger_with_an_equivocator_and_a_dropped_arrival() {
         view,
         "tracing is passive"
     );
+    common::assert_events_agree(&traced, &events);
     assert_eq!(view, QUORUM_GOLDEN);
 }
 

@@ -521,6 +521,7 @@ fn golden_retry_ledger_under_churn_poisson_arrivals_and_spam() {
         view,
         "tracing is passive"
     );
+    common::assert_events_agree(&traced, &events);
     assert_eq!(view, RETRY_GOLDEN);
 }
 
