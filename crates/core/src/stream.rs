@@ -24,9 +24,9 @@ use dualgraph_net::{DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::automata::{PipelinedFlooder, PipelinedHarmonic};
 use dualgraph_sim::rng::{derive_seed, derive_seed2};
 use dualgraph_sim::{
-    Adversary, BuildExecutorError, CollisionRule, DynamicsCursor, EpochHealth, Executor,
-    ExecutorConfig, FaultPlan, HealthConfig, HealthSample, Histogram, MacEvent, MacLayer, MacStats,
-    NullSink, PayloadId, PayloadSet, ProcessId, ProcessSlot, QuorumProcess, QuorumStage,
+    AckRecord, Adversary, BuildExecutorError, CollisionRule, DynamicsCursor, Executor,
+    ExecutorConfig, FaultPlan, HealthConfig, Histogram, HistogramSummary, MacEvent, MacLayer,
+    MacStats, NullSink, PayloadId, PayloadSet, ProcessId, ProcessSlot, QuorumProcess, QuorumStage,
     ReliabilityBackend, ReliabilityEntry, ReliabilityStats, ReliableBroadcast, StartRule,
     StreamHealthReport, TraceEvent, TraceSink, WindowedStats, MAX_PAYLOADS,
 };
@@ -191,12 +191,13 @@ pub struct StreamConfig {
     /// A bare [`RetryPolicy`][dualgraph_sim::RetryPolicy] converts via
     /// `Into`, as in `Some(policy.into())` or `with_reliability(policy)`.
     pub reliability: Option<ReliabilityBackend>,
-    /// Stream-health instrumentation (`None` = off — the historical
-    /// behavior, bit for bit, at zero cost). With a [`HealthConfig`] the
-    /// session samples sliding-window throughput/drop/retry rates, the
-    /// pending-retry and pending-ack queue depths, and a per-epoch
-    /// ack-latency histogram every round, surfaced through
-    /// [`StreamOutcome::health`].
+    /// Stream-health instrumentation (`None` = off: no report, and the
+    /// same run bit for bit). With a [`HealthConfig`] the session samples
+    /// the sliding-window delivery throughput and the pending-retry and
+    /// pending-ack queue depths every round and keeps a run-wide
+    /// ack-latency histogram, surfaced through [`StreamOutcome::health`].
+    /// Every run, instrumented or not, reports its epoch segments in
+    /// [`StreamOutcome::epochs`].
     pub health: Option<HealthConfig>,
 }
 
@@ -335,11 +336,17 @@ impl PayloadStat {
     }
 }
 
-/// Per-epoch-segment stream measurements: one entry per maximal run of
-/// consecutive rounds spent in a single epoch (under cycling the same
-/// epoch index can appear in several segments). Empty for unscheduled
-/// (static-topology) runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The stream measurements of one epoch segment: a maximal run of
+/// executed rounds in one epoch. Under cycling the same epoch index can
+/// appear in several segments. A static run has one epoch-0 segment, and
+/// a run that executes no round has none.
+///
+/// A fact counts in the segment that is open when it happens. Arrivals,
+/// retries, budget abandons and the acks a topology swap fires happen
+/// between rounds `t − 1` and `t`, after the switch to round `t`'s epoch,
+/// so they count in round `t`'s segment although their trace events are
+/// stamped `t − 1`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochStreamStats {
     /// The epoch index in force.
     pub epoch: usize,
@@ -349,14 +356,18 @@ pub struct EpochStreamStats {
     pub last_round: u64,
     /// `rcv` events (first deliveries) observed during the segment.
     pub rcv_events: usize,
-    /// Acknowledgments that fired during the segment.
-    pub acked: usize,
+    /// bcast → ack latency digest over the acknowledgments that fired
+    /// during the segment; its `count` is the segment's ack count.
+    pub ack_latency: HistogramSummary,
     /// Reliability re-`bcast`s issued during the segment (always 0
     /// without a [`StreamConfig::reliability`] policy).
     pub retries: usize,
-    /// Delivery-guarantee verdicts settled as `Delivered` during the
-    /// segment (always 0 without a policy).
+    /// Payloads delivered during the segment: settled `Delivered`
+    /// verdicts with a reliability backend, payloads that reached full
+    /// coverage without one.
     pub delivered: usize,
+    /// Arrivals dropped during the segment.
+    pub drops: usize,
 }
 
 /// Result of one stream run.
@@ -371,7 +382,7 @@ pub struct StreamOutcome {
     pub completed: bool,
     /// The MAC layer's measured progress/acknowledgment latencies.
     pub mac: MacStats,
-    /// Per-epoch-segment progress/ack measurements (scheduled runs only).
+    /// The epoch segments, in execution order (see [`EpochStreamStats`]).
     pub epochs: Vec<EpochStreamStats>,
     /// Per-payload delivery-guarantee verdicts (reliability runs only).
     pub reliability: Option<ReliabilityReport>,
@@ -460,96 +471,192 @@ pub struct StreamSession<'a> {
     mac: MacLayer<'a>,
     cursor: DynamicsCursor<'a>,
     plan: Vec<Arrival>,
+    next_arrival: usize,
+    max_rounds: u64,
+    /// The verdict layer (`None` without a reliability backend).
+    lane: Option<Lane>,
+    /// The one account of the stream.
+    tally: Tally,
+}
+
+/// The session's one account of its stream: per-payload coverage,
+/// completion and drops, the epoch segments, and the opt-in health
+/// instruments. [`StreamSession::step_traced`] records each fact once,
+/// where it happens, and [`StreamSession::run_traced`] builds the payload
+/// stats, the segments and the health report from it.
+struct Tally {
+    n: usize,
     stats: Vec<PayloadStat>,
     /// Nodes currently knowing each payload (the injection node counts
     /// from the arrival on; `rcv` events count everyone else).
     coverage: Vec<usize>,
     incomplete: usize,
-    next_arrival: usize,
-    max_rounds: u64,
-    n: usize,
-    /// The verdict layer (`None` without a reliability backend).
-    lane: Option<Lane>,
-    /// Per-epoch-segment accounting (scheduled runs only).
-    scheduled: bool,
-    epochs: Vec<EpochStreamStats>,
-    seg_epoch: usize,
-    seg_first_round: u64,
-    seg_rcvs: usize,
-    seg_ack_base: usize,
-    seg_retries: usize,
-    seg_delivered: usize,
-    /// Stream-health instrumentation state (`None` = off).
-    health: Option<HealthState>,
+    /// `true` with a reliability backend: a delivery is then a settled
+    /// `Delivered` verdict, not full coverage.
+    verdicts: bool,
+    /// Closed segments, in execution order.
+    segments: Vec<EpochStreamStats>,
+    /// The open segment; its `ack_latency` is filled in when it closes.
+    open: EpochStreamStats,
+    /// Ack latencies of the open segment.
+    open_acks: Histogram,
+    /// MAC ack records read so far.
+    acks_read: usize,
+    /// Deliveries since the last end-of-round sample.
+    round_delivered: u32,
+    /// The opt-in health instruments (`None` = off).
+    health: Option<Health>,
 }
 
-/// Session-side stream-health instrumentation: the sliding-window
-/// round-rate instruments, the run-wide and per-epoch ack-latency
-/// histograms, and the queue-depth high-water marks. Everything is
-/// updated by [`StreamSession::observe_health`] once per round with
-/// O(k) delta scans — no allocation after construction.
-struct HealthState {
+/// The stream-health instruments: the sliding delivery window, the
+/// run-wide ack-latency histogram and the high-water marks. Alloc-free
+/// after construction.
+struct Health {
     window: WindowedStats,
-    /// Run-wide bcast → ack latency histogram.
-    ack_all: Histogram,
-    /// Ack-latency histogram of the epoch segment being accumulated.
-    ack_seg: Histogram,
-    /// Closed per-epoch-segment digests.
-    epochs: Vec<EpochHealth>,
-    /// Epoch index the open segment belongs to.
-    seg_epoch: u32,
-    /// MAC ack records consumed into the histograms so far.
-    ack_base: usize,
-    /// Previous-round totals, for per-round deltas.
-    prev_completions: usize,
-    prev_drops: usize,
-    prev_retries: u64,
-    /// Open segment tallies.
-    seg_deliveries: u64,
-    seg_drops: u64,
-    seg_retries: u64,
-    /// Queue-depth and throughput high-water marks.
+    acks: Histogram,
+    peak_throughput: f64,
     peak_pending_retries: usize,
     peak_pending_acks: usize,
-    peak_throughput: f64,
 }
 
-impl HealthState {
-    fn new(config: HealthConfig, initial_completions: usize) -> Self {
-        HealthState {
-            window: WindowedStats::new(config.window),
-            ack_all: Histogram::new(),
-            ack_seg: Histogram::new(),
-            epochs: Vec::new(),
-            seg_epoch: 0,
-            ack_base: 0,
-            prev_completions: initial_completions,
-            prev_drops: 0,
-            prev_retries: 0,
-            seg_deliveries: 0,
-            seg_drops: 0,
-            seg_retries: 0,
-            peak_pending_retries: 0,
-            peak_pending_acks: 0,
-            peak_throughput: 0.0,
+impl Tally {
+    /// An account of `plan` on `n` nodes whose first `done` payloads
+    /// completed on arrival, before any round.
+    fn new(
+        plan: &[Arrival],
+        n: usize,
+        done: usize,
+        verdicts: bool,
+        health: Option<HealthConfig>,
+    ) -> Self {
+        Tally {
+            n,
+            stats: plan
+                .iter()
+                .enumerate()
+                .map(|(i, a)| PayloadStat {
+                    payload: a.payload,
+                    source: a.node,
+                    arrival_round: a.round,
+                    completion_round: (i < done).then_some(a.round),
+                    dropped: false,
+                })
+                .collect(),
+            coverage: vec![1; plan.len()],
+            incomplete: plan.len() - done,
+            verdicts,
+            segments: Vec::new(),
+            open: EpochStreamStats {
+                first_round: 1,
+                ..EpochStreamStats::default()
+            },
+            open_acks: Histogram::new(),
+            acks_read: 0,
+            round_delivered: 0,
+            health: health.map(|h| Health {
+                window: WindowedStats::new(h.window),
+                acks: Histogram::new(),
+                peak_throughput: 0.0,
+                peak_pending_retries: 0,
+                peak_pending_acks: 0,
+            }),
         }
     }
 
-    /// Closes the open epoch segment into [`HealthState::epochs`] and
-    /// opens a fresh one for `next_epoch`.
-    fn flush_epoch(&mut self, next_epoch: u32) {
-        self.epochs.push(EpochHealth {
-            epoch: self.seg_epoch,
-            ack_latency: self.ack_seg.summary(),
-            deliveries: self.seg_deliveries,
-            drops: self.seg_drops,
-            retries: self.seg_retries,
-        });
-        self.ack_seg.clear();
-        self.seg_deliveries = 0;
-        self.seg_drops = 0;
-        self.seg_retries = 0;
-        self.seg_epoch = next_epoch;
+    /// Step 1: `epoch` is in force from `round` on.
+    fn switch(&mut self, epoch: usize, round: u64) {
+        self.close(round - 1);
+        self.open = EpochStreamStats {
+            epoch,
+            first_round: round,
+            ..EpochStreamStats::default()
+        };
+    }
+
+    /// Closes the open segment at `last_round`; a segment that executed
+    /// no round is not kept.
+    fn close(&mut self, last_round: u64) {
+        if last_round >= self.open.first_round {
+            self.segments.push(EpochStreamStats {
+                last_round,
+                ack_latency: self.open_acks.summary(),
+                ..self.open
+            });
+        }
+        self.open_acks.clear();
+    }
+
+    /// Steps 2 and 2b: payload `i` entered the network at `round`, and
+    /// `holders` nodes know it.
+    fn enter(&mut self, i: usize, holders: usize, round: u64) {
+        self.coverage[i] = holders;
+        self.cover(i, round);
+    }
+
+    /// Step 2: payload `i`'s arrival is lost for good.
+    fn drop_arrival(&mut self, i: usize) {
+        self.stats[i].dropped = true;
+        self.incomplete -= 1;
+        self.open.drops += 1;
+    }
+
+    /// Step 2b: one due retry.
+    fn retry(&mut self) {
+        self.open.retries += 1;
+    }
+
+    /// Step 3: one `rcv` of payload `i` in `round`. It counts toward
+    /// coverage when `entered` (the payload is in the network) and the
+    /// arrival was not dropped.
+    fn rcv(&mut self, i: usize, entered: bool, round: u64) {
+        self.open.rcv_events += 1;
+        if entered && !self.stats[i].dropped {
+            self.coverage[i] += 1;
+            self.cover(i, round);
+        }
+    }
+
+    /// Records payload `i`'s completion at `round` once it covers every
+    /// node. Without a reliability backend that is a delivery.
+    fn cover(&mut self, i: usize, round: u64) {
+        if self.coverage[i] == self.n && self.stats[i].completion_round.is_none() {
+            self.stats[i].completion_round = Some(round);
+            self.incomplete -= 1;
+            if !self.verdicts {
+                self.deliver(1);
+            }
+        }
+    }
+
+    /// Step 3: the ack records the MAC layer added since the last read.
+    fn acks(&mut self, records: &[AckRecord]) {
+        for r in &records[self.acks_read..] {
+            self.open_acks.record(r.ack_latency());
+            if let Some(h) = &mut self.health {
+                h.acks.record(r.ack_latency());
+            }
+        }
+        self.acks_read = records.len();
+    }
+
+    /// Step 4 (or [`Tally::cover`] without a backend): `count` payloads
+    /// delivered.
+    fn deliver(&mut self, count: usize) {
+        self.open.delivered += count;
+        self.round_delivered += count as u32;
+    }
+
+    /// Step 5: the end-of-round sample of the health instruments. The
+    /// pending-retry depth is an O(k) count, read only with health on.
+    fn sample(&mut self, pending_retries: impl FnOnce() -> usize, pending_acks: usize) {
+        let delivered = std::mem::take(&mut self.round_delivered);
+        let Some(h) = &mut self.health else {
+            return;
+        };
+        h.window.push(delivered);
+        h.peak_throughput = h.peak_throughput.max(h.window.throughput());
+        h.peak_pending_retries = h.peak_pending_retries.max(pending_retries());
+        h.peak_pending_acks = h.peak_pending_acks.max(pending_acks);
     }
 }
 
@@ -760,19 +867,6 @@ impl<'a> StreamSession<'a> {
         let mut cursor = DynamicsCursor::new(schedule, dynamics.faults, dynamics.cycle);
         cursor.apply_initial(|node, role| mac.set_role(node, role));
 
-        let mut stats: Vec<PayloadStat> = plan
-            .iter()
-            .map(|a| PayloadStat {
-                payload: a.payload,
-                source: a.node,
-                arrival_round: a.round,
-                completion_round: None,
-                dropped: false,
-            })
-            .collect();
-        let coverage: Vec<usize> = vec![1; config.k];
-        let mut incomplete = config.k;
-        let mut next_arrival = 1;
         // The ledger tracks payload 0 (the executor's own pre-round-1
         // seed — always entered) from construction.
         let lane = config.reliability.map(|backend| {
@@ -789,55 +883,27 @@ impl<'a> StreamSession<'a> {
         // input, which happens at construction and therefore precedes
         // every fault plan: it is never dropped, even when a round-0
         // event crashes the source (the payload is then stranded there
-        // until recovery).
-        if n == 1 {
-            // The lone node is the whole network: payload 0 completes
-            // immediately.
-            stats[0].completion_round = Some(stats[0].arrival_round);
-            incomplete -= 1;
-            if no_faults && lane.is_none() {
-                // No fault plan (and no reliability layer needing verdict
-                // settlement): every later arrival lands and completes on
-                // the spot, without executing any rounds. (With faults
-                // the drive loop decides drop vs completion per arrival —
-                // a crashed lone node still drops its arrivals; with a
-                // reliability policy the loop settles verdicts.)
-                for s in stats.iter_mut().skip(1) {
-                    s.completion_round = Some(s.arrival_round);
-                }
-                incomplete = 0;
-                next_arrival = plan.len();
-            }
-        }
-        let health = config.health.map(|h| {
-            HealthState::new(
-                h,
-                stats
-                    .iter()
-                    .filter(|s| s.completion_round.is_some())
-                    .count(),
-            )
-        });
+        // until recovery). A lone node is the whole network, so payload 0
+        // completes at once. Without a fault plan (and without a
+        // reliability layer needing verdict settlement) every later
+        // arrival lands and completes on the spot too, without executing
+        // any rounds. (With faults the drive loop decides drop vs
+        // completion per arrival — a crashed lone node still drops its
+        // arrivals; with a reliability policy the loop settles verdicts.)
+        let done = match n {
+            1 if no_faults && lane.is_none() => plan.len(),
+            1 => 1,
+            _ => 0,
+        };
+        let tally = Tally::new(&plan, n, done, lane.is_some(), config.health);
         Ok(StreamSession {
             mac,
             cursor,
             plan,
-            stats,
-            coverage,
-            incomplete,
-            next_arrival,
+            next_arrival: done.max(1),
             max_rounds: config.max_rounds,
-            n,
             lane,
-            scheduled: schedule.is_some(),
-            epochs: Vec::new(),
-            seg_epoch: 0,
-            seg_first_round: 1,
-            seg_rcvs: 0,
-            seg_ack_base: 0,
-            seg_retries: 0,
-            seg_delivered: 0,
-            health,
+            tally,
         })
     }
 
@@ -848,7 +914,7 @@ impl<'a> StreamSession<'a> {
 
     /// `true` once every non-dropped payload covers every node.
     pub fn is_complete(&self) -> bool {
-        self.incomplete == 0
+        self.tally.incomplete == 0
     }
 
     /// `true` once the run is settled: every planned arrival attempted
@@ -861,28 +927,8 @@ impl<'a> StreamSession<'a> {
     pub fn is_settled(&self) -> bool {
         match &self.lane {
             Some(lane) => self.next_arrival >= self.plan.len() && lane.ledger.is_settled(),
-            None => self.incomplete == 0,
+            None => self.tally.incomplete == 0,
         }
-    }
-
-    /// Closes the current epoch segment ending at round `last_round`.
-    fn close_segment(&mut self, last_round: u64) {
-        if !self.scheduled || last_round < self.seg_first_round {
-            return;
-        }
-        self.epochs.push(EpochStreamStats {
-            epoch: self.seg_epoch,
-            first_round: self.seg_first_round,
-            last_round,
-            rcv_events: self.seg_rcvs,
-            acked: self.mac.ack_records().len() - self.seg_ack_base,
-            retries: self.seg_retries,
-            delivered: self.seg_delivered,
-        });
-        self.seg_rcvs = 0;
-        self.seg_ack_base = self.mac.ack_records().len();
-        self.seg_retries = 0;
-        self.seg_delivered = 0;
     }
 
     /// Executes one round of the drive loop (see the type docs).
@@ -900,16 +946,8 @@ impl<'a> StreamSession<'a> {
         // 1. Dynamics in force from round t.
         let (swap, fired) = self.cursor.advance(t);
         if let Some(net) = swap {
-            // Re-anchor before closing the segment: acks fired by the
-            // swap itself are stamped with the previous round (`t - 1`)
-            // and must be counted in the segment that round belongs to.
             self.mac.set_network(net);
-            self.close_segment(t - 1);
-            self.seg_epoch = self.cursor.epoch();
-            self.seg_first_round = t;
-            if let Some(h) = self.health.as_mut() {
-                h.flush_epoch(self.cursor.epoch() as u32);
-            }
+            self.tally.switch(self.cursor.epoch(), t);
             if S::ENABLED {
                 sink.emit(TraceEvent::EpochSwitch {
                     round: t,
@@ -943,33 +981,25 @@ impl<'a> StreamSession<'a> {
                 lane.ledger
                     .track(a.payload, a.node, self.mac.round(), entered);
             }
-            if !entered {
-                // A retry policy owns the drop: the payload is pending
-                // re-entry on the retry schedule, not lost (`dropped`
-                // stays false unless it is abandoned without ever
-                // entering — see the run aggregation). Without a lane, or
-                // with a ledger that has no retries (its verdict is
-                // already final), the arrival is lost for good.
-                if self
-                    .lane
-                    .as_ref()
-                    .is_none_or(|lane| lane.ledger.entries()[i].verdict.is_final())
-                {
-                    self.stats[i].dropped = true;
-                    self.coverage[i] = 0;
-                    self.incomplete -= 1;
-                }
-            } else {
+            if entered {
                 // Spammer junk ids may collide with stream payloads, and
                 // junk circulating *before* the arrival has already spent
                 // those nodes' first-delivery `rcv` events — so coverage
                 // starts from the engine's actual record, not from 1.
-                let known = self.mac.executor().known_payloads();
-                self.coverage[i] = known.iter().filter(|k| k.contains(a.payload)).count();
-                if self.coverage[i] == self.n {
-                    self.stats[i].completion_round = Some(self.mac.round());
-                    self.incomplete -= 1;
-                }
+                self.tally
+                    .enter(i, self.mac.known_count(a.payload), self.mac.round());
+            } else if self
+                .lane
+                .as_ref()
+                .is_none_or(|lane| lane.ledger.entries()[i].verdict.is_final())
+            {
+                // Without a lane, or with a ledger that has no retries
+                // (its verdict is already final), the arrival is lost for
+                // good. A retry policy owns the drop instead: the payload
+                // is pending re-entry on the retry schedule (`dropped`
+                // stays false unless it is abandoned without ever
+                // entering — see the run aggregation).
+                self.tally.drop_arrival(i);
             }
             self.next_arrival += 1;
         }
@@ -986,52 +1016,36 @@ impl<'a> StreamSession<'a> {
             lane.ledger.due_retries_traced(now, &mut buf, sink);
             for &(node, payload) in &buf {
                 let i = payload.0 as usize;
-                self.seg_retries += 1;
+                self.tally.retry();
                 let accepted = self.mac.bcast_traced(node, payload, sink);
                 debug_assert_eq!(lane.ledger.entries()[i].payload, payload);
                 if accepted && !lane.ledger.entries()[i].entered {
                     lane.ledger.note_entered(payload);
-                    let known = self.mac.executor().known_payloads();
-                    self.coverage[i] = known.iter().filter(|k| k.contains(payload)).count();
-                    if self.coverage[i] == self.n && self.stats[i].completion_round.is_none() {
-                        self.stats[i].completion_round = Some(now);
-                        self.incomplete -= 1;
-                    }
+                    self.tally.enter(i, self.mac.known_count(payload), now);
                 }
             }
             lane.retry_buf = buf;
         }
-        // 3. One engine round (`t` is its number); account coverage from
-        // the rcv events.
+        // 3. One engine round (`t` is its number); the tally reads its rcv
+        // events and the ack records it added.
         for event in self.mac.step_traced(sink) {
             match event {
                 MacEvent::Rcv { payload, .. } => {
-                    self.seg_rcvs += 1;
                     let i = payload.0 as usize;
                     // Only deliveries of stream payloads that have formally
                     // arrived count toward completion: spammer junk may
                     // carry ids outside the stream, ids of dropped arrivals
                     // (never resurrected), or ids of payloads still waiting
                     // to arrive (whose coverage is synced at arrival
-                    // instead).
-                    if i >= self.next_arrival || self.stats[i].dropped {
-                        continue;
-                    }
-                    // A retry-managed payload that has not yet
+                    // instead). A retry-managed payload that has not yet
                     // (re-)entered the network is still junk traffic: its
                     // coverage is synced when a retry lands it.
-                    if self
-                        .lane
-                        .as_ref()
-                        .is_some_and(|lane| !lane.ledger.entries()[i].entered)
-                    {
-                        continue;
-                    }
-                    self.coverage[i] += 1;
-                    if self.coverage[i] == self.n && self.stats[i].completion_round.is_none() {
-                        self.stats[i].completion_round = Some(t);
-                        self.incomplete -= 1;
-                    }
+                    let entered = i < self.next_arrival
+                        && self
+                            .lane
+                            .as_ref()
+                            .is_none_or(|lane| lane.ledger.entries()[i].entered);
+                    self.tally.rcv(i, entered, t);
                 }
                 MacEvent::Ack { node, payload, .. } => {
                     if let Some(lane) = &mut self.lane {
@@ -1049,74 +1063,23 @@ impl<'a> StreamSession<'a> {
                 }
             }
         }
+        self.tally.acks(self.mac.ack_records());
         // 4. Settle `Delivered` verdicts: every currently-correct node
         // holds the payload (see `Lane::settle`).
         if let Some(lane) = &mut self.lane {
             if S::ENABLED {
                 lane.emit_phases(self.mac.executor(), t, sink);
             }
-            self.seg_delivered += lane.settle(self.mac.executor(), t, sink);
+            let delivered = lane.settle(self.mac.executor(), t, sink);
+            self.tally.deliver(delivered);
         }
-        // 5. Health sampling (opt-in; no-op without a HealthConfig).
-        self.observe_health();
-    }
-
-    /// Samples this round's health deltas into the windowed instruments:
-    /// delivery/drop/retry rates into the sliding window, queue depths
-    /// against the high-water marks, and freshly completed MAC ack
-    /// latencies into the run-wide and per-epoch histograms. O(k) delta
-    /// scans, no allocation after construction — with health off
-    /// (`None`) the cost is one branch.
-    fn observe_health(&mut self) {
-        let Some(h) = self.health.as_mut() else {
-            return;
-        };
-        // With a reliability layer the delivery signal is the settled
-        // verdict (full coverage may never happen under an adversary that
-        // starves a crashed node); without one it is stream completion.
-        let ledger = self.lane.as_ref().map(|lane| lane.ledger.stats());
-        let completions = ledger.map_or_else(
-            || {
-                self.stats
-                    .iter()
-                    .filter(|s| s.completion_round.is_some())
-                    .count()
-            },
-            |l| l.delivered,
+        // 5. The end-of-round sample of the queue gauges (a no-op without
+        // a HealthConfig).
+        let lane = &self.lane;
+        self.tally.sample(
+            || lane.as_ref().map_or(0, |lane| lane.ledger.stats().pending),
+            self.mac.pending_acks(),
         );
-        let drops = self.stats.iter().filter(|s| s.dropped).count();
-        let retries = ledger.map_or(0, |l| l.total_retries);
-        let sample = HealthSample {
-            deliveries: completions.saturating_sub(h.prev_completions) as u32,
-            drops: drops.saturating_sub(h.prev_drops) as u32,
-            retries: retries.saturating_sub(h.prev_retries) as u32,
-        };
-        h.prev_completions = completions;
-        h.prev_drops = drops;
-        h.prev_retries = retries;
-        h.seg_deliveries += u64::from(sample.deliveries);
-        h.seg_drops += u64::from(sample.drops);
-        h.seg_retries += u64::from(sample.retries);
-        h.window.push(sample);
-        let throughput = h.window.throughput();
-        if throughput > h.peak_throughput {
-            h.peak_throughput = throughput;
-        }
-        let pending_retries = ledger.map_or(0, |l| l.pending);
-        if pending_retries > h.peak_pending_retries {
-            h.peak_pending_retries = pending_retries;
-        }
-        let pending_acks = self.mac.pending_acks();
-        if pending_acks > h.peak_pending_acks {
-            h.peak_pending_acks = pending_acks;
-        }
-        let records = self.mac.ack_records();
-        for r in &records[h.ack_base..] {
-            let latency = r.ack_latency();
-            h.ack_all.record(latency);
-            h.ack_seg.record(latency);
-        }
-        h.ack_base = records.len();
     }
 
     /// Drives the loop until settled (or `max_rounds`) and aggregates the
@@ -1138,17 +1101,14 @@ impl<'a> StreamSession<'a> {
         while !self.is_settled() && self.mac.round() < self.max_rounds {
             self.step_traced(sink);
         }
-        self.close_segment(self.mac.round());
-        let arrivals_attempted = self.next_arrival;
-        let health_state = self.health.take();
-        let mut stats = self.stats;
+        let mut tally = self.tally;
         let reliability = self.lane.map(|lane| {
             // A payload abandoned without ever landing in the network is,
             // in the end, a dropped arrival — surface it as such so
-            // `completed` keeps excluding it.
+            // `completed` and the health drop rate count it.
             for e in lane.ledger.entries() {
                 if !e.entered {
-                    stats[e.payload.0 as usize].dropped = true;
+                    tally.stats[e.payload.0 as usize].dropped = true;
                 }
             }
             ReliabilityReport {
@@ -1158,38 +1118,27 @@ impl<'a> StreamSession<'a> {
                 safety_violations: safety_violations(self.mac.executor()),
             }
         });
-        let incomplete = stats
-            .iter()
-            .filter(|s| !s.dropped && s.completion_round.is_none())
-            .count();
-        // The health report uses the *final* dropped flags (a payload the
-        // policy abandoned without ever entering counts as a drop).
-        let health = health_state.map(|mut h| {
-            h.flush_epoch(0);
-            let drops = stats.iter().filter(|s| s.dropped).count();
-            StreamHealthReport {
+        tally.close(self.mac.round());
+        let drops = tally.stats.iter().filter(|s| s.dropped).count();
+        let outcome = StreamOutcome {
+            completed: tally
+                .stats
+                .iter()
+                .all(|s| s.dropped || s.completion_round.is_some()),
+            health: tally.health.map(|h| StreamHealthReport {
                 window: h.window.window(),
                 final_throughput: h.window.throughput(),
                 peak_throughput: h.peak_throughput,
-                drop_rate: if arrivals_attempted == 0 {
-                    0.0
-                } else {
-                    drops as f64 / arrivals_attempted as f64
-                },
+                drop_rate: drops as f64 / self.next_arrival as f64,
                 peak_pending_retries: h.peak_pending_retries,
                 peak_pending_acks: h.peak_pending_acks,
-                ack_latency: h.ack_all.summary(),
-                epochs: h.epochs,
-            }
-        });
-        let outcome = StreamOutcome {
-            payloads: stats,
+                ack_latency: h.acks.summary(),
+            }),
+            payloads: tally.stats,
             rounds_executed: self.mac.round(),
-            completed: incomplete == 0,
             mac: self.mac.stats(),
-            epochs: self.epochs,
+            epochs: tally.segments,
             reliability,
-            health,
         };
         (outcome, self.mac)
     }
@@ -1201,8 +1150,8 @@ impl std::fmt::Debug for StreamSession<'_> {
             f,
             "StreamSession(round={}, incomplete={}/{}, epoch={})",
             self.mac.round(),
-            self.incomplete,
-            self.stats.len(),
+            self.tally.incomplete,
+            self.tally.stats.len(),
             self.cursor.epoch()
         )
     }
@@ -1255,9 +1204,8 @@ pub fn run_stream_session<'a>(
 /// [`TopologySchedule`]: [`run_stream`] with the dynamics subsystem
 /// threaded through — the session swaps the active snapshot at every
 /// epoch boundary (re-anchoring pending MAC acknowledgments against the
-/// new reliable graph) and applies `config.dynamics`' fault plan; acks
-/// and progress are additionally segmented per epoch in
-/// [`StreamOutcome::epochs`].
+/// new reliable graph) and applies `config.dynamics`' fault plan; the
+/// segments of [`StreamOutcome::epochs`] follow the epochs.
 ///
 /// # Errors
 ///
@@ -1543,9 +1491,8 @@ mod tests {
         assert_eq!(scheduled.rounds_executed, statik.rounds_executed);
         assert_eq!(scheduled.completed, statik.completed);
         assert_eq!(scheduled.mac, statik.mac);
-        // The scheduled run reports its one epoch segment; the static run
-        // reports none.
-        assert!(statik.epochs.is_empty());
+        // Both runs report the same one epoch-0 segment.
+        assert_eq!(scheduled.epochs, statik.epochs);
         assert_eq!(scheduled.epochs.len(), 1);
         assert_eq!(scheduled.epochs[0].epoch, 0);
         assert_eq!(scheduled.epochs[0].first_round, 1);
@@ -1622,8 +1569,8 @@ mod tests {
         assert!(outcome.rounds_executed < 3 + 8);
         // Every ack lands in exactly one segment (here epoch 0: the
         // source's reliable neighborhood is covered in round 1).
-        let total_acked: usize = outcome.epochs.iter().map(|e| e.acked).sum();
-        assert_eq!(total_acked, outcome.mac.acked);
+        let total_acked: u64 = outcome.epochs.iter().map(|e| e.ack_latency.count).sum();
+        assert_eq!(total_acked, outcome.mac.acked as u64);
     }
 
     #[test]
@@ -2067,20 +2014,23 @@ mod tests {
         // 8-round window: throughput peaks at 1 payload/round.
         assert_eq!(h.peak_throughput, 1.0);
         assert_eq!(h.final_throughput, 1.0);
-        // Static topology: exactly one epoch-0 segment carrying the run.
-        assert_eq!(h.epochs.len(), 1);
-        assert_eq!(h.epochs[0].epoch, 0);
-        assert_eq!(h.epochs[0].deliveries, 8);
-        assert_eq!(h.epochs[0].drops, 0);
-        assert_eq!(h.epochs[0].retries, 0);
+        // Static topology: exactly one epoch-0 segment carrying the run,
+        // the same with health on or off.
+        assert_eq!(instrumented.epochs, plain.epochs);
+        let seg = &instrumented.epochs[..];
+        assert_eq!(seg.len(), 1);
+        assert_eq!(seg[0].epoch, 0);
+        assert_eq!(seg[0].delivered, 8, "full coverage without a backend");
+        assert_eq!(seg[0].drops, 0);
+        assert_eq!(seg[0].retries, 0);
         // Every completed MAC acknowledgment landed in the histograms.
         assert_eq!(h.ack_latency.count, instrumented.mac.acked as u64);
-        assert_eq!(h.epochs[0].ack_latency.count, h.ack_latency.count);
+        assert_eq!(seg[0].ack_latency, h.ack_latency);
         assert!(h.ack_latency.max >= h.ack_latency.p50);
     }
 
     #[test]
-    fn health_segments_follow_epoch_switches_and_count_retries() {
+    fn health_leaves_the_segments_alone() {
         let line = generators::line(8, 1);
         let star = generators::star(8);
         let schedule =
@@ -2096,29 +2046,60 @@ mod tests {
                 }
                 .into(),
             ),
-            health: Some(HealthConfig { window: 16 }),
             ..StreamConfig::default()
         };
-        let outcome = run_stream_scheduled(
+        let run = |config: &StreamConfig| {
+            run_stream_scheduled(
+                &schedule,
+                StreamAlgorithm::PipelinedFlooding,
+                Box::new(ReliableOnly::new()),
+                config,
+            )
+            .unwrap()
+        };
+        let plain = run(&config);
+        let instrumented = run(&config.clone().with_health(HealthConfig { window: 16 }));
+        assert_eq!(instrumented.epochs, plain.epochs);
+        assert_eq!(plain.epochs.len(), 2);
+        let h = instrumented.health.expect("health enabled");
+        let acks: u64 = plain.epochs.iter().map(|e| e.ack_latency.count).sum();
+        assert_eq!(acks, h.ack_latency.count);
+        let delivered: usize = plain.epochs.iter().map(|e| e.delivered).sum();
+        assert_eq!(delivered, plain.reliability.unwrap().stats.delivered);
+    }
+
+    #[test]
+    fn swap_fired_ack_counts_in_the_new_segment() {
+        // Leaf 3 of a star is crashed from round 0, so the hub's ack of
+        // payload 0 waits for it until the swap to the second (identical)
+        // epoch re-anchors the ack without the crashed leaf. The ack
+        // fires between rounds 4 and 5, after the switch: it counts in
+        // the segment that starts at round 5, although it is stamped 4.
+        let star = generators::star(8);
+        let schedule =
+            TopologySchedule::new(vec![Epoch::new(star.clone(), 4), Epoch::new(star, 30)]).unwrap();
+        let config = StreamConfig {
+            max_rounds: 30,
+            dynamics: Some(DynamicsConfig {
+                faults: FaultPlan::none().crash(NodeId(3), 0),
+                cycle: false,
+            }),
+            health: Some(HealthConfig { window: 8 }),
+            ..StreamConfig::default()
+        };
+        let session = StreamSession::scheduled(
             &schedule,
             StreamAlgorithm::PipelinedFlooding,
             Box::new(ReliableOnly::new()),
             &config,
         )
         .unwrap();
+        let (outcome, mac) = session.run();
+        let record = mac.ack_records()[0];
+        assert_eq!((record.ack_round, record.ack_latency()), (4, 4));
+        let acks: Vec<u64> = outcome.epochs.iter().map(|e| e.ack_latency.count).collect();
+        assert_eq!(acks, [0, 1]);
         let h = outcome.health.expect("health enabled");
-        // One health segment per epoch segment, same epoch indices.
-        assert_eq!(h.epochs.len(), outcome.epochs.len());
-        for (hs, es) in h.epochs.iter().zip(&outcome.epochs) {
-            assert_eq!(hs.epoch as usize, es.epoch);
-            assert_eq!(hs.retries as usize, es.retries);
-        }
-        let delivered: u64 = h.epochs.iter().map(|e| e.deliveries).sum();
-        let done = outcome
-            .payloads
-            .iter()
-            .filter(|p| p.completion_round.is_some())
-            .count();
-        assert_eq!(delivered, done as u64);
+        assert_eq!(h.ack_latency.count, outcome.mac.acked as u64);
     }
 }

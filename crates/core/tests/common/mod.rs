@@ -49,7 +49,6 @@ pub(crate) fn ledger_view(outcome: &StreamOutcome, events: &[TraceEvent]) -> Vec
         health.peak_pending_acks
     ));
     lines.push(format!("{:?}", health.ack_latency));
-    lines.extend(health.epochs.iter().map(|e| format!("{e:?}")));
     lines.push(format!("safety_violations={}", report.safety_violations));
     let mut phases = 0u32;
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -116,7 +115,7 @@ pub(crate) fn assert_events_agree(outcome: &StreamOutcome, events: &[TraceEvent]
     let segments: Vec<(usize, usize, usize)> = outcome
         .epochs
         .iter()
-        .map(|s| (s.retries, s.acked, s.delivered))
+        .map(|s| (s.retries, s.ack_latency.count as usize, s.delivered))
         .collect();
     assert_eq!(counted, segments);
 }

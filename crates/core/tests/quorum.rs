@@ -432,20 +432,14 @@ const QUORUM_GOLDEN: &[&str] = &[
     "p1 src=8 arr=0 retries=0 entered=true delivered@69 (0 retries) | p1 src=8 arr=0 done=None dropped=false",
     "p2 src=16 arr=0 retries=0 entered=false abandoned (0 retries) | p2 src=16 arr=0 done=None dropped=true",
     "p3 src=24 arr=0 retries=0 entered=true delivered@72 (0 retries) | p3 src=24 arr=0 done=None dropped=false",
-    "EpochStreamStats { epoch: 0, first_round: 1, last_round: 20, rcv_events: 79, acked: 3, retries: 0, delivered: 0 }",
-    "EpochStreamStats { epoch: 1, first_round: 21, last_round: 40, rcv_events: 52, acked: 0, retries: 0, delivered: 0 }",
-    "EpochStreamStats { epoch: 2, first_round: 41, last_round: 60, rcv_events: 32, acked: 0, retries: 0, delivered: 0 }",
-    "EpochStreamStats { epoch: 0, first_round: 61, last_round: 80, rcv_events: 11, acked: 0, retries: 0, delivered: 2 }",
-    "EpochStreamStats { epoch: 1, first_round: 81, last_round: 100, rcv_events: 15, acked: 0, retries: 0, delivered: 0 }",
-    "EpochStreamStats { epoch: 2, first_round: 101, last_round: 112, rcv_events: 0, acked: 0, retries: 0, delivered: 1 }",
+    "EpochStreamStats { epoch: 0, first_round: 1, last_round: 20, rcv_events: 79, ack_latency: HistogramSummary { count: 3, min: 1, max: 9, mean: 3.6666666666666665, p50: 1, p90: 9, p99: 9, p999: 9 }, retries: 0, delivered: 0, drops: 1 }",
+    "EpochStreamStats { epoch: 1, first_round: 21, last_round: 40, rcv_events: 52, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 0, delivered: 0, drops: 0 }",
+    "EpochStreamStats { epoch: 2, first_round: 41, last_round: 60, rcv_events: 32, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 0, delivered: 0, drops: 0 }",
+    "EpochStreamStats { epoch: 0, first_round: 61, last_round: 80, rcv_events: 11, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 0, delivered: 2, drops: 0 }",
+    "EpochStreamStats { epoch: 1, first_round: 81, last_round: 100, rcv_events: 15, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 0, delivered: 0, drops: 0 }",
+    "EpochStreamStats { epoch: 2, first_round: 101, last_round: 112, rcv_events: 0, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 0, delivered: 1, drops: 0 }",
     "health window=8 final=0.125 peak=0.25 drop_rate=0.25 pending_retries=3 pending_acks=1",
     "HistogramSummary { count: 3, min: 1, max: 9, mean: 3.6666666666666665, p50: 1, p90: 9, p99: 9, p999: 9 }",
-    "EpochHealth { epoch: 0, ack_latency: HistogramSummary { count: 3, min: 1, max: 9, mean: 3.6666666666666665, p50: 1, p90: 9, p99: 9, p999: 9 }, deliveries: 0, drops: 1, retries: 0 }",
-    "EpochHealth { epoch: 1, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 0, drops: 0, retries: 0 }",
-    "EpochHealth { epoch: 2, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 0, drops: 0, retries: 0 }",
-    "EpochHealth { epoch: 0, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 2, drops: 0, retries: 0 }",
-    "EpochHealth { epoch: 1, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 0, drops: 0, retries: 0 }",
-    "EpochHealth { epoch: 2, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 1, drops: 0, retries: 0 }",
     "safety_violations=0",
     "Verdict { round: 69, payload: PayloadId(1), delivered: true }",
     "Verdict { round: 72, payload: PayloadId(3), delivered: true }",

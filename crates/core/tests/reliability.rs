@@ -534,16 +534,12 @@ const RETRY_GOLDEN: &[&str] = &[
     "p3 src=0 arr=16 retries=8 entered=true delivered@132 (8 retries) | p3 src=0 arr=16 done=Some(132) dropped=false",
     "p4 src=0 arr=22 retries=8 entered=true delivered@132 (8 retries) | p4 src=0 arr=22 done=Some(132) dropped=false",
     "p5 src=0 arr=24 retries=7 entered=true delivered@132 (7 retries) | p5 src=0 arr=24 done=Some(132) dropped=false",
-    "EpochStreamStats { epoch: 0, first_round: 1, last_round: 40, rcv_events: 51, acked: 0, retries: 11, delivered: 0 }",
-    "EpochStreamStats { epoch: 1, first_round: 41, last_round: 80, rcv_events: 56, acked: 7, retries: 16, delivered: 2 }",
-    "EpochStreamStats { epoch: 2, first_round: 81, last_round: 120, rcv_events: 97, acked: 29, retries: 12, delivered: 0 }",
-    "EpochStreamStats { epoch: 3, first_round: 121, last_round: 132, rcv_events: 21, acked: 0, retries: 0, delivered: 3 }",
+    "EpochStreamStats { epoch: 0, first_round: 1, last_round: 40, rcv_events: 51, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 11, delivered: 0, drops: 0 }",
+    "EpochStreamStats { epoch: 1, first_round: 41, last_round: 80, rcv_events: 56, ack_latency: HistogramSummary { count: 7, min: 5, max: 65, mean: 28.714285714285715, p50: 22, p90: 65, p99: 65, p999: 65 }, retries: 16, delivered: 2, drops: 0 }",
+    "EpochStreamStats { epoch: 2, first_round: 81, last_round: 120, rcv_events: 97, ack_latency: HistogramSummary { count: 29, min: 1, max: 118, mean: 48.41379310344828, p50: 47, p90: 83, p99: 118, p999: 118 }, retries: 12, delivered: 0, drops: 0 }",
+    "EpochStreamStats { epoch: 3, first_round: 121, last_round: 132, rcv_events: 21, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 0, delivered: 3, drops: 0 }",
     "health window=8 final=0.375 peak=0.375 drop_rate=0 pending_retries=6 pending_acks=28",
     "HistogramSummary { count: 36, min: 1, max: 118, mean: 44.583333333333336, p50: 43, p90: 83, p99: 118, p999: 118 }",
-    "EpochHealth { epoch: 0, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 0, drops: 0, retries: 11 }",
-    "EpochHealth { epoch: 1, ack_latency: HistogramSummary { count: 7, min: 5, max: 65, mean: 28.714285714285715, p50: 22, p90: 65, p99: 65, p999: 65 }, deliveries: 2, drops: 0, retries: 16 }",
-    "EpochHealth { epoch: 2, ack_latency: HistogramSummary { count: 29, min: 1, max: 118, mean: 48.41379310344828, p50: 47, p90: 83, p99: 118, p999: 118 }, deliveries: 0, drops: 0, retries: 12 }",
-    "EpochHealth { epoch: 3, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, deliveries: 3, drops: 0, retries: 0 }",
     "safety_violations=0",
     "Retry { round: 12, source: NodeId(0), payload: PayloadId(0) }",
     "Retry { round: 13, source: NodeId(0), payload: PayloadId(1) }",

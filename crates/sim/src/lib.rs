@@ -113,9 +113,9 @@ pub use engine::{
 pub use mac::{AckRecord, MacEvent, MacLayer, MacStats};
 pub use message::{Message, PayloadId, ProcessId};
 pub use metrics::{
-    CounterId, EpochHealth, GaugeId, HealthConfig, HealthSample, Histogram, HistogramId,
-    HistogramSummary, LatencyAttribution, MetricsRegistry, PayloadTimeline, StreamHealthReport,
-    TraceAnalyzer, TraceReport, WindowedStats,
+    CounterId, GaugeId, HealthConfig, Histogram, HistogramId, HistogramSummary, LatencyAttribution,
+    MetricsRegistry, PayloadTimeline, StreamHealthReport, TraceAnalyzer, TraceReport,
+    WindowedStats,
 };
 pub use payload::{PayloadSet, MAX_PAYLOADS};
 pub use process::{ActivationCause, ChatterProcess, Flooder, Process, SilentProcess};

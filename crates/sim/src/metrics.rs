@@ -374,42 +374,27 @@ impl MetricsRegistry {
 // WindowedStats
 // ---------------------------------------------------------------------------
 
-/// One round's health deltas, as pushed into [`WindowedStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthSample {
-    /// Payloads that completed delivery this round.
-    pub deliveries: u32,
-    /// Arrivals dropped this round.
-    pub drops: u32,
-    /// Reliability retries fired this round.
-    pub retries: u32,
-}
-
-/// Fixed-size sliding window over per-round [`HealthSample`]s with O(1)
-/// running sums: the stream runner's throughput/drop-rate instrument.
+/// Fixed-size sliding window over per-round delivery counts with an O(1)
+/// running sum: the stream runner's throughput instrument.
 ///
 /// [`WindowedStats::push`] is alloc-free (the ring is allocated once at
 /// construction) and part of the analyzer's declared hot set.
 #[derive(Debug, Clone)]
 pub struct WindowedStats {
-    ring: Vec<HealthSample>,
+    ring: Vec<u32>,
     pos: usize,
     filled: usize,
     deliveries: u64,
-    drops: u64,
-    retries: u64,
 }
 
 impl WindowedStats {
     /// A window over the last `window` rounds (`window ≥ 1`).
     pub fn new(window: usize) -> Self {
         WindowedStats {
-            ring: vec![HealthSample::default(); window.max(1)],
+            ring: vec![0; window.max(1)],
             pos: 0,
             filled: 0,
             deliveries: 0,
-            drops: 0,
-            retries: 0,
         }
     }
 
@@ -428,23 +413,18 @@ impl WindowedStats {
         self.filled == 0
     }
 
-    /// Pushes one round's sample, evicting the oldest once the window is
-    /// full. Alloc-free; O(1).
+    /// Pushes one round's delivery count, evicting the oldest once the
+    /// window is full. Alloc-free; O(1).
     #[inline]
-    pub fn push(&mut self, sample: HealthSample) {
-        let old = self.ring[self.pos];
+    pub fn push(&mut self, deliveries: u32) {
         if self.filled == self.ring.len() {
-            self.deliveries -= u64::from(old.deliveries);
-            self.drops -= u64::from(old.drops);
-            self.retries -= u64::from(old.retries);
+            self.deliveries -= u64::from(self.ring[self.pos]);
         } else {
             self.filled += 1;
         }
-        self.ring[self.pos] = sample;
+        self.ring[self.pos] = deliveries;
         self.pos = (self.pos + 1) % self.ring.len();
-        self.deliveries += u64::from(sample.deliveries);
-        self.drops += u64::from(sample.drops);
-        self.retries += u64::from(sample.retries);
+        self.deliveries += u64::from(deliveries);
     }
 
     /// Deliveries per round over the covered window (`0.0` when empty).
@@ -454,35 +434,18 @@ impl WindowedStats {
         }
         self.deliveries as f64 / self.filled as f64
     }
-
-    /// Dropped arrivals per round over the covered window.
-    pub fn drop_rate(&self) -> f64 {
-        if self.filled == 0 {
-            return 0.0;
-        }
-        self.drops as f64 / self.filled as f64
-    }
-
-    /// Retries per round over the covered window.
-    pub fn retry_rate(&self) -> f64 {
-        if self.filled == 0 {
-            return 0.0;
-        }
-        self.retries as f64 / self.filled as f64
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Stream-health surface
 // ---------------------------------------------------------------------------
 
-/// Opt-in stream-health instrumentation config
-/// ([`StreamConfig::health`][crate::reliability::RetryPolicy] — see
-/// `dualgraph_broadcast::stream::StreamConfig`). `None` keeps the drive
-/// loop bit-identical to the uninstrumented PR 8 behavior.
+/// Opt-in stream-health instrumentation config: `StreamConfig::health` in
+/// `dualgraph_broadcast::stream`. `None` there means no report and the
+/// same run, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthConfig {
-    /// Sliding-window length in rounds for throughput/drop-rate figures.
+    /// Sliding-window length in rounds for the throughput figures.
     pub window: usize,
 }
 
@@ -493,25 +456,9 @@ impl Default for HealthConfig {
     }
 }
 
-/// Per-epoch-segment health digest: the ack-latency histogram and the
-/// delivery/drop/retry tallies of one maximal run of rounds spent in a
-/// single epoch (index `0` covers the whole run for static topologies).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochHealth {
-    /// The epoch index in force.
-    pub epoch: u32,
-    /// bcast → ack latency digest over acks fired during the segment.
-    pub ack_latency: HistogramSummary,
-    /// Payloads that completed delivery during the segment.
-    pub deliveries: u64,
-    /// Arrivals dropped during the segment.
-    pub drops: u64,
-    /// Retries fired during the segment.
-    pub retries: u64,
-}
-
 /// End-of-run stream-health report, surfaced through
-/// `StreamOutcome::health` when [`HealthConfig`] is set.
+/// `StreamOutcome::health` when [`HealthConfig`] is set. Its figures are
+/// whole-run figures; the per-segment ones are in `StreamOutcome::epochs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamHealthReport {
     /// The sliding-window length the figures below used.
@@ -520,7 +467,7 @@ pub struct StreamHealthReport {
     pub final_throughput: f64,
     /// Highest windowed delivery throughput observed.
     pub peak_throughput: f64,
-    /// Dropped arrivals ÷ arrivals attempted (`0.0` before any arrival).
+    /// Dropped arrivals ÷ arrivals attempted, at the end of the run.
     pub drop_rate: f64,
     /// High-water mark of the reliability layer's pending-retry queue
     /// (tracked payloads without a final verdict; `0` without a policy).
@@ -529,8 +476,6 @@ pub struct StreamHealthReport {
     pub peak_pending_acks: usize,
     /// bcast → ack latency digest over the whole run.
     pub ack_latency: HistogramSummary,
-    /// Per-epoch-segment digests, in execution order.
-    pub epochs: Vec<EpochHealth>,
 }
 
 // ---------------------------------------------------------------------------
@@ -699,10 +644,15 @@ impl PayloadTrack {
 ///
 /// The analyzer is itself a [`TraceSink`], so it can consume a live run
 /// (`session.run_traced(&mut analyzer)`) or a recorded stream
-/// ([`TraceAnalyzer::analyze`]). It relies on the documented emission
-/// order (rounds are non-decreasing across the stream) and is entirely
-/// offline-grade code: it allocates freely and never belongs on the hot
-/// path.
+/// ([`TraceAnalyzer::analyze`]). It relies on the engine events of one
+/// round (`RoundStart`, `Transmit`, `Reception`, `Collision`) arriving
+/// together, rounds in increasing order, a round's transmissions before
+/// its receptions. The events emitted between rounds (`Inject`, `Retry`,
+/// a budget-abandon `Verdict`, a swap-fired `AckComplete`) carry the
+/// previous round's number and may follow the next round's engine
+/// events; the analyzer records their rounds but never orders by them.
+/// It is entirely offline-grade code: it allocates freely and never
+/// belongs on the hot path.
 #[derive(Debug, Clone)]
 pub struct TraceAnalyzer {
     tracks: Vec<Option<PayloadTrack>>,
@@ -1031,22 +981,15 @@ mod tests {
     #[test]
     fn windowed_stats_evict_oldest() {
         let mut w = WindowedStats::new(2);
-        let s = |d: u32, r: u32| HealthSample {
-            deliveries: d,
-            drops: 0,
-            retries: r,
-        };
         assert_eq!(w.throughput(), 0.0);
-        w.push(s(4, 1));
+        w.push(4);
         assert_eq!(w.len(), 1);
         assert_eq!(w.throughput(), 4.0);
-        w.push(s(2, 1));
+        w.push(2);
         assert_eq!(w.throughput(), 3.0);
-        assert_eq!(w.retry_rate(), 1.0);
-        w.push(s(0, 0)); // evicts (4, 1)
+        w.push(0); // evicts 4
         assert_eq!(w.len(), 2);
         assert_eq!(w.throughput(), 1.0);
-        assert_eq!(w.retry_rate(), 0.5);
         assert_eq!(w.window(), 2);
     }
 

@@ -97,7 +97,10 @@ impl QuorumStage {
 /// construction-time injections). The per-round emission order is fixed —
 /// `RoundStart`, then `Transmit` in ascending node order, then
 /// `Reception`/`Collision` in ascending node order — so two deterministic
-/// engines produce comparable streams.
+/// engines produce comparable streams. Events a stream emits between
+/// rounds `t − 1` and `t` (`Inject`, `Retry`, a budget-abandon `Verdict`,
+/// the `AckComplete` of an ack fired between rounds) carry `t − 1`, the
+/// last executed round (see `docs/OBSERVABILITY.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A new global round began executing.
@@ -135,8 +138,9 @@ pub enum TraceEvent {
     /// The environment handed a payload to a node
     /// ([`Executor::inject`][crate::Executor::inject]).
     Inject {
-        /// Round *before* which the injection lands (injections happen
-        /// between rounds; `0` before round 1).
+        /// The last executed round (`0` before round 1): injections
+        /// happen between rounds, and the payload can be transmitted from
+        /// round `round + 1`.
         round: u64,
         /// Target node.
         node: NodeId,

@@ -196,7 +196,7 @@ fn main() {
             format!("{}-{}", seg.first_round, seg.last_round),
             "",
             seg.rcv_events,
-            seg.acked
+            seg.ack_latency.count
         );
     }
 

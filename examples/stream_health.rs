@@ -11,8 +11,8 @@
 //!
 //! 1. **Stream health** — `StreamConfig::with_health` opts the session
 //!    into windowed sampling; `StreamOutcome::health` reports throughput,
-//!    drop rate, queue high-water marks, the ack-latency digest, and one
-//!    segment per topology epoch.
+//!    drop rate, queue high-water marks and the ack-latency digest, and
+//!    `StreamOutcome::epochs` one segment per topology epoch.
 //! 2. **Timeline reconstruction** — the same run traced into a
 //!    `TraceAnalyzer` yields one `PayloadTimeline` per payload, with the
 //!    rounds between injection and settlement attributed to progress /
@@ -146,14 +146,14 @@ fn main() {
         "   {:>6} {:>11} {:>6} {:>8}",
         "epoch", "deliveries", "drops", "retries"
     );
-    for seg in health.epochs.iter().take(6) {
+    for seg in outcome.epochs.iter().take(6) {
         println!(
             "   {:>6} {:>11} {:>6} {:>8}",
-            seg.epoch, seg.deliveries, seg.drops, seg.retries
+            seg.epoch, seg.delivered, seg.drops, seg.retries
         );
     }
-    if health.epochs.len() > 6 {
-        println!("   ... {} more segment(s)", health.epochs.len() - 6);
+    if outcome.epochs.len() > 6 {
+        println!("   ... {} more segment(s)", outcome.epochs.len() - 6);
     }
 
     // ---------------------------------------------------------------
@@ -225,10 +225,10 @@ fn main() {
 
     // The invariants the docs promise.
     assert!(report.stats.delivered > 0, "the stream delivers payloads");
-    let health_deliveries: u64 = health.epochs.iter().map(|e| e.deliveries).sum();
+    let segment_deliveries: usize = outcome.epochs.iter().map(|e| e.delivered).sum();
     assert_eq!(
-        health_deliveries, report.stats.delivered as u64,
-        "health deliveries are settled verdicts"
+        segment_deliveries, report.stats.delivered,
+        "segment deliveries are settled verdicts"
     );
     for t in &trace.timelines {
         if let (Some(start), Some(settle)) = (t.start_round(), t.settle_round()) {
