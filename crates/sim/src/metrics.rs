@@ -647,10 +647,11 @@ impl PayloadTrack {
 /// ([`TraceAnalyzer::analyze`]). It relies on the engine events of one
 /// round (`RoundStart`, `Transmit`, `Reception`, `Collision`) arriving
 /// together, rounds in increasing order, a round's transmissions before
-/// its receptions. The events emitted between rounds (`Inject`, `Retry`,
-/// a budget-abandon `Verdict`, a swap-fired `AckComplete`) carry the
-/// previous round's number and may follow the next round's engine
-/// events; the analyzer records their rounds but never orders by them.
+/// its receptions. The events of what happens between rounds (`Inject`,
+/// `Retry`, a budget-abandon `Verdict`, the `AckComplete` of an ack fired
+/// between rounds) carry the previous round's number, and such an
+/// `AckComplete` follows the next round's engine events; the analyzer
+/// records their rounds but never orders by them.
 /// It is entirely offline-grade code: it allocates freely and never
 /// belongs on the hot path.
 #[derive(Debug, Clone)]
