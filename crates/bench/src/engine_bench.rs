@@ -27,8 +27,8 @@ use std::rc::Rc;
 
 use dualgraph_net::{generators, DualGraph};
 use dualgraph_sim::{
-    Adversary, ChatterProcess, CollisionSeeker, Executor, ExecutorConfig, Flooder, Process,
-    ProcessSlot, RandomDelivery, ReferenceExecutor,
+    Adversary, ChatterProcess, CollisionSeeker, Executor, ExecutorConfig, Flooder, ProcessSlot,
+    RandomDelivery, ReferenceExecutor,
 };
 
 use crate::record::{executor_outcome, Cell, Sample};
@@ -72,7 +72,8 @@ pub enum Dispatch {
     /// Homogeneous enum slots: the batched process table
     /// (`Executor::from_slots`).
     Enum,
-    /// `Box<dyn Process>`: virtual dispatch per node (`Executor::new`).
+    /// Every slot boxed into a `ProcessSlot::Custom`: the mixed table,
+    /// virtual dispatch per node.
     Boxed,
 }
 
@@ -167,8 +168,7 @@ pub fn measure_chatter(net: &DualGraph, seed: u64, rounds: u64, dispatch: Dispat
         net,
         dispatch,
         chatter_adversary(seed),
-        || ChatterProcess::slots(n, seed, CHATTER_RATE),
-        || ChatterProcess::boxed(n, seed, CHATTER_RATE),
+        ChatterProcess::slots(n, seed, CHATTER_RATE),
     );
     time_executor(&mut exec, rounds)
 }
@@ -177,9 +177,9 @@ pub fn measure_chatter(net: &DualGraph, seed: u64, rounds: u64, dispatch: Dispat
 /// `rounds` rounds and times it (the oracle the live engine is diffed
 /// against).
 pub fn measure_reference(net: &DualGraph, seed: u64, rounds: u64) -> Sample {
-    let mut exec = ReferenceExecutor::new(
+    let mut exec = ReferenceExecutor::from_slots(
         net,
-        ChatterProcess::boxed(net.len(), seed, CHATTER_RATE),
+        ChatterProcess::slots(net.len(), seed, CHATTER_RATE),
         chatter_adversary(seed),
         ExecutorConfig::default(),
     )
@@ -210,31 +210,26 @@ fn flooding_executor<'a>(
     dispatch: Dispatch,
     adversary: Box<dyn Adversary>,
 ) -> Executor<'a> {
-    let n = net.len();
-    executor(
-        net,
-        dispatch,
-        adversary,
-        || Flooder::slots(n),
-        || Flooder::boxed(n),
-    )
+    executor(net, dispatch, adversary, Flooder::slots(net.len()))
 }
 
-/// The optimized executor on `net` with one automaton's enum slots or
-/// boxed processes, as `dispatch` selects.
+/// The optimized executor on `net` with one automaton's slots, inline or
+/// each boxed into a [`ProcessSlot::Custom`], as `dispatch` selects.
 fn executor<'a>(
     net: &'a DualGraph,
     dispatch: Dispatch,
     adversary: Box<dyn Adversary>,
-    slots: impl FnOnce() -> Vec<ProcessSlot>,
-    boxed: impl FnOnce() -> Vec<Box<dyn Process>>,
+    slots: Vec<ProcessSlot>,
 ) -> Executor<'a> {
-    let config = ExecutorConfig::default();
-    let exec = match dispatch {
-        Dispatch::Enum => Executor::from_slots(net, slots(), adversary, config),
-        Dispatch::Boxed => Executor::new(net, boxed(), adversary, config),
-    }
-    .expect("engine workload construction");
+    let slots = match dispatch {
+        Dispatch::Enum => slots,
+        Dispatch::Boxed => slots
+            .into_iter()
+            .map(|s| ProcessSlot::Custom(s.into_boxed()))
+            .collect(),
+    };
+    let exec = Executor::from_slots(net, slots, adversary, ExecutorConfig::default())
+        .expect("engine workload construction");
     assert_eq!(exec.uses_batched_dispatch(), dispatch == Dispatch::Enum);
     exec
 }

@@ -45,9 +45,9 @@ pub fn run(scale: Scale) -> Table {
             let n = if n % 2 == 0 { n + 1 } else { n };
             let net = generators::layered_pairs(n);
             for algo in [StrongSelect::new(), StrongSelect::forever()] {
-                let mut exec = Executor::new(
+                let mut exec = Executor::from_slots(
                     &net,
-                    algo.processes(n, 0),
+                    algo.slots(n, 0),
                     make_adv(3),
                     ExecutorConfig::default(),
                 )

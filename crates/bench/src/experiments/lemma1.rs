@@ -48,14 +48,8 @@ pub fn run(scale: Scale) -> Table {
             ),
         ];
         for (algo, rule, start) in cases {
-            let report = check_equivalence(
-                &net,
-                || algo.processes(n, 31),
-                rule,
-                start,
-                n as u64,
-                2_000_000,
-            );
+            let report =
+                check_equivalence(&net, || algo.slots(n, 31), rule, start, n as u64, 2_000_000);
             assert!(report.equivalent, "Lemma 1 diverged for {}", algo.name());
             table.row(vec![
                 n.to_string(),

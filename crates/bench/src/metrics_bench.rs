@@ -9,6 +9,10 @@
 //! base) at `n = 1025` — the arm's limit. Both arms pay the same engine
 //! round, MAC diffing, and retry plumbing; the ratio isolates the
 //! observability layer itself.
+//!
+//! The record's outcome fields come from one untimed instrumented run to
+//! settlement: its epoch segments and the health figures, so a change to
+//! what the instrumentation reports fails the `--bench-compare` gate.
 
 use std::rc::Rc;
 
@@ -17,12 +21,15 @@ use dualgraph_sim::{HealthConfig, MetricsRegistry};
 
 use crate::dynamics_bench;
 use crate::engine_bench::limit_at;
-use crate::record::{Cell, Sample};
-use crate::reliability_bench::{session, session_sample, POLICY, RELIABILITY_K};
+use crate::record::{field, Cell, Sample};
+use crate::reliability_bench::{session, session_sample, settled_run, POLICY, RELIABILITY_K};
 
 /// The metrics record at size `n`.
 pub(crate) fn cell(n: usize, rounds: u64) -> Cell<'static> {
     let schedule = Rc::new(dynamics_bench::churn_workload(n));
+    let outcome = settled_run(&schedule, Some(HealthConfig::default()));
+    let health = outcome.health.expect("health enabled");
+    let delivered: usize = outcome.epochs.iter().map(|e| e.delivered).sum();
     let instrumented = Rc::clone(&schedule);
     Cell::new(
         "metrics",
@@ -31,6 +38,14 @@ pub(crate) fn cell(n: usize, rounds: u64) -> Cell<'static> {
         Some(RELIABILITY_K),
         rounds,
     )
+    .outcome(vec![
+        field("segments", outcome.epochs.len()),
+        field("delivered", delivered),
+        field("ack_latency_count", health.ack_latency.count),
+        field("peak_pending_retries", health.peak_pending_retries),
+        field("peak_pending_acks", health.peak_pending_acks),
+        field("rounds_to_settle", outcome.rounds_executed),
+    ])
     .arm("plain", move || {
         session_sample(&schedule, Some(POLICY.into()), rounds)
     })
@@ -71,7 +86,7 @@ fn instrumented_sample(schedule: &TopologySchedule, rounds: u64) -> Sample {
 mod tests {
     use super::*;
     use crate::record::measure;
-    use crate::record::tests::assert_sampled;
+    use crate::record::tests::{assert_sampled, num};
 
     #[test]
     fn metrics_record_reports_both_arms() {
@@ -81,6 +96,10 @@ mod tests {
         assert_eq!(r.k, Some(RELIABILITY_K as u64));
         assert_eq!(r.base, "plain");
         assert_eq!(r.arms[1].name, "instrumented");
+        // The segments account for every settled payload.
+        assert_eq!(num(r, "delivered"), RELIABILITY_K as f64);
+        assert!(num(r, "segments") >= 1.0);
+        assert!(num(r, "rounds_to_settle") > 0.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::rc::Rc;
 
 use dualgraph_broadcast::stream::{Arrivals, DynamicsConfig, SourcePlacement};
-use dualgraph_broadcast::stream::{StreamAlgorithm, StreamConfig, StreamSession};
+use dualgraph_broadcast::stream::{StreamAlgorithm, StreamConfig, StreamOutcome, StreamSession};
 use dualgraph_net::{NodeId, TopologySchedule};
 use dualgraph_sim::{
     Adversary, BurstyDelivery, FaultPlan, HealthConfig, ReliabilityBackend, RetryPolicy,
@@ -135,6 +135,23 @@ pub(crate) fn session_sample(
     })
 }
 
+/// The untimed delivery run of [`RELIABILITY_K`] payloads under the retry
+/// policy, to verdict settlement, with the given health instrumentation.
+pub(crate) fn settled_run(
+    schedule: &TopologySchedule,
+    health: Option<HealthConfig>,
+) -> StreamOutcome {
+    let (outcome, _) = session(
+        schedule,
+        RELIABILITY_K,
+        Some(POLICY.into()),
+        health,
+        200_000,
+    )
+    .run();
+    outcome
+}
+
 /// One record: the delivery run to verdict settlement, untimed, then the
 /// `no_retry` and `retry` arms over `rounds` fixed rounds.
 ///
@@ -144,7 +161,7 @@ pub(crate) fn session_sample(
 /// within its round budget, or never retries.
 pub(crate) fn cell(n: usize, rounds: u64) -> Cell<'static> {
     let schedule = Rc::new(dynamics_bench::churn_workload(n));
-    let (outcome, _) = session(&schedule, RELIABILITY_K, Some(POLICY.into()), None, 200_000).run();
+    let outcome = settled_run(&schedule, None);
     let report = outcome
         .reliability
         .expect("reliability run carries a report");

@@ -181,8 +181,9 @@ pub(crate) fn json_esc(s: &str) -> String {
 ///
 /// The output is a pure function of the tables: no timestamps, no
 /// wall-clock timings, no environment strings. Two runs of the same
-/// deterministic experiments produce byte-identical reports (pinned by a
-/// test and by the CI artifact diff).
+/// deterministic experiments produce byte-identical reports; a test pins
+/// the line count and digest of every table's report at
+/// [`Scale::Quick`][crate::workloads::Scale::Quick].
 pub fn render_markdown_report(experiments: &[(&str, Table)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# dualgraph experiment report");
@@ -355,5 +356,22 @@ mod tests {
         let json_a = render_json_report(&[(name, a)]);
         let json_b = render_json_report(&[(name, b)]);
         assert_eq!(json_a.as_bytes(), json_b.as_bytes(), "json report drifted");
+    }
+
+    /// Every table of `experiments --quick --report md`, pinned by the
+    /// report's line count and FNV-1a 64 digest: a change to any seeded
+    /// result of any table fails here.
+    #[test]
+    fn quick_report_is_pinned() {
+        use crate::workloads::Scale;
+        let tables: Vec<(&str, Table)> = crate::experiments::all()
+            .into_iter()
+            .map(|(name, runner)| (name, runner(Scale::Quick)))
+            .collect();
+        let md = render_markdown_report(&tables);
+        let digest = md.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((md.lines().count(), digest), (240, 0xe798_8df3_a8e1_922b));
     }
 }

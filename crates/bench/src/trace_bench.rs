@@ -195,9 +195,9 @@ pub fn collect_chatter_trace(
             }
         }
         TraceEngine::Reference => {
-            let mut exec = ReferenceExecutor::new(
+            let mut exec = ReferenceExecutor::from_slots(
                 net,
-                ChatterProcess::boxed(net.len(), seed, CHATTER_RATE),
+                ChatterProcess::slots(net.len(), seed, CHATTER_RATE),
                 adversary,
                 ExecutorConfig::default(),
             )

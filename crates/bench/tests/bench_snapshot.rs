@@ -77,3 +77,17 @@ fn checked_in_snapshot_has_every_sample() {
         }
     }
 }
+
+/// `--bench-compare` gates a record's outcome fields for equality; a
+/// record without any is gated on its timings alone, so a change to what
+/// its workload computes would pass unseen.
+#[test]
+fn checked_in_snapshot_records_carry_outcomes() {
+    for r in &snapshot().records {
+        assert!(
+            !r.outcome.is_empty(),
+            "{}: no outcome fields: {REGEN_HINT}",
+            r.label()
+        );
+    }
+}

@@ -13,7 +13,7 @@
 //! Harmonic Broadcast is measured against.
 
 use dualgraph_sim::rng::derive_seed;
-use dualgraph_sim::{Process, ProcessId, ProcessSlot};
+use dualgraph_sim::{ProcessId, ProcessSlot};
 
 use super::BroadcastAlgorithm;
 
@@ -41,13 +41,6 @@ impl BroadcastAlgorithm for Decay {
         false
     }
 
-    fn processes(&self, n: usize, seed: u64) -> Vec<Box<dyn Process>> {
-        self.slots(n, seed)
-            .into_iter()
-            .map(ProcessSlot::into_boxed)
-            .collect()
-    }
-
     fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot> {
         let phase = (n.max(2) as f64).log2().ceil() as u64;
         (0..n)
@@ -68,7 +61,7 @@ mod tests {
     use super::*;
     use dualgraph_net::generators;
     use dualgraph_sim::{
-        ActivationCause, CollisionRule, Message, PayloadId, ReliableOnly, StartRule,
+        ActivationCause, CollisionRule, Message, PayloadId, Process, ReliableOnly, StartRule,
     };
 
     #[test]
@@ -106,7 +99,7 @@ mod tests {
         let net = generators::line(n, 1);
         let outcome = run(
             &net,
-            Decay::new().processes(n, 5),
+            Decay::new().slots(n, 5),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr3,
             StartRule::Asynchronous,
@@ -121,7 +114,7 @@ mod tests {
         // Classicalize: benign adversary means G' edges are never used.
         let outcome = run(
             &net,
-            Decay::new().processes(net.len(), 9),
+            Decay::new().slots(net.len(), 9),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr3,
             StartRule::Asynchronous,
@@ -134,6 +127,6 @@ mod tests {
     fn metadata() {
         assert_eq!(Decay::new().name(), "decay");
         assert!(!Decay::new().is_deterministic());
-        assert_eq!(Decay::new().processes(5, 0).len(), 5);
+        assert_eq!(Decay::new().slots(5, 0).len(), 5);
     }
 }

@@ -17,7 +17,7 @@
 //! weakest assumptions.
 
 use dualgraph_sim::rng::derive_seed;
-use dualgraph_sim::{Process, ProcessId, ProcessSlot};
+use dualgraph_sim::{ProcessId, ProcessSlot};
 
 use super::BroadcastAlgorithm;
 
@@ -109,13 +109,6 @@ impl BroadcastAlgorithm for Harmonic {
         false
     }
 
-    fn processes(&self, n: usize, seed: u64) -> Vec<Box<dyn Process>> {
-        self.slots(n, seed)
-            .into_iter()
-            .map(ProcessSlot::into_boxed)
-            .collect()
-    }
-
     fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot> {
         let t = self.period_for_n(n);
         (0..n)
@@ -136,7 +129,8 @@ mod tests {
     use super::*;
     use dualgraph_net::generators;
     use dualgraph_sim::{
-        ActivationCause, CollisionRule, Message, PayloadId, RandomDelivery, ReliableOnly, StartRule,
+        ActivationCause, CollisionRule, Message, PayloadId, Process, RandomDelivery, ReliableOnly,
+        StartRule,
     };
 
     #[test]
@@ -209,7 +203,7 @@ mod tests {
         let net = generators::line(n, 1);
         let outcome = run(
             &net,
-            Harmonic::new().processes(n, 7),
+            Harmonic::new().slots(n, 7),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -230,7 +224,7 @@ mod tests {
         );
         let outcome = run(
             &net,
-            Harmonic::new().processes(32, 3),
+            Harmonic::new().slots(32, 3),
             Box::new(RandomDelivery::new(0.4, 5)),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -247,7 +241,7 @@ mod tests {
         let algo = Harmonic::with_period(2);
         let a = run(
             &net,
-            algo.processes(16, 1),
+            algo.slots(16, 1),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -255,7 +249,7 @@ mod tests {
         );
         let b = run(
             &net,
-            algo.processes(16, 2),
+            algo.slots(16, 2),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -270,7 +264,7 @@ mod tests {
         let net = generators::line(12, 2);
         let a = run(
             &net,
-            Harmonic::new().processes(12, 5),
+            Harmonic::new().slots(12, 5),
             Box::new(RandomDelivery::new(0.5, 9)),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -278,7 +272,7 @@ mod tests {
         );
         let b = run(
             &net,
-            Harmonic::new().processes(12, 5),
+            Harmonic::new().slots(12, 5),
             Box::new(RandomDelivery::new(0.5, 9)),
             CollisionRule::Cr4,
             StartRule::Asynchronous,

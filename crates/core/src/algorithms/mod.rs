@@ -1,7 +1,8 @@
 //! Broadcast algorithms for the dual graph model.
 //!
 //! Each algorithm is a factory ([`BroadcastAlgorithm`]) producing one
-//! [`Process`] per identifier. The paper's two contributions are
+//! [`Process`][dualgraph_sim::Process] per identifier, as a
+//! [`ProcessSlot`]. The paper's two contributions are
 //! [`StrongSelect`] (§5, deterministic, `O(n^{3/2}√log n)`) and
 //! [`Harmonic`] (§7, randomized, `O(n log² n)` w.h.p.); [`RoundRobin`],
 //! [`Decay`] and [`Uniform`] are the classical baselines the paper compares
@@ -21,7 +22,7 @@ pub use strong_select::{
 };
 pub use uniform::{Uniform, UniformProcess};
 
-use dualgraph_sim::{Process, ProcessSlot};
+use dualgraph_sim::ProcessSlot;
 
 /// A broadcast algorithm: a recipe for the `n` process automata.
 ///
@@ -36,24 +37,13 @@ pub trait BroadcastAlgorithm {
     /// `true` when every process is a deterministic automaton.
     fn is_deterministic(&self) -> bool;
 
-    /// Builds the process vector, ids `0..n` in order.
-    fn processes(&self, n: usize, seed: u64) -> Vec<Box<dyn Process>>;
-
-    /// Builds the process vector as enum-dispatched slots, ids `0..n` in
-    /// order, for the executor's batched process table.
+    /// Builds the process vector as slots, ids `0..n` in order.
     ///
-    /// The default wraps [`BroadcastAlgorithm::processes`] in
-    /// [`ProcessSlot::Custom`], preserving boxed dispatch exactly.
-    /// Built-in algorithms override this with their inline variant; an
-    /// override must construct the *same* automata as `processes` — the
-    /// enum-vs-boxed differential suite holds both paths to bit-identical
-    /// executions.
-    fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot> {
-        self.processes(n, seed)
-            .into_iter()
-            .map(ProcessSlot::Custom)
-            .collect()
-    }
+    /// Built-in algorithms return their inline variant, which the
+    /// executor's batched process table dispatches once per round. An
+    /// algorithm whose automaton is defined outside `dualgraph-sim`
+    /// returns each process boxed in [`ProcessSlot::Custom`].
+    fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot>;
 }
 
 impl std::fmt::Debug for dyn BroadcastAlgorithm {
@@ -66,21 +56,22 @@ impl std::fmt::Debug for dyn BroadcastAlgorithm {
 pub(crate) mod test_support {
     use dualgraph_net::DualGraph;
     use dualgraph_sim::{
-        Adversary, BroadcastOutcome, CollisionRule, Executor, ExecutorConfig, Process, StartRule,
+        Adversary, BroadcastOutcome, CollisionRule, Executor, ExecutorConfig, ProcessSlot,
+        StartRule,
     };
 
-    /// Runs `algorithm` on `net` against `adversary` and returns the outcome.
+    /// Runs `slots` on `net` against `adversary` and returns the outcome.
     pub(crate) fn run(
         net: &DualGraph,
-        processes: Vec<Box<dyn Process>>,
+        slots: Vec<ProcessSlot>,
         adversary: Box<dyn Adversary>,
         rule: CollisionRule,
         start: StartRule,
         max_rounds: u64,
     ) -> BroadcastOutcome {
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             net,
-            processes,
+            slots,
             adversary,
             ExecutorConfig {
                 rule,

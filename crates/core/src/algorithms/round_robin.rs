@@ -15,7 +15,7 @@
 //! Under asynchronous start the process learns the global round from the
 //! `round_tag` on the first message it receives (§5 footnote 1).
 
-use dualgraph_sim::{Process, ProcessId, ProcessSlot};
+use dualgraph_sim::{ProcessId, ProcessSlot};
 
 use super::BroadcastAlgorithm;
 
@@ -43,13 +43,6 @@ impl BroadcastAlgorithm for RoundRobin {
         true
     }
 
-    fn processes(&self, n: usize, seed: u64) -> Vec<Box<dyn Process>> {
-        self.slots(n, seed)
-            .into_iter()
-            .map(ProcessSlot::into_boxed)
-            .collect()
-    }
-
     fn slots(&self, n: usize, _seed: u64) -> Vec<ProcessSlot> {
         (0..n)
             .map(|i| ProcessSlot::RoundRobin(RoundRobinProcess::new(ProcessId::from_index(i), n)))
@@ -62,14 +55,16 @@ mod tests {
     use super::super::test_support::run;
     use super::*;
     use dualgraph_net::generators;
-    use dualgraph_sim::{ActivationCause, CollisionRule, ReliableOnly, StartRule, TraceEvent};
+    use dualgraph_sim::{
+        ActivationCause, CollisionRule, Process, ReliableOnly, StartRule, TraceEvent,
+    };
 
     #[test]
     fn completes_line_without_collisions() {
         let net = generators::line(8, 1);
         let outcome = run(
             &net,
-            RoundRobin::new().processes(8, 0),
+            RoundRobin::new().slots(8, 0),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr1,
             StartRule::Synchronous,
@@ -87,7 +82,7 @@ mod tests {
         let gadget = generators::clique_bridge(n);
         let outcome = run(
             &gadget.network,
-            RoundRobin::new().processes(n, 0),
+            RoundRobin::new().slots(n, 0),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr1,
             StartRule::Synchronous,
@@ -103,7 +98,7 @@ mod tests {
         let net = generators::line(6, 1);
         let outcome = run(
             &net,
-            RoundRobin::new().processes(6, 0),
+            RoundRobin::new().slots(6, 0),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -118,9 +113,9 @@ mod tests {
         // Sync start on a clique: every process informed after round 1;
         // still at most one sender per round forever.
         let net = generators::complete(5);
-        let mut exec = dualgraph_sim::Executor::new(
+        let mut exec = dualgraph_sim::Executor::from_slots(
             &net,
-            RoundRobin::new().processes(5, 0),
+            RoundRobin::new().slots(5, 0),
             Box::new(ReliableOnly::new()),
             dualgraph_sim::ExecutorConfig {
                 rule: CollisionRule::Cr1,
@@ -154,6 +149,6 @@ mod tests {
         let a = RoundRobin::new();
         assert_eq!(a.name(), "round-robin");
         assert!(a.is_deterministic());
-        assert_eq!(a.processes(3, 0).len(), 3);
+        assert_eq!(a.slots(3, 0).len(), 3);
     }
 }

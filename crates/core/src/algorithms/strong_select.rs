@@ -37,7 +37,7 @@
 
 use std::sync::Arc;
 
-use dualgraph_sim::{Process, ProcessId, ProcessSlot};
+use dualgraph_sim::{ProcessId, ProcessSlot};
 
 use super::BroadcastAlgorithm;
 
@@ -106,13 +106,6 @@ impl BroadcastAlgorithm for StrongSelect {
         true
     }
 
-    fn processes(&self, n: usize, seed: u64) -> Vec<Box<dyn Process>> {
-        self.slots(n, seed)
-            .into_iter()
-            .map(ProcessSlot::into_boxed)
-            .collect()
-    }
-
     fn slots(&self, n: usize, _seed: u64) -> Vec<ProcessSlot> {
         let plan = Arc::new(StrongSelectPlan::new(n, self.construction));
         (0..n)
@@ -133,7 +126,7 @@ mod tests {
     use super::*;
     use dualgraph_net::generators;
     use dualgraph_sim::{
-        ActivationCause, CollisionRule, FullDelivery, Message, PayloadId, RandomDelivery,
+        ActivationCause, CollisionRule, FullDelivery, Message, PayloadId, Process, RandomDelivery,
         ReliableOnly, StartRule,
     };
 
@@ -150,7 +143,7 @@ mod tests {
         let net = generators::layered_pairs(n);
         let outcome = run(
             &net,
-            StrongSelect::new().processes(n, 0),
+            StrongSelect::new().slots(n, 0),
             Box::new(dualgraph_sim::CollisionSeeker::new()),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -269,7 +262,7 @@ mod tests {
         let net = generators::line(n, 1);
         let outcome = run(
             &net,
-            StrongSelect::new().processes(n, 0),
+            StrongSelect::new().slots(n, 0),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr1,
             StartRule::Synchronous,
@@ -290,7 +283,7 @@ mod tests {
         );
         let outcome = run(
             &net,
-            StrongSelect::new().processes(48, 0),
+            StrongSelect::new().slots(48, 0),
             Box::new(RandomDelivery::new(0.3, 17)),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -304,7 +297,7 @@ mod tests {
         let gadget = generators::clique_bridge(24);
         let outcome = run(
             &gadget.network,
-            StrongSelect::new().processes(24, 0),
+            StrongSelect::new().slots(24, 0),
             Box::new(FullDelivery::new()),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -319,7 +312,7 @@ mod tests {
         let algo = StrongSelect::with_construction(SsfConstruction::Random { seed: 5 });
         let outcome = run(
             &net,
-            algo.processes(24, 0),
+            algo.slots(24, 0),
             Box::new(RandomDelivery::new(0.5, 2)),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
@@ -334,9 +327,9 @@ mod tests {
         // close, is_terminated reports true and no more sends happen.
         let n = 12;
         let net = generators::complete(n);
-        let mut exec = dualgraph_sim::Executor::new(
+        let mut exec = dualgraph_sim::Executor::from_slots(
             &net,
-            StrongSelect::new().processes(n, 0),
+            StrongSelect::new().slots(n, 0),
             Box::new(ReliableOnly::new()),
             dualgraph_sim::ExecutorConfig::default(),
         )
@@ -388,9 +381,9 @@ mod tests {
     fn forever_variant_completes_and_keeps_transmitting() {
         let n = 13;
         let net = generators::layered_pairs(n);
-        let mut exec = dualgraph_sim::Executor::new(
+        let mut exec = dualgraph_sim::Executor::from_slots(
             &net,
-            StrongSelect::forever().processes(n, 0),
+            StrongSelect::forever().slots(n, 0),
             Box::new(ReliableOnly::new()),
             dualgraph_sim::ExecutorConfig::default(),
         )

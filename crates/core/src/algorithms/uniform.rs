@@ -7,7 +7,7 @@
 //! bound experiment.
 
 use dualgraph_sim::rng::derive_seed;
-use dualgraph_sim::{Process, ProcessId, ProcessSlot};
+use dualgraph_sim::{ProcessId, ProcessSlot};
 
 use super::BroadcastAlgorithm;
 
@@ -43,13 +43,6 @@ impl BroadcastAlgorithm for Uniform {
         false
     }
 
-    fn processes(&self, n: usize, seed: u64) -> Vec<Box<dyn Process>> {
-        self.slots(n, seed)
-            .into_iter()
-            .map(ProcessSlot::into_boxed)
-            .collect()
-    }
-
     fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot> {
         (0..n)
             .map(|i| {
@@ -69,7 +62,7 @@ mod tests {
     use super::*;
     use dualgraph_net::generators;
     use dualgraph_sim::{
-        ActivationCause, CollisionRule, Message, PayloadId, ReliableOnly, StartRule,
+        ActivationCause, CollisionRule, Message, PayloadId, Process, ReliableOnly, StartRule,
     };
 
     #[test]
@@ -78,7 +71,7 @@ mod tests {
         let net = generators::line(n, 1);
         let outcome = run(
             &net,
-            Uniform::new(0.2).processes(n, 3),
+            Uniform::new(0.2).slots(n, 3),
             Box::new(ReliableOnly::new()),
             CollisionRule::Cr3,
             StartRule::Asynchronous,

@@ -20,8 +20,8 @@ use dualgraph_net::{Digraph, DualGraph, FixedBitSet, NodeId};
 use dualgraph_sim::rng::splitmix64;
 use dualgraph_sim::{
     ActivationCause, Adversary, Assignment, BroadcastOutcome, CollisionRule, Cr4Resolution,
-    Executor, ExecutorConfig, Message, PayloadId, Process, Reception, RoundContext, StartRule,
-    TraceEvent,
+    Executor, ExecutorConfig, Message, PayloadId, Process, ProcessSlot, Reception, RoundContext,
+    StartRule, TraceEvent,
 };
 
 /// Error building an [`InterferenceNetwork`].
@@ -200,7 +200,7 @@ pub struct ExplicitRun {
 /// Panics if `processes.len() != network.len()`.
 pub fn run_explicit(
     network: &InterferenceNetwork,
-    mut processes: Vec<Box<dyn Process>>,
+    mut processes: Vec<ProcessSlot>,
     rule: CollisionRule,
     start: StartRule,
     cr4: Cr4Policy,
@@ -464,7 +464,7 @@ pub struct EquivalenceReport {
 /// Panics if executor construction fails (mismatched process vectors).
 pub fn check_equivalence(
     network: &InterferenceNetwork,
-    make_processes: impl Fn() -> Vec<Box<dyn Process>>,
+    make_processes: impl Fn() -> Vec<ProcessSlot>,
     rule: CollisionRule,
     start: StartRule,
     cr4_seed: u64,
@@ -480,7 +480,7 @@ pub fn check_equivalence(
     );
     let dual = network.to_dual();
     let adversary = SimulatingAdversary::new(network, &explicit);
-    let mut exec = Executor::new(
+    let mut exec = Executor::from_slots(
         &dual,
         make_processes(),
         Box::new(adversary),
@@ -603,7 +603,7 @@ mod tests {
         let net = tiny_network();
         let run = run_explicit(
             &net,
-            RoundRobin::new().processes(3, 0),
+            RoundRobin::new().slots(3, 0),
             CollisionRule::Cr1,
             StartRule::Synchronous,
             Cr4Policy { seed: 1 },
@@ -630,7 +630,7 @@ mod tests {
         let net = InterferenceNetwork::new(gt, gi, NodeId(0)).unwrap();
         let run = run_explicit(
             &net,
-            RoundRobin::new().processes(4, 0),
+            RoundRobin::new().slots(4, 0),
             CollisionRule::Cr3,
             StartRule::Synchronous,
             Cr4Policy { seed: 1 },
@@ -652,7 +652,7 @@ mod tests {
         for rule in CollisionRule::ALL {
             let report = check_equivalence(
                 &net,
-                || RoundRobin::new().processes(14, 0),
+                || RoundRobin::new().slots(14, 0),
                 rule,
                 StartRule::Synchronous,
                 7,
@@ -668,7 +668,7 @@ mod tests {
         let net = random_interference(12, 0.15, 0.25, 9);
         let report = check_equivalence(
             &net,
-            || StrongSelect::new().processes(12, 0),
+            || StrongSelect::new().slots(12, 0),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
             11,
@@ -682,7 +682,7 @@ mod tests {
         let net = random_interference(12, 0.15, 0.25, 4);
         let report = check_equivalence(
             &net,
-            || Harmonic::new().processes(12, 5),
+            || Harmonic::new().slots(12, 5),
             CollisionRule::Cr4,
             StartRule::Asynchronous,
             13,

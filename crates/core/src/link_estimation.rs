@@ -16,8 +16,8 @@ use std::collections::BTreeMap;
 use dualgraph_net::{Csr, Digraph, DualGraph, NodeId};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
-    ActivationCause, Adversary, Executor, ExecutorConfig, Message, Process, ProcessId, Reception,
-    TraceEvent,
+    ActivationCause, Adversary, Executor, ExecutorConfig, Message, Process, ProcessId, ProcessSlot,
+    Reception, TraceEvent,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -243,16 +243,16 @@ pub fn estimate_links(
     config: EstimationConfig,
 ) -> (LinkObservations, PrecisionRecall) {
     let n = network.len();
-    let processes: Vec<Box<dyn Process>> = (0..n)
+    let processes: Vec<ProcessSlot> = (0..n)
         .map(|i| {
-            Box::new(ProbeProcess::new(
+            ProcessSlot::Custom(Box::new(ProbeProcess::new(
                 ProcessId::from_index(i),
                 config.probe_probability,
                 derive_seed(config.seed, i as u64),
-            )) as Box<dyn Process>
+            )))
         })
         .collect();
-    let mut exec = Executor::new(
+    let mut exec = Executor::from_slots(
         network,
         processes,
         adversary,

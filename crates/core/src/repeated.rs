@@ -25,7 +25,7 @@ use dualgraph_net::{traversal, DualGraph, NodeId};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     ActivationCause, Adversary, Executor, ExecutorConfig, Message, PayloadId, Process, ProcessId,
-    Reception,
+    ProcessSlot, Reception,
 };
 
 use crate::algorithms::Harmonic;
@@ -124,15 +124,15 @@ pub fn run_scheduled(
     adversary: Box<dyn Adversary>,
 ) -> Option<u64> {
     let slots = std::sync::Arc::new(schedule.senders().to_vec());
-    let processes: Vec<Box<dyn Process>> = (0..network.len())
+    let processes: Vec<ProcessSlot> = (0..network.len())
         .map(|i| {
-            Box::new(ScheduledProcess::new(
+            ProcessSlot::Custom(Box::new(ScheduledProcess::new(
                 ProcessId::from_index(i),
                 std::sync::Arc::clone(&slots),
-            )) as Box<dyn Process>
+            )))
         })
         .collect();
-    let mut exec = Executor::new(network, processes, adversary, ExecutorConfig::default())
+    let mut exec = Executor::from_slots(network, processes, adversary, ExecutorConfig::default())
         .expect("scheduled executor"); // analyzer: allow(panic, reason = "invariant: scheduled executor")
     let outcome = exec.run_until_complete(schedule.len() as u64);
     outcome.completion_round

@@ -59,8 +59,9 @@ impl RunConfig {
 /// Runs one broadcast execution to completion (or the round budget).
 ///
 /// Uses [`BroadcastAlgorithm::slots`], so built-in algorithms run through
-/// the executor's batched enum-dispatch process table; algorithms without
-/// a `slots` override fall back to boxed dispatch with identical behavior.
+/// the executor's batched enum-dispatch process table; an algorithm whose
+/// slots are [`ProcessSlot::Custom`][dualgraph_sim::ProcessSlot::Custom]
+/// runs on the mixed table, behind virtual dispatch.
 ///
 /// # Errors
 ///
@@ -330,7 +331,7 @@ mod tests {
             fn is_deterministic(&self) -> bool {
                 true
             }
-            fn processes(&self, _n: usize, _seed: u64) -> Vec<Box<dyn dualgraph_sim::Process>> {
+            fn slots(&self, _n: usize, _seed: u64) -> Vec<dualgraph_sim::ProcessSlot> {
                 Vec::new()
             }
         }

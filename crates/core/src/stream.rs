@@ -979,7 +979,7 @@ impl<'a> StreamSession<'a> {
                 // enforced here, not just debug-asserted.
                 assert_eq!(i, lane.ledger.entries().len(), "track order = id order");
                 lane.ledger
-                    .track(a.payload, a.node, self.mac.round(), entered);
+                    .track_traced(a.payload, a.node, self.mac.round(), entered, sink);
             }
             if entered {
                 // Spammer junk ids may collide with stream payloads, and

@@ -73,9 +73,7 @@ pub(crate) fn ledger_view(outcome: &StreamOutcome, events: &[TraceEvent]) -> Vec
 /// Checks a traced run's events against its own report.
 ///
 /// * [`TraceAnalyzer`] over `events` gives each payload the retries and
-///   the verdict of its ledger entry. An arrival that a ledger without
-///   retries abandons on the spot was never attempted, and no event
-///   settles it.
+///   the verdict of its ledger entry.
 /// * Between consecutive `EpochSwitch` events, in emission order, the
 ///   `Retry`, `AckComplete` and delivered `Verdict` events count each
 ///   epoch segment's retries, acks and deliveries.
@@ -89,9 +87,6 @@ pub(crate) fn assert_events_agree(outcome: &StreamOutcome, events: &[TraceEvent]
         match e.verdict {
             DeliveryVerdict::Delivered { round, .. } => {
                 assert_eq!(verdict, Some((round, true)), "{e:?}");
-            }
-            DeliveryVerdict::Abandoned { .. } if !e.entered && e.retries == 0 => {
-                assert_eq!(verdict, None, "{e:?}");
             }
             DeliveryVerdict::Abandoned { .. } => {
                 assert!(matches!(verdict, Some((_, false))), "{e:?}");

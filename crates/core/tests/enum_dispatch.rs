@@ -1,8 +1,9 @@
 //! Property test: enum-dispatched algorithms (via
 //! [`BroadcastAlgorithm::slots`] and the executor's batched process table)
-//! are round-for-round **bit-identical** to their `Box<dyn Process>`
-//! counterparts — across random topologies, the full adversary menu, all
-//! four collision rules, and both start rules.
+//! are round-for-round **bit-identical** to the same slots behind virtual
+//! dispatch (each boxed into a [`ProcessSlot::Custom`], so the executor
+//! runs a mixed table) — across random topologies, the full adversary
+//! menu, all four collision rules, and both start rules.
 //!
 //! This is the contract that makes the de-virtualized dispatch path a pure
 //! optimization: same automata, same RNG streams, same event streams.
@@ -13,7 +14,7 @@ use dualgraph_broadcast::algorithms::{
 use dualgraph_net::generators;
 use dualgraph_sim::{
     first_divergence, Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, Executor,
-    ExecutorConfig, FullDelivery, RandomDelivery, ReliableOnly, StartRule, TraceEvent,
+    ExecutorConfig, FullDelivery, ProcessSlot, RandomDelivery, ReliableOnly, StartRule, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -85,9 +86,14 @@ proptest! {
             enumd.uses_batched_dispatch(),
             "{}: built-in slots must take the batched path", label
         );
-        let mut boxed = Executor::new(
+        let custom = algo
+            .slots(n, seed)
+            .into_iter()
+            .map(|s| ProcessSlot::Custom(s.into_boxed()))
+            .collect();
+        let mut boxed = Executor::from_slots(
             &net,
-            algo.processes(n, seed),
+            custom,
             adversary(adv_idx, seed ^ 0xBEEF),
             config,
         ).unwrap();

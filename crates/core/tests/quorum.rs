@@ -441,6 +441,7 @@ const QUORUM_GOLDEN: &[&str] = &[
     "health window=8 final=0.125 peak=0.25 drop_rate=0.25 pending_retries=3 pending_acks=1",
     "HistogramSummary { count: 3, min: 1, max: 9, mean: 3.6666666666666665, p50: 1, p90: 9, p99: 9, p999: 9 }",
     "safety_violations=0",
+    "Verdict { round: 0, payload: PayloadId(2), delivered: false }",
     "Verdict { round: 69, payload: PayloadId(1), delivered: true }",
     "Verdict { round: 72, payload: PayloadId(3), delivered: true }",
     "Verdict { round: 112, payload: PayloadId(0), delivered: true }",

@@ -820,28 +820,30 @@ impl Adversary for CollisionSeeker {
 #[derive(Debug, Clone)]
 pub struct WithAssignment<A> {
     inner: A,
-    node_to_proc: Vec<ProcessId>,
+    assignment: Assignment,
 }
 
 impl<A: Adversary> WithAssignment<A> {
-    /// Overrides `inner`'s assignment with `node_to_proc`.
-    pub fn new(inner: A, node_to_proc: Vec<ProcessId>) -> Self {
-        WithAssignment {
+    /// Overrides `inner`'s assignment with `node_to_proc[node] = process`.
+    /// An executor built with a process count other than
+    /// `node_to_proc.len()` fails with
+    /// [`BuildExecutorError::BadAssignment`][crate::BuildExecutorError::BadAssignment].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildAssignmentError::NotAPermutation`] unless the vector
+    /// is a permutation of process ids `0..n`.
+    pub fn new(inner: A, node_to_proc: Vec<ProcessId>) -> Result<Self, BuildAssignmentError> {
+        Ok(WithAssignment {
             inner,
-            node_to_proc,
-        }
+            assignment: Assignment::from_node_to_proc(node_to_proc)?,
+        })
     }
 }
 
 impl<A: Adversary + Clone + 'static> Adversary for WithAssignment<A> {
-    fn assign(&mut self, _network: &DualGraph, n_processes: usize) -> Assignment {
-        assert_eq!(
-            self.node_to_proc.len(),
-            n_processes,
-            "assignment length must match process count"
-        );
-        Assignment::from_node_to_proc(self.node_to_proc.clone())
-            .expect("WithAssignment requires a permutation") // analyzer: allow(panic, reason = "invariant: WithAssignment constructors validate the permutation up front")
+    fn assign(&mut self, _network: &DualGraph, _n_processes: usize) -> Assignment {
+        self.assignment.clone()
     }
 
     fn unreliable_deliveries(
@@ -1222,7 +1224,8 @@ mod tests {
         let adv = RandomDelivery::new(0.3, 5);
         let sampler = adv.oblivious().expect("RandomDelivery::new is oblivious");
         assert_oblivious_contract(&mut adv.clone(), &net);
-        let mut placed = WithAssignment::new(adv.clone(), (0..12).map(ProcessId).collect());
+        let mut placed =
+            WithAssignment::new(adv.clone(), (0..12).map(ProcessId).collect()).unwrap();
         assert_eq!(placed.oblivious(), Some(sampler));
         assert_oblivious_contract(&mut placed, &net);
         let mut coined = WithRandomCr4::new(adv.clone(), 1);
@@ -1919,9 +1922,20 @@ mod tests {
         let mut adv = WithAssignment::new(
             ReliableOnly::new(),
             vec![ProcessId(2), ProcessId(1), ProcessId(0)],
-        );
+        )
+        .unwrap();
         let a = adv.assign(&net, 3);
         assert_eq!(a.process_at(NodeId(0)), ProcessId(2));
+        // A non-permutation is refused when the wrapper is built.
+        for bad in [
+            vec![ProcessId(0), ProcessId(0)],
+            vec![ProcessId(2), ProcessId(0)],
+        ] {
+            assert_eq!(
+                WithAssignment::new(ReliableOnly::new(), bad).unwrap_err(),
+                BuildAssignmentError::NotAPermutation
+            );
+        }
     }
 
     #[test]

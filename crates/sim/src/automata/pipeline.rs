@@ -126,13 +126,6 @@ impl PipelinedFlooder {
             })
             .collect()
     }
-
-    /// The `n` automata for one execution, ids `0..n`, boxed.
-    pub fn boxed(n: usize) -> Vec<Box<dyn Process>> {
-        (0..n)
-            .map(|i| Box::new(PipelinedFlooder::new(ProcessId::from_index(i))) as Box<dyn Process>)
-            .collect()
-    }
 }
 
 impl Process for PipelinedFlooder {

@@ -63,7 +63,6 @@ use crate::adversary::Adversary;
 use crate::engine::{BroadcastOutcome, BuildExecutorError, Executor, ExecutorConfig, RoundSummary};
 use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
-use crate::process::Process;
 use crate::slot::ProcessSlot;
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 
@@ -413,35 +412,14 @@ impl<'a> DynamicExecutor<'a> {
         config: ExecutorConfig,
         plan: FaultPlan,
     ) -> Result<Self, BuildExecutorError> {
-        let exec = Executor::from_slots(schedule.epoch(0).network(), slots, adversary, config)?;
-        Ok(Self::wrap(schedule, exec, plan))
-    }
-
-    /// Builds the runner from boxed processes (same contract as
-    /// [`Executor::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BuildExecutorError`] from executor construction.
-    pub fn new(
-        schedule: &'a TopologySchedule,
-        processes: Vec<Box<dyn Process>>,
-        adversary: Box<dyn Adversary>,
-        config: ExecutorConfig,
-        plan: FaultPlan,
-    ) -> Result<Self, BuildExecutorError> {
-        let exec = Executor::new(schedule.epoch(0).network(), processes, adversary, config)?;
-        Ok(Self::wrap(schedule, exec, plan))
-    }
-
-    fn wrap(schedule: &'a TopologySchedule, mut exec: Executor<'a>, plan: FaultPlan) -> Self {
+        let mut exec = Executor::from_slots(schedule.epoch(0).network(), slots, adversary, config)?;
         let mut cursor = DynamicsCursor::new(Some(schedule), plan, false);
         cursor.apply_initial(|node, role| exec.set_role(node, role));
-        DynamicExecutor {
+        Ok(DynamicExecutor {
             schedule,
             exec,
             cursor,
-        }
+        })
     }
 
     /// Makes the schedule repeat from epoch 0 after its total span

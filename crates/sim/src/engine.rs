@@ -152,17 +152,12 @@ impl BroadcastOutcome {
 ///
 /// ```
 /// use dualgraph_net::generators;
-/// use dualgraph_sim::{
-///     Executor, ExecutorConfig, ReliableOnly, SilentProcess, ProcessId, Process,
-/// };
+/// use dualgraph_sim::{Executor, ExecutorConfig, ReliableOnly, SilentProcess};
 ///
 /// let net = generators::complete(3);
-/// let procs: Vec<Box<dyn Process>> = (0..3)
-///     .map(|i| Box::new(SilentProcess::new(ProcessId(i))) as Box<dyn Process>)
-///     .collect();
-/// let mut exec = Executor::new(
+/// let mut exec = Executor::from_slots(
 ///     &net,
-///     procs,
+///     SilentProcess::slots(3),
 ///     Box::new(ReliableOnly::new()),
 ///     ExecutorConfig::default(),
 /// )?;
@@ -258,34 +253,10 @@ impl<'a> Executor<'a> {
     /// (environment input at the source; all processes under synchronous
     /// start).
     ///
-    /// `processes` must be supplied in process-id order with ids `0..n`.
-    ///
-    /// This is the boxed-dispatch compatibility path: the vector becomes a
-    /// `Mixed` table of [`ProcessSlot::Custom`] entries with unchanged
-    /// virtual-call behavior. Prefer [`Executor::from_slots`] for built-in
-    /// automata, which enables the batched enum-dispatch fast path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildExecutorError`] on process/network size mismatch,
-    /// non-canonical ids, or a malformed adversary assignment.
-    pub fn new(
-        network: &'a DualGraph,
-        processes: Vec<Box<dyn Process>>,
-        adversary: Box<dyn Adversary>,
-        config: ExecutorConfig,
-    ) -> Result<Self, BuildExecutorError> {
-        Self::from_table(
-            network,
-            ProcessTable::from_boxed(processes),
-            adversary,
-            config,
-        )
-    }
-
-    /// Builds an executor from enum-dispatched slots (see
-    /// [`Executor::new`] for the contract). A homogeneous slot vector gets
-    /// the batched fast path.
+    /// `slots` must be supplied in process-id order with ids `0..n`. A
+    /// homogeneous vector of one built-in automaton gets the batched
+    /// enum-dispatch fast path; any other `Process` runs as a
+    /// [`ProcessSlot::Custom`] entry of a mixed table, behind its vtable.
     ///
     /// # Errors
     ///
@@ -294,25 +265,10 @@ impl<'a> Executor<'a> {
     pub fn from_slots(
         network: &'a DualGraph,
         slots: Vec<ProcessSlot>,
-        adversary: Box<dyn Adversary>,
-        config: ExecutorConfig,
-    ) -> Result<Self, BuildExecutorError> {
-        Self::from_table(network, ProcessTable::from_slots(slots), adversary, config)
-    }
-
-    /// Builds an executor from an already-assembled process table (in
-    /// process-id order; see [`Executor::new`] for the contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildExecutorError`] on process/network size mismatch,
-    /// non-canonical ids, or a malformed adversary assignment.
-    pub fn from_table(
-        network: &'a DualGraph,
-        table: ProcessTable,
         mut adversary: Box<dyn Adversary>,
         config: ExecutorConfig,
     ) -> Result<Self, BuildExecutorError> {
+        let table = ProcessTable::from_slots(slots);
         let n = network.len();
         if table.len() != n {
             return Err(BuildExecutorError::ProcessCountMismatch {
@@ -700,22 +656,12 @@ mod tests {
     use crate::process::{Flooder, SilentProcess};
     use dualgraph_net::generators;
 
-    /// The canonical [`Flooder`] (process.rs), boxed — the private copy
-    /// this module used to carry was deduplicated into `process.rs`.
-    fn flooders(n: usize) -> Vec<Box<dyn Process>> {
-        Flooder::boxed(n)
-    }
-
-    fn silents(n: usize) -> Vec<Box<dyn Process>> {
-        SilentProcess::boxed(n)
-    }
-
     #[test]
     fn source_informed_before_round_one() {
         let net = generators::line(3, 1);
-        let exec = Executor::new(
+        let exec = Executor::from_slots(
             &net,
-            silents(3),
+            SilentProcess::slots(3),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -736,9 +682,9 @@ mod tests {
         // CR4 sender hears itself. Node 0 hears 1's message. round 3: {0,1,2}
         // send; node 3 hears only 2 => informed.
         let net = generators::line(4, 1);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            flooders(4),
+            Flooder::slots(4),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -757,9 +703,9 @@ mod tests {
         // On a complete graph >2 nodes: round 1 source informs everyone;
         // round 2 everyone sends => permanent collisions, but all informed.
         let net = generators::complete(4);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            flooders(4),
+            Flooder::slots(4),
             Box::new(ReliableOnly::new()),
             ExecutorConfig {
                 rule: CollisionRule::Cr1,
@@ -779,9 +725,9 @@ mod tests {
         // round 1; use a two-leaf star where leaves then collide at hub
         // forever: physical_collisions grows.
         let net = generators::star(3);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            flooders(3),
+            Flooder::slots(3),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -797,9 +743,9 @@ mod tests {
     #[test]
     fn async_start_keeps_distant_processes_asleep() {
         let net = generators::line(4, 1);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            silents(4),
+            SilentProcess::slots(4),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -814,9 +760,9 @@ mod tests {
         // Line 0-1-2 with chord (0,2) in G'. FullDelivery => round 1 informs
         // everyone directly from the source.
         let net = generators::line(3, 2);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            flooders(3),
+            Flooder::slots(3),
             Box::new(FullDelivery::new()),
             ExecutorConfig::default(),
         )
@@ -832,9 +778,15 @@ mod tests {
         let adv = WithAssignment::new(
             ReliableOnly::new(),
             vec![ProcessId(2), ProcessId(1), ProcessId(0)],
-        );
-        let exec =
-            Executor::new(&net, flooders(3), Box::new(adv), ExecutorConfig::default()).unwrap();
+        )
+        .unwrap();
+        let exec = Executor::from_slots(
+            &net,
+            Flooder::slots(3),
+            Box::new(adv),
+            ExecutorConfig::default(),
+        )
+        .unwrap();
         assert_eq!(exec.process_at(NodeId(0)).id(), ProcessId(2));
         assert_eq!(exec.process_at(NodeId(2)).id(), ProcessId(0));
         assert!(exec.process_at(NodeId(0)).has_payload());
@@ -843,9 +795,9 @@ mod tests {
     #[test]
     fn build_errors() {
         let net = generators::line(3, 1);
-        let err = Executor::new(
+        let err = Executor::from_slots(
             &net,
-            flooders(2),
+            Flooder::slots(2),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -855,12 +807,10 @@ mod tests {
             BuildExecutorError::ProcessCountMismatch { .. }
         ));
 
-        let bad: Vec<Box<dyn Process>> = vec![
-            Box::new(Flooder::new(ProcessId(1))),
-            Box::new(Flooder::new(ProcessId(1))),
-            Box::new(Flooder::new(ProcessId(2))),
-        ];
-        let err = Executor::new(
+        let bad: Vec<ProcessSlot> = [1, 1, 2]
+            .map(|i| ProcessSlot::Flooder(Flooder::new(ProcessId(i))))
+            .into();
+        let err = Executor::from_slots(
             &net,
             bad,
             Box::new(ReliableOnly::new()),
@@ -872,6 +822,18 @@ mod tests {
             BuildExecutorError::NonCanonicalIds { position: 0 }
         ));
         assert!(err.to_string().contains("position 0"));
+
+        // A valid permutation of the wrong length is an error, not a panic.
+        let short = WithAssignment::new(ReliableOnly::new(), vec![ProcessId(1), ProcessId(0)])
+            .expect("a permutation of 0..2");
+        let err = Executor::from_slots(
+            &net,
+            Flooder::slots(3),
+            Box::new(short),
+            ExecutorConfig::default(),
+        )
+        .unwrap_err();
+        assert_eq!(err, BuildExecutorError::BadAssignment);
     }
 
     #[test]
@@ -884,9 +846,9 @@ mod tests {
             },
             5,
         );
-        let mut a = Executor::new(
+        let mut a = Executor::from_slots(
             &net,
-            flooders(20),
+            Flooder::slots(20),
             Box::new(crate::adversary::RandomDelivery::new(0.5, 11)),
             ExecutorConfig::default(),
         )
@@ -901,9 +863,9 @@ mod tests {
     #[test]
     fn trace_records_rounds() {
         let net = generators::line(3, 1);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            flooders(3),
+            Flooder::slots(3),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -948,9 +910,9 @@ mod tests {
     #[test]
     fn outcome_before_completion() {
         let net = generators::line(5, 1);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            silents(5),
+            SilentProcess::slots(5),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -965,9 +927,9 @@ mod tests {
     #[test]
     fn single_node_network_completes_instantly() {
         let net = generators::complete(1);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            silents(1),
+            SilentProcess::slots(1),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -981,9 +943,9 @@ mod tests {
     #[test]
     fn known_payloads_track_deliveries() {
         let net = generators::line(3, 1);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            flooders(3),
+            Flooder::slots(3),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )
@@ -1030,9 +992,9 @@ mod tests {
     #[test]
     fn debug_formats() {
         let net = generators::line(3, 1);
-        let exec = Executor::new(
+        let exec = Executor::from_slots(
             &net,
-            silents(3),
+            SilentProcess::slots(3),
             Box::new(ReliableOnly::new()),
             ExecutorConfig::default(),
         )

@@ -62,15 +62,12 @@
 //!
 //! ```
 //! use dualgraph_net::generators;
-//! use dualgraph_sim::{Executor, ExecutorConfig, Process, ProcessId, ReliableOnly, SilentProcess};
+//! use dualgraph_sim::{Executor, ExecutorConfig, ReliableOnly, SilentProcess};
 //!
 //! let net = generators::clique_bridge(8).network;
-//! let procs: Vec<Box<dyn Process>> = (0..8)
-//!     .map(|i| Box::new(SilentProcess::new(ProcessId(i))) as Box<dyn Process>)
-//!     .collect();
-//! let mut exec = Executor::new(
+//! let mut exec = Executor::from_slots(
 //!     &net,
-//!     procs,
+//!     SilentProcess::slots(8),
 //!     Box::new(ReliableOnly::new()),
 //!     ExecutorConfig::default(),
 //! )?;

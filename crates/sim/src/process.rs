@@ -158,13 +158,6 @@ impl SilentProcess {
         self.activated
     }
 
-    /// The `n` silent processes for one execution, ids `0..n`, boxed.
-    pub fn boxed(n: usize) -> Vec<Box<dyn Process>> {
-        (0..n)
-            .map(|i| Box::new(SilentProcess::new(ProcessId::from_index(i))) as Box<dyn Process>)
-            .collect()
-    }
-
     /// The `n` silent processes for one execution, ids `0..n`, as
     /// enum-dispatched slots.
     pub fn slots(n: usize) -> Vec<crate::slot::ProcessSlot> {
@@ -229,13 +222,6 @@ impl Flooder {
             id,
             informed: false,
         }
-    }
-
-    /// The `n` flooders for one execution, ids `0..n`, boxed.
-    pub fn boxed(n: usize) -> Vec<Box<dyn Process>> {
-        (0..n)
-            .map(|i| Box::new(Flooder::new(ProcessId::from_index(i))) as Box<dyn Process>)
-            .collect()
     }
 
     /// The `n` flooders for one execution, ids `0..n`, as enum-dispatched
@@ -310,16 +296,6 @@ impl ChatterProcess {
             state: seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             rate,
         }
-    }
-
-    /// The `n` chatter processes for one execution, ids `0..n`.
-    pub fn boxed(n: usize, seed: u64, rate: u64) -> Vec<Box<dyn Process>> {
-        (0..n)
-            .map(|i| {
-                Box::new(ChatterProcess::new(ProcessId::from_index(i), seed, rate))
-                    as Box<dyn Process>
-            })
-            .collect()
     }
 
     /// The `n` chatter processes for one execution, ids `0..n`, as

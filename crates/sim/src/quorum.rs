@@ -235,21 +235,6 @@ impl QuorumProcess {
             .collect()
     }
 
-    /// The `n` automata for one execution, ids `0..n`, boxed.
-    pub fn boxed(n: usize, policy: QuorumPolicy, origins: &[ProcessId]) -> Vec<Box<dyn Process>> {
-        let origins: Arc<[ProcessId]> = origins.into();
-        (0..n)
-            .map(|i| {
-                Box::new(QuorumProcess::new(
-                    ProcessId::from_index(i),
-                    n,
-                    policy,
-                    Arc::clone(&origins),
-                )) as Box<dyn Process>
-            })
-            .collect()
-    }
-
     /// The node's accepted payload set (latched; data ids only).
     pub fn accepted(&self) -> PayloadSet {
         self.accepted

@@ -68,18 +68,23 @@ pub struct ReferenceExecutor<'a> {
 
 impl<'a> ReferenceExecutor<'a> {
     /// Builds a reference executor; same contract as
-    /// [`Executor::new`][crate::Executor::new].
+    /// [`Executor::from_slots`][crate::Executor::from_slots]. Every slot is
+    /// unwrapped into its boxed form: the oracle deliberately stays on
+    /// fully virtual dispatch, structurally independent of the optimized
+    /// engine's batched process table.
     ///
     /// # Errors
     ///
     /// Returns a [`BuildExecutorError`] on process/network size mismatch,
     /// non-canonical ids, or a malformed adversary assignment.
-    pub fn new(
+    pub fn from_slots(
         network: &'a DualGraph,
-        processes: Vec<Box<dyn Process>>,
+        slots: Vec<ProcessSlot>,
         mut adversary: Box<dyn Adversary>,
         config: ExecutorConfig,
     ) -> Result<Self, BuildExecutorError> {
+        let processes: Vec<Box<dyn Process>> =
+            slots.into_iter().map(ProcessSlot::into_boxed).collect();
         let n = network.len();
         if processes.len() != n {
             return Err(BuildExecutorError::ProcessCountMismatch {
@@ -97,11 +102,11 @@ impl<'a> ReferenceExecutor<'a> {
             return Err(BuildExecutorError::BadAssignment);
         }
 
-        let mut slots: Vec<Option<Box<dyn Process>>> = processes.into_iter().map(Some).collect();
+        let mut staging: Vec<Option<Box<dyn Process>>> = processes.into_iter().map(Some).collect();
         let procs: Vec<Box<dyn Process>> = (0..n)
             .map(|node| {
                 let pid = assignment.process_at(NodeId::from_index(node));
-                slots[pid.index()]
+                staging[pid.index()]
                     .take()
                     .expect("assignment is a bijection") // analyzer: allow(panic, reason = "invariant: assignment is a bijection")
             })
@@ -142,29 +147,6 @@ impl<'a> ReferenceExecutor<'a> {
             }
         }
         Ok(exec)
-    }
-
-    /// Builds a reference executor from enum-dispatched slots by unwrapping
-    /// each into its boxed form: the oracle deliberately stays on fully
-    /// virtual dispatch, structurally independent of the optimized engine's
-    /// batched process table.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BuildExecutorError`] on process/network size mismatch,
-    /// non-canonical ids, or a malformed adversary assignment.
-    pub fn from_slots(
-        network: &'a DualGraph,
-        slots: Vec<ProcessSlot>,
-        adversary: Box<dyn Adversary>,
-        config: ExecutorConfig,
-    ) -> Result<Self, BuildExecutorError> {
-        Self::new(
-            network,
-            slots.into_iter().map(ProcessSlot::into_boxed).collect(),
-            adversary,
-            config,
-        )
     }
 
     /// Rounds executed so far.

@@ -331,13 +331,30 @@ impl ReliableBroadcast {
     /// source was faulty): the driver treats the drop like an unacked
     /// attempt and re-tries it on the policy's schedule instead of losing
     /// the payload outright. A ledger without retries settles such a
-    /// payload [`DeliveryVerdict::Abandoned`] with zero retries on the spot
-    /// (no trace event: nothing was given up that had been attempted).
+    /// payload [`DeliveryVerdict::Abandoned`] with zero retries on the spot.
     ///
     /// # Panics
     ///
     /// Panics if the payload is already tracked.
     pub fn track(&mut self, payload: PayloadId, source: NodeId, round: u64, entered: bool) {
+        self.track_traced(payload, source, round, entered, &mut NullSink);
+    }
+
+    /// [`ReliableBroadcast::track`] with trace hooks: a payload settled
+    /// as abandoned on the spot emits [`TraceEvent::Verdict`] with
+    /// `delivered = false`, stamped `round`.
+    ///
+    /// # Panics
+    ///
+    /// As [`ReliableBroadcast::track`].
+    pub fn track_traced<S: TraceSink>(
+        &mut self,
+        payload: PayloadId,
+        source: NodeId,
+        round: u64,
+        entered: bool,
+        sink: &mut S,
+    ) {
         assert!(
             self.entry(payload).is_none(),
             "payload {payload:?} is already tracked"
@@ -347,6 +364,13 @@ impl ReliableBroadcast {
         } else {
             DeliveryVerdict::Abandoned { retries: 0 }
         };
+        if S::ENABLED && verdict.is_final() {
+            sink.emit(TraceEvent::Verdict {
+                round,
+                payload,
+                delivered: false,
+            });
+        }
         self.entries.push(ReliabilityEntry {
             payload,
             source,

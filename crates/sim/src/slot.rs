@@ -19,9 +19,13 @@
 //!   `Vec<ProcessSlot>` loop (per-element match; `Custom` still pays
 //!   virtual dispatch).
 //!
-//! Both paths call every process in ascending node order with identical
-//! arguments, so outcomes are bit-identical to the boxed representation —
-//! the enum-vs-boxed differential suites enforce this.
+//! Slots are the one way to build a population: every engine takes them
+//! through its `from_slots` constructor, and an automaton from outside
+//! this crate rides in a [`ProcessSlot::Custom`] slot. Both paths call
+//! every process in ascending node order with identical arguments, so
+//! outcomes are bit-identical to boxed dispatch — the enum-vs-boxed
+//! differential suites, whose boxed arms are `Custom` populations,
+//! enforce this.
 
 use std::ops::Range;
 
@@ -45,9 +49,10 @@ use crate::quorum::QuorumProcess;
 ///
 /// Build slots with the `slots()` constructors on the automata /
 /// algorithm factories, with the `From` conversions, or by wrapping an
-/// arbitrary implementation in [`ProcessSlot::Custom`]. `Custom` preserves
-/// exact boxed-dispatch behavior, so downstream `Process` implementations
-/// keep working unchanged — they just don't get the batched fast path.
+/// arbitrary implementation in [`ProcessSlot::Custom`]. `Custom` is how a
+/// `Process` defined outside this crate joins a population: it keeps its
+/// virtual dispatch and runs on the mixed table, without the batched fast
+/// path.
 #[derive(Debug, Clone)]
 pub enum ProcessSlot {
     /// [`SilentProcess`], inline.
@@ -189,9 +194,8 @@ impl_from_slot!(
 
 /// The executor's node-indexed process store (see the module docs).
 ///
-/// Built from process-id-ordered slots via [`ProcessTable::from_slots`]
-/// (or [`ProcessTable::from_boxed`] for legacy boxed vectors), then
-/// permuted onto nodes with [`ProcessTable::place`].
+/// Built from process-id-ordered slots via [`ProcessTable::from_slots`],
+/// then permuted onto nodes with [`ProcessTable::place`].
 #[derive(Debug, Clone)]
 pub struct ProcessTable {
     repr: Repr,
@@ -301,14 +305,6 @@ impl ProcessTable {
             ProcessSlot::Custom(_) => unreachable!("Custom was excluded above"),
         };
         ProcessTable { repr }
-    }
-
-    /// Builds a `Mixed` table of [`ProcessSlot::Custom`] entries: the
-    /// legacy boxed representation, dispatch behavior unchanged.
-    pub fn from_boxed(processes: Vec<Box<dyn Process>>) -> Self {
-        ProcessTable {
-            repr: Repr::Mixed(processes.into_iter().map(ProcessSlot::Custom).collect()),
-        }
     }
 
     /// Decomposes the table back into slots (node/current order).
@@ -600,7 +596,11 @@ mod tests {
         assert!(!table.is_batched());
         assert_eq!(table.kind(), "mixed");
 
-        let boxed = ProcessTable::from_boxed(Flooder::boxed(3));
+        let custom: Vec<ProcessSlot> = flooder_slots(3)
+            .into_iter()
+            .map(|s| ProcessSlot::Custom(s.into_boxed()))
+            .collect();
+        let boxed = ProcessTable::from_slots(custom);
         assert!(!boxed.is_batched());
         assert_eq!(boxed.get(1).id(), ProcessId(1));
 

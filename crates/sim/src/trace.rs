@@ -98,9 +98,10 @@ impl QuorumStage {
 /// `RoundStart`, then `Transmit` in ascending node order, then
 /// `Reception`/`Collision` in ascending node order — so two deterministic
 /// engines produce comparable streams. Events a stream emits between
-/// rounds `t − 1` and `t` (`Inject`, `Retry`, a budget-abandon `Verdict`,
-/// the `AckComplete` of an ack fired between rounds) carry `t − 1`, the
-/// last executed round (see `docs/OBSERVABILITY.md`).
+/// rounds `t − 1` and `t` (`Inject`, `Retry`, the abandon `Verdict` of a
+/// dropped arrival or of a spent retry budget, the `AckComplete` of an
+/// ack fired between rounds) carry `t − 1`, the last executed round (see
+/// `docs/OBSERVABILITY.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A new global round began executing.

@@ -38,7 +38,7 @@ use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
     Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, NodeRole, PayloadId, PayloadSet,
-    Process, ProcessId, RandomDelivery, ReferenceExecutor, ReliableOnly, SilentProcess, StartRule,
+    ProcessSlot, RandomDelivery, ReferenceExecutor, ReliableOnly, SilentProcess, StartRule,
 };
 
 /// The adversary menu; every engine under comparison gets its own
@@ -124,6 +124,15 @@ fn byzantine_plan(n: usize, seed: u64) -> FaultPlan {
         .recover(c, 8)
 }
 
+/// Moves a slot population behind virtual dispatch, for the boxed arm:
+/// every slot becomes a [`ProcessSlot::Custom`] box.
+fn custom(slots: Vec<ProcessSlot>) -> Vec<ProcessSlot> {
+    slots
+        .into_iter()
+        .map(|s| ProcessSlot::Custom(s.into_boxed()))
+        .collect()
+}
+
 /// Drives a [`ReferenceExecutor`] through schedule + plan with the same
 /// [`DynamicsCursor`] the real runners use.
 struct DynamicReference<'a> {
@@ -134,13 +143,13 @@ struct DynamicReference<'a> {
 impl<'a> DynamicReference<'a> {
     fn new(
         schedule: &'a TopologySchedule,
-        processes: Vec<Box<dyn Process>>,
+        slots: Vec<ProcessSlot>,
         adversary: Box<dyn Adversary>,
         config: ExecutorConfig,
         plan: FaultPlan,
     ) -> Self {
         let mut exec =
-            ReferenceExecutor::new(schedule.epoch(0).network(), processes, adversary, config)
+            ReferenceExecutor::from_slots(schedule.epoch(0).network(), slots, adversary, config)
                 .unwrap();
         let mut cursor = DynamicsCursor::new(Some(schedule), plan, false);
         let (swap, fired) = cursor.advance(0);
@@ -188,17 +197,18 @@ fn byzantine_engines_agree_across_epochs_and_faults() {
                 )
                 .unwrap();
                 assert!(enumd.executor().uses_batched_dispatch());
-                let mut boxed = DynamicExecutor::new(
+                let mut boxed = DynamicExecutor::from_slots(
                     &schedule,
-                    Flooder::boxed(n),
+                    custom(Flooder::slots(n)),
                     make_adv(),
                     config,
                     plan.clone(),
                 )
                 .unwrap();
+                assert!(!boxed.executor().uses_batched_dispatch());
                 let mut reference = DynamicReference::new(
                     &schedule,
-                    Flooder::boxed(n),
+                    Flooder::slots(n),
                     make_adv(),
                     config,
                     plan.clone(),
@@ -332,15 +342,18 @@ fn equivocator_faces_route_by_receiver_parity() {
     let net = generators::star(n);
     let even = PayloadSet::only(PayloadId(3));
     let odd = PayloadSet::only(PayloadId(4));
-    let procs: Vec<Box<dyn Process>> = (0..n)
-        .map(|i| Box::new(SilentProcess::new(ProcessId(i as u32))) as Box<dyn Process>)
-        .collect();
     let config = ExecutorConfig {
         rule: CollisionRule::Cr4,
         start: StartRule::Synchronous,
         payload: PayloadId(0),
     };
-    let mut exec = Executor::new(&net, procs, Box::new(ReliableOnly::new()), config).unwrap();
+    let mut exec = Executor::from_slots(
+        &net,
+        SilentProcess::slots(n),
+        Box::new(ReliableOnly::new()),
+        config,
+    )
+    .unwrap();
     exec.set_role(net.source(), NodeRole::Equivocator { even, odd });
     for _ in 0..3 {
         exec.step();
@@ -371,15 +384,18 @@ fn forged_ids_pollute_known_records_but_never_inform() {
     let n = 7;
     let net = generators::complete(n);
     let mint = PayloadSet::only(PayloadId(9));
-    let procs: Vec<Box<dyn Process>> = (0..n)
-        .map(|i| Box::new(SilentProcess::new(ProcessId(i as u32))) as Box<dyn Process>)
-        .collect();
     let config = ExecutorConfig {
         rule: CollisionRule::Cr4,
         start: StartRule::Synchronous,
         payload: PayloadId(0),
     };
-    let mut exec = Executor::new(&net, procs, Box::new(ReliableOnly::new()), config).unwrap();
+    let mut exec = Executor::from_slots(
+        &net,
+        SilentProcess::slots(n),
+        Box::new(ReliableOnly::new()),
+        config,
+    )
+    .unwrap();
     // Node 2 turns forger knowing nothing: its standing message is the
     // mint alone, unioned with its (empty) frozen record.
     exec.set_role(NodeId(2), NodeRole::Forger(mint));

@@ -4,8 +4,8 @@
 //! 1. **enum** — the optimized CSR/arena executor on a homogeneous batched
 //!    process table ([`Executor::from_slots`], one variant dispatch per
 //!    sweep);
-//! 2. **boxed** — the same executor on `Box<dyn Process>` ([`Executor::new`],
-//!    two virtual calls per node per round — PR 1's dispatch);
+//! 2. **boxed** — the same executor on [`ProcessSlot::Custom`] slots (a
+//!    mixed table, two virtual calls per node per round);
 //! 3. **reference** — the naive allocating [`ReferenceExecutor`] oracle.
 //!
 //! The engines share no round-loop code paths for process dispatch: any
@@ -65,9 +65,13 @@ fn assert_same_stream(left: &[TraceEvent], right: &[TraceEvent], from: usize, wh
     }
 }
 
-/// Boxes a slot population for the virtual-dispatch arms.
-fn boxed(slots: Vec<ProcessSlot>) -> Vec<Box<dyn dualgraph_sim::Process>> {
-    slots.into_iter().map(ProcessSlot::into_boxed).collect()
+/// Moves a slot population behind virtual dispatch: every slot becomes
+/// a [`ProcessSlot::Custom`] box, so the executor runs a mixed table.
+fn custom(slots: Vec<ProcessSlot>) -> Vec<ProcessSlot> {
+    slots
+        .into_iter()
+        .map(|s| ProcessSlot::Custom(s.into_boxed()))
+        .collect()
 }
 
 /// Steps all three engines side by side — the population's slots on the
@@ -87,9 +91,9 @@ fn assert_engines_agree(
         enumd.uses_batched_dispatch(),
         "{label}: homogeneous slots must take the batched path"
     );
-    let mut boxed_exec = Executor::new(net, boxed(slots()), adversary(), config).unwrap();
+    let mut boxed_exec = Executor::from_slots(net, custom(slots()), adversary(), config).unwrap();
     assert!(!boxed_exec.uses_batched_dispatch());
-    let mut reference = ReferenceExecutor::new(net, boxed(slots()), adversary(), config).unwrap();
+    let mut reference = ReferenceExecutor::from_slots(net, slots(), adversary(), config).unwrap();
     let (mut enum_events, mut boxed_events, mut reference_events) =
         (Vec::new(), Vec::new(), Vec::new());
     for round in 0..max_rounds {
@@ -218,14 +222,17 @@ fn engines_agree_in_all_senders_steady_state() {
                 let label = format!("{name}/{adv_name}/{rule}");
                 let mut enumd =
                     Executor::from_slots(&net, Flooder::slots(n), adversary(), config).unwrap();
-                let mut boxed =
-                    Executor::new(&net, Flooder::boxed(n), adversary(), config).unwrap();
+                let mut boxed_exec =
+                    Executor::from_slots(&net, custom(Flooder::slots(n)), adversary(), config)
+                        .unwrap();
+                assert!(!boxed_exec.uses_batched_dispatch(), "{label}");
                 let mut reference =
-                    ReferenceExecutor::new(&net, Flooder::boxed(n), adversary(), config).unwrap();
+                    ReferenceExecutor::from_slots(&net, Flooder::slots(n), adversary(), config)
+                        .unwrap();
                 let (mut enum_events, mut reference_events) = (Vec::new(), Vec::new());
                 for round in 0..30 {
                     let a = enumd.step_traced(&mut enum_events);
-                    let b = boxed.step();
+                    let b = boxed_exec.step();
                     let c = reference.step_traced(&mut reference_events);
                     assert_eq!(a, b, "{label}: enum vs boxed at round {round}");
                     assert_eq!(b, c, "{label}: boxed vs reference at round {round}");
@@ -268,10 +275,8 @@ fn engines_agree_under_non_identity_assignments() {
     for (name, perm) in permutations {
         let perm = &perm;
         let make = move || {
-            Box::new(WithAssignment::new(
-                RandomDelivery::new(0.5, 23),
-                perm.clone(),
-            )) as Box<dyn Adversary>
+            Box::new(WithAssignment::new(RandomDelivery::new(0.5, 23), perm.clone()).unwrap())
+                as Box<dyn Adversary>
         };
         assert_engines_agree(
             &net,

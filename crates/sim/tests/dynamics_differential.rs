@@ -25,7 +25,7 @@ use dualgraph_sim::automata::PipelinedFlooder;
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
-    Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, PayloadId, PayloadSet,
+    Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, PayloadId, PayloadSet, ProcessSlot,
     RandomDelivery, ReferenceExecutor, ReliableOnly, StartRule,
 };
 
@@ -114,6 +114,15 @@ fn mixed_plan(n: usize, seed: u64) -> FaultPlan {
         .spam(c, 7, PayloadSet::only(PayloadId(6)))
 }
 
+/// Moves a slot population behind virtual dispatch, for the boxed arms:
+/// every slot becomes a [`ProcessSlot::Custom`] box.
+fn custom(slots: Vec<ProcessSlot>) -> Vec<ProcessSlot> {
+    slots
+        .into_iter()
+        .map(|s| ProcessSlot::Custom(s.into_boxed()))
+        .collect()
+}
+
 /// Drives a [`ReferenceExecutor`] through schedule + plan with the same
 /// [`DynamicsCursor`] the real runners use.
 struct DynamicReference<'a> {
@@ -124,13 +133,13 @@ struct DynamicReference<'a> {
 impl<'a> DynamicReference<'a> {
     fn new(
         schedule: &'a TopologySchedule,
-        processes: Vec<Box<dyn dualgraph_sim::Process>>,
+        slots: Vec<ProcessSlot>,
         adversary: Box<dyn Adversary>,
         config: ExecutorConfig,
         plan: FaultPlan,
     ) -> Self {
         let mut exec =
-            ReferenceExecutor::new(schedule.epoch(0).network(), processes, adversary, config)
+            ReferenceExecutor::from_slots(schedule.epoch(0).network(), slots, adversary, config)
                 .unwrap();
         let mut cursor = DynamicsCursor::new(Some(schedule), plan, false);
         let (swap, fired) = cursor.advance(0);
@@ -217,17 +226,18 @@ fn dynamic_engines_agree_across_epochs_and_faults() {
                 )
                 .unwrap();
                 assert!(enumd.executor().uses_batched_dispatch());
-                let mut boxed = DynamicExecutor::new(
+                let mut boxed = DynamicExecutor::from_slots(
                     &schedule,
-                    Flooder::boxed(n),
+                    custom(Flooder::slots(n)),
                     make_adv(),
                     config,
                     plan.clone(),
                 )
                 .unwrap();
+                assert!(!boxed.executor().uses_batched_dispatch());
                 let mut reference = DynamicReference::new(
                     &schedule,
-                    Flooder::boxed(n),
+                    Flooder::slots(n),
                     make_adv(),
                     config,
                     plan.clone(),
@@ -289,14 +299,14 @@ fn clone_then_diverge_matches_independent_references() {
                 // (with the post-clone injection), one the clone (without).
                 let mut ref_orig = DynamicReference::new(
                     &schedule,
-                    PipelinedFlooder::boxed(n),
+                    PipelinedFlooder::slots(n),
                     make_adv(),
                     config,
                     plan.clone(),
                 );
                 let mut ref_clone = DynamicReference::new(
                     &schedule,
-                    PipelinedFlooder::boxed(n),
+                    PipelinedFlooder::slots(n),
                     make_adv(),
                     config,
                     plan.clone(),
@@ -374,17 +384,18 @@ fn injection_fate_agrees_on_dynamic_populations() {
                     plan.clone(),
                 )
                 .unwrap();
-                let mut boxed = DynamicExecutor::new(
+                let mut boxed = DynamicExecutor::from_slots(
                     &schedule,
-                    PipelinedFlooder::boxed(n),
+                    custom(PipelinedFlooder::slots(n)),
                     make_adv(),
                     config,
                     plan.clone(),
                 )
                 .unwrap();
+                assert!(!boxed.executor().uses_batched_dispatch());
                 let mut reference = DynamicReference::new(
                     &schedule,
-                    PipelinedFlooder::boxed(n),
+                    PipelinedFlooder::slots(n),
                     make_adv(),
                     config,
                     plan.clone(),

@@ -48,9 +48,9 @@ proptest! {
     #[test]
     fn informed_set_monotone(n in 3usize..24, seed: u64, rate in 1u64..8) {
         let net = random_net(n, seed);
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            Chatter::boxed(n, seed, rate),
+            Chatter::slots(n, seed, rate),
             Box::new(RandomDelivery::new(0.5, seed ^ 1)),
             ExecutorConfig::default(),
         ).unwrap();
@@ -78,9 +78,9 @@ proptest! {
     fn lone_sender_reliable_delivery(n in 3usize..20, seed: u64, rule_idx in 0usize..4) {
         let net = random_net(n, seed);
         let rule = CollisionRule::ALL[rule_idx];
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &net,
-            Chatter::boxed(n, seed, 2),
+            Chatter::slots(n, seed, 2),
             Box::new(RandomDelivery::new(0.3, seed ^ 2)),
             ExecutorConfig {
                 rule,
@@ -122,9 +122,9 @@ proptest! {
     fn reception_rule_conformance(n in 3usize..16, seed: u64) {
         let net = random_net(n, seed);
         for rule in CollisionRule::ALL {
-            let mut exec = Executor::new(
+            let mut exec = Executor::from_slots(
                 &net,
-                Chatter::boxed(n, seed, 5),
+                Chatter::slots(n, seed, 5),
                 Box::new(RandomDelivery::new(0.6, seed ^ 3)),
                 ExecutorConfig {
                     rule,
@@ -178,9 +178,9 @@ proptest! {
     fn step_determinism(n in 3usize..16, seed: u64, rounds in 1u64..40) {
         let net = random_net(n, seed);
         let run = || {
-            let mut exec = Executor::new(
+            let mut exec = Executor::from_slots(
                 &net,
-                Chatter::boxed(n, seed, 3),
+                Chatter::slots(n, seed, 3),
                 Box::new(RandomDelivery::new(0.4, seed ^ 4)),
                 ExecutorConfig::default(),
             ).unwrap();
@@ -202,9 +202,9 @@ proptest! {
     fn cr3_cr4_agree_under_silence_resolution(n in 3usize..16, seed: u64) {
         let g = random_net(n, seed);
         let run = |rule| {
-            let mut exec = Executor::new(
+            let mut exec = Executor::from_slots(
                 &g,
-                Chatter::boxed(n, seed, 4),
+                Chatter::slots(n, seed, 4),
                 Box::new(ReliableOnly::new()),
                 ExecutorConfig {
                     rule,

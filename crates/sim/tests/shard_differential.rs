@@ -202,7 +202,8 @@ fn sharded_sequential_and_reference_agree() {
                 let mut sequential =
                     Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
                 let mut reference =
-                    ReferenceExecutor::new(&net, Flooder::boxed(n), make_adv(), config).unwrap();
+                    ReferenceExecutor::from_slots(&net, Flooder::slots(n), make_adv(), config)
+                        .unwrap();
                 let mut sharded: Vec<ShardedExecutor<'_>> = WORKER_COUNTS
                     .iter()
                     .map(|&w| {
@@ -714,6 +715,7 @@ fn in_shard_sampling_matches_on_directed_and_reassigned_networks() {
     let reversed: Vec<ProcessId> = (0..n as u32).rev().map(ProcessId).collect();
     assert!(
         WithAssignment::new(RandomDelivery::new(0.3, 4), reversed.clone())
+            .unwrap()
             .oblivious()
             .is_some()
     );
@@ -734,7 +736,8 @@ fn in_shard_sampling_matches_on_directed_and_reassigned_networks() {
             "with-assignment random(0.3)",
             &undirected,
             Box::new(move |coordinator| {
-                let adv = WithAssignment::new(RandomDelivery::new(0.3, 4), reversed.clone());
+                let adv =
+                    WithAssignment::new(RandomDelivery::new(0.3, 4), reversed.clone()).unwrap();
                 on_path(adv, coordinator)
             }),
         ),

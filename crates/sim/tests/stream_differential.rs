@@ -110,11 +110,21 @@ fn k1_pipelined_flooding_is_bit_identical_to_flooder() {
                 assert!(pipe_enum.uses_batched_dispatch());
                 let mut flood_enum =
                     Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
-                let mut pipe_boxed =
-                    Executor::new(&net, PipelinedFlooder::boxed(n), make_adv(), config).unwrap();
-                let mut pipe_ref =
-                    ReferenceExecutor::new(&net, PipelinedFlooder::boxed(n), make_adv(), config)
-                        .unwrap();
+                let mut pipe_boxed = Executor::from_slots(
+                    &net,
+                    custom(PipelinedFlooder::slots(n)),
+                    make_adv(),
+                    config,
+                )
+                .unwrap();
+                assert!(!pipe_boxed.uses_batched_dispatch());
+                let mut pipe_ref = ReferenceExecutor::from_slots(
+                    &net,
+                    PipelinedFlooder::slots(n),
+                    make_adv(),
+                    config,
+                )
+                .unwrap();
                 let (mut pipe_events, mut flood_events) =
                     (Vec::<TraceEvent>::new(), Vec::<TraceEvent>::new());
                 lockstep!(
@@ -224,11 +234,21 @@ fn multi_payload_engines_agree_under_injection() {
                 let mut a =
                     Executor::from_slots(&net, PipelinedHarmonic_slots(n), make_adv(), config)
                         .unwrap();
-                let mut b =
-                    Executor::new(&net, pipelined_harmonic_boxed(n), make_adv(), config).unwrap();
-                let mut c =
-                    ReferenceExecutor::new(&net, pipelined_harmonic_boxed(n), make_adv(), config)
-                        .unwrap();
+                let mut b = Executor::from_slots(
+                    &net,
+                    custom(PipelinedHarmonic_slots(n)),
+                    make_adv(),
+                    config,
+                )
+                .unwrap();
+                assert!(!b.uses_batched_dispatch());
+                let mut c = ReferenceExecutor::from_slots(
+                    &net,
+                    PipelinedHarmonic_slots(n),
+                    make_adv(),
+                    config,
+                )
+                .unwrap();
                 for round in 0..70u64 {
                     for &(at, node, payload) in &schedule {
                         if at == round {
@@ -267,10 +287,12 @@ fn PipelinedHarmonic_slots(n: usize) -> Vec<ProcessSlot> {
         .collect()
 }
 
-fn pipelined_harmonic_boxed(n: usize) -> Vec<Box<dyn dualgraph_sim::Process>> {
-    PipelinedHarmonic_slots(n)
+/// Moves a slot population behind virtual dispatch, for the boxed arms:
+/// every slot becomes a [`ProcessSlot::Custom`] box.
+fn custom(slots: Vec<ProcessSlot>) -> Vec<ProcessSlot> {
+    slots
         .into_iter()
-        .map(ProcessSlot::into_boxed)
+        .map(|s| ProcessSlot::Custom(s.into_boxed()))
         .collect()
 }
 
@@ -281,7 +303,7 @@ fn pipelined_harmonic_boxed(n: usize) -> Vec<Box<dyn dualgraph_sim::Process>> {
 /// absorbed whole (union).
 #[test]
 fn payload_set_union_and_loss_semantics() {
-    use dualgraph_sim::{Process, ProcessTable, SilentProcess};
+    use dualgraph_sim::{Process, SilentProcess};
 
     // Star: center 2 hears leaves 0 and 1 (reliable edges leaf -> center).
     let mut g = dualgraph_net::Digraph::new(3);
@@ -315,24 +337,23 @@ fn payload_set_union_and_loss_semantics() {
 
     let set_a: dualgraph_sim::PayloadSet = [PayloadId(0), PayloadId(2)].into_iter().collect();
     let set_b: dualgraph_sim::PayloadSet = [PayloadId(1), PayloadId(3)].into_iter().collect();
-    let build = |with_b: bool| -> Vec<Box<dyn Process>> {
+    let build = |with_b: bool| -> Vec<ProcessSlot> {
         vec![
-            Box::new(OneShot {
+            ProcessSlot::Custom(Box::new(OneShot {
                 id: ProcessId(0),
                 set: set_a,
-            }),
-            Box::new(OneShot {
+            })),
+            ProcessSlot::Custom(Box::new(OneShot {
                 id: ProcessId(1),
                 set: if with_b {
                     set_b
                 } else {
                     dualgraph_sim::PayloadSet::EMPTY
                 },
-            }),
-            Box::new(SilentProcess::new(ProcessId(2))),
+            })),
+            ProcessSlot::Silent(SilentProcess::new(ProcessId(2))),
         ]
     };
-    let _ = ProcessTable::from_boxed(build(true)); // table path smoke
 
     for rule in CollisionRule::ALL {
         let config = ExecutorConfig {
@@ -342,7 +363,7 @@ fn payload_set_union_and_loss_semantics() {
         };
         // Colliding senders with disjoint sets.
         let mut exec =
-            Executor::new(&net, build(true), Box::new(ReliableOnly::new()), config).unwrap();
+            Executor::from_slots(&net, build(true), Box::new(ReliableOnly::new()), config).unwrap();
         exec.step();
         // CR1/CR2: collision notification; CR3/CR4 (default silence):
         // nothing delivered — either way the whole round's sets are lost.
@@ -353,7 +374,8 @@ fn payload_set_union_and_loss_semantics() {
         );
         // Lone sender: the full set is absorbed (union).
         let mut exec =
-            Executor::new(&net, build(false), Box::new(ReliableOnly::new()), config).unwrap();
+            Executor::from_slots(&net, build(false), Box::new(ReliableOnly::new()), config)
+                .unwrap();
         exec.step();
         assert_eq!(
             exec.known_payloads()[2],
@@ -384,7 +406,7 @@ fn payload_set_union_and_loss_semantics() {
             Box::new(DeliverFirst)
         }
     }
-    let mut exec = Executor::new(
+    let mut exec = Executor::from_slots(
         &net,
         build(true),
         Box::new(DeliverFirst),

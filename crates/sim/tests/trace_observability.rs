@@ -24,8 +24,8 @@ use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::{
     first_divergence, Adversary, BroadcastOutcome, BurstyDelivery, ChatterProcess, CollisionRule,
     CollisionSeeker, DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan,
-    FullDelivery, NullSink, PayloadId, PayloadSet, RandomDelivery, ReferenceExecutor, ReliableOnly,
-    RoundSummary, StartRule, TraceEvent, TraceSink,
+    FullDelivery, NullSink, PayloadId, PayloadSet, ProcessSlot, RandomDelivery, ReferenceExecutor,
+    ReliableOnly, RoundSummary, StartRule, TraceEvent, TraceSink,
 };
 
 /// The adversary menu; every engine under comparison gets its own
@@ -195,17 +195,24 @@ fn null_sink_is_transparent_on_every_engine() {
                 );
                 assert_null_transparent(
                     || {
-                        Executor::new(&net, ChatterProcess::boxed(n, seed, 3), make(), config)
-                            .unwrap()
+                        // Every chatter behind virtual dispatch: a mixed
+                        // table of `Custom` slots.
+                        let custom = ChatterProcess::slots(n, seed, 3)
+                            .into_iter()
+                            .map(|s| ProcessSlot::Custom(s.into_boxed()))
+                            .collect();
+                        let exec = Executor::from_slots(&net, custom, make(), config).unwrap();
+                        assert!(!exec.uses_batched_dispatch());
+                        exec
                     },
                     40,
                     &format!("boxed {label}"),
                 );
                 assert_null_transparent(
                     || {
-                        ReferenceExecutor::new(
+                        ReferenceExecutor::from_slots(
                             &net,
-                            ChatterProcess::boxed(n, seed, 3),
+                            ChatterProcess::slots(n, seed, 3),
                             make(),
                             config,
                         )
@@ -248,7 +255,8 @@ fn collect_reference(
 ) -> Vec<TraceEvent> {
     let n = net.len();
     let mut exec =
-        ReferenceExecutor::new(net, ChatterProcess::boxed(n, seed, 3), adversary, config).unwrap();
+        ReferenceExecutor::from_slots(net, ChatterProcess::slots(n, seed, 3), adversary, config)
+            .unwrap();
     let mut events = Vec::new();
     for _ in 0..rounds {
         exec.step_traced(&mut events);
@@ -332,9 +340,9 @@ impl<'a> TracedDynamicReference<'a> {
         plan: FaultPlan,
     ) -> Self {
         let n = schedule.node_count();
-        let mut exec = ReferenceExecutor::new(
+        let mut exec = ReferenceExecutor::from_slots(
             schedule.epoch(0).network(),
-            ChatterProcess::boxed(n, seed, 3),
+            ChatterProcess::slots(n, seed, 3),
             adversary,
             config,
         )

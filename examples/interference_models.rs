@@ -46,7 +46,7 @@ fn main() {
         for (algo, rule, start) in cases {
             let report = check_equivalence(
                 &net,
-                || algo.processes(net.len(), 99),
+                || algo.slots(net.len(), 99),
                 rule,
                 start,
                 seed,

@@ -52,9 +52,9 @@ fn layered_construction_is_reproducible() {
 fn executor_clone_is_a_fork() {
     use dualgraph::{Executor, ExecutorConfig};
     let net = generators::layered_pairs(15);
-    let mut exec = Executor::new(
+    let mut exec = Executor::from_slots(
         &net,
-        Harmonic::new().processes(15, 3),
+        Harmonic::new().slots(15, 3),
         Box::new(RandomDelivery::new(0.5, 4)),
         ExecutorConfig::default(),
     )

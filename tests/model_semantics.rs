@@ -3,7 +3,7 @@
 
 use dualgraph::{
     generators, CollisionRule, Executor, ExecutorConfig, Message, NodeId, Process, ProcessId,
-    RandomDelivery, ReliableOnly, StartRule,
+    ProcessSlot, RandomDelivery, ReliableOnly, StartRule,
 };
 // The canonical flooding automaton (this file used to carry a private
 // duplicate; it was promoted to `dualgraph_sim::Flooder`).
@@ -40,9 +40,9 @@ fn executor_rejects_illegal_deliveries() {
     }
 
     let net = generators::line(3, 1); // no unreliable edges at all
-    let mut exec = Executor::new(
+    let mut exec = Executor::from_slots(
         &net,
-        Flooder::boxed(3),
+        Flooder::slots(3),
         Box::new(CheatingAdversary),
         ExecutorConfig::default(),
     )
@@ -57,9 +57,9 @@ fn reliable_edges_always_deliver() {
     let net = generators::line(5, 4);
     // RandomDelivery with p=0: unreliable edges never fire; the flood
     // still crosses the line via G.
-    let mut exec = Executor::new(
+    let mut exec = Executor::from_slots(
         &net,
-        Flooder::boxed(5),
+        Flooder::slots(5),
         Box::new(RandomDelivery::new(0.0, 1)),
         ExecutorConfig::default(),
     )
@@ -77,9 +77,9 @@ fn reliable_edges_always_deliver() {
 fn collision_rules_differ_only_in_notification() {
     let star = generators::star(4); // hub 0 + three leaves
     let run = |rule| {
-        let mut exec = Executor::new(
+        let mut exec = Executor::from_slots(
             &star,
-            Flooder::boxed(4),
+            Flooder::slots(4),
             Box::new(ReliableOnly::new()),
             ExecutorConfig {
                 rule,
@@ -129,15 +129,9 @@ fn collision_rules_differ_only_in_notification() {
 fn async_start_sleep_semantics() {
     let net = generators::line(6, 1);
     // Silent processes: nothing propagates, nodes 1.. never activate.
-    let silents: Vec<Box<dyn Process>> = (0..6)
-        .map(|i| {
-            Box::new(dualgraph_sim::SilentProcess::new(ProcessId::from_index(i)))
-                as Box<dyn Process>
-        })
-        .collect();
-    let mut exec = Executor::new(
+    let mut exec = Executor::from_slots(
         &net,
-        silents,
+        dualgraph_sim::SilentProcess::slots(6),
         Box::new(ReliableOnly::new()),
         ExecutorConfig::default(),
     )
@@ -170,10 +164,10 @@ fn sync_start_uninformed_processes_can_transmit() {
         }
     }
     let net = generators::complete(3);
-    let procs: Vec<Box<dyn Process>> = (0..3)
-        .map(|i| Box::new(EarlyTalker(ProcessId::from_index(i))) as Box<dyn Process>)
+    let procs: Vec<ProcessSlot> = (0..3)
+        .map(|i| ProcessSlot::Custom(Box::new(EarlyTalker(ProcessId::from_index(i)))))
         .collect();
-    let mut exec = Executor::new(
+    let mut exec = Executor::from_slots(
         &net,
         procs,
         Box::new(ReliableOnly::new()),
