@@ -156,10 +156,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn golden_transmit_pattern() {
-        // Computed with the per-round `gen_bool(probability(j))` draw.
-        let mut p = HarmonicProcess::new(ProcessId(3), 5, 0x5EED_1234);
+    /// The first 128 transmit decisions of `p` after an environment
+    /// input, one bit per round.
+    fn pattern(mut p: impl Process) -> [u64; 2] {
         p.on_activate(ActivationCause::Input(Message::with_payload(
             ProcessId(3),
             PayloadId(0),
@@ -170,6 +169,25 @@ mod tests {
                 words[(j / 64) as usize] |= 1 << (j % 64);
             }
         }
-        assert_eq!(words, [0x0040_1010_0000_80bf, 0x0000_0000_0080_0001]);
+        words
+    }
+
+    #[test]
+    fn golden_transmit_pattern() {
+        // Computed with the per-round `gen_bool(probability(j))` draw.
+        let p = HarmonicProcess::new(ProcessId(3), 5, 0x5EED_1234);
+        assert_eq!(pattern(p), [0x0040_1010_0000_80bf, 0x0000_0000_0080_0001]);
+    }
+
+    #[test]
+    fn golden_decay_transmit_pattern() {
+        let p = crate::automata::DecayProcess::new(ProcessId(3), 4, 0x5EED_1234);
+        assert_eq!(pattern(p), [0x1155_1113_1111_1131, 0x1d31_3b11_1191_1311]);
+    }
+
+    #[test]
+    fn golden_uniform_transmit_pattern() {
+        let p = crate::automata::UniformProcess::new(ProcessId(3), 0.3, 0x5EED_1234);
+        assert_eq!(pattern(p), [0x0054_91d4_1100_8030, 0x8d21_8a90_1980_0291]);
     }
 }

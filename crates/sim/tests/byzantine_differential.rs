@@ -33,76 +33,15 @@
 //! roles, not plan entries), so every pre-existing suite doubles as the
 //! "Byzantine-free runs are unchanged" regression.
 
-use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
+mod common;
+
+use common::{adversary_menu, churn3, configs, custom, random_net, DENSE};
+use dualgraph_net::{generators, NodeId};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
-    Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
-    Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, NodeRole, PayloadId, PayloadSet,
-    ProcessSlot, RandomDelivery, ReferenceExecutor, ReliableOnly, SilentProcess, StartRule,
+    CollisionRule, DynamicExecutor, Executor, ExecutorConfig, FaultPlan, Flooder, NodeRole,
+    PayloadId, PayloadSet, ReliableOnly, SilentProcess, StartRule,
 };
-
-/// The adversary menu; every engine under comparison gets its own
-/// identically-seeded instance.
-#[allow(clippy::type_complexity)]
-fn adversary_menu(seed: u64) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adversary>>)> {
-    vec![
-        ("reliable-only", Box::new(|| Box::new(ReliableOnly::new()))),
-        ("full-delivery", Box::new(|| Box::new(FullDelivery::new()))),
-        (
-            "random(0.5)",
-            Box::new(move || Box::new(RandomDelivery::new(0.5, seed))),
-        ),
-        (
-            "random-per-edge(0.5)",
-            Box::new(move || Box::new(RandomDelivery::per_edge(0.5, seed))),
-        ),
-        (
-            "bursty",
-            Box::new(move || Box::new(BurstyDelivery::new(0.3, 0.3, seed))),
-        ),
-        (
-            "collision-seeker",
-            Box::new(|| Box::new(CollisionSeeker::new())),
-        ),
-    ]
-}
-
-fn random_net(seed: u64, n: usize) -> DualGraph {
-    generators::er_dual(
-        generators::ErDualParams {
-            n,
-            reliable_p: 0.12,
-            unreliable_p: 0.25,
-        },
-        seed,
-    )
-}
-
-fn configs() -> Vec<ExecutorConfig> {
-    let mut out = Vec::new();
-    for rule in CollisionRule::ALL {
-        for start in [StartRule::Synchronous, StartRule::Asynchronous] {
-            out.push(ExecutorConfig {
-                rule,
-                start,
-                payload: PayloadId(0),
-            });
-        }
-    }
-    out
-}
-
-fn churn3(net: &DualGraph, seed: u64) -> TopologySchedule {
-    generators::churn_schedule(
-        net,
-        generators::ChurnParams {
-            epochs: 3,
-            span: 4,
-            rewire_fraction: 0.5,
-        },
-        seed,
-    )
-}
 
 /// A fault plan exercising both Byzantine roles plus churn of the role
 /// mask itself: the equivocator recovers mid-run (`byzantine_count`
@@ -124,64 +63,13 @@ fn byzantine_plan(n: usize, seed: u64) -> FaultPlan {
         .recover(c, 8)
 }
 
-/// Moves a slot population behind virtual dispatch, for the boxed arm:
-/// every slot becomes a [`ProcessSlot::Custom`] box.
-fn custom(slots: Vec<ProcessSlot>) -> Vec<ProcessSlot> {
-    slots
-        .into_iter()
-        .map(|s| ProcessSlot::Custom(s.into_boxed()))
-        .collect()
-}
-
-/// Drives a [`ReferenceExecutor`] through schedule + plan with the same
-/// [`DynamicsCursor`] the real runners use.
-struct DynamicReference<'a> {
-    exec: ReferenceExecutor<'a>,
-    cursor: DynamicsCursor<'a>,
-}
-
-impl<'a> DynamicReference<'a> {
-    fn new(
-        schedule: &'a TopologySchedule,
-        slots: Vec<ProcessSlot>,
-        adversary: Box<dyn Adversary>,
-        config: ExecutorConfig,
-        plan: FaultPlan,
-    ) -> Self {
-        let mut exec =
-            ReferenceExecutor::from_slots(schedule.epoch(0).network(), slots, adversary, config)
-                .unwrap();
-        let mut cursor = DynamicsCursor::new(Some(schedule), plan, false);
-        let (swap, fired) = cursor.advance(0);
-        assert!(swap.is_none(), "round 0 is always epoch 0");
-        for i in fired {
-            let e = cursor.events()[i];
-            exec.set_role(e.node, e.role);
-        }
-        DynamicReference { exec, cursor }
-    }
-
-    fn step(&mut self) -> dualgraph_sim::RoundSummary {
-        let t = self.exec.round() + 1;
-        let (swap, fired) = self.cursor.advance(t);
-        if let Some(net) = swap {
-            self.exec.set_network(net);
-        }
-        for i in fired {
-            let e = self.cursor.events()[i];
-            self.exec.set_role(e.node, e.role);
-        }
-        self.exec.step()
-    }
-}
-
 /// Property 1: enum, boxed, and reference engines agree round for round
 /// with equivocators and forgers active, across epoch switches × CR1–CR4
 /// × the menu.
 #[test]
 fn byzantine_engines_agree_across_epochs_and_faults() {
     for (g, net_seed) in [(0usize, 19u64), (1, 43), (2, 89)] {
-        let net = random_net(net_seed, 20 + g * 8);
+        let net = random_net(net_seed, 20 + g * 8, DENSE);
         let n = net.len();
         let schedule = churn3(&net, derive_seed(9, net_seed));
         let plan = byzantine_plan(n, net_seed);
@@ -206,7 +94,7 @@ fn byzantine_engines_agree_across_epochs_and_faults() {
                 )
                 .unwrap();
                 assert!(!boxed.executor().uses_batched_dispatch());
-                let mut reference = DynamicReference::new(
+                let mut reference = common::reference(
                     &schedule,
                     Flooder::slots(n),
                     make_adv(),
@@ -246,7 +134,7 @@ fn byzantine_engines_agree_across_epochs_and_faults() {
 #[test]
 fn clone_preserves_the_byzantine_gate() {
     for net_seed in [31u64, 67] {
-        let net = random_net(net_seed, 18);
+        let net = random_net(net_seed, 18, DENSE);
         let n = net.len();
         let schedule = churn3(&net, derive_seed(12, net_seed));
         let plan = byzantine_plan(n, net_seed);
@@ -290,7 +178,7 @@ fn clone_preserves_the_byzantine_gate() {
 fn equal_faced_equivocator_matches_the_spammer_fast_path() {
     let junk = PayloadSet::only(PayloadId(6)) | PayloadSet::only(PayloadId(7));
     for net_seed in [29u64, 73] {
-        let net = random_net(net_seed, 19);
+        let net = random_net(net_seed, 19, DENSE);
         let n = net.len();
         let schedule = churn3(&net, derive_seed(14, net_seed));
         let node = NodeId(1 + (net_seed % (n as u64 - 1)) as u32);

@@ -15,42 +15,16 @@
 //! round's transmissions and receptions are compared as whole messages,
 //! round tags included.
 
+mod common;
+
+use common::{adversary_menu, custom, random_net, DENSE};
 use dualgraph_net::{generators, DualGraph, NodeId};
 use dualgraph_sim::automata::RoundRobinProcess;
 use dualgraph_sim::{
-    first_divergence, Adversary, BurstyDelivery, ChatterProcess, CollisionRule, CollisionSeeker,
-    Executor, ExecutorConfig, FullDelivery, ProcessId, ProcessSlot, RandomDelivery,
-    ReferenceExecutor, ReliableOnly, StartRule, TraceEvent, WithAssignment,
+    first_divergence, Adversary, ChatterProcess, CollisionRule, Executor, ExecutorConfig,
+    FullDelivery, ProcessId, ProcessSlot, RandomDelivery, ReferenceExecutor, StartRule, TraceEvent,
+    WithAssignment,
 };
-
-/// The full adversary menu as `(name, factory)` pairs — each engine under
-/// comparison gets its own freshly-built (identically-seeded) instance.
-#[allow(clippy::type_complexity)]
-fn adversary_menu(seed: u64) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adversary>>)> {
-    vec![
-        ("reliable-only", Box::new(|| Box::new(ReliableOnly::new()))),
-        ("full-delivery", Box::new(|| Box::new(FullDelivery::new()))),
-        (
-            "random(0.5)",
-            Box::new(move || Box::new(RandomDelivery::new(0.5, seed))),
-        ),
-        // The one entry whose answers depend on call order: its draws
-        // come off one sequential stream, so an engine that calls the
-        // adversary out of sender order diverges here.
-        (
-            "random-per-edge(0.5)",
-            Box::new(move || Box::new(RandomDelivery::per_edge(0.5, seed))),
-        ),
-        (
-            "bursty",
-            Box::new(move || Box::new(BurstyDelivery::new(0.3, 0.3, seed))),
-        ),
-        (
-            "collision-seeker",
-            Box::new(|| Box::new(CollisionSeeker::new())),
-        ),
-    ]
-}
 
 /// Panics at the first diverging event if two recorded streams differ
 /// past `from` (the streams agree before it).
@@ -63,15 +37,6 @@ fn assert_same_stream(left: &[TraceEvent], right: &[TraceEvent], from: usize, wh
             div.right
         );
     }
-}
-
-/// Moves a slot population behind virtual dispatch: every slot becomes
-/// a [`ProcessSlot::Custom`] box, so the executor runs a mixed table.
-fn custom(slots: Vec<ProcessSlot>) -> Vec<ProcessSlot> {
-    slots
-        .into_iter()
-        .map(|s| ProcessSlot::Custom(s.into_boxed()))
-        .collect()
 }
 
 /// Steps all three engines side by side — the population's slots on the
@@ -144,14 +109,7 @@ fn optimized_engine_matches_reference_on_random_topologies() {
     // ~50 random er_dual topologies x the full adversary menu.
     for topo_seed in 0..50u64 {
         let n = 5 + (topo_seed as usize * 7) % 32;
-        let net = generators::er_dual(
-            generators::ErDualParams {
-                n,
-                reliable_p: 0.12,
-                unreliable_p: 0.25,
-            },
-            topo_seed,
-        );
+        let net = random_net(topo_seed, n, DENSE);
         for (name, make) in adversary_menu(topo_seed ^ 0xA5) {
             assert_engines_agree(
                 &net,
@@ -167,14 +125,7 @@ fn optimized_engine_matches_reference_on_random_topologies() {
 
 #[test]
 fn optimized_engine_matches_reference_across_rules_and_starts() {
-    let net = generators::er_dual(
-        generators::ErDualParams {
-            n: 21,
-            reliable_p: 0.15,
-            unreliable_p: 0.3,
-        },
-        99,
-    );
+    let net = random_net(99, 21, (0.15, 0.3));
     for rule in CollisionRule::ALL {
         for start in [StartRule::Synchronous, StartRule::Asynchronous] {
             assert_engines_agree(
@@ -253,14 +204,7 @@ fn engines_agree_in_all_senders_steady_state() {
 /// changes its transmissions immediately.
 #[test]
 fn engines_agree_under_non_identity_assignments() {
-    let net = generators::er_dual(
-        generators::ErDualParams {
-            n: 17,
-            reliable_p: 0.18,
-            unreliable_p: 0.3,
-        },
-        7,
-    );
+    let net = random_net(7, 17, (0.18, 0.3));
     let n = net.len();
     let permutations: Vec<(&str, Vec<ProcessId>)> = vec![
         (
@@ -333,14 +277,7 @@ fn optimized_engine_matches_reference_on_gadgets() {
 fn engines_agree_on_round_tagged_protocol_under_async_start() {
     for topo_seed in 0..8u64 {
         let n = 5 + (topo_seed as usize * 5) % 20;
-        let net = generators::er_dual(
-            generators::ErDualParams {
-                n,
-                reliable_p: 0.15,
-                unreliable_p: 0.25,
-            },
-            topo_seed,
-        );
+        let net = random_net(topo_seed, n, (0.15, 0.25));
         let slots = move || {
             (0..n)
                 .map(|i| {

@@ -20,84 +20,13 @@
 //! "what changes at round `t`?" decision is shared and only the round
 //! semantics differ.
 
-use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
+mod common;
+
+use common::{adversary_menu, churn3, configs, custom, random_net, DENSE};
+use dualgraph_net::{NodeId, TopologySchedule};
 use dualgraph_sim::automata::PipelinedFlooder;
 use dualgraph_sim::rng::derive_seed;
-use dualgraph_sim::{
-    Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
-    Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, PayloadId, PayloadSet, ProcessSlot,
-    RandomDelivery, ReferenceExecutor, ReliableOnly, StartRule,
-};
-
-/// The adversary menu; every engine under comparison gets its own
-/// identically-seeded instance.
-#[allow(clippy::type_complexity)]
-fn adversary_menu(seed: u64) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adversary>>)> {
-    vec![
-        ("reliable-only", Box::new(|| Box::new(ReliableOnly::new()))),
-        ("full-delivery", Box::new(|| Box::new(FullDelivery::new()))),
-        (
-            "random(0.5)",
-            Box::new(move || Box::new(RandomDelivery::new(0.5, seed))),
-        ),
-        (
-            "random-per-edge(0.5)",
-            Box::new(move || Box::new(RandomDelivery::per_edge(0.5, seed))),
-        ),
-        (
-            "bursty",
-            Box::new(move || Box::new(BurstyDelivery::new(0.3, 0.3, seed))),
-        ),
-        (
-            "bursty-per-round",
-            Box::new(move || Box::new(BurstyDelivery::per_round(0.3, 0.3, seed))),
-        ),
-        (
-            "collision-seeker",
-            Box::new(|| Box::new(CollisionSeeker::new())),
-        ),
-    ]
-}
-
-fn random_net(seed: u64, n: usize) -> DualGraph {
-    generators::er_dual(
-        generators::ErDualParams {
-            n,
-            reliable_p: 0.12,
-            unreliable_p: 0.25,
-        },
-        seed,
-    )
-}
-
-fn configs() -> Vec<ExecutorConfig> {
-    let mut out = Vec::new();
-    for rule in CollisionRule::ALL {
-        for start in [StartRule::Synchronous, StartRule::Asynchronous] {
-            out.push(ExecutorConfig {
-                rule,
-                start,
-                payload: PayloadId(0),
-            });
-        }
-    }
-    out
-}
-
-/// A 3-epoch churn schedule over `net` with short spans, so a 30-round
-/// comparison crosses several boundaries (and, cycling disabled, also
-/// exercises the tail extension).
-fn churn3(net: &DualGraph, seed: u64) -> TopologySchedule {
-    generators::churn_schedule(
-        net,
-        generators::ChurnParams {
-            epochs: 3,
-            span: 4,
-            rewire_fraction: 0.5,
-        },
-        seed,
-    )
-}
+use dualgraph_sim::{DynamicExecutor, Executor, FaultPlan, Flooder, PayloadId, PayloadSet};
 
 /// A fault plan touching all three fault kinds plus a recovery, on nodes
 /// picked deterministically from `n` and `seed`.
@@ -114,63 +43,12 @@ fn mixed_plan(n: usize, seed: u64) -> FaultPlan {
         .spam(c, 7, PayloadSet::only(PayloadId(6)))
 }
 
-/// Moves a slot population behind virtual dispatch, for the boxed arms:
-/// every slot becomes a [`ProcessSlot::Custom`] box.
-fn custom(slots: Vec<ProcessSlot>) -> Vec<ProcessSlot> {
-    slots
-        .into_iter()
-        .map(|s| ProcessSlot::Custom(s.into_boxed()))
-        .collect()
-}
-
-/// Drives a [`ReferenceExecutor`] through schedule + plan with the same
-/// [`DynamicsCursor`] the real runners use.
-struct DynamicReference<'a> {
-    exec: ReferenceExecutor<'a>,
-    cursor: DynamicsCursor<'a>,
-}
-
-impl<'a> DynamicReference<'a> {
-    fn new(
-        schedule: &'a TopologySchedule,
-        slots: Vec<ProcessSlot>,
-        adversary: Box<dyn Adversary>,
-        config: ExecutorConfig,
-        plan: FaultPlan,
-    ) -> Self {
-        let mut exec =
-            ReferenceExecutor::from_slots(schedule.epoch(0).network(), slots, adversary, config)
-                .unwrap();
-        let mut cursor = DynamicsCursor::new(Some(schedule), plan, false);
-        let (swap, fired) = cursor.advance(0);
-        assert!(swap.is_none(), "round 0 is always epoch 0");
-        for i in fired {
-            let e = cursor.events()[i];
-            exec.set_role(e.node, e.role);
-        }
-        DynamicReference { exec, cursor }
-    }
-
-    fn step(&mut self) -> dualgraph_sim::RoundSummary {
-        let t = self.exec.round() + 1;
-        let (swap, fired) = self.cursor.advance(t);
-        if let Some(net) = swap {
-            self.exec.set_network(net);
-        }
-        for i in fired {
-            let e = self.cursor.events()[i];
-            self.exec.set_role(e.node, e.role);
-        }
-        self.exec.step()
-    }
-}
-
 /// Property 1: a single-epoch, no-fault schedule is round-for-round
 /// identical to the static engine — over the full menu.
 #[test]
 fn single_epoch_no_fault_schedule_is_the_static_engine() {
     for (g, net_seed) in [(0usize, 11u64), (1, 29), (2, 83)] {
-        let net = random_net(net_seed, 22 + g * 9);
+        let net = random_net(net_seed, 22 + g * 9, DENSE);
         let n = net.len();
         let schedule = TopologySchedule::single(net.clone());
         for config in configs() {
@@ -210,7 +88,7 @@ fn single_epoch_no_fault_schedule_is_the_static_engine() {
 #[test]
 fn dynamic_engines_agree_across_epochs_and_faults() {
     for (g, net_seed) in [(0usize, 17u64), (1, 47), (2, 97)] {
-        let net = random_net(net_seed, 20 + g * 8);
+        let net = random_net(net_seed, 20 + g * 8, DENSE);
         let n = net.len();
         let schedule = churn3(&net, derive_seed(5, net_seed));
         let plan = mixed_plan(n, net_seed);
@@ -235,7 +113,7 @@ fn dynamic_engines_agree_across_epochs_and_faults() {
                 )
                 .unwrap();
                 assert!(!boxed.executor().uses_batched_dispatch());
-                let mut reference = DynamicReference::new(
+                let mut reference = common::reference(
                     &schedule,
                     Flooder::slots(n),
                     make_adv(),
@@ -280,7 +158,7 @@ fn dynamic_engines_agree_across_epochs_and_faults() {
 #[test]
 fn clone_then_diverge_matches_independent_references() {
     for net_seed in [23u64, 71] {
-        let net = random_net(net_seed, 19);
+        let net = random_net(net_seed, 19, DENSE);
         let n = net.len();
         let schedule = churn3(&net, derive_seed(8, net_seed));
         let plan = mixed_plan(n, net_seed);
@@ -297,14 +175,14 @@ fn clone_then_diverge_matches_independent_references() {
                 .unwrap();
                 // Two independent oracles: one will mirror the original
                 // (with the post-clone injection), one the clone (without).
-                let mut ref_orig = DynamicReference::new(
+                let mut ref_orig = common::reference(
                     &schedule,
                     PipelinedFlooder::slots(n),
                     make_adv(),
                     config,
                     plan.clone(),
                 );
-                let mut ref_clone = DynamicReference::new(
+                let mut ref_clone = common::reference(
                     &schedule,
                     PipelinedFlooder::slots(n),
                     make_adv(),
@@ -366,7 +244,7 @@ fn clone_then_diverge_matches_independent_references() {
 #[test]
 fn injection_fate_agrees_on_dynamic_populations() {
     for net_seed in [13u64, 59] {
-        let net = random_net(net_seed, 18);
+        let net = random_net(net_seed, 18, DENSE);
         let n = net.len();
         let schedule = churn3(&net, derive_seed(6, net_seed));
         // One node crashes early and recovers late; injections straddle
@@ -393,7 +271,7 @@ fn injection_fate_agrees_on_dynamic_populations() {
                 )
                 .unwrap();
                 assert!(!boxed.executor().uses_batched_dispatch());
-                let mut reference = DynamicReference::new(
+                let mut reference = common::reference(
                     &schedule,
                     PipelinedFlooder::slots(n),
                     make_adv(),

@@ -41,85 +41,28 @@
 //! counts genuinely shard; `plan().shards()` is asserted to keep the
 //! suite honest if the alignment policy ever changes.
 
-use dualgraph_net::{generators, Digraph, DualGraph, NodeId, TopologySchedule};
+mod common;
+
+use common::{adversary_menu, churn3, configs, random_net};
+use dualgraph_net::{generators, Digraph, DualGraph, NodeId};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     ActivationCause, Adversary, Assignment, BurstyDelivery, CollisionRule, CollisionSeeker,
-    Cr4Resolution, DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan, Flooder,
-    FullDelivery, Message, NodeRole, PayloadId, PayloadSet, Process, ProcessId, ProcessSlot,
-    RandomDelivery, Reception, ReferenceExecutor, ReliableOnly, RoundContext, RoundSummary,
-    ShardedExecutor, StartRule, TraceEvent, TraceSink, WithAssignment, WithRandomCr4,
+    Cr4Resolution, DynamicExecutor, Executor, ExecutorConfig, FaultPlan, Flooder, Message,
+    NodeRole, PayloadId, PayloadSet, Process, ProcessId, ProcessSlot, RandomDelivery, Reception,
+    ReferenceExecutor, RoundContext, RoundSummary, ShardedExecutor, StartRule, TraceEvent,
+    WithAssignment, WithRandomCr4,
 };
 
 /// Worker counts under test: the one-shard plan, an even split, and an
 /// uneven count that leaves the last shard short.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
-/// The adversary menu; every engine under comparison gets its own
-/// identically-seeded instance.
-#[allow(clippy::type_complexity)]
-fn adversary_menu(seed: u64) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adversary>>)> {
-    vec![
-        ("reliable-only", Box::new(|| Box::new(ReliableOnly::new()))),
-        ("full-delivery", Box::new(|| Box::new(FullDelivery::new()))),
-        (
-            "random(0.5)",
-            Box::new(move || Box::new(RandomDelivery::new(0.5, seed))),
-        ),
-        (
-            "random-per-edge(0.5)",
-            Box::new(move || Box::new(RandomDelivery::per_edge(0.5, seed))),
-        ),
-        (
-            "bursty",
-            Box::new(move || Box::new(BurstyDelivery::new(0.3, 0.3, seed))),
-        ),
-        (
-            "collision-seeker",
-            Box::new(|| Box::new(CollisionSeeker::new())),
-        ),
-    ]
-}
-
 /// Big enough that workers 2 and 7 both produce multiple 64-aligned
 /// shards, sparse enough that the round loop exercises the list path
-/// (not just the dense fast path).
-fn random_net(seed: u64, n: usize) -> DualGraph {
-    generators::er_dual(
-        generators::ErDualParams {
-            n,
-            reliable_p: 0.03,
-            unreliable_p: 0.08,
-        },
-        seed,
-    )
-}
-
-fn configs() -> Vec<ExecutorConfig> {
-    let mut out = Vec::new();
-    for rule in CollisionRule::ALL {
-        for start in [StartRule::Synchronous, StartRule::Asynchronous] {
-            out.push(ExecutorConfig {
-                rule,
-                start,
-                payload: PayloadId(0),
-            });
-        }
-    }
-    out
-}
-
-fn churn3(net: &DualGraph, seed: u64) -> TopologySchedule {
-    generators::churn_schedule(
-        net,
-        generators::ChurnParams {
-            epochs: 3,
-            span: 4,
-            rewire_fraction: 0.5,
-        },
-        seed,
-    )
-}
+/// (not just the dense fast path): `er_dual` densities for
+/// [`random_net`].
+const SPARSE: (f64, f64) = (0.03, 0.08);
 
 /// Crash/recovery, a jammer, an equivocator (who recovers — the
 /// Byzantine gate must drop back), and a forger, spread over the node
@@ -140,54 +83,6 @@ fn fault_plan(n: usize, seed: u64) -> FaultPlan {
         .forge(pick(3), 4, PayloadSet::only(PayloadId(9)))
 }
 
-/// Drives a [`ShardedExecutor`] through schedule + fault plan with the
-/// same [`DynamicsCursor`] the sequential [`DynamicExecutor`] uses
-/// (role flips and epoch swaps reach the inner engine through `Deref`).
-struct ShardedDynamic<'a> {
-    exec: ShardedExecutor<'a>,
-    cursor: DynamicsCursor<'a>,
-}
-
-impl<'a> ShardedDynamic<'a> {
-    fn new(
-        schedule: &'a TopologySchedule,
-        slots: Vec<dualgraph_sim::ProcessSlot>,
-        adversary: Box<dyn Adversary>,
-        config: ExecutorConfig,
-        workers: usize,
-        plan: FaultPlan,
-    ) -> Self {
-        let exec =
-            Executor::from_slots(schedule.epoch(0).network(), slots, adversary, config).unwrap();
-        let mut exec = ShardedExecutor::new(exec, workers);
-        let mut cursor = DynamicsCursor::new(Some(schedule), plan, false);
-        let (swap, fired) = cursor.advance(0);
-        assert!(swap.is_none(), "round 0 is always epoch 0");
-        for i in fired {
-            let e = cursor.events()[i];
-            exec.set_role(e.node, e.role);
-        }
-        ShardedDynamic { exec, cursor }
-    }
-
-    fn step(&mut self) -> RoundSummary {
-        self.step_traced(&mut dualgraph_sim::NullSink)
-    }
-
-    fn step_traced<S: TraceSink>(&mut self, sink: &mut S) -> RoundSummary {
-        let t = self.exec.round() + 1;
-        let (swap, fired) = self.cursor.advance(t);
-        if let Some(net) = swap {
-            self.exec.set_network(net);
-        }
-        for i in fired {
-            let e = self.cursor.events()[i];
-            self.exec.set_role(e.node, e.role);
-        }
-        self.exec.step_traced(sink)
-    }
-}
-
 /// Property 1: sharded (workers 1, 2, 7), sequential, and reference
 /// engines agree round for round across topologies × the menu × CR1–CR4
 /// × both start rules — fault-free, so this isolates the core sweep
@@ -195,7 +90,7 @@ impl<'a> ShardedDynamic<'a> {
 #[test]
 fn sharded_sequential_and_reference_agree() {
     for (net_seed, n) in [(19u64, 150), (43, 200)] {
-        let net = random_net(net_seed, n);
+        let net = random_net(net_seed, n, SPARSE);
         for config in configs() {
             for (name, make_adv) in adversary_menu(derive_seed(137, net_seed)) {
                 let label = format!("n={n} {name} {:?} {:?}", config.rule, config.start);
@@ -257,7 +152,7 @@ fn sharded_sequential_and_reference_agree() {
 fn sharded_engines_agree_under_faults_and_churn() {
     for net_seed in [29u64, 89] {
         let n = 150;
-        let net = random_net(net_seed, n);
+        let net = random_net(net_seed, n, SPARSE);
         let schedule = churn3(&net, derive_seed(9, net_seed));
         let plan = fault_plan(n, net_seed);
         for config in configs() {
@@ -271,10 +166,10 @@ fn sharded_engines_agree_under_faults_and_churn() {
                     plan.clone(),
                 )
                 .unwrap();
-                let mut sharded: Vec<ShardedDynamic<'_>> = WORKER_COUNTS
+                let mut sharded: Vec<common::Dynamic<'_, ShardedExecutor<'_>>> = WORKER_COUNTS
                     .iter()
                     .map(|&w| {
-                        ShardedDynamic::new(
+                        common::sharded(
                             &schedule,
                             Flooder::slots(n),
                             make_adv(),
@@ -318,7 +213,7 @@ fn sharded_engines_agree_under_faults_and_churn() {
 #[test]
 fn sharded_trace_streams_are_identical() {
     let n = 150;
-    let net = random_net(61, n);
+    let net = random_net(61, n, SPARSE);
     let adversaries: [(&str, fn() -> Box<dyn Adversary>); 4] = [
         ("random(0.4)", || Box::new(RandomDelivery::new(0.4, 17))),
         ("collision-seeker", || Box::new(CollisionSeeker::new())),
@@ -437,7 +332,7 @@ fn interleaved_sequential_and_sharded_steps_agree() {
     };
     interleave(
         "random(0.4)",
-        &random_net(83, 150),
+        &random_net(83, 150, SPARSE),
         config,
         Flooder::slots,
         || Box::new(RandomDelivery::new(0.4, 23)),
@@ -601,7 +496,7 @@ fn in_shard_sampling_matches_the_coordinator_under_churn_and_faults() {
         .oblivious()
         .is_none());
     for net_seed in [29u64, 89] {
-        let net = random_net(net_seed, n);
+        let net = random_net(net_seed, n, SPARSE);
         let schedule = generators::churn_schedule(
             &net,
             generators::ChurnParams {
@@ -628,7 +523,7 @@ fn in_shard_sampling_matches_the_coordinator_under_churn_and_faults() {
                 )
                 .unwrap();
                 let mut paths = [false, true].map(|coordinator| {
-                    ShardedDynamic::new(
+                    common::sharded(
                         &schedule,
                         Flooder::slots(n),
                         on_path(RandomDelivery::new(0.5, seed), coordinator),
@@ -711,7 +606,7 @@ fn in_shard_sampling_matches_on_directed_and_reassigned_networks() {
         directed.unreliable_only_in_csr(),
         directed.unreliable_only_csr()
     );
-    let undirected = random_net(71, n);
+    let undirected = random_net(71, n, SPARSE);
     let reversed: Vec<ProcessId> = (0..n as u32).rev().map(ProcessId).collect();
     assert!(
         WithAssignment::new(RandomDelivery::new(0.3, 4), reversed.clone())

@@ -16,69 +16,18 @@
 //!    and the reference oracle must agree on every round summary *and* on
 //!    the per-node known-payload record.
 
-use dualgraph_net::{generators, DualGraph, NodeId};
-use dualgraph_sim::automata::{HarmonicProcess, PipelinedFlooder, PipelinedHarmonic};
+mod common;
+
+use common::{adversary_menu, configs, custom, random_net, DENSE};
+use dualgraph_net::{DualGraph, NodeId};
+use dualgraph_sim::automata::{
+    DecayProcess, HarmonicProcess, PipelinedFlooder, PipelinedHarmonic, UniformProcess,
+};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
-    Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, Executor, ExecutorConfig, Flooder,
-    FullDelivery, PayloadId, ProcessId, ProcessSlot, RandomDelivery, ReferenceExecutor,
-    ReliableOnly, StartRule, TraceEvent,
+    Adversary, CollisionRule, Executor, ExecutorConfig, Flooder, PayloadId, ProcessId, ProcessSlot,
+    ReferenceExecutor, ReliableOnly, StartRule, TraceEvent,
 };
-
-/// The adversary menu; every engine under comparison gets its own
-/// identically-seeded instance.
-#[allow(clippy::type_complexity)]
-fn adversary_menu(seed: u64) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adversary>>)> {
-    vec![
-        ("reliable-only", Box::new(|| Box::new(ReliableOnly::new()))),
-        ("full-delivery", Box::new(|| Box::new(FullDelivery::new()))),
-        (
-            "random(0.5)",
-            Box::new(move || Box::new(RandomDelivery::new(0.5, seed))),
-        ),
-        (
-            "random-per-edge(0.5)",
-            Box::new(move || Box::new(RandomDelivery::per_edge(0.5, seed))),
-        ),
-        (
-            "bursty",
-            Box::new(move || Box::new(BurstyDelivery::new(0.3, 0.3, seed))),
-        ),
-        (
-            "bursty-per-round",
-            Box::new(move || Box::new(BurstyDelivery::per_round(0.3, 0.3, seed))),
-        ),
-        (
-            "collision-seeker",
-            Box::new(|| Box::new(CollisionSeeker::new())),
-        ),
-    ]
-}
-
-fn random_net(seed: u64, n: usize) -> DualGraph {
-    generators::er_dual(
-        generators::ErDualParams {
-            n,
-            reliable_p: 0.12,
-            unreliable_p: 0.25,
-        },
-        seed,
-    )
-}
-
-fn configs() -> Vec<ExecutorConfig> {
-    let mut out = Vec::new();
-    for rule in CollisionRule::ALL {
-        for start in [StartRule::Synchronous, StartRule::Asynchronous] {
-            out.push(ExecutorConfig {
-                rule,
-                start,
-                payload: PayloadId(0),
-            });
-        }
-    }
-    out
-}
 
 /// Steps `a` and `b` (any two engines exposed as closures returning the
 /// round summary) side by side and asserts identical summaries.
@@ -99,7 +48,7 @@ macro_rules! lockstep {
 #[test]
 fn k1_pipelined_flooding_is_bit_identical_to_flooder() {
     for (g, net_seed) in [(0usize, 5u64), (1, 23), (2, 71)] {
-        let net = random_net(net_seed, 24 + g * 7);
+        let net = random_net(net_seed, 24 + g * 7, DENSE);
         let n = net.len();
         for config in configs() {
             for (name, make_adv) in adversary_menu(derive_seed(9, net_seed)) {
@@ -176,7 +125,7 @@ fn k1_pipelined_harmonic_is_bit_identical_to_harmonic() {
             .collect()
     };
     for net_seed in [3u64, 17] {
-        let net = random_net(net_seed, 22);
+        let net = random_net(net_seed, 22, DENSE);
         let n = net.len();
         for config in configs() {
             for (name, make_adv) in adversary_menu(derive_seed(31, net_seed)) {
@@ -208,6 +157,67 @@ fn k1_pipelined_harmonic_is_bit_identical_to_harmonic() {
     }
 }
 
+/// A randomized single-payload population, per-node seeds
+/// `derive_seed(seed, i)`: Decay with phase length 3, Uniform with
+/// `p = 0.3`, or Harmonic with period 4.
+fn randomized(kind: &str, n: usize, seed: u64) -> Vec<ProcessSlot> {
+    (0..n)
+        .map(|i| {
+            let (id, seed) = (ProcessId::from_index(i), derive_seed(seed, i as u64));
+            match kind {
+                "decay" => ProcessSlot::Decay(DecayProcess::new(id, 3, seed)),
+                "uniform" => ProcessSlot::Uniform(UniformProcess::new(id, 0.3, seed)),
+                _ => ProcessSlot::Harmonic(HarmonicProcess::new(id, 4, seed)),
+            }
+        })
+        .collect()
+}
+
+/// Pins what the Decay, Uniform and Harmonic populations do, over the
+/// menu × CR1–CR4 × both start rules: each run's event stream, recorded on
+/// the batched path, must equal the reference oracle's, and all of them
+/// together are pinned by event count and FNV-1a 64 digest of their
+/// `Debug` lines.
+#[test]
+fn randomized_event_streams_are_pinned() {
+    let (mut count, mut digest) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+    for net_seed in [3u64, 17] {
+        let net = random_net(net_seed, 22, DENSE);
+        let n = net.len();
+        for kind in ["decay", "uniform", "harmonic"] {
+            for config in configs() {
+                for (name, make_adv) in adversary_menu(derive_seed(31, net_seed)) {
+                    let label = format!("{kind} {name} {:?} {:?}", config.rule, config.start);
+                    let mut exec =
+                        Executor::from_slots(&net, randomized(kind, n, 7), make_adv(), config)
+                            .unwrap();
+                    assert!(exec.uses_batched_dispatch());
+                    let mut oracle = ReferenceExecutor::from_slots(
+                        &net,
+                        randomized(kind, n, 7),
+                        make_adv(),
+                        config,
+                    )
+                    .unwrap();
+                    let (mut events, mut oracle_events) = (Vec::new(), Vec::new());
+                    for _ in 0..80 {
+                        exec.step_traced(&mut events);
+                        oracle.step_traced(&mut oracle_events);
+                    }
+                    assert_eq!(events, oracle_events, "{label}: event streams diverged");
+                    count += events.len();
+                    for event in &events {
+                        digest = format!("{event:?}\n").bytes().fold(digest, |h, b| {
+                            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                        });
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((count, digest), (612_614, 0x8261_20de_0a65_f827));
+}
+
 /// k > 1: enum vs boxed vs reference under a shared injection schedule.
 /// Covers payload-set union (multiple payloads per message) and loss
 /// (collision) semantics under every rule.
@@ -215,7 +225,7 @@ fn k1_pipelined_harmonic_is_bit_identical_to_harmonic() {
 fn multi_payload_engines_agree_under_injection() {
     let k = 5usize;
     for net_seed in [2u64, 41] {
-        let net = random_net(net_seed, 20);
+        let net = random_net(net_seed, 20, DENSE);
         let n = net.len();
         // Deterministic schedule: payload p arrives at node (p * 7) % n
         // after round 3 * p.
@@ -284,15 +294,6 @@ fn PipelinedHarmonic_slots(n: usize) -> Vec<ProcessSlot> {
                 derive_seed(13, i as u64),
             ))
         })
-        .collect()
-}
-
-/// Moves a slot population behind virtual dispatch, for the boxed arms:
-/// every slot becomes a [`ProcessSlot::Custom`] box.
-fn custom(slots: Vec<ProcessSlot>) -> Vec<ProcessSlot> {
-    slots
-        .into_iter()
-        .map(|s| ProcessSlot::Custom(s.into_boxed()))
         .collect()
 }
 

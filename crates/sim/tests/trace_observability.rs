@@ -20,60 +20,15 @@
 //!    mutation (perturbed adversary) must be localized to a concrete
 //!    first diverging event by [`first_divergence`].
 
-use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
+mod common;
+
+use common::{adversary_menu, churn3, configs, custom, random_net, DENSE};
+use dualgraph_net::{DualGraph, NodeId};
 use dualgraph_sim::{
-    first_divergence, Adversary, BroadcastOutcome, BurstyDelivery, ChatterProcess, CollisionRule,
-    CollisionSeeker, DynamicExecutor, DynamicsCursor, Executor, ExecutorConfig, FaultPlan,
-    FullDelivery, NullSink, PayloadId, PayloadSet, ProcessSlot, RandomDelivery, ReferenceExecutor,
-    ReliableOnly, RoundSummary, StartRule, TraceEvent, TraceSink,
+    first_divergence, Adversary, BroadcastOutcome, ChatterProcess, CollisionRule, DynamicExecutor,
+    Executor, ExecutorConfig, FaultPlan, NullSink, PayloadId, PayloadSet, RandomDelivery,
+    ReferenceExecutor, RoundSummary, TraceEvent, TraceSink,
 };
-
-/// The adversary menu; every engine under comparison gets its own
-/// identically-seeded instance.
-#[allow(clippy::type_complexity)]
-fn adversary_menu(seed: u64) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adversary>>)> {
-    vec![
-        ("reliable-only", Box::new(|| Box::new(ReliableOnly::new()))),
-        ("full-delivery", Box::new(|| Box::new(FullDelivery::new()))),
-        (
-            "random(0.5)",
-            Box::new(move || Box::new(RandomDelivery::new(0.5, seed))),
-        ),
-        (
-            "bursty",
-            Box::new(move || Box::new(BurstyDelivery::new(0.3, 0.3, seed))),
-        ),
-        (
-            "collision-seeker",
-            Box::new(|| Box::new(CollisionSeeker::new())),
-        ),
-    ]
-}
-
-fn random_net(seed: u64, n: usize) -> DualGraph {
-    generators::er_dual(
-        generators::ErDualParams {
-            n,
-            reliable_p: 0.12,
-            unreliable_p: 0.25,
-        },
-        seed,
-    )
-}
-
-fn configs() -> Vec<ExecutorConfig> {
-    let mut out = Vec::new();
-    for rule in CollisionRule::ALL {
-        for start in [StartRule::Synchronous, StartRule::Asynchronous] {
-            out.push(ExecutorConfig {
-                rule,
-                start,
-                ..ExecutorConfig::default()
-            });
-        }
-    }
-    out
-}
 
 /// The round and injection entry points the transparency check drives,
 /// over both executor types.
@@ -175,7 +130,7 @@ fn assert_null_transparent<E: Engine>(build: impl Fn() -> E, rounds: u64, label:
 #[test]
 fn null_sink_is_transparent_on_every_engine() {
     for (topo_seed, n) in [(3u64, 19usize), (11, 27)] {
-        let net = random_net(topo_seed, n);
+        let net = random_net(topo_seed, n, DENSE);
         for config in configs() {
             for (name, make) in adversary_menu(topo_seed ^ 0x5A) {
                 let seed = topo_seed.wrapping_mul(97) ^ 13;
@@ -197,11 +152,8 @@ fn null_sink_is_transparent_on_every_engine() {
                     || {
                         // Every chatter behind virtual dispatch: a mixed
                         // table of `Custom` slots.
-                        let custom = ChatterProcess::slots(n, seed, 3)
-                            .into_iter()
-                            .map(|s| ProcessSlot::Custom(s.into_boxed()))
-                            .collect();
-                        let exec = Executor::from_slots(&net, custom, make(), config).unwrap();
+                        let slots = custom(ChatterProcess::slots(n, seed, 3));
+                        let exec = Executor::from_slots(&net, slots, make(), config).unwrap();
                         assert!(!exec.uses_batched_dispatch());
                         exec
                     },
@@ -269,7 +221,7 @@ fn collect_reference(
 #[test]
 fn engines_emit_identical_event_streams_on_static_runs() {
     for (topo_seed, n) in [(5u64, 21usize), (17, 29)] {
-        let net = random_net(topo_seed, n);
+        let net = random_net(topo_seed, n, DENSE);
         for rule in CollisionRule::ALL {
             let config = ExecutorConfig {
                 rule,
@@ -293,20 +245,6 @@ fn engines_emit_identical_event_streams_on_static_runs() {
     }
 }
 
-/// A 3-epoch churn schedule with short spans so a 40-round run crosses
-/// several boundaries.
-fn churn3(net: &DualGraph, seed: u64) -> TopologySchedule {
-    generators::churn_schedule(
-        net,
-        generators::ChurnParams {
-            epochs: 3,
-            span: 4,
-            rewire_fraction: 0.5,
-        },
-        seed,
-    )
-}
-
 /// A fault plan exercising crash/recovery plus the Byzantine roles
 /// (jammer, spammer, equivocator, forger) on deterministically chosen
 /// non-source nodes.
@@ -322,69 +260,12 @@ fn byzantine_mixed_plan(n: usize, seed: u64) -> FaultPlan {
         .forge(pick(4), 6, PayloadSet::only(PayloadId(13)))
 }
 
-/// Drives a [`ReferenceExecutor`] through schedule + plan with the same
-/// [`DynamicsCursor`] the optimized runner uses, emitting the same
-/// wrapper-level `EpochSwitch`/`Fault` events at the same stream
-/// positions (before the round's own events).
-struct TracedDynamicReference<'a> {
-    exec: ReferenceExecutor<'a>,
-    cursor: DynamicsCursor<'a>,
-}
-
-impl<'a> TracedDynamicReference<'a> {
-    fn new(
-        schedule: &'a TopologySchedule,
-        seed: u64,
-        adversary: Box<dyn Adversary>,
-        config: ExecutorConfig,
-        plan: FaultPlan,
-    ) -> Self {
-        let n = schedule.node_count();
-        let mut exec = ReferenceExecutor::from_slots(
-            schedule.epoch(0).network(),
-            ChatterProcess::slots(n, seed, 3),
-            adversary,
-            config,
-        )
-        .unwrap();
-        let mut cursor = DynamicsCursor::new(Some(schedule), plan, false);
-        cursor.apply_initial(|node, role| exec.set_role(node, role));
-        TracedDynamicReference { exec, cursor }
-    }
-
-    fn step_traced<S: TraceSink>(&mut self, sink: &mut S) {
-        let t = self.exec.round() + 1;
-        let (swap, fired) = self.cursor.advance(t);
-        if let Some(net) = swap {
-            self.exec.set_network(net);
-            if S::ENABLED {
-                sink.emit(TraceEvent::EpochSwitch {
-                    round: t,
-                    epoch: self.cursor.epoch() as u32,
-                });
-            }
-        }
-        for i in fired {
-            let e = self.cursor.events()[i];
-            self.exec.set_role(e.node, e.role);
-            if S::ENABLED {
-                sink.emit(TraceEvent::Fault {
-                    round: t,
-                    node: e.node,
-                    role: e.role.into(),
-                });
-            }
-        }
-        self.exec.step_traced(sink);
-    }
-}
-
 /// Contract 2, dynamic half: identical event streams through epoch
 /// switches, crash/recovery, and Byzantine roles, across the menu.
 #[test]
 fn engines_emit_identical_event_streams_under_dynamics_and_byzantine_faults() {
     for (topo_seed, n) in [(7u64, 21usize), (23, 29)] {
-        let net = random_net(topo_seed, n);
+        let net = random_net(topo_seed, n, DENSE);
         let schedule = churn3(&net, topo_seed ^ 0x77);
         let plan = byzantine_mixed_plan(n, topo_seed);
         for rule in CollisionRule::ALL {
@@ -408,8 +289,13 @@ fn engines_emit_identical_event_streams_under_dynamics_and_byzantine_faults() {
                     optimized_exec.step_traced(&mut optimized);
                 }
 
-                let mut reference_exec =
-                    TracedDynamicReference::new(&schedule, seed, make(), config, plan.clone());
+                let mut reference_exec = common::reference(
+                    &schedule,
+                    ChatterProcess::slots(n, seed, 3),
+                    make(),
+                    config,
+                    plan.clone(),
+                );
                 let mut reference: Vec<TraceEvent> = Vec::new();
                 for _ in 0..40 {
                     reference_exec.step_traced(&mut reference);
@@ -443,7 +329,7 @@ fn engines_emit_identical_event_streams_under_dynamics_and_byzantine_faults() {
 /// and pinpointed, not summarized away.
 #[test]
 fn first_divergence_localizes_a_seeded_mutation() {
-    let net = random_net(13, 25);
+    let net = random_net(13, 25, DENSE);
     let config = ExecutorConfig::default();
     let optimized = collect_optimized(&net, 7, Box::new(RandomDelivery::new(0.5, 7)), config, 60);
     let reference = collect_reference(
