@@ -12,16 +12,12 @@
 //! decays. Decay is included as the Table 2 classical-column baseline that
 //! Harmonic Broadcast is measured against.
 
-use dualgraph_sim::rng::derive_seed;
-use dualgraph_sim::{ProcessId, ProcessSlot};
+use dualgraph_sim::automata::{Backoff, BackoffProcess};
+use dualgraph_sim::ProcessSlot;
 
 use super::BroadcastAlgorithm;
 
-/// The Decay automaton (state machine in `dualgraph-sim`, inline-dispatch
-/// capable via [`ProcessSlot::Decay`]).
-pub use dualgraph_sim::automata::DecayProcess;
-
-/// Factory for [`DecayProcess`].
+/// Factory for the Decay schedule of [`BackoffProcess`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Decay;
 
@@ -29,6 +25,12 @@ impl Decay {
     /// Creates the Decay algorithm.
     pub fn new() -> Self {
         Decay
+    }
+
+    /// The schedule for `n` nodes: phases of `⌈log₂ n⌉` rounds.
+    fn schedule(&self, n: usize) -> Backoff {
+        let phase_len = (n.max(2) as f64).log2().ceil() as u64;
+        Backoff::Decay { phase_len }
     }
 }
 
@@ -42,16 +44,7 @@ impl BroadcastAlgorithm for Decay {
     }
 
     fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot> {
-        let phase = (n.max(2) as f64).log2().ceil() as u64;
-        (0..n)
-            .map(|i| {
-                ProcessSlot::Decay(DecayProcess::new(
-                    ProcessId::from_index(i),
-                    phase,
-                    derive_seed(seed, i as u64),
-                ))
-            })
-            .collect()
+        BackoffProcess::slots(n, self.schedule(n), seed)
     }
 }
 
@@ -61,12 +54,14 @@ mod tests {
     use super::*;
     use dualgraph_net::generators;
     use dualgraph_sim::{
-        ActivationCause, CollisionRule, Message, PayloadId, Process, ReliableOnly, StartRule,
+        ActivationCause, CollisionRule, Message, PayloadId, Process, ProcessId, ReliableOnly,
+        StartRule,
     };
 
     #[test]
     fn probability_decays_within_phase_and_resets() {
-        let p = DecayProcess::new(ProcessId(0), 4, 1);
+        let p = Decay::new().schedule(16);
+        assert_eq!(p, Backoff::Decay { phase_len: 4 });
         assert_eq!(p.probability(1), 1.0);
         assert_eq!(p.probability(2), 0.5);
         assert_eq!(p.probability(3), 0.25);
@@ -76,7 +71,7 @@ mod tests {
 
     #[test]
     fn first_round_of_phase_always_transmits() {
-        let mut p = DecayProcess::new(ProcessId(0), 3, 2);
+        let mut p = BackoffProcess::new(ProcessId(0), Decay::new().schedule(8), 2);
         p.on_activate(ActivationCause::Input(Message::with_payload(
             ProcessId(0),
             PayloadId(0),
@@ -86,7 +81,7 @@ mod tests {
 
     #[test]
     fn uninformed_is_silent() {
-        let mut p = DecayProcess::new(ProcessId(0), 3, 2);
+        let mut p = BackoffProcess::new(ProcessId(0), Decay::new().schedule(8), 2);
         p.on_activate(ActivationCause::SynchronousStart);
         for j in 1..20 {
             assert_eq!(p.transmit(j), None);

@@ -16,14 +16,10 @@
 //! algorithm runs unchanged under asynchronous start and CR4 — the paper's
 //! weakest assumptions.
 
-use dualgraph_sim::rng::derive_seed;
-use dualgraph_sim::{ProcessId, ProcessSlot};
+use dualgraph_sim::automata::{Backoff, BackoffProcess};
+use dualgraph_sim::ProcessSlot;
 
 use super::BroadcastAlgorithm;
-
-/// The Harmonic Broadcast automaton (state machine in `dualgraph-sim`,
-/// inline-dispatch capable via [`ProcessSlot::Harmonic`]).
-pub use dualgraph_sim::automata::HarmonicProcess;
 
 /// Computes the paper's period parameter `T = ⌈12 ln(n/ε)⌉`.
 ///
@@ -36,7 +32,7 @@ pub fn period_for(n: usize, epsilon: f64) -> u64 {
     (12.0 * (n as f64 / epsilon).ln()).ceil().max(1.0) as u64
 }
 
-/// Factory for [`HarmonicProcess`].
+/// Factory for the Harmonic schedule of [`BackoffProcess`].
 #[derive(Debug, Clone, Copy)]
 pub struct Harmonic {
     /// The period `T` (how many rounds each probability level lasts).
@@ -81,16 +77,18 @@ impl Harmonic {
         }
     }
 
-    fn period_for_n(&self, n: usize) -> u64 {
-        if let Some(t) = self.period {
-            return t;
-        }
-        let eps = if self.epsilon.is_nan() {
-            1.0 / n.max(2) as f64
-        } else {
-            self.epsilon
-        };
-        period_for(n, eps)
+    /// The schedule for `n` nodes: the given period, or `T` derived from
+    /// `ε`.
+    fn schedule(&self, n: usize) -> Backoff {
+        let period = self.period.unwrap_or_else(|| {
+            let eps = if self.epsilon.is_nan() {
+                1.0 / n.max(2) as f64
+            } else {
+                self.epsilon
+            };
+            period_for(n, eps)
+        });
+        Backoff::Harmonic { period }
     }
 }
 
@@ -110,16 +108,7 @@ impl BroadcastAlgorithm for Harmonic {
     }
 
     fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot> {
-        let t = self.period_for_n(n);
-        (0..n)
-            .map(|i| {
-                ProcessSlot::Harmonic(HarmonicProcess::new(
-                    ProcessId::from_index(i),
-                    t,
-                    derive_seed(seed, i as u64),
-                ))
-            })
-            .collect()
+        BackoffProcess::slots(n, self.schedule(n), seed)
     }
 }
 
@@ -129,8 +118,8 @@ mod tests {
     use super::*;
     use dualgraph_net::generators;
     use dualgraph_sim::{
-        ActivationCause, CollisionRule, Message, PayloadId, Process, RandomDelivery, ReliableOnly,
-        StartRule,
+        ActivationCause, CollisionRule, Message, PayloadId, Process, ProcessId, RandomDelivery,
+        ReliableOnly, StartRule,
     };
 
     #[test]
@@ -151,7 +140,7 @@ mod tests {
 
     #[test]
     fn probability_schedule_matches_paper() {
-        let p = HarmonicProcess::new(ProcessId(0), 3, 1);
+        let p = Harmonic::with_period(3).schedule(100);
         // T = 3: rounds 1-3 at 1, 4-6 at 1/2, 7-9 at 1/3, ...
         for j in 1..=3 {
             assert_eq!(p.probability(j), 1.0);
@@ -167,7 +156,7 @@ mod tests {
 
     #[test]
     fn probability_is_nonincreasing() {
-        let p = HarmonicProcess::new(ProcessId(0), 5, 1);
+        let p = Harmonic::with_period(5).schedule(100);
         let mut prev = f64::INFINITY;
         for j in 1..200 {
             let cur = p.probability(j);
@@ -178,7 +167,7 @@ mod tests {
 
     #[test]
     fn first_period_transmits_always() {
-        let mut p = HarmonicProcess::new(ProcessId(1), 4, 9);
+        let mut p = BackoffProcess::new(ProcessId(1), Backoff::Harmonic { period: 4 }, 9);
         p.on_activate(ActivationCause::Reception(Message::with_payload(
             ProcessId(0),
             PayloadId(0),
@@ -190,7 +179,7 @@ mod tests {
 
     #[test]
     fn uninformed_process_is_silent() {
-        let mut p = HarmonicProcess::new(ProcessId(1), 4, 9);
+        let mut p = BackoffProcess::new(ProcessId(1), Backoff::Harmonic { period: 4 }, 9);
         p.on_activate(ActivationCause::SynchronousStart);
         for local in 1..50 {
             assert_eq!(p.transmit(local), None);
@@ -285,7 +274,15 @@ mod tests {
     fn metadata() {
         assert_eq!(Harmonic::new().name(), "harmonic");
         assert!(!Harmonic::new().is_deterministic());
-        assert_eq!(Harmonic::with_period(5).period_for_n(100), 5);
-        assert!(Harmonic::with_epsilon(0.1).period_for_n(100) > 0);
+        assert_eq!(
+            Harmonic::with_period(5).schedule(100),
+            Backoff::Harmonic { period: 5 }
+        );
+        assert_eq!(
+            Harmonic::with_epsilon(0.1).schedule(100),
+            Backoff::Harmonic {
+                period: period_for(100, 0.1)
+            }
+        );
     }
 }

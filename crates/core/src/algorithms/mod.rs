@@ -14,13 +14,13 @@ mod round_robin;
 mod strong_select;
 mod uniform;
 
-pub use decay::{Decay, DecayProcess};
-pub use harmonic::{period_for, Harmonic, HarmonicProcess};
+pub use decay::Decay;
+pub use harmonic::{period_for, Harmonic};
 pub use round_robin::{RoundRobin, RoundRobinProcess};
 pub use strong_select::{
     Participation, SsfConstruction, StrongSelect, StrongSelectPlan, StrongSelectProcess,
 };
-pub use uniform::{Uniform, UniformProcess};
+pub use uniform::Uniform;
 
 use dualgraph_sim::ProcessSlot;
 
@@ -81,5 +81,60 @@ pub(crate) mod test_support {
         )
         .expect("test executor construction");
         exec.run_until_complete(max_rounds)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dualgraph_net::{generators, NodeId, TopologySchedule};
+    use dualgraph_sim::{
+        CollisionRule, DynamicExecutor, ExecutorConfig, FaultPlan, PayloadId, PayloadSet,
+        ReliableOnly, StartRule,
+    };
+
+    /// Two rounds of spam must not stop a randomized broadcast for good.
+    /// On `line(4, 1)` node 3 spams {7} in rounds 1–2 and then recovers,
+    /// so node 2 hears the junk id before payload 0 reaches it. A node
+    /// that locked onto the first id it heard would relay only {7} from
+    /// then on, and node 3 would never learn payload 0.
+    #[test]
+    fn randomized_broadcasts_outlive_two_rounds_of_spam() {
+        let schedule = TopologySchedule::single(generators::line(4, 1));
+        let plan = FaultPlan::none()
+            .spam(NodeId(3), 1, PayloadSet::only(PayloadId(7)))
+            .recover(NodeId(3), 3);
+        let config = ExecutorConfig {
+            rule: CollisionRule::Cr4,
+            start: StartRule::Asynchronous,
+            ..ExecutorConfig::default()
+        };
+        let algorithms: [&dyn BroadcastAlgorithm; 3] =
+            [&Harmonic::with_period(2), &Decay::new(), &Uniform::new(0.5)];
+        let stalled: Vec<String> = algorithms
+            .into_iter()
+            .filter_map(|algorithm| {
+                let mut exec = DynamicExecutor::from_slots(
+                    &schedule,
+                    algorithm.slots(4, 11),
+                    Box::new(ReliableOnly::new()),
+                    config,
+                    plan.clone(),
+                )
+                .expect("line schedule");
+                let outcome = exec.run_until_complete(20_000);
+                (!outcome.completed).then(|| {
+                    format!(
+                        "{}: known records {:?}",
+                        algorithm.name(),
+                        exec.executor().known_payloads()
+                    )
+                })
+            })
+            .collect();
+        assert!(
+            stalled.is_empty(),
+            "stalled after 20,000 rounds: {stalled:#?}"
+        );
     }
 }

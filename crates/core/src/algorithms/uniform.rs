@@ -6,16 +6,12 @@
 //! "generic randomized algorithm" victim for the Theorem 4 probability
 //! bound experiment.
 
-use dualgraph_sim::rng::derive_seed;
-use dualgraph_sim::{ProcessId, ProcessSlot};
+use dualgraph_sim::automata::{Backoff, BackoffProcess};
+use dualgraph_sim::ProcessSlot;
 
 use super::BroadcastAlgorithm;
 
-/// The uniform-probability automaton (state machine in `dualgraph-sim`,
-/// inline-dispatch capable via [`ProcessSlot::Uniform`]).
-pub use dualgraph_sim::automata::UniformProcess;
-
-/// Factory for [`UniformProcess`].
+/// Factory for the Uniform schedule of [`BackoffProcess`].
 #[derive(Debug, Clone, Copy)]
 pub struct Uniform {
     p: f64,
@@ -44,15 +40,7 @@ impl BroadcastAlgorithm for Uniform {
     }
 
     fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot> {
-        (0..n)
-            .map(|i| {
-                ProcessSlot::Uniform(UniformProcess::new(
-                    ProcessId::from_index(i),
-                    self.p,
-                    derive_seed(seed, i as u64),
-                ))
-            })
-            .collect()
+        BackoffProcess::slots(n, Backoff::Uniform { p: self.p }, seed)
     }
 }
 
@@ -62,7 +50,8 @@ mod tests {
     use super::*;
     use dualgraph_net::generators;
     use dualgraph_sim::{
-        ActivationCause, CollisionRule, Message, PayloadId, Process, ReliableOnly, StartRule,
+        ActivationCause, CollisionRule, Message, PayloadId, Process, ProcessId, ReliableOnly,
+        StartRule,
     };
 
     #[test]
@@ -82,7 +71,7 @@ mod tests {
 
     #[test]
     fn p_one_is_flooding() {
-        let mut p = UniformProcess::new(ProcessId(0), 1.0, 1);
+        let mut p = BackoffProcess::new(ProcessId(0), Backoff::Uniform { p: 1.0 }, 1);
         p.on_activate(ActivationCause::Input(Message::with_payload(
             ProcessId(0),
             PayloadId(0),

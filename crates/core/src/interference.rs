@@ -19,9 +19,9 @@
 use dualgraph_net::{Digraph, DualGraph, FixedBitSet, NodeId};
 use dualgraph_sim::rng::splitmix64;
 use dualgraph_sim::{
-    ActivationCause, Adversary, Assignment, BroadcastOutcome, CollisionRule, Cr4Resolution,
-    Executor, ExecutorConfig, Message, PayloadId, Process, ProcessSlot, Reception, RoundContext,
-    StartRule, TraceEvent,
+    ActivationCause, Adversary, BroadcastOutcome, CollisionRule, Cr4Resolution, Executor,
+    ExecutorConfig, Message, PayloadId, Process, ProcessSlot, Reception, RoundContext, StartRule,
+    TraceEvent,
 };
 
 /// Error building an [`InterferenceNetwork`].
@@ -544,11 +544,6 @@ pub fn random_interference(n: usize, p_t: f64, p_i: f64, seed: u64) -> Interfere
     // analyzer: allow(panic, reason = "invariant: er_dual output is a valid interference network")
     InterferenceNetwork::new(g, gp, s).expect("er_dual output is a valid interference network")
 }
-
-// The identity `Assignment` is used implicitly throughout; re-exported use
-// keeps the import graph honest for downstream callers.
-#[allow(unused)]
-fn _assignment_marker(a: &Assignment) {}
 
 #[cfg(test)]
 mod tests {

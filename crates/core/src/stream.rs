@@ -3,8 +3,8 @@
 //!
 //! A *stream* is a plan of payload **arrivals** (`k` payloads, handed by
 //! the environment to source nodes at planned rounds) pushed through a
-//! pipelined automaton population ([`PipelinedFlooder`] /
-//! [`PipelinedHarmonic`]), driven through the abstract MAC layer
+//! pipelined automaton population ([`PipelinedFlooder`], or the
+//! [`BackoffProcess`] on a Harmonic schedule), driven through the abstract MAC layer
 //! ([`MacLayer`]) so every delivery and acknowledgment is observable as an
 //! event. The runner collects per-payload latency, stream throughput in
 //! payloads/round, and the MAC layer's measured progress/ack bounds.
@@ -14,15 +14,15 @@
 //! can pipeline a stream from **one** source (the wavefront carries the
 //! union outward) but cannot mix flows from multiple sources — opposing
 //! waves meet and stall. Multi-source plans therefore default to
-//! [`PipelinedHarmonic`], whose probabilistic silence gives every node
+//! pipelined Harmonic, whose probabilistic silence gives every node
 //! listening rounds. `examples/multi_message.rs` demonstrates both
 //! regimes.
 //!
 //! [`MacLayer`]: dualgraph_sim::MacLayer
 
 use dualgraph_net::{DualGraph, NodeId, TopologySchedule};
-use dualgraph_sim::automata::{PipelinedFlooder, PipelinedHarmonic};
-use dualgraph_sim::rng::{derive_seed, derive_seed2};
+use dualgraph_sim::automata::{Backoff, BackoffProcess, PipelinedFlooder};
+use dualgraph_sim::rng::derive_seed2;
 use dualgraph_sim::{
     AckRecord, Adversary, BuildExecutorError, CollisionRule, DynamicsCursor, Executor,
     ExecutorConfig, FaultPlan, HealthConfig, Histogram, HistogramSummary, MacEvent, MacLayer,
@@ -87,9 +87,10 @@ pub enum StreamAlgorithm {
         /// Per-payload transmission budget per node.
         budget: u64,
     },
-    /// [`PipelinedHarmonic`] everywhere, period `T = ⌈12 ln(n/ε)⌉` (the
-    /// §7 parameterization); silence doubles as listening time, so
-    /// multi-source streams mix.
+    /// [`BackoffProcess`] everywhere on the Harmonic schedule, period
+    /// `T = ⌈12 ln(n/ε)⌉` (the §7 parameterization): a fresh payload
+    /// restarts a node's eager rounds, and silence doubles as listening
+    /// time, so multi-source streams mix.
     PipelinedHarmonic {
         /// Failure budget `ε ∈ (0, 1)` for the period derivation.
         epsilon: f64,
@@ -107,9 +108,9 @@ impl StreamAlgorithm {
     }
 
     /// Builds the `n` process slots, ids `0..n`. Harmonic per-process
-    /// seeds are `derive_seed(seed, i)` — the same derivation as the
-    /// single-message `Harmonic` factory, so a `k = 1` stream is
-    /// draw-for-draw the single-payload algorithm.
+    /// seeds are `derive_seed(seed, i)`, as in the single-message
+    /// `Harmonic` factory, which builds the same automaton: a `k = 1`
+    /// stream is draw for draw the single-payload algorithm.
     pub fn slots(&self, n: usize, seed: u64) -> Vec<ProcessSlot> {
         match self {
             StreamAlgorithm::PipelinedFlooding => PipelinedFlooder::slots(n),
@@ -117,16 +118,8 @@ impl StreamAlgorithm {
                 PipelinedFlooder::slots_with_budget(n, *budget)
             }
             StreamAlgorithm::PipelinedHarmonic { epsilon } => {
-                let t = period_for(n, *epsilon);
-                (0..n)
-                    .map(|i| {
-                        ProcessSlot::PipelinedHarmonic(PipelinedHarmonic::new(
-                            ProcessId::from_index(i),
-                            t,
-                            derive_seed(seed, i as u64),
-                        ))
-                    })
-                    .collect()
+                let period = period_for(n, *epsilon);
+                BackoffProcess::slots(n, Backoff::Harmonic { period }, seed)
             }
         }
     }

@@ -1,21 +1,22 @@
-//! Pipelined multi-message automata: flooding and Harmonic over per-node
-//! payload sets.
+//! Pipelined flooding over per-node payload sets.
 //!
-//! Both automata broadcast a *stream* of payloads concurrently instead of
-//! one message per execution. Their transmissions carry the sender's
-//! **entire known set** ([`PayloadSet`]): a single reception can close many
-//! per-payload gaps at once, which is what makes pipelining essentially
-//! free on top of the single-message engine — the per-round work is
-//! identical, only the cargo widens from one bit to two machine words.
+//! [`PipelinedFlooder`] broadcasts a *stream* of payloads concurrently
+//! instead of one message per execution. Its transmissions carry the
+//! sender's **entire known set** ([`PayloadSet`]): a single reception can
+//! close many per-payload gaps at once, which is what makes pipelining
+//! essentially free on top of the single-message engine — the per-round
+//! work is identical, only the cargo widens from one bit to two machine
+//! words. The stream layer's pipelined Harmonic is the
+//! [`BackoffProcess`][super::BackoffProcess] on a Harmonic schedule, whose
+//! known set works the same way.
 //!
-//! **k = 1 equivalence** (pinned by differential tests): with one payload
-//! in the universe, [`PipelinedFlooder`] is transition-for-transition the
-//! canonical [`Flooder`][crate::Flooder] and [`PipelinedHarmonic`] draws
-//! the exact RNG stream of [`HarmonicProcess`][super::HarmonicProcess], so
-//! executions are bit-identical round for round.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+//! **k = 1 equivalence** (pinned by a differential test): with one payload
+//! in the universe and no junk ids, [`PipelinedFlooder`] is
+//! transition-for-transition the canonical [`Flooder`][crate::Flooder], so
+//! executions are bit-identical round for round. A junk id (one a
+//! spammer, forger or equivocator transmits and the environment never
+//! introduced) tells them apart: the pipelined flooder relays it, while
+//! the flooder is informed only by payload 0.
 
 use crate::collision::Reception;
 use crate::message::{Message, PayloadId, ProcessId};
@@ -26,7 +27,7 @@ use crate::process::{ActivationCause, Process};
 /// whole known set every round.
 ///
 /// The multi-message analogue of [`Flooder`][crate::Flooder] — and exactly
-/// it when the payload universe has one element.
+/// it when the payload universe has one element and no junk id is heard.
 ///
 /// ## Bounded retransmission
 ///
@@ -183,122 +184,9 @@ impl Process for PipelinedFlooder {
     }
 }
 
-/// Pipelined Harmonic Broadcast: per-payload harmonic backoff over the
-/// known set, one transmission carrying everything.
-///
-/// Each known payload `p` ages independently: `j_p` counts the node's
-/// active rounds since `p` arrived, giving it the §7 per-payload transmit
-/// probability `q_p = 1 / (1 + ⌊(j_p − 1)/T⌋)`. The node transmits with
-/// probability `max_p q_p` — a fresh arrival resets the node to eager
-/// transmission (exactly Harmonic's recency bias), old payloads decay —
-/// and every transmission carries the full known set, so the stream
-/// pipelines instead of serializing.
-///
-/// With a single payload the max ranges over one element and the per-round
-/// `gen_bool` consumes the identical draw sequence of
-/// [`HarmonicProcess`][super::HarmonicProcess]: k = 1 executions are
-/// bit-identical to the single-message algorithm.
-#[derive(Debug, Clone)]
-pub struct PipelinedHarmonic {
-    id: ProcessId,
-    period: u64,
-    rng: SmallRng,
-    known: PayloadSet,
-    /// Active rounds since each payload arrived, indexed by dense payload
-    /// id (`0` until the payload is known; the first transmit opportunity
-    /// after arrival sees `age = 1`). Boxed so a `ProcessSlot` stays small
-    /// (clippy's `large_enum_variant`): the table is a flat `Vec` of
-    /// automata either way, and the age table is touched once per known
-    /// payload per round, not per delivery.
-    ages: Box<[u32; MAX_PAYLOADS]>,
-}
-
-impl PipelinedHarmonic {
-    /// Creates the automaton with period `T` and its private RNG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(id: ProcessId, period: u64, seed: u64) -> Self {
-        assert!(period >= 1, "period must be at least 1");
-        PipelinedHarmonic {
-            id,
-            period,
-            rng: SmallRng::seed_from_u64(seed),
-            known: PayloadSet::EMPTY,
-            ages: Box::new([0; MAX_PAYLOADS]),
-        }
-    }
-
-    /// The node's current known-payload set.
-    pub fn known(&self) -> PayloadSet {
-        self.known
-    }
-
-    /// The per-payload transmit probability at age `j ≥ 1`:
-    /// `1 / (1 + ⌊(j−1)/T⌋)`.
-    pub fn probability(&self, j: u64) -> f64 {
-        assert!(j >= 1);
-        1.0 / (1.0 + ((j - 1) / self.period) as f64)
-    }
-
-    fn absorb(&mut self, payloads: PayloadSet) {
-        for p in payloads.minus(self.known).iter() {
-            self.known.insert(p);
-            self.ages[p.0 as usize] = 0;
-        }
-    }
-}
-
-impl Process for PipelinedHarmonic {
-    fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    fn on_activate(&mut self, cause: ActivationCause) {
-        if let Some(m) = cause.message() {
-            self.absorb(m.payloads);
-        }
-    }
-
-    fn on_input(&mut self, payload: PayloadId) {
-        self.absorb(PayloadSet::only(payload));
-    }
-
-    fn transmit(&mut self, _local_round: u64) -> Option<Message> {
-        if self.known.is_empty() {
-            return None;
-        }
-        let mut q: f64 = 0.0;
-        for p in self.known.iter() {
-            let i = p.0 as usize;
-            self.ages[i] = self.ages[i].saturating_add(1);
-            q = q.max(self.probability(u64::from(self.ages[i])));
-        }
-        self.rng
-            .gen_bool(q)
-            .then(|| Message::with_payloads(self.id, self.known))
-    }
-
-    fn receive(&mut self, _local_round: u64, reception: Reception) {
-        if let Some(m) = reception.message() {
-            self.absorb(m.payloads);
-        }
-    }
-
-    fn has_payload(&self) -> bool {
-        !self.known.is_empty()
-    }
-
-    fn clone_box(&self) -> Box<dyn Process> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::automata::HarmonicProcess;
 
     #[test]
     fn flooder_unions_and_floods() {
@@ -336,25 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn harmonic_k1_matches_single_payload_harmonic() {
-        // Same seed, same period, one payload: the per-round transmit
-        // decisions must be identical draw for draw.
-        let mut single = HarmonicProcess::new(ProcessId(4), 3, 99);
-        let mut multi = PipelinedHarmonic::new(ProcessId(4), 3, 99);
-        let input = Message::with_payload(ProcessId(0), PayloadId(0));
-        single.on_activate(ActivationCause::Reception(input));
-        multi.on_activate(ActivationCause::Reception(input));
-        for round in 1..400u64 {
-            let a = single.transmit(round);
-            let b = multi.transmit(round);
-            assert_eq!(a.is_some(), b.is_some(), "round {round}");
-            if let (Some(a), Some(b)) = (a, b) {
-                assert_eq!(a, b, "round {round}");
-            }
-        }
-    }
-
-    #[test]
     fn bounded_reinjection_rearms_the_budget() {
         // Aging out quiesces the payload; a fresh environment input (the
         // reliability layer's retry) re-arms exactly that payload's budget
@@ -376,46 +245,6 @@ mod tests {
         assert!(p.transmit(6).is_some());
         assert!(p.transmit(7).is_none(), "fresh budget spent again");
         assert_eq!(p.known().len(), 1, "known record unaffected");
-    }
-
-    #[test]
-    fn harmonic_new_arrival_resets_eagerness() {
-        let mut p = PipelinedHarmonic::new(ProcessId(0), 2, 5);
-        p.on_input(PayloadId(0));
-        // Age payload 0 far past its eager phase.
-        for r in 1..200 {
-            p.transmit(r);
-        }
-        // A fresh payload arrives: the max over ages puts the node back at
-        // probability 1, so the next transmit is certain.
-        p.on_input(PayloadId(1));
-        let m = p.transmit(200).expect("fresh arrival forces q = 1");
-        assert!(m.payloads.contains(PayloadId(0)));
-        assert!(m.payloads.contains(PayloadId(1)));
-    }
-
-    #[test]
-    fn harmonic_reabsorbing_known_payload_keeps_age() {
-        let mut p = PipelinedHarmonic::new(ProcessId(0), 1, 5);
-        p.on_input(PayloadId(0));
-        for r in 1..50 {
-            p.transmit(r);
-        }
-        let before = p.ages[0];
-        // Hearing payload 0 again must NOT reset its age (matches the
-        // single-payload Harmonic, which ignores re-receptions).
-        p.receive(
-            50,
-            Reception::Message(Message::with_payload(ProcessId(1), PayloadId(0))),
-        );
-        assert_eq!(p.ages[0], before);
-        assert_eq!(p.known().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "period")]
-    fn harmonic_zero_period_panics() {
-        PipelinedHarmonic::new(ProcessId(0), 0, 1);
     }
 
     #[test]

@@ -1157,15 +1157,8 @@ mod tests {
         // are adversary drops inside node 2's wait.
         let net = dualgraph_net::generators::ring(4, 1);
         for rule in [crate::CollisionRule::Cr3, crate::CollisionRule::Cr4] {
-            let slots = (0..4)
-                .map(|i| {
-                    crate::ProcessSlot::from(crate::automata::HarmonicProcess::new(
-                        ProcessId(i),
-                        2,
-                        crate::rng::derive_seed(7, u64::from(i)),
-                    ))
-                })
-                .collect();
+            let harmonic = crate::automata::Backoff::Harmonic { period: 2 };
+            let slots = crate::automata::BackoffProcess::slots(4, harmonic, 7);
             let report = run_into_analyzer(
                 &net,
                 Box::new(crate::CollisionSeeker::new()),

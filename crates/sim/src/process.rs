@@ -202,6 +202,14 @@ impl Process for SilentProcess {
     }
 }
 
+/// `true` when `m` carries payload 0, the one payload [`Flooder`] and
+/// [`ChatterProcess`] transmit. A junk id that a spammer, forger or
+/// equivocator sends never informs them, so they never relay a payload
+/// they did not receive.
+fn informs(m: &Message) -> bool {
+    m.payloads.contains(PayloadId(0))
+}
+
 /// A process that transmits the payload every round once informed: the
 /// canonical flooding automaton.
 ///
@@ -239,20 +247,16 @@ impl Process for Flooder {
     }
 
     fn on_activate(&mut self, cause: ActivationCause) {
-        if cause.message().is_some_and(|m| m.carries_payload()) {
-            self.informed = true;
-        }
+        self.informed |= cause.message().is_some_and(informs);
     }
 
     fn transmit(&mut self, _local_round: u64) -> Option<Message> {
         self.informed
-            .then(|| Message::with_payload(self.id, crate::message::PayloadId(0)))
+            .then(|| Message::with_payload(self.id, PayloadId(0)))
     }
 
     fn receive(&mut self, _local_round: u64, reception: Reception) {
-        if reception.message().is_some_and(|m| m.carries_payload()) {
-            self.informed = true;
-        }
+        self.informed |= reception.message().is_some_and(informs);
     }
 
     fn has_payload(&self) -> bool {
@@ -319,9 +323,7 @@ impl Process for ChatterProcess {
     }
 
     fn on_activate(&mut self, cause: ActivationCause) {
-        if cause.message().is_some_and(|m| m.carries_payload()) {
-            self.informed = true;
-        }
+        self.informed |= cause.message().is_some_and(informs);
     }
 
     fn transmit(&mut self, _local_round: u64) -> Option<Message> {
@@ -329,14 +331,11 @@ impl Process for ChatterProcess {
             return None;
         }
         self.state = crate::rng::splitmix64(self.state);
-        (self.state % 8 < self.rate)
-            .then(|| Message::with_payload(self.id, crate::message::PayloadId(0)))
+        (self.state % 8 < self.rate).then(|| Message::with_payload(self.id, PayloadId(0)))
     }
 
     fn receive(&mut self, _local_round: u64, reception: Reception) {
-        if reception.message().is_some_and(|m| m.carries_payload()) {
-            self.informed = true;
-        }
+        self.informed |= reception.message().is_some_and(informs);
     }
 
     fn has_payload(&self) -> bool {
@@ -427,6 +426,73 @@ mod tests {
                 b.transmit(round),
                 "deterministic in seed"
             );
+        }
+    }
+
+    /// Junk never informs a flooder. On `line(5, 1)` node 1 crashes for
+    /// good and node 4 spams {7} from round 1, so node 3 hears only {7}:
+    /// it must stay silent, and nothing behind the crashed cut may count
+    /// as informed. The pipelined flooder relays the {7} it knows.
+    #[test]
+    fn junk_never_informs_a_flooder() {
+        use crate::automata::PipelinedFlooder;
+        use crate::{
+            CollisionRule, DynamicExecutor, ExecutorConfig, FaultPlan, ProcessSlot, ReliableOnly,
+            StartRule, TraceEvent,
+        };
+        use dualgraph_net::{generators, NodeId, TopologySchedule};
+
+        let schedule = TopologySchedule::single(generators::line(5, 1));
+        let junk = crate::PayloadSet::only(PayloadId(7));
+        let plan = FaultPlan::none()
+            .crash(NodeId(1), 1)
+            .spam(NodeId(4), 1, junk);
+        for start in [StartRule::Synchronous, StartRule::Asynchronous] {
+            let config = ExecutorConfig {
+                rule: CollisionRule::Cr1,
+                start,
+                ..ExecutorConfig::default()
+            };
+            let populations: [(&str, Vec<ProcessSlot>); 3] = [
+                ("flooder", Flooder::slots(5)),
+                ("chatter", ChatterProcess::slots(5, 3, 8)),
+                ("pipelined", PipelinedFlooder::slots(5)),
+            ];
+            for (name, slots) in populations {
+                let mut exec = DynamicExecutor::from_slots(
+                    &schedule,
+                    slots,
+                    Box::new(ReliableOnly::new()),
+                    config,
+                    plan.clone(),
+                )
+                .unwrap();
+                let mut events = Vec::new();
+                for _ in 0..10 {
+                    exec.step_traced(&mut events);
+                }
+                let sent: Vec<_> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        TraceEvent::Transmit { node, message, .. } if *node == NodeId(3) => {
+                            Some(message.payloads)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let relayed = if name == "pipelined" {
+                    vec![junk; 9]
+                } else {
+                    vec![]
+                };
+                assert_eq!(sent, relayed, "{name} {start:?}: node 3's transmissions");
+                assert_eq!(
+                    exec.executor().known_payloads()[3],
+                    junk,
+                    "{name} {start:?}"
+                );
+                assert_eq!(exec.executor().informed_count(), 1, "{name} {start:?}");
+            }
         }
     }
 

@@ -32,10 +32,7 @@ use std::ops::Range;
 use dualgraph_net::NodeId;
 
 use crate::adversary::Assignment;
-use crate::automata::{
-    DecayProcess, HarmonicProcess, PipelinedFlooder, PipelinedHarmonic, RoundRobinProcess,
-    StrongSelectProcess, UniformProcess,
-};
+use crate::automata::{BackoffProcess, PipelinedFlooder, RoundRobinProcess, StrongSelectProcess};
 use crate::collision::Reception;
 use crate::dynamics::{FaultView, NodeRole};
 use crate::kernel::{per_shard, pieces};
@@ -61,20 +58,14 @@ pub enum ProcessSlot {
     Flooder(Flooder),
     /// [`ChatterProcess`], inline.
     Chatter(ChatterProcess),
-    /// [`DecayProcess`], inline.
-    Decay(DecayProcess),
-    /// [`HarmonicProcess`], inline.
-    Harmonic(HarmonicProcess),
+    /// [`BackoffProcess`] (Harmonic, Decay, Uniform), inline.
+    Backoff(BackoffProcess),
     /// [`PipelinedFlooder`], inline.
     PipelinedFlooder(PipelinedFlooder),
-    /// [`PipelinedHarmonic`], inline.
-    PipelinedHarmonic(PipelinedHarmonic),
     /// [`RoundRobinProcess`], inline.
     RoundRobin(RoundRobinProcess),
     /// [`StrongSelectProcess`], inline.
     StrongSelect(StrongSelectProcess),
-    /// [`UniformProcess`], inline.
-    Uniform(UniformProcess),
     /// [`QuorumProcess`], inline.
     Quorum(QuorumProcess),
     /// Escape hatch: any other `Process`, behind its original vtable.
@@ -88,13 +79,10 @@ macro_rules! match_slot {
             ProcessSlot::Silent($p) => $e,
             ProcessSlot::Flooder($p) => $e,
             ProcessSlot::Chatter($p) => $e,
-            ProcessSlot::Decay($p) => $e,
-            ProcessSlot::Harmonic($p) => $e,
+            ProcessSlot::Backoff($p) => $e,
             ProcessSlot::PipelinedFlooder($p) => $e,
-            ProcessSlot::PipelinedHarmonic($p) => $e,
             ProcessSlot::RoundRobin($p) => $e,
             ProcessSlot::StrongSelect($p) => $e,
-            ProcessSlot::Uniform($p) => $e,
             ProcessSlot::Quorum($p) => $e,
             ProcessSlot::Custom($p) => $e,
         }
@@ -110,13 +98,10 @@ impl ProcessSlot {
             ProcessSlot::Silent(p) => Box::new(p),
             ProcessSlot::Flooder(p) => Box::new(p),
             ProcessSlot::Chatter(p) => Box::new(p),
-            ProcessSlot::Decay(p) => Box::new(p),
-            ProcessSlot::Harmonic(p) => Box::new(p),
+            ProcessSlot::Backoff(p) => Box::new(p),
             ProcessSlot::PipelinedFlooder(p) => Box::new(p),
-            ProcessSlot::PipelinedHarmonic(p) => Box::new(p),
             ProcessSlot::RoundRobin(p) => Box::new(p),
             ProcessSlot::StrongSelect(p) => Box::new(p),
-            ProcessSlot::Uniform(p) => Box::new(p),
             ProcessSlot::Quorum(p) => Box::new(p),
             ProcessSlot::Custom(b) => b,
         }
@@ -181,13 +166,10 @@ impl_from_slot!(
     Silent(SilentProcess),
     Flooder(Flooder),
     Chatter(ChatterProcess),
-    Decay(DecayProcess),
-    Harmonic(HarmonicProcess),
+    Backoff(BackoffProcess),
     PipelinedFlooder(PipelinedFlooder),
-    PipelinedHarmonic(PipelinedHarmonic),
     RoundRobin(RoundRobinProcess),
     StrongSelect(StrongSelectProcess),
-    Uniform(UniformProcess),
     Quorum(QuorumProcess),
     Custom(Box<dyn Process>),
 );
@@ -206,13 +188,10 @@ enum Repr {
     Silent(Vec<SilentProcess>),
     Flooder(Vec<Flooder>),
     Chatter(Vec<ChatterProcess>),
-    Decay(Vec<DecayProcess>),
-    Harmonic(Vec<HarmonicProcess>),
+    Backoff(Vec<BackoffProcess>),
     PipelinedFlooder(Vec<PipelinedFlooder>),
-    PipelinedHarmonic(Vec<PipelinedHarmonic>),
     RoundRobin(Vec<RoundRobinProcess>),
     StrongSelect(Vec<StrongSelectProcess>),
-    Uniform(Vec<UniformProcess>),
     Quorum(Vec<QuorumProcess>),
     Mixed(Vec<ProcessSlot>),
 }
@@ -226,13 +205,10 @@ macro_rules! each_repr {
             Repr::Silent($v) => $e,
             Repr::Flooder($v) => $e,
             Repr::Chatter($v) => $e,
-            Repr::Decay($v) => $e,
-            Repr::Harmonic($v) => $e,
+            Repr::Backoff($v) => $e,
             Repr::PipelinedFlooder($v) => $e,
-            Repr::PipelinedHarmonic($v) => $e,
             Repr::RoundRobin($v) => $e,
             Repr::StrongSelect($v) => $e,
-            Repr::Uniform($v) => $e,
             Repr::Quorum($v) => $e,
             Repr::Mixed($v) => $e,
         }
@@ -294,13 +270,10 @@ impl ProcessTable {
             ProcessSlot::Silent(_) => collect_variant!(slots, Silent),
             ProcessSlot::Flooder(_) => collect_variant!(slots, Flooder),
             ProcessSlot::Chatter(_) => collect_variant!(slots, Chatter),
-            ProcessSlot::Decay(_) => collect_variant!(slots, Decay),
-            ProcessSlot::Harmonic(_) => collect_variant!(slots, Harmonic),
+            ProcessSlot::Backoff(_) => collect_variant!(slots, Backoff),
             ProcessSlot::PipelinedFlooder(_) => collect_variant!(slots, PipelinedFlooder),
-            ProcessSlot::PipelinedHarmonic(_) => collect_variant!(slots, PipelinedHarmonic),
             ProcessSlot::RoundRobin(_) => collect_variant!(slots, RoundRobin),
             ProcessSlot::StrongSelect(_) => collect_variant!(slots, StrongSelect),
-            ProcessSlot::Uniform(_) => collect_variant!(slots, Uniform),
             ProcessSlot::Quorum(_) => collect_variant!(slots, Quorum),
             ProcessSlot::Custom(_) => unreachable!("Custom was excluded above"),
         };
@@ -313,15 +286,10 @@ impl ProcessTable {
             Repr::Silent(v) => v.into_iter().map(ProcessSlot::Silent).collect(),
             Repr::Flooder(v) => v.into_iter().map(ProcessSlot::Flooder).collect(),
             Repr::Chatter(v) => v.into_iter().map(ProcessSlot::Chatter).collect(),
-            Repr::Decay(v) => v.into_iter().map(ProcessSlot::Decay).collect(),
-            Repr::Harmonic(v) => v.into_iter().map(ProcessSlot::Harmonic).collect(),
+            Repr::Backoff(v) => v.into_iter().map(ProcessSlot::Backoff).collect(),
             Repr::PipelinedFlooder(v) => v.into_iter().map(ProcessSlot::PipelinedFlooder).collect(),
-            Repr::PipelinedHarmonic(v) => {
-                v.into_iter().map(ProcessSlot::PipelinedHarmonic).collect()
-            }
             Repr::RoundRobin(v) => v.into_iter().map(ProcessSlot::RoundRobin).collect(),
             Repr::StrongSelect(v) => v.into_iter().map(ProcessSlot::StrongSelect).collect(),
-            Repr::Uniform(v) => v.into_iter().map(ProcessSlot::Uniform).collect(),
             Repr::Quorum(v) => v.into_iter().map(ProcessSlot::Quorum).collect(),
             Repr::Mixed(v) => v,
         }
@@ -349,13 +317,10 @@ impl ProcessTable {
             Repr::Silent(_) => "silent",
             Repr::Flooder(_) => "flooder",
             Repr::Chatter(_) => "chatter",
-            Repr::Decay(_) => "decay",
-            Repr::Harmonic(_) => "harmonic",
+            Repr::Backoff(_) => "backoff",
             Repr::PipelinedFlooder(_) => "pipelined-flooder",
-            Repr::PipelinedHarmonic(_) => "pipelined-harmonic",
             Repr::RoundRobin(_) => "round-robin",
             Repr::StrongSelect(_) => "strong-select",
-            Repr::Uniform(_) => "uniform",
             Repr::Quorum(_) => "quorum",
             Repr::Mixed(_) => "mixed",
         }
@@ -389,13 +354,10 @@ impl ProcessTable {
             Repr::Silent(v) => Repr::Silent(permute(v, assignment)),
             Repr::Flooder(v) => Repr::Flooder(permute(v, assignment)),
             Repr::Chatter(v) => Repr::Chatter(permute(v, assignment)),
-            Repr::Decay(v) => Repr::Decay(permute(v, assignment)),
-            Repr::Harmonic(v) => Repr::Harmonic(permute(v, assignment)),
+            Repr::Backoff(v) => Repr::Backoff(permute(v, assignment)),
             Repr::PipelinedFlooder(v) => Repr::PipelinedFlooder(permute(v, assignment)),
-            Repr::PipelinedHarmonic(v) => Repr::PipelinedHarmonic(permute(v, assignment)),
             Repr::RoundRobin(v) => Repr::RoundRobin(permute(v, assignment)),
             Repr::StrongSelect(v) => Repr::StrongSelect(permute(v, assignment)),
-            Repr::Uniform(v) => Repr::Uniform(permute(v, assignment)),
             Repr::Quorum(v) => Repr::Quorum(permute(v, assignment)),
             Repr::Mixed(v) => Repr::Mixed(permute(v, assignment)),
         };

@@ -1,17 +1,19 @@
 //! Multi-payload collision-semantics differential suite.
 //!
-//! Two families of properties, over random topologies × the adversary
+//! Three families of properties, over random topologies × the adversary
 //! menu × CR1–CR4 × both start rules:
 //!
-//! 1. **k = 1 reduction** — with a one-payload universe, the pipelined
-//!    multi-message automata must be *bit-identical round for round* to
-//!    their single-payload ancestors: `PipelinedFlooder` ≡ `Flooder` and
-//!    `PipelinedHarmonic` ≡ `HarmonicProcess` (same seeds, same draws),
-//!    each checked on the batched enum path, the boxed path, and the
-//!    reference oracle simultaneously. Payload-set union/loss semantics
-//!    can therefore not have changed anything observable about the
-//!    single-message engine.
-//! 2. **multi-payload agreement** — with `k > 1` payloads injected on a
+//! 1. **k = 1 reduction** — with a one-payload universe and no junk ids,
+//!    `PipelinedFlooder` must be *bit-identical round for round* to the
+//!    single-payload `Flooder`, checked on the batched enum path, the boxed
+//!    path, and the reference oracle simultaneously. Payload-set
+//!    union/loss semantics can therefore not have changed anything
+//!    observable about the single-message engine.
+//! 2. **pinned randomized streams** — the event streams of the Decay,
+//!    Uniform and Harmonic populations (one `BackoffProcess` each, the
+//!    automaton the stream layer's pipelined Harmonic also runs) agree
+//!    with the oracle and are pinned by digest.
+//! 3. **multi-payload agreement** — with `k > 1` payloads injected on a
 //!    shared schedule, the optimized executor (enum and boxed dispatch)
 //!    and the reference oracle must agree on every round summary *and* on
 //!    the per-node known-payload record.
@@ -20,9 +22,7 @@ mod common;
 
 use common::{adversary_menu, configs, custom, random_net, DENSE};
 use dualgraph_net::{DualGraph, NodeId};
-use dualgraph_sim::automata::{
-    DecayProcess, HarmonicProcess, PipelinedFlooder, PipelinedHarmonic, UniformProcess,
-};
+use dualgraph_sim::automata::{Backoff, BackoffProcess, PipelinedFlooder};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     Adversary, CollisionRule, Executor, ExecutorConfig, Flooder, PayloadId, ProcessId, ProcessSlot,
@@ -97,80 +97,16 @@ fn k1_pipelined_flooding_is_bit_identical_to_flooder() {
     }
 }
 
-/// k = 1: pipelined Harmonic vs the single-payload Harmonic automaton with
-/// identical per-process seeds — the RNG draw sequences must coincide.
-#[test]
-fn k1_pipelined_harmonic_is_bit_identical_to_harmonic() {
-    let period = 4;
-    let harmonic_slots = |n: usize, seed: u64| -> Vec<ProcessSlot> {
-        (0..n)
-            .map(|i| {
-                ProcessSlot::Harmonic(HarmonicProcess::new(
-                    ProcessId::from_index(i),
-                    period,
-                    derive_seed(seed, i as u64),
-                ))
-            })
-            .collect()
-    };
-    let pipelined_slots = |n: usize, seed: u64| -> Vec<ProcessSlot> {
-        (0..n)
-            .map(|i| {
-                ProcessSlot::PipelinedHarmonic(PipelinedHarmonic::new(
-                    ProcessId::from_index(i),
-                    period,
-                    derive_seed(seed, i as u64),
-                ))
-            })
-            .collect()
-    };
-    for net_seed in [3u64, 17] {
-        let net = random_net(net_seed, 22, DENSE);
-        let n = net.len();
-        for config in configs() {
-            for (name, make_adv) in adversary_menu(derive_seed(31, net_seed)) {
-                let label = format!("harmonic {name} {:?} {:?}", config.rule, config.start);
-                let mut single =
-                    Executor::from_slots(&net, harmonic_slots(n, 7), make_adv(), config).unwrap();
-                let mut multi =
-                    Executor::from_slots(&net, pipelined_slots(n, 7), make_adv(), config).unwrap();
-                assert!(multi.uses_batched_dispatch());
-                let mut multi_ref =
-                    ReferenceExecutor::from_slots(&net, pipelined_slots(n, 7), make_adv(), config)
-                        .unwrap();
-                let (mut single_events, mut multi_events) =
-                    (Vec::<TraceEvent>::new(), Vec::<TraceEvent>::new());
-                lockstep!(
-                    label,
-                    80,
-                    || single.step_traced(&mut single_events),
-                    || multi.step_traced(&mut multi_events),
-                    || multi_ref.step()
-                );
-                assert_eq!(single.outcome(), multi.outcome(), "{label}");
-                assert_eq!(
-                    single_events, multi_events,
-                    "{label}: event streams diverged"
-                );
-            }
-        }
-    }
-}
-
 /// A randomized single-payload population, per-node seeds
 /// `derive_seed(seed, i)`: Decay with phase length 3, Uniform with
 /// `p = 0.3`, or Harmonic with period 4.
 fn randomized(kind: &str, n: usize, seed: u64) -> Vec<ProcessSlot> {
-    (0..n)
-        .map(|i| {
-            let (id, seed) = (ProcessId::from_index(i), derive_seed(seed, i as u64));
-            match kind {
-                "decay" => ProcessSlot::Decay(DecayProcess::new(id, 3, seed)),
-                "uniform" => ProcessSlot::Uniform(UniformProcess::new(id, 0.3, seed)),
-                _ => ProcessSlot::Harmonic(HarmonicProcess::new(id, 4, seed)),
-            }
-        })
-        .collect()
+    let schedule = match kind {
+        "decay" => Backoff::Decay { phase_len: 3 },
+        "uniform" => Backoff::Uniform { p: 0.3 },
+        _ => Backoff::Harmonic { period: 4 },
+    };
+    BackoffProcess::slots(n, schedule, seed)
 }
 
 /// Pins what the Decay, Uniform and Harmonic populations do, over the
@@ -218,6 +154,12 @@ fn randomized_event_streams_are_pinned() {
     assert_eq!((count, digest), (612_614, 0x8261_20de_0a65_f827));
 }
 
+/// The pipelined Harmonic population of the injection test: period 3,
+/// per-node seeds `derive_seed(13, i)`.
+fn pipelined_harmonic(n: usize) -> Vec<ProcessSlot> {
+    BackoffProcess::slots(n, Backoff::Harmonic { period: 3 }, 13)
+}
+
 /// k > 1: enum vs boxed vs reference under a shared injection schedule.
 /// Covers payload-set union (multiple payloads per message) and loss
 /// (collision) semantics under every rule.
@@ -242,23 +184,14 @@ fn multi_payload_engines_agree_under_injection() {
             for (name, make_adv) in adversary_menu(derive_seed(55, net_seed)) {
                 let label = format!("inject {name} {:?} {:?}", config.rule, config.start);
                 let mut a =
-                    Executor::from_slots(&net, PipelinedHarmonic_slots(n), make_adv(), config)
+                    Executor::from_slots(&net, pipelined_harmonic(n), make_adv(), config).unwrap();
+                let mut b =
+                    Executor::from_slots(&net, custom(pipelined_harmonic(n)), make_adv(), config)
                         .unwrap();
-                let mut b = Executor::from_slots(
-                    &net,
-                    custom(PipelinedHarmonic_slots(n)),
-                    make_adv(),
-                    config,
-                )
-                .unwrap();
                 assert!(!b.uses_batched_dispatch());
-                let mut c = ReferenceExecutor::from_slots(
-                    &net,
-                    PipelinedHarmonic_slots(n),
-                    make_adv(),
-                    config,
-                )
-                .unwrap();
+                let mut c =
+                    ReferenceExecutor::from_slots(&net, pipelined_harmonic(n), make_adv(), config)
+                        .unwrap();
                 for round in 0..70u64 {
                     for &(at, node, payload) in &schedule {
                         if at == round {
@@ -282,19 +215,6 @@ fn multi_payload_engines_agree_under_injection() {
             }
         }
     }
-}
-
-#[allow(non_snake_case)]
-fn PipelinedHarmonic_slots(n: usize) -> Vec<ProcessSlot> {
-    (0..n)
-        .map(|i| {
-            ProcessSlot::PipelinedHarmonic(PipelinedHarmonic::new(
-                ProcessId::from_index(i),
-                3,
-                derive_seed(13, i as u64),
-            ))
-        })
-        .collect()
 }
 
 /// Union/loss ground truth on a hand-built gadget: two senders with

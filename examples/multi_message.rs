@@ -24,9 +24,8 @@ use dualgraph::broadcast::stream::{
 use dualgraph::{
     generators, Executor, ExecutorConfig, Flooder, MacEvent, MacLayer, PayloadId, RandomDelivery,
 };
-use dualgraph_sim::automata::PipelinedHarmonic;
+use dualgraph_sim::automata::{Backoff, BackoffProcess};
 use dualgraph_sim::rng::derive_seed;
-use dualgraph_sim::{ProcessId, ProcessSlot};
 
 fn workload(n: usize) -> dualgraph::DualGraph {
     generators::er_dual(
@@ -126,15 +125,7 @@ fn main() {
     // Exhibit 3: an event-driven relay over the MAC layer.
     println!("\n-- MAC-layer relay on a 7-node line (events only) --");
     let line = generators::line(7, 1);
-    let slots: Vec<ProcessSlot> = (0..7)
-        .map(|i| {
-            ProcessSlot::PipelinedHarmonic(PipelinedHarmonic::new(
-                ProcessId::from_index(i),
-                4,
-                derive_seed(3, i as u64),
-            ))
-        })
-        .collect();
+    let slots = BackoffProcess::slots(7, Backoff::Harmonic { period: 4 }, 3);
     let exec = Executor::from_slots(
         &line,
         slots,
