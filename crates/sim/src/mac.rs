@@ -628,7 +628,7 @@ mod tests {
         // round, and a sender only ever hears itself — the two waves can
         // meet but never mix. Pipelined *flooding* therefore pipelines a
         // single stream direction; cross-traffic needs an automaton with
-        // silent (listening) rounds, e.g. `PipelinedHarmonic`.
+        // silent (listening) rounds, e.g. the pipelined Harmonic `BackoffProcess`.
         for _ in 0..10 {
             mac.step();
         }
