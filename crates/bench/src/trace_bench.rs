@@ -109,7 +109,7 @@ pub(crate) fn phase_cell(n: usize, rounds: u64) -> Cell<'static> {
             let mut round = 1;
             Sample::time(rounds, || {
                 round += 1;
-                table.receive_sweep(round, &mut active_from, None, &wake, n, no_books());
+                table.receive_sweep(round, &mut active_from, None, &wake, None, n, no_books());
             })
         })
         .arm("adversary_sample", move || {
@@ -147,7 +147,7 @@ fn steady_table(n: usize) -> (ProcessTable, Vec<Option<u64>>, Vec<Reception>) {
     let mut active_from: Vec<Option<u64>> = vec![Some(1); n];
     let wake: Vec<Reception> =
         vec![Reception::Message(Message::with_payload(ProcessId(0), PayloadId(0),)); n];
-    table.receive_sweep(1, &mut active_from, None, &wake, n, no_books());
+    table.receive_sweep(1, &mut active_from, None, &wake, None, n, no_books());
     (table, active_from, wake)
 }
 

@@ -307,6 +307,8 @@ pub fn run_explicit(
         for (v, reception) in receptions.iter().enumerate() {
             let got_payload = reception.message().is_some_and(|m| m.carries_payload());
             match active_from[v] {
+                // Silence is no reception: the automaton is not called.
+                Some(_) if *reception == Reception::Silence => {}
                 Some(from) if from <= t => {
                     processes[v].receive(t - from + 1, *reception);
                 }

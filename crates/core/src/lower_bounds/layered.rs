@@ -203,8 +203,11 @@ impl PState {
                 vec![Reception::Collision; self.procs.len()]
             }
         };
+        // Silence is no reception: the automaton is not called.
         for (p, r) in self.procs.iter_mut().zip(receptions) {
-            p.receive(t, r);
+            if r != Reception::Silence {
+                p.receive(t, r);
+            }
         }
         self.round = t;
     }

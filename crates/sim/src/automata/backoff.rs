@@ -79,15 +79,41 @@ impl Backoff {
 /// A payload id that nobody introduced (a spammer's, forger's or
 /// equivocator's junk) joins the known set like any other, so it never
 /// shuts out a real payload heard later.
+///
+/// The `k`-th draw of the node's RNG decides its `k`-th active round,
+/// whoever asks. Polled once per round through [`Process::transmit`], the
+/// node draws once per informed round. A
+/// [`ProcessTable`][crate::ProcessTable]'s wake calendar instead has each
+/// informed node draw ahead to its next success and polls it only then;
+/// such a node is *lazy*: every local round since `at` was an active one,
+/// so `j` is caught up from the local round alone. A fresh payload that
+/// lands between the draws rewinds the RNG to the draw it interrupted.
 #[derive(Debug, Clone)]
 pub struct BackoffProcess {
     id: ProcessId,
     schedule: Backoff,
     rng: SmallRng,
     known: PayloadSet,
-    /// Active rounds since the newest fresh payload arrived (the first
-    /// transmit opportunity after it has `j = 1`).
+    /// `j`: active rounds since the newest fresh payload arrived (the
+    /// first transmit opportunity after it has `j = 1`), as of local round
+    /// `at`.
     active_rounds: u64,
+    /// The local round `active_rounds` was counted to; read only while
+    /// [`LAZY`] (a per-round poll counts calls instead).
+    at: u64,
+    /// [`LAZY`], [`FRESH`] and [`AHEAD`]: while none is set, a poll is one
+    /// draw, as it was before the calendar.
+    flags: u8,
+    /// While [`AHEAD`], the RNG holds the decisions of active rounds up to
+    /// `drawn`: those after `j` are failures except round `drawn` itself,
+    /// whose outcome is `hit`.
+    drawn: u64,
+    /// Whether round `drawn`'s draw succeeded.
+    hit: bool,
+    /// The RNG as it stood before the last draw-ahead, which started after
+    /// the draw of round `base`: a fresh payload rewinds to it.
+    rewind: SmallRng,
+    base: u64,
     /// Last round `j` of the cached constant-probability span (0 = none
     /// cached).
     span_end: u64,
@@ -95,6 +121,20 @@ pub struct BackoffProcess {
     /// top 53 bits of one `u64` fall below it.
     threshold: u64,
 }
+
+/// A wake calendar drives the node: every local round after `at` is an
+/// active round, polled or not.
+const LAZY: u8 = 1;
+/// A fresh payload arrived after local round `at` and has not yet
+/// restarted `j` (input and activation carry no local round).
+const FRESH: u8 = 2;
+/// The node has drawn ahead to round `drawn`.
+const AHEAD: u8 = 4;
+
+/// The most draws one draw-ahead takes. A node whose next success lies
+/// further out wakes at the last of them with nothing to send and draws on
+/// from there, so a tiny `p` cannot stall the calendar.
+const DRAW_AHEAD_CAP: u64 = 1 << 12;
 
 impl BackoffProcess {
     /// Creates the automaton with its schedule and private RNG seed.
@@ -113,12 +153,19 @@ impl BackoffProcess {
                 assert!(p > 0.0 && p <= 1.0, "probability must lie in (0, 1]")
             }
         }
+        let rng = SmallRng::seed_from_u64(seed);
         BackoffProcess {
             id,
             schedule,
-            rng: SmallRng::seed_from_u64(seed),
+            rewind: rng.clone(),
+            rng,
             known: PayloadSet::EMPTY,
             active_rounds: 0,
+            at: 0,
+            flags: 0,
+            drawn: 0,
+            hit: false,
+            base: 0,
             span_end: 0,
             threshold: 0,
         }
@@ -145,13 +192,128 @@ impl BackoffProcess {
         self.known
     }
 
-    /// Adds `payloads` to the known set; any fresh one restarts `j`.
-    fn absorb(&mut self, payloads: PayloadSet) {
-        if !payloads.minus(self.known).is_empty() {
+    /// Adds `payloads` to the known set; returns `true` when one is fresh,
+    /// which restarts `j` at the next [`BackoffProcess::sync`].
+    fn absorb(&mut self, payloads: PayloadSet) -> bool {
+        let fresh = !payloads.minus(self.known).is_empty();
+        if fresh {
             self.known.union_with(payloads);
+            self.flags |= FRESH;
+        }
+        fresh
+    }
+
+    /// Brings the node to the end of local round `local`: a lazy node
+    /// counts every round since `at` as active; then a fresh payload that
+    /// arrived meanwhile restarts `j`, rewinding the RNG to the draw it
+    /// interrupted when the node had drawn past it.
+    pub(crate) fn sync(&mut self, local: u64) {
+        if self.flags & LAZY != 0 && !self.known.is_empty() {
+            self.active_rounds += local.saturating_sub(self.at);
+        }
+        self.at = local;
+        if self.flags & FRESH != 0 {
+            if self.flags & AHEAD != 0 {
+                self.rng = self.rewind.clone();
+                for _ in self.base..self.active_rounds {
+                    self.rng.next_u64();
+                }
+            }
+            self.flags &= !(FRESH | AHEAD);
             self.active_rounds = 0;
             self.span_end = 0;
         }
+    }
+
+    /// Marks the node as driven by a wake calendar (`true`) or polled
+    /// every round (`false`). Call it right after a
+    /// [`BackoffProcess::sync`].
+    pub(crate) fn set_lazy(&mut self, lazy: bool) {
+        if lazy {
+            self.flags |= LAZY;
+        } else {
+            self.flags &= !LAZY;
+        }
+    }
+
+    /// Draws ahead from the current `j` to the next successful draw, or
+    /// [`DRAW_AHEAD_CAP`] draws, unless the node has drawn ahead already.
+    pub(crate) fn draw_ahead(&mut self) {
+        if self.flags & AHEAD != 0 {
+            return;
+        }
+        self.flags |= AHEAD;
+        self.rewind = self.rng.clone();
+        self.base = self.active_rounds;
+        for j in self.base + 1..=self.base + DRAW_AHEAD_CAP {
+            if self.draw(j) {
+                (self.drawn, self.hit) = (j, true);
+                return;
+            }
+        }
+        (self.drawn, self.hit) = (self.base + DRAW_AHEAD_CAP, false);
+    }
+
+    /// `true` while the node is lazy, drawn ahead and holds no fresh
+    /// payload: its calendar booking still stands.
+    pub(crate) fn is_booked(&self) -> bool {
+        self.flags & (LAZY | FRESH | AHEAD) == LAZY | AHEAD
+    }
+
+    /// The local round of the node's next wake, once it has drawn ahead.
+    pub(crate) fn due(&self) -> u64 {
+        self.at + (self.drawn - self.active_rounds)
+    }
+
+    /// The wake calendar's poll of a due node in local round `local`.
+    pub(crate) fn wake(&mut self, local: u64) -> Option<Message> {
+        self.sync(local - 1);
+        self.at = local;
+        self.step()
+    }
+
+    /// One draw for active round `j`, exactly `gen_bool(p(j))`: that draw
+    /// tests `(x >> 11) · 2^-53 < p`, and both sides are exact in `f64`, so
+    /// it is the integer test `x >> 11 < ⌈p · 2^53⌉`. The threshold is
+    /// recomputed once per constant-probability span, not every round.
+    #[inline]
+    fn draw(&mut self, j: u64) -> bool {
+        if j > self.span_end {
+            let (p, last) = self.schedule.span(j);
+            self.span_end = last;
+            self.threshold = (p * (1u64 << 53) as f64).ceil() as u64;
+        }
+        (self.rng.next_u64() >> 11) < self.threshold
+    }
+
+    /// The next active round, `j` synced to the round before it: its
+    /// decision was drawn ahead, or is drawn now.
+    #[inline]
+    fn step(&mut self) -> Option<Message> {
+        if self.known.is_empty() {
+            return None;
+        }
+        self.active_rounds += 1;
+        let j = self.active_rounds;
+        let sent = if self.flags & AHEAD == 0 {
+            self.draw(j)
+        } else if j == self.drawn {
+            self.flags &= !AHEAD;
+            self.hit
+        } else {
+            false
+        };
+        sent.then(|| Message::with_payloads(self.id, self.known))
+    }
+
+    /// A poll of local round `local` while any flag is set: leaves the
+    /// calendar's lazy count, takes in a fresh payload, or reads a decision
+    /// drawn ahead.
+    #[inline(never)]
+    fn poll_flagged(&mut self, local: u64) -> Option<Message> {
+        self.sync(local.saturating_sub(1));
+        self.flags &= !LAZY;
+        self.step()
     }
 }
 
@@ -170,28 +332,25 @@ impl Process for BackoffProcess {
         self.absorb(PayloadSet::only(payload));
     }
 
-    /// One draw per round, exactly `gen_bool(p(j))`: that draw tests
-    /// `(x >> 11) · 2^-53 < p`, and both sides are exact in `f64`, so it is
-    /// the integer test `x >> 11 < ⌈p · 2^53⌉`. The threshold is
-    /// recomputed once per constant-probability span, not every round.
-    fn transmit(&mut self, _local_round: u64) -> Option<Message> {
+    /// Polled every round: one draw per informed round, or none for a round
+    /// drawn ahead.
+    fn transmit(&mut self, local_round: u64) -> Option<Message> {
+        if self.flags != 0 {
+            return self.poll_flagged(local_round);
+        }
         if self.known.is_empty() {
             return None;
         }
         self.active_rounds += 1;
-        let j = self.active_rounds;
-        if j > self.span_end {
-            let (p, last) = self.schedule.span(j);
-            self.span_end = last;
-            self.threshold = (p * (1u64 << 53) as f64).ceil() as u64;
-        }
-        ((self.rng.next_u64() >> 11) < self.threshold)
+        self.draw(self.active_rounds)
             .then(|| Message::with_payloads(self.id, self.known))
     }
 
-    fn receive(&mut self, _local_round: u64, reception: Reception) {
+    fn receive(&mut self, local_round: u64, reception: Reception) {
         if let Some(m) = reception.message() {
-            self.absorb(m.payloads);
+            if self.absorb(m.payloads) {
+                self.sync(local_round);
+            }
         }
     }
 
@@ -240,7 +399,8 @@ mod tests {
                 activate(&mut p, how);
                 let mut model = p.rng.clone();
                 // Six Harmonic levels at the longest period.
-                for j in 1..=6 * 117 {
+                let last = 6 * 117;
+                for j in 1..=last {
                     let sent = p.transmit(j).is_some();
                     let prob = schedule.probability(j);
                     assert_eq!(
@@ -255,7 +415,20 @@ mod tests {
                     // draws.
                     p.receive(j, Reception::Message(message()));
                 }
-                assert_eq!(p.rng, model, "one draw per round");
+                // Taken over by a calendar and drawn ahead, the RNG stands
+                // at the draw of the next success (or of the cap).
+                p.sync(last);
+                p.set_lazy(true);
+                p.draw_ahead();
+                let mut j = last;
+                loop {
+                    j += 1;
+                    if model.gen_bool(schedule.probability(j)) || j == last + DRAW_AHEAD_CAP {
+                        break;
+                    }
+                }
+                assert_eq!(p.rng, model, "{schedule:?}: the draw-ahead position");
+                assert_eq!(p.due(), j, "{schedule:?}: due at the drawn success");
             }
         }
     }

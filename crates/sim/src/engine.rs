@@ -222,6 +222,10 @@ pub struct Executor<'a> {
     pub(crate) own_idx: Vec<u32>,
     /// This round's resolved receptions, indexed by node.
     pub(crate) receptions_buf: Vec<Reception>,
+    /// `true` when the last round ran on one shard, so every non-silent
+    /// entry of `receptions_buf` lies at a node of `arena.touched`: a
+    /// sparse round resets only those.
+    pub(crate) receptions_in_touched: bool,
     /// All adversary deliveries of the round, concatenated sender by
     /// sender: adversaries append their targets directly (see
     /// [`Adversary::unreliable_deliveries`]).
@@ -311,6 +315,7 @@ impl<'a> Executor<'a> {
             senders_buf: Vec::new(),
             own_idx: vec![NONE; n],
             receptions_buf: Vec::with_capacity(n),
+            receptions_in_touched: false,
             extra_flat: Vec::new(),
             extra_ranges: Vec::new(),
             arena: Arena::new(n),
@@ -625,6 +630,7 @@ impl Clone for Executor<'_> {
             senders_buf: self.senders_buf.clone(),
             own_idx: self.own_idx.clone(),
             receptions_buf: self.receptions_buf.clone(),
+            receptions_in_touched: self.receptions_in_touched,
             extra_flat: self.extra_flat.clone(),
             extra_ranges: self.extra_ranges.clone(),
             arena: self.arena.clone(),

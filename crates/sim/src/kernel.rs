@@ -12,10 +12,14 @@
 //!
 //! * **One shard: the sender-side arena.** A counting sort of sender
 //!   indices by target (the sender itself, its `G` out-row, its adversary
-//!   extras), whose prefix pass writes the round's `touched` words. Resolve
-//!   and absorb visit only the touched nodes, so a sparse round costs what
-//!   it reaches. A dense round under CR2–CR4 reads only the counts and
-//!   skips the write pass.
+//!   extras), whose prefix pass writes the round's `touched` words.
+//!   Resolve, receive and absorb visit only the touched nodes. A round
+//!   whose senders are few (`senders · 16 < n`) is *sparse*: its sort
+//!   zeroes, prefix-sums and fills only the touched nodes, and the
+//!   receptions of the last one-shard round are reset only at its touched
+//!   nodes, so a sparse round costs what it reaches (plus one word per 64
+//!   nodes). A dense round keeps the linear passes, and under CR2–CR4 with
+//!   every node sending reads only the counts and skips the write pass.
 //! * **Several shards: receiver-side gathers** from the transposed CSRs, so
 //!   no two shards write one node. An adversary with an
 //!   [`Adversary::oblivious`] form is sampled in-shard; any other is called
@@ -174,9 +178,11 @@ impl Executor<'_> {
             self.call_adversary(t);
         }
 
-        // Reach and resolve, CR4 choices included.
-        self.receptions_buf.clear();
-        self.receptions_buf.resize(n, Reception::Silence);
+        // Reach and resolve, CR4 choices included. A one-shard round with
+        // few senders is sparse (see the module docs).
+        let sparse = shards == 1 && self.senders_buf.len() * 16 < n;
+        let touched = (self.receptions_in_touched && sparse).then_some(&self.arena.touched);
+        reset_receptions(&mut self.receptions_buf, n, touched);
         {
             let Executor {
                 network,
@@ -220,8 +226,12 @@ impl Executor<'_> {
                 // A dense round under CR2–CR4 reads no list: every node
                 // hears itself, and collisions need only the counts.
                 let dense = senders.len() == n && config.rule != CollisionRule::Cr1;
-                let reliable = Some(network.reliable_csr());
-                arena.sort(senders, reliable, extra_flat, extra_ranges, !dense);
+                let reliable = network.reliable_csr();
+                if sparse {
+                    arena.sort_sparse(senders, reliable, extra_flat, extra_ranges);
+                } else {
+                    arena.sort(senders, Some(reliable), extra_flat, extra_ranges, !dense);
+                }
                 resolve_shards(&view, &*arena, rec, scratch, adversary, msgs);
             } else {
                 let in_csr = network.reliable_in_csr();
@@ -272,7 +282,7 @@ impl Executor<'_> {
                 ..
             } = self;
             let mask = (*faulty_count > 0).then_some(roles.as_slice());
-            // A one-shard round books only its touched nodes.
+            // A one-shard round receives and books only its touched nodes.
             let domain = (shards == 1).then_some(&arena.touched);
             let (receptions, real) = (receptions_buf.as_slice(), *real);
             let books = pieces(known, chunk)
@@ -301,8 +311,10 @@ impl Executor<'_> {
                         });
                     }
                 });
-            procs.receive_sweep(t, active_from, mask, receptions, chunk, books);
+            procs.receive_sweep(t, active_from, mask, receptions, domain, chunk, books);
         }
+        // A one-shard round heard nothing outside its touched nodes.
+        self.receptions_in_touched = shards == 1;
         // analyzer: allow(hot-alloc, reason = "newly_informed is returned by value in RoundSummary; it stays len 0 (no heap) except on the bounded rounds where nodes first become informed, at most n entries over a whole run")
         let mut newly_informed = Vec::new();
         for s in &self.shards[..shards] {
@@ -371,8 +383,44 @@ pub(crate) struct Arena {
     /// Per-node fill cursors of the sort's write pass.
     cursor: Vec<u32>,
     /// The nodes whose bucket is not empty: the nodes a one-shard round
-    /// resolves and books.
-    touched: FixedBitSet,
+    /// resolves, receives and books.
+    pub(crate) touched: FixedBitSet,
+    /// `true` after a sparse sort: `cursor` is zero outside `touched`.
+    sparse: bool,
+}
+
+/// Sender `i`'s targets, in bucket order: itself and its `G` out-row when
+/// `reliable` is given, then its adversary extras. Inlined into every pass
+/// of both sorts (as a closure it stayed a call per sender).
+#[inline(always)]
+fn targets<'a>(
+    i: usize,
+    senders: &'a [(NodeId, Message)],
+    reliable: Option<&'a Csr>,
+    extra_flat: &'a [NodeId],
+    extra_ranges: &[(u32, u32)],
+) -> [&'a [NodeId]; 3] {
+    let (s, e) = extra_ranges[i];
+    let extras = &extra_flat[s as usize..e as usize];
+    let u = &senders[i].0;
+    match reliable {
+        Some(g) => [std::slice::from_ref(u), g.row(*u), extras],
+        None => [&[], &[], extras],
+    }
+}
+
+/// Resets `receptions` to `n` silences. `touched`, when given, holds every
+/// node whose entry may not be silent, and only those are reset.
+fn reset_receptions(receptions: &mut Vec<Reception>, n: usize, touched: Option<&FixedBitSet>) {
+    match touched {
+        Some(touched) => for_each_node(Some(touched), 0..n, |v| {
+            receptions[v] = Reception::Silence;
+        }),
+        None => {
+            receptions.clear();
+            receptions.resize(n, Reception::Silence);
+        }
+    }
 }
 
 impl Arena {
@@ -383,6 +431,7 @@ impl Arena {
             off: vec![0; n + 1],
             cursor: vec![0; n],
             touched: FixedBitSet::new(n),
+            sparse: false,
         }
     }
 
@@ -404,25 +453,9 @@ impl Arena {
             off,
             cursor,
             touched,
+            sparse,
         } = self;
-        // Sender `i`'s targets, in bucket order; inlined into both passes
-        // (as a closure it stayed a call per sender).
-        #[inline(always)]
-        fn targets<'a>(
-            i: usize,
-            senders: &'a [(NodeId, Message)],
-            reliable: Option<&'a Csr>,
-            extra_flat: &'a [NodeId],
-            extra_ranges: &[(u32, u32)],
-        ) -> [&'a [NodeId]; 3] {
-            let (s, e) = extra_ranges[i];
-            let extras = &extra_flat[s as usize..e as usize];
-            let u = &senders[i].0;
-            match reliable {
-                Some(g) => [std::slice::from_ref(u), g.row(*u), extras],
-                None => [&[], &[], extras],
-            }
-        }
+        *sparse = false;
         cursor.fill(0);
         for i in 0..senders.len() {
             for part in targets(i, senders, reliable, extra_flat, extra_ranges) {
@@ -464,6 +497,68 @@ impl Arena {
         }
     }
 
+    /// [`Arena::sort`] for a sparse one-shard round, with `reliable` given
+    /// and the write pass: the same buckets at the touched nodes, built in
+    /// passes over the targets and the touched nodes. `off` is left valid
+    /// only at touched nodes `v` (`off[v]` and `off[v + 1]`), which is all a
+    /// one-shard round reads.
+    fn sort_sparse(
+        &mut self,
+        senders: &[(NodeId, Message)],
+        reliable: &Csr,
+        extra_flat: &[NodeId],
+        extra_ranges: &[(u32, u32)],
+    ) {
+        let Arena {
+            idx,
+            off,
+            cursor,
+            touched,
+            sparse,
+        } = self;
+        let n = cursor.len();
+        // Zero what the last sort left: only its touched cursors after a
+        // sparse sort, all of them after a dense one.
+        if *sparse {
+            for_each_node(Some(touched), 0..n, |v| cursor[v] = 0);
+        } else {
+            cursor.fill(0);
+        }
+        *sparse = true;
+        let words = touched.words_mut();
+        words.fill(0);
+        let reliable = Some(reliable);
+        for i in 0..senders.len() {
+            for part in targets(i, senders, reliable, extra_flat, extra_ranges) {
+                for &v in part {
+                    let v = v.index();
+                    cursor[v] += 1;
+                    words[v / 64] |= 1 << (v % 64);
+                }
+            }
+        }
+        // Prefix over the touched nodes, ascending; each cursor becomes its
+        // bucket's start.
+        let mut acc = 0u32;
+        for_each_node(Some(touched), 0..n, |v| {
+            off[v] = acc;
+            acc += cursor[v];
+            cursor[v] = off[v];
+            off[v + 1] = acc;
+        });
+        if idx.len() < acc as usize {
+            idx.resize(acc as usize, 0);
+        }
+        for i in 0..senders.len() {
+            for part in targets(i, senders, reliable, extra_flat, extra_ranges) {
+                for &v in part {
+                    idx[cursor[v.index()] as usize] = i as u32;
+                    cursor[v.index()] += 1;
+                }
+            }
+        }
+    }
+
     /// Node `v`'s bucket (valid after a sort that wrote it).
     fn bucket(&self, v: usize) -> &[u32] {
         &self.idx[self.off[v] as usize..self.off[v + 1] as usize]
@@ -477,7 +572,11 @@ impl Arena {
 /// bodies then run in this loop, not behind a call per reached node, which
 /// measured ~7% of `harmonic-trials`' `op_ms_p50`.
 #[inline(always)]
-fn for_each_node(touched: Option<&FixedBitSet>, range: Range<usize>, mut f: impl FnMut(usize)) {
+pub(crate) fn for_each_node(
+    touched: Option<&FixedBitSet>,
+    range: Range<usize>,
+    mut f: impl FnMut(usize),
+) {
     for w in range.start / 64..range.end.div_ceil(64) {
         let mut bits = match touched {
             Some(touched) => touched.words()[w],

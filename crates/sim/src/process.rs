@@ -36,7 +36,18 @@ impl ActivationCause {
 /// 1. [`Process::transmit`] — decide whether to send, given the local round
 ///    number (1 = the process's first active round);
 /// 2. after deliveries are resolved, [`Process::receive`] with the round's
-///    [`Reception`].
+///    [`Reception`] — but only when something was heard: a message or a
+///    collision notification. A silent round makes no `receive` call.
+///
+/// Silence is the absence of a call: an automaton that needs to observe
+/// it sees a round without `receive` before its next `transmit`, and can
+/// count such rounds from the local round numbers. Every engine
+/// ([`Executor`][crate::Executor], [`ShardedExecutor`][crate::ShardedExecutor],
+/// [`ReferenceExecutor`][crate::ReferenceExecutor]) and every other driver
+/// in this workspace keeps this contract, so a round costs only the nodes
+/// it reaches. It is a breaking change for a third-party automaton that
+/// acted on `receive(_, Reception::Silence)`: such an automaton is never
+/// handed silence any more.
 ///
 /// A process never observes the global round; under asynchronous start it
 /// can only learn it from `round_tag`s on messages it receives (§5
@@ -73,7 +84,8 @@ pub trait Process: Send {
     /// Returning `Some` transmits the message to the medium.
     fn transmit(&mut self, local_round: u64) -> Option<Message>;
 
-    /// Delivers the end-of-round reception for `local_round`.
+    /// Delivers the end-of-round reception for `local_round`: a message or
+    /// a collision, never [`Reception::Silence`] (see the trait docs).
     fn receive(&mut self, local_round: u64, reception: Reception);
 
     /// `true` when the process holds the broadcast payload.

@@ -409,6 +409,8 @@ impl<'a> ReferenceExecutor<'a> {
                 .message()
                 .is_some_and(|m| m.payloads.intersects(self.real));
             match self.active_from[node] {
+                // Silence is no reception: the automaton is not called.
+                Some(_) if reception == Reception::Silence => {}
                 Some(from) if from <= t => {
                     let local = t - from + 1;
                     self.procs[node].receive(local, reception);

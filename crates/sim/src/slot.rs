@@ -19,6 +19,15 @@
 //!   `Vec<ProcessSlot>` loop (per-element match; `Custom` still pays
 //!   virtual dispatch).
 //!
+//! A homogeneous [`BackoffProcess`] table also keeps a **wake calendar**:
+//! each informed node draws ahead to its next successful draw and is
+//! polled only in that round, so a sparse round's transmit sweep visits
+//! the nodes due in it, in node order, instead of every node. The table
+//! runs the calendar while one chunk sweeps, no node is faulty and the
+//! last round's transmissions were few; otherwise it sweeps every node.
+//! Either way the `k`-th draw of a node's RNG decides its `k`-th active
+//! round, so both give the same transmissions bit for bit.
+//!
 //! Slots are the one way to build a population: every engine takes them
 //! through its `from_slots` constructor, and an automaton from outside
 //! this crate rides in a [`ProcessSlot::Custom`] slot. Both paths call
@@ -27,15 +36,17 @@
 //! differential suites, whose boxed arms are `Custom` populations,
 //! enforce this.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
-use dualgraph_net::NodeId;
+use dualgraph_net::{FixedBitSet, NodeId};
 
 use crate::adversary::Assignment;
 use crate::automata::{BackoffProcess, PipelinedFlooder, RoundRobinProcess, StrongSelectProcess};
 use crate::collision::Reception;
 use crate::dynamics::{FaultView, NodeRole};
-use crate::kernel::{per_shard, pieces};
+use crate::kernel::{for_each_node, per_shard, pieces};
 use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, ChatterProcess, Flooder, Process, SilentProcess};
@@ -181,6 +192,8 @@ impl_from_slot!(
 #[derive(Debug, Clone)]
 pub struct ProcessTable {
     repr: Repr,
+    /// The wake calendar of a [`BackoffProcess`] table; idle otherwise.
+    calendar: Calendar,
 }
 
 #[derive(Debug, Clone)]
@@ -261,9 +274,7 @@ impl ProcessTable {
             }
         };
         if !homogeneous {
-            return ProcessTable {
-                repr: Repr::Mixed(slots),
-            };
+            return ProcessTable::of(Repr::Mixed(slots));
         }
         // analyzer: allow(panic, reason = "invariant: non-empty checked")
         let repr = match slots.first().expect("non-empty checked") {
@@ -277,7 +288,15 @@ impl ProcessTable {
             ProcessSlot::Quorum(_) => collect_variant!(slots, Quorum),
             ProcessSlot::Custom(_) => unreachable!("Custom was excluded above"),
         };
-        ProcessTable { repr }
+        ProcessTable::of(repr)
+    }
+
+    fn of(repr: Repr) -> Self {
+        let calendar = match &repr {
+            Repr::Backoff(v) => Calendar::new(v.len()),
+            _ => Calendar::default(),
+        };
+        ProcessTable { repr, calendar }
     }
 
     /// Decomposes the table back into slots (node/current order).
@@ -334,12 +353,14 @@ impl ProcessTable {
     /// Delivers an activation to the process at `index`.
     pub fn activate(&mut self, index: usize, cause: ActivationCause) {
         each_repr!(&mut self.repr, v => v[index].on_activate(cause));
+        self.calendar.rebook_later(index);
     }
 
     /// Delivers mid-run environment input to the process at `index`
     /// (see [`Process::on_input`]).
     pub fn input(&mut self, index: usize, payload: PayloadId) {
         each_repr!(&mut self.repr, v => v[index].on_input(payload));
+        self.calendar.rebook_later(index);
     }
 
     /// Reorders the table from process-id order into node order under
@@ -361,7 +382,7 @@ impl ProcessTable {
             Repr::Quorum(v) => Repr::Quorum(permute(v, assignment)),
             Repr::Mixed(v) => Repr::Mixed(permute(v, assignment)),
         };
-        ProcessTable { repr }
+        ProcessTable::of(repr)
     }
 
     /// Phase-1 send decisions for global round `round`, chunk by chunk:
@@ -382,6 +403,11 @@ impl ProcessTable {
     /// node-order position a process transmission would occupy, which the
     /// adversary call order and the reaching sets depend on.
     ///
+    /// A [`BackoffProcess`] table swept in one chunk with `faults == None`
+    /// polls only the nodes its wake calendar holds due in `round`, while
+    /// the last round's transmissions stay few (see the module docs);
+    /// every other sweep polls every node.
+    ///
     /// # Panics
     ///
     /// Panics if `chunk == 0`, or after the sweep if `outs` yields fewer
@@ -393,64 +419,281 @@ impl ProcessTable {
         active_from: &[Option<u64>],
         faults: Option<FaultView<'_>>,
         chunk: usize,
-        outs: impl Iterator<Item = &'o mut Vec<(NodeId, Message)>>,
+        mut outs: impl Iterator<Item = &'o mut Vec<(NodeId, Message)>>,
     ) {
         assert!(chunk > 0, "transmit_sweep needs a positive chunk");
-        let swept = each_repr!(&mut self.repr, v => {
+        let ProcessTable { repr, calendar } = self;
+        if let Repr::Backoff(procs) = repr {
+            if chunk >= procs.len() && !procs.is_empty() {
+                let Some(out) = outs.next() else {
+                    panic!("transmit_sweep: fewer output buffers than chunks");
+                };
+                out.clear();
+                if faults.is_none() && calendar.wanted(procs.len()) {
+                    calendar.sweep(procs, round, active_from, out);
+                } else {
+                    calendar.retire(procs, round, active_from);
+                    transmit_chunk(procs, 0, round, active_from, faults, out);
+                }
+                calendar.sent = out.len();
+                return;
+            }
+            calendar.retire(procs, round, active_from);
+        }
+        let swept = each_repr!(repr, v => {
             per_shard(pieces(v, chunk).zip(outs), |s, (procs, out)| {
                 out.clear();
                 transmit_chunk(procs, s * chunk, round, active_from, faults, out);
             })
         });
         assert!(
-            swept * chunk >= self.len(),
+            swept * chunk >= each_repr!(repr, v => v.len()),
             "transmit_sweep: fewer output buffers than chunks"
         );
     }
 
     /// Phase-4 end-of-round deliveries for global round `round`, chunk by
-    /// chunk, in ascending node order: active processes get `receive`;
-    /// sleeping processes (asynchronous start) are activated by an actual
-    /// message, which updates `active_from[node]` to `round + 1`. Node
-    /// chunk `s` runs `receive_chunk`'s loop, then calls the `s`-th of
-    /// `then` with its node range on the same thread — the executor books
-    /// the chunk's informed/known records there. Chunks run as in
+    /// chunk, in ascending node order: an active process gets `receive`
+    /// for a message or a collision, never for silence; a sleeping process
+    /// (asynchronous start) is activated by an actual message, which
+    /// updates `active_from[node]` to `round + 1`. Only the nodes of
+    /// `domain` are visited, every node when it is `None`: a caller that
+    /// knows which nodes heard anything passes them, and every other node
+    /// must hold [`Reception::Silence`]. Node chunk `s` runs
+    /// `receive_chunk`'s loop, then calls the `s`-th of `then` with its
+    /// node range on the same thread — the executor books the chunk's
+    /// informed/known records there. Chunks run as in
     /// [`ProcessTable::transmit_sweep`]; `active_from` splits into the same
     /// disjoint chunks as the table, so activation writes never race.
     ///
     /// `roles` is the dynamics liveness mask (`None` when every node is
     /// correct): non-correct nodes are skipped entirely — their frozen
-    /// automata observe nothing, not even silence, and cannot be
-    /// activated while faulty.
+    /// automata observe nothing and cannot be activated while faulty.
     ///
     /// # Panics
     ///
     /// Panics if `chunk == 0`, or after the sweep if `then` yields fewer
     /// closures than chunks (the chunks past the last closure are not
     /// swept).
+    #[allow(clippy::too_many_arguments)]
     pub fn receive_sweep<F: FnOnce(Range<usize>) + Send>(
         &mut self,
         round: u64,
         active_from: &mut [Option<u64>],
         roles: Option<&[NodeRole]>,
         receptions: &[Reception],
+        domain: Option<&FixedBitSet>,
         chunk: usize,
-        then: impl Iterator<Item = F>,
+        mut then: impl Iterator<Item = F>,
     ) {
         assert!(chunk > 0, "receive_sweep needs a positive chunk");
-        let swept = each_repr!(&mut self.repr, v => {
+        let ProcessTable { repr, calendar } = self;
+        if let (Repr::Backoff(procs), true) = (&mut *repr, calendar.live) {
+            // A live calendar means this round swept one chunk with no
+            // faulty node; a node whose message restarted or activated it
+            // is rebooked.
+            let Some(then) = then.next() else {
+                panic!("receive_sweep: fewer closures than chunks");
+            };
+            let book = |node, from, p: &mut BackoffProcess| {
+                if !p.is_booked() {
+                    calendar.book(node, p, round, from);
+                }
+            };
+            receive_chunk(
+                procs,
+                active_from,
+                0,
+                round,
+                roles,
+                receptions,
+                domain,
+                book,
+            );
+            then(0..procs.len());
+            return;
+        }
+        let swept = each_repr!(repr, v => {
             let parts = pieces(v, chunk).zip(pieces(active_from, chunk)).zip(then);
             per_shard(parts, |s, ((procs, active_from), then)| {
                 let base = s * chunk;
                 let range = base..base + procs.len();
-                receive_chunk(procs, active_from, base, round, roles, receptions);
+                let book = |_, _, _: &mut _| {};
+                receive_chunk(procs, active_from, base, round, roles, receptions, domain, book);
                 then(range);
             })
         });
         assert!(
-            swept * chunk >= self.len(),
+            swept * chunk >= each_repr!(repr, v => v.len()),
             "receive_sweep: fewer closures than chunks"
         );
+    }
+}
+
+/// The wake calendar of a homogeneous [`BackoffProcess`] table: each
+/// informed node, drawn ahead to its next success, is booked for that
+/// global round, and a round polls only the nodes booked for it.
+///
+/// Wakes within [`WHEEL`] rounds sit in the wheel slot of their round;
+/// later ones wait in a heap and move to the wheel as their round comes
+/// near. So a slot holds only its own round's wakes, which a round sorts
+/// into node order.
+///
+/// While the calendar is live its nodes are lazy (see [`BackoffProcess`]):
+/// the calendar runs only while no node is faulty, so every local round
+/// of an active node is an active one. Going live rebases every node at
+/// its count so far, and retiring catches every node up, so a switch in
+/// either direction keeps the draws in step with a per-round poll.
+#[derive(Debug, Clone, Default)]
+struct Calendar {
+    /// `true` while the calendar drives the table.
+    live: bool,
+    /// Slot `r % WHEEL` lists the nodes booked for round `r`, for the next
+    /// [`WHEEL`] rounds. A rebooked node leaves its old entry behind; an
+    /// entry counts only while `booked[node]` holds its round.
+    wheel: Vec<Vec<u32>>,
+    /// Wakes `(global round, node)` beyond the wheel, earliest first.
+    later: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per node, the global round of its current wake (0: none).
+    booked: Vec<u64>,
+    /// Nodes handed input or an activation between rounds, rebooked at the
+    /// start of the next round (only then are their local rounds known).
+    pending: Vec<u32>,
+    /// The slot being woken this round, sorted into node order.
+    due: Vec<u32>,
+    /// The table's transmissions in its last round.
+    sent: usize,
+}
+
+/// Rounds the calendar's wheel spans.
+const WHEEL: u64 = 256;
+
+impl Calendar {
+    /// An idle calendar for `n` nodes, its wheel allocated.
+    fn new(n: usize) -> Self {
+        Calendar {
+            wheel: vec![Vec::new(); WHEEL as usize],
+            booked: vec![0; n],
+            ..Calendar::default()
+        }
+    }
+
+    /// Whether the next round of an `n`-node table should run on the
+    /// calendar: while its last round sent to few nodes, with hysteresis
+    /// so that a round near the threshold does not flip the mode.
+    fn wanted(&self, n: usize) -> bool {
+        let scale = if self.live { 8 } else { 16 };
+        self.sent * scale < n
+    }
+
+    /// Notes that the process at `node` changed between rounds.
+    fn rebook_later(&mut self, node: usize) {
+        if self.live {
+            self.pending.push(node as u32);
+        }
+    }
+
+    /// Takes `p`, the process at `node` (active from global round `from`),
+    /// over at the end of global round `done`: lazy, drawn ahead, and
+    /// booked for its next wake unless it already is.
+    fn book(&mut self, node: usize, p: &mut BackoffProcess, done: u64, from: u64) {
+        p.sync(done + 1 - from);
+        p.set_lazy(true);
+        if p.has_payload() {
+            p.draw_ahead();
+            let due = from - 1 + p.due();
+            if self.booked[node] != due {
+                self.booked[node] = due;
+                self.push(due, node as u32, done);
+            }
+        }
+    }
+
+    /// Files a wake for round `due`, made at the end of round `done`.
+    fn push(&mut self, due: u64, node: u32, done: u64) {
+        if due <= done + WHEEL {
+            self.wheel[(due % WHEEL) as usize].push(node);
+        } else {
+            self.later.push(Reverse((due, node)));
+        }
+    }
+
+    /// Round `round` on the calendar: goes live (booking every active
+    /// node) or rebooks the nodes changed since the last round, then wakes
+    /// the nodes due, in node order, into `out`.
+    fn sweep(
+        &mut self,
+        procs: &mut [BackoffProcess],
+        round: u64,
+        active_from: &[Option<u64>],
+        out: &mut Vec<(NodeId, Message)>,
+    ) {
+        let done = round - 1;
+        if !self.live {
+            self.start(procs, done, active_from);
+        } else {
+            let mut pending = std::mem::take(&mut self.pending);
+            for &node in &pending {
+                if let Some(from) = active_from[node as usize] {
+                    self.book(node as usize, &mut procs[node as usize], done, from);
+                }
+            }
+            pending.clear();
+            self.pending = pending;
+        }
+        while let Some(&Reverse((due, node))) = self.later.peek() {
+            if due > done + WHEEL {
+                break;
+            }
+            self.later.pop();
+            self.wheel[(due % WHEEL) as usize].push(node);
+        }
+        let mut due = std::mem::take(&mut self.due);
+        std::mem::swap(&mut due, &mut self.wheel[(round % WHEEL) as usize]);
+        due.sort_unstable();
+        for &node in &due {
+            let node = node as usize;
+            let (Some(from), true) = (active_from[node], self.booked[node] == round) else {
+                continue;
+            };
+            let p = &mut procs[node];
+            if let Some(msg) = p.wake(round - from + 1) {
+                out.push((NodeId::from_index(node), msg));
+            }
+            self.book(node, p, round, from);
+        }
+        due.clear();
+        self.due = due;
+    }
+
+    /// Goes live at the end of round `done`, booking every active node.
+    fn start(&mut self, procs: &mut [BackoffProcess], done: u64, active_from: &[Option<u64>]) {
+        self.live = true;
+        self.booked.fill(0);
+        for (node, (p, from)) in procs.iter_mut().zip(active_from).enumerate() {
+            if let Some(from) = *from {
+                self.book(node, p, done, from);
+            }
+        }
+    }
+
+    /// Hands the table back to the every-node sweep before round `round`:
+    /// each active node is caught up to the end of the last round and
+    /// polled every round from now on.
+    fn retire(&mut self, procs: &mut [BackoffProcess], round: u64, active_from: &[Option<u64>]) {
+        if !self.live {
+            return;
+        }
+        self.live = false;
+        self.wheel.iter_mut().for_each(Vec::clear);
+        self.later.clear();
+        self.pending.clear();
+        for (p, from) in procs.iter_mut().zip(active_from) {
+            if let Some(from) = *from {
+                p.sync(round - from);
+                p.set_lazy(false);
+            }
+        }
     }
 }
 
@@ -502,8 +745,11 @@ fn transmit_chunk<P: Process>(
 
 /// The phase-4 delivery loop over one contiguous node chunk: `procs[i]`
 /// and `active_from[i]` are node `base + i`; `roles` and `receptions` stay
-/// whole-table (read-only). See [`transmit_chunk`] for the one-body
-/// rationale.
+/// whole-table (read-only). It visits the chunk's nodes of `domain` (all
+/// of them for `None`) and skips silence, then hands each node that heard
+/// a message to `woke` with its activation round. See [`transmit_chunk`]
+/// for the one-body rationale.
+#[allow(clippy::too_many_arguments)]
 fn receive_chunk<P: Process>(
     procs: &mut [P],
     active_from: &mut [Option<u64>],
@@ -511,23 +757,41 @@ fn receive_chunk<P: Process>(
     t: u64,
     roles: Option<&[NodeRole]>,
     receptions: &[Reception],
+    domain: Option<&FixedBitSet>,
+    mut woke: impl FnMut(usize, u64, &mut P),
 ) {
-    for (i, p) in procs.iter_mut().enumerate() {
-        let node = base + i;
-        if roles.is_some_and(|r| !r[node].is_correct()) {
-            continue;
+    let range = base..base + procs.len();
+    let visit = |node: usize| {
+        let reception = receptions[node];
+        if matches!(reception, Reception::Silence) || roles.is_some_and(|r| !r[node].is_correct()) {
+            return;
         }
-        match active_from[i] {
-            Some(from) if from <= t => p.receive(t - from + 1, receptions[node]),
+        let (p, active) = (&mut procs[node - base], &mut active_from[node - base]);
+        let from = match *active {
+            Some(from) if from <= t => {
+                p.receive(t - from + 1, reception);
+                from
+            }
             _ => {
                 // Sleeping: only an actual message activates; the
                 // message is delivered via the activation cause.
-                if let Reception::Message(m) = receptions[node] {
-                    p.on_activate(ActivationCause::Reception(m));
-                    active_from[i] = Some(t + 1);
-                }
+                let Reception::Message(m) = reception else {
+                    return;
+                };
+                p.on_activate(ActivationCause::Reception(m));
+                *active = Some(t + 1);
+                t + 1
             }
+        };
+        if let Reception::Message(_) = reception {
+            woke(node, from, p);
         }
+    };
+    // Every node: a plain loop, which a dense sweep runs faster than a
+    // walk of all-ones words.
+    match domain {
+        Some(_) => for_each_node(domain, range, visit),
+        None => range.for_each(visit),
     }
 }
 
@@ -626,7 +890,7 @@ mod tests {
         ];
         let mut booked = None;
         let then = std::iter::once(|range| booked = Some(range));
-        table.receive_sweep(1, &mut active, None, &receptions, 3, then);
+        table.receive_sweep(1, &mut active, None, &receptions, None, 3, then);
         assert_eq!(booked, Some(0..3), "the closure gets its chunk's range");
         assert_eq!(active[2], Some(2), "message reception activates sleepers");
         assert!(table.get(1).has_payload());
@@ -665,7 +929,7 @@ mod tests {
         let mut table = ProcessTable::from_slots(PipelinedFlooder::slots(3));
         let mut active2 = vec![Some(1), Some(1), Some(1)];
         let then = std::iter::once(|_| {});
-        table.receive_sweep(1, &mut active2, Some(&roles), &receptions, 3, then);
+        table.receive_sweep(1, &mut active2, Some(&roles), &receptions, None, 3, then);
         assert!(table.get(0).has_payload());
         assert!(!table.get(1).has_payload(), "crashed node observed nothing");
         assert!(!table.get(2).has_payload(), "jammer observed nothing");

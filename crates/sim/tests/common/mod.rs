@@ -7,12 +7,14 @@
 
 #![allow(dead_code)]
 
+use std::sync::{Arc, Mutex};
+
 use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::{
-    Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicsCursor, Executor,
-    ExecutorConfig, FaultPlan, FullDelivery, NodeRole, NullSink, ProcessSlot, RandomDelivery,
-    ReferenceExecutor, ReliableOnly, RoundSummary, ShardedExecutor, StartRule, TraceEvent,
-    TraceSink,
+    ActivationCause, Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicsCursor,
+    Executor, ExecutorConfig, FaultPlan, FullDelivery, Message, NodeRole, NullSink, PayloadId,
+    Process, ProcessId, ProcessSlot, RandomDelivery, Reception, ReferenceExecutor, ReliableOnly,
+    RoundSummary, ShardedExecutor, StartRule, TraceEvent, TraceSink,
 };
 
 /// A named adversary factory: every engine under comparison builds its own
@@ -56,6 +58,11 @@ pub(crate) fn adversary_menu(seed: u64) -> Vec<(&'static str, AdversaryFactory)>
 /// 0.12, `G′` edges with 0.25.
 pub(crate) const DENSE: (f64, f64) = (0.12, 0.25);
 
+/// Sparse `er_dual` densities (`G` 0.03, `G′` 0.08): at n ≥ 150 they give
+/// populations above one shard chunk whose rounds reach few nodes, so
+/// both the sparse and the dense round paths run.
+pub(crate) const SPARSE: (f64, f64) = (0.03, 0.08);
+
 /// A random `er_dual` network with the given `(reliable_p, unreliable_p)`
 /// densities.
 pub(crate) fn random_net(seed: u64, n: usize, (reliable_p, unreliable_p): (f64, f64)) -> DualGraph {
@@ -98,6 +105,19 @@ pub(crate) fn churn3(net: &DualGraph, seed: u64) -> TopologySchedule {
         seed,
     )
 }
+
+/// Folds `events` into an FNV-1a 64 digest of their `Debug` lines, the
+/// form every pinned event stream is checked in.
+pub(crate) fn digest_events(digest: u64, events: &[TraceEvent]) -> u64 {
+    events.iter().fold(digest, |digest, event| {
+        format!("{event:?}\n").bytes().fold(digest, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    })
+}
+
+/// The FNV-1a 64 offset basis: the digest of no events.
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Moves a slot population behind virtual dispatch, for the boxed arms:
 /// every slot becomes a [`ProcessSlot::Custom`] box, so the executor runs
@@ -231,4 +251,71 @@ pub(crate) fn sharded<'a>(
 ) -> Dynamic<'a, ShardedExecutor<'a>> {
     let exec = Executor::from_slots(schedule.epoch(0).network(), slots, adversary, config).unwrap();
     Dynamic::new(ShardedExecutor::new(exec, workers), schedule, plan)
+}
+
+/// One engine's `receive` calls, as `(process, local round, reception)`.
+pub(crate) type ReceiveLog = Arc<Mutex<Vec<(u32, u64, Reception)>>>;
+
+/// A chatter automaton that logs every `receive` call it gets: once it
+/// holds payload 0 it transmits it in 3 rounds out of 8 (a SplitMix64
+/// stream seeded per process), and it logs each call into the log its
+/// population shares. The log is shared across threads, so a sharded
+/// engine's calls arrive in any order; sort before comparing.
+#[derive(Debug, Clone)]
+pub(crate) struct LoggingChatter {
+    id: ProcessId,
+    informed: bool,
+    state: u64,
+    log: ReceiveLog,
+}
+
+impl LoggingChatter {
+    /// The `n` processes for one execution, ids `0..n`, as `Custom` slots
+    /// logging into `log`.
+    pub(crate) fn slots(n: usize, seed: u64, log: &ReceiveLog) -> Vec<ProcessSlot> {
+        (0..n)
+            .map(|i| {
+                ProcessSlot::Custom(Box::new(LoggingChatter {
+                    id: ProcessId::from_index(i),
+                    informed: false,
+                    state: seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    log: Arc::clone(log),
+                }))
+            })
+            .collect()
+    }
+}
+
+impl Process for LoggingChatter {
+    fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    fn on_activate(&mut self, cause: ActivationCause) {
+        self.informed |= cause.message().is_some_and(|m| m.carries_payload());
+    }
+
+    fn transmit(&mut self, _local_round: u64) -> Option<Message> {
+        if !self.informed {
+            return None;
+        }
+        self.state = dualgraph_sim::rng::splitmix64(self.state);
+        (self.state % 8 < 3).then(|| Message::with_payload(self.id, PayloadId(0)))
+    }
+
+    fn receive(&mut self, local_round: u64, reception: Reception) {
+        self.log
+            .lock()
+            .unwrap()
+            .push((self.id.0, local_round, reception));
+        self.informed |= reception.message().is_some_and(|m| m.carries_payload());
+    }
+
+    fn has_payload(&self) -> bool {
+        self.informed
+    }
+
+    fn clone_box(&self) -> Box<dyn Process> {
+        Box::new(self.clone())
+    }
 }

@@ -17,13 +17,16 @@
 
 mod common;
 
-use common::{adversary_menu, custom, random_net, DENSE};
+use common::{
+    adversary_menu, configs, custom, random_net, LoggingChatter, ReceiveLog, DENSE, SPARSE,
+};
 use dualgraph_net::{generators, DualGraph, NodeId};
 use dualgraph_sim::automata::RoundRobinProcess;
+use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     first_divergence, Adversary, ChatterProcess, CollisionRule, Executor, ExecutorConfig,
-    FullDelivery, ProcessId, ProcessSlot, RandomDelivery, ReferenceExecutor, StartRule, TraceEvent,
-    WithAssignment,
+    FullDelivery, ProcessId, ProcessSlot, RandomDelivery, Reception, ReferenceExecutor,
+    ShardedExecutor, StartRule, TraceEvent, WithAssignment,
 };
 
 /// Panics at the first diverging event if two recorded streams differ
@@ -102,6 +105,64 @@ fn assert_engines_agree(
 /// The chatter population every menu-wide comparison runs.
 fn chatter(n: usize, seed: u64) -> impl Fn() -> Vec<ProcessSlot> {
     move || ChatterProcess::slots(n, seed, 3)
+}
+
+/// The `receive` contract: an engine calls `receive` only with a message
+/// or a collision, never with silence, and every engine makes the same
+/// calls. A logging `Custom` population runs on the one-shard executor,
+/// on the sharded engine at workers 1, 2 and 7, and on the oracle, over
+/// the menu × CR1–CR4 × both start rules; the sorted call logs must be
+/// equal and hold no `Reception::Silence`.
+#[test]
+fn receive_is_called_only_for_messages_and_collisions() {
+    let net = random_net(47, 150, SPARSE);
+    let n = net.len();
+    for config in configs() {
+        for (name, make_adv) in adversary_menu(derive_seed(91, 47)) {
+            let label = format!("{name} {:?} {:?}", config.rule, config.start);
+            let logs: Vec<ReceiveLog> = (0..5).map(|_| ReceiveLog::default()).collect();
+            let slots = |k: usize| LoggingChatter::slots(n, 13, &logs[k]);
+            let mut exec = Executor::from_slots(&net, slots(0), make_adv(), config).unwrap();
+            let mut sharded: Vec<ShardedExecutor<'_>> = [1, 2, 7]
+                .into_iter()
+                .enumerate()
+                .map(|(k, workers)| {
+                    let exec =
+                        Executor::from_slots(&net, slots(k + 1), make_adv(), config).unwrap();
+                    ShardedExecutor::new(exec, workers)
+                })
+                .collect();
+            assert!(sharded[2].plan().shards() > 1, "{label}: must shard");
+            let mut oracle =
+                ReferenceExecutor::from_slots(&net, slots(4), make_adv(), config).unwrap();
+            for _ in 0..40 {
+                exec.step();
+                sharded.iter_mut().for_each(|s| {
+                    s.step();
+                });
+                oracle.step();
+            }
+            let calls: Vec<Vec<(u32, u64, Reception)>> = logs
+                .iter()
+                .map(|log| {
+                    let mut calls = log.lock().unwrap().clone();
+                    calls.sort_by_key(|&(process, local, _)| (process, local));
+                    calls
+                })
+                .collect();
+            assert!(!calls[4].is_empty(), "{label}: nothing was heard");
+            assert!(
+                calls[4].iter().all(|c| c.2 != Reception::Silence),
+                "{label}: the oracle handed out silence"
+            );
+            for (k, engine) in ["executor", "sharded(1)", "sharded(2)", "sharded(7)"]
+                .iter()
+                .enumerate()
+            {
+                assert_eq!(calls[k], calls[4], "{label}: {engine} vs the oracle");
+            }
+        }
+    }
 }
 
 #[test]

@@ -43,8 +43,9 @@
 
 mod common;
 
-use common::{adversary_menu, churn3, configs, random_net};
+use common::{adversary_menu, churn3, configs, random_net, SPARSE};
 use dualgraph_net::{generators, Digraph, DualGraph, NodeId};
+use dualgraph_sim::automata::{Backoff, BackoffProcess};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
     ActivationCause, Adversary, Assignment, BurstyDelivery, CollisionRule, CollisionSeeker,
@@ -57,12 +58,6 @@ use dualgraph_sim::{
 /// Worker counts under test: the one-shard plan, an even split, and an
 /// uneven count that leaves the last shard short.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
-
-/// Big enough that workers 2 and 7 both produce multiple 64-aligned
-/// shards, sparse enough that the round loop exercises the list path
-/// (not just the dense fast path): `er_dual` densities for
-/// [`random_net`].
-const SPARSE: (f64, f64) = (0.03, 0.08);
 
 /// Crash/recovery, a jammer, an equivocator (who recovers — the
 /// Byzantine gate must drop back), and a forger, spread over the node
@@ -286,8 +281,8 @@ fn sharded_trace_streams_are_identical() {
 /// Runs `rounds` rounds of a pure sequential engine beside one engine
 /// that alternates 2-shard rounds (even) with one-shard rounds of the same
 /// kernel on the same state (odd, stepped through the inner executor via
-/// `DerefMut`), asserting equal round summaries, known records, and
-/// outcomes.
+/// `DerefMut`), asserting equal round summaries and event streams every
+/// round, then equal known records and outcomes.
 fn interleave(
     label: &str,
     net: &DualGraph,
@@ -302,14 +297,16 @@ fn interleave(
     let mut mixed = ShardedExecutor::new(exec, 2);
     assert!(mixed.plan().shards() > 1, "{label}: must shard");
     for round in 0..rounds {
-        let ss = sequential.step();
+        let (mut se, mut me) = (Vec::<TraceEvent>::new(), Vec::<TraceEvent>::new());
+        let ss = sequential.step_traced(&mut se);
         let sm = if round % 2 == 0 {
-            mixed.step()
+            mixed.step_traced(&mut me)
         } else {
             use std::ops::DerefMut;
-            mixed.deref_mut().step()
+            mixed.deref_mut().step_traced(&mut me)
         };
         assert_eq!(ss, sm, "{label}: round {round}");
+        assert_eq!(se, me, "{label}: round {round}'s events");
     }
     assert_eq!(
         sequential.known_payloads(),
@@ -322,7 +319,11 @@ fn interleave(
 /// Interleaving 2-shard and one-shard rounds on the *same* engine (via
 /// `DerefMut`) stays bit-identical to a pure sequential run: the
 /// sender-index map, the per-shard scratch and the reaching-set buffers
-/// must survive rounds run on the other plan.
+/// must survive rounds run on the other plan. The Harmonic population's
+/// sender count crosses the sparse/dense switch both ways, so its
+/// one-shard rounds meet the touched-only receptions reset, the arena's
+/// sparse and dense sorts and the wake calendar right after a 2-shard
+/// round, and its 2-shard rounds meet them right after a one-shard round.
 #[test]
 fn interleaved_sequential_and_sharded_steps_agree() {
     let config = ExecutorConfig {
@@ -330,14 +331,23 @@ fn interleaved_sequential_and_sharded_steps_agree() {
         start: StartRule::Synchronous,
         payload: PayloadId(0),
     };
+    let net = random_net(83, 150, SPARSE);
     interleave(
         "random(0.4)",
-        &random_net(83, 150, SPARSE),
+        &net,
         config,
         Flooder::slots,
         || Box::new(RandomDelivery::new(0.4, 23)),
         24,
     );
+    let harmonic = |n| BackoffProcess::slots(n, Backoff::Harmonic { period: 3 }, 5);
+    for start in [StartRule::Synchronous, StartRule::Asynchronous] {
+        let config = ExecutorConfig { start, ..config };
+        for (name, make_adv) in adversary_menu(derive_seed(29, 83)) {
+            let label = format!("harmonic {name} {start:?}");
+            interleave(&label, &net, config, harmonic, make_adv, 120);
+        }
+    }
 }
 
 /// Transmits a payload-free signal on a four-round cycle: every node in

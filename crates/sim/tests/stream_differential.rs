@@ -17,16 +17,23 @@
 //!    shared schedule, the optimized executor (enum and boxed dispatch)
 //!    and the reference oracle must agree on every round summary *and* on
 //!    the per-node known-payload record.
+//! 4. **pinned Backoff paths** — a Harmonic population on a sparse network
+//!    under mid-gap injections, mid-gap crashes and recoveries, a mid-gap
+//!    `Executor::clone` and a 2-worker `ShardedExecutor`: each event
+//!    stream agrees with the oracle and all are pinned by digest.
 
 mod common;
 
-use common::{adversary_menu, configs, custom, random_net, DENSE};
-use dualgraph_net::{DualGraph, NodeId};
+use common::{
+    adversary_menu, configs, custom, digest_events, random_net, DENSE, FNV_BASIS, SPARSE,
+};
+use dualgraph_net::{DualGraph, NodeId, TopologySchedule};
 use dualgraph_sim::automata::{Backoff, BackoffProcess, PipelinedFlooder};
 use dualgraph_sim::rng::derive_seed;
 use dualgraph_sim::{
-    Adversary, CollisionRule, Executor, ExecutorConfig, Flooder, PayloadId, ProcessId, ProcessSlot,
-    ReferenceExecutor, ReliableOnly, StartRule, TraceEvent,
+    Adversary, CollisionRule, DynamicExecutor, Executor, ExecutorConfig, FaultPlan, Flooder,
+    PayloadId, ProcessId, ProcessSlot, ReferenceExecutor, ReliableOnly, ShardedExecutor, StartRule,
+    TraceEvent,
 };
 
 /// Steps `a` and `b` (any two engines exposed as closures returning the
@@ -116,7 +123,7 @@ fn randomized(kind: &str, n: usize, seed: u64) -> Vec<ProcessSlot> {
 /// `Debug` lines.
 #[test]
 fn randomized_event_streams_are_pinned() {
-    let (mut count, mut digest) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+    let (mut count, mut digest) = (0usize, FNV_BASIS);
     for net_seed in [3u64, 17] {
         let net = random_net(net_seed, 22, DENSE);
         let n = net.len();
@@ -142,16 +149,213 @@ fn randomized_event_streams_are_pinned() {
                     }
                     assert_eq!(events, oracle_events, "{label}: event streams diverged");
                     count += events.len();
-                    for event in &events {
-                        digest = format!("{event:?}\n").bytes().fold(digest, |h, b| {
-                            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-                        });
-                    }
+                    digest = digest_events(digest, &events);
                 }
             }
         }
     }
     assert_eq!((count, digest), (612_614, 0x8261_20de_0a65_f827));
+}
+
+/// A Harmonic population with period 6 and per-node seeds
+/// `derive_seed(seed, i)`, for the pinned Backoff paths below. On the
+/// [`pinned_nets`] its rounds reach few nodes, and each informed node
+/// waits out gaps of several rounds between transmissions.
+fn sparse_harmonic(n: usize, seed: u64) -> Vec<ProcessSlot> {
+    BackoffProcess::slots(n, Backoff::Harmonic { period: 6 }, seed)
+}
+
+/// The networks of the pinned Backoff paths: a [`SPARSE`] `er_dual` of
+/// 192 nodes, whose rounds turn dense as the payload spreads and sparse
+/// again as the nodes back off, and a 160-node line with chords of up to
+/// 3 hops in `G′`, where the payload crawls and every round stays sparse.
+fn pinned_nets() -> [DualGraph; 2] {
+    [
+        random_net(29, 192, SPARSE),
+        dualgraph_net::generators::line(160, 3),
+    ]
+}
+
+/// Pipelined Harmonic with fresh payloads landing mid-gap: every ninth
+/// round a new payload is injected at an informed node (between two of
+/// its transmissions), and every thirteenth at a node picked by index,
+/// informed or not. The batched engine's event stream, injections
+/// included, must equal the oracle's; all are pinned by count and digest.
+#[test]
+fn backoff_injections_mid_gap_are_pinned() {
+    let (mut count, mut digest) = (0usize, FNV_BASIS);
+    for net in &pinned_nets() {
+        let n = net.len();
+        for config in configs() {
+            for (name, make_adv) in adversary_menu(derive_seed(67, n as u64)) {
+                let label = format!("inject n={n} {name} {:?} {:?}", config.rule, config.start);
+                let mut exec =
+                    Executor::from_slots(net, sparse_harmonic(n, 11), make_adv(), config).unwrap();
+                assert!(exec.uses_batched_dispatch());
+                let mut oracle =
+                    ReferenceExecutor::from_slots(net, sparse_harmonic(n, 11), make_adv(), config)
+                        .unwrap();
+                let (mut events, mut oracle_events) = (Vec::new(), Vec::new());
+                let mut next = 1u64;
+                for round in 0..150usize {
+                    let mut targets = Vec::new();
+                    if round % 9 == 4 {
+                        let informed: Vec<usize> = (0..n)
+                            .filter(|&v| !oracle.known_payloads()[v].is_empty())
+                            .collect();
+                        targets.push(informed[(round * 7) % informed.len()]);
+                    }
+                    if round % 13 == 6 {
+                        targets.push((round * 31) % n);
+                    }
+                    for v in targets {
+                        let node = NodeId::from_index(v);
+                        exec.inject_traced(node, PayloadId(next), &mut events);
+                        oracle.inject_traced(node, PayloadId(next), &mut oracle_events);
+                        next += 1;
+                    }
+                    exec.step_traced(&mut events);
+                    oracle.step_traced(&mut oracle_events);
+                }
+                assert_eq!(events, oracle_events, "{label}: event streams diverged");
+                count += events.len();
+                digest = digest_events(digest, &events);
+            }
+        }
+    }
+    assert_eq!((count, digest), (3_062_868, 0x54e8_4ddf_2810_702b));
+}
+
+/// A fault plan that crashes informed nodes between two of their
+/// transmissions and recovers them: the source from round 8 to 15, six
+/// nodes near it for 2–7 rounds each from round 20 on, and one node for
+/// good from round 90.
+fn mid_gap_crashes(net: &DualGraph) -> FaultPlan {
+    let n = net.len() as u32;
+    let mut plan = FaultPlan::none()
+        .crash(net.source(), 8)
+        .recover(net.source(), 15);
+    for k in 0..6u32 {
+        let node = NodeId(1 + k * (n / 24));
+        let at = u64::from(20 + 11 * k);
+        plan = plan.crash(node, at).recover(node, at + 2 + u64::from(k));
+    }
+    plan.crash(NodeId(n / 8), 90)
+}
+
+/// Crashes and recoveries of informed nodes mid-gap: the batched engine
+/// (through `DynamicExecutor`) must give the oracle's event stream, fault
+/// events included; all are pinned by count and digest.
+#[test]
+fn backoff_crash_and_recovery_mid_gap_are_pinned() {
+    let (mut count, mut digest) = (0usize, FNV_BASIS);
+    for net in pinned_nets() {
+        let n = net.len();
+        let plan = mid_gap_crashes(&net);
+        let schedule = TopologySchedule::single(net);
+        for config in configs() {
+            for (name, make_adv) in adversary_menu(derive_seed(71, n as u64)) {
+                let label = format!("crash n={n} {name} {:?} {:?}", config.rule, config.start);
+                let mut exec = DynamicExecutor::from_slots(
+                    &schedule,
+                    sparse_harmonic(n, 13),
+                    make_adv(),
+                    config,
+                    plan.clone(),
+                )
+                .unwrap();
+                let mut oracle = common::reference(
+                    &schedule,
+                    sparse_harmonic(n, 13),
+                    make_adv(),
+                    config,
+                    plan.clone(),
+                );
+                let (mut events, mut oracle_events) = (Vec::new(), Vec::new());
+                for _ in 0..150 {
+                    exec.step_traced(&mut events);
+                    oracle.step_traced(&mut oracle_events);
+                }
+                assert_eq!(events, oracle_events, "{label}: event streams diverged");
+                count += events.len();
+                digest = digest_events(digest, &events);
+            }
+        }
+    }
+    assert_eq!((count, digest), (1_723_494, 0xfc9b_9098_b984_7bcb));
+}
+
+/// `Executor::clone` taken mid-gap, after 45 rounds, continues beside the
+/// original: the two continuations are equal, the whole stream equals the
+/// oracle's, and all are pinned by count and digest.
+#[test]
+fn backoff_clone_mid_gap_continues_beside_the_original() {
+    let (mut count, mut digest) = (0usize, FNV_BASIS);
+    for net in &pinned_nets() {
+        let n = net.len();
+        for config in configs() {
+            for (name, make_adv) in adversary_menu(derive_seed(73, n as u64)) {
+                let label = format!("clone n={n} {name} {:?} {:?}", config.rule, config.start);
+                let mut exec =
+                    Executor::from_slots(net, sparse_harmonic(n, 17), make_adv(), config).unwrap();
+                let mut oracle =
+                    ReferenceExecutor::from_slots(net, sparse_harmonic(n, 17), make_adv(), config)
+                        .unwrap();
+                let (mut events, mut oracle_events) = (Vec::new(), Vec::new());
+                for _ in 0..45 {
+                    exec.step_traced(&mut events);
+                    oracle.step_traced(&mut oracle_events);
+                }
+                let mut fork = exec.clone();
+                let (mut fork_events, from) = (Vec::new(), events.len());
+                for _ in 0..105 {
+                    exec.step_traced(&mut events);
+                    fork.step_traced(&mut fork_events);
+                    oracle.step_traced(&mut oracle_events);
+                }
+                assert_eq!(
+                    events[from..],
+                    fork_events[..],
+                    "{label}: the clone diverged"
+                );
+                assert_eq!(events, oracle_events, "{label}: event streams diverged");
+                count += events.len() + fork_events.len();
+                digest = digest_events(digest_events(digest, &events), &fork_events);
+            }
+        }
+    }
+    assert_eq!((count, digest), (2_950_138, 0x7826_5f09_95cd_33af));
+}
+
+/// A 2-worker `ShardedExecutor`, every round on two shards: its event
+/// stream equals the oracle's, and all are pinned by count and digest.
+#[test]
+fn backoff_two_worker_sharded_streams_are_pinned() {
+    let (mut count, mut digest) = (0usize, FNV_BASIS);
+    for net in &pinned_nets() {
+        let n = net.len();
+        for config in configs() {
+            for (name, make_adv) in adversary_menu(derive_seed(79, n as u64)) {
+                let label = format!("sharded n={n} {name} {:?} {:?}", config.rule, config.start);
+                let exec =
+                    Executor::from_slots(net, sparse_harmonic(n, 19), make_adv(), config).unwrap();
+                let mut sharded = ShardedExecutor::new(exec, 2);
+                assert_eq!(sharded.plan().shards(), 2, "{label}");
+                let mut oracle =
+                    ReferenceExecutor::from_slots(net, sparse_harmonic(n, 19), make_adv(), config)
+                        .unwrap();
+                let (mut events, mut oracle_events) = (Vec::new(), Vec::new());
+                for _ in 0..150 {
+                    sharded.step_traced(&mut events);
+                    oracle.step_traced(&mut oracle_events);
+                }
+                assert_eq!(events, oracle_events, "{label}: event streams diverged");
+                count += events.len();
+                digest = digest_events(digest, &events);
+            }
+        }
+    }
+    assert_eq!((count, digest), (1_722_452, 0x2b14_19cf_6bf6_febf));
 }
 
 /// The pipelined Harmonic population of the injection test: period 3,
