@@ -372,6 +372,6 @@ mod tests {
         let digest = md.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((md.lines().count(), digest), (240, 0xe798_8df3_a8e1_922b));
+        assert_eq!((md.lines().count(), digest), (240, 0xe395_e4be_783a_fec6));
     }
 }

@@ -1263,6 +1263,26 @@ mod tests {
     }
 
     #[test]
+    fn plan_poisson_gaps_hold_at_tiny_rates() {
+        // Mean gap 1e17: each arrival probability 1e-17, where `1 − p`
+        // rounds to 1. The gaps stay of the order of the mean instead of
+        // collapsing to the minimum of 1.
+        let net = generators::line(4, 1);
+        let config = StreamConfig {
+            k: 6,
+            arrivals: Arrivals::Poisson { mean_gap: 1e17 },
+            ..StreamConfig::default()
+        };
+        let plan = plan_arrivals(&net, &config);
+        assert!(
+            plan.windows(2)
+                .all(|w| w[1].round - w[0].round > 1_000_000_000_000),
+            "{:?}",
+            plan.iter().map(|a| a.round).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "at least one payload")]
     fn plan_rejects_zero_k() {
         plan_arrivals(&generators::line(4, 1), &StreamConfig::default().with_k(0));

@@ -528,18 +528,18 @@ fn golden_retry_ledger_under_churn_poisson_arrivals_and_spam() {
 /// What [`golden_retry_ledger_under_churn_poisson_arrivals_and_spam`]
 /// pins (see `common::ledger_view` for the line shapes).
 const RETRY_GOLDEN: &[&str] = &[
-    "p0 src=0 arr=0 retries=5 entered=true delivered@68 (5 retries) | p0 src=0 arr=0 done=Some(68) dropped=false",
-    "p1 src=0 arr=1 retries=8 entered=true abandoned (8 retries) | p1 src=0 arr=1 done=Some(132) dropped=false",
-    "p2 src=0 arr=14 retries=3 entered=true delivered@78 (3 retries) | p2 src=0 arr=14 done=Some(78) dropped=false",
-    "p3 src=0 arr=16 retries=8 entered=true delivered@132 (8 retries) | p3 src=0 arr=16 done=Some(132) dropped=false",
-    "p4 src=0 arr=22 retries=8 entered=true delivered@132 (8 retries) | p4 src=0 arr=22 done=Some(132) dropped=false",
-    "p5 src=0 arr=24 retries=7 entered=true delivered@132 (7 retries) | p5 src=0 arr=24 done=Some(132) dropped=false",
+    "p0 src=0 arr=0 retries=5 entered=true delivered@70 (5 retries) | p0 src=0 arr=0 done=Some(70) dropped=false",
+    "p1 src=0 arr=1 retries=8 entered=true abandoned (8 retries) | p1 src=0 arr=1 done=None dropped=false",
+    "p2 src=0 arr=14 retries=3 entered=true delivered@80 (3 retries) | p2 src=0 arr=14 done=Some(80) dropped=false",
+    "p3 src=0 arr=16 retries=8 entered=true abandoned (8 retries) | p3 src=0 arr=16 done=None dropped=false",
+    "p4 src=0 arr=22 retries=8 entered=true abandoned (8 retries) | p4 src=0 arr=22 done=None dropped=false",
+    "p5 src=0 arr=24 retries=8 entered=true abandoned (8 retries) | p5 src=0 arr=24 done=None dropped=false",
     "EpochStreamStats { epoch: 0, first_round: 1, last_round: 40, rcv_events: 51, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 11, delivered: 0, drops: 0 }",
-    "EpochStreamStats { epoch: 1, first_round: 41, last_round: 80, rcv_events: 56, ack_latency: HistogramSummary { count: 7, min: 5, max: 65, mean: 28.714285714285715, p50: 22, p90: 65, p99: 65, p999: 65 }, retries: 16, delivered: 2, drops: 0 }",
-    "EpochStreamStats { epoch: 2, first_round: 81, last_round: 120, rcv_events: 97, ack_latency: HistogramSummary { count: 29, min: 1, max: 118, mean: 48.41379310344828, p50: 47, p90: 83, p99: 118, p999: 118 }, retries: 12, delivered: 0, drops: 0 }",
-    "EpochStreamStats { epoch: 3, first_round: 121, last_round: 132, rcv_events: 21, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 0, delivered: 3, drops: 0 }",
-    "health window=8 final=0.375 peak=0.375 drop_rate=0 pending_retries=6 pending_acks=28",
-    "HistogramSummary { count: 36, min: 1, max: 118, mean: 44.583333333333336, p50: 43, p90: 83, p99: 118, p999: 118 }",
+    "EpochStreamStats { epoch: 1, first_round: 41, last_round: 80, rcv_events: 57, ack_latency: HistogramSummary { count: 7, min: 8, max: 68, mean: 31.142857142857142, p50: 23, p90: 68, p99: 68, p999: 68 }, retries: 16, delivered: 2, drops: 0 }",
+    "EpochStreamStats { epoch: 2, first_round: 81, last_round: 120, rcv_events: 37, ack_latency: HistogramSummary { count: 0, min: 0, max: 0, mean: 0.0, p50: 0, p90: 0, p99: 0, p999: 0 }, retries: 12, delivered: 0, drops: 0 }",
+    "EpochStreamStats { epoch: 3, first_round: 121, last_round: 133, rcv_events: 72, ack_latency: HistogramSummary { count: 30, min: 13, max: 132, mean: 60.766666666666666, p50: 60, p90: 97, p99: 132, p999: 132 }, retries: 1, delivered: 0, drops: 0 }",
+    "health window=8 final=0 peak=0.125 drop_rate=0 pending_retries=6 pending_acks=30",
+    "HistogramSummary { count: 37, min: 8, max: 132, mean: 55.16216216216216, p50: 56, p90: 97, p99: 132, p999: 132 }",
     "safety_violations=0",
     "Retry { round: 12, source: NodeId(0), payload: PayloadId(0) }",
     "Retry { round: 13, source: NodeId(0), payload: PayloadId(1) }",
@@ -564,12 +564,12 @@ const RETRY_GOLDEN: &[&str] = &[
     "Retry { round: 60, source: NodeId(0), payload: PayloadId(5) }",
     "Retry { round: 61, source: NodeId(0), payload: PayloadId(1) }",
     "Retry { round: 64, source: NodeId(0), payload: PayloadId(3) }",
-    "Verdict { round: 68, payload: PayloadId(0), delivered: true }",
+    "Verdict { round: 70, payload: PayloadId(0), delivered: true }",
     "Retry { round: 70, source: NodeId(0), payload: PayloadId(4) }",
     "Retry { round: 72, source: NodeId(0), payload: PayloadId(5) }",
     "Retry { round: 73, source: NodeId(0), payload: PayloadId(1) }",
     "Retry { round: 76, source: NodeId(0), payload: PayloadId(3) }",
-    "Verdict { round: 78, payload: PayloadId(2), delivered: true }",
+    "Verdict { round: 80, payload: PayloadId(2), delivered: true }",
     "Retry { round: 82, source: NodeId(0), payload: PayloadId(4) }",
     "Retry { round: 84, source: NodeId(0), payload: PayloadId(5) }",
     "Retry { round: 85, source: NodeId(0), payload: PayloadId(1) }",
@@ -583,8 +583,9 @@ const RETRY_GOLDEN: &[&str] = &[
     "Verdict { round: 109, payload: PayloadId(1), delivered: false }",
     "Retry { round: 112, source: NodeId(0), payload: PayloadId(3) }",
     "Retry { round: 118, source: NodeId(0), payload: PayloadId(4) }",
-    "Verdict { round: 132, payload: PayloadId(3), delivered: true }",
-    "Verdict { round: 132, payload: PayloadId(4), delivered: true }",
-    "Verdict { round: 132, payload: PayloadId(5), delivered: true }",
+    "Retry { round: 120, source: NodeId(0), payload: PayloadId(5) }",
+    "Verdict { round: 124, payload: PayloadId(3), delivered: false }",
+    "Verdict { round: 130, payload: PayloadId(4), delivered: false }",
+    "Verdict { round: 132, payload: PayloadId(5), delivered: false }",
     "quorum_phases=0 fnv=0xcbf29ce484222325",
 ];

@@ -15,7 +15,7 @@ use crate::collision::Reception;
 use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, Process};
-use crate::rng::derive_seed;
+use crate::rng::{derive_seed, geometric_gap_from_bits};
 use crate::slot::ProcessSlot;
 
 /// A transmit-probability schedule `p(j)`, where `j ≥ 1` counts the
@@ -80,61 +80,36 @@ impl Backoff {
 /// equivocator's junk) joins the known set like any other, so it never
 /// shuts out a real payload heard later.
 ///
-/// The `k`-th draw of the node's RNG decides its `k`-th active round,
-/// whoever asks. Polled once per round through [`Process::transmit`], the
-/// node draws once per informed round. A
-/// [`ProcessTable`][crate::ProcessTable]'s wake calendar instead has each
-/// informed node draw ahead to its next success and polls it only then;
-/// such a node is *lazy*: every local round since `at` was an active one,
-/// so `j` is caught up from the local round alone. A fresh payload that
-/// lands between the draws rewinds the RNG to the draw it interrupted.
+/// `j` is read off the local round, `j = local − start`, so it keeps
+/// counting through a crash, as local rounds do. The node draws the `j`
+/// of its next transmission once per transmission: one geometric gap per
+/// constant-`p` span it crosses ([`Backoff::span`]), none across a
+/// `p = 1` span. It draws at four points only:
+///
+/// 1. a fresh payload in [`Process::receive`], with `start = local`;
+/// 2. a fresh payload by activation, with `start = 0`, since local round 1
+///    is the node's first;
+/// 3. each transmission;
+/// 4. the first [`Process::transmit`] poll after a fresh input, which
+///    carries no local round (`start = local − 1`), or after a due round
+///    that passed unpolled while the node was faulty: that round is
+///    dropped and the next success is drawn from the current one.
+///
+/// A per-round poll and a [`ProcessTable`][crate::ProcessTable]'s wake
+/// calendar read the same `next_round` query and call the same
+/// `transmit`, so they see the same transmissions.
 #[derive(Debug, Clone)]
 pub struct BackoffProcess {
     id: ProcessId,
     schedule: Backoff,
     rng: SmallRng,
     known: PayloadSet,
-    /// `j`: active rounds since the newest fresh payload arrived (the
-    /// first transmit opportunity after it has `j = 1`), as of local round
-    /// `at`.
-    active_rounds: u64,
-    /// The local round `active_rounds` was counted to; read only while
-    /// [`LAZY`] (a per-round poll counts calls instead).
-    at: u64,
-    /// [`LAZY`], [`FRESH`] and [`AHEAD`]: while none is set, a poll is one
-    /// draw, as it was before the calendar.
-    flags: u8,
-    /// While [`AHEAD`], the RNG holds the decisions of active rounds up to
-    /// `drawn`: those after `j` are failures except round `drawn` itself,
-    /// whose outcome is `hit`.
-    drawn: u64,
-    /// Whether round `drawn`'s draw succeeded.
-    hit: bool,
-    /// The RNG as it stood before the last draw-ahead, which started after
-    /// the draw of round `base`: a fresh payload rewinds to it.
-    rewind: SmallRng,
-    base: u64,
-    /// Last round `j` of the cached constant-probability span (0 = none
-    /// cached).
-    span_end: u64,
-    /// The cached span's `⌈p · 2^53⌉`: the transmit draw succeeds when the
-    /// top 53 bits of one `u64` fall below it.
-    threshold: u64,
+    /// The local round before active round `j = 1`.
+    start: u64,
+    /// The `j` of the next transmission; 0 while a fresh input waits for
+    /// the next poll to restart `j`.
+    next: u64,
 }
-
-/// A wake calendar drives the node: every local round after `at` is an
-/// active round, polled or not.
-const LAZY: u8 = 1;
-/// A fresh payload arrived after local round `at` and has not yet
-/// restarted `j` (input and activation carry no local round).
-const FRESH: u8 = 2;
-/// The node has drawn ahead to round `drawn`.
-const AHEAD: u8 = 4;
-
-/// The most draws one draw-ahead takes. A node whose next success lies
-/// further out wakes at the last of them with nothing to send and draws on
-/// from there, so a tiny `p` cannot stall the calendar.
-const DRAW_AHEAD_CAP: u64 = 1 << 12;
 
 impl BackoffProcess {
     /// Creates the automaton with its schedule and private RNG seed.
@@ -153,21 +128,13 @@ impl BackoffProcess {
                 assert!(p > 0.0 && p <= 1.0, "probability must lie in (0, 1]")
             }
         }
-        let rng = SmallRng::seed_from_u64(seed);
         BackoffProcess {
             id,
             schedule,
-            rewind: rng.clone(),
-            rng,
+            rng: SmallRng::seed_from_u64(seed),
             known: PayloadSet::EMPTY,
-            active_rounds: 0,
-            at: 0,
-            flags: 0,
-            drawn: 0,
-            hit: false,
-            base: 0,
-            span_end: 0,
-            threshold: 0,
+            start: 0,
+            next: 0,
         }
     }
 
@@ -192,128 +159,50 @@ impl BackoffProcess {
         self.known
     }
 
-    /// Adds `payloads` to the known set; returns `true` when one is fresh,
-    /// which restarts `j` at the next [`BackoffProcess::sync`].
+    /// Adds `payloads` to the known set; returns `true` when one is fresh.
     fn absorb(&mut self, payloads: PayloadSet) -> bool {
         let fresh = !payloads.minus(self.known).is_empty();
         if fresh {
             self.known.union_with(payloads);
-            self.flags |= FRESH;
         }
         fresh
     }
 
-    /// Brings the node to the end of local round `local`: a lazy node
-    /// counts every round since `at` as active; then a fresh payload that
-    /// arrived meanwhile restarts `j`, rewinding the RNG to the draw it
-    /// interrupted when the node had drawn past it.
-    pub(crate) fn sync(&mut self, local: u64) {
-        if self.flags & LAZY != 0 && !self.known.is_empty() {
-            self.active_rounds += local.saturating_sub(self.at);
-        }
-        self.at = local;
-        if self.flags & FRESH != 0 {
-            if self.flags & AHEAD != 0 {
-                self.rng = self.rewind.clone();
-                for _ in self.base..self.active_rounds {
-                    self.rng.next_u64();
-                }
-            }
-            self.flags &= !(FRESH | AHEAD);
-            self.active_rounds = 0;
-            self.span_end = 0;
-        }
+    /// Restarts `j` after local round `start` and draws the first
+    /// transmission.
+    fn restart(&mut self, start: u64) {
+        self.start = start;
+        self.next = self.draw_after(0);
     }
 
-    /// Marks the node as driven by a wake calendar (`true`) or polled
-    /// every round (`false`). Call it right after a
-    /// [`BackoffProcess::sync`].
-    pub(crate) fn set_lazy(&mut self, lazy: bool) {
-        if lazy {
-            self.flags |= LAZY;
-        } else {
-            self.flags &= !LAZY;
-        }
-    }
-
-    /// Draws ahead from the current `j` to the next successful draw, or
-    /// [`DRAW_AHEAD_CAP`] draws, unless the node has drawn ahead already.
-    pub(crate) fn draw_ahead(&mut self) {
-        if self.flags & AHEAD != 0 {
-            return;
-        }
-        self.flags |= AHEAD;
-        self.rewind = self.rng.clone();
-        self.base = self.active_rounds;
-        for j in self.base + 1..=self.base + DRAW_AHEAD_CAP {
-            if self.draw(j) {
-                (self.drawn, self.hit) = (j, true);
-                return;
-            }
-        }
-        (self.drawn, self.hit) = (self.base + DRAW_AHEAD_CAP, false);
-    }
-
-    /// `true` while the node is lazy, drawn ahead and holds no fresh
-    /// payload: its calendar booking still stands.
-    pub(crate) fn is_booked(&self) -> bool {
-        self.flags & (LAZY | FRESH | AHEAD) == LAZY | AHEAD
-    }
-
-    /// The local round of the node's next wake, once it has drawn ahead.
-    pub(crate) fn due(&self) -> u64 {
-        self.at + (self.drawn - self.active_rounds)
-    }
-
-    /// The wake calendar's poll of a due node in local round `local`.
-    pub(crate) fn wake(&mut self, local: u64) -> Option<Message> {
-        self.sync(local - 1);
-        self.at = local;
-        self.step()
-    }
-
-    /// One draw for active round `j`, exactly `gen_bool(p(j))`: that draw
-    /// tests `(x >> 11) · 2^-53 < p`, and both sides are exact in `f64`, so
-    /// it is the integer test `x >> 11 < ⌈p · 2^53⌉`. The threshold is
-    /// recomputed once per constant-probability span, not every round.
+    /// The local round, at or after `local`, of the node's next poll
+    /// that counts: its drawn transmission, or `local` itself while a draw
+    /// waits for the poll (a fresh input, or a due round missed while
+    /// faulty). `None` while the node knows no payload.
     #[inline]
-    fn draw(&mut self, j: u64) -> bool {
-        if j > self.span_end {
-            let (p, last) = self.schedule.span(j);
-            self.span_end = last;
-            self.threshold = (p * (1u64 << 53) as f64).ceil() as u64;
-        }
-        (self.rng.next_u64() >> 11) < self.threshold
-    }
-
-    /// The next active round, `j` synced to the round before it: its
-    /// decision was drawn ahead, or is drawn now.
-    #[inline]
-    fn step(&mut self) -> Option<Message> {
+    pub(crate) fn next_round(&self, local: u64) -> Option<u64> {
         if self.known.is_empty() {
             return None;
         }
-        self.active_rounds += 1;
-        let j = self.active_rounds;
-        let sent = if self.flags & AHEAD == 0 {
-            self.draw(j)
-        } else if j == self.drawn {
-            self.flags &= !AHEAD;
-            self.hit
-        } else {
-            false
-        };
-        sent.then(|| Message::with_payloads(self.id, self.known))
+        Some(self.start.saturating_add(self.next).max(local))
     }
 
-    /// A poll of local round `local` while any flag is set: leaves the
-    /// calendar's lazy count, takes in a fresh payload, or reads a decision
-    /// drawn ahead.
-    #[inline(never)]
-    fn poll_flagged(&mut self, local: u64) -> Option<Message> {
-        self.sync(local.saturating_sub(1));
-        self.flags &= !LAZY;
-        self.step()
+    /// The `j` of the first success after active round `j`: one
+    /// geometric gap per constant-`p` span; a gap that overruns its span
+    /// continues at the next one.
+    fn draw_after(&mut self, mut j: u64) -> u64 {
+        loop {
+            let first = j.saturating_add(1);
+            let (p, last) = self.schedule.span(first);
+            if p >= 1.0 {
+                return first;
+            }
+            let hit = first.saturating_add(geometric_gap_from_bits(self.rng.next_u64(), p));
+            if hit <= last {
+                return hit;
+            }
+            j = last;
+        }
     }
 }
 
@@ -324,32 +213,42 @@ impl Process for BackoffProcess {
 
     fn on_activate(&mut self, cause: ActivationCause) {
         if let Some(m) = cause.message() {
-            self.absorb(m.payloads);
+            if self.absorb(m.payloads) {
+                self.restart(0);
+            }
         }
     }
 
     fn on_input(&mut self, payload: PayloadId) {
-        self.absorb(PayloadSet::only(payload));
+        if self.absorb(PayloadSet::only(payload)) {
+            self.next = 0;
+        }
     }
 
-    /// Polled every round: one draw per informed round, or none for a round
-    /// drawn ahead.
     fn transmit(&mut self, local_round: u64) -> Option<Message> {
-        if self.flags != 0 {
-            return self.poll_flagged(local_round);
-        }
-        if self.known.is_empty() {
+        if self.next_round(local_round)? != local_round {
             return None;
         }
-        self.active_rounds += 1;
-        self.draw(self.active_rounds)
-            .then(|| Message::with_payloads(self.id, self.known))
+        if self.next == 0 {
+            // The first poll since a fresh input restarts `j`.
+            self.start = local_round - 1;
+        }
+        if self.start.saturating_add(self.next) < local_round {
+            // A fresh input, or a due round that passed unpolled while the
+            // node was faulty: draw from this round on.
+            self.next = self.draw_after(local_round - 1 - self.start);
+        }
+        if self.start.saturating_add(self.next) != local_round {
+            return None;
+        }
+        self.next = self.draw_after(self.next);
+        Some(Message::with_payloads(self.id, self.known))
     }
 
     fn receive(&mut self, local_round: u64, reception: Reception) {
         if let Some(m) = reception.message() {
             if self.absorb(m.payloads) {
-                self.sync(local_round);
+                self.restart(local_round);
             }
         }
     }
@@ -371,66 +270,240 @@ mod tests {
         Message::with_payload(ProcessId(0), PayloadId(0))
     }
 
-    /// Activates `p` with the payload one of three ways: environment input,
-    /// an asynchronous-start reception, or a synchronous start followed by
-    /// the first reception of the payload.
-    fn activate(p: &mut BackoffProcess, how: usize) {
-        match how {
-            0 => p.on_activate(ActivationCause::Input(message())),
-            1 => p.on_activate(ActivationCause::Reception(message())),
-            _ => {
-                p.on_activate(ActivationCause::SynchronousStart);
-                assert_eq!(p.transmit(1), None, "no payload yet");
-                p.receive(1, Reception::Message(message()));
+    /// `count` successes against the expected probability `p` over
+    /// `trials`: within 5 standard deviations, or exact where `p` leaves
+    /// no spread.
+    fn assert_binomial(count: u64, trials: u64, p: f64, what: &str) {
+        let sd = (p * (1.0 - p) / trials as f64).sqrt();
+        let freq = count as f64 / trials as f64;
+        if sd == 0.0 {
+            assert_eq!(freq, p, "{what}");
+        } else {
+            let z = (freq - p) / sd;
+            assert!(
+                z.abs() < 5.0,
+                "{what}: frequency {freq} against {p} (z = {z:.2})"
+            );
+        }
+    }
+
+    #[test]
+    fn transmissions_follow_the_schedule_law() {
+        const NODES: u64 = 40_000;
+        let schedules = [1, 3, 117]
+            .map(|period| Backoff::Harmonic { period })
+            .into_iter()
+            .chain([3, 7].map(|phase_len| Backoff::Decay { phase_len }))
+            .chain([0.3, 1.0, 1e-17].map(|p| Backoff::Uniform { p }));
+        for schedule in schedules {
+            // Past the second Harmonic level boundary at the longest period.
+            let rounds = match schedule {
+                Backoff::Harmonic { period } => (2 * period + 6).max(24),
+                _ => 24,
+            } as usize;
+            let mut sent = vec![0u64; rounds + 1];
+            // Rounds `j` and `j + 1`, and rounds `j` and `j + 5`.
+            let (mut next_too, mut fifth_too) = (vec![0u64; rounds + 1], vec![0u64; rounds + 1]);
+            for node in 0..NODES {
+                let mut p = BackoffProcess::new(ProcessId(0), schedule, derive_seed(0x1A3, node));
+                p.on_activate(ActivationCause::Input(message()));
+                let hits: Vec<bool> = (0..=rounds as u64)
+                    .map(|j| j > 0 && p.transmit(j).is_some())
+                    .collect();
+                for j in 1..=rounds {
+                    sent[j] += u64::from(hits[j]);
+                    next_too[j] += u64::from(hits[j] && hits.get(j + 1) == Some(&true));
+                    fifth_too[j] += u64::from(hits[j] && hits.get(j + 5) == Some(&true));
+                }
+            }
+            let prob = |j: usize| schedule.probability(j as u64);
+            for j in 1..=rounds {
+                assert_binomial(sent[j], NODES, prob(j), &format!("{schedule:?}, round {j}"));
+                if j + 5 <= rounds {
+                    let both = prob(j) * prob(j + 1);
+                    let what = format!("{schedule:?}, rounds {j} and {}", j + 1);
+                    assert_binomial(next_too[j], NODES, both, &what);
+                    let both = prob(j) * prob(j + 5);
+                    let what = format!("{schedule:?}, rounds {j} and {}", j + 5);
+                    assert_binomial(fifth_too[j], NODES, both, &what);
+                }
+            }
+        }
+    }
+
+    /// What happens to a node between two of its rounds.
+    #[derive(Clone, Copy)]
+    enum Event {
+        /// Environment input of a payload before the round.
+        Input(u64),
+        /// Reception of a payload at the end of the round.
+        Hear(u64),
+    }
+
+    /// The events of local round `local`.
+    fn events(local: u64, script: &[(u64, Event)]) -> impl Iterator<Item = Event> + '_ {
+        script
+            .iter()
+            .filter(move |(r, _)| *r == local)
+            .map(|&(_, e)| e)
+    }
+
+    fn hear(p: &mut BackoffProcess, local: u64, payload: u64) {
+        let m = Message::with_payload(ProcessId(1), PayloadId(payload));
+        p.receive(local, Reception::Message(m));
+    }
+
+    /// The local rounds in which a node activated by `activation` and
+    /// polled every round through `last` transmits.
+    fn polled(
+        mut p: BackoffProcess,
+        activation: ActivationCause,
+        script: &[(u64, Event)],
+        last: u64,
+    ) -> Vec<u64> {
+        p.on_activate(activation);
+        let mut sent = Vec::new();
+        for local in 1..=last {
+            for e in events(local, script) {
+                if let Event::Input(x) = e {
+                    p.on_input(PayloadId(x));
+                }
+            }
+            if p.transmit(local).is_some() {
+                sent.push(local);
+            }
+            for e in events(local, script) {
+                if let Event::Hear(x) = e {
+                    hear(&mut p, local, x);
+                }
+            }
+        }
+        sent
+    }
+
+    /// The same node driven as the wake calendar drives it: queried once
+    /// after activation, after each reception and poll, and before a round
+    /// that brings input, and otherwise polled only in the round the last
+    /// query named.
+    fn jumped(
+        mut p: BackoffProcess,
+        activation: ActivationCause,
+        script: &[(u64, Event)],
+        last: u64,
+    ) -> Vec<u64> {
+        p.on_activate(activation);
+        let mut due = p.next_round(1);
+        let mut sent = Vec::new();
+        let mut local = 1;
+        while local <= last {
+            if events(local, script).any(|e| matches!(e, Event::Input(_))) {
+                for e in events(local, script) {
+                    if let Event::Input(x) = e {
+                        p.on_input(PayloadId(x));
+                    }
+                }
+                due = p.next_round(local);
+            }
+            if due == Some(local) {
+                if p.transmit(local).is_some() {
+                    sent.push(local);
+                }
+                due = p.next_round(local + 1);
+            }
+            for e in events(local, script) {
+                if let Event::Hear(x) = e {
+                    hear(&mut p, local, x);
+                    due = p.next_round(local + 1);
+                }
+            }
+            let event = script.iter().map(|&(r, _)| r).filter(|&r| r > local).min();
+            local = event
+                .into_iter()
+                .chain(due)
+                .filter(|&r| r > local)
+                .min()
+                .unwrap_or(last + 1);
+        }
+        sent
+    }
+
+    #[test]
+    fn a_polled_node_and_a_jumped_node_transmit_alike() {
+        // Fresh payloads by input and by reception land mid-gap; payload 1
+        // is heard again once known, which changes nothing.
+        let script = [
+            (3, Event::Hear(1)),
+            (9, Event::Input(2)),
+            (14, Event::Hear(1)),
+            (20, Event::Hear(3)),
+            (20, Event::Input(4)),
+            (41, Event::Input(5)),
+            (41, Event::Hear(6)),
+            (77, Event::Hear(7)),
+            (150, Event::Input(8)),
+            (151, Event::Input(9)),
+        ];
+        let uninformed = ActivationCause::SynchronousStart;
+        let informed = ActivationCause::Reception(message());
+        let schedules = [1, 4, 117]
+            .map(|period| Backoff::Harmonic { period })
+            .into_iter()
+            .chain([1, 5].map(|phase_len| Backoff::Decay { phase_len }))
+            .chain([0.05, 1.0].map(|p| Backoff::Uniform { p }));
+        for (k, schedule) in schedules.enumerate() {
+            for seed in 0..40 {
+                for activation in [uninformed, informed] {
+                    // An input right after activation, before round 1.
+                    let mut script = script.to_vec();
+                    if seed % 2 == 1 {
+                        script.push((1, Event::Input(10)));
+                    }
+                    let p =
+                        BackoffProcess::new(ProcessId(7), schedule, derive_seed(k as u64, seed));
+                    let want = polled(p.clone(), activation, &script, 400);
+                    assert!(!want.is_empty(), "{schedule:?}: the node transmits");
+                    let got = jumped(p, activation, &script, 400);
+                    assert_eq!(got, want, "{schedule:?}, seed {seed}, {activation:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn transmit_is_gen_bool_of_the_schedule_draw_for_draw() {
-        let schedules = [1, 2, 3, 117]
-            .map(|period| Backoff::Harmonic { period })
-            .into_iter()
-            .chain([1, 3, 7].map(|phase_len| Backoff::Decay { phase_len }))
-            .chain([0.3, 1.0].map(|p| Backoff::Uniform { p }));
-        for (k, schedule) in schedules.enumerate() {
-            for how in 0..3 {
-                let mut p = BackoffProcess::new(ProcessId(5), schedule, 0xC0FFEE ^ k as u64);
-                activate(&mut p, how);
-                let mut model = p.rng.clone();
-                // Six Harmonic levels at the longest period.
-                let last = 6 * 117;
-                for j in 1..=last {
-                    let sent = p.transmit(j).is_some();
-                    let prob = schedule.probability(j);
-                    assert_eq!(
-                        sent,
-                        model.gen_bool(prob),
-                        "{schedule:?}, activation {how}, round {j}"
-                    );
-                    if prob == 1.0 {
-                        assert!(sent, "p = 1 always transmits (round {j})");
-                    }
-                    // A repeated reception neither resets the schedule nor
-                    // draws.
-                    p.receive(j, Reception::Message(message()));
-                }
-                // Taken over by a calendar and drawn ahead, the RNG stands
-                // at the draw of the next success (or of the cap).
-                p.sync(last);
-                p.set_lazy(true);
-                p.draw_ahead();
-                let mut j = last;
-                loop {
-                    j += 1;
-                    if model.gen_bool(schedule.probability(j)) || j == last + DRAW_AHEAD_CAP {
-                        break;
-                    }
-                }
-                assert_eq!(p.rng, model, "{schedule:?}: the draw-ahead position");
-                assert_eq!(p.due(), j, "{schedule:?}: due at the drawn success");
+    fn a_due_round_missed_while_faulty_is_dropped() {
+        // Decay with phases of 4 transmits surely at j = 1 and j = 9. Polled
+        // in local round 1 and next in round 9, the node sends in round 9:
+        // the eight rounds between count toward `j`.
+        for seed in 0..100 {
+            let mut p = BackoffProcess::new(ProcessId(0), Backoff::Decay { phase_len: 4 }, seed);
+            p.on_activate(ActivationCause::Input(message()));
+            assert!(p.transmit(1).is_some());
+            assert!(p.transmit(9).is_some(), "seed {seed}");
+        }
+        // Harmonic with period 1 has `p(j) = 1/j`. Polled in round 1 and
+        // next in round 10, across the due round it had drawn, the node
+        // sends in round 10 with probability 1/10: the missed round is
+        // dropped, not carried over (probability 1), and `j` is 10, not
+        // 2 (probability 1/2).
+        const NODES: u64 = 40_000;
+        let mut sent = 0;
+        for node in 0..NODES {
+            let schedule = Backoff::Harmonic { period: 1 };
+            let mut p = BackoffProcess::new(ProcessId(0), schedule, derive_seed(0xD0E, node));
+            p.on_activate(ActivationCause::Input(message()));
+            assert!(p.transmit(1).is_some());
+            let due = p.next_round(2).expect("informed");
+            if due < 10 {
+                assert!(
+                    p.next_round(10).expect("informed") >= 10,
+                    "no earlier than the poll"
+                );
+                sent += u64::from(p.transmit(10).is_some());
+            } else {
+                sent += u64::from(due == 10);
             }
         }
+        assert_binomial(sent, NODES, 0.1, "round 10 after a missed due round");
     }
 
     #[test]
@@ -473,21 +546,21 @@ mod tests {
 
     #[test]
     fn golden_transmit_pattern() {
-        // Computed with the per-round `gen_bool(probability(j))` draw.
+        // Computed with one geometric gap per constant-`p` span.
         let p = BackoffProcess::new(ProcessId(3), Backoff::Harmonic { period: 5 }, 0x5EED_1234);
-        assert_eq!(pattern(p), [0x0040_1010_0000_80bf, 0x0000_0000_0080_0001]);
+        assert_eq!(pattern(p), [0x4100_2000_24b1_237f, 0x0000_0004_0400_0100]);
     }
 
     #[test]
     fn golden_decay_transmit_pattern() {
         let p = BackoffProcess::new(ProcessId(3), Backoff::Decay { phase_len: 4 }, 0x5EED_1234);
-        assert_eq!(pattern(p), [0x1155_1113_1111_1131, 0x1d31_3b11_1191_1311]);
+        assert_eq!(pattern(p), [0x7791_1335_7b93_3333, 0x3397_3371_3317_3131]);
     }
 
     #[test]
     fn golden_uniform_transmit_pattern() {
         let p = BackoffProcess::new(ProcessId(3), Backoff::Uniform { p: 0.3 }, 0x5EED_1234);
-        assert_eq!(pattern(p), [0x0054_91d4_1100_8030, 0x8d21_8a90_1980_0291]);
+        assert_eq!(pattern(p), [0x70b6_b112_d728_08c5, 0x1a00_f111_4048_99a1]);
     }
 
     #[test]
@@ -513,14 +586,20 @@ mod tests {
         for r in 1..50 {
             p.transmit(r);
         }
-        assert_eq!(p.active_rounds, 49);
-        // Hearing payload 0 again must not restart j.
-        p.receive(
-            50,
-            Reception::Message(Message::with_payload(ProcessId(1), PayloadId(0))),
-        );
-        assert_eq!(p.active_rounds, 49);
+        assert_eq!(p.start, 0, "the first poll restarted j after local round 0");
+        let (next, rng) = (p.next, p.rng.clone());
+        assert!(next >= 50);
+        // Hearing payload 0 again must not restart j, nor draw.
+        hear(&mut p, 50, 0);
+        assert_eq!((p.start, p.next), (0, next));
+        assert_eq!(p.rng, rng);
         assert_eq!(p.known().len(), 1);
+    }
+
+    #[test]
+    fn the_automaton_keeps_one_rng_and_two_counters() {
+        // id, schedule, RNG, known set, `start` and `next`.
+        assert!(std::mem::size_of::<BackoffProcess>() <= 96);
     }
 
     #[test]

@@ -50,12 +50,14 @@ pub fn derive_seed2(master: u64, stream: u64, substream: u64) -> u64 {
 /// Maps one raw 64-bit draw to a Geometric(`p`) **gap** — the number of
 /// Bernoulli(`p`) failures before the next success — by inversion:
 /// `⌊ln(U) / ln(1−p)⌋` with `U` uniform in `(0, 1]` (53 mantissa bits,
-/// nudged off zero so `ln` stays finite).
+/// nudged off zero so `ln` stays finite). The denominator is taken as
+/// `ln_1p(−p)`, which stays exact where `1 − p` rounds to 1.
 ///
 /// This is the one copy of the numerically delicate formula behind the
-/// workspace's geometric skip sampling (Poisson stream arrivals).
-/// `p <= 0` yields `u64::MAX` (never succeeds), `p >= 1` yields `0`
-/// (succeeds immediately).
+/// workspace's geometric skip sampling: Poisson stream arrivals and the
+/// gap to a [`BackoffProcess`][crate::automata::BackoffProcess]'s next
+/// transmission. `p <= 0` yields `u64::MAX` (never succeeds), `p >= 1`
+/// yields `0` (succeeds immediately).
 #[inline]
 pub fn geometric_gap_from_bits(bits: u64, p: f64) -> u64 {
     if p <= 0.0 {
@@ -65,7 +67,7 @@ pub fn geometric_gap_from_bits(bits: u64, p: f64) -> u64 {
         return 0;
     }
     let u = ((bits >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
-    let gap = u.ln() / (1.0 - p).ln();
+    let gap = u.ln() / (-p).ln_1p();
     if gap >= u64::MAX as f64 {
         u64::MAX
     } else {
@@ -100,5 +102,37 @@ mod tests {
     fn zero_is_not_fixed_point() {
         assert_ne!(splitmix64(0), 0);
         assert_ne!(derive_seed(0, 0), 0);
+    }
+
+    #[test]
+    fn geometric_gap_edges() {
+        for bits in [0, 1 << 63, u64::MAX] {
+            assert_eq!(geometric_gap_from_bits(bits, 0.0), u64::MAX);
+            assert_eq!(geometric_gap_from_bits(bits, -0.5), u64::MAX);
+            assert_eq!(geometric_gap_from_bits(bits, 1.0), 0);
+            assert_eq!(geometric_gap_from_bits(bits, 1.5), 0);
+        }
+        // U ≈ 1/2 at p = 1e-17, where 1 − p rounds to 1: the gap is
+        // ln 2 / 1e-17 ≈ 6.93e16, not the 0 of a `ln(1 − p)` denominator.
+        let gap = geometric_gap_from_bits(1 << 63, 1e-17) as f64;
+        assert!(
+            (gap / (std::f64::consts::LN_2 * 1e17) - 1.0).abs() < 1e-9,
+            "{gap}"
+        );
+    }
+
+    #[test]
+    fn geometric_gap_has_the_geometric_mean() {
+        // Mean gap (1 − p)/p, checked within 5 standard errors over
+        // 200,000 SplitMix64 draws.
+        for p in [0.5, 0.01] {
+            let draws = 200_000u64;
+            let sum: f64 = (0..draws)
+                .map(|i| geometric_gap_from_bits(splitmix64(i), p) as f64)
+                .sum();
+            let (mean, sd) = ((1.0 - p) / p, (1.0 - p).sqrt() / p);
+            let z = (sum / draws as f64 - mean) / (sd / (draws as f64).sqrt());
+            assert!(z.abs() < 5.0, "p = {p}: z = {z}");
+        }
     }
 }

@@ -20,13 +20,13 @@
 //!   virtual dispatch).
 //!
 //! A homogeneous [`BackoffProcess`] table also keeps a **wake calendar**:
-//! each informed node draws ahead to its next successful draw and is
-//! polled only in that round, so a sparse round's transmit sweep visits
-//! the nodes due in it, in node order, instead of every node. The table
-//! runs the calendar while one chunk sweeps, no node is faulty and the
-//! last round's transmissions were few; otherwise it sweeps every node.
-//! Either way the `k`-th draw of a node's RNG decides its `k`-th active
-//! round, so both give the same transmissions bit for bit.
+//! each informed node is booked for the round of its next transmission
+//! and polled only then, so a sparse round's transmit sweep visits the
+//! nodes due in it, in node order, instead of every node. The table runs
+//! the calendar while one chunk sweeps, no node is faulty and the last
+//! round's transmissions were few; otherwise it sweeps every node. The
+//! booking and the per-round poll read the node's one `next_round` query,
+//! so both give the same transmissions bit for bit.
 //!
 //! Slots are the one way to build a population: every engine takes them
 //! through its `from_slots` constructor, and an automaton from outside
@@ -432,14 +432,14 @@ impl ProcessTable {
                 if faults.is_none() && calendar.wanted(procs.len()) {
                     calendar.sweep(procs, round, active_from, out);
                 } else {
-                    calendar.retire(procs, round, active_from);
+                    calendar.retire();
                     transmit_chunk(procs, 0, round, active_from, faults, out);
                 }
                 calendar.sent = out.len();
                 return;
             }
-            calendar.retire(procs, round, active_from);
         }
+        calendar.retire();
         let swept = each_repr!(repr, v => {
             per_shard(pieces(v, chunk).zip(outs), |s, (procs, out)| {
                 out.clear();
@@ -490,16 +490,12 @@ impl ProcessTable {
         let ProcessTable { repr, calendar } = self;
         if let (Repr::Backoff(procs), true) = (&mut *repr, calendar.live) {
             // A live calendar means this round swept one chunk with no
-            // faulty node; a node whose message restarted or activated it
-            // is rebooked.
+            // faulty node; a node that heard a message is rebooked, which
+            // moves it only when the message restarted or activated it.
             let Some(then) = then.next() else {
                 panic!("receive_sweep: fewer closures than chunks");
             };
-            let book = |node, from, p: &mut BackoffProcess| {
-                if !p.is_booked() {
-                    calendar.book(node, p, round, from);
-                }
-            };
+            let book = |node, from, p: &mut BackoffProcess| calendar.book(node, p, round, from);
             receive_chunk(
                 procs,
                 active_from,
@@ -531,19 +527,21 @@ impl ProcessTable {
 }
 
 /// The wake calendar of a homogeneous [`BackoffProcess`] table: each
-/// informed node, drawn ahead to its next success, is booked for that
-/// global round, and a round polls only the nodes booked for it.
+/// informed node is booked for the global round of its next transmission
+/// (or of the poll that draws it), and a round polls only the nodes
+/// booked for it.
 ///
 /// Wakes within [`WHEEL`] rounds sit in the wheel slot of their round;
 /// later ones wait in a heap and move to the wheel as their round comes
 /// near. So a slot holds only its own round's wakes, which a round sorts
 /// into node order.
 ///
-/// While the calendar is live its nodes are lazy (see [`BackoffProcess`]):
-/// the calendar runs only while no node is faulty, so every local round
-/// of an active node is an active one. Going live rebases every node at
-/// its count so far, and retiring catches every node up, so a switch in
-/// either direction keeps the draws in step with a per-round poll.
+/// A booking is the node's own `next_round` answer, the query its
+/// per-round poll reads, and a due node is woken through the same
+/// `transmit`: the calendar reads the automata and changes them only
+/// through that call. A node's `j` runs on its local round either way, so
+/// switching modes needs no resync: going live books every active node,
+/// and retiring only drops the bookings.
 #[derive(Debug, Clone, Default)]
 struct Calendar {
     /// `true` while the calendar drives the table.
@@ -593,19 +591,17 @@ impl Calendar {
         }
     }
 
-    /// Takes `p`, the process at `node` (active from global round `from`),
-    /// over at the end of global round `done`: lazy, drawn ahead, and
-    /// booked for its next wake unless it already is.
-    fn book(&mut self, node: usize, p: &mut BackoffProcess, done: u64, from: u64) {
-        p.sync(done + 1 - from);
-        p.set_lazy(true);
-        if p.has_payload() {
-            p.draw_ahead();
-            let due = from - 1 + p.due();
-            if self.booked[node] != due {
-                self.booked[node] = due;
-                self.push(due, node as u32, done);
-            }
+    /// Books `p`, the process at `node` (active from global round `from`),
+    /// at the end of global round `done` for its next poll that counts,
+    /// unless it already is.
+    fn book(&mut self, node: usize, p: &BackoffProcess, done: u64, from: u64) {
+        let Some(local) = p.next_round(done + 2 - from) else {
+            return;
+        };
+        let due = local.saturating_add(from - 1);
+        if self.booked[node] != due {
+            self.booked[node] = due;
+            self.push(due, node as u32, done);
         }
     }
 
@@ -635,7 +631,7 @@ impl Calendar {
             let mut pending = std::mem::take(&mut self.pending);
             for &node in &pending {
                 if let Some(from) = active_from[node as usize] {
-                    self.book(node as usize, &mut procs[node as usize], done, from);
+                    self.book(node as usize, &procs[node as usize], done, from);
                 }
             }
             pending.clear();
@@ -657,7 +653,7 @@ impl Calendar {
                 continue;
             };
             let p = &mut procs[node];
-            if let Some(msg) = p.wake(round - from + 1) {
+            if let Some(msg) = p.transmit(round - from + 1) {
                 out.push((NodeId::from_index(node), msg));
             }
             self.book(node, p, round, from);
@@ -667,20 +663,19 @@ impl Calendar {
     }
 
     /// Goes live at the end of round `done`, booking every active node.
-    fn start(&mut self, procs: &mut [BackoffProcess], done: u64, active_from: &[Option<u64>]) {
+    fn start(&mut self, procs: &[BackoffProcess], done: u64, active_from: &[Option<u64>]) {
         self.live = true;
         self.booked.fill(0);
-        for (node, (p, from)) in procs.iter_mut().zip(active_from).enumerate() {
+        for (node, (p, from)) in procs.iter().zip(active_from).enumerate() {
             if let Some(from) = *from {
                 self.book(node, p, done, from);
             }
         }
     }
 
-    /// Hands the table back to the every-node sweep before round `round`:
-    /// each active node is caught up to the end of the last round and
-    /// polled every round from now on.
-    fn retire(&mut self, procs: &mut [BackoffProcess], round: u64, active_from: &[Option<u64>]) {
+    /// Hands the table back to the every-node sweep, dropping every
+    /// booking.
+    fn retire(&mut self) {
         if !self.live {
             return;
         }
@@ -688,12 +683,6 @@ impl Calendar {
         self.wheel.iter_mut().for_each(Vec::clear);
         self.later.clear();
         self.pending.clear();
-        for (p, from) in procs.iter_mut().zip(active_from) {
-            if let Some(from) = *from {
-                p.sync(round - from);
-                p.set_lazy(false);
-            }
-        }
     }
 }
 

@@ -20,7 +20,9 @@
 //! 4. **pinned Backoff paths** — a Harmonic population on a sparse network
 //!    under mid-gap injections, mid-gap crashes and recoveries, a mid-gap
 //!    `Executor::clone` and a 2-worker `ShardedExecutor`: each event
-//!    stream agrees with the oracle and all are pinned by digest.
+//!    stream agrees with the oracle and all are pinned by digest. Beside
+//!    them, a Uniform population handed input before its nodes' first
+//!    transmit poll agrees with the oracle.
 
 mod common;
 
@@ -154,7 +156,7 @@ fn randomized_event_streams_are_pinned() {
             }
         }
     }
-    assert_eq!((count, digest), (612_614, 0x8261_20de_0a65_f827));
+    assert_eq!((count, digest), (611_888, 0xb2f4_fd99_61e7_1bc1));
 }
 
 /// A Harmonic population with period 6 and per-node seeds
@@ -223,7 +225,51 @@ fn backoff_injections_mid_gap_are_pinned() {
             }
         }
     }
-    assert_eq!((count, digest), (3_062_868, 0x54e8_4ddf_2810_702b));
+    assert_eq!((count, digest), (3_038_868, 0x9ce8_35b3_06d8_ab67));
+}
+
+/// Input before a node's first transmit poll: after every round, each
+/// node that round informed (under asynchronous start, one it activated)
+/// is handed a fresh payload. Uniform with `p = 0.02` on the line, where
+/// the payload crawls and the wake calendar stays live, draws even at
+/// `j = 1`, so the restart that the input leaves to the node's next poll
+/// consumes randomness, and its long gaps reach the calendar's heap. The
+/// event streams must agree with the oracle's.
+#[test]
+fn backoff_input_before_the_first_poll_agrees() {
+    let net = dualgraph_net::generators::line(160, 3);
+    let n = net.len();
+    let uniform = || BackoffProcess::slots(n, Backoff::Uniform { p: 0.02 }, 23);
+    for config in configs() {
+        for (name, make_adv) in adversary_menu(derive_seed(83, n as u64)) {
+            let label = format!("first poll {name} {:?} {:?}", config.rule, config.start);
+            let mut exec = Executor::from_slots(&net, uniform(), make_adv(), config).unwrap();
+            let mut oracle =
+                ReferenceExecutor::from_slots(&net, uniform(), make_adv(), config).unwrap();
+            let (mut events, mut oracle_events) = (Vec::new(), Vec::new());
+            let mut injected = 0u64;
+            for _ in 0..150 {
+                let informed: Vec<bool> = oracle
+                    .known_payloads()
+                    .iter()
+                    .map(|k| !k.is_empty())
+                    .collect();
+                exec.step_traced(&mut events);
+                oracle.step_traced(&mut oracle_events);
+                let fresh: Vec<usize> = (0..n)
+                    .filter(|&v| !informed[v] && !oracle.known_payloads()[v].is_empty())
+                    .collect();
+                for v in fresh {
+                    let (node, payload) = (NodeId::from_index(v), PayloadId(1 + injected % 100));
+                    exec.inject_traced(node, payload, &mut events);
+                    oracle.inject_traced(node, payload, &mut oracle_events);
+                    injected += 1;
+                }
+            }
+            assert!(injected > 0, "{label}: nothing was injected");
+            assert_eq!(events, oracle_events, "{label}: event streams diverged");
+        }
+    }
 }
 
 /// A fault plan that crashes informed nodes between two of their
@@ -282,7 +328,7 @@ fn backoff_crash_and_recovery_mid_gap_are_pinned() {
             }
         }
     }
-    assert_eq!((count, digest), (1_723_494, 0xfc9b_9098_b984_7bcb));
+    assert_eq!((count, digest), (1_725_274, 0x9882_89d3_83e8_b087));
 }
 
 /// `Executor::clone` taken mid-gap, after 45 rounds, continues beside the
@@ -324,7 +370,7 @@ fn backoff_clone_mid_gap_continues_beside_the_original() {
             }
         }
     }
-    assert_eq!((count, digest), (2_950_138, 0x7826_5f09_95cd_33af));
+    assert_eq!((count, digest), (2_884_398, 0x6eb1_6947_c13f_de2f));
 }
 
 /// A 2-worker `ShardedExecutor`, every round on two shards: its event
@@ -355,7 +401,7 @@ fn backoff_two_worker_sharded_streams_are_pinned() {
             }
         }
     }
-    assert_eq!((count, digest), (1_722_452, 0x2b14_19cf_6bf6_febf));
+    assert_eq!((count, digest), (1_751_680, 0x021f_6b30_2fce_8e0b));
 }
 
 /// The pipelined Harmonic population of the injection test: period 3,
